@@ -15,6 +15,9 @@ stage_build() {
   # --workspace: the root package does not depend on bistro-bench, and
   # the bench/fanout stages run ./target/release/exp_* binaries
   cargo build --release --offline --workspace
+  # benchmark/ has its own [workspace], so --workspace never compiles
+  # it; build it here so an API change that breaks it fails the gate
+  cargo build --release --offline --manifest-path benchmark/Cargo.toml
 }
 
 # Full workspace suite — includes the bench crate's experiment shape
@@ -131,6 +134,13 @@ stage_fanout() {
   ./target/release/exp_e14 --quick --gate "$baseline"
 }
 
+# The repo benchmark's self-check (BENCHMARK.json): its unit tests, two
+# `--smoke` runs whose exact-count metrics must agree, and the manifest
+# and metric-name set against the committed BENCHMARK.json.
+stage_benchmark() {
+  benchmark/check.sh
+}
+
 stage_all() {
   stage_build
   stage_test
@@ -143,15 +153,16 @@ stage_all() {
   stage_lint
   stage_bench
   stage_fanout
+  stage_benchmark
 }
 
 stage="${1:-all}"
 case "$stage" in
-  build|test|faults|crash|distributed|telemetry|parallel|mc|lint|bench|fanout|all)
+  build|test|faults|crash|distributed|telemetry|parallel|mc|lint|bench|fanout|benchmark|all)
     "stage_$stage"
     ;;
   *)
-    echo "usage: ./ci.sh [build|test|faults|crash|distributed|telemetry|parallel|mc|lint|bench|fanout|all]" >&2
+    echo "usage: ./ci.sh [build|test|faults|crash|distributed|telemetry|parallel|mc|lint|bench|fanout|benchmark|all]" >&2
     exit 2
     ;;
 esac

@@ -14,7 +14,6 @@
 pub mod checksum;
 pub mod clock;
 pub mod codec;
-pub mod handoff;
 pub mod id;
 pub mod pool;
 pub mod prop;
@@ -25,7 +24,6 @@ pub mod time;
 pub use checksum::{crc32, fnv1a64, Crc32};
 pub use clock::{Clock, SharedClock, SimClock, WallClock};
 pub use codec::{ByteReader, ByteWriter, CodecError};
-pub use handoff::Handoff;
 pub use id::{BatchId, FeedId, FileId, IdGen, SubscriberId};
 pub use pool::{Pool, ShardStat};
 pub use rng::Rng;

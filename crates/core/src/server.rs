@@ -17,19 +17,18 @@ use bistro_analyzer::fn_detect::FnWarning;
 use bistro_analyzer::{
     fp_report, FeedDiscoverer, FeedProgress, FnDetector, FpReport, ProgressAlert,
 };
-use bistro_base::{
-    BatchId, FileId, Handoff, IdGen, Pool, ShardStat, SharedClock, TimePoint, TimeSpan,
-};
+use bistro_base::{BatchId, FileId, IdGen, Pool, ShardStat, SharedClock, TimePoint, TimeSpan};
 use bistro_config::validate::validate;
 use bistro_config::{BatchSpec, Config, DeliveryMode, FeedDef, SubscriberDef};
 use bistro_receipts::{Archiver, FileRecord, GroupCommitStats, ReceiptError, ReceiptStore};
 use bistro_telemetry::{
     AlarmRule, AlarmSet, Condition, Counter, Histogram, Json, Registry, SharedRegistry, Span,
 };
-use bistro_transport::messages::{GroupMsg, Message, ReliableMsg, SubscriberMsg};
+use bistro_transport::messages::{BatchCloseReason, GroupMsg, Message, ReliableMsg, SubscriberMsg};
 use bistro_transport::trigger::TriggerContext;
 use bistro_transport::{
-    Batcher, Coverage, GroupTracker, RetryPolicy, RetryRound, RetryTracker, SimNetwork, TriggerLog,
+    BatchOutcome, Batcher, Coverage, GroupSend, Resend, RetryPolicy, RetryRound, RetryTracker,
+    SimNetwork, TriggerLog,
 };
 use bistro_vfs::{FileStore, VfsError};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -158,13 +157,6 @@ struct SubscriberState {
     consecutive_failures: u32,
 }
 
-/// Ack/retry state when reliable delivery is enabled (§4.2): the
-/// unacked-send table. Its tallies live in the server's telemetry
-/// registry (`reliable.*`), not here.
-struct ReliableState {
-    tracker: RetryTracker,
-}
-
 /// One active shared-delivery plan, built from a relay group in the
 /// config. The relay server itself (whose name equals the relay
 /// endpoint) skips the plan and fans out to the members through the
@@ -181,15 +173,32 @@ struct GroupPlan {
 
 /// Shared-delivery-tree state (§3 delivery network): one tracker entry
 /// and one coverage bitmap per `(group, file)` in flight, instead of a
-/// [`RetryTracker`] entry per member — fanout bookkeeping scales with
-/// the group count, not the member count. Tallies live in the server's
-/// telemetry registry (`group.*`).
+/// per-subscriber tracker entry per member — fanout bookkeeping scales
+/// with the group count, not the member count. Tallies live in the
+/// server's telemetry registry (`group.*`), created with the plans so a
+/// server without delivery trees renders no `group.*` metrics.
 struct GroupState {
     plans: Vec<GroupPlan>,
     /// Every subscriber routed through some plan: excluded from direct
     /// per-subscriber fan-out and backfill.
     grouped: BTreeSet<String>,
-    tracker: GroupTracker,
+    tracker: RetryTracker<GroupSend>,
+    /// `group.completed`: deliveries whose coverage reached every member.
+    completed: Arc<Counter>,
+    /// `group.undeliverable`: group sends dropped for want of a network.
+    undeliverable: Arc<Counter>,
+}
+
+/// Which of the server's two unacked tables a retry round came from:
+/// fixes the event-log wording and what exhaustion does.
+#[derive(Clone, Copy)]
+enum Unacked {
+    /// Per-subscriber sends: exhaustion flags the subscriber offline.
+    Subscriber,
+    /// Group sends to a relay: exhaustion only alarms — the relay is
+    /// shared infrastructure and members' individual health is tracked
+    /// at the relay tier.
+    Group,
 }
 
 /// Seed for the group tracker's retry jitter when the server is not in
@@ -250,10 +259,6 @@ enum LandingDisposition {
 /// receipt records share one batched WAL append + fsync.
 pub const DEFAULT_COMMIT_GROUP: usize = 64;
 
-/// How many prepared batches may sit in the prepare → commit hand-off
-/// queue of [`Server::deposit_pipelined`] before the producer blocks.
-const PIPELINE_DEPTH: usize = 2;
-
 /// A Bistro server instance.
 pub struct Server {
     name: String,
@@ -276,12 +281,11 @@ pub struct Server {
     /// maintained at every subscriber/group mutation point so the
     /// per-deposit match is `O(matched)` (DESIGN.md §12.5).
     index: DeliveryIndex,
-    /// When false, `ingest_prepared` matches by brute-force scan instead
-    /// of the index — the oracle the equivalence property test compares
-    /// against. Observable outputs are byte-identical either way.
-    use_index: bool,
     net: Option<Arc<SimNetwork>>,
-    reliable: Option<ReliableState>,
+    /// The per-subscriber unacked-send table when reliable delivery is
+    /// enabled (§4.2). Its tallies live in the telemetry registry
+    /// (`reliable.*`).
+    reliable: Option<RetryTracker>,
     groups: Option<GroupState>,
     progress: HashMap<String, FeedProgress>,
     discoverer: FeedDiscoverer,
@@ -393,20 +397,21 @@ impl Server {
             Some(GroupState {
                 plans,
                 grouped,
-                tracker: GroupTracker::with_telemetry(
+                tracker: RetryTracker::with_telemetry(
                     RetryPolicy::default(),
                     GROUP_RETRY_SEED,
                     &telemetry,
+                    "group",
                 ),
+                completed: telemetry.counter("group.completed"),
+                undeliverable: telemetry.counter("group.undeliverable"),
             })
         };
 
         // The inverted delivery index over the freshly resolved
         // subscriber table and compiled plans. Its `index.*` tallies live
-        // in the pool registry: the main registry renders into
-        // `status --json`, whose bytes are contract-equal between the
-        // indexed and scan match paths, and only the indexed path does
-        // lookups.
+        // in the pool registry, keeping lookup tallies out of the
+        // byte-stable `status --json` surface the main registry renders.
         let pool_telemetry = Registry::new();
         let mut index = DeliveryIndex::new(&pool_telemetry);
         for (sub_name, st) in &subscribers {
@@ -451,7 +456,6 @@ impl Server {
             batch_ids: IdGen::new(),
             subscribers,
             index,
-            use_index: true,
             net: None,
             reliable: None,
             groups,
@@ -522,14 +526,21 @@ impl Server {
     /// exponential backoff (drive via [`Server::poll_network`] and
     /// [`Server::retry_tick`]). Requires an attached network.
     pub fn with_reliable_delivery(mut self, policy: RetryPolicy, seed: u64) -> Server {
-        self.reliable = Some(ReliableState {
-            tracker: RetryTracker::with_telemetry(policy, seed, &self.telemetry),
-        });
+        self.reliable = Some(RetryTracker::with_telemetry(
+            policy,
+            seed,
+            &self.telemetry,
+            "reliable",
+        ));
         // group deliveries retry on the same policy, with a distinct RNG
         // stream so the two trackers' jitter draws stay independent
         if let Some(g) = self.groups.as_mut() {
-            g.tracker =
-                GroupTracker::with_telemetry(policy, seed ^ GROUP_RETRY_SEED, &self.telemetry);
+            g.tracker = RetryTracker::with_telemetry(
+                policy,
+                seed ^ GROUP_RETRY_SEED,
+                &self.telemetry,
+                "group",
+            );
         }
         self
     }
@@ -624,36 +635,14 @@ impl Server {
             self.clock.clone(),
             self.pool_telemetry.histogram("pool.prepare_us"),
         );
-        let (prepared, shard_stats) = Self::prepare_batch(
-            &self.workers,
-            &self.classifier,
-            &self.config,
-            &self.clock,
-            files,
-        );
+        let (classifier, config, clock) = (&self.classifier, &self.config, &self.clock);
+        let (prepared, shard_stats) = self.workers.map_with_stats(files, |_, (rel, payload)| {
+            let r = parallel::prepare(classifier, config, clock, &rel, payload);
+            (rel, r)
+        });
         prepare_span.finish();
         self.record_pool_stats(&shard_stats, &prepared);
         self.commit_batch(prepared)
-    }
-
-    /// The pure prepare stage of one batch: fan classify + normalize +
-    /// receipt pre-serialization across `pool`. Associated (not `&self`)
-    /// so the pipelined path can run it from a producer thread.
-    #[allow(clippy::type_complexity)]
-    fn prepare_batch(
-        pool: &Pool,
-        classifier: &Classifier,
-        config: &Config,
-        clock: &SharedClock,
-        files: Vec<(String, Vec<u8>)>,
-    ) -> (
-        Vec<(String, Result<Prepared, NormalizeError>)>,
-        Vec<ShardStat>,
-    ) {
-        pool.map_with_stats(files, |_, (rel, payload)| {
-            let r = parallel::prepare(classifier, config, clock, &rel, payload);
-            (rel, r)
-        })
     }
 
     /// The commit stage of one batch: stage payloads, group-commit the
@@ -745,67 +734,6 @@ impl Server {
                     .add(us);
             }
         }
-    }
-
-    /// Deposit a stream of batches through a two-stage pipeline: a
-    /// producer thread runs the pure prepare stage (fanning each batch
-    /// across the worker pool) while the caller's thread commits, so
-    /// batch *k*'s commit overlaps batch *k+1*'s prepare. The two stages
-    /// meet in a bounded [`Handoff`] queue ([`PIPELINE_DEPTH`] batches),
-    /// keeping in-flight memory bounded.
-    ///
-    /// Equivalent, byte for byte, to calling [`Server::deposit_batch`]
-    /// on each batch in order: prepare is pure, batches are committed in
-    /// input order on this thread, and nothing advances the clock in
-    /// between — so receipts, WAL bytes and `status_json` are identical
-    /// to the sequential form for any worker count and group size.
-    pub fn deposit_pipelined(
-        &mut self,
-        batches: Vec<Vec<(String, Vec<u8>)>>,
-    ) -> Result<(), ServerError> {
-        if batches.len() <= 1 {
-            for batch in batches {
-                self.deposit_batch(batch)?;
-            }
-            return Ok(());
-        }
-        let pool = self.workers;
-        let classifier = Arc::clone(&self.classifier);
-        let config = self.config.clone();
-        let clock = self.clock.clone();
-        let commit_lag = self.pool_telemetry.histogram("pipeline.commit_lag_us");
-        #[allow(clippy::type_complexity)]
-        let queue: Handoff<(
-            Vec<(String, Result<Prepared, NormalizeError>)>,
-            Vec<ShardStat>,
-            TimePoint,
-        )> = Handoff::new(PIPELINE_DEPTH);
-        let mut result = Ok(());
-        std::thread::scope(|scope| {
-            let producer = scope.spawn(|| {
-                for batch in batches {
-                    let handed = Self::prepare_batch(&pool, &classifier, &config, &clock, batch);
-                    let ready_at = clock.now();
-                    if queue.send((handed.0, handed.1, ready_at)).is_err() {
-                        return; // consumer bailed; stop preparing
-                    }
-                }
-                queue.close();
-            });
-            while let Some((prepared, shard_stats, ready_at)) = queue.recv() {
-                // time each batch sat prepared but uncommitted (0 under
-                // a SimClock, keeping the pipelined path deterministic)
-                commit_lag.record(self.clock.now().since(ready_at).as_micros());
-                self.record_pool_stats(&shard_stats, &prepared);
-                if let Err(e) = self.commit_batch(prepared) {
-                    result = Err(e);
-                    break;
-                }
-            }
-            queue.close(); // unblock the producer if we bailed early
-            let _ = producer.join();
-        });
-        result
     }
 
     /// Scan the landing zone for files from non-cooperating sources and
@@ -924,12 +852,8 @@ impl Server {
         // this feed — then skips the receipt lookup entirely. Members of
         // a relay group are excluded: their delivery is the one send per
         // group below. The index lookup touches only the matched
-        // postings; the scan is the equivalence oracle.
-        let (interested, group_matches) = if self.use_index {
-            self.index.matches(feeds)
-        } else {
-            self.scan_matches(feeds)
-        };
+        // postings.
+        let (interested, group_matches) = self.index.matches(feeds);
         if !interested.is_empty() || !group_matches.is_empty() {
             let rec = self.receipts.file(file).expect("just recorded");
             for sub in interested {
@@ -945,10 +869,10 @@ impl Server {
     /// The pre-index brute-force delivery match: filter every
     /// subscriber, enumerate every plan. `O(subscribers + plans)` per
     /// call — kept as the oracle [`DeliveryIndex`] is checked against
-    /// (`tests/delivery_index.rs`) and as the fallback behind
-    /// [`Server::set_use_index`]. Must return exactly what
+    /// (`tests/delivery_index.rs`). Must return exactly what
     /// [`DeliveryIndex::matches`] returns for the same state.
-    fn scan_matches(&self, feeds: &[String]) -> (Vec<String>, Vec<usize>) {
+    #[doc(hidden)]
+    pub fn match_via_scan(&self, feeds: &[String]) -> (Vec<String>, Vec<usize>) {
         let mut interested: Vec<String> = self
             .subscribers
             .iter()
@@ -976,26 +900,11 @@ impl Server {
         (interested, group_matches)
     }
 
-    /// Route deposit matching through the brute-force scan (`false`)
-    /// instead of the inverted index. Test/oracle knob: observable
-    /// outputs are identical either way, only the lookup cost changes.
-    #[doc(hidden)]
-    pub fn set_use_index(&mut self, on: bool) {
-        self.use_index = on;
-    }
-
     /// The indexed delivery match for `feeds` — exposed for the
     /// index-vs-scan equivalence property test.
     #[doc(hidden)]
     pub fn match_via_index(&self, feeds: &[String]) -> (Vec<String>, Vec<usize>) {
         self.index.matches(feeds)
-    }
-
-    /// The brute-force delivery match for `feeds` — the oracle side of
-    /// the equivalence property test.
-    #[doc(hidden)]
-    pub fn match_via_scan(&self, feeds: &[String]) -> (Vec<String>, Vec<usize>) {
-        self.scan_matches(feeds)
     }
 
     /// Endpoint→subscriber resolution — exposed for ack-lookup
@@ -1116,11 +1025,11 @@ impl Server {
             (st.def.endpoint.clone(), feed_name, dest_path, size, submsg)
         };
 
-        if let (Some(rel), Some(net)) = (self.reliable.as_mut(), self.net.clone()) {
-            if rel.tracker.is_outstanding(sub_name, rec.id) {
+        if let (Some(tracker), Some(net)) = (self.reliable.as_mut(), self.net.clone()) {
+            if tracker.is_outstanding(sub_name, rec.id) {
                 return Ok(()); // a send is already in flight
             }
-            let attempt = rel.tracker.track(sub_name, rec.id, submsg.clone(), now);
+            let attempt = tracker.track(sub_name, rec.id, submsg.clone(), now);
             net.send(
                 now,
                 &self.name,
@@ -1146,9 +1055,6 @@ impl Server {
     /// member served. Returns whether a send actually went out (skipped
     /// when the delivery is already in flight or durably complete).
     fn deliver_group(&mut self, plan_idx: usize, rec: &FileRecord) -> Result<bool, ServerError> {
-        let Some(net) = self.net.clone() else {
-            return Ok(false); // group delivery is a network construct
-        };
         let now = self.clock.now();
         let (group, endpoint, members) = {
             let g = self.groups.as_ref().expect("caller checked group state");
@@ -1162,6 +1068,23 @@ impl Server {
                 return Ok(false);
             }
         }
+        let Some(net) = self.net.clone() else {
+            // group delivery is a network construct, and the members are
+            // excluded from direct fan-out: without a network nobody
+            // receives this file, so say so
+            let g = self.groups.as_ref().expect("caller checked group state");
+            g.undeliverable.inc();
+            self.log.log(
+                now,
+                LogLevel::Warn,
+                "delivery",
+                format!(
+                    "group {group} delivery of file {} dropped: no network attached",
+                    rec.id.raw()
+                ),
+            );
+            return Ok(false);
+        };
         let staged_full = format!("{}/{}", self.config.server.staging, rec.staged_path);
         let size = self
             .store
@@ -1172,9 +1095,12 @@ impl Server {
         if g.tracker.is_outstanding(&group, rec.id) {
             return Ok(false); // a send is already in flight
         }
-        let attempt = g
-            .tracker
-            .track(&group, rec.id, members, &rec.name, size, now);
+        let send = GroupSend {
+            coverage: Coverage::new(members),
+            file_name: rec.name.clone(),
+            size,
+        };
+        let attempt = g.tracker.track(&group, rec.id, send, now);
         net.send(
             now,
             &self.name,
@@ -1202,16 +1128,12 @@ impl Server {
         size: u64,
         delivered_at: TimePoint,
     ) -> Result<(), ServerError> {
-        let (push, spec, trigger) = {
+        let (push, spec) = {
             let st = self
                 .subscribers
                 .get(sub_name)
                 .ok_or_else(|| ServerError::UnknownSubscriber(sub_name.to_string()))?;
-            (
-                st.def.delivery == DeliveryMode::Push,
-                st.def.batch,
-                st.def.trigger.clone(),
-            )
+            (st.def.delivery == DeliveryMode::Push, st.def.batch)
         };
         self.receipts
             .record_delivery(rec.id, sub_name, delivered_at)?;
@@ -1240,31 +1162,41 @@ impl Server {
         let lapsed = batcher.take_lapsed(delivered_at);
         let closed = batcher.on_file_at(rec.id, delivered_at, rec.feed_time);
         for batch in lapsed.into_iter().chain(closed) {
-            let batch_id: BatchId = self.batch_ids.next();
-            if let Some(def) = &trigger {
-                let window_lapse =
-                    batch.reason == bistro_transport::batching::BatchCloseReason::Window;
-                self.triggers.fire(
-                    sub_name,
-                    def,
-                    &TriggerContext {
-                        // a lapsed-window batch closed before this file
-                        // existed; like `tick`, it has no file path
-                        feed: feed_name,
-                        file_path: if window_lapse { "" } else { dest_path },
-                        batch: Some(batch_id),
-                        count: batch.files.len(),
-                    },
-                    batch.files,
-                    batch.closed,
-                );
-            }
+            self.close_batch(feed_name, sub_name, batch, dest_path);
         }
         self.subscribers
             .get_mut(sub_name)
             .unwrap()
             .consecutive_failures = 0;
         Ok(())
+    }
+
+    /// A batch closed: take the next [`BatchId`] and fire the
+    /// subscriber's trigger, if it has one. Only a batch completed by a
+    /// file (count close) names that file's `dest_path`; a window or
+    /// punctuation close happened apart from any one file and has none.
+    fn close_batch(&mut self, feed: &str, sub: &str, batch: BatchOutcome, dest_path: &str) {
+        let batch_id: BatchId = self.batch_ids.next();
+        let Some(def) = self
+            .subscribers
+            .get(sub)
+            .and_then(|s| s.def.trigger.as_ref())
+        else {
+            return;
+        };
+        let by_file = batch.reason == BatchCloseReason::Count;
+        self.triggers.fire(
+            sub,
+            def,
+            &TriggerContext {
+                feed,
+                file_path: if by_file { dest_path } else { "" },
+                batch: Some(batch_id),
+                count: batch.files.len(),
+            },
+            batch.files,
+            batch.closed,
+        );
     }
 
     /// Complete a delivery proven by an ack: idempotent (late and
@@ -1328,8 +1260,8 @@ impl Server {
                 let Some(sub) = self.subscriber_by_endpoint(from) else {
                     return Ok(false);
                 };
-                if let Some(rel) = self.reliable.as_mut() {
-                    rel.tracker.on_ack(&sub, file, attempt);
+                if let Some(tracker) = self.reliable.as_mut() {
+                    tracker.on_ack(&sub, file, attempt);
                     // counts every processed ack — including late duplicates
                     // the tracker no longer knows (those still prove delivery)
                     self.metrics.acks_processed.inc();
@@ -1362,9 +1294,12 @@ impl Server {
         let Some(g) = self.groups.as_mut() else {
             return Ok(false);
         };
-        let Some((coverage, changed)) = g.tracker.on_ack(group, file, bits, watermark) else {
+        let Some((coverage, changed)) = g.tracker.on_coverage(group, file, bits, watermark) else {
             return Ok(false); // stale report after completion
         };
+        if coverage.complete() {
+            g.completed.inc();
+        }
         if changed {
             self.receipts.record_group_mark(
                 file,
@@ -1398,72 +1333,13 @@ impl Server {
         self.index.subscriber_for_endpoint(endpoint).cloned()
     }
 
-    /// Sweep the unacked-send table: lapsed sends are retransmitted
-    /// (Warn) with exponential backoff; sends that exhausted the policy's
-    /// attempt budget raise an Alarm and flag the subscriber offline
-    /// (recovery then goes through backfill, §4.2).
+    /// Sweep both unacked tables: lapsed sends are retransmitted (Warn)
+    /// with exponential backoff; sends that exhausted the policy's
+    /// attempt budget raise an Alarm and — for a per-subscriber send —
+    /// flag the subscriber offline (recovery then goes through backfill,
+    /// §4.2). A lapsed group fanout is re-sent to its relay.
     pub fn retry_tick(&mut self) -> Result<(), ServerError> {
-        let now = self.clock.now();
-        if let Some(rel) = self.reliable.as_mut() {
-            let round = rel.tracker.due(now);
-            self.run_retry_round(round, now)?;
-        }
-        self.group_retry_tick(now)
-    }
-
-    /// Sweep the group-delivery tracker: lapsed fanouts are re-sent to
-    /// the relay (Warn); ones that exhausted the attempt budget raise an
-    /// Alarm. Unlike per-subscriber retries, exhaustion does not flag
-    /// anyone offline — the relay is shared infrastructure and members'
-    /// individual health is tracked at the relay tier.
-    fn group_retry_tick(&mut self, now: TimePoint) -> Result<(), ServerError> {
-        let Some(net) = self.net.clone() else {
-            return Ok(());
-        };
-        let round = match self.groups.as_mut() {
-            Some(g) => g.tracker.due(now),
-            None => return Ok(()),
-        };
-        let g = self.groups.as_ref().expect("checked above");
-        let max_attempts = g.tracker.policy().max_attempts;
-        let mut sends = Vec::new();
-        for r in &round.resend {
-            let Some(plan) = g.plans.iter().find(|p| p.name == r.group) else {
-                continue;
-            };
-            sends.push((
-                plan.endpoint.clone(),
-                Message::Group(GroupMsg::Deliver {
-                    group: r.group.clone(),
-                    file: r.file,
-                    file_name: r.file_name.clone(),
-                    size: r.size,
-                    attempt: r.attempt,
-                }),
-                format!(
-                    "retrying file {} to group {} (attempt {})",
-                    r.file.raw(),
-                    r.group,
-                    r.attempt
-                ),
-            ));
-        }
-        for (endpoint, msg, line) in sends {
-            net.send(now, &self.name, &endpoint, msg);
-            self.log.log(now, LogLevel::Warn, "delivery", line);
-        }
-        for (group, file) in &round.exhausted {
-            self.log.log(
-                now,
-                LogLevel::Alarm,
-                "delivery",
-                format!(
-                    "group {group} delivery of file {} abandoned after {max_attempts} attempts",
-                    file.raw()
-                ),
-            );
-        }
-        Ok(())
+        self.sweep_retries(false)
     }
 
     /// Retransmit *every* outstanding unacked send immediately,
@@ -1472,58 +1348,103 @@ impl Server {
     /// a retransmission is explored without simulating the backoff
     /// schedule that would produce one.
     pub fn retry_fire(&mut self) -> Result<(), ServerError> {
-        let now = self.clock.now();
-        let round = match self.reliable.as_mut() {
-            Some(rel) => rel.tracker.fire_all(now),
-            None => return Ok(()),
-        };
-        self.run_retry_round(round, now)
+        self.sweep_retries(true)
     }
 
-    fn run_retry_round(&mut self, round: RetryRound, now: TimePoint) -> Result<(), ServerError> {
+    /// One retry sweep over the per-subscriber table, then the group
+    /// table; `fire_all` lapses every deadline first.
+    fn sweep_retries(&mut self, fire_all: bool) -> Result<(), ServerError> {
+        let now = self.clock.now();
+        if let Some(tracker) = self.reliable.as_mut() {
+            let round = if fire_all {
+                tracker.fire_all(now)
+            } else {
+                tracker.due(now)
+            };
+            let max_attempts = tracker.policy().max_attempts;
+            self.run_retry_round(round, now, max_attempts, Unacked::Subscriber, |srv, r| {
+                let st = srv.subscribers.get(&r.target)?;
+                let attempt = ReliableMsg::Attempt {
+                    attempt: r.attempt,
+                    inner: r.payload.clone(),
+                };
+                Some((st.def.endpoint.as_str(), Message::Reliable(attempt)))
+            })?;
+        }
+        if let Some(g) = self.groups.as_mut() {
+            let round = if fire_all {
+                g.tracker.fire_all(now)
+            } else {
+                g.tracker.due(now)
+            };
+            let max_attempts = g.tracker.policy().max_attempts;
+            self.run_retry_round(round, now, max_attempts, Unacked::Group, |srv, r| {
+                let plans = &srv.groups.as_ref()?.plans;
+                let plan = plans.iter().find(|p| p.name == r.target)?;
+                let deliver = GroupMsg::Deliver {
+                    group: r.target.clone(),
+                    file: r.file,
+                    file_name: r.payload.file_name.clone(),
+                    size: r.payload.size,
+                    attempt: r.attempt,
+                };
+                Some((plan.endpoint.as_str(), Message::Group(deliver)))
+            })?;
+        }
+        Ok(())
+    }
+
+    /// Walk one tracker's retry round. The caller supplies what differs
+    /// between the two tables: `envelope` turns a resend into its
+    /// `(endpoint, message)` (`None` when the target is no longer
+    /// known), and `table` picks the log wording and whether exhaustion
+    /// flags the target offline.
+    fn run_retry_round<P>(
+        &mut self,
+        round: RetryRound<P>,
+        now: TimePoint,
+        max_attempts: u32,
+        table: Unacked,
+        envelope: impl for<'a> Fn(&'a Server, &Resend<P>) -> Option<(&'a str, Message)>,
+    ) -> Result<(), ServerError> {
         let Some(net) = self.net.clone() else {
             return Ok(());
         };
+        let to = match table {
+            Unacked::Subscriber => "",
+            Unacked::Group => "group ",
+        };
         for r in &round.resend {
-            let Some(st) = self.subscribers.get(&r.subscriber) else {
+            let Some((endpoint, msg)) = envelope(self, r) else {
                 continue;
             };
-            net.send(
-                now,
-                &self.name,
-                &st.def.endpoint,
-                Message::Reliable(ReliableMsg::Attempt {
-                    attempt: r.attempt,
-                    inner: r.msg.clone(),
-                }),
-            );
+            net.send(now, &self.name, endpoint, msg);
             self.log.log(
                 now,
                 LogLevel::Warn,
                 "delivery",
                 format!(
-                    "retrying file {} to {} (attempt {})",
+                    "retrying file {} to {to}{} (attempt {})",
                     r.file.raw(),
-                    r.subscriber,
+                    r.target,
                     r.attempt
                 ),
             );
         }
-        for (sub, file) in &round.exhausted {
-            self.log.log(
-                now,
-                LogLevel::Alarm,
-                "delivery",
-                format!(
-                    "delivery of file {} to {sub} abandoned after {} attempts",
-                    file.raw(),
-                    self.reliable
-                        .as_ref()
-                        .map(|r| r.tracker.policy().max_attempts)
-                        .unwrap_or(0)
+        for (target, file) in &round.exhausted {
+            let file = file.raw();
+            let line = match table {
+                Unacked::Subscriber => format!(
+                    "delivery of file {file} to {target} abandoned after {max_attempts} attempts"
                 ),
-            );
-            self.set_subscriber_online(sub, false)?;
+                Unacked::Group => format!(
+                    "group {target} delivery of file {file} abandoned after {max_attempts} attempts"
+                ),
+            };
+            self.log.log(now, LogLevel::Alarm, "delivery", line);
+            if let Unacked::Subscriber = table {
+                self.set_subscriber_online(target, false)?;
+            }
         }
         Ok(())
     }
@@ -1590,7 +1511,7 @@ impl Server {
     pub fn unacked_count(&self) -> usize {
         self.reliable
             .as_ref()
-            .map(|r| r.tracker.outstanding_count())
+            .map(|t| t.outstanding_count())
             .unwrap_or(0)
     }
 
@@ -1601,8 +1522,8 @@ impl Server {
     /// `reliable.acks` (only acks that cleared an outstanding entry).
     pub fn reliability_counters(&self) -> (u64, u64, u64) {
         match &self.reliable {
-            Some(rel) => {
-                let (_cleared, resends, exhausted) = rel.tracker.totals();
+            Some(tracker) => {
+                let (_cleared, resends, exhausted) = tracker.totals();
                 (self.metrics.acks_processed.get(), resends, exhausted)
             }
             None => (0, 0, 0),
@@ -1632,8 +1553,8 @@ impl Server {
         self.index.set_online(sub, &feeds, online, in_group);
         if !online {
             // stop retrying into a dead subscriber; recovery backfills
-            if let Some(rel) = self.reliable.as_mut() {
-                rel.tracker.forget_subscriber(sub);
+            if let Some(tracker) = self.reliable.as_mut() {
+                tracker.forget(sub);
             }
         }
         if online {
@@ -1739,8 +1660,8 @@ impl Server {
         self.config.subscribers.retain(|d| d.name != sub);
         self.index
             .remove_subscriber(sub, &st.feeds, &st.def.endpoint);
-        if let Some(rel) = self.reliable.as_mut() {
-            rel.tracker.forget_subscriber(sub);
+        if let Some(tracker) = self.reliable.as_mut() {
+            tracker.forget(sub);
         }
         self.batchers.retain(|(_, s), _| s != sub);
         self.log.log(
@@ -1813,26 +1734,7 @@ impl Server {
         for key in keys {
             let batch = self.batchers.get_mut(&key).and_then(|b| b.on_tick(now));
             if let Some(batch) = batch {
-                let (feed, sub) = &key;
-                let trigger = self
-                    .subscribers
-                    .get(sub)
-                    .and_then(|s| s.def.trigger.clone());
-                let batch_id: BatchId = self.batch_ids.next();
-                if let Some(def) = trigger {
-                    self.triggers.fire(
-                        sub,
-                        &def,
-                        &TriggerContext {
-                            feed,
-                            file_path: "",
-                            batch: Some(batch_id),
-                            count: batch.files.len(),
-                        },
-                        batch.files,
-                        now,
-                    );
-                }
+                self.close_batch(&key.0, &key.1, batch, "");
             }
         }
         // progress audits (sorted: HashMap iteration order must not
@@ -1899,26 +1801,7 @@ impl Server {
                 .get_mut(&key)
                 .and_then(|b| b.on_punctuation(now));
             if let Some(batch) = batch {
-                let (feed, sub) = &key;
-                let trigger = self
-                    .subscribers
-                    .get(sub)
-                    .and_then(|s| s.def.trigger.clone());
-                let batch_id: BatchId = self.batch_ids.next();
-                if let Some(def) = trigger {
-                    self.triggers.fire(
-                        sub,
-                        &def,
-                        &TriggerContext {
-                            feed,
-                            file_path: "",
-                            batch: Some(batch_id),
-                            count: batch.files.len(),
-                        },
-                        batch.files,
-                        now,
-                    );
-                }
+                self.close_batch(&key.0, &key.1, batch, "");
             }
         }
     }
@@ -2077,49 +1960,45 @@ impl Server {
             )
             .unwrap();
         }
-        if let Some(rel) = &self.reliable {
-            let mut out: Vec<String> = rel
-                .tracker
-                .outstanding_entries()
-                .into_iter()
-                .map(|(sub, file, attempt)| {
-                    let name = self
-                        .receipts
-                        .file(FileId(file))
-                        .map(|r| r.name)
-                        .unwrap_or_else(|| format!("#{file}"));
-                    format!("out\0{sub}\0{name}\0{attempt}")
-                })
-                .collect();
-            out.sort();
-            for line in out {
-                acc.push_str(&line);
-                acc.push('\n');
-            }
+        if let Some(tracker) = &self.reliable {
+            self.digest_unacked(&mut acc, "out", tracker, |_| String::new());
         }
         if let Some(g) = &self.groups {
-            let mut out: Vec<String> = g
-                .tracker
-                .outstanding_entries()
-                .into_iter()
-                .map(|(group, file, attempt, covered)| {
-                    let name = self
-                        .receipts
-                        .file(FileId(file))
-                        .map(|r| r.name)
-                        .unwrap_or_else(|| format!("#{file}"));
-                    format!("gout\0{group}\0{name}\0{attempt}\0{covered}")
-                })
-                .collect();
-            out.sort();
-            for line in out {
-                acc.push_str(&line);
-                acc.push('\n');
-            }
+            self.digest_unacked(&mut acc, "gout", &g.tracker, |send| {
+                format!("\0{}", send.coverage.count())
+            });
         }
         let mut bytes = acc.into_bytes();
         bytes.extend_from_slice(&self.receipts.state_digest().to_le_bytes());
         bistro_base::fnv1a64(&bytes)
+    }
+
+    /// Append one unacked table to a [`Server::state_digest`]
+    /// accumulator: a sorted `tag\0target\0file-name\0attempt` line per
+    /// entry, plus whatever `suffix` adds from the entry's payload.
+    fn digest_unacked<P: Clone>(
+        &self,
+        acc: &mut String,
+        tag: &str,
+        tracker: &RetryTracker<P>,
+        suffix: impl Fn(&P) -> String,
+    ) {
+        let mut out: Vec<String> = tracker
+            .entries()
+            .map(|(target, file, attempt, payload)| {
+                let name = self
+                    .receipts
+                    .file(file)
+                    .map(|r| r.name)
+                    .unwrap_or_else(|| format!("#{}", file.raw()));
+                format!("{tag}\0{target}\0{name}\0{attempt}{}", suffix(payload))
+            })
+            .collect();
+        out.sort();
+        for line in out {
+            acc.push_str(&line);
+            acc.push('\n');
+        }
     }
 
     /// The trigger invocation log.

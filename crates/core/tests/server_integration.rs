@@ -5,7 +5,7 @@ use bistro_base::{Clock, SimClock, TimePoint, TimeSpan};
 use bistro_config::parse_config;
 use bistro_core::{LogLevel, Server};
 use bistro_simnet::{generate, payload::payload_for, FleetConfig, SubfeedSpec};
-use bistro_transport::messages::{Message, SubscriberMsg};
+use bistro_transport::messages::{GroupMsg, Message, SubscriberMsg};
 use bistro_transport::{LinkSpec, SimNetwork};
 use bistro_vfs::{FileStore, MemFs};
 use std::sync::Arc;
@@ -408,6 +408,103 @@ fn group_fanout_survives_crash_restart() {
     assert_eq!(server.group_outstanding(), 1);
     clock.advance(TimeSpan::from_secs(1));
     assert_eq!(net.recv_ready("edge", clock.now()).len(), 1);
+}
+
+#[test]
+fn group_delivery_without_network_is_loud() {
+    // A hub with a relay group but no attached network: the members are
+    // excluded from direct fan-out and the one group send has nowhere to
+    // go. That used to drop the file for the whole group with no log
+    // line and no counter — on deposit and again on backfill.
+    let clock = SimClock::starting_at(START);
+    let store = MemFs::shared(clock.clone());
+    let cfg = parse_config(
+        r#"
+        feed SNMP/MEMORY { pattern "MEMORY_poller%i_%Y%m%d.gz"; }
+        subscriber wh1 { endpoint "wh1"; subscribe SNMP/MEMORY; }
+        subscriber wh2 { endpoint "wh2"; subscribe SNMP/MEMORY; }
+        group EDGE { members wh1, wh2; relay "edge"; }
+        "#,
+    )
+    .unwrap();
+    let mut server = Server::new("hub", cfg, clock.clone(), store).unwrap();
+    let undeliverable = |s: &Server| s.telemetry().counter_value("group.undeliverable");
+    assert_eq!(undeliverable(&server), Some(0));
+
+    server.deposit("MEMORY_poller1_20100925.gz", b"x").unwrap();
+    assert_eq!(server.stats().deliveries, 0, "nobody received the file");
+    assert_eq!(server.group_outstanding(), 0);
+    assert_eq!(undeliverable(&server), Some(1));
+    assert_eq!(server.event_log().count(LogLevel::Warn), 1);
+    let warned = server
+        .event_log()
+        .recent()
+        .iter()
+        .any(|e| e.message.contains("group EDGE") && e.message.contains("no network"));
+    assert!(warned, "the drop must name the group and the cause");
+
+    assert_eq!(server.backfill_unacked().unwrap(), 0);
+    assert_eq!(undeliverable(&server), Some(2), "backfill drops it again");
+}
+
+#[test]
+fn retry_fire_resends_outstanding_group_delivery() {
+    // The forced retry sweep (the model checker's timer action) must
+    // cover the group table too: one outstanding group delivery is
+    // re-sent to the relay as attempt 2 without waiting out a deadline.
+    let clock = SimClock::starting_at(START);
+    let store = MemFs::shared(clock.clone());
+    let net = Arc::new(SimNetwork::new(LinkSpec::default()));
+    let cfg = parse_config(
+        r#"
+        feed SNMP/MEMORY { pattern "MEMORY_poller%i_%Y%m%d.gz"; }
+        subscriber wh1 { endpoint "wh1"; subscribe SNMP/MEMORY; }
+        subscriber wh2 { endpoint "wh2"; subscribe SNMP/MEMORY; }
+        group EDGE { members wh1, wh2; relay "edge"; }
+        "#,
+    )
+    .unwrap();
+    let mut server = Server::new("hub", cfg, clock.clone(), store)
+        .unwrap()
+        .with_network(net.clone());
+    server.deposit("MEMORY_poller1_20100925.gz", b"x").unwrap();
+    assert_eq!(server.group_outstanding(), 1);
+
+    let group_attempts = |net: &SimNetwork, now| -> Vec<u32> {
+        net.recv_ready("edge", now)
+            .into_iter()
+            .filter_map(|d| match d.msg {
+                Message::Group(GroupMsg::Deliver { attempt, .. }) => Some(attempt),
+                _ => None,
+            })
+            .collect()
+    };
+    clock.advance(TimeSpan::from_secs(1));
+    assert_eq!(group_attempts(&net, clock.now()), vec![1]);
+
+    server.retry_fire().unwrap();
+    clock.advance(TimeSpan::from_secs(1));
+    assert_eq!(group_attempts(&net, clock.now()), vec![2]);
+    assert_eq!(server.group_counters(), (0, 1, 0), "one resend, no acks");
+    assert_eq!(server.group_outstanding(), 1, "still awaiting coverage");
+
+    // full coverage from the relay completes the delivery
+    let file = server
+        .receipts()
+        .file_by_name("MEMORY_poller1_20100925.gz")
+        .unwrap()
+        .id;
+    let ack = Message::Group(GroupMsg::Ack {
+        group: "EDGE".to_string(),
+        file,
+        bits: vec![0b11],
+        watermark: 2,
+    });
+    assert!(server
+        .handle_network_message("edge", clock.now(), ack)
+        .unwrap());
+    assert_eq!(server.group_outstanding(), 0);
+    assert_eq!(server.telemetry().counter_value("group.completed"), Some(1));
 }
 
 #[test]

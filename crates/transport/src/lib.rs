@@ -39,7 +39,5 @@ pub use batching::{BatchOutcome, Batcher};
 pub use client::{PendingFile, SubscriberClient};
 pub use messages::{ClusterMsg, GroupMsg, Message, ReliableMsg, SourceMsg, SubscriberMsg};
 pub use net::{Delivery, FaultPlan, FaultSpec, LinkFlap, LinkSpec, PendingMessage, SimNetwork};
-pub use reliable::{
-    Coverage, GroupResend, GroupRetryRound, GroupTracker, RetryPolicy, RetryRound, RetryTracker,
-};
+pub use reliable::{Coverage, GroupSend, Resend, RetryPolicy, RetryRound, RetryTracker};
 pub use trigger::{expand_command, Invocation, TriggerLog};

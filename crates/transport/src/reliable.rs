@@ -16,6 +16,13 @@
 //! [`RetryTracker::due`] on its clock ticks, and writes the delivery
 //! receipt only once the ack arrives.
 //!
+//! There is one table type, generic over what an entry carries. The
+//! server runs two instances of it: `RetryTracker<SubscriberMsg>` for
+//! per-subscriber sends and `RetryTracker<GroupSend>` for delivery
+//! trees, where an entry is one `(group, file)` send to a relay and a
+//! [`Coverage`] bitmap of the members served so far
+//! ([`RetryTracker::on_coverage`] is the only group-specific step).
+//!
 //! [`ReliableMsg::Attempt`]: crate::messages::ReliableMsg::Attempt
 
 use crate::messages::SubscriberMsg;
@@ -65,31 +72,31 @@ impl RetryPolicy {
 
 /// One unacked send.
 #[derive(Clone, Debug)]
-struct Outstanding {
+struct Entry<P> {
     attempt: u32,
     deadline: TimePoint,
     first_sent: TimePoint,
-    msg: SubscriberMsg,
+    payload: P,
 }
 
 /// A retransmission scheduled by [`RetryTracker::due`].
 #[derive(Clone, Debug)]
-pub struct Resend {
-    /// The subscriber to retransmit to.
-    pub subscriber: String,
+pub struct Resend<P = SubscriberMsg> {
+    /// Who to retransmit to: a subscriber, or a group (via its relay).
+    pub target: String,
     /// The file being redelivered.
     pub file: FileId,
     /// The new (bumped) attempt number to stamp on the envelope.
     pub attempt: u32,
-    /// The message to wrap and resend.
-    pub msg: SubscriberMsg,
+    /// What the send carries — the caller wraps it in the wire envelope.
+    pub payload: P,
 }
 
 /// The outcome of one [`RetryTracker::due`] sweep.
-#[derive(Clone, Debug, Default)]
-pub struct RetryRound {
+#[derive(Clone, Debug)]
+pub struct RetryRound<P = SubscriberMsg> {
     /// Sends whose timeout lapsed: retransmit these.
-    pub resend: Vec<Resend>,
+    pub resend: Vec<Resend<P>>,
     /// Sends that exhausted [`RetryPolicy::max_attempts`]; they are no
     /// longer tracked — the caller should alarm and fall back to
     /// failure-detection + backfill.
@@ -118,30 +125,33 @@ impl TrackerMetrics {
         }
     }
 
-    fn registered(reg: &Registry) -> TrackerMetrics {
+    fn registered(reg: &Registry, prefix: &str) -> TrackerMetrics {
         TrackerMetrics {
-            attempts: reg.counter("reliable.attempts"),
-            acks: reg.counter("reliable.acks"),
-            resends: reg.counter("reliable.resends"),
-            exhausted: reg.counter("reliable.exhausted"),
-            outstanding: reg.gauge("reliable.outstanding"),
+            attempts: reg.counter(&format!("{prefix}.attempts")),
+            acks: reg.counter(&format!("{prefix}.acks")),
+            resends: reg.counter(&format!("{prefix}.resends")),
+            exhausted: reg.counter(&format!("{prefix}.exhausted")),
+            outstanding: reg.gauge(&format!("{prefix}.outstanding")),
         }
     }
 }
 
-/// The unacked-send table (deterministic iteration: `BTreeMap`).
-pub struct RetryTracker {
+/// The unacked-send table (deterministic iteration: `BTreeMap`), keyed
+/// by `(target, file)` and generic over what each entry carries: the
+/// [`SubscriberMsg`] to resend for a per-subscriber delivery, a
+/// [`GroupSend`] (coverage bitmap + file identity) for a delivery tree.
+pub struct RetryTracker<P = SubscriberMsg> {
     policy: RetryPolicy,
     rng: Rng,
-    outstanding: BTreeMap<(String, u64), Outstanding>,
+    outstanding: BTreeMap<(String, u64), Entry<P>>,
     metrics: TrackerMetrics,
 }
 
-impl RetryTracker {
+impl<P: Clone> RetryTracker<P> {
     /// A tracker under `policy`; `seed` drives the backoff jitter.
     /// Counters record into detached handles; use
     /// [`RetryTracker::with_telemetry`] to surface them in a registry.
-    pub fn new(policy: RetryPolicy, seed: u64) -> RetryTracker {
+    pub fn new(policy: RetryPolicy, seed: u64) -> RetryTracker<P> {
         RetryTracker {
             policy,
             rng: Rng::seed_from_u64(seed),
@@ -150,15 +160,19 @@ impl RetryTracker {
         }
     }
 
-    /// A tracker whose `reliable.*` counters and outstanding gauge live
-    /// in `reg`. Telemetry draws nothing from the jitter RNG, so a
-    /// registered tracker replays identically to a detached one.
-    pub fn with_telemetry(policy: RetryPolicy, seed: u64, reg: &Registry) -> RetryTracker {
+    /// A tracker whose `{prefix}.*` counters and outstanding gauge live
+    /// in `reg` (`"reliable"` for per-subscriber sends, `"group"` for
+    /// delivery trees). Telemetry draws nothing from the jitter RNG, so
+    /// a registered tracker replays identically to a detached one.
+    pub fn with_telemetry(
+        policy: RetryPolicy,
+        seed: u64,
+        reg: &Registry,
+        prefix: &str,
+    ) -> RetryTracker<P> {
         RetryTracker {
-            policy,
-            rng: Rng::seed_from_u64(seed),
-            outstanding: BTreeMap::new(),
-            metrics: TrackerMetrics::registered(reg),
+            metrics: TrackerMetrics::registered(reg, prefix),
+            ..RetryTracker::new(policy, seed)
         }
     }
 
@@ -190,28 +204,22 @@ impl RetryTracker {
     }
 
     /// Register attempt 1 of a send made at `now`; returns the attempt
-    /// number to stamp on the envelope. If the `(subscriber, file)` pair
-    /// is already outstanding, the existing attempt is kept (the caller
+    /// number to stamp on the envelope. If the `(target, file)` pair is
+    /// already outstanding, the existing attempt is kept (the caller
     /// should not double-send; [`RetryTracker::is_outstanding`] guards).
-    pub fn track(
-        &mut self,
-        subscriber: &str,
-        file: FileId,
-        msg: SubscriberMsg,
-        now: TimePoint,
-    ) -> u32 {
-        let key = (subscriber.to_string(), file.raw());
+    pub fn track(&mut self, target: &str, file: FileId, payload: P, now: TimePoint) -> u32 {
+        let key = (target.to_string(), file.raw());
         if let Some(o) = self.outstanding.get(&key) {
             return o.attempt;
         }
         let deadline = now + self.jittered(self.policy.timeout_for(1));
         self.outstanding.insert(
             key,
-            Outstanding {
+            Entry {
                 attempt: 1,
                 deadline,
                 first_sent: now,
-                msg,
+                payload,
             },
         );
         self.metrics.attempts.inc();
@@ -219,13 +227,13 @@ impl RetryTracker {
         1
     }
 
-    /// An ack for `(subscriber, file)` arrived. Returns `true` if the
-    /// pair was outstanding (any attempt number proves delivery — a late
-    /// ack of an earlier attempt is just as good).
-    pub fn on_ack(&mut self, subscriber: &str, file: FileId, _attempt: u32) -> bool {
+    /// An ack for `(target, file)` arrived. Returns `true` if the pair
+    /// was outstanding (any attempt number proves delivery — a late ack
+    /// of an earlier attempt is just as good).
+    pub fn on_ack(&mut self, target: &str, file: FileId, _attempt: u32) -> bool {
         let acked = self
             .outstanding
-            .remove(&(subscriber.to_string(), file.raw()))
+            .remove(&(target.to_string(), file.raw()))
             .is_some();
         if acked {
             self.metrics.acks.inc();
@@ -234,10 +242,10 @@ impl RetryTracker {
         acked
     }
 
-    /// True if `(subscriber, file)` has an unacked send in flight.
-    pub fn is_outstanding(&self, subscriber: &str, file: FileId) -> bool {
+    /// True if `(target, file)` has an unacked send in flight.
+    pub fn is_outstanding(&self, target: &str, file: FileId) -> bool {
         self.outstanding
-            .contains_key(&(subscriber.to_string(), file.raw()))
+            .contains_key(&(target.to_string(), file.raw()))
     }
 
     /// Number of unacked sends.
@@ -245,18 +253,21 @@ impl RetryTracker {
         self.outstanding.len()
     }
 
-    /// Drop every outstanding entry for `subscriber` (it was flagged
+    /// Drop every outstanding entry for `target` (it was flagged
     /// offline; recovery goes through backfill instead of retries).
-    pub fn forget_subscriber(&mut self, subscriber: &str) {
-        self.outstanding.retain(|(sub, _), _| sub != subscriber);
+    pub fn forget(&mut self, target: &str) {
+        self.outstanding.retain(|(t, _), _| t != target);
         self.metrics.outstanding.set(self.outstanding.len() as i64);
     }
 
     /// Sweep the table at `now`: every entry past its deadline is either
     /// scheduled for retransmission (attempt bumped, backoff applied) or,
     /// if `max_attempts` is spent, reported as exhausted and dropped.
-    pub fn due(&mut self, now: TimePoint) -> RetryRound {
-        let mut round = RetryRound::default();
+    pub fn due(&mut self, now: TimePoint) -> RetryRound<P> {
+        let mut round = RetryRound {
+            resend: Vec::new(),
+            exhausted: Vec::new(),
+        };
         let lapsed: Vec<(String, u64)> = self
             .outstanding
             .iter()
@@ -272,16 +283,16 @@ impl RetryTracker {
             }
             o.attempt += 1;
             let attempt = o.attempt;
-            let msg = o.msg.clone();
+            let payload = o.payload.clone();
             let nominal = self.policy.timeout_for(attempt);
             let deadline = now + self.jittered(nominal);
             let o = self.outstanding.get_mut(&key).expect("still present");
             o.deadline = deadline;
             round.resend.push(Resend {
-                subscriber: key.0,
+                target: key.0,
                 file: FileId(key.1),
                 attempt,
-                msg,
+                payload,
             });
         }
         self.metrics.attempts.add(round.resend.len() as u64);
@@ -296,28 +307,27 @@ impl RetryTracker {
     /// abstracts away wall-clock deadlines: an interleaving where the
     /// timer fires is explored regardless of how much virtual time the
     /// policy would have required.
-    pub fn fire_all(&mut self, now: TimePoint) -> RetryRound {
+    pub fn fire_all(&mut self, now: TimePoint) -> RetryRound<P> {
         for o in self.outstanding.values_mut() {
             o.deadline = now;
         }
         self.due(now)
     }
 
-    /// The outstanding table as `(subscriber, file, attempt)` tuples in
+    /// The outstanding table as `(target, file, attempt, payload)` in
     /// key order — digestible state for model-checker state hashes.
-    pub fn outstanding_entries(&self) -> Vec<(String, u64, u32)> {
+    pub fn entries(&self) -> impl Iterator<Item = (&str, FileId, u32, &P)> {
         self.outstanding
             .iter()
-            .map(|((sub, file), o)| (sub.clone(), *file, o.attempt))
-            .collect()
+            .map(|((target, file), o)| (target.as_str(), FileId(*file), o.attempt, &o.payload))
     }
 
-    /// The scheduled retransmission deadline for `(subscriber, file)`,
-    /// if outstanding — test-only visibility for the jitter-cap bound.
+    /// The scheduled retransmission deadline for `(target, file)`, if
+    /// outstanding — test-only visibility into the jitter schedule.
     #[cfg(test)]
-    fn deadline_of(&self, subscriber: &str, file: FileId) -> Option<TimePoint> {
+    fn deadline_of(&self, target: &str, file: FileId) -> Option<TimePoint> {
         self.outstanding
-            .get(&(subscriber.to_string(), file.raw()))
+            .get(&(target.to_string(), file.raw()))
             .map(|o| o.deadline)
     }
 
@@ -331,12 +341,12 @@ impl RetryTracker {
 }
 
 // ---------------------------------------------------------------------------
-// Shared delivery trees: compact per-member coverage + group retry table.
+// Shared delivery trees: compact per-member coverage as tracker payload.
 //
 // A subscriber *group* is delivered once — to its relay node — and the
 // relay reports which members it has covered with a bitmap over the
 // group's sorted member list. One `Coverage` per outstanding
-// `(group, file)` replaces one `Outstanding` entry (string key, cloned
+// `(group, file)` replaces one tracker entry (string key, cloned
 // message, deadline) per *member*: a 1000-member group costs 125 bytes
 // of bitmap instead of ~1000 tracker entries, which is what lets fanout
 // state scale with group count rather than member count.
@@ -454,153 +464,28 @@ impl Coverage {
     }
 }
 
-/// One unacked group delivery.
+/// What one unacked *group* delivery carries in the [`RetryTracker`]:
+/// the members covered so far plus what a (re)send to the relay needs.
+/// A resend is also the cascaded-backfill trigger — the relay answers
+/// every (re)delivery with its current coverage and backfills
+/// stragglers from its own store.
 #[derive(Clone, Debug)]
-struct GroupOutstanding {
-    attempt: u32,
-    deadline: TimePoint,
-    coverage: Coverage,
-    file_name: String,
-    size: u64,
-}
-
-/// A group retransmission scheduled by [`GroupTracker::due`] — also the
-/// cascaded-backfill trigger: the relay answers every (re)delivery with
-/// its current coverage and backfills stragglers from its own store.
-#[derive(Clone, Debug)]
-pub struct GroupResend {
-    /// The group to redeliver to (via its relay endpoint).
-    pub group: String,
-    /// The file being redelivered (sender-local id).
-    pub file: FileId,
-    /// The new (bumped) attempt number.
-    pub attempt: u32,
+pub struct GroupSend {
+    /// Members the relay has reported served, merged across acks.
+    pub coverage: Coverage,
     /// The file's landing name (stable across stores).
     pub file_name: String,
     /// Payload size.
     pub size: u64,
 }
 
-/// The outcome of one [`GroupTracker::due`] sweep.
-#[derive(Clone, Debug, Default)]
-pub struct GroupRetryRound {
-    /// Deliveries whose timeout lapsed: retransmit these.
-    pub resend: Vec<GroupResend>,
-    /// Deliveries that exhausted [`RetryPolicy::max_attempts`] with
-    /// members still uncovered; the caller should alarm.
-    pub exhausted: Vec<(String, FileId)>,
-}
-
-struct GroupMetrics {
-    attempts: Arc<Counter>,
-    acks: Arc<Counter>,
-    completed: Arc<Counter>,
-    resends: Arc<Counter>,
-    exhausted: Arc<Counter>,
-    outstanding: Arc<Gauge>,
-}
-
-impl GroupMetrics {
-    fn detached() -> GroupMetrics {
-        GroupMetrics {
-            attempts: Arc::new(Counter::detached()),
-            acks: Arc::new(Counter::detached()),
-            completed: Arc::new(Counter::detached()),
-            resends: Arc::new(Counter::detached()),
-            exhausted: Arc::new(Counter::detached()),
-            outstanding: Arc::new(Gauge::detached()),
-        }
-    }
-
-    fn registered(reg: &Registry) -> GroupMetrics {
-        GroupMetrics {
-            attempts: reg.counter("group.attempts"),
-            acks: reg.counter("group.acks"),
-            completed: reg.counter("group.completed"),
-            resends: reg.counter("group.resends"),
-            exhausted: reg.counter("group.exhausted"),
-            outstanding: reg.gauge("group.outstanding"),
-        }
-    }
-}
-
-/// The unacked *group* delivery table — [`RetryTracker`]'s shape, but
-/// one entry (with a [`Coverage`] bitmap) per `(group, file)` instead
-/// of one entry per `(member, file)`.
-pub struct GroupTracker {
-    policy: RetryPolicy,
-    rng: Rng,
-    outstanding: BTreeMap<(String, u64), GroupOutstanding>,
-    metrics: GroupMetrics,
-}
-
-impl GroupTracker {
-    /// A tracker under `policy`; `seed` drives the backoff jitter.
-    pub fn new(policy: RetryPolicy, seed: u64) -> GroupTracker {
-        GroupTracker {
-            policy,
-            rng: Rng::seed_from_u64(seed),
-            outstanding: BTreeMap::new(),
-            metrics: GroupMetrics::detached(),
-        }
-    }
-
-    /// A tracker whose `group.*` counters and outstanding gauge live in
-    /// `reg`. Telemetry draws nothing from the jitter RNG.
-    pub fn with_telemetry(policy: RetryPolicy, seed: u64, reg: &Registry) -> GroupTracker {
-        GroupTracker {
-            policy,
-            rng: Rng::seed_from_u64(seed),
-            outstanding: BTreeMap::new(),
-            metrics: GroupMetrics::registered(reg),
-        }
-    }
-
-    fn jittered(&mut self, nominal: TimeSpan) -> TimeSpan {
-        if self.policy.jitter <= 0.0 {
-            return nominal;
-        }
-        let f = 1.0 + self.policy.jitter * (2.0 * self.rng.next_f64() - 1.0);
-        TimeSpan::from_micros((nominal.as_micros() as f64 * f) as u64).min(self.policy.max_timeout)
-    }
-
-    /// Register attempt 1 of a group delivery sent at `now`; returns the
-    /// attempt number to stamp on the envelope (the existing one if the
-    /// pair is already outstanding).
-    pub fn track(
-        &mut self,
-        group: &str,
-        file: FileId,
-        members: u32,
-        file_name: &str,
-        size: u64,
-        now: TimePoint,
-    ) -> u32 {
-        let key = (group.to_string(), file.raw());
-        if let Some(o) = self.outstanding.get(&key) {
-            return o.attempt;
-        }
-        let deadline = now + self.jittered(self.policy.timeout_for(1));
-        self.outstanding.insert(
-            key,
-            GroupOutstanding {
-                attempt: 1,
-                deadline,
-                coverage: Coverage::new(members),
-                file_name: file_name.to_string(),
-                size,
-            },
-        );
-        self.metrics.attempts.inc();
-        self.metrics.outstanding.set(self.outstanding.len() as i64);
-        1
-    }
-
+impl RetryTracker<GroupSend> {
     /// A coverage report for `(group, file)` arrived. Merges it in and
     /// returns `(merged coverage, changed)` — `None` if the pair is not
-    /// outstanding (stale or duplicate ack of a finished delivery). A
-    /// complete merge removes the entry.
-    pub fn on_ack(
+    /// outstanding (stale or duplicate ack of a finished delivery).
+    /// Unlike a per-subscriber ack, a report only clears the entry once
+    /// the merged bitmap is complete.
+    pub fn on_coverage(
         &mut self,
         group: &str,
         file: FileId,
@@ -608,97 +493,15 @@ impl GroupTracker {
         watermark: u64,
     ) -> Option<(Coverage, bool)> {
         let key = (group.to_string(), file.raw());
-        let o = self.outstanding.get_mut(&key)?;
-        let changed = o.coverage.merge_wire(bits, watermark);
-        let merged = o.coverage.clone();
+        let coverage = &mut self.outstanding.get_mut(&key)?.payload.coverage;
+        let changed = coverage.merge_wire(bits, watermark);
+        let merged = coverage.clone();
         self.metrics.acks.inc();
         if merged.complete() {
             self.outstanding.remove(&key);
-            self.metrics.completed.inc();
             self.metrics.outstanding.set(self.outstanding.len() as i64);
         }
         Some((merged, changed))
-    }
-
-    /// True if `(group, file)` has an unfinished delivery in flight.
-    pub fn is_outstanding(&self, group: &str, file: FileId) -> bool {
-        self.outstanding
-            .contains_key(&(group.to_string(), file.raw()))
-    }
-
-    /// The current merged coverage for `(group, file)`, if outstanding.
-    pub fn coverage(&self, group: &str, file: FileId) -> Option<&Coverage> {
-        self.outstanding
-            .get(&(group.to_string(), file.raw()))
-            .map(|o| &o.coverage)
-    }
-
-    /// Number of unfinished group deliveries.
-    pub fn outstanding_count(&self) -> usize {
-        self.outstanding.len()
-    }
-
-    /// The retry policy this tracker enforces.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
-    /// `(acks, resends, exhausted)` totals since construction.
-    pub fn totals(&self) -> (u64, u64, u64) {
-        (
-            self.metrics.acks.get(),
-            self.metrics.resends.get(),
-            self.metrics.exhausted.get(),
-        )
-    }
-
-    /// Sweep the table at `now`: lapsed entries are scheduled for
-    /// retransmission or, past `max_attempts`, reported exhausted.
-    pub fn due(&mut self, now: TimePoint) -> GroupRetryRound {
-        let mut round = GroupRetryRound::default();
-        let lapsed: Vec<(String, u64)> = self
-            .outstanding
-            .iter()
-            .filter(|(_, o)| o.deadline <= now)
-            .map(|(k, _)| k.clone())
-            .collect();
-        for key in lapsed {
-            let o = self.outstanding.get_mut(&key).expect("collected above");
-            if o.attempt >= self.policy.max_attempts {
-                self.outstanding.remove(&key);
-                round.exhausted.push((key.0, FileId(key.1)));
-                continue;
-            }
-            o.attempt += 1;
-            let attempt = o.attempt;
-            let file_name = o.file_name.clone();
-            let size = o.size;
-            let nominal = self.policy.timeout_for(attempt);
-            let deadline = self.jittered(nominal);
-            let o = self.outstanding.get_mut(&key).expect("still present");
-            o.deadline = now + deadline;
-            round.resend.push(GroupResend {
-                group: key.0,
-                file: FileId(key.1),
-                attempt,
-                file_name,
-                size,
-            });
-        }
-        self.metrics.attempts.add(round.resend.len() as u64);
-        self.metrics.resends.add(round.resend.len() as u64);
-        self.metrics.exhausted.add(round.exhausted.len() as u64);
-        self.metrics.outstanding.set(self.outstanding.len() as i64);
-        round
-    }
-
-    /// The outstanding table as `(group, file, attempt, covered)` tuples
-    /// in key order — digestible state for determinism hashes.
-    pub fn outstanding_entries(&self) -> Vec<(String, u64, u32, u32)> {
-        self.outstanding
-            .iter()
-            .map(|((g, f), o)| (g.clone(), *f, o.attempt, o.coverage.count()))
-            .collect()
     }
 }
 
@@ -752,10 +555,17 @@ mod tests {
         assert!(!tr.on_ack("s", FileId(1), 1));
     }
 
-    #[test]
-    fn timeout_bumps_attempt_with_backoff() {
+    fn group_send(members: u32) -> GroupSend {
+        GroupSend {
+            coverage: Coverage::new(members),
+            file_name: "f_1.csv".to_string(),
+            size: 3,
+        }
+    }
+
+    fn check_backoff<P: Clone>(payload: P) {
         let mut tr = RetryTracker::new(policy(), 1);
-        tr.track("s", FileId(1), msg(1), t(0));
+        tr.track("s", FileId(1), payload, t(0));
         assert!(tr.due(t(5)).resend.is_empty(), "not due yet");
         let r = tr.due(t(10));
         assert_eq!(r.resend.len(), 1);
@@ -768,15 +578,106 @@ mod tests {
     }
 
     #[test]
-    fn exhaustion_after_max_attempts() {
+    fn timeout_bumps_attempt_with_backoff() {
+        check_backoff(msg(1));
+        check_backoff(group_send(8));
+    }
+
+    fn check_exhaustion<P: Clone>(payload: P) {
         let mut tr = RetryTracker::new(policy(), 1);
-        tr.track("s", FileId(1), msg(1), t(0));
+        tr.track("s", FileId(1), payload, t(0));
         tr.due(t(10)); // attempt 2
         tr.due(t(100)); // attempt 3 == max
         let r = tr.due(t(1000));
         assert!(r.resend.is_empty());
         assert_eq!(r.exhausted, vec![("s".to_string(), FileId(1))]);
         assert_eq!(tr.outstanding_count(), 0);
+        assert_eq!(tr.totals(), (0, 2, 1));
+    }
+
+    #[test]
+    fn exhaustion_after_max_attempts() {
+        check_exhaustion(msg(1));
+        check_exhaustion(group_send(8));
+    }
+
+    #[test]
+    fn resend_carries_the_tracked_payload() {
+        let mut tr = RetryTracker::new(policy(), 1);
+        tr.track("g", FileId(1), group_send(8), t(0));
+        let r = tr.due(t(10));
+        assert_eq!(r.resend[0].target, "g");
+        assert_eq!(r.resend[0].payload.file_name, "f_1.csv");
+        assert_eq!(r.resend[0].payload.size, 3);
+    }
+
+    /// A jitter schedule recorded as literals (seed `0xB157`, the
+    /// per-subscriber and group tables of PR 11 both produced it): one
+    /// RNG draw per `track` and per resend, in key order. A same-commit
+    /// replay test cannot see the draw order shift between commits; these
+    /// literals can.
+    fn check_golden_schedule<P: Clone>(payload: P) {
+        let p = RetryPolicy {
+            jitter: 0.2,
+            ..policy()
+        };
+        let mut tr = RetryTracker::new(p, 0xB157);
+        let schedule = |tr: &RetryTracker<P>| -> Vec<(String, u32, u64)> {
+            tr.entries()
+                .map(|(target, file, attempt, _)| {
+                    let deadline = tr.deadline_of(target, file).expect("listed");
+                    (
+                        format!("{target}/{}", file.raw()),
+                        attempt,
+                        deadline.as_micros(),
+                    )
+                })
+                .collect()
+        };
+        let row = |k: &str, attempt: u32, deadline_us: u64| (k.to_string(), attempt, deadline_us);
+
+        tr.track("a", FileId(1), payload.clone(), t(0));
+        tr.track("b", FileId(2), payload.clone(), t(0));
+        tr.track("c", FileId(3), payload.clone(), t(1));
+        assert_eq!(
+            schedule(&tr),
+            vec![
+                row("a/1", 1, 9_483_630),
+                row("b/2", 1, 8_226_620),
+                row("c/3", 1, 12_956_653),
+            ]
+        );
+        assert_eq!(tr.due(t(13)).resend.len(), 3);
+        assert_eq!(
+            schedule(&tr),
+            vec![
+                row("a/1", 2, 33_322_263),
+                row("b/2", 2, 36_918_110),
+                row("c/3", 2, 31_457_233),
+            ]
+        );
+        assert!(tr.on_ack("b", FileId(2), 1));
+        tr.track("d", FileId(4), payload, t(14));
+        let round = tr.due(t(40));
+        assert_eq!(round.resend.len(), 3);
+        assert!(round.exhausted.is_empty());
+        assert_eq!(
+            schedule(&tr),
+            vec![
+                row("a/1", 3, 75_287_541),
+                row("c/3", 3, 80_771_028),
+                row("d/4", 2, 60_642_022),
+            ]
+        );
+        let round = tr.due(t(90));
+        assert_eq!(round.exhausted.len(), 2);
+        assert_eq!(schedule(&tr), vec![row("d/4", 3, 124_054_055)]);
+    }
+
+    #[test]
+    fn golden_jitter_schedule_for_both_payloads() {
+        check_golden_schedule(msg(1));
+        check_golden_schedule(group_send(4));
     }
 
     #[test]
@@ -861,11 +762,11 @@ mod tests {
     }
 
     #[test]
-    fn forget_subscriber_drops_entries() {
+    fn forget_drops_the_targets_entries() {
         let mut tr = RetryTracker::new(policy(), 1);
         tr.track("a", FileId(1), msg(1), t(0));
         tr.track("b", FileId(2), msg(2), t(0));
-        tr.forget_subscriber("a");
+        tr.forget("a");
         assert!(!tr.is_outstanding("a", FileId(1)));
         assert!(tr.is_outstanding("b", FileId(2)));
     }
@@ -873,7 +774,7 @@ mod tests {
     #[test]
     fn telemetry_counters_track_lifecycle() {
         let reg = Registry::new();
-        let mut tr = RetryTracker::with_telemetry(policy(), 1, &reg);
+        let mut tr = RetryTracker::with_telemetry(policy(), 1, &reg, "reliable");
         tr.track("s", FileId(1), msg(1), t(0));
         tr.track("s", FileId(2), msg(2), t(0));
         assert_eq!(reg.counter_value("reliable.attempts"), Some(2));
@@ -899,10 +800,8 @@ mod tests {
         let r = tr.fire_all(t(1));
         assert_eq!(r.resend.len(), 2);
         assert!(r.exhausted.is_empty());
-        assert_eq!(
-            tr.outstanding_entries(),
-            vec![("a".to_string(), 1, 2), ("b".to_string(), 2, 2),]
-        );
+        let attempts: Vec<_> = tr.entries().map(|(k, f, a, _)| (k, f.raw(), a)).collect();
+        assert_eq!(attempts, vec![("a", 1, 2), ("b", 2, 2)]);
         // repeated firing walks each entry to exhaustion
         tr.fire_all(t(2)); // attempt 3 == max
         let r = tr.fire_all(t(3));
@@ -917,6 +816,13 @@ mod tests {
         tr.track("s", FileId(1), msg(1), t(0));
         tr.due(t(10)); // retry does not reset the age
         assert_eq!(tr.oldest_unacked_age(t(15)), Some(TimeSpan::from_secs(15)));
+
+        // a group entry ages the same way, and a partial coverage report
+        // does not reset it either
+        let mut tr = RetryTracker::new(policy(), 1);
+        tr.track("g", FileId(1), group_send(4), t(2));
+        tr.on_coverage("g", FileId(1), &[], 2);
+        assert_eq!(tr.oldest_unacked_age(t(15)), Some(TimeSpan::from_secs(13)));
     }
 
     // -- shared delivery trees ---------------------------------------------
@@ -969,72 +875,57 @@ mod tests {
     }
 
     #[test]
-    fn group_tracker_partial_acks_then_complete() {
-        let mut tr = GroupTracker::new(policy(), 1);
-        assert_eq!(tr.track("g", FileId(1), 10, "f_1.csv", 3, t(0)), 1);
+    fn group_partial_coverage_then_complete() {
+        let mut tr = RetryTracker::new(policy(), 1);
+        assert_eq!(tr.track("g", FileId(1), group_send(10), t(0)), 1);
         assert!(tr.is_outstanding("g", FileId(1)));
         // duplicate track keeps the existing attempt
-        assert_eq!(tr.track("g", FileId(1), 10, "f_1.csv", 3, t(1)), 1);
+        assert_eq!(tr.track("g", FileId(1), group_send(10), t(1)), 1);
 
         // partial coverage: first 4 members — stays outstanding
         let partial = Coverage::from_wire(10, &[], 4);
         let (merged, changed) = tr
-            .on_ack("g", FileId(1), partial.bits(), 4)
+            .on_coverage("g", FileId(1), partial.bits(), 4)
             .expect("outstanding");
         assert!(changed);
         assert_eq!(merged.count(), 4);
         assert!(tr.is_outstanding("g", FileId(1)));
-        assert_eq!(tr.coverage("g", FileId(1)).unwrap().watermark(), 4);
+        let (_, _, _, held) = tr.entries().next().unwrap();
+        assert_eq!(held.coverage.watermark(), 4);
 
         // same report again: no change
-        let (_, changed) = tr.on_ack("g", FileId(1), partial.bits(), 4).unwrap();
+        let (_, changed) = tr.on_coverage("g", FileId(1), partial.bits(), 4).unwrap();
         assert!(!changed);
 
         // full coverage finishes and removes the entry
         let full = Coverage::from_wire(10, &[], 10);
-        let (merged, _) = tr.on_ack("g", FileId(1), full.bits(), 10).unwrap();
+        let (merged, _) = tr.on_coverage("g", FileId(1), full.bits(), 10).unwrap();
         assert!(merged.complete());
         assert!(!tr.is_outstanding("g", FileId(1)));
         assert_eq!(tr.outstanding_count(), 0);
-        // an ack for a finished delivery is a stale no-op
-        assert!(tr.on_ack("g", FileId(1), full.bits(), 10).is_none());
+        // a report for a finished delivery is a stale no-op
+        assert!(tr.on_coverage("g", FileId(1), full.bits(), 10).is_none());
     }
 
     #[test]
-    fn group_tracker_retries_and_exhausts_like_retry_tracker() {
-        let mut tr = GroupTracker::new(policy(), 1);
-        tr.track("g", FileId(1), 8, "f_1.csv", 3, t(0));
-        assert!(tr.due(t(5)).resend.is_empty(), "not due yet");
-        let r = tr.due(t(10));
-        assert_eq!(r.resend.len(), 1);
-        assert_eq!(r.resend[0].attempt, 2);
-        assert_eq!(r.resend[0].file_name, "f_1.csv");
-        tr.due(t(100)); // attempt 3 == max
-        let r = tr.due(t(1000));
-        assert!(r.resend.is_empty());
-        assert_eq!(r.exhausted, vec![("g".to_string(), FileId(1))]);
-        assert_eq!(tr.outstanding_count(), 0);
-        assert_eq!(tr.totals(), (0, 2, 1));
-    }
-
-    #[test]
-    fn group_tracker_telemetry_and_digest_entries() {
+    fn group_prefix_telemetry_counts_every_merged_report() {
         let reg = Registry::new();
-        let mut tr = GroupTracker::with_telemetry(policy(), 1, &reg);
-        tr.track("g", FileId(1), 4, "a", 1, t(0));
-        tr.track("h", FileId(2), 2, "b", 1, t(0));
+        let mut tr = RetryTracker::with_telemetry(policy(), 1, &reg, "group");
+        tr.track("g", FileId(1), group_send(4), t(0));
+        tr.track("h", FileId(2), group_send(2), t(0));
         assert_eq!(reg.counter_value("group.attempts"), Some(2));
         assert_eq!(reg.gauge_value("group.outstanding"), Some(2));
         let half = Coverage::from_wire(4, &[], 2);
-        tr.on_ack("g", FileId(1), half.bits(), 2);
-        assert_eq!(
-            tr.outstanding_entries(),
-            vec![("g".to_string(), 1, 1, 2), ("h".to_string(), 2, 1, 0)]
-        );
+        tr.on_coverage("g", FileId(1), half.bits(), 2);
+        let covered: Vec<_> = tr
+            .entries()
+            .map(|(g, f, a, p)| (g, f.raw(), a, p.coverage.count()))
+            .collect();
+        assert_eq!(covered, vec![("g", 1, 1, 2), ("h", 2, 1, 0)]);
         let full = Coverage::from_wire(2, &[], 2);
-        tr.on_ack("h", FileId(2), full.bits(), 2);
-        assert_eq!(reg.counter_value("group.completed"), Some(1));
+        tr.on_coverage("h", FileId(2), full.bits(), 2);
         assert_eq!(reg.counter_value("group.acks"), Some(2));
         assert_eq!(reg.gauge_value("group.outstanding"), Some(1));
+        assert_eq!(reg.counter_value("reliable.acks"), None);
     }
 }

@@ -3,9 +3,7 @@
 //! WAL group-commit size of G produces the same classifications,
 //! receipt sequence numbers, raw WAL segment bytes, telemetry totals
 //! and `status_json` bytes as one worker committing record-by-record,
-//! for N ∈ {2, 4, 8} × G ∈ {1, 2, 7, 64} — and `deposit_pipelined`
-//! (prepare/commit overlapped across threads) matches the sequential
-//! `deposit_batch` loop byte for byte.
+//! for N ∈ {2, 4, 8} × G ∈ {1, 2, 7, 64}.
 
 use bistro::base::prop::{self, Runner};
 use bistro::base::{prop_assert_eq, SimClock, TimePoint, TimeSpan};
@@ -168,73 +166,4 @@ fn deposit_batch_is_deterministic_across_worker_counts() {
                 Ok(())
             },
         );
-}
-
-/// Deposit the same batches through the two-stage pipelined path
-/// (prepare thread overlapping the commit thread) and through a plain
-/// sequential `deposit_batch` loop; everything observable — receipts,
-/// triggers, status_json, raw WAL bytes — must match byte for byte,
-/// for any worker count and group size.
-#[test]
-fn deposit_pipelined_matches_sequential_byte_for_byte() {
-    let batches: Vec<Vec<(String, Vec<u8>)>> = (0..6u64)
-        .map(|round| {
-            (0..9u64)
-                .map(|k| {
-                    let name = match (round + k) % 3 {
-                        0 => format!("MEM_poller{k}_2010092504{round:02}.csv"),
-                        1 => format!("CPU_poller{k}_2010092504{round:02}.csv"),
-                        _ => format!("stray_{round}_{k}.dat"),
-                    };
-                    (name, format!("payload-{round}-{k}").repeat(4).into_bytes())
-                })
-                .collect()
-        })
-        .collect();
-
-    let drive =
-        |pipelined: bool, workers: usize, group: usize| -> (String, usize, String, String) {
-            let clock = SimClock::starting_at(START);
-            let store = MemFs::shared(clock.clone());
-            let mut server = Server::new("b", parse_config(CONFIG).unwrap(), clock.clone(), store)
-                .unwrap()
-                .with_workers(workers)
-                .with_commit_group(group);
-            if pipelined {
-                server.deposit_pipelined(batches.clone()).unwrap();
-            } else {
-                for batch in &batches {
-                    server.deposit_batch(batch.clone()).unwrap();
-                }
-            }
-            clock.advance(TimeSpan::from_secs(30));
-            server.tick();
-            let receipts: Vec<String> = server
-                .receipts()
-                .all_live()
-                .iter()
-                .map(|r| format!("{}#{}→{:?}", r.name, r.id.raw(), r.feeds))
-                .collect();
-            let wal = wal_dump(&server);
-            (
-                receipts.join(";"),
-                server.trigger_log().len(),
-                server.status_json().render(),
-                wal,
-            )
-        };
-
-    let reference = drive(false, 1, 1);
-    for (workers, group) in [(1, 1), (1, 64), (4, 1), (4, 7), (8, 64)] {
-        let sequential = drive(false, workers, group);
-        assert_eq!(
-            sequential, reference,
-            "sequential diverges at workers={workers} group={group}"
-        );
-        let pipelined = drive(true, workers, group);
-        assert_eq!(
-            pipelined, reference,
-            "pipelined diverges at workers={workers} group={group}"
-        );
-    }
 }
