@@ -6,16 +6,15 @@
 //! non-cryptographic hashing (dedup keys, hash-partitioning of files onto
 //! delivery workers).
 
-/// Streaming CRC-32 (IEEE polynomial, reflected, init/final xor 0xFFFFFFFF —
-/// the same parameters as zlib's `crc32`).
-#[derive(Clone, Debug)]
-pub struct Crc32 {
-    state: u32,
-}
-
-/// 256-entry lookup table for the reflected IEEE polynomial 0xEDB88320.
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Lookup tables for the reflected IEEE polynomial 0xEDB88320, for
+/// slicing-by-8: `TABLES[0]` is the classic byte-at-a-time table and
+/// `TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so
+/// eight input bytes fold into the state with eight independent lookups
+/// instead of eight dependent ones. Every WAL frame is checksummed when
+/// it is appended and again when it is replayed; one lookup per byte
+/// was a fifth of recovery time.
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -28,46 +27,45 @@ const fn build_table() -> [u32; 256] {
             };
             j += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = build_table();
-
-impl Crc32 {
-    /// Fresh hasher.
-    pub fn new() -> Self {
-        Crc32 { state: 0xFFFF_FFFF }
-    }
-
-    /// Feed bytes.
-    pub fn update(&mut self, data: &[u8]) {
-        let mut s = self.state;
-        for &b in data {
-            s = (s >> 8) ^ CRC_TABLE[((s ^ b as u32) & 0xFF) as usize];
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
         }
-        self.state = s;
+        k += 1;
     }
-
-    /// Final checksum value.
-    pub fn finish(&self) -> u32 {
-        self.state ^ 0xFFFF_FFFF
-    }
+    tables
 }
 
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+static CRC_TABLES: [[u32; 256]; 8] = build_tables();
 
-/// One-shot CRC-32 of a byte slice.
+/// CRC-32 of a byte slice (IEEE polynomial, reflected, init/final xor
+/// 0xFFFFFFFF — the same parameters as zlib's `crc32`).
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut h = Crc32::new();
-    h.update(data);
-    h.finish()
+    let t = &CRC_TABLES;
+    let mut s = 0xFFFF_FFFFu32;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = s ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        s = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        s = (s >> 8) ^ t[0][((s ^ b as u32) & 0xFF) as usize];
+    }
+    s ^ 0xFFFF_FFFF
 }
 
 /// One-shot FNV-1a 64-bit hash of a byte slice.
@@ -96,12 +94,20 @@ mod tests {
     }
 
     #[test]
-    fn crc32_streaming_matches_oneshot() {
-        let data = b"hello, bistro feed manager";
-        let mut h = Crc32::new();
-        h.update(&data[..5]);
-        h.update(&data[5..]);
-        assert_eq!(h.finish(), crc32(data));
+    fn crc32_word_path_matches_bytewise() {
+        fn bytewise(data: &[u8]) -> u32 {
+            let mut s = 0xFFFF_FFFFu32;
+            for &b in data {
+                s = (s >> 8) ^ CRC_TABLES[0][((s ^ b as u32) & 0xFF) as usize];
+            }
+            s ^ 0xFFFF_FFFF
+        }
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 37 + 11) as u8).collect();
+        for start in 0..9 {
+            for end in start..data.len() {
+                assert_eq!(crc32(&data[start..end]), bytewise(&data[start..end]));
+            }
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub mod rng;
 pub mod sync;
 pub mod time;
 
-pub use checksum::{crc32, fnv1a64, Crc32};
+pub use checksum::{crc32, fnv1a64};
 pub use clock::{Clock, SharedClock, SimClock, WallClock};
 pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use id::{BatchId, FeedId, FileId, IdGen, SubscriberId};

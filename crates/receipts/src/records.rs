@@ -164,6 +164,18 @@ const TAG_EXPIRE: u8 = 3;
 const TAG_RECLASSIFY: u8 = 4;
 const TAG_GROUP_MARK: u8 = 5;
 
+/// The bytes of `Record::Delivery { file, subscriber, at }` from borrowed
+/// parts: the one record written per subscriber per file, so neither the
+/// store's hot path nor a snapshot builds an owned [`Record`] to get them.
+pub(crate) fn encode_delivery(file: FileId, subscriber: &str, at: TimePoint) -> Vec<u8> {
+    let mut w = ByteWriter::with_capacity(subscriber.len() + 24);
+    w.put_u8(TAG_DELIVERY);
+    w.put_varint(file.raw());
+    w.put_str(subscriber);
+    w.put_u64(at.as_micros());
+    w.into_bytes()
+}
+
 impl Record {
     /// Encode to bytes.
     pub fn encode(&self) -> Vec<u8> {
@@ -192,12 +204,7 @@ impl Record {
                 file,
                 subscriber,
                 at,
-            } => {
-                w.put_u8(TAG_DELIVERY);
-                w.put_varint(file.raw());
-                w.put_str(subscriber);
-                w.put_u64(at.as_micros());
-            }
+            } => return encode_delivery(*file, subscriber, *at),
             Record::Expire { file, at } => {
                 w.put_u8(TAG_EXPIRE);
                 w.put_varint(file.raw());

@@ -6,13 +6,13 @@
 //! record application is idempotent, so a crash between snapshotting and
 //! pruning is harmless.
 
-use crate::records::{ArrivalTemplate, FileRecord, Record};
+use crate::records::{encode_delivery, ArrivalTemplate, FileRecord, Record};
 use crate::wal::{Wal, WalError};
 use bistro_base::checksum::crc32;
 use bistro_base::sync::Mutex;
 use bistro_base::{ByteReader, ByteWriter, FileId, IdGen, TimePoint};
 use bistro_vfs::{FileStore, VfsError};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -56,12 +56,26 @@ impl From<VfsError> for ReceiptError {
 
 #[derive(Default)]
 struct Tables {
-    /// Live (non-expired) files by id.
-    files: BTreeMap<u64, FileRecord>,
+    /// Live (non-expired) files by id. Boxed to keep the tree's nodes
+    /// small: with the 112-byte record inline a leaf is 1.3 kB, and every
+    /// request of 1 kB or more makes glibc consolidate its fast bins first
+    /// — on replay that was a quarter of the time.
+    files: BTreeMap<u64, Box<FileRecord>>,
     /// feed name → live file ids.
     by_feed: HashMap<String, BTreeSet<u64>>,
-    /// file id → subscribers it has been delivered to.
-    delivered: HashMap<u64, BTreeSet<String>>,
+    /// file id → subscribers it has been delivered to. The names are
+    /// handles into `names`, not copies: a copy per (file, subscriber)
+    /// is a small heap block per receipt, all of a file's released at
+    /// once when it expires, and the allocator's bookkeeping for those
+    /// bursts lands on whichever deposit comes next.
+    delivered: HashMap<u64, BTreeSet<Arc<str>>>,
+    /// Every subscriber name a delivery has named, stored once.
+    names: HashSet<Arc<str>>,
+    /// Every delivery receipt in WAL order, positioned by its WAL
+    /// sequence — the backfill cursor a failover coordinator pages
+    /// through ([`ReceiptStore::deliveries_since`]). Receipts recovered
+    /// from a snapshot (whose covering segments were pruned) carry seq 0.
+    log: Vec<LoggedMark>,
     /// file id → group name → (member ack bitmap, high-watermark).
     /// Shared-delivery-tree coverage (§3 delivery network): one compact
     /// mark per (file, group) instead of one receipt per member. BTreeMap
@@ -77,7 +91,9 @@ struct Tables {
 }
 
 impl Tables {
-    fn apply(&mut self, rec: Record) {
+    /// Apply the record logged at WAL sequence `seq` (`None`: a snapshot
+    /// record, whose deliveries [`ReceiptStore::open`] logs afterwards).
+    fn apply(&mut self, seq: Option<u64>, rec: Record) {
         match rec {
             Record::Arrival(f) => {
                 self.max_arrival_id = self.max_arrival_id.max(f.id.raw());
@@ -96,16 +112,11 @@ impl Tables {
                         }
                     }
                 }
-                self.files.insert(f.id.raw(), f);
+                self.files.insert(f.id.raw(), Box::new(f));
             }
             Record::Delivery {
                 file, subscriber, ..
-            } => {
-                let set = self.delivered.entry(file.raw()).or_default();
-                if set.insert(subscriber) {
-                    self.delivery_count += 1;
-                }
-            }
+            } => self.deliver(seq, file, &subscriber),
             Record::Expire { file, .. } => {
                 if let Some(f) = self.files.remove(&file.raw()) {
                     for feed in &f.feeds {
@@ -163,6 +174,39 @@ impl Tables {
             }
         }
     }
+
+    /// Mark `file` delivered to `subscriber`. The first receipt for the
+    /// pair enters the delivery log at `seq` — a duplicate does not (the
+    /// table dedupes; the log must match it), nor does a receipt for an
+    /// unknown file (nothing to name the mark with).
+    fn deliver(&mut self, seq: Option<u64>, file: FileId, subscriber: &str) {
+        let subscriber = match self.names.get(subscriber) {
+            Some(name) => name.clone(),
+            None => {
+                let name: Arc<str> = Arc::from(subscriber);
+                self.names.insert(name.clone());
+                name
+            }
+        };
+        let held = self.delivered.entry(file.raw()).or_default();
+        if !held.insert(subscriber.clone()) {
+            return;
+        }
+        self.delivery_count += 1;
+        if let (Some(seq), Some(f)) = (seq, self.files.get(&file.raw())) {
+            // deliveries of one file arrive in runs: share the run's name
+            let file_name = match self.log.last() {
+                Some(last) if last.file == file => last.file_name.clone(),
+                _ => Arc::from(f.name.as_str()),
+            };
+            self.log.push(LoggedMark {
+                seq,
+                file,
+                file_name,
+                subscriber,
+            });
+        }
+    }
 }
 
 /// What [`ReceiptStore::open`] found while recovering. Published as
@@ -194,11 +238,17 @@ struct Inner {
     /// Group-commit buffering between [`ReceiptStore::begin_group`] and
     /// [`ReceiptStore::end_group`]; `None` = per-record durability.
     group: Option<Group>,
-    /// Every delivery receipt in WAL order, positioned by its WAL
-    /// sequence — the backfill cursor a failover coordinator pages
-    /// through ([`ReceiptStore::deliveries_since`]). Receipts recovered
-    /// from a snapshot (whose covering segments were pruned) carry seq 0.
-    delivery_log: Vec<DeliveryMark>,
+}
+
+/// A [`DeliveryMark`] as the log holds it: both names shared — the
+/// subscriber's with the delivered table, the file's by every mark of
+/// one run of deliveries of that file — so the log costs no heap block
+/// per receipt.
+struct LoggedMark {
+    seq: u64,
+    file: FileId,
+    file_name: Arc<str>,
+    subscriber: Arc<str>,
 }
 
 /// One delivery receipt positioned by its receipt-WAL sequence number.
@@ -279,22 +329,26 @@ impl ReceiptStore {
         // Snapshot-covered deliveries pre-date the surviving WAL: they
         // enter the backfill log at seq 0, in (file id, subscriber)
         // order, so a cursor of 0 always replays the full delivered set.
-        let mut delivery_log: Vec<DeliveryMark> = Vec::new();
         {
-            let mut ids: Vec<u64> = tables.delivered.keys().copied().collect();
+            let Tables {
+                files,
+                delivered,
+                log,
+                ..
+            } = &mut tables;
+            let mut ids: Vec<u64> = delivered.keys().copied().collect();
             ids.sort_unstable();
             for id in ids {
-                let Some(name) = tables.files.get(&id).map(|f| f.name.clone()) else {
+                let Some(f) = files.get(&id) else {
                     continue;
                 };
-                for sub in &tables.delivered[&id] {
-                    delivery_log.push(DeliveryMark {
-                        seq: 0,
-                        file: FileId(id),
-                        file_name: name.clone(),
-                        subscriber: sub.clone(),
-                    });
-                }
+                let file_name: Arc<str> = Arc::from(f.name.as_str());
+                log.extend(delivered[&id].iter().map(|sub| LoggedMark {
+                    seq: 0,
+                    file: f.id,
+                    file_name: file_name.clone(),
+                    subscriber: sub.clone(),
+                }));
             }
         }
 
@@ -303,15 +357,7 @@ impl ReceiptStore {
         let wal = Wal::open(store.clone(), &wal_dir, |seq, payload| {
             if let Ok(rec) = Record::decode(payload) {
                 wal_records += 1;
-                if let Record::Delivery {
-                    file,
-                    ref subscriber,
-                    ..
-                } = rec
-                {
-                    Self::push_mark(&tables, &mut delivery_log, seq, file, subscriber);
-                }
-                tables.apply(rec);
+                tables.apply(Some(seq), rec);
             }
         })?;
         recovery.wal_records = wal_records;
@@ -338,7 +384,6 @@ impl ReceiptStore {
                 wal,
                 tables,
                 group: None,
-                delivery_log,
             }),
             ids,
             recovery,
@@ -391,7 +436,7 @@ impl ReceiptStore {
                 .map_err(|e| ReceiptError::CorruptSnapshot(e.to_string()))?;
             let rec = Record::decode(rec_bytes)
                 .map_err(|e| ReceiptError::CorruptSnapshot(e.to_string()))?;
-            tables.apply(rec);
+            tables.apply(None, rec);
         }
         Ok((high_water, n))
     }
@@ -487,53 +532,11 @@ impl ReceiptStore {
         flushed.map(|()| stats)
     }
 
-    /// Record a delivery in the backfill log unless it is a duplicate
-    /// (the tables dedupe; the log must match them) or the file is
-    /// unknown (nothing to name the mark with).
-    fn push_mark(
-        tables: &Tables,
-        log: &mut Vec<DeliveryMark>,
-        seq: u64,
-        file: FileId,
-        subscriber: &str,
-    ) {
-        let already = tables
-            .delivered
-            .get(&file.raw())
-            .map(|s| s.contains(subscriber))
-            .unwrap_or(false);
-        if already {
-            return;
-        }
-        let Some(name) = tables.files.get(&file.raw()).map(|f| f.name.clone()) else {
-            return;
-        };
-        log.push(DeliveryMark {
-            seq,
-            file,
-            file_name: name,
-            subscriber: subscriber.to_string(),
-        });
-    }
-
     fn log_and_apply(&self, rec: Record) -> Result<(), ReceiptError> {
         let bytes = rec.encode();
         let mut inner = self.inner.lock();
         let seq = Self::log_bytes(&mut inner, bytes)?;
-        if let Record::Delivery {
-            file,
-            ref subscriber,
-            ..
-        } = rec
-        {
-            let Inner {
-                tables,
-                delivery_log,
-                ..
-            } = &mut *inner;
-            Self::push_mark(tables, delivery_log, seq, file, subscriber);
-        }
-        inner.tables.apply(rec);
+        inner.tables.apply(Some(seq), rec);
         Ok(())
     }
 
@@ -549,8 +552,8 @@ impl ReceiptStore {
         let id: FileId = self.ids.next();
         let (bytes, rec) = template.finish(id, arrival);
         let mut inner = self.inner.lock();
-        Self::log_bytes(&mut inner, bytes)?;
-        inner.tables.apply(Record::Arrival(rec));
+        let seq = Self::log_bytes(&mut inner, bytes)?;
+        inner.tables.apply(Some(seq), Record::Arrival(rec));
         Ok(id)
     }
 
@@ -586,11 +589,11 @@ impl ReceiptStore {
         subscriber: &str,
         at: TimePoint,
     ) -> Result<(), ReceiptError> {
-        self.log_and_apply(Record::Delivery {
-            file,
-            subscriber: subscriber.to_string(),
-            at,
-        })
+        let bytes = encode_delivery(file, subscriber, at);
+        let mut inner = self.inner.lock();
+        let seq = Self::log_bytes(&mut inner, bytes)?;
+        inner.tables.deliver(Some(seq), file, subscriber);
+        Ok(())
     }
 
     /// Record (or widen) a group delivery mark: the member ack bitmap and
@@ -641,7 +644,8 @@ impl ReceiptStore {
 
     /// Fetch a live file record.
     pub fn file(&self, id: FileId) -> Option<FileRecord> {
-        self.inner.lock().tables.files.get(&id.raw()).cloned()
+        let inner = self.inner.lock();
+        inner.tables.files.get(&id.raw()).map(|f| (**f).clone())
     }
 
     /// Number of live (non-expired) files.
@@ -668,7 +672,7 @@ impl ReceiptStore {
             .get(feed)
             .map(|ids| {
                 ids.iter()
-                    .filter_map(|id| inner.tables.files.get(id).cloned())
+                    .filter_map(|id| inner.tables.files.get(id).map(|f| (**f).clone()))
                     .collect()
             })
             .unwrap_or_default()
@@ -701,8 +705,17 @@ impl ReceiptStore {
     /// always included when paging from the start.
     pub fn deliveries_since(&self, from_seq: u64) -> Vec<DeliveryMark> {
         let inner = self.inner.lock();
-        let start = inner.delivery_log.partition_point(|m| m.seq < from_seq);
-        inner.delivery_log[start..].to_vec()
+        let marks = &inner.tables.log;
+        let start = marks.partition_point(|m| m.seq < from_seq);
+        marks[start..]
+            .iter()
+            .map(|m| DeliveryMark {
+                seq: m.seq,
+                file: m.file,
+                file_name: m.file_name.to_string(),
+                subscriber: m.subscriber.to_string(),
+            })
+            .collect()
     }
 
     /// Look up a live file by its original deposited name (linear scan —
@@ -715,7 +728,7 @@ impl ReceiptStore {
             .files
             .values()
             .find(|f| f.name == name)
-            .cloned()
+            .map(|f| (**f).clone())
     }
 
     /// Compute a subscriber's **delivery queue**: all live files in any of
@@ -740,13 +753,14 @@ impl ReceiptStore {
                     .map(|s| s.contains(subscriber))
                     .unwrap_or(false)
             })
-            .filter_map(|id| inner.tables.files.get(&id).cloned())
+            .filter_map(|id| inner.tables.files.get(&id).map(|f| (**f).clone()))
             .collect()
     }
 
     /// All live files, in id (arrival) order.
     pub fn all_live(&self) -> Vec<FileRecord> {
-        self.inner.lock().tables.files.values().cloned().collect()
+        let inner = self.inner.lock();
+        inner.tables.files.values().map(|f| (**f).clone()).collect()
     }
 
     /// A content digest of the delivery state: live files (name, feeds,
@@ -815,7 +829,7 @@ impl ReceiptStore {
             .files
             .values()
             .filter(|f| f.feed_time.unwrap_or(f.arrival) < cutoff)
-            .cloned()
+            .map(|f| (**f).clone())
             .collect()
     }
 
@@ -826,21 +840,24 @@ impl ReceiptStore {
         // a snapshot inside a group window must not cover records that
         // are buffered but not yet durable: flush them first
         Self::flush_group(&mut inner)?;
-        let mut body = ByteWriter::new();
-        let mut records: Vec<Record> = Vec::new();
+        // records are encoded straight into the body, counted as they go:
+        // the count leads the body, so it is prepended afterwards
+        let mut records = ByteWriter::new();
+        let mut n = 0u64;
+        let mut put = |encoded: Vec<u8>| {
+            records.put_bytes(&encoded);
+            n += 1;
+        };
         for f in inner.tables.files.values() {
-            records.push(Record::Arrival(f.clone()));
+            put(Record::Arrival((**f).clone()).encode());
         }
         for (file, subs) in &inner.tables.delivered {
             if !inner.tables.files.contains_key(file) {
                 continue;
             }
             for sub in subs {
-                records.push(Record::Delivery {
-                    file: FileId(*file),
-                    subscriber: sub.clone(),
-                    at: TimePoint::EPOCH, // delivery times are not part of queue computation
-                });
+                // delivery times are not part of queue computation
+                put(encode_delivery(FileId(*file), sub, TimePoint::EPOCH));
             }
         }
         for (file, groups) in &inner.tables.group_marks {
@@ -848,19 +865,19 @@ impl ReceiptStore {
                 continue;
             }
             for (group, (bits, wm)) in groups {
-                records.push(Record::GroupMark {
+                let mark = Record::GroupMark {
                     file: FileId(*file),
                     group: group.clone(),
                     bits: bits.clone(),
                     watermark: *wm,
-                });
+                };
+                put(mark.encode());
             }
         }
-        body.put_varint(records.len() as u64);
-        for rec in &records {
-            body.put_bytes(&rec.encode());
-        }
-        let body = body.into_bytes();
+        let mut body = ByteWriter::with_capacity(records.len() + 10);
+        body.put_varint(n);
+        let mut body = body.into_bytes();
+        body.extend_from_slice(records.as_bytes());
 
         let mut out = Vec::with_capacity(V2_HEADER + body.len());
         out.extend_from_slice(SNAPSHOT_MAGIC);
@@ -930,6 +947,32 @@ mod tests {
         assert_eq!(queue[0].id, f2);
         // another subscriber's queue is unaffected
         assert_eq!(db.pending_for("sub2", &["F".to_string()]).len(), 2);
+    }
+
+    /// Receipts share their names: a heap block per (file, subscriber)
+    /// is what made expiry release hundreds of blocks per file.
+    #[test]
+    fn delivery_names_are_stored_once() {
+        let store = MemFs::shared(SimClock::new());
+        let db = open(&store);
+        for (name, t) in [("a.csv", 1), ("b.csv", 2)] {
+            let f = arrive(&db, name, &["F"], t);
+            for sub in ["sub1", "sub2"] {
+                db.record_delivery(f, sub, TimePoint::from_secs(3)).unwrap();
+            }
+        }
+        let reopened = open(&store);
+        for db in [&db, &reopened] {
+            let inner = db.inner.lock();
+            assert_eq!(inner.tables.names.len(), 2);
+            let marks = &inner.tables.log;
+            assert_eq!(marks.len(), 4);
+            // a.csv→sub1, a.csv→sub2, b.csv→sub1, b.csv→sub2
+            assert!(Arc::ptr_eq(&marks[0].file_name, &marks[1].file_name));
+            assert!(Arc::ptr_eq(&marks[0].subscriber, &marks[2].subscriber));
+            let held = &inner.tables.delivered[&marks[2].file.raw()];
+            assert!(Arc::ptr_eq(held.get("sub1").unwrap(), &marks[2].subscriber));
+        }
     }
 
     #[test]
