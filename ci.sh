@@ -33,12 +33,15 @@ stage_faults() {
   cargo test --offline --test fault_injection -- --nocapture
 }
 
-# Storage crash-point sweep: replay the full pipeline crashing at every
-# mutating storage op — including the group-committed batch WAL append —
-# reopen on the surviving bytes, and check the recovery invariants
-# (store opens, no acked delivery forgotten, no dangling receipt, no
-# FileId reuse, exactly-once after backfill). Uncaptured so a failure
-# echoes its `seed=... crash_op=...` replay key.
+# Storage crash-point sweeps: replay the full pipeline crashing at every
+# mutating storage op — including the networked commit window of a
+# batch deposit — reopen on the surviving bytes, and check the recovery
+# invariants (store opens, no acked delivery forgotten, no dangling
+# receipt, no FileId reuse — ids a subscriber merely *received* count —
+# exactly-once after backfill). Two narrower sweeps ride along: every
+# crash op of a networked `deposit_batch` window (no send outruns its
+# arrival) and of a `scan_landing` (a landing file is never lost).
+# Uncaptured so a failure echoes its `seed=... crash_op=...` replay key.
 stage_crash() {
   cargo test --offline --test crash_points -- --nocapture
 }

@@ -21,9 +21,9 @@ pub struct Point {
     pub pull_ops_per_poll: u64,
     /// Metadata ops per poll round for `subscribers` uncoordinated pollers.
     pub pull_ops_all_subs: u64,
-    /// Metadata ops for Bistro to ingest + deliver one new file
-    /// (landing-zone move + staging write + receipt, amortized over a
-    /// batch of new files).
+    /// Metadata ops for Bistro to ingest one new file from the landing
+    /// zone (scan + move to staging, amortized over a batch of new
+    /// files).
     pub bistro_ops_per_file: f64,
 }
 
@@ -59,7 +59,9 @@ pub fn run(histories: &[usize], subscribers: u64) -> Vec<Point> {
                 .unwrap();
         }
         let before = bistro_fs.stats().snapshot();
-        // landing scan + per-file move to staging (what Server::scan_landing does)
+        // landing scan + per-file move to staging: the metadata cost of
+        // Server::scan_landing (one staging write and one landing remove
+        // per file), modelled as a rename
         let landed = bistro_vfs::walk_files(bistro_fs.as_ref(), "landing").unwrap();
         for f in &landed {
             let name = f.strip_prefix("landing/").unwrap();

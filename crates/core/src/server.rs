@@ -240,19 +240,38 @@ impl ServerMetrics {
     }
 }
 
-/// Where a file's payload lives when its commit stage runs — decides
-/// the landing-zone bookkeeping [`Server::ingest_prepared`] performs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum LandingDisposition {
-    /// The payload sits in `landing/` (single-file ingest, landing-zone
-    /// scans): stage it, then remove the landing copy; an unknown file
-    /// is renamed into `unknown/`.
-    InLanding,
-    /// The payload only ever existed in memory (the batch path hands
-    /// deposited buffers straight to prepare, skipping the landing
-    /// round-trip): stage directly; an unknown file is written into
-    /// `unknown/` from the buffer prepare handed back.
-    NeverLanded,
+/// Handles into the pool registry ([`Server::pool_telemetry`]),
+/// resolved when the worker count is set: every deposit passes through
+/// the prepare pool and the commit window, so neither may look a metric
+/// name up.
+struct PoolMetrics {
+    prepare_us: Arc<Histogram>,
+    batches: Arc<Counter>,
+    group_size: Arc<Histogram>,
+    physical_appends: Arc<Counter>,
+    group_flushes: Arc<Counter>,
+    /// `(pool.worker{i}.files, pool.worker{i}.busy_us)` per worker.
+    workers: Vec<(Arc<Counter>, Arc<Counter>)>,
+}
+
+impl PoolMetrics {
+    fn new(reg: &Registry, workers: usize) -> PoolMetrics {
+        PoolMetrics {
+            prepare_us: reg.histogram("pool.prepare_us"),
+            batches: reg.counter("pool.batches"),
+            group_size: reg.histogram("wal.group_size"),
+            physical_appends: reg.counter("wal.physical_appends"),
+            group_flushes: reg.counter("wal.group_flushes"),
+            workers: (0..workers)
+                .map(|w| {
+                    (
+                        reg.counter(&format!("pool.worker{w}.files")),
+                        reg.counter(&format!("pool.worker{w}.busy_us")),
+                    )
+                })
+                .collect(),
+        }
+    }
 }
 
 /// Default [`Server::with_commit_group`] flush knob: up to this many
@@ -294,6 +313,7 @@ pub struct Server {
     telemetry: SharedRegistry,
     pool_telemetry: SharedRegistry,
     metrics: ServerMetrics,
+    pool_metrics: PoolMetrics,
     alarms: AlarmSet,
 }
 
@@ -464,6 +484,7 @@ impl Server {
             fn_detector,
             stats: DeliveryStats::default(),
             telemetry,
+            pool_metrics: PoolMetrics::new(&pool_telemetry, 1),
             pool_telemetry,
             metrics,
             alarms: Server::default_alarms(),
@@ -549,13 +570,14 @@ impl Server {
     /// `workers` threads (1 = inline, the default). Any count yields
     /// byte-identical results — see `parallel` for the contract.
     pub fn with_workers(mut self, workers: usize) -> Server {
-        self.workers = Pool::new(workers);
+        self.set_workers(workers);
         self
     }
 
     /// Change the ingest worker count at runtime.
     pub fn set_workers(&mut self, workers: usize) {
         self.workers = Pool::new(workers);
+        self.pool_metrics = PoolMetrics::new(&self.pool_telemetry, self.workers.workers());
     }
 
     /// The configured ingest worker count.
@@ -604,23 +626,35 @@ impl Server {
         );
     }
 
-    /// Deposit a file into the landing zone *with* a source notification
-    /// (the cooperative-source path of §4.1): ingest happens immediately.
+    /// Deposit a file *with* a source notification (the
+    /// cooperative-source path of §4.1): ingest happens immediately, as a
+    /// [`Server::deposit_batch`] of one. The payload never touches the
+    /// landing zone.
     pub fn deposit(&mut self, rel_path: &str, data: &[u8]) -> Result<(), ServerError> {
-        let landing = format!("{}/{rel_path}", self.config.server.landing);
-        self.store.write(&landing, data)?;
-        self.ingest(rel_path)
+        self.deposit_batch(vec![(rel_path.to_string(), data.to_vec())])
     }
 
-    /// A source notified us that `rel_path` is in the landing zone.
+    /// A source notified us that `rel_path` is in the landing zone:
+    /// ingest it as a batch of one, then remove the landing copy. The
+    /// remove runs only once the commit window is flushed, so a crash
+    /// leaves either the landing copy (re-ingested by the next
+    /// [`Server::scan_landing`]) or a durable arrival — at-least-once,
+    /// never lost.
     pub fn notify_deposit(&mut self, rel_path: &str) -> Result<(), ServerError> {
-        self.ingest(rel_path)
+        let landing = format!("{}/{rel_path}", self.config.server.landing);
+        let payload = self.store.read(&landing)?;
+        self.deposit_batch(vec![(rel_path.to_string(), payload)])?;
+        self.store.remove(&landing)?;
+        Ok(())
     }
 
-    /// Deposit a batch of files, fanning the pure classify + normalize
-    /// stage across the configured worker pool ([`Server::with_workers`])
-    /// and committing results — staging writes, receipt WAL appends,
-    /// deliveries — strictly in deposit order on the caller's thread.
+    /// Deposit a batch of files — the one ingest path every entry point
+    /// runs. The pure classify + normalize stage fans across the
+    /// configured worker pool ([`Server::with_workers`]); the results —
+    /// staging writes, receipt WAL appends, deliveries — commit strictly
+    /// in deposit order on the caller's thread, inside one group-commit
+    /// window (one batched WAL append + fsync per
+    /// [`Server::commit_group`] records instead of per record).
     ///
     /// Determinism contract: because workers run only the pure
     /// [`parallel::prepare`] stage (they never touch the store, the WAL
@@ -631,10 +665,7 @@ impl Server {
     /// goes to the separate [`Server::pool_telemetry`] registry, which is
     /// deliberately excluded from that surface.
     pub fn deposit_batch(&mut self, files: Vec<(String, Vec<u8>)>) -> Result<(), ServerError> {
-        let prepare_span = Span::start(
-            self.clock.clone(),
-            self.pool_telemetry.histogram("pool.prepare_us"),
-        );
+        let prepare_span = Span::start(self.clock.clone(), self.pool_metrics.prepare_us.clone());
         let (classifier, config, clock) = (&self.classifier, &self.config, &self.clock);
         let (prepared, shard_stats) = self.workers.map_with_stats(files, |_, (rel, payload)| {
             let r = parallel::prepare(classifier, config, clock, &rel, payload);
@@ -642,23 +673,14 @@ impl Server {
         });
         prepare_span.finish();
         self.record_pool_stats(&shard_stats, &prepared);
-        self.commit_batch(prepared)
-    }
 
-    /// The commit stage of one batch: stage payloads, group-commit the
-    /// receipt WAL records (one batched append + fsync per
-    /// [`Server::commit_group`] records instead of per file), deliver.
-    /// Strictly in deposit order on the caller's thread.
-    fn commit_batch(
-        &mut self,
-        prepared: Vec<(String, Result<Prepared, NormalizeError>)>,
-    ) -> Result<(), ServerError> {
         self.receipts.begin_group(self.commit_group);
-        let result = self.commit_batch_inner(prepared);
+        let result = prepared
+            .into_iter()
+            .try_for_each(|(rel, r)| self.ingest_prepared(&rel, r?));
         // the window must close even on error so buffered records become
         // durable before the error propagates (suffix-loss only on crash)
-        let flush = self.receipts.end_group();
-        match flush {
+        match self.receipts.end_group() {
             Ok(stats) => {
                 self.record_group_stats(&stats);
                 result
@@ -667,33 +689,16 @@ impl Server {
         }
     }
 
-    fn commit_batch_inner(
-        &mut self,
-        prepared: Vec<(String, Result<Prepared, NormalizeError>)>,
-    ) -> Result<(), ServerError> {
-        for (rel, r) in prepared {
-            self.ingest_prepared(&rel, r?, LandingDisposition::NeverLanded)?;
-        }
-        Ok(())
-    }
-
     /// Group-commit telemetry for one batch, into the pool registry
     /// (group-size-dependent, so excluded from `status_json` just like
     /// the per-worker tallies).
     fn record_group_stats(&self, stats: &GroupCommitStats) {
-        if stats.records == 0 {
-            return;
-        }
-        let group_size = self.pool_telemetry.histogram("wal.group_size");
+        let m = &self.pool_metrics;
         for &n in &stats.flush_sizes {
-            group_size.record(n);
+            m.group_size.record(n);
         }
-        self.pool_telemetry
-            .counter("wal.physical_appends")
-            .add(stats.physical_appends);
-        self.pool_telemetry
-            .counter("wal.group_flushes")
-            .add(stats.flushes);
+        m.physical_appends.add(stats.physical_appends);
+        m.group_flushes.add(stats.flushes);
     }
 
     /// Per-worker fan-out accounting for one [`Server::deposit_batch`].
@@ -706,67 +711,46 @@ impl Server {
         stats: &[ShardStat],
         prepared: &[(String, Result<Prepared, NormalizeError>)],
     ) {
-        // items shard statically as i % effective, so per-worker busy
-        // time is reconstructible on the commit thread
-        let effective = stats.iter().filter(|s| s.jobs > 0).count().max(1);
-        self.pool_telemetry.counter("pool.batches").inc();
-        for s in stats {
+        let m = &self.pool_metrics;
+        m.batches.inc();
+        for (s, (files, _)) in stats.iter().zip(&m.workers) {
             if s.jobs > 0 {
-                self.pool_telemetry
-                    .counter(&format!("pool.worker{}.files", s.worker))
-                    .add(s.jobs);
+                files.add(s.jobs);
             }
         }
-        // accumulate locally first: one counter lookup per worker per
-        // batch, not one per file (this sits on the commit hot path)
-        let mut busy: Vec<(u64, bool)> = vec![(0, false); effective];
-        for (i, (_, r)) in prepared.iter().enumerate() {
-            if let Ok(p) = r {
-                let slot = &mut busy[i % effective];
-                slot.0 += p.classify_us + p.normalize_us;
-                slot.1 = true;
-            }
+        let busy_us = |(_, r): &(String, Result<Prepared, NormalizeError>)| {
+            r.as_ref().map_or(0, |p| p.classify_us + p.normalize_us)
+        };
+        // items shard statically as i % effective, so per-worker busy
+        // time is reconstructible on the commit thread; an inline call
+        // (one effective worker) needs no per-worker table
+        let effective = stats.iter().filter(|s| s.jobs > 0).count().max(1);
+        if effective == 1 {
+            m.workers[0].1.add(prepared.iter().map(busy_us).sum());
+            return;
         }
-        for (w, (us, seen)) in busy.into_iter().enumerate() {
-            if seen {
-                self.pool_telemetry
-                    .counter(&format!("pool.worker{w}.busy_us"))
-                    .add(us);
-            }
+        let mut busy = vec![0u64; effective];
+        for (i, item) in prepared.iter().enumerate() {
+            busy[i % effective] += busy_us(item);
+        }
+        for (us, (_, counter)) in busy.into_iter().zip(&m.workers) {
+            counter.add(us);
         }
     }
 
     /// Scan the landing zone for files from non-cooperating sources and
-    /// ingest everything found. Cheap because ingest keeps the landing
-    /// zone empty (§4.1: "Bistro minimizes the overhead of directory
-    /// scans by immediately moving incoming files to staging
+    /// ingest everything found, one [`Server::notify_deposit`] per file
+    /// (so memory stays bounded by one payload). Cheap because ingest
+    /// keeps the landing zone empty (§4.1: "Bistro minimizes the overhead
+    /// of directory scans by immediately moving incoming files to staging
     /// directories").
     pub fn scan_landing(&mut self) -> Result<usize, ServerError> {
         let files = bistro_vfs::walk_files(self.store.as_ref(), &self.config.server.landing)?;
         let prefix = format!("{}/", self.config.server.landing);
-        let mut n = 0;
-        for full in files {
-            let rel = full.strip_prefix(&prefix).unwrap_or(&full).to_string();
-            self.ingest(&rel)?;
-            n += 1;
+        for full in &files {
+            self.notify_deposit(full.strip_prefix(&prefix).unwrap_or(full))?;
         }
-        Ok(n)
-    }
-
-    /// Ingest one landing file: prepare (classify + normalize, pure)
-    /// then commit. The batch path runs the same two stages with the
-    /// prepare fanned out — see [`Server::deposit_batch`].
-    fn ingest(&mut self, rel_path: &str) -> Result<(), ServerError> {
-        let landing_path = format!("{}/{rel_path}", self.config.server.landing);
-        let payload = self.store.read(&landing_path)?;
-        let prepared = parallel::prepare(
-            &self.classifier,
-            &self.config,
-            &self.clock,
-            rel_path,
-            payload,
-        )?;
-        self.ingest_prepared(rel_path, prepared, LandingDisposition::InLanding)
+        Ok(files.len())
     }
 
     /// Commit one prepared file: stage the normalized payloads, record
@@ -776,31 +760,18 @@ impl Server {
         &mut self,
         rel_path: &str,
         mut prepared: Prepared,
-        landing: LandingDisposition,
     ) -> Result<(), ServerError> {
         let now = self.clock.now();
         self.metrics.ingest_total.inc();
         self.metrics.classify_us.record(prepared.classify_us);
 
         if prepared.classifications.is_empty() {
-            // unknown feed: park for the analyzer. A duplicate deposit of
-            // the same unknown name (sources do retransmit) replaces the
-            // parked copy.
-            let dest = format!("unknown/{rel_path}");
-            match landing {
-                LandingDisposition::InLanding => {
-                    let landing_path = format!("{}/{rel_path}", self.config.server.landing);
-                    if self.store.exists(&dest) {
-                        self.store.remove(&dest)?;
-                    }
-                    self.store.rename(&landing_path, &dest)?;
-                }
-                LandingDisposition::NeverLanded => {
-                    // write replaces any parked copy in one op
-                    let raw = prepared.raw.take().expect("unknown files keep the payload");
-                    self.store.write_owned(&dest, raw)?;
-                }
-            }
+            // unknown feed: park for the analyzer, from the buffer prepare
+            // handed back. A duplicate deposit of the same unknown name
+            // (sources do retransmit) replaces the parked copy in one op.
+            let raw = prepared.raw.take().expect("unknown files keep the payload");
+            self.store
+                .write_owned(&format!("unknown/{rel_path}"), raw)?;
             self.discoverer.observe(rel_path);
             self.fn_detector.observe(rel_path);
             self.stats.files_unknown += 1;
@@ -822,10 +793,6 @@ impl Server {
                 .ingest_bytes_staged
                 .add(normalized.data.len() as u64);
             self.store.write_owned(&staged, normalized.data)?;
-        }
-        if matches!(landing, LandingDisposition::InLanding) {
-            let landing_path = format!("{}/{rel_path}", self.config.server.landing);
-            self.store.remove(&landing_path)?;
         }
 
         let feed_time = prepared.feed_time;
@@ -855,6 +822,13 @@ impl Server {
         // postings.
         let (interested, group_matches) = self.index.matches(feeds);
         if !interested.is_empty() || !group_matches.is_empty() {
+            // the one durability rule: nothing naming this file leaves
+            // over a network while its arrival is still buffered in the
+            // commit window — a crash would reissue an id a subscriber
+            // already holds. Local deliveries keep buffering.
+            if self.net.is_some() {
+                self.receipts.flush_group()?;
+            }
             let rec = self.receipts.file(file).expect("just recorded");
             for sub in interested {
                 self.deliver_one(&rec, &sub)?;
@@ -1706,10 +1680,10 @@ impl Server {
                 // move back through the landing zone and ingest
                 self.store
                     .rename(&full, &format!("{}/{rel}", self.config.server.landing))?;
-                self.ingest(&rel)?;
+                self.notify_deposit(&rel)?;
             }
         }
-        // deliver any newly pending files (sorted: see `ingest`)
+        // deliver any newly pending files (sorted: see `ingest_prepared`)
         let mut subs: Vec<String> = self.subscribers.keys().cloned().collect();
         subs.sort();
         for sub in subs {

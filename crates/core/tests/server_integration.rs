@@ -64,7 +64,7 @@ fn ingest_classify_stage_deliver() {
     // staging layout honors the normalize template
     assert!(store.exists("staging/SNMP/MEMORY/2010/09/25/MEMORY_poller1_20100925.gz"));
     assert!(store.exists("staging/SNMP/CPU/CPU_poller1_201009250000.csv"));
-    // landing is drained; unknown parked
+    // a notified deposit never touches landing/; unknown parked
     assert!(!store.exists("landing/MEMORY_poller1_20100925.gz"));
     assert!(store.exists("unknown/garbage.bin"));
 
@@ -73,6 +73,44 @@ fn ingest_classify_stage_deliver() {
     // warehouse got both files, viz only CPU
     assert_eq!(server.stats().deliveries, 3);
     assert_eq!(server.receipts().live_count(), 2);
+}
+
+#[test]
+fn commit_window_batches_local_receipts_and_flushes_before_network_sends() {
+    let appends = |server: &Server| {
+        server
+            .pool_telemetry()
+            .counter_value("wal.physical_appends")
+            .unwrap()
+    };
+    let cpu = |i: usize| (format!("CPU_poller{i}_201009250000.csv"), b"cpu".to_vec());
+
+    // local deliveries: a single deposit commits its arrival and both
+    // delivery receipts (warehouse + viz) in one physical append, and a
+    // batch keeps filling the window up to the group size
+    let clock = SimClock::starting_at(START);
+    let mut local = new_server(clock.clone(), MemFs::shared(clock.clone()));
+    local
+        .deposit("CPU_poller0_201009250000.csv", b"cpu")
+        .unwrap();
+    assert_eq!(appends(&local), 1);
+    local.deposit_batch((1..4).map(cpu).collect()).unwrap();
+    assert_eq!(appends(&local), 2, "nine records, one append");
+    local.set_commit_group(1);
+    local
+        .deposit("CPU_poller4_201009250000.csv", b"cpu")
+        .unwrap();
+    assert_eq!(appends(&local), 5, "group 1 is per-record");
+
+    // over a network every arrival is durable before the first send
+    // that names it: one flush per file, whatever the group size
+    let clock = SimClock::starting_at(START);
+    let net = Arc::new(SimNetwork::new(LinkSpec::default()));
+    let mut remote = new_server(clock.clone(), MemFs::shared(clock.clone())).with_network(net);
+    remote.deposit_batch((0..3).map(cpu).collect()).unwrap();
+    // arrival | 2 receipts + arrival | 2 receipts + arrival | 2 receipts
+    assert_eq!(appends(&remote), 4);
+    assert_eq!(remote.stats().deliveries, 6);
 }
 
 #[test]

@@ -479,14 +479,14 @@ impl ReceiptStore {
             None => return Ok(inner.wal.append(&bytes)?),
         };
         if flush_now {
-            Self::flush_group(inner)?;
+            Self::flush_pending(inner)?;
         }
         Ok(seq)
     }
 
     /// Durably append every buffered group record in one batched WAL
     /// append. No-op outside a group window or with nothing pending.
-    fn flush_group(inner: &mut Inner) -> Result<(), ReceiptError> {
+    fn flush_pending(inner: &mut Inner) -> Result<(), ReceiptError> {
         let payloads = match inner.group.as_mut() {
             Some(g) if !g.pending.is_empty() => std::mem::take(&mut g.pending),
             _ => return Ok(()),
@@ -509,8 +509,12 @@ impl ReceiptStore {
     /// them as usual — so the write-ahead discipline is relaxed *within
     /// the window only*: a crash inside it loses a suffix of whole
     /// records (never a torn one; see [`Wal::append_batch`]), exactly as
-    /// if the deposit batch had been cut short. `max` is clamped to ≥ 1;
-    /// nested calls are not supported.
+    /// if the deposit batch had been cut short. That is only safe while
+    /// nothing outside this process has seen the buffered records: the
+    /// caller must [`ReceiptStore::flush_group`] before anything naming a
+    /// buffered record (a `FileId` above all) leaves over a network, or a
+    /// restart would reissue an id a subscriber already holds. `max` is
+    /// clamped to ≥ 1; nested calls are not supported.
     pub fn begin_group(&self, max: usize) {
         let mut inner = self.inner.lock();
         debug_assert!(inner.group.is_none(), "nested begin_group");
@@ -521,13 +525,20 @@ impl ReceiptStore {
         });
     }
 
+    /// Make every record buffered in the open group-commit window
+    /// durable now (one batched append), keeping the window open. No-op
+    /// outside a window or with nothing pending.
+    pub fn flush_group(&self) -> Result<(), ReceiptError> {
+        Self::flush_pending(&mut self.inner.lock())
+    }
+
     /// Leave the group-commit window, flushing anything still buffered.
     /// Returns how the window was committed. The window is closed even if
     /// the final flush fails (the error is returned and the store must be
     /// treated as crashed, per the WAL error contract).
     pub fn end_group(&self) -> Result<GroupCommitStats, ReceiptError> {
         let mut inner = self.inner.lock();
-        let flushed = Self::flush_group(&mut inner);
+        let flushed = Self::flush_pending(&mut inner);
         let stats = inner.group.take().map(|g| g.stats).unwrap_or_default();
         flushed.map(|()| stats)
     }
@@ -839,7 +850,7 @@ impl ReceiptStore {
         let mut inner = self.inner.lock();
         // a snapshot inside a group window must not cover records that
         // are buffered but not yet durable: flush them first
-        Self::flush_group(&mut inner)?;
+        Self::flush_pending(&mut inner)?;
         // records are encoded straight into the body, counted as they go:
         // the count leads the body, so it is prepended afterwards
         let mut records = ByteWriter::new();

@@ -3,13 +3,16 @@
 //! WAL group-commit size of G produces the same classifications,
 //! receipt sequence numbers, raw WAL segment bytes, telemetry totals
 //! and `status_json` bytes as one worker committing record-by-record,
-//! for N ∈ {2, 4, 8} × G ∈ {1, 2, 7, 64}.
+//! for N ∈ {2, 4, 8} × G ∈ {1, 2, 7, 64} — and for the one-ingest-path
+//! contract: `deposit`, `deposit_batch` at any chunking, `notify_deposit`
+//! and `scan_landing` are four doors into the same commit, so the same
+//! files through any of them leave the same bytes behind.
 
 use bistro::base::prop::{self, Runner};
 use bistro::base::{prop_assert_eq, SimClock, TimePoint, TimeSpan};
 use bistro::config::parse_config;
 use bistro::server::Server;
-use bistro::vfs::{walk_files, MemFs};
+use bistro::vfs::{walk_files, FileStore, MemFs};
 
 const START: TimePoint = TimePoint::from_secs(1_285_372_800);
 
@@ -27,41 +30,83 @@ const CONFIG: &str = r#"
     }
 "#;
 
-/// Hex dump of every WAL segment under `receipts/` — the physical
-/// byte-identity surface of the group-commit contract.
-fn wal_dump(server: &Server) -> String {
-    let store = server.store();
-    let mut out = String::new();
-    for path in walk_files(store.as_ref(), "receipts").unwrap() {
-        let data = store.read(&path).unwrap();
-        out.push_str(&path);
-        out.push(':');
-        for b in data {
-            out.push_str(&format!("{b:02x}"));
-        }
-        out.push(';');
-    }
-    out
+/// Which entry point a [`run`] feeds its files through.
+#[derive(Clone, Copy, Debug)]
+enum Entry {
+    /// `deposit`, one call per file.
+    Single,
+    /// `deposit_batch`, each round cut into chunks of at most this many.
+    Batch(usize),
+    /// Files pre-written into `landing/`, then `notify_deposit` each.
+    Notify,
+    /// Files pre-written into `landing/`, then one `scan_landing`.
+    Scan,
 }
 
-/// Run `rounds` of batch deposits with the given worker count and
-/// group-commit size and return everything the determinism contract
-/// covers: the receipt records (names, ids, feed classifications), the
-/// trigger log length, the full status_json rendering (telemetry totals
-/// included) and the raw WAL segment bytes.
+/// Everything the determinism contracts cover.
+#[derive(Clone, Debug, PartialEq)]
+struct Observed {
+    /// Receipt records: names, ids, feed classifications.
+    receipts: String,
+    /// Every trigger firing, in order.
+    triggers: String,
+    /// Every event-log line, in order.
+    events: String,
+    /// `path:hex` of everything under `staging/` and `unknown/`.
+    payloads: String,
+    /// Files left in `landing/`.
+    landing: Vec<String>,
+    /// The full `status_json` rendering (telemetry totals included).
+    status: String,
+    /// The raw WAL segment bytes.
+    wal: String,
+}
+
+/// Run `rounds` of deposits through `entry` with the given worker count
+/// and group-commit size; the clock moves (and the server ticks) only
+/// between rounds.
 fn run(
+    config: &str,
     rounds: &[Vec<(String, Vec<u8>)>],
+    entry: Entry,
     workers: usize,
     group: usize,
-) -> (String, usize, String, String) {
+) -> Observed {
     let clock = SimClock::starting_at(START);
     let store = MemFs::shared(clock.clone());
-    let mut server = Server::new("b", parse_config(CONFIG).unwrap(), clock.clone(), store)
-        .unwrap()
-        .with_workers(workers)
-        .with_commit_group(group);
-    for batch in rounds {
-        server.deposit_batch(batch.clone()).unwrap();
+    let mut server = Server::new(
+        "b",
+        parse_config(config).unwrap(),
+        clock.clone(),
+        store.clone(),
+    )
+    .unwrap()
+    .with_workers(workers)
+    .with_commit_group(group);
+    for round in rounds {
+        if matches!(entry, Entry::Notify | Entry::Scan) {
+            for (name, data) in round {
+                store.write(&format!("landing/{name}"), data).unwrap();
+            }
+        }
+        match entry {
+            Entry::Single => {
+                for (name, data) in round {
+                    server.deposit(name, data).unwrap();
+                }
+            }
+            Entry::Batch(chunk) => {
+                for files in round.chunks(chunk) {
+                    server.deposit_batch(files.to_vec()).unwrap();
+                }
+            }
+            Entry::Notify => {
+                for (name, _) in round {
+                    server.notify_deposit(name).unwrap();
+                }
+            }
+            Entry::Scan => assert_eq!(server.scan_landing().unwrap(), round.len()),
+        }
         clock.advance(TimeSpan::from_secs(30));
         server.tick();
     }
@@ -71,13 +116,30 @@ fn run(
         .iter()
         .map(|r| format!("{}#{}→{:?}", r.name, r.id.raw(), r.feeds))
         .collect();
-    let wal = wal_dump(&server);
-    (
-        receipts.join(";"),
-        server.trigger_log().len(),
-        server.status_json().render(),
-        wal,
-    )
+    let hex_dump = |dir: &str| -> String {
+        walk_files(store.as_ref(), dir)
+            .unwrap()
+            .iter()
+            .map(|path| {
+                let hex: String = store
+                    .read(path)
+                    .unwrap()
+                    .iter()
+                    .map(|b| format!("{b:02x}"))
+                    .collect();
+                format!("{path}:{hex};")
+            })
+            .collect()
+    };
+    Observed {
+        receipts: receipts.join(";"),
+        triggers: format!("{:?}", server.trigger_log().entries()),
+        events: format!("{:?}", server.event_log().recent()),
+        payloads: hex_dump("staging") + &hex_dump("unknown"),
+        landing: walk_files(store.as_ref(), "landing").unwrap(),
+        status: server.status_json().render(),
+        wal: hex_dump("receipts"),
+    }
 }
 
 #[test]
@@ -120,7 +182,7 @@ fn deposit_batch_is_deterministic_across_worker_counts() {
             },
             |rounds| {
                 // reference: one worker, record-by-record WAL appends
-                let reference = run(rounds, 1, 1);
+                let reference = run(CONFIG, rounds, Entry::Batch(usize::MAX), 1, 1);
                 // sweep both axes plus combinations: any worker count ×
                 // any group-commit size must reproduce the reference
                 for (workers, group) in [
@@ -133,32 +195,11 @@ fn deposit_batch_is_deterministic_across_worker_counts() {
                     (4, 7),
                     (8, 64),
                 ] {
-                    let got = run(rounds, workers, group);
+                    let got = run(CONFIG, rounds, Entry::Batch(usize::MAX), workers, group);
                     prop_assert_eq!(
-                        &got.0,
-                        &reference.0,
-                        "receipts diverge at workers={} group={}",
-                        workers,
-                        group
-                    );
-                    prop_assert_eq!(
-                        got.1,
-                        reference.1,
-                        "triggers diverge at workers={} group={}",
-                        workers,
-                        group
-                    );
-                    prop_assert_eq!(
-                        &got.2,
-                        &reference.2,
-                        "status diverges at workers={} group={}",
-                        workers,
-                        group
-                    );
-                    prop_assert_eq!(
-                        &got.3,
-                        &reference.3,
-                        "WAL bytes diverge at workers={} group={}",
+                        &got,
+                        &reference,
+                        "run diverges at workers={} group={}",
                         workers,
                         group
                     );
@@ -166,4 +207,78 @@ fn deposit_batch_is_deterministic_across_worker_counts() {
                 Ok(())
             },
         );
+}
+
+/// A config that makes prepare do real work: a multi-feed match, an
+/// lzss-compressed feed and a `normalize` staging template.
+const ENTRY_CONFIG: &str = r#"
+    feed SNMP/MEM { pattern "MEM_poller%i_%Y%m%d%H%M.csv"; normalize "%Y/%m/%d/%f"; }
+    feed SNMP/CPU { pattern "CPU_poller%i_%Y%m%d%H%M.csv"; compress lzss; }
+    feed WILD     { pattern "*_%Y%m%d%H%M.csv"; }
+
+    subscriber warehouse {
+        endpoint "wh";
+        subscribe SNMP;
+        delivery push;
+        batch count 3 window 10m;
+        trigger remote "refresh %N n=%c";
+    }
+    subscriber wild { endpoint "wild"; subscribe WILD; delivery notify; }
+"#;
+
+#[test]
+fn four_entry_points_are_one_path() {
+    // sorted by name: a landing scan walks the directory in that order
+    let mut files: Vec<(String, Vec<u8>)> = (0..4)
+        .flat_map(|i| {
+            [
+                (
+                    format!("MEM_poller{i}_20100925040{i}.csv"),
+                    format!("mem,{i},").repeat(40).into_bytes(),
+                ),
+                (
+                    format!("CPU_poller{i}_20100925040{i}.csv"),
+                    format!("cpu,{i},").repeat(40).into_bytes(),
+                ),
+                (
+                    format!("disk{i}_20100925040{i}.csv"),
+                    format!("wild-only-{i}").into_bytes(),
+                ),
+            ]
+        })
+        .collect();
+    files.push(("mystery.dat".to_string(), b"???".to_vec()));
+    files.sort();
+    let n = files.len();
+    let rounds = [files];
+
+    for workers in [1, 4] {
+        for group in [1, 3, 64] {
+            let ctx = format!("workers={workers} group={group}");
+            let single = run(ENTRY_CONFIG, &rounds, Entry::Single, workers, group);
+            assert_eq!(single.receipts.split(';').count(), n - 1, "{ctx}");
+            assert!(single.payloads.contains("unknown/mystery.dat:"), "{ctx}");
+            assert_ne!(single.triggers, "[]", "{ctx}: no batch ever closed");
+            assert!(single.landing.is_empty(), "{ctx}: {:?}", single.landing);
+
+            // any chunking of deposit_batch is the same commit, status
+            // (store-op tallies included) and all
+            for chunk in [1, 3, n] {
+                let batch = run(ENTRY_CONFIG, &rounds, Entry::Batch(chunk), workers, group);
+                assert_eq!(batch, single, "{ctx}: deposit_batch chunk={chunk}");
+            }
+            // the landing callers read and remove the source copy on top
+            // (so the vfs tallies in status differ); everything else is
+            // byte-identical and nothing stays in landing/
+            for entry in [Entry::Notify, Entry::Scan] {
+                let landed = run(ENTRY_CONFIG, &rounds, entry, workers, group);
+                let expected = Observed {
+                    status: landed.status.clone(),
+                    ..single.clone()
+                };
+                assert_eq!(landed, expected, "{ctx}: {entry:?}");
+                assert_ne!(landed.status, single.status, "{ctx}: {entry:?}");
+            }
+        }
+    }
 }
