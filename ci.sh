@@ -98,6 +98,14 @@ stage_mc() {
     cargo test -q --release --offline --test model_check -- --nocapture
 }
 
+# Allocation budget of the delivery round trip: a counting allocator in
+# the test binary reads heap allocations per delivery on a 200-subscriber
+# reliable fan-out and per deposit on a local one, and fails above the
+# budget. Uncaptured so the measured figures land in the build log.
+stage_alloc() {
+  cargo test --offline --test alloc_budget -- --nocapture
+}
+
 stage_lint() {
   cargo clippy --offline --all-targets -- -D warnings
   cargo fmt --check
@@ -153,6 +161,7 @@ stage_all() {
   stage_telemetry
   stage_parallel
   stage_mc
+  stage_alloc
   stage_lint
   stage_bench
   stage_fanout
@@ -161,11 +170,11 @@ stage_all() {
 
 stage="${1:-all}"
 case "$stage" in
-  build|test|faults|crash|distributed|telemetry|parallel|mc|lint|bench|fanout|benchmark|all)
+  build|test|faults|crash|distributed|telemetry|parallel|mc|alloc|lint|bench|fanout|benchmark|all)
     "stage_$stage"
     ;;
   *)
-    echo "usage: ./ci.sh [build|test|faults|crash|distributed|telemetry|parallel|mc|lint|bench|fanout|benchmark|all]" >&2
+    echo "usage: ./ci.sh [build|test|faults|crash|distributed|telemetry|parallel|mc|alloc|lint|bench|fanout|benchmark|all]" >&2
     exit 2
     ;;
 esac

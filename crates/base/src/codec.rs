@@ -60,6 +60,13 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// How many bytes [`ByteWriter::put_varint`] writes for `v`, so a caller
+/// can size an encoding without producing it.
+pub fn varint_len(v: u64) -> usize {
+    // 7 payload bits per byte; zero still takes one byte
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 /// Append-only encoder.
 #[derive(Debug, Default)]
 pub struct ByteWriter {
@@ -77,6 +84,12 @@ impl ByteWriter {
         ByteWriter {
             buf: Vec::with_capacity(cap),
         }
+    }
+
+    /// A writer that appends to `buf`, keeping its contents and capacity
+    /// — for a caller that reuses one buffer across encodings.
+    pub fn from_bytes(buf: Vec<u8>) -> Self {
+        ByteWriter { buf }
     }
 
     /// Bytes written so far.
@@ -280,10 +293,13 @@ mod tests {
             let mut w = ByteWriter::new();
             w.put_varint(v);
             assert_eq!(w.len(), expect, "size of varint {v}");
+            assert_eq!(varint_len(v), expect, "varint_len({v})");
         }
         let mut w = ByteWriter::new();
         w.put_varint(u64::MAX);
         assert_eq!(w.len(), 10);
+        assert_eq!(varint_len(u64::MAX), 10);
+        assert_eq!(varint_len((1 << 63) - 1), 9);
     }
 
     #[test]

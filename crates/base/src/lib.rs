@@ -23,7 +23,7 @@ pub mod time;
 
 pub use checksum::{crc32, fnv1a64};
 pub use clock::{Clock, SharedClock, SimClock, WallClock};
-pub use codec::{ByteReader, ByteWriter, CodecError};
+pub use codec::{varint_len, ByteReader, ByteWriter, CodecError};
 pub use id::{BatchId, FeedId, FileId, IdGen, SubscriberId};
 pub use pool::{Pool, ShardStat};
 pub use rng::Rng;

@@ -106,13 +106,18 @@ impl BenchResult {
     }
 }
 
-/// Serialize results to the `bistro-bench-v1` JSON document.
+/// Serialize results to the `bistro-bench-v1` JSON document, stamped
+/// with the core count of the box that wrote it: medians of the
+/// `par{N}` groups mean nothing without it. (A merged document carries
+/// the stamp of its last writer.)
 pub fn results_to_json(results: &[BenchResult]) -> String {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     Json::Obj(vec![
         (
             "schema".to_string(),
             Json::Str("bistro-bench-v1".to_string()),
         ),
+        ("nproc".to_string(), Json::Num(nproc as f64)),
         (
             "results".to_string(),
             Json::Arr(results.iter().map(BenchResult::to_json).collect()),
@@ -502,6 +507,7 @@ mod tests {
             parsed.get("schema").and_then(Json::as_str),
             Some("bistro-bench-v1")
         );
+        assert!(parsed.get("nproc").and_then(Json::as_num).unwrap() >= 1.0);
         let arr = parsed.get("results").and_then(Json::as_arr).unwrap();
         assert_eq!(arr.len(), 2);
         assert_eq!(

@@ -18,6 +18,11 @@
 //!   (acks carry no name on the wire; the lexicographically-first name
 //!   is the resolution, matching the scan-and-sort it replaces).
 //!
+//! Postings hold the subscriber table's own handle for a name
+//! (`Arc<str>`, ordered like the string it points at), so a match hands
+//! out 200 handles, not 200 copies, and an ack resolves to a handle the
+//! tracker and the subscriber table are keyed by.
+//!
 //! The index is *incrementally maintained* at every mutation point —
 //! subscriber registration and removal, online/offline flips, group
 //! plan compilation, and (through those) cluster re-homing after
@@ -59,9 +64,9 @@ struct IndexMetrics {
 /// The inverted feed→subscriber / feed→plan / endpoint→subscriber
 /// index. See the module docs for the invariants.
 pub(crate) struct DeliveryIndex {
-    by_feed: HashMap<String, BTreeSet<String>>,
+    by_feed: HashMap<String, BTreeSet<Arc<str>>>,
     groups_by_feed: HashMap<String, BTreeSet<usize>>,
-    by_endpoint: HashMap<String, BTreeSet<String>>,
+    by_endpoint: HashMap<String, BTreeSet<Arc<str>>>,
     metrics: IndexMetrics,
 }
 
@@ -89,7 +94,7 @@ impl DeliveryIndex {
     /// routed through a relay group — under each of its feeds.
     pub fn insert_subscriber(
         &mut self,
-        name: &str,
+        name: &Arc<str>,
         feeds: &[String],
         endpoint: &str,
         online: bool,
@@ -100,7 +105,7 @@ impl DeliveryIndex {
             .by_endpoint
             .entry(endpoint.to_string())
             .or_default()
-            .insert(name.to_string())
+            .insert(name.clone())
         {
             self.metrics.endpoint_entries.add(1);
         }
@@ -127,7 +132,7 @@ impl DeliveryIndex {
     /// Apply an online/offline transition: offline subscribers keep
     /// their endpoint posting (acks still identify them) but leave the
     /// per-feed interested sets.
-    pub fn set_online(&mut self, name: &str, feeds: &[String], online: bool, grouped: bool) {
+    pub fn set_online(&mut self, name: &Arc<str>, feeds: &[String], online: bool, grouped: bool) {
         self.metrics.online_flips.inc();
         if grouped {
             return; // grouped members never sit in by_feed
@@ -157,16 +162,16 @@ impl DeliveryIndex {
     /// interested online subscribers and the ascending union of matched
     /// plan indices, over the file's feeds. Equals the brute-force
     /// subscriber/plan scan by the module invariant.
-    pub fn matches(&self, feeds: &[String]) -> (Vec<String>, Vec<usize>) {
+    pub fn matches(&self, feeds: &[String]) -> (Vec<Arc<str>>, Vec<usize>) {
         self.metrics.lookups.inc();
-        let subscribers: Vec<String> = match feeds {
+        let subscribers: Vec<Arc<str>> = match feeds {
             [feed] => self
                 .by_feed
                 .get(feed)
                 .map(|s| s.iter().cloned().collect())
                 .unwrap_or_default(),
             _ => {
-                let mut merged: BTreeSet<&String> = BTreeSet::new();
+                let mut merged: BTreeSet<&Arc<str>> = BTreeSet::new();
                 for feed in feeds {
                     if let Some(s) = self.by_feed.get(feed) {
                         merged.extend(s);
@@ -200,7 +205,7 @@ impl DeliveryIndex {
 
     /// The subscriber an ack from `endpoint` resolves to: the
     /// lexicographically-first registered name on that endpoint.
-    pub fn subscriber_for_endpoint(&self, endpoint: &str) -> Option<&String> {
+    pub fn subscriber_for_endpoint(&self, endpoint: &str) -> Option<&Arc<str>> {
         self.by_endpoint.get(endpoint)?.iter().next()
     }
 
@@ -213,13 +218,13 @@ impl DeliveryIndex {
         )
     }
 
-    fn post_feeds(&mut self, name: &str, feeds: &[String]) {
+    fn post_feeds(&mut self, name: &Arc<str>, feeds: &[String]) {
         for feed in feeds {
             if self
                 .by_feed
                 .entry(feed.clone())
                 .or_default()
-                .insert(name.to_string())
+                .insert(name.clone())
             {
                 self.metrics.feed_entries.add(1);
             }
@@ -248,50 +253,61 @@ mod tests {
         names.iter().map(|s| s.to_string()).collect()
     }
 
+    fn h(name: &str) -> Arc<str> {
+        Arc::from(name)
+    }
+
+    fn matched(idx: &DeliveryIndex, of: &[&str]) -> Vec<String> {
+        let (subs, _) = idx.matches(&feeds(of));
+        subs.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn matches_unions_and_sorts_across_feeds() {
         let reg = Registry::new();
         let mut idx = DeliveryIndex::new(&reg);
-        idx.insert_subscriber("zeta", &feeds(&["A", "B"]), "z:1", true, false);
-        idx.insert_subscriber("alpha", &feeds(&["B"]), "a:1", true, false);
-        idx.insert_subscriber("mid", &feeds(&["C"]), "m:1", true, false);
-        let (subs, _) = idx.matches(&feeds(&["A", "B"]));
-        assert_eq!(subs, vec!["alpha", "zeta"], "sorted union, deduped");
-        let (subs, _) = idx.matches(&feeds(&["C"]));
-        assert_eq!(subs, vec!["mid"]);
-        let (subs, _) = idx.matches(&feeds(&["NONE"]));
-        assert!(subs.is_empty());
+        idx.insert_subscriber(&h("zeta"), &feeds(&["A", "B"]), "z:1", true, false);
+        idx.insert_subscriber(&h("alpha"), &feeds(&["B"]), "a:1", true, false);
+        idx.insert_subscriber(&h("mid"), &feeds(&["C"]), "m:1", true, false);
+        assert_eq!(
+            matched(&idx, &["A", "B"]),
+            vec!["alpha", "zeta"],
+            "sorted union, deduped"
+        );
+        assert_eq!(matched(&idx, &["C"]), vec!["mid"]);
+        assert!(matched(&idx, &["NONE"]).is_empty());
     }
 
     #[test]
     fn offline_and_grouped_subscribers_leave_feed_postings() {
         let reg = Registry::new();
         let mut idx = DeliveryIndex::new(&reg);
-        idx.insert_subscriber("s1", &feeds(&["A"]), "h:1", true, false);
-        idx.insert_subscriber("s2", &feeds(&["A"]), "h:2", true, true); // grouped
-        let (subs, _) = idx.matches(&feeds(&["A"]));
-        assert_eq!(subs, vec!["s1"], "grouped member must not fan out directly");
+        idx.insert_subscriber(&h("s1"), &feeds(&["A"]), "h:1", true, false);
+        idx.insert_subscriber(&h("s2"), &feeds(&["A"]), "h:2", true, true); // grouped
+        assert_eq!(
+            matched(&idx, &["A"]),
+            vec!["s1"],
+            "grouped member must not fan out directly"
+        );
 
-        idx.set_online("s1", &feeds(&["A"]), false, false);
-        let (subs, _) = idx.matches(&feeds(&["A"]));
-        assert!(subs.is_empty());
+        idx.set_online(&h("s1"), &feeds(&["A"]), false, false);
+        assert!(matched(&idx, &["A"]).is_empty());
         // the endpoint posting survives offline: acks still resolve
-        assert_eq!(idx.subscriber_for_endpoint("h:1").unwrap(), "s1");
+        assert_eq!(&**idx.subscriber_for_endpoint("h:1").unwrap(), "s1");
 
-        idx.set_online("s1", &feeds(&["A"]), true, false);
-        let (subs, _) = idx.matches(&feeds(&["A"]));
-        assert_eq!(subs, vec!["s1"]);
+        idx.set_online(&h("s1"), &feeds(&["A"]), true, false);
+        assert_eq!(matched(&idx, &["A"]), vec!["s1"]);
     }
 
     #[test]
     fn endpoint_resolution_is_lexicographically_first_and_tracks_removal() {
         let reg = Registry::new();
         let mut idx = DeliveryIndex::new(&reg);
-        idx.insert_subscriber("late", &feeds(&["A"]), "shared:1", true, false);
-        idx.insert_subscriber("early", &feeds(&["A"]), "shared:1", true, false);
-        assert_eq!(idx.subscriber_for_endpoint("shared:1").unwrap(), "early");
+        idx.insert_subscriber(&h("late"), &feeds(&["A"]), "shared:1", true, false);
+        idx.insert_subscriber(&h("early"), &feeds(&["A"]), "shared:1", true, false);
+        assert_eq!(&**idx.subscriber_for_endpoint("shared:1").unwrap(), "early");
         idx.remove_subscriber("early", &feeds(&["A"]), "shared:1");
-        assert_eq!(idx.subscriber_for_endpoint("shared:1").unwrap(), "late");
+        assert_eq!(&**idx.subscriber_for_endpoint("shared:1").unwrap(), "late");
         idx.remove_subscriber("late", &feeds(&["A"]), "shared:1");
         assert!(idx.subscriber_for_endpoint("shared:1").is_none());
         assert_eq!(idx.entry_counts(), (0, 0), "no postings may leak");
@@ -318,11 +334,11 @@ mod tests {
     fn gauges_track_posting_counts() {
         let reg = Registry::new();
         let mut idx = DeliveryIndex::new(&reg);
-        idx.insert_subscriber("s1", &feeds(&["A", "B"]), "h:1", true, false);
-        idx.insert_subscriber("s2", &feeds(&["B"]), "h:2", true, false);
+        idx.insert_subscriber(&h("s1"), &feeds(&["A", "B"]), "h:1", true, false);
+        idx.insert_subscriber(&h("s2"), &feeds(&["B"]), "h:2", true, false);
         assert_eq!(reg.gauge_value("index.feed_entries"), Some(3));
         assert_eq!(reg.gauge_value("index.endpoint_entries"), Some(2));
-        idx.set_online("s1", &feeds(&["A", "B"]), false, false);
+        idx.set_online(&h("s1"), &feeds(&["A", "B"]), false, false);
         assert_eq!(reg.gauge_value("index.feed_entries"), Some(1));
         idx.remove_subscriber("s2", &feeds(&["B"]), "h:2");
         assert_eq!(reg.gauge_value("index.feed_entries"), Some(0));

@@ -31,6 +31,7 @@ use bistro_transport::{
     SimNetwork, TriggerLog,
 };
 use bistro_vfs::{FileStore, VfsError};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -92,11 +93,9 @@ impl From<bistro_config::ConfigError> for ServerError {
     }
 }
 
-/// Per-subscriber delivery latency accounting. Latencies feed a
-/// fixed-size histogram per subscriber, so memory is O(subscribers)
-/// regardless of how many deliveries a long run records — a per-delivery
-/// sample vector would be fatal at million-subscriber fanout scale.
-#[derive(Clone, Default)]
+/// Server-wide delivery totals. Per-subscriber latency lives with the
+/// subscriber ([`Server::latency_summary`]).
+#[derive(Clone, Debug, Default)]
 pub struct DeliveryStats {
     /// Files classified into at least one feed.
     pub files_ingested: u64,
@@ -106,55 +105,84 @@ pub struct DeliveryStats {
     pub deliveries: u64,
     /// Bytes pushed to subscribers.
     pub bytes_delivered: u64,
-    /// Per-subscriber deposit→delivery latency histograms (microseconds;
-    /// detached — these never render into `status_json`).
-    pub latencies: HashMap<String, Arc<Histogram>>,
 }
 
-impl fmt::Debug for DeliveryStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DeliveryStats")
-            .field("files_ingested", &self.files_ingested)
-            .field("files_unknown", &self.files_unknown)
-            .field("deliveries", &self.deliveries)
-            .field("bytes_delivered", &self.bytes_delivered)
-            .field("latency_subscribers", &self.latencies.len())
-            .finish()
-    }
-}
-
-impl DeliveryStats {
-    /// `(mean, p95, max)` delivery latency for a subscriber. Mean and max
-    /// are exact; p95 is the histogram's rank-exact upper quantile bound.
-    pub fn latency_summary(&self, subscriber: &str) -> Option<(TimeSpan, TimeSpan, TimeSpan)> {
-        let h = self.latencies.get(subscriber)?;
-        let count = h.count();
-        if count == 0 {
-            return None;
-        }
-        let mean = h.sum() / count;
-        let p95 = h.quantile(0.95).unwrap_or(0);
-        let max = h.max().unwrap_or(0);
-        Some((
-            TimeSpan::from_micros(mean),
-            TimeSpan::from_micros(p95),
-            TimeSpan::from_micros(max),
-        ))
-    }
-
-    /// How many raw latency samples are retained in memory: always zero —
-    /// the histograms keep bucket counts only. (A regression guard: the
-    /// old implementation kept one `TimeSpan` per delivery forever.)
-    pub fn retained_latency_samples(&self) -> usize {
-        0
-    }
-}
-
+/// Everything the server holds per subscriber. Registration creates it
+/// and deregistration drops it whole — nothing about a subscriber lives
+/// in a table keyed by a copy of its name.
 struct SubscriberState {
+    /// The one allocation of the subscriber's name. The subscriber table
+    /// is keyed by it, and the delivery index, the retry tracker and the
+    /// per-deposit match hold clones of the handle.
+    name: Arc<str>,
     def: SubscriberDef,
     feeds: Vec<String>,
     online: bool,
     consecutive_failures: u32,
+    /// Deposit→delivery latency (microseconds; detached — never renders
+    /// into `status_json`). A fixed-size histogram, so memory is
+    /// O(subscribers) however many deliveries a long run records.
+    latency: Histogram,
+    /// This subscriber's open batch per feed, created at the first
+    /// delivery under that feed.
+    batchers: BTreeMap<String, Batcher>,
+}
+
+impl SubscriberState {
+    fn new(def: SubscriberDef, feeds: Vec<String>) -> SubscriberState {
+        SubscriberState {
+            name: Arc::from(def.name.as_str()),
+            def,
+            feeds,
+            online: true,
+            consecutive_failures: 0,
+            latency: Histogram::detached(),
+            batchers: BTreeMap::new(),
+        }
+    }
+}
+
+/// What delivering one file takes that does not depend on who receives
+/// it, computed once per file and shared (`Arc`) by every subscriber's
+/// send, its unacked-table entry and its ack.
+struct FilePlan {
+    rec: FileRecord,
+    /// The staged payload's size, from one `metadata` call.
+    size: u64,
+    /// `incoming/<staged path>`: where a subscriber without a `dest`
+    /// template receives the file.
+    default_dest: String,
+}
+
+impl FilePlan {
+    /// The feed `st` receives this file under: the first of the file's
+    /// feeds it subscribes to.
+    fn feed_for(&self, st: &SubscriberState) -> &str {
+        let feeds = &self.rec.feeds;
+        feeds
+            .iter()
+            .find(|f| st.feeds.contains(f))
+            .unwrap_or(&feeds[0])
+    }
+
+    /// The wire message delivering this file to `st` under `feed` at
+    /// `dest_path`.
+    fn message(&self, st: &SubscriberState, feed: &str, dest_path: &str) -> SubscriberMsg {
+        match st.def.delivery {
+            DeliveryMode::Push => SubscriberMsg::FileDelivered {
+                file: self.rec.id,
+                feed: feed.to_string(),
+                dest_path: dest_path.to_string(),
+                size: self.size,
+            },
+            DeliveryMode::Notify => SubscriberMsg::FileAvailable {
+                file: self.rec.id,
+                feed: feed.to_string(),
+                staged_path: self.rec.staged_path.clone(),
+                size: self.size,
+            },
+        }
+    }
 }
 
 /// One active shared-delivery plan, built from a relay group in the
@@ -293,18 +321,18 @@ pub struct Server {
     archiver: Option<Archiver>,
     log: EventLog,
     triggers: TriggerLog,
-    batchers: HashMap<(String, String), Batcher>,
     batch_ids: IdGen,
-    subscribers: HashMap<String, SubscriberState>,
+    subscribers: HashMap<Arc<str>, SubscriberState>,
     /// Inverted feed→subscriber / feed→plan / endpoint→subscriber maps,
     /// maintained at every subscriber/group mutation point so the
     /// per-deposit match is `O(matched)` (DESIGN.md §12.5).
     index: DeliveryIndex,
     net: Option<Arc<SimNetwork>>,
     /// The per-subscriber unacked-send table when reliable delivery is
-    /// enabled (§4.2). Its tallies live in the telemetry registry
-    /// (`reliable.*`).
-    reliable: Option<RetryTracker>,
+    /// enabled (§4.2): an entry holds the file's plan, from which a
+    /// resend re-renders its message and an ack completes the delivery.
+    /// Its tallies live in the telemetry registry (`reliable.*`).
+    reliable: Option<RetryTracker<Arc<FilePlan>>>,
     groups: Option<GroupState>,
     progress: HashMap<String, FeedProgress>,
     discoverer: FeedDiscoverer,
@@ -369,15 +397,8 @@ impl Server {
                     resolved.insert(target.clone(), r);
                 }
             }
-            subscribers.insert(
-                def.name.clone(),
-                SubscriberState {
-                    def: def.clone(),
-                    feeds: feeds.into_iter().collect(),
-                    online: true,
-                    consecutive_failures: 0,
-                },
-            );
+            let st = SubscriberState::new(def.clone(), feeds.into_iter().collect());
+            subscribers.insert(st.name.clone(), st);
         }
 
         // Shared delivery plans from the config's relay groups. The
@@ -398,7 +419,7 @@ impl Server {
             for m in &members {
                 // validated: every member is a subscriber, whose feeds
                 // were just resolved above
-                if let Some(st) = subscribers.get(m) {
+                if let Some(st) = subscribers.get(m.as_str()) {
                     feeds.extend(st.feeds.iter().cloned());
                 }
                 grouped.insert(m.clone());
@@ -434,11 +455,11 @@ impl Server {
         // byte-stable `status --json` surface the main registry renders.
         let pool_telemetry = Registry::new();
         let mut index = DeliveryIndex::new(&pool_telemetry);
-        for (sub_name, st) in &subscribers {
+        for st in subscribers.values() {
             let in_group = groups
                 .as_ref()
-                .is_some_and(|g| g.grouped.contains(sub_name));
-            index.insert_subscriber(sub_name, &st.feeds, &st.def.endpoint, st.online, in_group);
+                .is_some_and(|g| g.grouped.contains(&st.def.name));
+            index.insert_subscriber(&st.name, &st.feeds, &st.def.endpoint, st.online, in_group);
         }
         if let Some(g) = &groups {
             index.set_group_plans(
@@ -472,7 +493,6 @@ impl Server {
             archiver,
             log: EventLog::default(),
             triggers: TriggerLog::new(),
-            batchers: HashMap::new(),
             batch_ids: IdGen::new(),
             subscribers,
             index,
@@ -829,12 +849,12 @@ impl Server {
             if self.net.is_some() {
                 self.receipts.flush_group()?;
             }
-            let rec = self.receipts.file(file).expect("just recorded");
-            for sub in interested {
-                self.deliver_one(&rec, &sub)?;
+            let plan = self.file_plan(self.receipts.file(file).expect("just recorded"));
+            for sub in &interested {
+                self.deliver_one(&plan, sub)?;
             }
-            for plan in group_matches {
-                self.deliver_group(plan, &rec)?;
+            for group in group_matches {
+                self.deliver_group(group, &plan)?;
             }
         }
         Ok(())
@@ -849,16 +869,16 @@ impl Server {
     pub fn match_via_scan(&self, feeds: &[String]) -> (Vec<String>, Vec<usize>) {
         let mut interested: Vec<String> = self
             .subscribers
-            .iter()
-            .filter(|(name, st)| {
+            .values()
+            .filter(|st| {
                 st.online
                     && st.feeds.iter().any(|f| feeds.contains(f))
                     && self
                         .groups
                         .as_ref()
-                        .is_none_or(|g| !g.grouped.contains(*name))
+                        .is_none_or(|g| !g.grouped.contains(&st.def.name))
             })
-            .map(|(name, _)| name.clone())
+            .map(|st| st.def.name.clone())
             .collect();
         interested.sort();
         let group_matches: Vec<usize> = match &self.groups {
@@ -878,14 +898,16 @@ impl Server {
     /// index-vs-scan equivalence property test.
     #[doc(hidden)]
     pub fn match_via_index(&self, feeds: &[String]) -> (Vec<String>, Vec<usize>) {
-        self.index.matches(feeds)
+        let (subs, plans) = self.index.matches(feeds);
+        (subs.iter().map(|s| s.to_string()).collect(), plans)
     }
 
     /// Endpoint→subscriber resolution — exposed for ack-lookup
     /// regression tests (rename, re-home).
     #[doc(hidden)]
     pub fn resolve_endpoint(&self, endpoint: &str) -> Option<String> {
-        self.subscriber_by_endpoint(endpoint)
+        let sub = self.index.subscriber_for_endpoint(endpoint)?;
+        Some(sub.to_string())
     }
 
     /// Live `(feed, endpoint)` posting counts in the delivery index —
@@ -895,132 +917,105 @@ impl Server {
         self.index.entry_counts()
     }
 
-    /// The wire message for delivering `rec` to `st`, plus the metadata
-    /// the receipt/batcher tail needs: `(feed, dest_path, size, msg)`.
-    fn delivery_parts(
-        &self,
-        rec: &FileRecord,
-        st: &SubscriberState,
-    ) -> (String, String, u64, SubscriberMsg) {
-        let feed_name = rec
-            .feeds
-            .iter()
-            .find(|f| st.feeds.contains(f))
-            .cloned()
-            .unwrap_or_else(|| rec.feeds[0].clone());
-
-        // destination path: subscriber's dest template or the staged
-        // layout. A failed re-match or render falls back to the staged
-        // layout — loudly: the file still lands somewhere the subscriber
-        // can fetch it, but silently ignoring the configured template
-        // buries a config/pattern drift bug (the dest template no longer
-        // agrees with the feed's patterns) that only the subscriber's
-        // downstream tooling would notice.
-        let dest_path = match (&st.def.dest, self.config.feed(&feed_name)) {
-            (Some(tpl), Some(feed)) => {
-                // re-match to recover captures for the template
-                let caps = match feed.patterns.iter().find_map(|p| p.match_str(&rec.name)) {
-                    Some(caps) => caps,
-                    None => {
-                        self.log.log(
-                            self.clock.now(),
-                            LogLevel::Warn,
-                            "delivery",
-                            format!(
-                                "dest re-match failed: file {} no longer matches any {} pattern; \
-                                 rendering {}'s dest template with empty captures",
-                                rec.name, feed_name, st.def.name
-                            ),
-                        );
-                        Default::default()
-                    }
-                };
-                match tpl.render(&caps, &rec.name, &feed_name) {
-                    Ok(dest) => dest,
-                    Err(e) => {
-                        self.metrics.dest_fallback.inc();
-                        self.log.log(
-                            self.clock.now(),
-                            LogLevel::Warn,
-                            "delivery",
-                            format!(
-                                "dest template for {} failed on file {} ({e}); \
-                                 falling back to incoming/{}",
-                                st.def.name, rec.name, rec.staged_path
-                            ),
-                        );
-                        format!("incoming/{}", rec.staged_path)
-                    }
-                }
-            }
-            _ => format!("incoming/{}", rec.staged_path),
-        };
-
+    /// The per-file half of a delivery, from the file's arrival record.
+    fn file_plan(&self, rec: FileRecord) -> Arc<FilePlan> {
         let staged_full = format!("{}/{}", self.config.server.staging, rec.staged_path);
         let size = self
             .store
             .metadata(&staged_full)
             .map(|m| m.size)
             .unwrap_or(rec.size);
-
-        let msg = match st.def.delivery {
-            DeliveryMode::Push => SubscriberMsg::FileDelivered {
-                file: rec.id,
-                feed: feed_name.clone(),
-                dest_path: dest_path.clone(),
-                size,
-            },
-            DeliveryMode::Notify => SubscriberMsg::FileAvailable {
-                file: rec.id,
-                feed: feed_name.clone(),
-                staged_path: rec.staged_path.clone(),
-                size,
-            },
-        };
-        (feed_name, dest_path, size, msg)
+        Arc::new(FilePlan {
+            default_dest: format!("incoming/{}", rec.staged_path),
+            size,
+            rec,
+        })
     }
 
-    /// Deliver (push or notify) one file to one subscriber. In reliable
-    /// mode this sends an [`ReliableMsg::Attempt`] and returns — the
-    /// receipt is written by [`Server::poll_network`] when the ack comes
-    /// back. Otherwise the receipt, stats and batcher/trigger run
-    /// immediately.
-    fn deliver_one(&mut self, rec: &FileRecord, sub_name: &str) -> Result<(), ServerError> {
-        if self.receipts.is_delivered(rec.id, sub_name) {
-            return Ok(());
-        }
-        let now = self.clock.now();
-        let (endpoint, feed_name, dest_path, size, submsg) = {
-            let st = self
-                .subscribers
-                .get(sub_name)
-                .ok_or_else(|| ServerError::UnknownSubscriber(sub_name.to_string()))?;
-            let (feed_name, dest_path, size, submsg) = self.delivery_parts(rec, st);
-            (st.def.endpoint.clone(), feed_name, dest_path, size, submsg)
+    /// Where `st` receives the file under `feed_name`: its `dest`
+    /// template rendered for this file, or the staged layout. A failed
+    /// re-match or render falls back to the staged layout — loudly: the
+    /// file still lands somewhere the subscriber can fetch it, but
+    /// silently ignoring the configured template buries a config/pattern
+    /// drift bug (the dest template no longer agrees with the feed's
+    /// patterns) that only the subscriber's downstream tooling would
+    /// notice.
+    fn dest_path<'p>(
+        &self,
+        plan: &'p FilePlan,
+        st: &SubscriberState,
+        feed_name: &str,
+    ) -> Cow<'p, str> {
+        let (Some(tpl), Some(feed)) = (&st.def.dest, self.config.feed(feed_name)) else {
+            return Cow::Borrowed(&plan.default_dest);
         };
+        let rec = &plan.rec;
+        // re-match to recover captures for the template
+        let caps = match feed.patterns.iter().find_map(|p| p.match_str(&rec.name)) {
+            Some(caps) => caps,
+            None => {
+                self.log.log(
+                    self.clock.now(),
+                    LogLevel::Warn,
+                    "delivery",
+                    format!(
+                        "dest re-match failed: file {} no longer matches any {} pattern; \
+                         rendering {}'s dest template with empty captures",
+                        rec.name, feed_name, st.def.name
+                    ),
+                );
+                Default::default()
+            }
+        };
+        match tpl.render(&caps, &rec.name, feed_name) {
+            Ok(dest) => Cow::Owned(dest),
+            Err(e) => {
+                self.metrics.dest_fallback.inc();
+                self.log.log(
+                    self.clock.now(),
+                    LogLevel::Warn,
+                    "delivery",
+                    format!(
+                        "dest template for {} failed on file {} ({e}); \
+                         falling back to incoming/{}",
+                        st.def.name, rec.name, rec.staged_path
+                    ),
+                );
+                Cow::Borrowed(&plan.default_dest)
+            }
+        }
+    }
 
-        if let (Some(tracker), Some(net)) = (self.reliable.as_mut(), self.net.clone()) {
-            if tracker.is_outstanding(sub_name, rec.id) {
+    /// Deliver (push or notify) one file to one subscriber — the caller
+    /// names only pairs the receipt store still owes. In reliable mode
+    /// this sends an [`ReliableMsg::Attempt`] and returns — the receipt
+    /// is written by [`Server::poll_network`] when the ack comes back.
+    /// Otherwise the receipt, stats and batcher/trigger run immediately.
+    fn deliver_one(&mut self, plan: &Arc<FilePlan>, sub_name: &str) -> Result<(), ServerError> {
+        let now = self.clock.now();
+        let st = self
+            .subscribers
+            .get(sub_name)
+            .ok_or_else(|| ServerError::UnknownSubscriber(sub_name.to_string()))?;
+        let feed = plan.feed_for(st);
+        let dest_path = self.dest_path(plan, st, feed);
+        let Some(net) = &self.net else {
+            return self.finish_delivery(sub_name, plan, &dest_path, now);
+        };
+        let (file, endpoint) = (plan.rec.id, st.def.endpoint.as_str());
+        if let Some(tracker) = self.reliable.as_mut() {
+            if tracker.is_outstanding(sub_name, file) {
                 return Ok(()); // a send is already in flight
             }
-            let attempt = tracker.track(sub_name, rec.id, submsg.clone(), now);
-            net.send(
-                now,
-                &self.name,
-                &endpoint,
-                Message::Reliable(ReliableMsg::Attempt {
-                    attempt,
-                    inner: submsg,
-                }),
-            );
+            let attempt = tracker.track(sub_name, file, plan.clone(), now);
+            let inner = plan.message(st, feed, &dest_path);
+            let msg = Message::Reliable(ReliableMsg::Attempt { attempt, inner });
+            net.send(now, &self.name, endpoint, msg);
             return Ok(());
         }
-
-        let delivered_at = match &self.net {
-            Some(net) => net.send(now, &self.name, &endpoint, Message::Subscriber(submsg)),
-            None => now,
-        };
-        self.finish_delivery(sub_name, rec, &feed_name, &dest_path, size, delivered_at)
+        let msg = Message::Subscriber(plan.message(st, feed, &dest_path));
+        let delivered_at = net.send(now, &self.name, endpoint, msg);
+        self.finish_delivery(sub_name, plan, &dest_path, delivered_at)
     }
 
     /// Deliver one file to a group's relay endpoint: a single
@@ -1028,7 +1023,8 @@ impl Server {
     /// bitmap tracker until the relay's coverage report shows every
     /// member served. Returns whether a send actually went out (skipped
     /// when the delivery is already in flight or durably complete).
-    fn deliver_group(&mut self, plan_idx: usize, rec: &FileRecord) -> Result<bool, ServerError> {
+    fn deliver_group(&mut self, plan_idx: usize, file: &FilePlan) -> Result<bool, ServerError> {
+        let (rec, size) = (&file.rec, file.size);
         let now = self.clock.now();
         let (group, endpoint, members) = {
             let g = self.groups.as_ref().expect("caller checked group state");
@@ -1059,12 +1055,6 @@ impl Server {
             );
             return Ok(false);
         };
-        let staged_full = format!("{}/{}", self.config.server.staging, rec.staged_path);
-        let size = self
-            .store
-            .metadata(&staged_full)
-            .map(|m| m.size)
-            .unwrap_or(rec.size);
         let g = self.groups.as_mut().expect("caller checked group state");
         if g.tracker.is_outstanding(&group, rec.id) {
             return Ok(false); // a send is already in flight
@@ -1096,52 +1086,45 @@ impl Server {
     fn finish_delivery(
         &mut self,
         sub_name: &str,
-        rec: &FileRecord,
-        feed_name: &str,
+        plan: &FilePlan,
         dest_path: &str,
-        size: u64,
         delivered_at: TimePoint,
     ) -> Result<(), ServerError> {
-        let (push, spec) = {
-            let st = self
-                .subscribers
-                .get(sub_name)
-                .ok_or_else(|| ServerError::UnknownSubscriber(sub_name.to_string()))?;
-            (st.def.delivery == DeliveryMode::Push, st.def.batch)
-        };
+        let rec = &plan.rec;
+        let st = self
+            .subscribers
+            .get_mut(sub_name)
+            .ok_or_else(|| ServerError::UnknownSubscriber(sub_name.to_string()))?;
         self.receipts
             .record_delivery(rec.id, sub_name, delivered_at)?;
         self.stats.deliveries += 1;
         self.metrics.delivery_receipts.inc();
-        if push {
-            self.stats.bytes_delivered += size;
-            self.metrics.delivery_bytes.add(size);
+        if st.def.delivery == DeliveryMode::Push {
+            self.stats.bytes_delivered += plan.size;
+            self.metrics.delivery_bytes.add(plan.size);
         }
-        self.stats
-            .latencies
-            .entry(sub_name.to_string())
-            .or_insert_with(|| Arc::new(Histogram::detached()))
+        st.latency
             .record(delivered_at.since(rec.arrival).as_micros());
 
         // batching + trigger: first close any batch whose window lapsed
         // between deliveries (otherwise this file would be folded into a
         // stale batch), then account this file with its feed-time origin
         // so the window stays anchored to the interval it covers
-        let key = (feed_name.to_string(), sub_name.to_string());
-        let spec: BatchSpec = spec;
-        let batcher = self
-            .batchers
-            .entry(key)
-            .or_insert_with(|| Batcher::new(spec));
+        let feed_name = plan.feed_for(st);
+        let spec: BatchSpec = st.def.batch;
+        let batcher = match st.batchers.get_mut(feed_name) {
+            Some(b) => b,
+            None => st
+                .batchers
+                .entry(feed_name.to_string())
+                .or_insert_with(|| Batcher::new(spec)),
+        };
         let lapsed = batcher.take_lapsed(delivered_at);
         let closed = batcher.on_file_at(rec.id, delivered_at, rec.feed_time);
+        st.consecutive_failures = 0;
         for batch in lapsed.into_iter().chain(closed) {
             self.close_batch(feed_name, sub_name, batch, dest_path);
         }
-        self.subscribers
-            .get_mut(sub_name)
-            .unwrap()
-            .consecutive_failures = 0;
         Ok(())
     }
 
@@ -1174,28 +1157,29 @@ impl Server {
     }
 
     /// Complete a delivery proven by an ack: idempotent (late and
-    /// duplicate acks are no-ops once the receipt exists).
+    /// duplicate acks are no-ops once the receipt exists). `tracked` is
+    /// the plan the unacked table held for the pair; an ack the table no
+    /// longer knows rebuilds it from the arrival record.
     fn complete_delivery(
         &mut self,
         sub_name: &str,
         file: FileId,
+        tracked: Option<Arc<FilePlan>>,
         at: TimePoint,
     ) -> Result<(), ServerError> {
-        if self.receipts.is_delivered(file, sub_name) {
-            return Ok(());
+        if !self.receipts.owes(file, sub_name) {
+            return Ok(()); // already receipted, or a file we no longer track
         }
-        let Some(rec) = self.receipts.file(file) else {
-            return Ok(()); // ack for a file we no longer track
+        let plan = match tracked {
+            Some(plan) => plan,
+            None => self.file_plan(self.receipts.file(file).expect("owed files are live")),
         };
-        let (feed_name, dest_path, size) = {
-            let st = self
-                .subscribers
-                .get(sub_name)
-                .ok_or_else(|| ServerError::UnknownSubscriber(sub_name.to_string()))?;
-            let (feed_name, dest_path, size, _) = self.delivery_parts(&rec, st);
-            (feed_name, dest_path, size)
-        };
-        self.finish_delivery(sub_name, &rec, &feed_name, &dest_path, size, at)
+        let st = self
+            .subscribers
+            .get(sub_name)
+            .ok_or_else(|| ServerError::UnknownSubscriber(sub_name.to_string()))?;
+        let dest_path = self.dest_path(&plan, st, plan.feed_for(st));
+        self.finish_delivery(sub_name, &plan, &dest_path, at)
     }
 
     /// Drain the server's network inbox: acknowledgements clear their
@@ -1230,17 +1214,20 @@ impl Server {
         msg: Message,
     ) -> Result<bool, ServerError> {
         match msg {
-            Message::Reliable(ReliableMsg::Ack { file, attempt }) => {
-                let Some(sub) = self.subscriber_by_endpoint(from) else {
+            Message::Reliable(ReliableMsg::Ack { file, .. }) => {
+                // acks carry no name on the wire: the sender's endpoint
+                // identifies the subscriber
+                let Some(sub) = self.index.subscriber_for_endpoint(from).cloned() else {
                     return Ok(false);
                 };
+                let mut tracked = None;
                 if let Some(tracker) = self.reliable.as_mut() {
-                    tracker.on_ack(&sub, file, attempt);
+                    tracked = tracker.take_acked(&sub, file);
                     // counts every processed ack — including late duplicates
                     // the tracker no longer knows (those still prove delivery)
                     self.metrics.acks_processed.inc();
                 }
-                self.complete_delivery(&sub, file, at)?;
+                self.complete_delivery(&sub, file, tracked, at)?;
                 Ok(true)
             }
             Message::Group(GroupMsg::Ack {
@@ -1297,16 +1284,6 @@ impl Server {
         Ok(true)
     }
 
-    /// Resolve a subscriber name from its configured endpoint (acks
-    /// carry no name on the wire; the sender's endpoint identifies it).
-    /// An indexed map lookup — previously a linear scan over every
-    /// subscriber on every incoming ack. Endpoint sharing resolves to
-    /// the lexicographically-first name, exactly as the scan-and-sort
-    /// it replaced did.
-    fn subscriber_by_endpoint(&self, endpoint: &str) -> Option<String> {
-        self.index.subscriber_for_endpoint(endpoint).cloned()
-    }
-
     /// Sweep both unacked tables: lapsed sends are retransmitted (Warn)
     /// with exponential backoff; sends that exhausted the policy's
     /// attempt budget raise an Alarm and — for a per-subscriber send —
@@ -1337,10 +1314,11 @@ impl Server {
             };
             let max_attempts = tracker.policy().max_attempts;
             self.run_retry_round(round, now, max_attempts, Unacked::Subscriber, |srv, r| {
-                let st = srv.subscribers.get(&r.target)?;
+                let (plan, st) = (&r.payload, srv.subscribers.get(&r.target)?);
+                let feed = plan.feed_for(st);
                 let attempt = ReliableMsg::Attempt {
                     attempt: r.attempt,
-                    inner: r.payload.clone(),
+                    inner: plan.message(st, feed, &srv.dest_path(plan, st, feed)),
                 };
                 Some((st.def.endpoint.as_str(), Message::Reliable(attempt)))
             })?;
@@ -1354,9 +1332,9 @@ impl Server {
             let max_attempts = g.tracker.policy().max_attempts;
             self.run_retry_round(round, now, max_attempts, Unacked::Group, |srv, r| {
                 let plans = &srv.groups.as_ref()?.plans;
-                let plan = plans.iter().find(|p| p.name == r.target)?;
+                let plan = plans.iter().find(|p| *p.name == *r.target)?;
                 let deliver = GroupMsg::Deliver {
-                    group: r.target.clone(),
+                    group: r.target.to_string(),
                     file: r.file,
                     file_name: r.payload.file_name.clone(),
                     size: r.payload.size,
@@ -1428,7 +1406,7 @@ impl Server {
     /// In reliable mode receipts record only acked sends, so after a
     /// crash-restart this is exactly the unacked backfill.
     pub fn backfill_unacked(&mut self) -> Result<usize, ServerError> {
-        let mut subs: Vec<String> = self.subscribers.keys().cloned().collect();
+        let mut subs: Vec<Arc<str>> = self.subscribers.keys().cloned().collect();
         subs.sort();
         let mut n = 0;
         for sub in subs {
@@ -1455,8 +1433,9 @@ impl Server {
                     files.insert(rec.id.raw(), rec);
                 }
             }
-            for rec in files.values() {
-                if self.deliver_group(idx, rec)? {
+            for rec in files.into_values() {
+                let plan = self.file_plan(rec);
+                if self.deliver_group(idx, &plan)? {
                     n += 1;
                 }
             }
@@ -1509,22 +1488,19 @@ impl Server {
     /// (§4.2).
     pub fn set_subscriber_online(&mut self, sub: &str, online: bool) -> Result<(), ServerError> {
         let now = self.clock.now();
-        let feeds = {
-            let st = self
-                .subscribers
-                .get_mut(sub)
-                .ok_or_else(|| ServerError::UnknownSubscriber(sub.to_string()))?;
-            if st.online == online {
-                return Ok(());
-            }
-            st.online = online;
-            st.feeds.clone()
-        };
+        let st = self
+            .subscribers
+            .get_mut(sub)
+            .ok_or_else(|| ServerError::UnknownSubscriber(sub.to_string()))?;
+        if st.online == online {
+            return Ok(());
+        }
+        st.online = online;
         let in_group = self
             .groups
             .as_ref()
             .is_some_and(|g| g.grouped.contains(sub));
-        self.index.set_online(sub, &feeds, online, in_group);
+        self.index.set_online(&st.name, &st.feeds, online, in_group);
         if !online {
             // stop retrying into a dead subscriber; recovery backfills
             if let Some(tracker) = self.reliable.as_mut() {
@@ -1574,7 +1550,8 @@ impl Server {
         let pending = self.receipts.pending_for(sub, &feeds);
         let n = pending.len();
         for rec in pending {
-            self.deliver_one(&rec, sub)?;
+            let plan = self.file_plan(rec);
+            self.deliver_one(&plan, sub)?;
         }
         Ok(n)
     }
@@ -1600,23 +1577,18 @@ impl Server {
             .groups
             .as_ref()
             .is_some_and(|g| g.grouped.contains(&def.name));
+        let st = SubscriberState::new(def, feeds);
+        let name = st.name.clone();
         self.index
-            .insert_subscriber(&def.name, &feeds, &def.endpoint, true, in_group);
-        self.subscribers.insert(
-            def.name.clone(),
-            SubscriberState {
-                feeds,
-                def: def.clone(),
-                online: true,
-                consecutive_failures: 0,
-            },
-        );
-        self.deliver_pending_for(&def.name)
+            .insert_subscriber(&name, &st.feeds, &st.def.endpoint, true, in_group);
+        self.subscribers.insert(name.clone(), st);
+        self.deliver_pending_for(&name)
     }
 
     /// Deregister a subscriber at runtime: drops its config entry, live
-    /// state, index postings, batcher state and any in-flight reliable
-    /// retries. Members of a relay delivery group are refused — their
+    /// state (latency histogram and open batches with it), index
+    /// postings and any in-flight reliable retries — every handle to its
+    /// name. Members of a relay delivery group are refused — their
     /// delivery rides the shared group plan, which cannot lose a member
     /// without recompiling the tree.
     pub fn remove_subscriber(&mut self, sub: &str) -> Result<(), ServerError> {
@@ -1637,7 +1609,6 @@ impl Server {
         if let Some(tracker) = self.reliable.as_mut() {
             tracker.forget(sub);
         }
-        self.batchers.retain(|(_, s), _| s != sub);
         self.log.log(
             self.clock.now(),
             LogLevel::Info,
@@ -1684,7 +1655,7 @@ impl Server {
             }
         }
         // deliver any newly pending files (sorted: see `ingest_prepared`)
-        let mut subs: Vec<String> = self.subscribers.keys().cloned().collect();
+        let mut subs: Vec<Arc<str>> = self.subscribers.keys().cloned().collect();
         subs.sort();
         for sub in subs {
             self.deliver_pending_for(&sub)?;
@@ -1702,14 +1673,10 @@ impl Server {
     /// triggers) and audit feed progress (raising alarms).
     pub fn tick(&mut self) {
         let now = self.clock.now();
-        // batch windows (sorted so trigger-log order is deterministic)
-        let mut keys: Vec<(String, String)> = self.batchers.keys().cloned().collect();
-        keys.sort();
-        for key in keys {
-            let batch = self.batchers.get_mut(&key).and_then(|b| b.on_tick(now));
-            if let Some(batch) = batch {
-                self.close_batch(&key.0, &key.1, batch, "");
-            }
+        // batch windows ((feed, subscriber) order, so trigger-log order
+        // is deterministic)
+        for (feed, sub) in self.open_batchers(None) {
+            self.on_batcher(&feed, &sub, |b| b.on_tick(now));
         }
         // progress audits (sorted: HashMap iteration order must not
         // decide the event-log line order)
@@ -1762,21 +1729,39 @@ impl Server {
     /// feed's open batches immediately (§4.1 punctuation).
     pub fn punctuate_feed(&mut self, feed: &str) {
         let now = self.clock.now();
-        let mut keys: Vec<(String, String)> = self
-            .batchers
-            .keys()
-            .filter(|(f, _)| f == feed)
-            .cloned()
+        for (feed, sub) in self.open_batchers(Some(feed)) {
+            self.on_batcher(&feed, &sub, |b| b.on_punctuation(now));
+        }
+    }
+
+    /// Every `(feed, subscriber)` that has a batcher — those of one feed
+    /// when `only` names it — in `(feed, subscriber)` order.
+    fn open_batchers(&self, only: Option<&str>) -> Vec<(String, Arc<str>)> {
+        let mut keys: Vec<(String, Arc<str>)> = self
+            .subscribers
+            .values()
+            .flat_map(|st| st.batchers.keys().map(|feed| (feed, &st.name)))
+            .filter(|(feed, _)| only.is_none_or(|f| f == *feed))
+            .map(|(feed, sub)| (feed.clone(), sub.clone()))
             .collect();
         keys.sort();
-        for key in keys {
-            let batch = self
-                .batchers
-                .get_mut(&key)
-                .and_then(|b| b.on_punctuation(now));
-            if let Some(batch) = batch {
-                self.close_batch(&key.0, &key.1, batch, "");
-            }
+        keys
+    }
+
+    /// Run a clock- or source-driven close (`on_tick`, `on_punctuation`)
+    /// on one batcher; a batch it closes names no file's path.
+    fn on_batcher(
+        &mut self,
+        feed: &str,
+        sub: &str,
+        close: impl FnOnce(&mut Batcher) -> Option<BatchOutcome>,
+    ) {
+        let batcher = self
+            .subscribers
+            .get_mut(sub)
+            .and_then(|st| st.batchers.get_mut(feed));
+        if let Some(batch) = batcher.and_then(close) {
+            self.close_batch(feed, sub, batch, "");
         }
     }
 
@@ -1923,7 +1908,7 @@ impl Server {
     pub fn state_digest(&self) -> u64 {
         use std::fmt::Write as _;
         let mut acc = String::new();
-        let mut subs: Vec<&String> = self.subscribers.keys().collect();
+        let mut subs: Vec<&Arc<str>> = self.subscribers.keys().collect();
         subs.sort();
         for name in subs {
             let st = &self.subscribers[name];
@@ -1990,6 +1975,25 @@ impl Server {
         &self.stats
     }
 
+    /// `(mean, p95, max)` deposit→delivery latency of a registered
+    /// subscriber's deliveries, `None` before the first. Mean and max are
+    /// exact; p95 is the histogram's rank-exact upper quantile bound.
+    pub fn latency_summary(&self, subscriber: &str) -> Option<(TimeSpan, TimeSpan, TimeSpan)> {
+        let h = &self.subscribers.get(subscriber)?.latency;
+        let count = h.count();
+        if count == 0 {
+            return None;
+        }
+        let mean = h.sum() / count;
+        let p95 = h.quantile(0.95).unwrap_or(0);
+        let max = h.max().unwrap_or(0);
+        Some((
+            TimeSpan::from_micros(mean),
+            TimeSpan::from_micros(p95),
+            TimeSpan::from_micros(max),
+        ))
+    }
+
     /// The backing store.
     pub fn store(&self) -> &Arc<dyn FileStore> {
         &self.store
@@ -2024,13 +2028,13 @@ impl Server {
     /// Deterministic — identical runs render byte-identical snapshots.
     pub fn status_json(&self) -> Json {
         self.store.stats().publish(&self.telemetry);
-        let mut subs: Vec<(&String, &SubscriberState)> = self.subscribers.iter().collect();
+        let mut subs: Vec<(&Arc<str>, &SubscriberState)> = self.subscribers.iter().collect();
         subs.sort_by_key(|(name, _)| name.to_string());
         let subscribers = Json::Arr(
             subs.into_iter()
                 .map(|(name, st)| {
                     Json::Obj(vec![
-                        ("name".into(), Json::Str(name.clone())),
+                        ("name".into(), Json::Str(name.to_string())),
                         ("online".into(), Json::Bool(st.online)),
                         ("feeds".into(), Json::Num(st.feeds.len() as f64)),
                     ])
@@ -2084,7 +2088,7 @@ impl Server {
             self.name,
             self.clock.now().as_micros()
         ));
-        let mut subs: Vec<(&String, &SubscriberState)> = self.subscribers.iter().collect();
+        let mut subs: Vec<(&Arc<str>, &SubscriberState)> = self.subscribers.iter().collect();
         subs.sort_by_key(|(name, _)| name.to_string());
         for (name, st) in subs {
             out.push_str(&format!(

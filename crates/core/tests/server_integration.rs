@@ -368,7 +368,7 @@ fn fleet_scale_ingest() {
     assert_eq!(server.stats().files_unknown, 0);
     assert_eq!(server.stats().deliveries as usize, total);
     // deposit→delivery latency is zero in store-local mode
-    let (_, _, max) = server.stats().latency_summary("wh").unwrap();
+    let (_, _, max) = server.latency_summary("wh").unwrap();
     assert_eq!(max, TimeSpan::ZERO);
 }
 
@@ -389,16 +389,11 @@ fn latency_stats_use_bounded_histograms() {
             .unwrap();
     }
     assert_eq!(server.stats().deliveries, 21);
-    let (mean, p95, max) = server.stats().latency_summary("warehouse").unwrap();
+    let (mean, p95, max) = server.latency_summary("warehouse").unwrap();
     assert_eq!(mean, TimeSpan::ZERO); // store-local delivery is instant
     assert_eq!(p95, TimeSpan::ZERO);
     assert_eq!(max, TimeSpan::ZERO);
-    assert!(server.stats().latency_summary("nobody").is_none());
-    assert_eq!(
-        server.stats().retained_latency_samples(),
-        0,
-        "per-delivery samples must not accumulate"
-    );
+    assert!(server.latency_summary("nobody").is_none());
 }
 
 #[test]
@@ -859,4 +854,137 @@ fn grouped_member_cannot_be_removed() {
         server.match_via_index(&feeds),
         server.match_via_scan(&feeds)
     );
+}
+
+fn push_sub(name: &str, endpoint: &str, target: &str) -> bistro_config::SubscriberDef {
+    bistro_config::SubscriberDef {
+        name: name.to_string(),
+        endpoint: endpoint.to_string(),
+        subscriptions: vec![target.to_string()],
+        delivery: bistro_config::DeliveryMode::Push,
+        deadline: TimeSpan::from_mins(5),
+        batch: bistro_config::BatchSpec::per_file(),
+        trigger: None,
+        dest: None,
+    }
+}
+
+fn ack(server: &mut Server, endpoint: &str, file: u64, at: TimePoint) {
+    let msg = Message::Reliable(bistro_transport::messages::ReliableMsg::Ack {
+        file: bistro_base::FileId(file),
+        attempt: 1,
+    });
+    assert!(server.handle_network_message(endpoint, at, msg).unwrap());
+}
+
+#[test]
+fn state_digest_of_a_mixed_unacked_table_is_pinned() {
+    // The digest walks the unacked table in (target, file) order and
+    // names files by receipt lookups; the literal below was read off the
+    // commit before subscriber names became shared handles and the table
+    // was re-keyed target-then-file, on exactly this script: names that
+    // share prefixes, acks out of order, a late duplicate ack, one
+    // subscriber forgotten (offline) and one removed mid-flight.
+    let clock = SimClock::starting_at(START);
+    let net = Arc::new(SimNetwork::new(LinkSpec::default()));
+    let mut server = new_server(clock.clone(), MemFs::shared(clock.clone()))
+        .with_network(net)
+        .with_reliable_delivery(bistro_transport::RetryPolicy::default(), 0xB157);
+    for (name, endpoint) in [("b", "eb"), ("a", "ea"), ("ab", "eab"), ("a0", "ea0")] {
+        server
+            .add_subscriber(push_sub(name, endpoint, "SNMP/MEMORY"))
+            .unwrap();
+    }
+    for day in 25..=28 {
+        clock.advance(TimeSpan::from_secs(1));
+        server
+            .deposit(&format!("MEMORY_poller1_201009{day}.gz"), b"x")
+            .unwrap();
+    }
+    assert_eq!(server.unacked_count(), 4 * 5, "4 files x (4 + warehouse)");
+    let now = clock.now();
+    ack(&mut server, "ea", 3, now);
+    ack(&mut server, "eab", 1, now);
+    ack(&mut server, "ea", 1, now);
+    ack(&mut server, "ea", 1, now); // late duplicate: a no-op
+    ack(&mut server, "warehouse", 2, now);
+    server.set_subscriber_online("ab", false).unwrap();
+    server.remove_subscriber("a0").unwrap();
+    server.retry_fire().unwrap();
+    assert_eq!(server.unacked_count(), 2 + 4 + 3);
+    assert_eq!(server.receipts().delivery_count(), 4);
+    assert_eq!(server.state_digest(), 15_476_652_756_863_274_317);
+}
+
+#[test]
+fn subscriber_churn_leaves_no_per_subscriber_state() {
+    // Regression: `remove_subscriber` cleared the index, the tracker and
+    // the batchers but left the subscriber's latency histogram behind,
+    // so `latency_summary` kept answering for a removed subscriber and
+    // the table grew by one entry per name ever registered. Everything
+    // per-subscriber now lives in the subscriber's own state: 1 000
+    // register → deliver → deregister cycles must leave every table at
+    // its starting size.
+    let clock = SimClock::starting_at(START);
+    let net = Arc::new(SimNetwork::new(LinkSpec::default()));
+    let mut server = new_server(clock.clone(), MemFs::shared(clock.clone()))
+        .with_network(net)
+        .with_reliable_delivery(bistro_transport::RetryPolicy::default(), 7);
+    server
+        .deposit("MEMORY_poller1_20100925.gz", b"history")
+        .unwrap();
+    ack(&mut server, "warehouse", 1, clock.now());
+    let subscribers = |s: &Server| match s.status_json() {
+        bistro_telemetry::Json::Obj(fields) => fields
+            .into_iter()
+            .find_map(|(k, v)| match (k.as_str(), v) {
+                ("subscribers", bistro_telemetry::Json::Arr(subs)) => Some(subs.len()),
+                _ => None,
+            })
+            .unwrap(),
+        other => panic!("status_json is an object, got {other:?}"),
+    };
+    let start = (
+        subscribers(&server),
+        server.index_entry_counts(),
+        server.unacked_count(),
+        server.config().subscribers.len(),
+    );
+
+    for cycle in 0..1_000u64 {
+        let (name, endpoint) = (format!("churn{cycle}"), format!("e{cycle}"));
+        // registration backfills the history: one unacked send
+        assert_eq!(
+            server
+                .add_subscriber(push_sub(&name, &endpoint, "SNMP/MEMORY"))
+                .unwrap(),
+            1
+        );
+        if cycle % 2 == 0 {
+            // half of them are acked (histogram + batcher come to life),
+            // half are removed with the send still in flight
+            ack(&mut server, &endpoint, 1, clock.now());
+            assert!(server.latency_summary(&name).is_some());
+        }
+        server.remove_subscriber(&name).unwrap();
+        assert!(
+            server.latency_summary(&name).is_none(),
+            "{name} was removed; nothing may answer for it"
+        );
+    }
+    let end = (
+        subscribers(&server),
+        server.index_entry_counts(),
+        server.unacked_count(),
+        server.config().subscribers.len(),
+    );
+    assert_eq!(end, start);
+    // a late ack from a removed subscriber's endpoint resolves to nobody
+    let late = Message::Reliable(bistro_transport::messages::ReliableMsg::Ack {
+        file: bistro_base::FileId(1),
+        attempt: 1,
+    });
+    assert!(!server
+        .handle_network_message("e1", clock.now(), late)
+        .unwrap());
 }

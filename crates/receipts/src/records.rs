@@ -165,15 +165,48 @@ const TAG_RECLASSIFY: u8 = 4;
 const TAG_GROUP_MARK: u8 = 5;
 
 /// The bytes of `Record::Delivery { file, subscriber, at }` from borrowed
-/// parts: the one record written per subscriber per file, so neither the
-/// store's hot path nor a snapshot builds an owned [`Record`] to get them.
-pub(crate) fn encode_delivery(file: FileId, subscriber: &str, at: TimePoint) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(subscriber.len() + 24);
+/// parts, appended to `w`: the one record written per subscriber per
+/// file, so neither the store's hot path nor a snapshot builds an owned
+/// [`Record`] — or a buffer of its own — to get them.
+pub(crate) fn encode_delivery(w: &mut ByteWriter, file: FileId, subscriber: &str, at: TimePoint) {
     w.put_u8(TAG_DELIVERY);
     w.put_varint(file.raw());
     w.put_str(subscriber);
     w.put_u64(at.as_micros());
-    w.into_bytes()
+}
+
+/// A record as replay reads it: a `Delivery` — nearly every record of a
+/// long log — keeps its subscriber name borrowed from the log bytes, to
+/// be interned by the table it lands in rather than allocated per record.
+pub(crate) enum Replayed<'a> {
+    /// `Record::Delivery` minus the time, which no table keeps.
+    Delivery {
+        /// The delivered file.
+        file: FileId,
+        /// The receiving subscriber's name.
+        subscriber: &'a str,
+    },
+    /// Any other record, owned.
+    Other(Record),
+}
+
+impl<'a> Replayed<'a> {
+    pub(crate) fn decode(data: &'a [u8]) -> Result<Replayed<'a>, CodecError> {
+        if data.first() != Some(&TAG_DELIVERY) {
+            return Record::decode(data).map(Replayed::Other);
+        }
+        let (file, subscriber, _) = decode_delivery(&mut ByteReader::new(&data[1..]))?;
+        Ok(Replayed::Delivery { file, subscriber })
+    }
+}
+
+/// The fields of a delivery record, after its tag.
+fn decode_delivery<'a>(r: &mut ByteReader<'a>) -> Result<(FileId, &'a str, TimePoint), CodecError> {
+    Ok((
+        FileId(r.get_varint()?),
+        r.get_str()?,
+        TimePoint::from_micros(r.get_u64()?),
+    ))
 }
 
 impl Record {
@@ -204,7 +237,7 @@ impl Record {
                 file,
                 subscriber,
                 at,
-            } => return encode_delivery(*file, subscriber, *at),
+            } => encode_delivery(&mut w, *file, subscriber, *at),
             Record::Expire { file, at } => {
                 w.put_u8(TAG_EXPIRE);
                 w.put_varint(file.raw());
@@ -264,11 +297,14 @@ impl Record {
                     feeds,
                 })
             }
-            TAG_DELIVERY => Record::Delivery {
-                file: FileId(r.get_varint()?),
-                subscriber: r.get_str()?.to_string(),
-                at: TimePoint::from_micros(r.get_u64()?),
-            },
+            TAG_DELIVERY => {
+                let (file, subscriber, at) = decode_delivery(&mut r)?;
+                Record::Delivery {
+                    file,
+                    subscriber: subscriber.to_string(),
+                    at,
+                }
+            }
             TAG_EXPIRE => Record::Expire {
                 file: FileId(r.get_varint()?),
                 at: TimePoint::from_micros(r.get_u64()?),

@@ -6,7 +6,7 @@
 //! record application is idempotent, so a crash between snapshotting and
 //! pruning is harmless.
 
-use crate::records::{encode_delivery, ArrivalTemplate, FileRecord, Record};
+use crate::records::{encode_delivery, ArrivalTemplate, FileRecord, Record, Replayed};
 use crate::wal::{Wal, WalError};
 use bistro_base::checksum::crc32;
 use bistro_base::sync::Mutex;
@@ -91,6 +91,15 @@ struct Tables {
 }
 
 impl Tables {
+    /// [`Tables::apply`] for a record still in its log bytes.
+    fn replay(&mut self, seq: Option<u64>, bytes: &[u8]) -> Result<(), bistro_base::CodecError> {
+        match Replayed::decode(bytes)? {
+            Replayed::Delivery { file, subscriber } => self.deliver(seq, file, subscriber),
+            Replayed::Other(rec) => self.apply(seq, rec),
+        }
+        Ok(())
+    }
+
     /// Apply the record logged at WAL sequence `seq` (`None`: a snapshot
     /// record, whose deliveries [`ReceiptStore::open`] logs afterwards).
     fn apply(&mut self, seq: Option<u64>, rec: Record) {
@@ -238,6 +247,9 @@ struct Inner {
     /// Group-commit buffering between [`ReceiptStore::begin_group`] and
     /// [`ReceiptStore::end_group`]; `None` = per-record durability.
     group: Option<Group>,
+    /// Where a delivery record is encoded, kept between records: outside
+    /// a group window the bytes are only borrowed by the WAL.
+    scratch: Vec<u8>,
 }
 
 /// A [`DeliveryMark`] as the log holds it: both names shared — the
@@ -355,9 +367,8 @@ impl ReceiptStore {
         let wal_dir = format!("{dir}/wal");
         let mut wal_records = 0u64;
         let wal = Wal::open(store.clone(), &wal_dir, |seq, payload| {
-            if let Ok(rec) = Record::decode(payload) {
+            if tables.replay(Some(seq), payload).is_ok() {
                 wal_records += 1;
-                tables.apply(Some(seq), rec);
             }
         })?;
         recovery.wal_records = wal_records;
@@ -384,6 +395,7 @@ impl ReceiptStore {
                 wal,
                 tables,
                 group: None,
+                scratch: Vec::new(),
             }),
             ids,
             recovery,
@@ -434,9 +446,9 @@ impl ReceiptStore {
             let rec_bytes = r
                 .get_bytes()
                 .map_err(|e| ReceiptError::CorruptSnapshot(e.to_string()))?;
-            let rec = Record::decode(rec_bytes)
+            tables
+                .replay(None, rec_bytes)
                 .map_err(|e| ReceiptError::CorruptSnapshot(e.to_string()))?;
-            tables.apply(None, rec);
         }
         Ok((high_water, n))
     }
@@ -467,16 +479,17 @@ impl ReceiptStore {
     /// Returns the record's WAL sequence; inside a group window the
     /// sequence is the one the buffered record *will* receive at flush
     /// (batch appends assign consecutive sequences and nothing else can
-    /// interleave while the window is open).
-    fn log_bytes(inner: &mut Inner, bytes: Vec<u8>) -> Result<u64, ReceiptError> {
+    /// interleave while the window is open). The group buffer takes the
+    /// bytes out of `bytes` (leaving it empty); the WAL only reads them.
+    fn log_bytes(inner: &mut Inner, bytes: &mut Vec<u8>) -> Result<u64, ReceiptError> {
         let next = inner.wal.next_seq();
         let (seq, flush_now) = match inner.group.as_mut() {
             Some(g) => {
-                g.pending.push(bytes);
+                g.pending.push(std::mem::take(bytes));
                 g.stats.records += 1;
                 (next + g.pending.len() as u64 - 1, g.pending.len() >= g.max)
             }
-            None => return Ok(inner.wal.append(&bytes)?),
+            None => return Ok(inner.wal.append(bytes)?),
         };
         if flush_now {
             Self::flush_pending(inner)?;
@@ -544,9 +557,9 @@ impl ReceiptStore {
     }
 
     fn log_and_apply(&self, rec: Record) -> Result<(), ReceiptError> {
-        let bytes = rec.encode();
+        let mut bytes = rec.encode();
         let mut inner = self.inner.lock();
-        let seq = Self::log_bytes(&mut inner, bytes)?;
+        let seq = Self::log_bytes(&mut inner, &mut bytes)?;
         inner.tables.apply(Some(seq), rec);
         Ok(())
     }
@@ -561,9 +574,9 @@ impl ReceiptStore {
         arrival: TimePoint,
     ) -> Result<FileId, ReceiptError> {
         let id: FileId = self.ids.next();
-        let (bytes, rec) = template.finish(id, arrival);
+        let (mut bytes, rec) = template.finish(id, arrival);
         let mut inner = self.inner.lock();
-        let seq = Self::log_bytes(&mut inner, bytes)?;
+        let seq = Self::log_bytes(&mut inner, &mut bytes)?;
         inner.tables.apply(Some(seq), Record::Arrival(rec));
         Ok(id)
     }
@@ -600,10 +613,16 @@ impl ReceiptStore {
         subscriber: &str,
         at: TimePoint,
     ) -> Result<(), ReceiptError> {
-        let bytes = encode_delivery(file, subscriber, at);
         let mut inner = self.inner.lock();
-        let seq = Self::log_bytes(&mut inner, bytes)?;
-        inner.tables.deliver(Some(seq), file, subscriber);
+        let mut bytes = std::mem::take(&mut inner.scratch);
+        bytes.reserve(subscriber.len() + 24);
+        let mut w = ByteWriter::from_bytes(bytes);
+        encode_delivery(&mut w, file, subscriber, at);
+        let mut bytes = w.into_bytes();
+        let logged = Self::log_bytes(&mut inner, &mut bytes);
+        bytes.clear();
+        inner.scratch = bytes;
+        inner.tables.deliver(Some(logged?), file, subscriber);
         Ok(())
     }
 
@@ -698,6 +717,18 @@ impl ReceiptStore {
             .get(&file.raw())
             .map(|s| s.contains(subscriber))
             .unwrap_or(false)
+    }
+
+    /// True if `file` is live and has no delivery receipt for
+    /// `subscriber` yet — what an acknowledgement must find for its
+    /// receipt to be written, answered under one lock.
+    pub fn owes(&self, file: FileId, subscriber: &str) -> bool {
+        let tables = &self.inner.lock().tables;
+        tables.files.contains_key(&file.raw())
+            && !tables
+                .delivered
+                .get(&file.raw())
+                .is_some_and(|s| s.contains(subscriber))
     }
 
     /// The current backfill cursor: the WAL sequence the *next* record
@@ -855,12 +886,12 @@ impl ReceiptStore {
         // the count leads the body, so it is prepended afterwards
         let mut records = ByteWriter::new();
         let mut n = 0u64;
-        let mut put = |encoded: Vec<u8>| {
-            records.put_bytes(&encoded);
+        let mut put = |encoded: &[u8]| {
+            records.put_bytes(encoded);
             n += 1;
         };
         for f in inner.tables.files.values() {
-            put(Record::Arrival((**f).clone()).encode());
+            put(&Record::Arrival((**f).clone()).encode());
         }
         for (file, subs) in &inner.tables.delivered {
             if !inner.tables.files.contains_key(file) {
@@ -868,7 +899,9 @@ impl ReceiptStore {
             }
             for sub in subs {
                 // delivery times are not part of queue computation
-                put(encode_delivery(FileId(*file), sub, TimePoint::EPOCH));
+                let mut w = ByteWriter::with_capacity(sub.len() + 24);
+                encode_delivery(&mut w, FileId(*file), sub, TimePoint::EPOCH);
+                put(w.as_bytes());
             }
         }
         for (file, groups) in &inner.tables.group_marks {
@@ -882,7 +915,7 @@ impl ReceiptStore {
                     bits: bits.clone(),
                     watermark: *wm,
                 };
-                put(mark.encode());
+                put(&mark.encode());
             }
         }
         let mut body = ByteWriter::with_capacity(records.len() + 10);

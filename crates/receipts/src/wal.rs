@@ -106,6 +106,11 @@ pub struct Wal {
     dir: String,
     /// Segment currently being appended to.
     active_segment: u64,
+    /// `segment_path(dir, active_segment)`, rendered when the segment
+    /// changes instead of once per append.
+    active_path: String,
+    /// The frame under construction, reused across [`Wal::append`]s.
+    frame: Vec<u8>,
     /// Bytes in the active segment (header included).
     active_bytes: u64,
     /// Whether the active segment holds at least one record.
@@ -193,6 +198,8 @@ impl Wal {
             store,
             dir: dir.to_string(),
             active_segment,
+            active_path: segment_path(dir, active_segment),
+            frame: Vec::new(),
             active_bytes,
             active_has_records,
             next_seq: seq + 1,
@@ -240,17 +247,22 @@ impl Wal {
         self.segment_bytes = bytes.max(FRAME_HEADER as u64 + 1);
     }
 
-    /// Append one record; returns its sequence number.
-    pub fn append(&mut self, payload: &[u8]) -> Result<u64, WalError> {
-        if self.active_bytes >= self.segment_bytes {
-            self.active_segment += 1;
-            self.active_bytes = 0;
-            self.active_has_records = false;
-            if let Some(m) = &self.metrics {
-                m.rotations.inc();
-            }
+    /// Move on to the next (empty) segment.
+    fn advance_segment(&mut self) {
+        self.active_segment += 1;
+        self.active_path = segment_path(&self.dir, self.active_segment);
+        self.active_bytes = 0;
+        self.active_has_records = false;
+        if let Some(m) = &self.metrics {
+            m.rotations.inc();
         }
-        let mut frame = Vec::with_capacity(SEG_HEADER + FRAME_HEADER + payload.len());
+    }
+
+    /// Frame `payload` as the next record of the active segment into
+    /// `frame` (cleared first), led by the segment header when the
+    /// segment is still empty.
+    fn frame_record(&self, frame: &mut Vec<u8>, payload: &[u8]) {
+        frame.clear();
         if self.active_bytes == 0 {
             // first bytes of a fresh segment: pin its base sequence
             frame.extend_from_slice(SEG_MAGIC);
@@ -259,15 +271,26 @@ impl Wal {
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(payload).to_le_bytes());
         frame.extend_from_slice(payload);
+    }
+
+    /// Append one record; returns its sequence number.
+    pub fn append(&mut self, payload: &[u8]) -> Result<u64, WalError> {
+        if self.active_bytes >= self.segment_bytes {
+            self.advance_segment();
+        }
+        let mut frame = std::mem::take(&mut self.frame);
+        self.frame_record(&mut frame, payload);
         let started = self.metrics.as_ref().map(|m| m.clock.now());
-        self.store
-            .append(&segment_path(&self.dir, self.active_segment), &frame)?;
+        let appended = self.store.append(&self.active_path, &frame);
+        let len = frame.len() as u64;
+        self.frame = frame;
+        appended?;
         if let (Some(m), Some(t0)) = (&self.metrics, started) {
             m.fsync_us.record(m.clock.now().since(t0).as_micros());
             m.appends.inc();
-            m.bytes.add(frame.len() as u64);
+            m.bytes.add(len);
         }
-        self.active_bytes += frame.len() as u64;
+        self.active_bytes += len;
         self.active_has_records = true;
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -307,22 +330,11 @@ impl Wal {
         for payload in payloads {
             if self.active_bytes >= self.segment_bytes {
                 self.flush_chunk(&mut chunk, chunk_segment, &mut stats)?;
-                self.active_segment += 1;
-                self.active_bytes = 0;
-                self.active_has_records = false;
+                self.advance_segment();
                 chunk_segment = self.active_segment;
-                if let Some(m) = &self.metrics {
-                    m.rotations.inc();
-                }
             }
             let mut frame = Vec::with_capacity(SEG_HEADER + FRAME_HEADER + payload.len());
-            if self.active_bytes == 0 {
-                frame.extend_from_slice(SEG_MAGIC);
-                frame.extend_from_slice(&self.next_seq.to_le_bytes());
-            }
-            frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            frame.extend_from_slice(&crc32(payload).to_le_bytes());
-            frame.extend_from_slice(payload);
+            self.frame_record(&mut frame, payload);
             self.active_bytes += frame.len() as u64;
             self.active_has_records = true;
             self.next_seq += 1;
@@ -372,17 +384,12 @@ impl Wal {
     /// next append.
     pub fn rotate(&mut self) -> Result<(), WalError> {
         if self.active_has_records {
-            self.active_segment += 1;
-            if let Some(m) = &self.metrics {
-                m.rotations.inc();
-            }
+            self.advance_segment();
             let mut header = Vec::with_capacity(SEG_HEADER);
             header.extend_from_slice(SEG_MAGIC);
             header.extend_from_slice(&self.next_seq.to_le_bytes());
-            self.store
-                .append(&segment_path(&self.dir, self.active_segment), &header)?;
+            self.store.append(&self.active_path, &header)?;
             self.active_bytes = SEG_HEADER as u64;
-            self.active_has_records = false;
         }
         Ok(())
     }

@@ -4,7 +4,7 @@
 //! realistic byte sizes; a Bistro relay (a server subscribing to another
 //! server) exchanges exactly these messages.
 
-use bistro_base::{BatchId, ByteReader, ByteWriter, CodecError, FileId, TimePoint};
+use bistro_base::{varint_len, BatchId, ByteReader, ByteWriter, CodecError, FileId, TimePoint};
 
 /// Messages a data source (or its lightweight client library) sends to a
 /// Bistro server.
@@ -289,10 +289,93 @@ const TAG_BACKFILL_PAGE: u8 = 14;
 const TAG_GROUP_DELIVER: u8 = 15;
 const TAG_GROUP_ACK: u8 = 16;
 
+/// Encoded size of a length-prefixed field of `len` bytes
+/// ([`ByteWriter::put_bytes`] / [`ByteWriter::put_str`]).
+fn prefixed(len: usize) -> usize {
+    varint_len(len as u64) + len
+}
+
+impl SubscriberMsg {
+    fn encode_into(&self, w: &mut ByteWriter) {
+        match self {
+            SubscriberMsg::FileDelivered {
+                file,
+                feed,
+                dest_path,
+                size,
+            } => {
+                w.put_u8(TAG_DELIVERED);
+                w.put_varint(file.raw());
+                w.put_str(feed);
+                w.put_str(dest_path);
+                w.put_varint(*size);
+            }
+            SubscriberMsg::FileAvailable {
+                file,
+                feed,
+                staged_path,
+                size,
+            } => {
+                w.put_u8(TAG_AVAILABLE);
+                w.put_varint(file.raw());
+                w.put_str(feed);
+                w.put_str(staged_path);
+                w.put_varint(*size);
+            }
+            SubscriberMsg::BatchComplete {
+                batch,
+                feed,
+                files,
+                reason,
+            } => {
+                w.put_u8(TAG_BATCH);
+                w.put_varint(batch.raw());
+                w.put_str(feed);
+                w.put_u8(reason.tag());
+                w.put_varint(files.len() as u64);
+                for f in files {
+                    w.put_varint(f.raw());
+                }
+            }
+        }
+    }
+
+    fn encoded_len(&self) -> usize {
+        match self {
+            SubscriberMsg::FileDelivered {
+                file,
+                feed,
+                dest_path: path,
+                size,
+            }
+            | SubscriberMsg::FileAvailable {
+                file,
+                feed,
+                staged_path: path,
+                size,
+            } => {
+                1 + varint_len(file.raw())
+                    + prefixed(feed.len())
+                    + prefixed(path.len())
+                    + varint_len(*size)
+            }
+            SubscriberMsg::BatchComplete {
+                batch, feed, files, ..
+            } => {
+                1 + varint_len(batch.raw())
+                    + prefixed(feed.len())
+                    + 1
+                    + varint_len(files.len() as u64)
+                    + files.iter().map(|f| varint_len(f.raw())).sum::<usize>()
+            }
+        }
+    }
+}
+
 impl Message {
     /// Encode to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+        let mut w = ByteWriter::with_capacity(self.encoded_len());
         match self {
             Message::Source(SourceMsg::Deposited { path, size }) => {
                 w.put_u8(TAG_DEPOSITED);
@@ -309,49 +392,12 @@ impl Message {
                 w.put_u64(interval_start.as_micros());
                 w.put_u64(interval_end.as_micros());
             }
-            Message::Subscriber(SubscriberMsg::FileDelivered {
-                file,
-                feed,
-                dest_path,
-                size,
-            }) => {
-                w.put_u8(TAG_DELIVERED);
-                w.put_varint(file.raw());
-                w.put_str(feed);
-                w.put_str(dest_path);
-                w.put_varint(*size);
-            }
-            Message::Subscriber(SubscriberMsg::FileAvailable {
-                file,
-                feed,
-                staged_path,
-                size,
-            }) => {
-                w.put_u8(TAG_AVAILABLE);
-                w.put_varint(file.raw());
-                w.put_str(feed);
-                w.put_str(staged_path);
-                w.put_varint(*size);
-            }
-            Message::Subscriber(SubscriberMsg::BatchComplete {
-                batch,
-                feed,
-                files,
-                reason,
-            }) => {
-                w.put_u8(TAG_BATCH);
-                w.put_varint(batch.raw());
-                w.put_str(feed);
-                w.put_u8(reason.tag());
-                w.put_varint(files.len() as u64);
-                for f in files {
-                    w.put_varint(f.raw());
-                }
-            }
+            Message::Subscriber(inner) => inner.encode_into(&mut w),
             Message::Reliable(ReliableMsg::Attempt { attempt, inner }) => {
                 w.put_u8(TAG_ATTEMPT);
                 w.put_varint(*attempt as u64);
-                w.put_bytes(&Message::Subscriber(inner.clone()).encode());
+                w.put_varint(inner.encoded_len() as u64);
+                inner.encode_into(&mut w);
             }
             Message::Reliable(ReliableMsg::Ack { file, attempt }) => {
                 w.put_u8(TAG_ACK);
@@ -592,11 +638,94 @@ impl Message {
         Ok(msg)
     }
 
+    /// `self.encode().len()`, computed from the field lengths: the
+    /// fabric sizes every message it carries, and encoding one to count
+    /// its bytes was an allocation and a copy per send.
+    pub fn encoded_len(&self) -> usize {
+        match self {
+            Message::Source(SourceMsg::Deposited { path, size }) => {
+                1 + prefixed(path.len()) + varint_len(*size)
+            }
+            Message::Source(SourceMsg::EndOfBatch { source, .. }) => {
+                1 + prefixed(source.len()) + 8 + 8
+            }
+            Message::Subscriber(inner) => inner.encoded_len(),
+            Message::Reliable(ReliableMsg::Attempt { attempt, inner }) => {
+                1 + varint_len(*attempt as u64) + prefixed(inner.encoded_len())
+            }
+            Message::Reliable(ReliableMsg::Ack { file, attempt }) => {
+                1 + varint_len(file.raw()) + varint_len(*attempt as u64)
+            }
+            Message::Cluster(ClusterMsg::Heartbeat { server, epoch }) => {
+                1 + prefixed(server.len()) + varint_len(*epoch)
+            }
+            Message::Cluster(ClusterMsg::DirLookup { group }) => 1 + prefixed(group.len()),
+            Message::Cluster(
+                ClusterMsg::DirHome { group, home, epoch }
+                | ClusterMsg::DirAssign { group, home, epoch },
+            ) => 1 + prefixed(group.len()) + prefixed(home.len()) + varint_len(*epoch),
+            Message::Cluster(ClusterMsg::Replicate {
+                group,
+                name,
+                payload,
+                epoch,
+            }) => {
+                1 + prefixed(group.len())
+                    + prefixed(name.len())
+                    + prefixed(payload.len())
+                    + varint_len(*epoch)
+            }
+            Message::Cluster(ClusterMsg::BackfillRequest {
+                group,
+                subscriber,
+                from_seq,
+            }) => 1 + prefixed(group.len()) + prefixed(subscriber.len()) + varint_len(*from_seq),
+            Message::Cluster(ClusterMsg::BackfillPage {
+                group,
+                subscriber,
+                delivered,
+                next_seq,
+                ..
+            }) => {
+                1 + prefixed(group.len())
+                    + prefixed(subscriber.len())
+                    + varint_len(delivered.len() as u64)
+                    + delivered.iter().map(|n| prefixed(n.len())).sum::<usize>()
+                    + varint_len(*next_seq)
+                    + 1
+            }
+            Message::Group(GroupMsg::Deliver {
+                group,
+                file,
+                file_name,
+                size,
+                attempt,
+            }) => {
+                1 + prefixed(group.len())
+                    + varint_len(file.raw())
+                    + prefixed(file_name.len())
+                    + varint_len(*size)
+                    + varint_len(*attempt as u64)
+            }
+            Message::Group(GroupMsg::Ack {
+                group,
+                file,
+                bits,
+                watermark,
+            }) => {
+                1 + prefixed(group.len())
+                    + varint_len(file.raw())
+                    + prefixed(bits.len())
+                    + varint_len(*watermark)
+            }
+        }
+    }
+
     /// The size used for network-cost accounting: header bytes plus any
     /// out-of-band payload (for [`SubscriberMsg::FileDelivered`], the
     /// file body itself).
     pub fn wire_size(&self) -> u64 {
-        let header = self.encode().len() as u64;
+        let header = self.encoded_len() as u64;
         match self {
             Message::Subscriber(SubscriberMsg::FileDelivered { size, .. })
             | Message::Reliable(ReliableMsg::Attempt {
@@ -844,6 +973,184 @@ mod tests {
                 watermark: 9,
             }),
         ]
+    }
+
+    /// Every wire variant built from one tuple of arbitrary fields, so
+    /// the length property below sweeps field magnitudes (varint widths,
+    /// empty and long strings) across all sixteen frames.
+    fn variants_from(a: u64, b: u64, s: &str, t: &str, list: &[u64]) -> Vec<Message> {
+        let (s, t) = (s.to_string(), t.to_string());
+        vec![
+            Message::Source(SourceMsg::Deposited {
+                path: s.clone(),
+                size: a,
+            }),
+            Message::Source(SourceMsg::EndOfBatch {
+                source: s.clone(),
+                interval_start: TimePoint::from_micros(a),
+                interval_end: TimePoint::from_micros(b),
+            }),
+            Message::Subscriber(SubscriberMsg::FileDelivered {
+                file: FileId(a),
+                feed: s.clone(),
+                dest_path: t.clone(),
+                size: b,
+            }),
+            Message::Subscriber(SubscriberMsg::FileAvailable {
+                file: FileId(a),
+                feed: s.clone(),
+                staged_path: t.clone(),
+                size: b,
+            }),
+            Message::Subscriber(SubscriberMsg::BatchComplete {
+                batch: BatchId(a),
+                feed: s.clone(),
+                files: list.iter().map(|&f| FileId(f)).collect(),
+                reason: BatchCloseReason::Punctuation,
+            }),
+            Message::Reliable(ReliableMsg::Attempt {
+                attempt: b as u32,
+                inner: SubscriberMsg::FileDelivered {
+                    file: FileId(a),
+                    feed: s.clone(),
+                    dest_path: t.clone(),
+                    size: b,
+                },
+            }),
+            Message::Reliable(ReliableMsg::Attempt {
+                attempt: a as u32,
+                inner: SubscriberMsg::BatchComplete {
+                    batch: BatchId(b),
+                    feed: t.clone(),
+                    files: list.iter().map(|&f| FileId(f)).collect(),
+                    reason: BatchCloseReason::Count,
+                },
+            }),
+            Message::Reliable(ReliableMsg::Ack {
+                file: FileId(a),
+                attempt: b as u32,
+            }),
+            Message::Cluster(ClusterMsg::Heartbeat {
+                server: s.clone(),
+                epoch: a,
+            }),
+            Message::Cluster(ClusterMsg::DirLookup { group: s.clone() }),
+            Message::Cluster(ClusterMsg::DirHome {
+                group: s.clone(),
+                home: t.clone(),
+                epoch: a,
+            }),
+            Message::Cluster(ClusterMsg::DirAssign {
+                group: s.clone(),
+                home: t.clone(),
+                epoch: b,
+            }),
+            Message::Cluster(ClusterMsg::Replicate {
+                group: s.clone(),
+                name: t.clone(),
+                payload: list.iter().map(|&f| f as u8).collect(),
+                epoch: a,
+            }),
+            Message::Cluster(ClusterMsg::BackfillRequest {
+                group: s.clone(),
+                subscriber: t.clone(),
+                from_seq: a,
+            }),
+            Message::Cluster(ClusterMsg::BackfillPage {
+                group: s.clone(),
+                subscriber: t.clone(),
+                delivered: list.iter().map(|f| format!("{s}{f}")).collect(),
+                next_seq: b,
+                done: a.is_multiple_of(2),
+            }),
+            Message::Group(GroupMsg::Deliver {
+                group: s.clone(),
+                file: FileId(a),
+                file_name: t.clone(),
+                size: b,
+                attempt: a as u32,
+            }),
+            Message::Group(GroupMsg::Ack {
+                group: s,
+                file: FileId(a),
+                bits: list.iter().map(|&f| f as u8).collect(),
+                watermark: b,
+            }),
+        ]
+    }
+
+    #[test]
+    fn prop_encoded_len_equals_encode_len_for_every_variant() {
+        use bistro_base::prop::{self, Runner};
+        use bistro_base::prop_assert_eq;
+        // magnitudes on either side of every varint width boundary
+        let magnitude = |r: &mut bistro_base::Rng| r.next_u64() >> r.gen_range(0u32..64);
+        Runner::new("encoded_len_equals_encode_len").run(
+            |rng| {
+                (
+                    magnitude(rng),
+                    magnitude(rng),
+                    prop::unicode_string(rng, 0..=200),
+                    prop::string(rng, "A-Za-z0-9_./-", 0..=40),
+                    prop::vec_of(rng, 0..=150, magnitude),
+                )
+            },
+            |(a, b, s, t, list)| {
+                let msgs = variants_from(*a, *b, s, t, list);
+                prop_assert_eq!(msgs.len(), every_variant().len() + 1);
+                for m in msgs {
+                    let bytes = m.encode();
+                    prop_assert_eq!(m.encoded_len(), bytes.len(), "{:?}", m);
+                    prop_assert_eq!(Message::decode(&bytes), Ok(m));
+                }
+                Ok(())
+            },
+        );
+    }
+
+    /// The four frames of the two reliable protocols, as hex: a change
+    /// to their encoding moves `net.bytes_per_delivery` and every
+    /// fault-plan replay, so it has to show up here first.
+    #[test]
+    fn golden_hex_for_the_delivery_frames() {
+        let hex =
+            |m: &Message| -> String { m.encode().iter().map(|b| format!("{b:02x}")).collect() };
+        let attempt = Message::Reliable(ReliableMsg::Attempt {
+            attempt: 2,
+            inner: SubscriberMsg::FileDelivered {
+                file: FileId(300),
+                feed: "F".to_string(),
+                dest_path: "incoming/F/a.csv".to_string(),
+                size: 1000,
+            },
+        });
+        assert_eq!(
+            hex(&attempt),
+            "06021803ac02014610696e636f6d696e672f462f612e637376e807"
+        );
+        let ack = Message::Reliable(ReliableMsg::Ack {
+            file: FileId(300),
+            attempt: 2,
+        });
+        assert_eq!(hex(&ack), "07ac0202");
+        let deliver = Message::Group(GroupMsg::Deliver {
+            group: "G01".to_string(),
+            file: FileId(300),
+            file_name: "a.csv".to_string(),
+            size: 1000,
+            attempt: 2,
+        });
+        assert_eq!(hex(&deliver), "0f03473031ac0205612e637376e80702");
+        let group_ack = Message::Group(GroupMsg::Ack {
+            group: "G01".to_string(),
+            file: FileId(300),
+            bits: vec![0xff, 0x03],
+            watermark: 10,
+        });
+        assert_eq!(hex(&group_ack), "1003473031ac0202ff030a");
+        for m in [attempt, ack, deliver, group_ack] {
+            assert_eq!(m.encoded_len(), m.encode().len());
+        }
     }
 
     #[test]

@@ -24,6 +24,7 @@ use crate::messages::Message;
 use bistro_base::sync::Mutex;
 use bistro_base::{Rng, TimePoint, TimeSpan};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Link characteristics.
 #[derive(Clone, Copy, Debug)]
@@ -41,12 +42,6 @@ impl Default for LinkSpec {
             latency: TimeSpan::from_millis(1),
         }
     }
-}
-
-#[derive(Default)]
-struct LinkState {
-    /// The time at which the link becomes free (serialization is FIFO).
-    busy_until: TimePoint,
 }
 
 /// Per-link fault probabilities.
@@ -124,10 +119,11 @@ impl FaultPlan {
     }
 }
 
+/// The installed plan's RNG and default; per-link overrides sit on the
+/// links themselves.
 struct FaultState {
     rng: Rng,
     default_faults: FaultSpec,
-    per_link: HashMap<(String, String), FaultSpec>,
 }
 
 /// A delivered message waiting in an endpoint's inbox.
@@ -135,8 +131,9 @@ struct FaultState {
 pub struct Delivery {
     /// When the message fully arrived.
     pub at: TimePoint,
-    /// Sender endpoint.
-    pub from: String,
+    /// Sender endpoint: the fabric's own handle for the name, shared by
+    /// every message that endpoint ever sent.
+    pub from: Arc<str>,
     /// The message.
     pub msg: Message,
 }
@@ -159,14 +156,35 @@ pub struct PendingMessage {
     pub msg: Message,
 }
 
+/// Everything the fabric knows about one directed link, created at its
+/// first mention: one lookup per send reaches the spec, the FIFO state,
+/// the outage windows and the fault override together.
+#[derive(Default)]
+struct Link {
+    /// Set by [`SimNetwork::set_link`]; the fabric default otherwise.
+    spec: Option<LinkSpec>,
+    /// The time at which the link becomes free (serialization is FIFO).
+    busy_until: TimePoint,
+    /// Outage windows `[down, up)`, sorted by start.
+    outages: Vec<(TimePoint, TimePoint)>,
+    /// The installed fault plan's override for this link.
+    faults: Option<FaultSpec>,
+}
+
+/// An endpoint's inbox, ordered by arrival time then fabric sequence.
+type Inbox = BTreeMap<(TimePoint, u64), Delivery>;
+
 struct Inner {
-    links: HashMap<(String, String), LinkSpec>,
-    link_state: HashMap<(String, String), LinkState>,
-    outages: HashMap<(String, String), Vec<(TimePoint, TimePoint)>>,
+    /// Endpoint name → dense id. A name is interned at its first
+    /// mention, so a send names its two ends by id and stamps the
+    /// sender on the message as a shared handle — no per-message copy
+    /// of either name.
+    ids: HashMap<Arc<str>, u32>,
+    /// Per-endpoint name and inbox, indexed by id.
+    endpoints: Vec<(Arc<str>, Inbox)>,
+    links: HashMap<(u32, u32), Link>,
     default_link: LinkSpec,
     faults: Option<FaultState>,
-    /// Per-endpoint inbox ordered by arrival time.
-    inboxes: HashMap<String, BTreeMap<(TimePoint, u64), Delivery>>,
     seq: u64,
     /// Total bytes that crossed the fabric.
     bytes_sent: u64,
@@ -176,6 +194,43 @@ struct Inner {
     messages_dropped: u64,
     /// Extra copies created by fault injection.
     messages_duplicated: u64,
+}
+
+impl Inner {
+    fn endpoint(&mut self, name: &str) -> u32 {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = self.endpoints.len() as u32;
+        let name: Arc<str> = Arc::from(name);
+        self.ids.insert(name.clone(), id);
+        self.endpoints.push((name, Inbox::new()));
+        id
+    }
+
+    fn link(&mut self, from: &str, to: &str) -> &mut Link {
+        let key = (self.endpoint(from), self.endpoint(to));
+        self.links.entry(key).or_default()
+    }
+
+    /// The inbox of an endpoint that has been named before; asking
+    /// about a stranger interns nothing.
+    fn inbox(&mut self, endpoint: &str) -> Option<&mut Inbox> {
+        let id = *self.ids.get(endpoint)?;
+        Some(&mut self.endpoints[id as usize].1)
+    }
+
+    fn enqueue(&mut self, to: u32, at: TimePoint, from: &Arc<str>, msg: Message) {
+        self.seq += 1;
+        let delivery = Delivery {
+            at,
+            from: from.clone(),
+            msg,
+        };
+        self.endpoints[to as usize]
+            .1
+            .insert((at, self.seq), delivery);
+    }
 }
 
 /// The simulated network.
@@ -188,12 +243,11 @@ impl SimNetwork {
     pub fn new(default_link: LinkSpec) -> SimNetwork {
         SimNetwork {
             inner: Mutex::new(Inner {
+                ids: HashMap::new(),
+                endpoints: Vec::new(),
                 links: HashMap::new(),
-                link_state: HashMap::new(),
-                outages: HashMap::new(),
                 default_link,
                 faults: None,
-                inboxes: HashMap::new(),
                 seq: 0,
                 bytes_sent: 0,
                 messages_sent: 0,
@@ -217,29 +271,27 @@ impl SimNetwork {
                     TimeSpan::ZERO
                 };
                 let down = flap.first_down + flap.period.saturating_mul(i as u64) + shift;
-                let key = (flap.from.clone(), flap.to.clone());
-                let windows = inner.outages.entry(key).or_default();
+                let windows = &mut inner.link(&flap.from, &flap.to).outages;
                 windows.push((down, down + flap.down_for));
                 windows.sort_unstable();
             }
         }
+        // a new plan replaces the previous one's overrides wholesale
+        for link in inner.links.values_mut() {
+            link.faults = None;
+        }
+        for (from, to, spec) in &plan.link_faults {
+            inner.link(from, to).faults = Some(*spec);
+        }
         inner.faults = Some(FaultState {
             rng,
             default_faults: plan.default_faults,
-            per_link: plan
-                .link_faults
-                .iter()
-                .map(|(f, t, s)| ((f.clone(), t.clone()), *s))
-                .collect(),
         });
     }
 
     /// Configure a specific directed link.
     pub fn set_link(&self, from: &str, to: &str, spec: LinkSpec) {
-        self.inner
-            .lock()
-            .links
-            .insert((from.to_string(), to.to_string()), spec);
+        self.inner.lock().link(from, to).spec = Some(spec);
     }
 
     /// Add an outage window `[down, up)` on a directed link. Windows are
@@ -247,10 +299,7 @@ impl SimNetwork {
     /// overlapping windows in one forward pass.
     pub fn add_outage(&self, from: &str, to: &str, down: TimePoint, up: TimePoint) {
         let mut inner = self.inner.lock();
-        let windows = inner
-            .outages
-            .entry((from.to_string(), to.to_string()))
-            .or_default();
+        let windows = &mut inner.link(from, to).outages;
         windows.push((down, up));
         windows.sort_unstable();
     }
@@ -261,24 +310,22 @@ impl SimNetwork {
     /// returned arrival is when it *would* have arrived) or duplicated.
     pub fn send(&self, now: TimePoint, from: &str, to: &str, msg: Message) -> TimePoint {
         let mut inner = self.inner.lock();
-        let key = (from.to_string(), to.to_string());
-        let spec = inner.links.get(&key).copied().unwrap_or(inner.default_link);
+        let inner = &mut *inner; // split field borrows through the guard
+        let (from_id, to_id) = (inner.endpoint(from), inner.endpoint(to));
+        let link = inner.links.entry((from_id, to_id)).or_default();
+        let spec = link.spec.unwrap_or(inner.default_link);
 
         // FIFO merge first: serialization cannot begin before the link is
         // free. Then bump past every outage window covering that instant,
         // to a fixpoint — a bump past one window can land inside another
         // (adjacent, overlapping, or merely listed out of order).
-        let busy_until = inner
-            .link_state
-            .get(&key)
-            .map(|s| s.busy_until)
-            .unwrap_or_default();
-        let mut begin = now.max(busy_until);
-        if let Some(outs) = inner.outages.get(&key) {
-            while let Some(&(_, up)) = outs.iter().find(|&&(down, up)| begin >= down && begin < up)
-            {
-                begin = up;
-            }
+        let mut begin = now.max(link.busy_until);
+        while let Some(&(_, up)) = link
+            .outages
+            .iter()
+            .find(|&&(down, up)| begin >= down && begin < up)
+        {
+            begin = up;
         }
         let size = msg.wire_size();
         // Round the serialization delay *up* to at least 1 µs: integer
@@ -291,40 +338,32 @@ impl SimNetwork {
                 .max(1),
         );
         let done_sending = begin + ser;
-        inner.link_state.entry(key.clone()).or_default().busy_until = done_sending;
+        link.busy_until = done_sending;
         let arrival = done_sending + spec.latency;
 
         inner.bytes_sent += size;
         inner.messages_sent += 1;
 
         // fault injection: drop or duplicate, decided by the seeded plan
-        let inner = &mut *inner; // split field borrows through the guard
-        let mut deliver_at = vec![arrival];
+        let (mut dropped, mut dup_at) = (false, None);
         if let Some(faults) = &mut inner.faults {
-            let fspec = faults
-                .per_link
-                .get(&key)
-                .copied()
-                .unwrap_or(faults.default_faults);
+            let fspec = link.faults.unwrap_or(faults.default_faults);
             if fspec.drop_prob > 0.0 && faults.rng.gen_bool(fspec.drop_prob) {
-                deliver_at.clear();
+                dropped = true;
                 inner.messages_dropped += 1;
             } else if fspec.dup_prob > 0.0 && faults.rng.gen_bool(fspec.dup_prob) {
-                deliver_at.push(arrival + fspec.dup_delay);
+                dup_at = Some(arrival + fspec.dup_delay);
                 inner.messages_duplicated += 1;
             }
         }
-        for at in deliver_at {
-            inner.seq += 1;
-            let seq = inner.seq;
-            inner.inboxes.entry(to.to_string()).or_default().insert(
-                (at, seq),
-                Delivery {
-                    at,
-                    from: from.to_string(),
-                    msg: msg.clone(),
-                },
-            );
+        // the message moves into the inbox; only a duplicate is a copy
+        let sender = inner.endpoints[from_id as usize].0.clone();
+        let copy = dup_at.map(|at| (at, msg.clone()));
+        if !dropped {
+            inner.enqueue(to_id, arrival, &sender, msg);
+        }
+        if let Some((at, msg)) = copy {
+            inner.enqueue(to_id, at, &sender, msg);
         }
         arrival
     }
@@ -345,16 +384,12 @@ impl SimNetwork {
         mut pred: impl FnMut(&Delivery) -> bool,
     ) -> Vec<Delivery> {
         let mut inner = self.inner.lock();
-        let Some(inbox) = inner.inboxes.get_mut(endpoint) else {
+        let Some(inbox) = inner.inbox(endpoint) else {
             return Vec::new();
         };
-        let keys: Vec<_> = inbox
-            .range(..=(now, u64::MAX))
-            .filter(|(_, d)| pred(d))
-            .map(|(k, _)| *k)
-            .collect();
-        keys.into_iter()
-            .map(|k| inbox.remove(&k).unwrap())
+        inbox
+            .extract_if(..=(now, u64::MAX), |_, d| pred(d))
+            .map(|(_, d)| d)
             .collect()
     }
 
@@ -367,13 +402,13 @@ impl SimNetwork {
     pub fn pending_messages(&self) -> Vec<PendingMessage> {
         let inner = self.inner.lock();
         let mut out: Vec<PendingMessage> = inner
-            .inboxes
+            .endpoints
             .iter()
             .flat_map(|(endpoint, inbox)| {
-                inbox.iter().map(|(&(at, seq), d)| PendingMessage {
-                    endpoint: endpoint.clone(),
+                inbox.iter().map(move |(&(at, seq), d)| PendingMessage {
+                    endpoint: endpoint.to_string(),
                     seq,
-                    from: d.from.clone(),
+                    from: d.from.to_string(),
                     at,
                     msg: d.msg.clone(),
                 })
@@ -388,7 +423,7 @@ impl SimNetwork {
     /// model checker's "deliver this message now" step.
     pub fn take_message(&self, endpoint: &str, seq: u64) -> Option<Delivery> {
         let mut inner = self.inner.lock();
-        let inbox = inner.inboxes.get_mut(endpoint)?;
+        let inbox = inner.inbox(endpoint)?;
         let key = inbox.keys().find(|&&(_, s)| s == seq).copied()?;
         inbox.remove(&key)
     }
@@ -397,12 +432,9 @@ impl SimNetwork {
     /// `(endpoint, seq)`, counting it as dropped. The model checker's
     /// "lose this message" step.
     pub fn drop_message(&self, endpoint: &str, seq: u64) -> Option<Delivery> {
-        let mut inner = self.inner.lock();
-        let inbox = inner.inboxes.get_mut(endpoint)?;
-        let key = inbox.keys().find(|&&(_, s)| s == seq).copied()?;
-        let dropped = inbox.remove(&key);
+        let dropped = self.take_message(endpoint, seq);
         if dropped.is_some() {
-            inner.messages_dropped += 1;
+            self.inner.lock().messages_dropped += 1;
         }
         dropped
     }
@@ -413,20 +445,16 @@ impl SimNetwork {
     /// step.
     pub fn duplicate_message(&self, endpoint: &str, seq: u64) -> Option<u64> {
         let mut inner = self.inner.lock();
-        let inbox = inner.inboxes.get(endpoint)?;
-        let (key, copy) = inbox
+        let inner = &mut *inner;
+        let to = *inner.ids.get(endpoint)?;
+        let copy = inner.endpoints[to as usize]
+            .1
             .iter()
             .find(|(&(_, s), _)| s == seq)
-            .map(|(k, d)| (*k, d.clone()))?;
-        inner.seq += 1;
-        let new_seq = inner.seq;
-        inner
-            .inboxes
-            .get_mut(endpoint)
-            .expect("inbox vanished under lock")
-            .insert((key.0, new_seq), copy);
+            .map(|(_, d)| d.clone())?;
+        inner.enqueue(to, copy.at, &copy.from, copy.msg);
         inner.messages_duplicated += 1;
-        Some(new_seq)
+        Some(inner.seq)
     }
 
     /// Order-independent digest of the in-flight message multiset:
@@ -439,7 +467,7 @@ impl SimNetwork {
         use bistro_base::fnv1a64;
         let inner = self.inner.lock();
         let mut hashes: Vec<u64> = inner
-            .inboxes
+            .endpoints
             .iter()
             .flat_map(|(endpoint, inbox)| {
                 inbox.values().map(move |d| {
@@ -464,17 +492,17 @@ impl SimNetwork {
     /// The earliest pending arrival time for `endpoint`, if any — lets a
     /// driver advance the clock to the next interesting instant.
     pub fn next_arrival(&self, endpoint: &str) -> Option<TimePoint> {
-        let inner = self.inner.lock();
-        inner.inboxes.get(endpoint)?.keys().next().map(|(t, _)| *t)
+        let mut inner = self.inner.lock();
+        inner.inbox(endpoint)?.keys().next().map(|(t, _)| *t)
     }
 
     /// Earliest pending arrival across all endpoints.
     pub fn next_arrival_any(&self) -> Option<TimePoint> {
         let inner = self.inner.lock();
         inner
-            .inboxes
-            .values()
-            .filter_map(|b| b.keys().next().map(|(t, _)| *t))
+            .endpoints
+            .iter()
+            .filter_map(|(_, b)| b.keys().next().map(|(t, _)| *t))
             .min()
     }
 
@@ -568,7 +596,7 @@ mod tests {
         assert!(net.recv_ready("b", t(1)).is_empty());
         let got = net.recv_ready("b", t(6));
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].from, "a");
+        assert_eq!(&*got[0].from, "a");
         // drained: second call is empty
         assert!(net.recv_ready("b", t(10)).is_empty());
     }
@@ -743,13 +771,13 @@ mod tests {
         let net = SimNetwork::new(LinkSpec::default());
         net.send(t(0), "a", "b", msg(10));
         net.send(t(0), "c", "b", msg(20));
-        let picked = net.recv_where("b", t(10), |d| d.from == "a");
+        let picked = net.recv_where("b", t(10), |d| &*d.from == "a");
         assert_eq!(picked.len(), 1);
-        assert_eq!(picked[0].from, "a");
+        assert_eq!(&*picked[0].from, "a");
         // the other message is still there
         let rest = net.recv_ready("b", t(10));
         assert_eq!(rest.len(), 1);
-        assert_eq!(rest[0].from, "c");
+        assert_eq!(&*rest[0].from, "c");
     }
 
     #[test]
@@ -775,7 +803,7 @@ mod tests {
         assert_eq!(to_b.len(), 2);
         let later = to_b[1];
         let got = net.take_message("b", later.seq).unwrap();
-        assert_eq!(got.from, later.from);
+        assert_eq!(&*got.from, later.from);
         assert_eq!(net.pending_messages().len(), 2);
         // a second take of the same seq is None
         assert!(net.take_message("b", later.seq).is_none());

@@ -17,10 +17,12 @@
 //! receipt only once the ack arrives.
 //!
 //! There is one table type, generic over what an entry carries. The
-//! server runs two instances of it: `RetryTracker<SubscriberMsg>` for
-//! per-subscriber sends and `RetryTracker<GroupSend>` for delivery
-//! trees, where an entry is one `(group, file)` send to a relay and a
-//! [`Coverage`] bitmap of the members served so far
+//! server runs two instances of it: one for per-subscriber sends, whose
+//! entries hold a shared handle to the file's delivery plan (a resend
+//! re-renders its message from it, an ack gets it back through
+//! [`RetryTracker::take_acked`]), and `RetryTracker<GroupSend>` for
+//! delivery trees, where an entry is one `(group, file)` send to a relay
+//! and a [`Coverage`] bitmap of the members served so far
 //! ([`RetryTracker::on_coverage`] is the only group-specific step).
 //!
 //! [`ReliableMsg::Attempt`]: crate::messages::ReliableMsg::Attempt
@@ -82,8 +84,9 @@ struct Entry<P> {
 /// A retransmission scheduled by [`RetryTracker::due`].
 #[derive(Clone, Debug)]
 pub struct Resend<P = SubscriberMsg> {
-    /// Who to retransmit to: a subscriber, or a group (via its relay).
-    pub target: String,
+    /// Who to retransmit to: a subscriber, or a group (via its relay) —
+    /// the table's own handle for the name.
+    pub target: Arc<str>,
     /// The file being redelivered.
     pub file: FileId,
     /// The new (bumped) attempt number to stamp on the envelope.
@@ -100,7 +103,7 @@ pub struct RetryRound<P = SubscriberMsg> {
     /// Sends that exhausted [`RetryPolicy::max_attempts`]; they are no
     /// longer tracked — the caller should alarm and fall back to
     /// failure-detection + backfill.
-    pub exhausted: Vec<(String, FileId)>,
+    pub exhausted: Vec<(Arc<str>, FileId)>,
 }
 
 /// The tracker's telemetry handles. Counters are the *only* tallies —
@@ -136,14 +139,22 @@ impl TrackerMetrics {
     }
 }
 
-/// The unacked-send table (deterministic iteration: `BTreeMap`), keyed
-/// by `(target, file)` and generic over what each entry carries: the
-/// [`SubscriberMsg`] to resend for a per-subscriber delivery, a
-/// [`GroupSend`] (coverage bitmap + file identity) for a delivery tree.
+/// The unacked-send table, keyed by target then file (deterministic
+/// iteration in `(target, file)` order: two `BTreeMap`s) and generic over
+/// what each entry carries — whatever the caller needs to send again: a
+/// [`SubscriberMsg`], a [`GroupSend`] (coverage bitmap + file identity)
+/// for a delivery tree, or a handle to a plan it can re-render from.
+///
+/// A target's name is stored once, when it is first tracked; every
+/// lookup after that borrows the caller's `&str`. An acked-empty target
+/// keeps its (empty) file map until [`RetryTracker::forget`], so the
+/// steady ack/track cycle of a live subscriber allocates nothing.
 pub struct RetryTracker<P = SubscriberMsg> {
     policy: RetryPolicy,
     rng: Rng,
-    outstanding: BTreeMap<(String, u64), Entry<P>>,
+    outstanding: BTreeMap<Arc<str>, BTreeMap<u64, Entry<P>>>,
+    /// Entries across all targets.
+    len: usize,
     metrics: TrackerMetrics,
 }
 
@@ -156,6 +167,7 @@ impl<P: Clone> RetryTracker<P> {
             policy,
             rng: Rng::seed_from_u64(seed),
             outstanding: BTreeMap::new(),
+            len: 0,
             metrics: TrackerMetrics::detached(),
         }
     }
@@ -203,61 +215,79 @@ impl<P: Clone> RetryTracker<P> {
         TimeSpan::from_micros((nominal.as_micros() as f64 * f) as u64).min(self.policy.max_timeout)
     }
 
+    fn entry(&self, target: &str, file: FileId) -> Option<&Entry<P>> {
+        self.outstanding.get(target)?.get(&file.raw())
+    }
+
+    /// Record the table size after it changed.
+    fn resized(&self) {
+        self.metrics.outstanding.set(self.len as i64);
+    }
+
     /// Register attempt 1 of a send made at `now`; returns the attempt
     /// number to stamp on the envelope. If the `(target, file)` pair is
     /// already outstanding, the existing attempt is kept (the caller
     /// should not double-send; [`RetryTracker::is_outstanding`] guards).
     pub fn track(&mut self, target: &str, file: FileId, payload: P, now: TimePoint) -> u32 {
-        let key = (target.to_string(), file.raw());
-        if let Some(o) = self.outstanding.get(&key) {
+        if let Some(o) = self.entry(target, file) {
             return o.attempt;
         }
-        let deadline = now + self.jittered(self.policy.timeout_for(1));
-        self.outstanding.insert(
-            key,
-            Entry {
-                attempt: 1,
-                deadline,
-                first_sent: now,
-                payload,
-            },
-        );
+        let entry = Entry {
+            attempt: 1,
+            deadline: now + self.jittered(self.policy.timeout_for(1)),
+            first_sent: now,
+            payload,
+        };
+        match self.outstanding.get_mut(target) {
+            Some(files) => files.insert(file.raw(), entry),
+            None => self
+                .outstanding
+                .entry(Arc::from(target))
+                .or_default()
+                .insert(file.raw(), entry),
+        };
+        self.len += 1;
         self.metrics.attempts.inc();
-        self.metrics.outstanding.set(self.outstanding.len() as i64);
+        self.resized();
         1
     }
 
-    /// An ack for `(target, file)` arrived. Returns `true` if the pair
-    /// was outstanding (any attempt number proves delivery — a late ack
-    /// of an earlier attempt is just as good).
+    /// An ack for `(target, file)` arrived: clear the entry and hand
+    /// back what it carried, or `None` if the pair was not outstanding.
+    /// Any attempt number proves delivery — a late ack of an earlier
+    /// attempt is just as good.
+    pub fn take_acked(&mut self, target: &str, file: FileId) -> Option<P> {
+        let o = self.outstanding.get_mut(target)?.remove(&file.raw())?;
+        self.len -= 1;
+        self.metrics.acks.inc();
+        self.resized();
+        Some(o.payload)
+    }
+
+    /// [`RetryTracker::take_acked`] for a caller that only needs to know
+    /// whether the pair was outstanding.
     pub fn on_ack(&mut self, target: &str, file: FileId, _attempt: u32) -> bool {
-        let acked = self
-            .outstanding
-            .remove(&(target.to_string(), file.raw()))
-            .is_some();
-        if acked {
-            self.metrics.acks.inc();
-            self.metrics.outstanding.set(self.outstanding.len() as i64);
-        }
-        acked
+        self.take_acked(target, file).is_some()
     }
 
     /// True if `(target, file)` has an unacked send in flight.
     pub fn is_outstanding(&self, target: &str, file: FileId) -> bool {
-        self.outstanding
-            .contains_key(&(target.to_string(), file.raw()))
+        self.entry(target, file).is_some()
     }
 
     /// Number of unacked sends.
     pub fn outstanding_count(&self) -> usize {
-        self.outstanding.len()
+        self.len
     }
 
     /// Drop every outstanding entry for `target` (it was flagged
-    /// offline; recovery goes through backfill instead of retries).
+    /// offline or deregistered; recovery goes through backfill instead
+    /// of retries) and the table's handle for its name.
     pub fn forget(&mut self, target: &str) {
-        self.outstanding.retain(|(t, _), _| t != target);
-        self.metrics.outstanding.set(self.outstanding.len() as i64);
+        if let Some(files) = self.outstanding.remove(target) {
+            self.len -= files.len();
+        }
+        self.resized();
     }
 
     /// Sweep the table at `now`: every entry past its deadline is either
@@ -268,17 +298,20 @@ impl<P: Clone> RetryTracker<P> {
             resend: Vec::new(),
             exhausted: Vec::new(),
         };
-        let lapsed: Vec<(String, u64)> = self
+        let lapsed: Vec<(Arc<str>, u64)> = self
             .outstanding
             .iter()
-            .filter(|(_, o)| o.deadline <= now)
-            .map(|(k, _)| k.clone())
+            .flat_map(|(target, files)| files.iter().map(move |(file, o)| (target, *file, o)))
+            .filter(|(_, _, o)| o.deadline <= now)
+            .map(|(target, file, _)| (target.clone(), file))
             .collect();
-        for key in lapsed {
-            let o = self.outstanding.get_mut(&key).expect("collected above");
+        for (target, file) in lapsed {
+            let files = self.outstanding.get_mut(&target).expect("collected above");
+            let o = files.get_mut(&file).expect("collected above");
             if o.attempt >= self.policy.max_attempts {
-                self.outstanding.remove(&key);
-                round.exhausted.push((key.0, FileId(key.1)));
+                files.remove(&file);
+                self.len -= 1;
+                round.exhausted.push((target, FileId(file)));
                 continue;
             }
             o.attempt += 1;
@@ -286,11 +319,14 @@ impl<P: Clone> RetryTracker<P> {
             let payload = o.payload.clone();
             let nominal = self.policy.timeout_for(attempt);
             let deadline = now + self.jittered(nominal);
-            let o = self.outstanding.get_mut(&key).expect("still present");
-            o.deadline = deadline;
+            self.outstanding
+                .get_mut(&target)
+                .and_then(|files| files.get_mut(&file))
+                .expect("still present")
+                .deadline = deadline;
             round.resend.push(Resend {
-                target: key.0,
-                file: FileId(key.1),
+                target,
+                file: FileId(file),
                 attempt,
                 payload,
             });
@@ -298,7 +334,7 @@ impl<P: Clone> RetryTracker<P> {
         self.metrics.attempts.add(round.resend.len() as u64);
         self.metrics.resends.add(round.resend.len() as u64);
         self.metrics.exhausted.add(round.exhausted.len() as u64);
-        self.metrics.outstanding.set(self.outstanding.len() as i64);
+        self.resized();
         round
     }
 
@@ -308,7 +344,7 @@ impl<P: Clone> RetryTracker<P> {
     /// timer fires is explored regardless of how much virtual time the
     /// policy would have required.
     pub fn fire_all(&mut self, now: TimePoint) -> RetryRound<P> {
-        for o in self.outstanding.values_mut() {
+        for o in self.outstanding.values_mut().flat_map(BTreeMap::values_mut) {
             o.deadline = now;
         }
         self.due(now)
@@ -317,24 +353,25 @@ impl<P: Clone> RetryTracker<P> {
     /// The outstanding table as `(target, file, attempt, payload)` in
     /// key order — digestible state for model-checker state hashes.
     pub fn entries(&self) -> impl Iterator<Item = (&str, FileId, u32, &P)> {
-        self.outstanding
-            .iter()
-            .map(|((target, file), o)| (target.as_str(), FileId(*file), o.attempt, &o.payload))
+        self.outstanding.iter().flat_map(|(target, files)| {
+            files
+                .iter()
+                .map(move |(file, o)| (&**target, FileId(*file), o.attempt, &o.payload))
+        })
     }
 
     /// The scheduled retransmission deadline for `(target, file)`, if
     /// outstanding — test-only visibility into the jitter schedule.
     #[cfg(test)]
     fn deadline_of(&self, target: &str, file: FileId) -> Option<TimePoint> {
-        self.outstanding
-            .get(&(target.to_string(), file.raw()))
-            .map(|o| o.deadline)
+        self.entry(target, file).map(|o| o.deadline)
     }
 
     /// How long the oldest unacked send has been waiting, as of `now`.
     pub fn oldest_unacked_age(&self, now: TimePoint) -> Option<TimeSpan> {
         self.outstanding
             .values()
+            .flat_map(BTreeMap::values)
             .map(|o| now.since(o.first_sent))
             .max()
     }
@@ -492,14 +529,15 @@ impl RetryTracker<GroupSend> {
         bits: &[u8],
         watermark: u64,
     ) -> Option<(Coverage, bool)> {
-        let key = (group.to_string(), file.raw());
-        let coverage = &mut self.outstanding.get_mut(&key)?.payload.coverage;
+        let files = self.outstanding.get_mut(group)?;
+        let coverage = &mut files.get_mut(&file.raw())?.payload.coverage;
         let changed = coverage.merge_wire(bits, watermark);
         let merged = coverage.clone();
         self.metrics.acks.inc();
         if merged.complete() {
-            self.outstanding.remove(&key);
-            self.metrics.outstanding.set(self.outstanding.len() as i64);
+            files.remove(&file.raw());
+            self.len -= 1;
+            self.resized();
         }
         Some((merged, changed))
     }
@@ -590,7 +628,7 @@ mod tests {
         tr.due(t(100)); // attempt 3 == max
         let r = tr.due(t(1000));
         assert!(r.resend.is_empty());
-        assert_eq!(r.exhausted, vec![("s".to_string(), FileId(1))]);
+        assert_eq!(r.exhausted, vec![(Arc::from("s"), FileId(1))]);
         assert_eq!(tr.outstanding_count(), 0);
         assert_eq!(tr.totals(), (0, 2, 1));
     }
@@ -606,7 +644,7 @@ mod tests {
         let mut tr = RetryTracker::new(policy(), 1);
         tr.track("g", FileId(1), group_send(8), t(0));
         let r = tr.due(t(10));
-        assert_eq!(r.resend[0].target, "g");
+        assert_eq!(&*r.resend[0].target, "g");
         assert_eq!(r.resend[0].payload.file_name, "f_1.csv");
         assert_eq!(r.resend[0].payload.size, 3);
     }
@@ -769,6 +807,62 @@ mod tests {
         tr.forget("a");
         assert!(!tr.is_outstanding("a", FileId(1)));
         assert!(tr.is_outstanding("b", FileId(2)));
+    }
+
+    /// The table iterates in `(target, file)` order — the order the flat
+    /// `BTreeMap<(String, u64), _>` it replaced had, which retry rounds
+    /// (and so the jitter draw order and the resend order on the wire)
+    /// and state digests inherit. Checked against that flat map on a
+    /// table whose targets share prefixes and whose files arrive out of
+    /// order, through acks, a forget and an emptied target.
+    #[test]
+    fn iteration_order_is_target_then_file_on_a_mixed_table() {
+        let mut tr = RetryTracker::new(policy(), 1);
+        let mut flat: BTreeMap<(String, u64), u32> = BTreeMap::new();
+        let sends = [
+            ("b", 7),
+            ("a", 300),
+            ("ab", 2),
+            ("a", 4),
+            ("a1", 9),
+            ("b", 1),
+            ("", 5),
+            ("a", 12),
+            ("B", 3),
+            ("ab", 1),
+        ];
+        for (target, file) in sends {
+            assert_eq!(tr.track(target, FileId(file), msg(file), t(0)), 1);
+            flat.insert((target.to_string(), file), 1);
+        }
+        assert!(tr.on_ack("a", FileId(4), 1));
+        flat.remove(&("a".to_string(), 4));
+        assert!(tr.on_ack("a1", FileId(9), 1)); // "a1" is now an empty target
+        flat.remove(&("a1".to_string(), 9));
+        tr.forget("ab");
+        flat.retain(|(target, _), _| target != "ab");
+        tr.track("a1", FileId(8), msg(8), t(0));
+        flat.insert(("a1".to_string(), 8), 1);
+
+        let listed: Vec<(String, u64, u32)> = tr
+            .entries()
+            .map(|(target, file, attempt, _)| (target.to_string(), file.raw(), attempt))
+            .collect();
+        let reference: Vec<(String, u64, u32)> = flat
+            .iter()
+            .map(|((target, file), attempt)| (target.clone(), *file, *attempt))
+            .collect();
+        assert_eq!(listed, reference);
+        assert_eq!(tr.outstanding_count(), flat.len());
+        // a retry round walks the same order
+        let resent: Vec<(String, u64)> = tr
+            .fire_all(t(1))
+            .resend
+            .iter()
+            .map(|r| (r.target.to_string(), r.file.raw()))
+            .collect();
+        let keys: Vec<(String, u64)> = flat.keys().cloned().collect();
+        assert_eq!(resent, keys);
     }
 
     #[test]

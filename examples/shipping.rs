@@ -157,7 +157,6 @@ fn main() {
             .filter(|e| e.subscriber == sub)
             .count();
         let lat = server
-            .stats()
             .latency_summary(sub)
             .map(|(mean, _, max)| format!("mean {mean}, max {max}"))
             .unwrap_or_else(|| "n/a".to_string());
