@@ -106,6 +106,18 @@ stage_alloc() {
   cargo test --offline --test alloc_budget -- --nocapture
 }
 
+# Compression kernel: the encoder must emit, byte for byte, the stream of
+# the original encoder kept under #[cfg(test)] as its oracle — over 2000
+# generated corpora instead of the default 96 — and the bounded decoders
+# must stop a crafted bomb at the declared length. Release mode and
+# uncaptured so `[compress] … oracle N us/file, kernel M us/file, ratio R`
+# lands in the build log as optimized-code figures (`./ci.sh test` runs
+# the same suite in debug, where overflow checks are on).
+stage_compress() {
+  BISTRO_PROP_CASES=2000 \
+    cargo test --release --offline -p bistro-compress -- --nocapture
+}
+
 stage_lint() {
   cargo clippy --offline --all-targets -- -D warnings
   cargo fmt --check
@@ -162,6 +174,7 @@ stage_all() {
   stage_parallel
   stage_mc
   stage_alloc
+  stage_compress
   stage_lint
   stage_bench
   stage_fanout
@@ -170,11 +183,11 @@ stage_all() {
 
 stage="${1:-all}"
 case "$stage" in
-  build|test|faults|crash|distributed|telemetry|parallel|mc|alloc|lint|bench|fanout|benchmark|all)
+  build|test|faults|crash|distributed|telemetry|parallel|mc|alloc|compress|lint|bench|fanout|benchmark|all)
     "stage_$stage"
     ;;
   *)
-    echo "usage: ./ci.sh [build|test|faults|crash|distributed|telemetry|parallel|mc|alloc|lint|bench|fanout|benchmark|all]" >&2
+    echo "usage: ./ci.sh [build|test|faults|crash|distributed|telemetry|parallel|mc|alloc|compress|lint|bench|fanout|benchmark|all]" >&2
     exit 2
     ;;
 esac

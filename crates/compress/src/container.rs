@@ -63,9 +63,15 @@ pub fn is_container(data: &[u8]) -> bool {
 }
 
 /// Unwrap a container: decompress and verify length and checksum.
+///
+/// The header's length bounds the decode: a stream that would outgrow it
+/// is refused where it crosses, not after it has been materialised.
 pub fn open(container: &[u8]) -> Result<Vec<u8>, CompressError> {
     let (codec, expected_len, expected_crc) = peek(container)?;
-    let data = codec.decompress(&container[HEADER_LEN..])?;
+    // a length no buffer can have bounds nothing: the decode then ends at
+    // the stream's own end and the comparison below refuses it
+    let declared = usize::try_from(expected_len).unwrap_or(usize::MAX);
+    let data = codec.decompress_bounded(&container[HEADER_LEN..], declared)?;
     if data.len() as u64 != expected_len {
         return Err(CompressError::LengthMismatch {
             expected: expected_len,
@@ -165,5 +171,63 @@ mod tests {
         let (codec, _, _) = peek(&lz).unwrap();
         assert_eq!(codec, Codec::Lzss);
         assert_eq!(open(&lz).unwrap(), data);
+    }
+
+    /// A container whose header declares `declared` bytes over `stream`.
+    fn forged(codec: Codec, declared: u64, stream: &[u8]) -> Vec<u8> {
+        let mut c = seal(codec, b"");
+        c[6..14].copy_from_slice(&declared.to_le_bytes());
+        c.extend_from_slice(stream);
+        c
+    }
+
+    #[test]
+    fn open_refuses_a_bomb_at_the_declared_length() {
+        // ~1 MB of maximum-length tokens behind a header declaring 10
+        // bytes: 85 MB (lzss) / 65 MB (rle) if decoded before checking
+        let lz = crate::lzss::tests::bomb(1 << 20);
+        let rle = [0xFF, b'x'].repeat(500_000);
+        for (codec, stream, token) in [(Codec::Lzss, &lz, 265), (Codec::Rle, &rle, 130)] {
+            match open(&forged(codec, 10, stream)) {
+                Err(CompressError::LengthMismatch {
+                    expected: 10,
+                    actual,
+                }) => {
+                    assert!(actual > 10 && actual <= 10 + token, "{codec}: {actual}")
+                }
+                other => panic!("{codec}: {:?}", other.map(|v| v.len())),
+            }
+        }
+        // a stored payload longer than declared never gets copied
+        assert_eq!(
+            open(&forged(Codec::None, 3, b"four")),
+            Err(CompressError::LengthMismatch {
+                expected: 3,
+                actual: 4
+            })
+        );
+    }
+
+    #[test]
+    fn open_refuses_a_length_no_stream_could_reach() {
+        // declared lengths beyond what the stream decodes to are compared
+        // after a decode that reserved only what the stream could fill
+        for declared in [6, 1 << 40, u64::MAX] {
+            assert_eq!(
+                open(&forged(Codec::None, declared, b"short")),
+                Err(CompressError::LengthMismatch {
+                    expected: declared,
+                    actual: 5
+                })
+            );
+            let stream = Codec::Lzss.compress(b"short short short");
+            assert_eq!(
+                open(&forged(Codec::Lzss, declared, &stream)),
+                Err(CompressError::LengthMismatch {
+                    expected: declared,
+                    actual: 17
+                })
+            );
+        }
     }
 }

@@ -26,7 +26,7 @@ pub enum Codec {
     /// Byte-level run-length encoding: wins on the highly repetitive
     /// CSV/fixed-width measurement files pollers emit.
     Rle,
-    /// LZSS with a 32 KiB sliding window: the general-purpose codec.
+    /// LZSS with an 8 KiB sliding window: the general-purpose codec.
     Lzss,
 }
 
@@ -89,6 +89,28 @@ impl Codec {
             Codec::Lzss => lzss::decompress(data),
         }
     }
+
+    /// Decompress a stream declared to decode to `declared` bytes. A
+    /// stream that would decode to more fails with
+    /// [`CompressError::LengthMismatch`] as soon as it crosses that length
+    /// (`actual` is then how far it got, not its full length), having
+    /// allocated no more than `declared`; one that decodes to fewer is
+    /// returned for the caller to compare.
+    pub fn decompress_bounded(
+        self,
+        data: &[u8],
+        declared: usize,
+    ) -> Result<Vec<u8>, CompressError> {
+        match self {
+            Codec::None if data.len() > declared => Err(CompressError::LengthMismatch {
+                expected: declared as u64,
+                actual: data.len() as u64,
+            }),
+            Codec::None => Ok(data.to_vec()),
+            Codec::Rle => rle::decompress_bounded(data, declared),
+            Codec::Lzss => lzss::decompress_bounded(data, declared),
+        }
+    }
 }
 
 impl fmt::Display for Codec {
@@ -121,7 +143,8 @@ pub enum CompressError {
     LengthMismatch {
         /// Length recorded in the container header.
         expected: u64,
-        /// Actual decompressed length.
+        /// Actual decompressed length — or, from a bounded decode that
+        /// stopped early, the length at which the stream crossed `expected`.
         actual: u64,
     },
 }

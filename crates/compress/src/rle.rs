@@ -52,7 +52,29 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 
 /// Decompress an RLE stream produced by [`compress`].
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CompressError> {
-    let mut out = Vec::with_capacity(data.len() * 2);
+    decode(data, usize::MAX, data.len().saturating_mul(2))
+}
+
+/// Decompress a stream whose decoded length is declared to be `declared`
+/// bytes: fails with [`CompressError::LengthMismatch`] before the output
+/// outgrows that, and allocates no more than that up front.
+pub fn decompress_bounded(data: &[u8], declared: usize) -> Result<Vec<u8>, CompressError> {
+    // a run chunk is the densest: 2 stream bytes for 130
+    decode(data, declared, declared.min(data.len().saturating_mul(65)))
+}
+
+fn decode(data: &[u8], limit: usize, reserve: usize) -> Result<Vec<u8>, CompressError> {
+    let mut out = Vec::with_capacity(reserve);
+    // refuse a chunk that would carry the output past `limit`
+    let fits = |have: usize, len: usize| {
+        if len <= limit - have {
+            return Ok(());
+        }
+        Err(CompressError::LengthMismatch {
+            expected: limit as u64,
+            actual: (have + len) as u64,
+        })
+    };
     let mut i = 0;
     while i < data.len() {
         let c = data[i];
@@ -62,6 +84,7 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CompressError> {
             if i + len > data.len() {
                 return Err(CompressError::Corrupt("literal chunk truncated"));
             }
+            fits(out.len(), len)?;
             out.extend_from_slice(&data[i..i + len]);
             i += len;
         } else {
@@ -71,6 +94,7 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CompressError> {
             let count = (c - 0x80) as usize + 3;
             let b = data[i];
             i += 1;
+            fits(out.len(), count)?;
             out.resize(out.len() + count, b);
         }
     }
@@ -150,5 +174,50 @@ mod tests {
         assert_eq!(decompress(&c).unwrap(), data);
         // the zero-run should at least shave something off
         assert!(c.len() < data.len());
+    }
+
+    #[test]
+    fn bounded_decode_stops_a_bomb_within_one_chunk_of_the_declared_length() {
+        // nothing but maximum runs: 2 stream bytes per 130 decoded
+        let stream = [0xFF, b'x'].repeat(500_000);
+        assert_eq!(decompress(&stream[..2_000]).unwrap().len(), 130_000);
+        for declared in [0, 10, 129, 130, 131, 100_000] {
+            match decompress_bounded(&stream, declared) {
+                Err(CompressError::LengthMismatch { expected, actual }) => {
+                    assert_eq!(expected, declared as u64);
+                    assert!(actual > expected && actual <= expected + 130);
+                }
+                other => panic!("declared {declared}: {:?}", other.map(|v| v.len())),
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_decode_keeps_the_error_variants() {
+        let data = b"aaaaaaaabcdefgh\x00\x00\x00\x00\x00ij".repeat(30);
+        let c = compress(&data);
+        let exact = decompress_bounded(&c, data.len()).unwrap();
+        assert_eq!(exact, data);
+        assert!(
+            exact.capacity() < data.len() + 64,
+            "cap {}",
+            exact.capacity()
+        );
+        // declared longer than the stream decodes to: the caller compares
+        assert_eq!(decompress_bounded(&c, data.len() + 5).unwrap(), data);
+        assert!(decompress_bounded(&c, usize::MAX).unwrap().capacity() <= c.len() * 65);
+        assert!(matches!(
+            decompress_bounded(&c, data.len() - 1),
+            Err(CompressError::LengthMismatch { .. })
+        ));
+        // truncated streams are still `Corrupt`, whatever was declared
+        for declared in [0, 100] {
+            for cut in [&[0x05u8][..], &[0x80 + 5]] {
+                assert!(matches!(
+                    decompress_bounded(cut, declared),
+                    Err(CompressError::Corrupt(_))
+                ));
+            }
+        }
     }
 }
