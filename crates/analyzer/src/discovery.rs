@@ -96,11 +96,6 @@ impl FeedDiscoverer {
         self.total_files
     }
 
-    /// Number of raw (pre-merge) clusters.
-    pub fn cluster_count(&self) -> usize {
-        self.clusters.len()
-    }
-
     /// Produce suggested feed definitions: merge compatible clusters,
     /// then rank by support. `min_support` filters noise clusters.
     pub fn suggestions(&self, min_support: usize) -> Vec<DiscoveredFeed> {

@@ -150,11 +150,6 @@ impl ByteWriter {
     pub fn put_str(&mut self, s: &str) {
         self.put_bytes(s.as_bytes());
     }
-
-    /// Write raw bytes with no length prefix.
-    pub fn put_raw(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
-    }
 }
 
 /// Cursor-based decoder over a byte slice.
@@ -248,11 +243,6 @@ impl<'a> ByteReader<'a> {
     pub fn get_str(&mut self) -> Result<&'a str, CodecError> {
         let b = self.get_bytes()?;
         std::str::from_utf8(b).map_err(|_| CodecError::InvalidUtf8)
-    }
-
-    /// Read `n` raw bytes with no length prefix.
-    pub fn get_raw(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        self.take(n, "raw bytes")
     }
 }
 

@@ -19,8 +19,11 @@
 //! Threads are scoped per call (`std::thread::scope`) rather than kept
 //! alive: batch ingest is bursty, a scope borrows the caller's data
 //! without `'static` bounds or channels, and spawning a handful of
-//! threads costs microseconds next to the milliseconds of I/O a batch
-//! represents. Zero external dependencies, per the hermetic build rule.
+//! threads costs tens of microseconds each — small beside a batch of
+//! compression, not beside a batch of name classifications, so whether a
+//! batch is worth a pool at all is the caller's decision
+//! (`Server::deposit_batch` makes it from the config). Zero external
+//! dependencies, per the hermetic build rule.
 
 /// How one worker's shard of a [`Pool::map_with_stats`] call went.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

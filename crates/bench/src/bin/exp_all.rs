@@ -39,7 +39,7 @@ fn main() {
     let p = e13_failover::run(&[1, 7, 42, 99, 1234], 40);
     print!("{}", e13_failover::table(&p));
     // shape points only — the full million-subscriber grid and the
-    // BENCH_throughput.json splice belong to the exp_e14 binary
+    // deposit-cost sweep belong to the exp_e14 binary
     let p: Vec<_> = [(100, 100), (400, 100), (100, 400)]
         .iter()
         .map(|&(g, m)| e14_fanout::run_fanout(g, m, 2))

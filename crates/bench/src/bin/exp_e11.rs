@@ -1,34 +1,26 @@
 //! E11: deployment-scale throughput.
 //!
-//! Prints the experiment tables and writes the machine-readable perf
-//! trajectory files `BENCH_classify.json` and `BENCH_throughput.json`
-//! (schema `bistro-bench-v1`: median/p95 per-file latency plus
-//! files/sec / bytes/sec throughput).
+//! Prints the experiment tables, measures the
+//! `server_ingest_100_feeds/par{N}` batch-ingest arms, writes them to
+//! `BENCH_throughput.json` in the working directory (schema
+//! `bistro-bench-v1`: median/p95 per-batch latency plus files/sec) and
+//! exits non-zero when the curve is inverted: any `par{N}` median more
+//! than [`e11::PAR_LIMIT`]× `par1`'s. Both sides of that ratio come from
+//! this run, so there is no baseline to pass in.
 //!
 //! Flags:
 //!
-//! * `--workers N[,N...]` — ingest worker counts for the
-//!   `server_ingest_100_feeds/par{N}` batch-ingest scaling groups
-//!   (default `1,2,4,8`; `--quick` defaults to `1,2`).
+//! * `--workers N[,N...]` — worker counts for the `par{N}` arms
+//!   (default `1,2,4,8`; `--quick` defaults to `1,2`). `1` is measured
+//!   whether listed or not — every other arm is read against it.
 //! * `--quick` — CI mode: skip the slow classifier/ingest scaling
-//!   tables and `BENCH_classify.json`, take fewer samples. Still writes
-//!   a complete `BENCH_throughput.json`.
-//! * `--gate <baseline.json>` — perf-regression gate: compare this
-//!   run's `server_ingest_100_feeds` medians against a committed
-//!   baseline document and exit non-zero only if any median regressed
-//!   by more than 2× (generous on purpose: shared CI runners are
-//!   noisy; the gate exists to catch order-of-magnitude mistakes, not
-//!   5% drift).
+//!   tables and take fewer samples.
 use bistro_bench::e11_throughput as e11;
 use bistro_bench::harness;
-
-/// Regression factor the gate tolerates before failing.
-const GATE_FACTOR: f64 = 2.0;
 
 fn main() {
     let mut workers_list: Option<Vec<usize>> = None;
     let mut quick = false;
-    let mut gate: Option<String> = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -42,93 +34,48 @@ fn main() {
                 );
             }
             "--quick" => quick = true,
-            "--gate" => {
-                let v = it.next().expect("--gate needs a baseline path");
-                gate = Some(v.clone());
-            }
             other => panic!("unknown exp_e11 flag {other}"),
         }
     }
-    let workers_list =
+    let mut workers_list =
         workers_list.unwrap_or_else(|| if quick { vec![1, 2] } else { vec![1, 2, 4, 8] });
+    if !workers_list.contains(&1) {
+        workers_list.insert(0, 1);
+    }
     let samples = if quick { 12 } else { 30 };
-
-    // Snapshot the gate baseline *before* running anything: this binary
-    // rewrites BENCH_throughput.json, so reading the baseline later
-    // would compare the run against itself when handed the same path.
-    let gate = gate.map(|path| {
-        let body =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("gate baseline {path}: {e}"));
-        (path, body)
-    });
 
     if !quick {
         let classify = e11::run_classifier(&[10, 50, 100, 250, 500]);
         let ingest = e11::run_ingest(5_000, 60_000);
         let (t1, t2) = e11::tables(&classify, &ingest);
         print!("{t1}{t2}");
-        let classify_bench = e11::bench_classify(250, samples);
-        harness::write_json("BENCH_classify.json", &classify_bench)
-            .expect("write BENCH_classify.json");
-        for r in &classify_bench {
-            print_result(r);
-        }
     }
 
-    let mut ingest_bench = e11::bench_ingest(60_000, samples);
-    for &w in &workers_list {
-        ingest_bench.push(e11::bench_ingest_parallel(60_000, samples, w));
+    let arms = e11::bench_par_arms(60_000, samples, &workers_list);
+    harness::write_json("BENCH_throughput.json", &arms).expect("write BENCH_throughput.json");
+    for r in &arms {
+        println!("{}", r.summary());
     }
-    // splice: BENCH_throughput.json is shared with exp_e14's
-    // fanout_group_delivery group, which this run must not erase
-    harness::merge_json_file(
-        "BENCH_throughput.json",
-        &ingest_bench,
-        "server_ingest_100_feeds",
-    )
-    .expect("write BENCH_throughput.json");
-    for r in &ingest_bench {
-        print_result(r);
-    }
-    println!(
-        "wrote BENCH_throughput.json{}",
-        if quick { "" } else { ", BENCH_classify.json" }
-    );
+    println!("wrote BENCH_throughput.json");
 
-    if let Some((path, baseline)) = gate {
-        let lines = e11::gate_against_baseline(&baseline, &ingest_bench)
-            .unwrap_or_else(|e| panic!("gate baseline {path}: {e}"));
-        let mut failed = false;
-        for l in &lines {
-            let verdict = if l.ratio > GATE_FACTOR {
-                failed = true;
-                "REGRESSION"
-            } else {
-                "ok"
-            };
-            println!(
-                "gate {}: median {:.0} ns vs baseline {:.0} ns ({:.2}x) {verdict}",
-                l.bench, l.current_ns, l.baseline_ns, l.ratio
-            );
-        }
-        if failed {
-            eprintln!("perf gate failed: a median regressed by more than {GATE_FACTOR}x");
-            std::process::exit(1);
-        }
+    let mut inverted = false;
+    for (name, ratio) in e11::par_ratios(&arms) {
+        let verdict = if ratio > e11::PAR_LIMIT {
+            inverted = true;
+            "INVERTED"
+        } else {
+            "ok"
+        };
         println!(
-            "perf gate passed ({} benches within {GATE_FACTOR}x)",
-            lines.len()
+            "{name} / par1 = {ratio:.2} (limit {}) {verdict}",
+            e11::PAR_LIMIT
         );
     }
-}
-
-fn print_result(r: &harness::BenchResult) {
-    println!(
-        "{}/{}: median {:.0} ns, p95 {:.0} ns, {:.0} /s",
-        r.group,
-        r.name,
-        r.median_ns,
-        r.p95_ns,
-        r.per_sec().unwrap_or(0.0)
-    );
+    if inverted {
+        eprintln!(
+            "par{{N}} curve is inverted: more workers made ingest more than {}x slower than one",
+            e11::PAR_LIMIT
+        );
+        std::process::exit(1);
+    }
 }

@@ -1,42 +1,22 @@
 //! E14: shared delivery trees at million-subscriber fanout.
 //!
 //! Prints the fanout-shape table (delivery sends and tracker entries
-//! per deposit must follow the group count, never the member count)
-//! and splices two timing groups into the machine-readable perf
-//! trajectory `BENCH_throughput.json`, leaving every other
-//! experiment's entries intact:
-//!
-//! * `fanout_group_delivery` — per-deposit latency across the
-//!   `(groups, members)` grid;
-//! * `fanout_deposit_cost` — per-deposit latency across a subscriber
-//!   sweep at a fixed group count. The inverted delivery index makes
-//!   the match step `O(matched)`, so these medians must stay flat in
-//!   subscriber count (the pre-index scan grew linearly); the run
-//!   checks endpoint-to-endpoint flatness itself and the `--gate` run
-//!   compares every point against the committed baseline.
+//! per deposit must follow the group count, never the member count —
+//! `run_fanout` panics otherwise), then measures `fanout_deposit_cost`:
+//! per-deposit latency across a subscriber sweep at a fixed group
+//! count, written to `BENCH_fanout.json` in the working directory. The
+//! inverted delivery index makes the match step `O(matched)`, so those
+//! medians must stay flat in subscriber count (the pre-index scan grew
+//! linearly); the run exits non-zero when the largest point's median
+//! exceeds the smallest's by more than [`FLATNESS_FACTOR`]. Both ends
+//! come from this run, so there is no baseline to pass in.
 //!
 //! Flags:
 //!
 //! * `--quick` — CI mode: cap the scale at tens of thousands of
-//!   subscribers and take fewer samples. The `deposit_g100_m100`
-//!   point is measured in both modes so a quick run always has a
-//!   committed median to gate against.
-//! * `--gate <baseline.json>` — perf-regression gate: compare this
-//!   run's `fanout_group_delivery` medians against a committed
-//!   baseline document and exit non-zero only if any median regressed
-//!   by more than 2× (generous on purpose: shared CI runners are
-//!   noisy; the gate exists to catch order-of-magnitude mistakes, not
-//!   5% drift).
-use bistro_bench::e11_throughput::gate_in_group;
+//!   subscribers and take fewer samples.
 use bistro_bench::e14_fanout as e14;
 use bistro_bench::harness;
-
-/// Regression factor the gate tolerates before failing.
-const GATE_FACTOR: f64 = 2.0;
-
-/// The trajectory-file groups this experiment owns.
-const GROUP: &str = "fanout_group_delivery";
-const COST_GROUP: &str = "fanout_deposit_cost";
 
 /// How much the deposit-cost median may grow from the smallest to the
 /// largest subscriber count before the sweep fails. Same-run medians on
@@ -46,29 +26,12 @@ const FLATNESS_FACTOR: f64 = 3.0;
 
 fn main() {
     let mut quick = false;
-    let mut gate: Option<String> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    for a in std::env::args().skip(1) {
         match a.as_str() {
             "--quick" => quick = true,
-            "--gate" => {
-                let v = it.next().expect("--gate needs a baseline path");
-                gate = Some(v.clone());
-            }
             other => panic!("unknown exp_e14 flag {other}"),
         }
     }
-
-    // Snapshot the gate baseline *before* running anything: this binary
-    // rewrites its group in BENCH_throughput.json, so reading the
-    // baseline later would compare the run against itself when handed
-    // the same path.
-    let gate = gate.map(|path| {
-        let body =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("gate baseline {path}: {e}"));
-        (path, body)
-    });
 
     // (groups, members-per-group) scale points. The full grid crosses
     // G and M so the table shows ops following G while M varies freely,
@@ -86,28 +49,9 @@ fn main() {
         .collect();
     print!("{}", e14::table(&shape));
 
-    let bench: Vec<harness::BenchResult> = points
-        .iter()
-        .map(|&(g, m)| e14::bench_fanout_deposit(g, m, samples))
-        .collect();
-    harness::merge_json_file("BENCH_throughput.json", &bench, GROUP)
-        .expect("write BENCH_throughput.json");
-    for r in &bench {
-        println!(
-            "{}/{}: median {:.0} ns, p95 {:.0} ns, {:.0} /s",
-            r.group,
-            r.name,
-            r.median_ns,
-            r.p95_ns,
-            r.per_sec().unwrap_or(0.0)
-        );
-    }
-    println!("merged {GROUP} into BENCH_throughput.json");
-
     // Deposit cost vs subscriber count at a fixed group count: the
     // sweep the inverted delivery index must keep flat. Quick mode
-    // spans 10k→40k (its smallest point doubles as the committed
-    // baseline for CI gating); the full sweep tops out at a million.
+    // spans 10k→40k; the full sweep tops out at a million.
     let cost_points: &[usize] = if quick {
         &[10_000, 40_000]
     } else {
@@ -117,19 +61,11 @@ fn main() {
         .iter()
         .map(|&subs| e14::bench_deposit_cost(subs, samples))
         .collect();
-    harness::merge_json_file("BENCH_throughput.json", &cost, COST_GROUP)
-        .expect("write BENCH_throughput.json");
+    harness::write_json("BENCH_fanout.json", &cost).expect("write BENCH_fanout.json");
     for r in &cost {
-        println!(
-            "{}/{}: median {:.0} ns, p95 {:.0} ns, {:.0} /s",
-            r.group,
-            r.name,
-            r.median_ns,
-            r.p95_ns,
-            r.per_sec().unwrap_or(0.0)
-        );
+        println!("{}", r.summary());
     }
-    println!("merged {COST_GROUP} into BENCH_throughput.json");
+    println!("wrote BENCH_fanout.json");
     let (small, large) = (&cost[0], &cost[cost.len() - 1]);
     let growth = large.median_ns / small.median_ns;
     println!(
@@ -142,35 +78,5 @@ fn main() {
             small.name, large.name
         );
         std::process::exit(1);
-    }
-
-    if let Some((path, baseline)) = gate {
-        let mut lines = gate_in_group(&baseline, GROUP, &bench)
-            .unwrap_or_else(|e| panic!("gate baseline {path}: {e}"));
-        lines.extend(
-            gate_in_group(&baseline, COST_GROUP, &cost)
-                .unwrap_or_else(|e| panic!("gate baseline {path}: {e}")),
-        );
-        let mut failed = false;
-        for l in &lines {
-            let verdict = if l.ratio > GATE_FACTOR {
-                failed = true;
-                "REGRESSION"
-            } else {
-                "ok"
-            };
-            println!(
-                "gate {}: median {:.0} ns vs baseline {:.0} ns ({:.2}x) {verdict}",
-                l.bench, l.current_ns, l.baseline_ns, l.ratio
-            );
-        }
-        if failed {
-            eprintln!("perf gate failed: a median regressed by more than {GATE_FACTOR}x");
-            std::process::exit(1);
-        }
-        println!(
-            "perf gate passed ({} benches within {GATE_FACTOR}x)",
-            lines.len()
-        );
     }
 }

@@ -9,7 +9,7 @@
 //! registered feeds grows, and (b) end-to-end server ingest+delivery
 //! throughput in MB/s, then report the headroom over the paper's rate.
 
-use crate::harness::{time_fn, BatchSize, BenchResult, Criterion, Throughput};
+use crate::harness::{BatchSize, BenchResult, Criterion, Throughput};
 use crate::table::Table;
 use bistro_base::{SimClock, TimePoint};
 use bistro_config::{parse_config, Config};
@@ -132,38 +132,6 @@ pub fn run_ingest(files: usize, file_size: usize) -> IngestPoint {
     }
 }
 
-/// Harness-measured classification latency (median/p95 + files/sec)
-/// at `feeds` registered feeds, for the `BENCH_classify.json`
-/// trajectory file.
-pub fn bench_classify(feeds: usize, samples: usize) -> Vec<BenchResult> {
-    let cfg = config_with_feeds(feeds);
-    let classifier = Classifier::compile(&cfg);
-    let group = format!("classify_{feeds}_feeds");
-    let hit = time_fn(
-        &group,
-        "hit",
-        samples,
-        Some(Throughput::Elements(1)),
-        || {
-            std::hint::black_box(
-                classifier.classify(std::hint::black_box("KIND137_poller3_201009250455.csv")),
-            );
-        },
-    );
-    let miss = time_fn(
-        &group,
-        "miss",
-        samples,
-        Some(Throughput::Elements(1)),
-        || {
-            std::hint::black_box(
-                classifier.classify(std::hint::black_box("NOPE_poller3_201009250455.csv")),
-            );
-        },
-    );
-    vec![hit, miss]
-}
-
 /// Untimed allocator warmup: deposit `files` files of `file_size`
 /// bytes into a throwaway server, then drop it. A deposit *retains*
 /// its bytes in the MemFs, so the measured server always allocates at
@@ -173,8 +141,8 @@ pub fn bench_classify(feeds: usize, samples: usize) -> Vec<BenchResult> {
 /// recycles already-faulted pages instead. A full run gets this for
 /// free from its earlier phases (`run_ingest` retires a ~300 MB
 /// server before the harness benches start); a `--quick` run must do
-/// it explicitly or the perf gate compares a cold process against
-/// warm committed medians.
+/// it explicitly or its first arm — `par1`, the one every other arm is
+/// divided by — is measured cold.
 fn warm_allocator(files: u64, file_size: usize) {
     let clock = SimClock::starting_at(TimePoint::from_secs(1_285_372_800));
     let store = MemFs::shared(clock.clone());
@@ -192,54 +160,12 @@ fn warm_allocator(files: u64, file_size: usize) {
     }
 }
 
-/// Harness-measured end-to-end per-file deposit latency (classify +
-/// normalize + stage + receipts + delivery) on a 100-feed server, for
-/// the `BENCH_throughput.json` trajectory file.
-pub fn bench_ingest(file_size: usize, samples: usize) -> Vec<BenchResult> {
-    warm_allocator(2_048, file_size);
-    let clock = SimClock::starting_at(TimePoint::from_secs(1_285_372_800));
-    let store = MemFs::shared(clock.clone());
-    let cfg = config_with_feeds(100);
-    let mut server = Server::new("b", cfg, clock.clone(), store).unwrap();
-    let payload = vec![b'x'; file_size];
-    let mut i = 0u64;
-    // short in-place warmup for the measured server's own code paths
-    for _ in 0..64 {
-        i += 1;
-        let name = format!(
-            "KIND{}_poller{}_20100925{:02}{:02}.csv",
-            i % 100,
-            i % 7,
-            (i / 60) % 24,
-            i % 60
-        );
-        server.deposit(&name, &payload).unwrap();
-    }
-    let deposit = time_fn(
-        "server_ingest_100_feeds",
-        &format!("deposit_{file_size}b"),
-        samples,
-        // Elements(1): per_sec is files/sec (bytes/sec = files/sec × size)
-        Some(Throughput::Elements(1)),
-        || {
-            i += 1;
-            let name = format!(
-                "KIND{}_poller{}_20100925{:02}{:02}.csv",
-                i % 100,
-                i % 7,
-                (i / 60) % 24,
-                i % 60
-            );
-            server.deposit(&name, &payload).unwrap();
-        },
-    );
-    vec![deposit]
-}
-
-/// Harness-measured batch ingest on a 100-feed server with the
-/// classify + normalize stage fanned across `workers` pool threads
-/// (`Server::deposit_batch`), for the `server_ingest_100_feeds/par{N}`
-/// scaling groups in `BENCH_throughput.json`. Each iteration deposits a
+/// Harness-measured batch ingest on a 100-feed server configured with
+/// `workers` prepare threads (`Server::with_workers`), for the
+/// `server_ingest_100_feeds/par{N}` arms in `BENCH_throughput.json`.
+/// The feeds are all `compress keep`, so the server is expected to
+/// prepare inline at every `workers` and the arms to read alike —
+/// [`par_ratios`] is the check that they do. Each iteration deposits a
 /// 64-file batch; throughput is reported in files/sec.
 ///
 /// Timed via `iter_batched`: constructing the 64×`file_size` input
@@ -315,77 +241,52 @@ pub fn bench_ingest_parallel(file_size: usize, samples: usize, workers: usize) -
     c.results()[0].clone()
 }
 
-/// How one gated benchmark compared against the committed baseline.
-#[derive(Clone, Debug)]
-pub struct GateLine {
-    /// `group/name` of the compared benchmark.
-    pub bench: String,
-    /// Current median, ns.
-    pub current_ns: f64,
-    /// Baseline median, ns.
-    pub baseline_ns: f64,
-    /// `current / baseline` — above the gate factor means regression.
-    pub ratio: f64,
-}
+/// Rounds [`bench_par_arms`] measures every arm for.
+const PAR_ROUNDS: usize = 5;
 
-/// Compare `current` results against a committed `bistro-bench-v1`
-/// baseline document, matching `server_ingest_100_feeds` entries by
-/// name. See [`gate_in_group`] for the comparison rules.
-pub fn gate_against_baseline(
-    baseline_json: &str,
-    current: &[BenchResult],
-) -> Result<Vec<GateLine>, String> {
-    gate_in_group(baseline_json, "server_ingest_100_feeds", current)
-}
-
-/// Compare `current` results against a committed `bistro-bench-v1`
-/// baseline document, matching entries of `group` by name. Returns one
-/// [`GateLine`] per comparable entry; entries present on only one side
-/// are skipped (the gate must not fail just because a baseline predates
-/// a newly added benchmark). `Err` means the baseline is unusable or
-/// nothing was comparable — the gate should fail loudly rather than
-/// silently pass.
-pub fn gate_in_group(
-    baseline_json: &str,
-    group: &str,
-    current: &[BenchResult],
-) -> Result<Vec<GateLine>, String> {
-    let doc = crate::json::Json::parse(baseline_json)
-        .map_err(|e| format!("baseline does not parse: {e}"))?;
-    if doc.get("schema").and_then(crate::json::Json::as_str) != Some("bistro-bench-v1") {
-        return Err("baseline is not a bistro-bench-v1 document".to_string());
-    }
-    let results = doc
-        .get("results")
-        .and_then(crate::json::Json::as_arr)
-        .ok_or("baseline has no results array")?;
-    let mut baseline = std::collections::BTreeMap::new();
-    for r in results {
-        let rgroup = r.get("group").and_then(crate::json::Json::as_str);
-        let name = r.get("name").and_then(crate::json::Json::as_str);
-        let median = r.get("median_ns").and_then(crate::json::Json::as_num);
-        if let (Some(rgroup), Some(name), Some(median)) = (rgroup, name, median) {
-            if rgroup == group && median > 0.0 {
-                baseline.insert(name.to_string(), median);
+/// The `par{N}` arms for `workers`, each the quietest of [`PAR_ROUNDS`]
+/// interleaved measurements (`par1, par2, …, par1, par2, …`; the round
+/// with the lowest median is kept). One arm's 30 samples span some
+/// 30 ms, and on a shared box a noisy spell that long is common: a
+/// single round read two arms running *identical* code 1.38× apart once
+/// in twelve runs. Noise only ever adds time, so the lowest of five
+/// medians taken about a second apart is the estimate that a spell has
+/// to hit five times to move.
+pub fn bench_par_arms(file_size: usize, samples: usize, workers: &[usize]) -> Vec<BenchResult> {
+    let mut arms: Vec<BenchResult> = Vec::new();
+    for round in 0..PAR_ROUNDS {
+        for (i, &w) in workers.iter().enumerate() {
+            let r = bench_ingest_parallel(file_size, samples, w);
+            if round == 0 {
+                arms.push(r);
+            } else if r.median_ns < arms[i].median_ns {
+                arms[i] = r;
             }
         }
     }
-    let lines: Vec<GateLine> = current
+    arms
+}
+
+/// How far above `par1`'s median a `par{N}` median of the same run may
+/// sit before `exp_e11` fails. The arms share one box and one process,
+/// so the ratio needs no committed baseline and does not care how fast
+/// the runner is; see EXPERIMENTS.md E11 for the runs the figure was
+/// chosen from.
+pub const PAR_LIMIT: f64 = 1.25;
+
+/// Each `par{N}` arm's median as a multiple of `par1`'s (`par1` itself
+/// excluded). Panics when `arms` has no `par1`: a curve without its
+/// origin cannot be checked.
+pub fn par_ratios(arms: &[BenchResult]) -> Vec<(&str, f64)> {
+    let par1 = arms
         .iter()
-        .filter(|r| r.group == group)
-        .filter_map(|r| {
-            baseline.get(&r.name).map(|&base| GateLine {
-                bench: format!("{}/{}", r.group, r.name),
-                current_ns: r.median_ns,
-                baseline_ns: base,
-                ratio: r.median_ns / base,
-            })
-        })
-        .collect();
-    if lines.is_empty() {
-        return Err(format!("no comparable {group} entries in baseline"));
-    }
-    Ok(lines)
+        .find(|r| r.name == "par1")
+        .expect("the par{N} check needs a par1 arm")
+        .median_ns;
+    arms.iter()
+        .filter(|r| r.name != "par1")
+        .map(|r| (r.name.as_str(), r.median_ns / par1))
+        .collect()
 }
 
 /// Render both tables.
@@ -448,8 +349,9 @@ mod tests {
         }
     }
 
-    fn fake_result(name: &str, median_ns: f64) -> BenchResult {
-        BenchResult {
+    #[test]
+    fn par_ratios_are_relative_to_par1() {
+        let arm = |name: &str, median_ns: f64| BenchResult {
             group: "server_ingest_100_feeds".to_string(),
             name: name.to_string(),
             iters_per_sample: 1,
@@ -459,44 +361,14 @@ mod tests {
             mean_ns: median_ns,
             min_ns: median_ns,
             max_ns: median_ns,
-            throughput: Some(Throughput::Elements(1)),
-        }
-    }
-
-    #[test]
-    fn gate_compares_matching_entries_and_flags_regressions() {
-        let baseline = crate::harness::results_to_json(&[
-            fake_result("deposit_60000b", 20_000.0),
-            fake_result("par1", 1_000_000.0),
-            fake_result("only_in_baseline", 5.0),
-        ]);
-        let current = vec![
-            fake_result("deposit_60000b", 50_000.0), // 2.5x — regression
-            fake_result("par1", 900_000.0),          // improvement
-            fake_result("par8", 1.0),                // no baseline: skipped
-        ];
-        let lines = gate_against_baseline(&baseline, &current).unwrap();
-        assert_eq!(lines.len(), 2);
-        let worst = lines
-            .iter()
-            .find(|l| l.bench.ends_with("deposit_60000b"))
-            .unwrap();
-        assert!((worst.ratio - 2.5).abs() < 1e-9);
-        assert!(worst.ratio > 2.0, "regression must exceed the gate factor");
-        let ok = lines.iter().find(|l| l.bench.ends_with("par1")).unwrap();
-        assert!(ok.ratio < 1.0);
-    }
-
-    #[test]
-    fn gate_rejects_unusable_baselines() {
-        assert!(gate_against_baseline("not json", &[fake_result("par1", 1.0)]).is_err());
-        assert!(gate_against_baseline(
-            "{\"schema\":\"other\",\"results\":[]}",
-            &[fake_result("par1", 1.0)]
-        )
-        .is_err());
-        // a valid document with nothing comparable must fail loudly
-        let baseline = crate::harness::results_to_json(&[fake_result("elsewhere", 1.0)]);
-        assert!(gate_against_baseline(&baseline, &[fake_result("par1", 1.0)]).is_err());
+            throughput: Some(Throughput::Elements(64)),
+        };
+        // the parent's curve: par8 at 2.2x par1
+        let arms = [arm("par2", 350e3), arm("par1", 250e3), arm("par8", 550e3)];
+        let ratios = par_ratios(&arms);
+        assert_eq!(ratios.len(), 2);
+        assert_eq!(ratios[0].0, "par2");
+        assert!((ratios[0].1 - 1.4).abs() < 1e-9);
+        assert!(ratios.iter().all(|(_, r)| *r > PAR_LIMIT));
     }
 }

@@ -7,7 +7,10 @@
 //! coverage bitmap instead of `M` per-member retry entries. The
 //! experiment drives a server with up to one million grouped
 //! subscribers and verifies both the shape (ops and tracker growth
-//! follow `G`, not `G×M`) and the wall-clock cost of a deposit.
+//! follow `G`, not `G×M`) and that the wall-clock cost of a deposit
+//! stays flat in subscriber count at a fixed `G`. (Deposit latency
+//! across the `(G, M)` grid is the repo benchmark's `fanout_tree`
+//! workload, not this experiment's.)
 
 use crate::harness::{time_fn, BenchResult, Throughput};
 use crate::table::Table;
@@ -131,35 +134,6 @@ pub fn run_fanout(groups: usize, members: usize, deposits: usize) -> FanoutPoint
     }
 }
 
-/// Harness-measured per-deposit latency at one `(groups, members)`
-/// point, for the `fanout_group_delivery` group in
-/// `BENCH_throughput.json`. Each iteration ingests one fresh file end
-/// to end (classify + stage + receipts + `G` group sends); with the
-/// inverted delivery index the match step touches only the `G` matched
-/// plans, so the same `G` at a larger `M` costs the same CPU — the
-/// `fanout_deposit_cost` group below measures exactly that flatness.
-pub fn bench_fanout_deposit(groups: usize, members: usize, samples: usize) -> BenchResult {
-    let (mut server, _net) = fanout_server(groups, members);
-    let payload = vec![b'x'; 1_000];
-    let mut i = 0u64;
-    // short in-place warmup for the measured code paths
-    for _ in 0..2 {
-        server.deposit(&format!("tick_{i}.csv"), &payload).unwrap();
-        i += 1;
-    }
-    time_fn(
-        "fanout_group_delivery",
-        &format!("deposit_g{groups}_m{members}"),
-        samples,
-        // Elements(1): per_sec is deposits/sec at this scale point
-        Some(Throughput::Elements(1)),
-        || {
-            server.deposit(&format!("tick_{i}.csv"), &payload).unwrap();
-            i += 1;
-        },
-    )
-}
-
 /// Group count held fixed while [`bench_deposit_cost`] sweeps the
 /// subscriber count: every point matches the same `G` plans per
 /// deposit, so any median growth along the sweep is subscriber-count
@@ -168,7 +142,7 @@ pub const DEPOSIT_COST_GROUPS: usize = 100;
 
 /// Per-deposit latency as a function of *total subscriber count* at a
 /// fixed group count, for the `fanout_deposit_cost` group in
-/// `BENCH_throughput.json`. This is the tentpole claim of the inverted
+/// `BENCH_fanout.json`. This is the tentpole claim of the inverted
 /// delivery index: the pre-index implementation scanned every
 /// subscriber per deposit (`O(subscribers)`, dominating E14 at a
 /// million subscribers); the index touches only the `G` matched plans,
@@ -256,14 +230,6 @@ mod tests {
         assert_eq!(p.bitmap_bytes_per_deposit, 2 * 3);
         assert_eq!(p.tracker_entries_per_deposit, 2);
         assert_eq!(p.subscribers, 40);
-    }
-
-    #[test]
-    fn bench_point_runs_and_names_the_scale() {
-        let r = bench_fanout_deposit(4, 3, 3);
-        assert_eq!(r.group, "fanout_group_delivery");
-        assert_eq!(r.name, "deposit_g4_m3");
-        assert!(r.median_ns > 0.0, "{r:?}");
     }
 
     #[test]

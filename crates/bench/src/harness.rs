@@ -9,8 +9,8 @@
 //! the benchmark declares units per iteration.
 //!
 //! Results render as a text summary and serialize to machine-readable
-//! JSON (`BENCH_*.json`, schema `bistro-bench-v1`) via [`crate::json`],
-//! which is what the perf-trajectory tooling consumes.
+//! JSON (`BENCH_*.json`, schema `bistro-bench-v1`) via [`crate::json`];
+//! each file is written whole by the one binary that owns it.
 
 use crate::json::Json;
 use std::time::{Duration, Instant};
@@ -70,6 +70,19 @@ impl BenchResult {
         Some(units / (self.median_ns / 1e9))
     }
 
+    /// One line for an experiment binary's stdout:
+    /// `group/name: median … ns, p95 … ns, … /s`.
+    pub fn summary(&self) -> String {
+        format!(
+            "{}/{}: median {:.0} ns, p95 {:.0} ns, {:.0} /s",
+            self.group,
+            self.name,
+            self.median_ns,
+            self.p95_ns,
+            self.per_sec().unwrap_or(0.0)
+        )
+    }
+
     fn to_json(&self) -> Json {
         let mut obj = vec![
             ("group".to_string(), Json::Str(self.group.clone())),
@@ -108,8 +121,7 @@ impl BenchResult {
 
 /// Serialize results to the `bistro-bench-v1` JSON document, stamped
 /// with the core count of the box that wrote it: medians of the
-/// `par{N}` groups mean nothing without it. (A merged document carries
-/// the stamp of its last writer.)
+/// `par{N}` groups mean nothing without it.
 pub fn results_to_json(results: &[BenchResult]) -> String {
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     Json::Obj(vec![
@@ -124,82 +136,6 @@ pub fn results_to_json(results: &[BenchResult]) -> String {
         ),
     ])
     .render()
-}
-
-fn result_from_json(r: &Json) -> Option<BenchResult> {
-    let throughput = r.get("throughput").and_then(|t| {
-        let n = t.get("units_per_iter").and_then(Json::as_num)? as u64;
-        match t.get("unit").and_then(Json::as_str)? {
-            "bytes" => Some(Throughput::Bytes(n)),
-            _ => Some(Throughput::Elements(n)),
-        }
-    });
-    Some(BenchResult {
-        group: r.get("group").and_then(Json::as_str)?.to_string(),
-        name: r.get("name").and_then(Json::as_str)?.to_string(),
-        iters_per_sample: r.get("iters_per_sample").and_then(Json::as_num)? as u64,
-        samples: r.get("samples").and_then(Json::as_num)? as usize,
-        median_ns: r.get("median_ns").and_then(Json::as_num)?,
-        p95_ns: r.get("p95_ns").and_then(Json::as_num)?,
-        mean_ns: r.get("mean_ns").and_then(Json::as_num)?,
-        min_ns: r.get("min_ns").and_then(Json::as_num)?,
-        max_ns: r.get("max_ns").and_then(Json::as_num)?,
-        throughput,
-    })
-}
-
-/// Merge `fresh` results into an existing `bistro-bench-v1` document,
-/// replacing every entry of `replace_group` and preserving every other
-/// group. [`write_json`] rewrites whole files, so an experiment that
-/// owns one group of a shared trajectory file must splice rather than
-/// overwrite — otherwise running E14 would erase E11's committed
-/// medians (and vice versa).
-pub fn merge_results(
-    existing_json: Option<&str>,
-    fresh: &[BenchResult],
-    replace_group: &str,
-) -> Result<Vec<BenchResult>, String> {
-    let mut merged = Vec::new();
-    if let Some(text) = existing_json {
-        let doc =
-            Json::parse(text).map_err(|e| format!("existing document does not parse: {e}"))?;
-        if doc.get("schema").and_then(Json::as_str) != Some("bistro-bench-v1") {
-            return Err("existing document is not bistro-bench-v1".to_string());
-        }
-        let results = doc
-            .get("results")
-            .and_then(Json::as_arr)
-            .ok_or("existing document has no results array")?;
-        for r in results {
-            let keep = result_from_json(r)
-                .ok_or_else(|| "existing document has a malformed result entry".to_string())?;
-            if keep.group != replace_group {
-                merged.push(keep);
-            }
-        }
-    }
-    merged.extend(fresh.iter().cloned());
-    Ok(merged)
-}
-
-/// [`merge_results`] against the document at `path` (absent is fine),
-/// writing the merged document back. An unmergeable existing file is a
-/// stale generated artifact: warn and rebuild it from this run's
-/// results alone rather than abort the experiment.
-pub fn merge_json_file(
-    path: &str,
-    fresh: &[BenchResult],
-    replace_group: &str,
-) -> std::io::Result<()> {
-    let existing = std::fs::read_to_string(path).ok();
-    let merged = match merge_results(existing.as_deref(), fresh, replace_group) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("warning: {path} not mergeable ({e}); rebuilding from this run only");
-            fresh.to_vec()
-        }
-    };
-    write_json(path, &merged)
 }
 
 /// Measure one routine: calibrate, warm up, then collect samples.
@@ -550,55 +486,5 @@ mod tests {
         }
         assert_eq!(c.results().len(), 2);
         assert!(c.results().iter().all(|r| r.median_ns > 0.0));
-    }
-
-    fn fake(group: &str, name: &str) -> BenchResult {
-        BenchResult {
-            group: group.to_string(),
-            name: name.to_string(),
-            iters_per_sample: 1,
-            samples: 5,
-            median_ns: 10.0,
-            p95_ns: 10.0,
-            mean_ns: 10.0,
-            min_ns: 10.0,
-            max_ns: 10.0,
-            throughput: Some(Throughput::Elements(1)),
-        }
-    }
-
-    #[test]
-    fn merge_replaces_own_group_and_preserves_others() {
-        let existing = results_to_json(&[
-            fake("server_ingest_100_feeds", "deposit_60000b"),
-            fake("fanout_group_delivery", "deposit_g1_m1"),
-        ]);
-        let fresh = vec![fake("fanout_group_delivery", "deposit_g100_m100")];
-        let merged = merge_results(Some(&existing), &fresh, "fanout_group_delivery").unwrap();
-        let names: Vec<&str> = merged.iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(names, vec!["deposit_60000b", "deposit_g100_m100"]);
-        // the preserved entry round-trips its numbers
-        assert_eq!(merged[0].group, "server_ingest_100_feeds");
-        assert_eq!(merged[0].median_ns, 10.0);
-        assert_eq!(merged[0].throughput, Some(Throughput::Elements(1)));
-    }
-
-    #[test]
-    fn merge_without_existing_document_keeps_fresh_only() {
-        let fresh = vec![fake("fanout_group_delivery", "deposit_g100_m100")];
-        let merged = merge_results(None, &fresh, "fanout_group_delivery").unwrap();
-        assert_eq!(merged.len(), 1);
-    }
-
-    #[test]
-    fn merge_rejects_malformed_documents() {
-        let fresh = vec![fake("fanout_group_delivery", "x")];
-        assert!(merge_results(Some("not json"), &fresh, "fanout_group_delivery").is_err());
-        assert!(merge_results(
-            Some("{\"schema\":\"other\",\"results\":[]}"),
-            &fresh,
-            "fanout_group_delivery"
-        )
-        .is_err());
     }
 }

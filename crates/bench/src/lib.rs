@@ -10,7 +10,9 @@
 //! --bin exp_e1` …) printing a markdown table, and the hot kernels are
 //! additionally covered by the in-tree micro-benchmark harness
 //! ([`harness`], `cargo bench`), which emits machine-readable
-//! `BENCH_*.json` result files — the canonical perf trajectory.
+//! `BENCH_*.json` result files — a record of each experiment's medians.
+//! Nothing here compares a run with an earlier one: regression gating is
+//! the repo benchmark's (`benchmark/`, `BENCHMARK.json`).
 
 pub mod harness;
 pub mod json;

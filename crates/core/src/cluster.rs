@@ -660,11 +660,6 @@ impl Cluster {
         self.members.get(name)?.server.as_ref()
     }
 
-    /// Mutable access to a live member's server.
-    pub fn server_mut(&mut self, name: &str) -> Option<&mut Server> {
-        self.members.get_mut(name)?.server.as_mut()
-    }
-
     /// A member's durable store (survives [`Cluster::kill`]; use it to
     /// build the restarted incarnation).
     pub fn store_of(&self, name: &str) -> Option<Arc<dyn FileStore>> {

@@ -25,8 +25,21 @@
 use crate::classifier::{Classification, Classifier};
 use crate::normalizer::{normalize, normalize_owned, NormalizeError, Normalized};
 use bistro_base::{SharedClock, TimePoint};
-use bistro_config::Config;
+use bistro_config::{CompressOpt, Config};
 use bistro_receipts::ArrivalTemplate;
+
+/// Whether [`prepare`] under `config` does work worth a thread: some
+/// feed expands or (re-)compresses its files. That is the only step of
+/// prepare whose cost follows the payload — classifying a name and
+/// rendering a staging path cost a few hundred nanoseconds per file, a
+/// `keep` feed moves the deposited buffer into staging untouched, and a
+/// scoped thread spawn costs more than preparing sixty-four such files.
+/// `Server::deposit_batch` fans out only when this holds (and, inside
+/// [`bistro_base::Pool`], only for two files or more); otherwise it
+/// prepares on the caller's thread whatever worker count is configured.
+pub fn compresses(config: &Config) -> bool {
+    config.feeds.iter().any(|f| f.compress != CompressOpt::Keep)
+}
 
 /// The pure result of classifying + normalizing one deposited file.
 #[derive(Clone, Debug)]

@@ -313,6 +313,12 @@ pub struct Server {
     clock: SharedClock,
     store: Arc<dyn FileStore>,
     classifier: Arc<Classifier>,
+    /// [`parallel::compresses`] of `config`, kept beside the classifier
+    /// it is recomputed with: the inline-vs-pool rule of
+    /// [`Server::deposit_batch`].
+    compresses: bool,
+    /// The *ceiling* on prepare threads; a batch uses them only when
+    /// `compresses`.
     workers: Pool,
     /// Max receipt records per batched WAL append (the group-commit
     /// flush knob). WAL bytes are identical for any value ≥ 1.
@@ -371,6 +377,7 @@ impl Server {
         };
 
         let classifier = Classifier::compile(&config);
+        let compresses = parallel::compresses(&config);
         let fn_detector = FnDetector::new(
             config
                 .feeds
@@ -487,6 +494,7 @@ impl Server {
             clock,
             store,
             classifier: Arc::new(classifier),
+            compresses,
             workers: Pool::new(1),
             commit_group: DEFAULT_COMMIT_GROUP,
             receipts,
@@ -586,21 +594,24 @@ impl Server {
         self
     }
 
-    /// Fan [`Server::deposit_batch`]'s classify + normalize stage out to
-    /// `workers` threads (1 = inline, the default). Any count yields
+    /// Let [`Server::deposit_batch`] fan its classify + normalize stage
+    /// out to at most `workers` threads (1 = always inline, the default).
+    /// A ceiling, not a demand: a batch is prepared inline unless some
+    /// feed compresses ([`parallel::compresses`]), so a high count cannot
+    /// slow a config with nothing to parallelize. Any count yields
     /// byte-identical results — see `parallel` for the contract.
     pub fn with_workers(mut self, workers: usize) -> Server {
         self.set_workers(workers);
         self
     }
 
-    /// Change the ingest worker count at runtime.
+    /// Change the ingest worker ceiling at runtime.
     pub fn set_workers(&mut self, workers: usize) {
         self.workers = Pool::new(workers);
         self.pool_metrics = PoolMetrics::new(&self.pool_telemetry, self.workers.workers());
     }
 
-    /// The configured ingest worker count.
+    /// The configured ingest worker ceiling.
     pub fn worker_count(&self) -> usize {
         self.workers.workers()
     }
@@ -670,7 +681,8 @@ impl Server {
 
     /// Deposit a batch of files — the one ingest path every entry point
     /// runs. The pure classify + normalize stage fans across the
-    /// configured worker pool ([`Server::with_workers`]); the results —
+    /// configured worker pool ([`Server::with_workers`]) when some feed
+    /// compresses and runs inline otherwise; the results —
     /// staging writes, receipt WAL appends, deliveries — commit strictly
     /// in deposit order on the caller's thread, inside one group-commit
     /// window (one batched WAL append + fsync per
@@ -687,7 +699,12 @@ impl Server {
     pub fn deposit_batch(&mut self, files: Vec<(String, Vec<u8>)>) -> Result<(), ServerError> {
         let prepare_span = Span::start(self.clock.clone(), self.pool_metrics.prepare_us.clone());
         let (classifier, config, clock) = (&self.classifier, &self.config, &self.clock);
-        let (prepared, shard_stats) = self.workers.map_with_stats(files, |_, (rel, payload)| {
+        let pool = if self.compresses {
+            self.workers
+        } else {
+            Pool::new(1)
+        };
+        let (prepared, shard_stats) = pool.map_with_stats(files, |_, (rel, payload)| {
             let r = parallel::prepare(classifier, config, clock, &rel, payload);
             (rel, r)
         });
@@ -1623,12 +1640,27 @@ impl Server {
     /// files, then backfills any newly matching deliveries.
     pub fn redefine_feed(&mut self, def: FeedDef) -> Result<(), ServerError> {
         let name = def.name.clone();
-        match self.config.feeds.iter_mut().find(|f| f.name == name) {
-            Some(slot) => *slot = def,
-            None => self.config.feeds.push(def),
+        // validate against the candidate config and put the previous def
+        // back on rejection, as `add_subscriber` does
+        let slot = self.config.feeds.iter().position(|f| f.name == name);
+        let previous = match slot {
+            Some(i) => Some(std::mem::replace(&mut self.config.feeds[i], def)),
+            None => {
+                self.config.feeds.push(def);
+                None
+            }
+        };
+        if let Err(e) = validate(&self.config) {
+            match (slot, previous) {
+                (Some(i), Some(old)) => self.config.feeds[i] = old,
+                _ => {
+                    self.config.feeds.pop();
+                }
+            }
+            return Err(e.into());
         }
-        validate(&self.config)?;
         self.classifier = Arc::new(Classifier::compile(&self.config));
+        self.compresses = parallel::compresses(&self.config);
         self.fn_detector = FnDetector::new(
             self.config
                 .feeds

@@ -988,3 +988,217 @@ fn subscriber_churn_leaves_no_per_subscriber_state() {
         .handle_network_message("e1", clock.now(), late)
         .unwrap());
 }
+
+#[test]
+fn redefine_feed_rejection_rolls_back_config() {
+    // a rejected redefinition used to stay installed in the config, so
+    // every later validate() — add_subscriber, redefine_feed,
+    // persist_config's reload — failed or persisted the invalid def
+    let clock = SimClock::starting_at(START);
+    let store = MemFs::shared(clock.clone());
+    let cfg = parse_config(
+        r#"
+        feed SNMP/MEMORY { pattern "MEMORY_poller%i_%Y%m%d.gz"; }
+        feed SNMP/CPU { pattern "CPU_poller%i_%Y%m%d%H%M.csv"; }
+        group POLLERS { members SNMP/MEMORY, SNMP/CPU; }
+        subscriber warehouse { endpoint "warehouse"; subscribe POLLERS; }
+        "#,
+    )
+    .unwrap();
+    let mut server = Server::new("bistro1", cfg, clock.clone(), store).unwrap();
+    let before = format!("{:?}", server.config());
+
+    // an existing feed redefined to nothing: the old def comes back
+    let mut hollow = server.config().feed("SNMP/MEMORY").unwrap().clone();
+    hollow.patterns.clear();
+    assert!(matches!(
+        server.redefine_feed(hollow),
+        Err(bistro_core::ServerError::Config(
+            bistro_config::ConfigError::NoPatterns(_)
+        ))
+    ));
+    assert_eq!(format!("{:?}", server.config()), before);
+
+    // a new feed named like an existing group: the push is popped
+    let mut clash = server.config().feed("SNMP/CPU").unwrap().clone();
+    clash.name = "POLLERS".to_string();
+    assert!(matches!(
+        server.redefine_feed(clash),
+        Err(bistro_core::ServerError::Config(
+            bistro_config::ConfigError::DuplicateName(_)
+        ))
+    ));
+    assert_eq!(format!("{:?}", server.config()), before);
+
+    // the classifier still answers as before, and the server still
+    // accepts valid runtime changes
+    server.deposit("MEMORY_poller1_20100925.gz", b"m").unwrap();
+    assert_eq!(server.stats().files_unknown, 0);
+    assert_eq!(
+        server.receipts().all_live()[0].feeds,
+        vec!["SNMP/MEMORY".to_string()]
+    );
+    assert_eq!(
+        server
+            .add_subscriber(push_sub("fresh", "fresh", "SNMP/MEMORY"))
+            .unwrap(),
+        1
+    );
+}
+
+/// `pool.worker{i}.files` summed over every worker but the caller's own
+/// (`worker0`): files that were prepared on a spawned thread.
+fn files_off_thread(server: &Server) -> u64 {
+    server
+        .pool_telemetry()
+        .counters_sorted()
+        .iter()
+        .filter(|(name, _)| {
+            name.starts_with("pool.worker")
+                && name.ends_with(".files")
+                && name != "pool.worker0.files"
+        })
+        .map(|(_, files)| files)
+        .sum()
+}
+
+#[test]
+fn prepare_fans_out_only_when_a_feed_compresses() {
+    // the inline-vs-pool rule: `with_workers` is a ceiling the server
+    // reaches for only when some feed expands or compresses its files
+    let batch = |round: u64| -> Vec<(String, Vec<u8>)> {
+        (0..64u64)
+            .map(|k| {
+                (
+                    format!("CPU_poller{}_20100925{:02}{:02}.csv", k % 7, round, k % 60),
+                    format!("cpu,{k},").repeat(30).into_bytes(),
+                )
+            })
+            .collect()
+    };
+    let server_for = |config: &str| {
+        let clock = SimClock::starting_at(START);
+        let store = MemFs::shared(clock.clone());
+        Server::new("b", parse_config(config).unwrap(), clock, store)
+            .unwrap()
+            .with_workers(8)
+    };
+    let worker0 = |s: &Server| {
+        s.pool_telemetry()
+            .counter_value("pool.worker0.files")
+            .unwrap()
+    };
+
+    // keep-only: a 64-file batch at eight workers never leaves the
+    // caller's thread
+    let mut keep = server_for(
+        r#"
+        feed CPU { pattern "CPU_poller%i_%Y%m%d%H%M.csv"; }
+        feed MEM { pattern "MEM_poller%i_%Y%m%d%H%M.csv"; }
+        subscriber wh { endpoint "wh"; subscribe CPU; }
+        "#,
+    );
+    keep.deposit_batch(batch(0)).unwrap();
+    assert_eq!((worker0(&keep), files_off_thread(&keep)), (64, 0));
+
+    // the decision follows the config: MEM starts compressing — the same
+    // names, still all CPU files, now spread eight per worker
+    let mut mem = keep.config().feed("MEM").unwrap().clone();
+    mem.compress = bistro_config::CompressOpt::To(bistro_compress::Codec::Lzss);
+    keep.redefine_feed(mem.clone()).unwrap();
+    keep.deposit_batch(batch(1)).unwrap();
+    assert_eq!((worker0(&keep), files_off_thread(&keep)), (64 + 8, 56));
+    // a batch of one has nothing to spread
+    keep.deposit("CPU_poller1_201009250200.csv", b"one")
+        .unwrap();
+    assert_eq!((worker0(&keep), files_off_thread(&keep)), (64 + 8 + 1, 56));
+    // … and back to keep: inline again
+    mem.compress = bistro_config::CompressOpt::Keep;
+    keep.redefine_feed(mem).unwrap();
+    keep.deposit_batch(batch(3)).unwrap();
+    assert_eq!(
+        (worker0(&keep), files_off_thread(&keep)),
+        (64 + 8 + 1 + 64, 56)
+    );
+
+    // a config that compresses from the start pools from the start
+    let mut lzss = server_for(
+        r#"
+        feed CPU { pattern "CPU_poller%i_%Y%m%d%H%M.csv"; compress lzss; }
+        subscriber wh { endpoint "wh"; subscribe CPU; }
+        "#,
+    );
+    lzss.deposit_batch(batch(0)).unwrap();
+    assert_eq!((worker0(&lzss), files_off_thread(&lzss)), (8, 56));
+}
+
+#[test]
+fn punctuation_closes_only_the_named_feeds_batches() {
+    // §4.1: a cooperative source marks end-of-batch for one feed
+    let clock = SimClock::starting_at(START);
+    let store = MemFs::shared(clock.clone());
+    let cfg = parse_config(
+        r#"
+        feed A { pattern "A_%i.csv"; }
+        feed B { pattern "B_%i.csv"; }
+        subscriber west {
+            endpoint "west"; subscribe A, B; delivery push;
+            batch count 2 window 10m;
+            trigger remote "go %N f=[%f] b=%b n=%c";
+        }
+        subscriber east {
+            endpoint "east"; subscribe A, B; delivery push;
+            batch count 2 window 10m;
+            trigger remote "go %N f=[%f] b=%b n=%c";
+        }
+        "#,
+    )
+    .unwrap();
+    let mut server = Server::new("b", cfg, clock.clone(), store).unwrap();
+    let fired = |s: &Server| -> Vec<(String, String)> {
+        s.trigger_log()
+            .entries()
+            .into_iter()
+            .map(|e| (e.subscriber, e.command))
+            .collect()
+    };
+    let own = |sub: &str, cmd: &str| (sub.to_string(), cmd.to_string());
+
+    // two B files close B's batches by count (ids 1 and 2, naming the
+    // file that filled them); then one open file each in A and B
+    server.deposit("B_1.csv", b"b1").unwrap();
+    server.deposit("B_2.csv", b"b2").unwrap();
+    server.deposit("A_1.csv", b"a1").unwrap();
+    server.deposit("B_3.csv", b"b3").unwrap();
+    let by_count = vec![
+        own("east", "go B f=[incoming/B/B_2.csv] b=1 n=2"),
+        own("west", "go B f=[incoming/B/B_2.csv] b=2 n=2"),
+    ];
+    assert_eq!(fired(&server), by_count);
+
+    // punctuating A closes A's open batch per subscriber, in (feed,
+    // subscriber) order, once each, naming no file, on the next ids
+    clock.advance(TimeSpan::from_secs(30));
+    server.punctuate_feed("A");
+    let mut expected = by_count;
+    expected.push(own("east", "go A f=[] b=3 n=1"));
+    expected.push(own("west", "go A f=[] b=4 n=1"));
+    assert_eq!(fired(&server), expected);
+    let punctuated = &server.trigger_log().entries()[2..];
+    assert!(punctuated.iter().all(|e| e.at == clock.now()));
+    assert!(punctuated
+        .iter()
+        .all(|e| e.files == vec![bistro_base::FileId(3)]));
+
+    // nothing left open in A; an unknown feed is a no-op
+    server.punctuate_feed("A");
+    server.punctuate_feed("NOPE");
+    assert_eq!(fired(&server), expected);
+
+    // B's batches stayed open: the window closes them later
+    clock.advance(TimeSpan::from_mins(11));
+    server.tick();
+    expected.push(own("east", "go B f=[] b=5 n=1"));
+    expected.push(own("west", "go B f=[] b=6 n=1"));
+    assert_eq!(fired(&server), expected);
+}

@@ -147,11 +147,6 @@ impl Template {
         })
     }
 
-    /// True if the template references timestamp components.
-    pub fn uses_timestamp(&self) -> bool {
-        self.elems.iter().any(|e| matches!(e, TElem::Ts(_)))
-    }
-
     /// The original textual form.
     pub fn text(&self) -> &str {
         &self.text

@@ -126,11 +126,6 @@ impl SimReport {
         ClassStats::from_outcomes(self.outcomes.iter().filter(|o| !o.backfill))
     }
 
-    /// Stats for backfill jobs only.
-    pub fn backfill_only(&self) -> ClassStats {
-        ClassStats::from_outcomes(self.outcomes.iter().filter(|o| o.backfill))
-    }
-
     /// Bridge the report's aggregates into a telemetry registry as
     /// `sched.*` counters/gauges (absolute totals for this run), overall
     /// and per responsiveness class.

@@ -139,11 +139,6 @@ impl Registry {
         })
     }
 
-    /// Whether records are kept.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Get or create the counter `name`.
     ///
     /// Panics if `name` is already registered as a different metric kind

@@ -523,9 +523,10 @@ impl Message {
             TAG_BATCH => {
                 let batch = BatchId(r.get_varint()?);
                 let feed = r.get_str()?.to_string();
-                let reason = BatchCloseReason::from_tag(r.get_u8()?).ok_or(CodecError::BadTag {
+                let reason_tag = r.get_u8()?;
+                let reason = BatchCloseReason::from_tag(reason_tag).ok_or(CodecError::BadTag {
                     what: "batch close reason",
-                    tag,
+                    tag: reason_tag,
                 })?;
                 let n = r.get_varint()?;
                 // each element costs ≥ 1 byte, so a count beyond the
@@ -1197,6 +1198,20 @@ mod tests {
                 "unknown tag {tag} accepted"
             );
         }
+        // a bad byte inside a well-tagged frame is reported as itself,
+        // not as the frame tag that was fine
+        let mut w = bistro_base::ByteWriter::new();
+        w.put_u8(TAG_BATCH);
+        w.put_varint(3); // batch id
+        w.put_str("F");
+        w.put_u8(0xEE); // no such close reason
+        assert_eq!(
+            Message::decode(w.as_bytes()),
+            Err(CodecError::BadTag {
+                what: "batch close reason",
+                tag: 0xEE
+            })
+        );
     }
 
     #[test]

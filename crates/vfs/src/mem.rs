@@ -64,18 +64,6 @@ impl MemFs {
             .count()
     }
 
-    /// Total bytes across all files.
-    pub fn total_bytes(&self) -> u64 {
-        self.tree
-            .read()
-            .values()
-            .map(|n| match n {
-                Node::File { data, .. } => data.len() as u64,
-                Node::Dir { .. } => 0,
-            })
-            .sum()
-    }
-
     fn ensure_parents(
         &self,
         tree: &mut BTreeMap<String, Node>,

@@ -72,6 +72,21 @@ fn run(
     workers: usize,
     group: usize,
 ) -> Observed {
+    run_counting(config, rounds, entry, workers, group).0
+}
+
+/// [`run`], plus how many files were prepared on a pool thread other
+/// than the caller's — the one figure that *must* differ with the worker
+/// count, or the sweeps below compare inline with inline. The server
+/// fans out only under a config where some feed compresses; both
+/// configs here have one.
+fn run_counting(
+    config: &str,
+    rounds: &[Vec<(String, Vec<u8>)>],
+    entry: Entry,
+    workers: usize,
+    group: usize,
+) -> (Observed, u64) {
     let clock = SimClock::starting_at(START);
     let store = MemFs::shared(clock.clone());
     let mut server = Server::new(
@@ -131,7 +146,18 @@ fn run(
             })
             .collect()
     };
-    Observed {
+    let off_thread: u64 = server
+        .pool_telemetry()
+        .counters_sorted()
+        .iter()
+        .filter(|(name, _)| {
+            name.starts_with("pool.worker")
+                && name.ends_with(".files")
+                && name != "pool.worker0.files"
+        })
+        .map(|(_, files)| files)
+        .sum();
+    let observed = Observed {
         receipts: receipts.join(";"),
         triggers: format!("{:?}", server.trigger_log().entries()),
         events: format!("{:?}", server.event_log().recent()),
@@ -139,11 +165,20 @@ fn run(
         landing: walk_files(store.as_ref(), "landing").unwrap(),
         status: server.status_json().render(),
         wal: hex_dump("receipts"),
-    }
+    };
+    (observed, off_thread)
 }
 
 #[test]
 fn deposit_batch_is_deterministic_across_worker_counts() {
+    // the sweep is only worth its name if `workers > 1` really fans out
+    // under CONFIG: eight files over four workers put six off-thread
+    let round: Vec<(String, Vec<u8>)> = (0..8)
+        .map(|i| (format!("MEM_poller{i}_201009250400.csv"), vec![b'm'; 16]))
+        .collect();
+    let (_, off_thread) = run_counting(CONFIG, &[round], Entry::Batch(usize::MAX), 4, 1);
+    assert_eq!(off_thread, 6, "CONFIG no longer makes the server fan out");
+
     Runner::new("deposit_batch_is_deterministic_across_worker_counts")
         .cases(16)
         .run(
@@ -264,8 +299,14 @@ fn four_entry_points_are_one_path() {
             // any chunking of deposit_batch is the same commit, status
             // (store-op tallies included) and all
             for chunk in [1, 3, n] {
-                let batch = run(ENTRY_CONFIG, &rounds, Entry::Batch(chunk), workers, group);
+                let (batch, off_thread) =
+                    run_counting(ENTRY_CONFIG, &rounds, Entry::Batch(chunk), workers, group);
                 assert_eq!(batch, single, "{ctx}: deposit_batch chunk={chunk}");
+                // … and at four workers the whole-round batch really did
+                // leave the caller's thread to get there
+                if workers > 1 && chunk == n {
+                    assert!(off_thread > 0, "{ctx}: prepared inline");
+                }
             }
             // the landing callers read and remove the source copy on top
             // (so the vfs tallies in status differ); everything else is
