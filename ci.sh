@@ -42,9 +42,12 @@ stage_faults() {
 # batch deposit — reopen on the surviving bytes, and check the recovery
 # invariants (store opens, no acked delivery forgotten, no dangling
 # receipt, no FileId reuse — ids a subscriber merely *received* count —
-# exactly-once after backfill). Two narrower sweeps ride along: every
+# exactly-once after backfill). Three narrower sweeps ride along: every
 # crash op of a networked `deposit_batch` window (no send outruns its
-# arrival) and of a `scan_landing` (a landing file is never lost).
+# arrival), of a `scan_landing` (a landing file is never lost), and of
+# one `poll_network` drain of nine acks over three files (the drain's
+# receipts are one append: a prefix of whole sets survives, no trigger
+# fired past it, the lost suffix is a resend the clients dedup).
 # Uncaptured so a failure echoes its `seed=... crash_op=...` replay key.
 stage_crash() {
   cargo test --offline --test crash_points -- --nocapture
@@ -122,8 +125,10 @@ stage_compress() {
     cargo test --release --offline -p bistro-compress -- --nocapture
 }
 
+# --workspace: without it clippy lints the root package alone, and a
+# warning in any crate's tests goes unseen.
 stage_lint() {
-  cargo clippy --offline --all-targets -- -D warnings
+  cargo clippy --offline --workspace --all-targets -- -D warnings
   cargo fmt --check
 }
 

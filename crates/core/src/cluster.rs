@@ -1086,14 +1086,13 @@ impl Cluster {
                 // (replicas the new home never received are skipped —
                 // they were delivered, so nothing is owed), THEN attach:
                 // the attach-time backfill delivers exactly the rest.
-                for file_name in &rehome.names {
-                    if let Some(rec) = server.receipts().file_by_name(file_name) {
-                        server
-                            .receipts()
-                            .record_delivery(rec.id, &subscriber, now)?;
-                        self.metrics.backfill_marked.inc();
-                    }
-                }
+                let receipts = server.receipts();
+                let marked: Vec<_> = (rehome.names.iter())
+                    .filter_map(|name| receipts.file_by_name(name))
+                    .map(|rec| rec.id)
+                    .collect();
+                receipts.record_deliveries(marked.iter().map(|&id| (id, &*subscriber)), now)?;
+                self.metrics.backfill_marked.add(marked.len() as u64);
                 if let Some(def) = def {
                     if server
                         .config()

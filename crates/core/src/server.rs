@@ -20,7 +20,9 @@ use bistro_analyzer::{
 use bistro_base::{BatchId, FileId, IdGen, Pool, ShardStat, SharedClock, TimePoint, TimeSpan};
 use bistro_config::validate::validate;
 use bistro_config::{BatchSpec, Config, DeliveryMode, FeedDef, SubscriberDef};
-use bistro_receipts::{Archiver, FileRecord, GroupCommitStats, ReceiptError, ReceiptStore};
+use bistro_receipts::{
+    Archiver, DeliveryOutcome, FileRecord, GroupCommitStats, ReceiptError, ReceiptStore,
+};
 use bistro_telemetry::{
     AlarmRule, AlarmSet, Condition, Counter, Histogram, Json, Registry, SharedRegistry, Span,
 };
@@ -183,6 +185,23 @@ impl FilePlan {
             },
         }
     }
+}
+
+/// A delivery that is complete as far as this server can tell — its
+/// acknowledgement arrived, or its send needs none — and awaits its
+/// receipt ([`Server::complete_deliveries`]).
+struct Completed {
+    sub: Arc<str>,
+    file: FileId,
+    /// The file's plan, where the caller holds it; an acknowledgement
+    /// the unacked table no longer knew has it rebuilt from the arrival
+    /// record.
+    plan: Option<Arc<FilePlan>>,
+    /// When it completed (reliable mode: the ack's arrival).
+    at: TimePoint,
+    /// Where the subscriber received the file, when the send already
+    /// rendered it.
+    dest_path: Option<String>,
 }
 
 /// One active shared-delivery plan, built from a relay group in the
@@ -867,9 +886,11 @@ impl Server {
                 self.receipts.flush_group()?;
             }
             let plan = self.file_plan(self.receipts.file(file).expect("just recorded"));
+            let mut done = Vec::new();
             for sub in &interested {
-                self.deliver_one(&plan, sub)?;
+                done.extend(self.deliver_one(&plan, sub)?);
             }
+            self.complete_deliveries(done)?;
             for group in group_matches {
                 self.deliver_group(group, &plan)?;
             }
@@ -1005,34 +1026,47 @@ impl Server {
 
     /// Deliver (push or notify) one file to one subscriber — the caller
     /// names only pairs the receipt store still owes. In reliable mode
-    /// this sends an [`ReliableMsg::Attempt`] and returns — the receipt
-    /// is written by [`Server::poll_network`] when the ack comes back.
-    /// Otherwise the receipt, stats and batcher/trigger run immediately.
-    fn deliver_one(&mut self, plan: &Arc<FilePlan>, sub_name: &str) -> Result<(), ServerError> {
+    /// this sends an [`ReliableMsg::Attempt`] and returns `None` — the
+    /// delivery completes in [`Server::poll_network`] when the ack comes
+    /// back. Otherwise it is complete now, and returned for the caller to
+    /// receipt together with the rest of its fan-out
+    /// ([`Server::complete_deliveries`]).
+    fn deliver_one(
+        &mut self,
+        plan: &Arc<FilePlan>,
+        sub_name: &str,
+    ) -> Result<Option<Completed>, ServerError> {
         let now = self.clock.now();
         let st = self
             .subscribers
             .get(sub_name)
             .ok_or_else(|| ServerError::UnknownSubscriber(sub_name.to_string()))?;
+        let done = |at, dest_path| Completed {
+            sub: st.name.clone(),
+            file: plan.rec.id,
+            plan: Some(plan.clone()),
+            at,
+            dest_path,
+        };
+        let Some(net) = &self.net else {
+            return Ok(Some(done(now, None)));
+        };
         let feed = plan.feed_for(st);
         let dest_path = self.dest_path(plan, st, feed);
-        let Some(net) = &self.net else {
-            return self.finish_delivery(sub_name, plan, &dest_path, now);
-        };
         let (file, endpoint) = (plan.rec.id, st.def.endpoint.as_str());
         if let Some(tracker) = self.reliable.as_mut() {
             if tracker.is_outstanding(sub_name, file) {
-                return Ok(()); // a send is already in flight
+                return Ok(None); // a send is already in flight
             }
             let attempt = tracker.track(sub_name, file, plan.clone(), now);
             let inner = plan.message(st, feed, &dest_path);
             let msg = Message::Reliable(ReliableMsg::Attempt { attempt, inner });
             net.send(now, &self.name, endpoint, msg);
-            return Ok(());
+            return Ok(None);
         }
         let msg = Message::Subscriber(plan.message(st, feed, &dest_path));
         let delivered_at = net.send(now, &self.name, endpoint, msg);
-        self.finish_delivery(sub_name, plan, &dest_path, delivered_at)
+        Ok(Some(done(delivered_at, Some(dest_path.into_owned()))))
     }
 
     /// Deliver one file to a group's relay endpoint: a single
@@ -1097,23 +1131,51 @@ impl Server {
         Ok(true)
     }
 
-    /// The post-delivery tail: write the receipt, update stats, and run
-    /// the subscriber's batcher/trigger. `delivered_at` is the arrival
-    /// time (reliable mode: the ack's arrival).
-    fn finish_delivery(
-        &mut self,
-        sub_name: &str,
-        plan: &FilePlan,
-        dest_path: &str,
-        delivered_at: TimePoint,
-    ) -> Result<(), ServerError> {
+    /// Write the receipts of completed deliveries — one record per file,
+    /// logged together ([`ReceiptStore::record_deliveries`]) — and only
+    /// then run each delivery's in-memory tail, in the order given:
+    /// nothing a delivery causes, a trigger above all, is observable
+    /// before its receipt is logged. Idempotent: a pair the store no
+    /// longer owes (a late or duplicate ack, a file no longer live) gets
+    /// neither receipt nor tail.
+    fn complete_deliveries(&mut self, done: Vec<Completed>) -> Result<(), ServerError> {
+        let Some(at) = done.iter().map(|c| c.at).max() else {
+            return Ok(());
+        };
+        let pairs = done.iter().map(|c| (c.file, &*c.sub));
+        let outcomes = self.receipts.record_deliveries(pairs, at)?;
+        for (c, outcome) in done.into_iter().zip(outcomes) {
+            if outcome == DeliveryOutcome::Recorded {
+                self.finish_delivery(c)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The tail of a delivery whose receipt is on record: update stats,
+    /// and run the subscriber's batcher/trigger.
+    fn finish_delivery(&mut self, done: Completed) -> Result<(), ServerError> {
+        let Completed {
+            sub: sub_name,
+            file,
+            plan,
+            at: delivered_at,
+            dest_path,
+        } = done;
+        let plan = match plan {
+            Some(plan) => plan,
+            None => self.file_plan(self.receipts.file(file).expect("receipted files are live")),
+        };
+        let unknown = || ServerError::UnknownSubscriber(sub_name.to_string());
+        let dest_path = match &dest_path {
+            Some(rendered) => Cow::Borrowed(rendered.as_str()),
+            None => {
+                let st = self.subscribers.get(&sub_name).ok_or_else(unknown)?;
+                self.dest_path(&plan, st, plan.feed_for(st))
+            }
+        };
         let rec = &plan.rec;
-        let st = self
-            .subscribers
-            .get_mut(sub_name)
-            .ok_or_else(|| ServerError::UnknownSubscriber(sub_name.to_string()))?;
-        self.receipts
-            .record_delivery(rec.id, sub_name, delivered_at)?;
+        let st = self.subscribers.get_mut(&sub_name).ok_or_else(unknown)?;
         self.stats.deliveries += 1;
         self.metrics.delivery_receipts.inc();
         if st.def.delivery == DeliveryMode::Push {
@@ -1140,7 +1202,7 @@ impl Server {
         let closed = batcher.on_file_at(rec.id, delivered_at, rec.feed_time);
         st.consecutive_failures = 0;
         for batch in lapsed.into_iter().chain(closed) {
-            self.close_batch(feed_name, sub_name, batch, dest_path);
+            self.close_batch(feed_name, &sub_name, batch, &dest_path);
         }
         Ok(())
     }
@@ -1173,62 +1235,58 @@ impl Server {
         );
     }
 
-    /// Complete a delivery proven by an ack: idempotent (late and
-    /// duplicate acks are no-ops once the receipt exists). `tracked` is
-    /// the plan the unacked table held for the pair; an ack the table no
-    /// longer knows rebuilds it from the arrival record.
-    fn complete_delivery(
-        &mut self,
-        sub_name: &str,
-        file: FileId,
-        tracked: Option<Arc<FilePlan>>,
-        at: TimePoint,
-    ) -> Result<(), ServerError> {
-        if !self.receipts.owes(file, sub_name) {
-            return Ok(()); // already receipted, or a file we no longer track
-        }
-        let plan = match tracked {
-            Some(plan) => plan,
-            None => self.file_plan(self.receipts.file(file).expect("owed files are live")),
-        };
-        let st = self
-            .subscribers
-            .get(sub_name)
-            .ok_or_else(|| ServerError::UnknownSubscriber(sub_name.to_string()))?;
-        let dest_path = self.dest_path(&plan, st, plan.feed_for(st));
-        self.finish_delivery(sub_name, &plan, &dest_path, at)
-    }
-
     /// Drain the server's network inbox: acknowledgements clear their
-    /// unacked-send entries and write the delivery receipts. An ack that
-    /// the tracker no longer knows (late duplicate, or sent before a
-    /// server restart) still proves delivery and completes idempotently.
-    /// Returns the number of acks processed.
+    /// unacked-send entries and write the delivery receipts — all the
+    /// receipts of the drain as one append, before any of them shows in a
+    /// trigger or a counter. An ack that the tracker no longer knows
+    /// (late duplicate, or sent before a server restart) still proves
+    /// delivery and completes idempotently. A crash inside the append
+    /// loses a suffix of whole records; their deliveries are re-sent
+    /// after recovery, and subscribers dedup a resend. Returns the number
+    /// of acks processed.
     pub fn poll_network(&mut self) -> Result<usize, ServerError> {
         let Some(net) = self.net.clone() else {
             return Ok(0);
         };
         let now = self.clock.now();
         let mut n = 0;
+        let mut acked = Vec::new();
         for d in net.recv_ready(&self.name, now) {
-            if self.handle_network_message(&d.from, d.at, d.msg)? {
+            if self.take_message(&d.from, d.at, d.msg, &mut acked)? {
                 n += 1;
             }
         }
+        self.complete_deliveries(acked)?;
         Ok(n)
     }
 
-    /// Apply one message addressed to this server's own endpoint — the
-    /// per-message body of [`Server::poll_network`], exposed so a model
-    /// checker can deliver messages one at a time in any order. Returns
-    /// `true` if the message was an acknowledgement (per-subscriber or
-    /// group coverage report) this server processed (anything else is
+    /// Apply one message addressed to this server's own endpoint — a
+    /// [`Server::poll_network`] drain of one, exposed so a model checker
+    /// can deliver messages one at a time in any order. Returns `true` if
+    /// the message was an acknowledgement (per-subscriber or group
+    /// coverage report) this server processed (anything else is
     /// discarded, exactly as the drain does).
     pub fn handle_network_message(
         &mut self,
         from: &str,
         at: TimePoint,
         msg: Message,
+    ) -> Result<bool, ServerError> {
+        let mut acked = Vec::new();
+        let processed = self.take_message(from, at, msg, &mut acked)?;
+        self.complete_deliveries(acked)?;
+        Ok(processed)
+    }
+
+    /// One message of a drain. A subscriber's ack only resolves here —
+    /// endpoint → subscriber, unacked entry → plan — and joins `acked`,
+    /// which the caller completes at the end of the drain.
+    fn take_message(
+        &mut self,
+        from: &str,
+        at: TimePoint,
+        msg: Message,
+        acked: &mut Vec<Completed>,
     ) -> Result<bool, ServerError> {
         match msg {
             Message::Reliable(ReliableMsg::Ack { file, .. }) => {
@@ -1237,14 +1295,20 @@ impl Server {
                 let Some(sub) = self.index.subscriber_for_endpoint(from).cloned() else {
                     return Ok(false);
                 };
-                let mut tracked = None;
+                let mut plan = None;
                 if let Some(tracker) = self.reliable.as_mut() {
-                    tracked = tracker.take_acked(&sub, file);
+                    plan = tracker.take_acked(&sub, file);
                     // counts every processed ack — including late duplicates
                     // the tracker no longer knows (those still prove delivery)
                     self.metrics.acks_processed.inc();
                 }
-                self.complete_delivery(&sub, file, tracked, at)?;
+                acked.push(Completed {
+                    sub,
+                    file,
+                    plan,
+                    at,
+                    dest_path: None,
+                });
                 Ok(true)
             }
             Message::Group(GroupMsg::Ack {
@@ -1252,7 +1316,13 @@ impl Server {
                 file,
                 bits,
                 watermark,
-            }) => self.handle_group_ack(&group, file, &bits, watermark, at),
+            }) => {
+                // a coverage report writes a record and log lines of its
+                // own: the acks ahead of it complete first, so a mixed
+                // drain's effects keep message order
+                self.complete_deliveries(std::mem::take(acked))?;
+                self.handle_group_ack(&group, file, &bits, watermark, at)
+            }
             _ => Ok(false),
         }
     }
@@ -1566,10 +1636,12 @@ impl Server {
         };
         let pending = self.receipts.pending_for(sub, &feeds);
         let n = pending.len();
+        let mut done = Vec::new();
         for rec in pending {
             let plan = self.file_plan(rec);
-            self.deliver_one(&plan, sub)?;
+            done.extend(self.deliver_one(&plan, sub)?);
         }
+        self.complete_deliveries(done)?;
         Ok(n)
     }
 

@@ -85,9 +85,9 @@ fn commit_window_batches_local_receipts_and_flushes_before_network_sends() {
     };
     let cpu = |i: usize| (format!("CPU_poller{i}_201009250000.csv"), b"cpu".to_vec());
 
-    // local deliveries: a single deposit commits its arrival and both
-    // delivery receipts (warehouse + viz) in one physical append, and a
-    // batch keeps filling the window up to the group size
+    // local deliveries: a single deposit commits its arrival and the set
+    // of both delivery receipts (warehouse + viz) in one physical append,
+    // and a batch keeps filling the window up to the group size
     let clock = SimClock::starting_at(START);
     let mut local = new_server(clock.clone(), MemFs::shared(clock.clone()));
     local
@@ -95,12 +95,12 @@ fn commit_window_batches_local_receipts_and_flushes_before_network_sends() {
         .unwrap();
     assert_eq!(appends(&local), 1);
     local.deposit_batch((1..4).map(cpu).collect()).unwrap();
-    assert_eq!(appends(&local), 2, "nine records, one append");
+    assert_eq!(appends(&local), 2, "six records, one append");
     local.set_commit_group(1);
     local
         .deposit("CPU_poller4_201009250000.csv", b"cpu")
         .unwrap();
-    assert_eq!(appends(&local), 5, "group 1 is per-record");
+    assert_eq!(appends(&local), 4, "group 1 is per-record: arrival, set");
 
     // over a network every arrival is durable before the first send
     // that names it: one flush per file, whatever the group size
@@ -108,7 +108,7 @@ fn commit_window_batches_local_receipts_and_flushes_before_network_sends() {
     let net = Arc::new(SimNetwork::new(LinkSpec::default()));
     let mut remote = new_server(clock.clone(), MemFs::shared(clock.clone())).with_network(net);
     remote.deposit_batch((0..3).map(cpu).collect()).unwrap();
-    // arrival | 2 receipts + arrival | 2 receipts + arrival | 2 receipts
+    // arrival | set + arrival | set + arrival | set
     assert_eq!(appends(&remote), 4);
     assert_eq!(remote.stats().deliveries, 6);
 }
@@ -1201,4 +1201,113 @@ fn punctuation_closes_only_the_named_feeds_batches() {
     expected.push(own("east", "go B f=[] b=5 n=1"));
     expected.push(own("west", "go B f=[] b=6 n=1"));
     assert_eq!(fired(&server), expected);
+}
+
+#[test]
+fn a_drain_of_acks_equals_the_same_messages_one_at_a_time() {
+    // `poll_network` writes the receipts of a whole drain as one append
+    // and runs the deliveries' tails afterwards; nothing but the WAL may
+    // tell that from handling the messages singly. The drain here mixes
+    // subscriber acks (one of them a repeat) with group coverage reports,
+    // which write records and log lines of their own in between.
+    let cfg = r#"
+        feed F { pattern "f_%i.csv"; }
+        subscriber a { endpoint "ea"; subscribe F; trigger remote "load %N"; }
+        subscriber b { endpoint "eb"; subscribe F; trigger remote "load %N"; }
+        subscriber c { endpoint "ec"; subscribe F; batch count 2; trigger remote "load %N n=%c"; }
+        subscriber m1 { endpoint "m1"; subscribe F; }
+        subscriber m2 { endpoint "m2"; subscribe F; }
+        group EDGE { members m1, m2; relay "edge"; }
+    "#;
+    let run = |one_at_a_time: bool| {
+        let clock = SimClock::starting_at(START);
+        let net = Arc::new(SimNetwork::new(LinkSpec::default()));
+        let mut server = Server::new(
+            "hub",
+            parse_config(cfg).unwrap(),
+            clock.clone(),
+            MemFs::shared(clock.clone()),
+        )
+        .unwrap()
+        .with_network(net.clone())
+        .with_reliable_delivery(bistro_transport::RetryPolicy::default(), 7);
+        server.deposit("f_1.csv", b"one").unwrap();
+        server.deposit("f_2.csv", b"two").unwrap();
+        let sub_ack = |file| {
+            Message::Reliable(bistro_transport::messages::ReliableMsg::Ack {
+                file: bistro_base::FileId(file),
+                attempt: 1,
+            })
+        };
+        let group_ack = |file, bits, watermark| {
+            Message::Group(GroupMsg::Ack {
+                group: "EDGE".to_string(),
+                file: bistro_base::FileId(file),
+                bits,
+                watermark,
+            })
+        };
+        for (from, msg) in [
+            ("ea", sub_ack(1)),
+            ("eb", sub_ack(1)),
+            ("edge", group_ack(1, vec![0b11], 2)),
+            ("ec", sub_ack(1)),
+            ("ea", sub_ack(2)),
+            ("ea", sub_ack(1)), // a repeat inside the drain
+            ("edge", group_ack(2, vec![0b01], 1)),
+            ("ec", sub_ack(2)),
+            ("eb", sub_ack(2)),
+        ] {
+            // a millisecond apart: the inbox holds them in this order
+            net.send(clock.advance(TimeSpan::from_millis(1)), from, "hub", msg);
+        }
+        clock.advance(TimeSpan::from_secs(1));
+        if one_at_a_time {
+            let inbox = net.recv_ready("hub", clock.now());
+            assert_eq!(inbox.len(), 9);
+            for d in inbox {
+                assert!(server.handle_network_message(&d.from, d.at, d.msg).unwrap());
+            }
+        } else {
+            assert_eq!(server.poll_network().unwrap(), 9);
+        }
+        assert_eq!(server.unacked_count(), 0);
+        let events: Vec<String> = (server.event_log().recent().iter())
+            .map(|e| format!("{:?} {:?} {} {}", e.at, e.level, e.component, e.message))
+            .collect();
+        let counters: Vec<(String, u64)> = (server.telemetry().counters_sorted().into_iter())
+            .filter(|(name, _)| !name.starts_with("wal.") && !name.starts_with("vfs."))
+            .collect();
+        let appends = server.telemetry().counter_value("wal.appends").unwrap();
+        (
+            (server.trigger_log().entries(), events, counters),
+            (server.state_digest(), server.receipts().deliveries_since(0)),
+            appends,
+        )
+    };
+    let (drained, drained_state, drain_appends) = run(false);
+    let (single, single_state, single_appends) = run(true);
+    assert_eq!(drained, single);
+    // the receipts are the same receipts; only their records differ
+    assert_eq!(drained_state.0, single_state.0);
+    let pairs = |marks: &[bistro_receipts::DeliveryMark]| -> Vec<(String, String)> {
+        let mut pairs: Vec<_> = (marks.iter())
+            .map(|m| (m.file_name.clone(), m.subscriber.clone()))
+            .collect();
+        pairs.sort();
+        pairs
+    };
+    assert_eq!(pairs(&drained_state.1), pairs(&single_state.1));
+    assert_eq!(pairs(&drained_state.1).len(), 6);
+    // triggers fired in ack order: a, b, then c's batch of two when its
+    // second file is acked, then b
+    let fired: Vec<&str> = drained.0.iter().map(|t| t.subscriber.as_str()).collect();
+    assert_eq!(fired, ["a", "b", "a", "c", "b"]);
+    assert!(drained
+        .1
+        .iter()
+        .any(|e| e.contains("group EDGE delivery of file 1 complete")));
+    // two arrivals, two group marks, three names; then a set per file per
+    // stretch of acks between coverage reports (4) against one per ack (6)
+    assert_eq!((drain_appends, single_appends), (11, 13));
 }

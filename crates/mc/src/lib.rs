@@ -384,7 +384,7 @@ mod tests {
         }
         fn enabled(&self) -> Vec<Action> {
             let mut out = Vec::new();
-            if self.x + 1 <= self.max {
+            if self.x < self.max {
                 out.push(Action::Ingress { index: 0 });
             }
             if self.x + 2 <= self.max {
@@ -397,7 +397,7 @@ mod tests {
         }
         fn apply(&mut self, action: &Action) -> Result<(), String> {
             match action {
-                Action::Ingress { index: 0 } if self.x + 1 <= self.max => {
+                Action::Ingress { index: 0 } if self.x < self.max => {
                     self.x += 1;
                     Ok(())
                 }

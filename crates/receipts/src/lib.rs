@@ -27,5 +27,7 @@ pub mod wal;
 
 pub use archive::Archiver;
 pub use records::{ArrivalTemplate, FileRecord, Record};
-pub use store::{DeliveryMark, GroupCommitStats, ReceiptError, ReceiptStore, RecoveryInfo};
+pub use store::{
+    DeliveryMark, DeliveryOutcome, GroupCommitStats, ReceiptError, ReceiptStore, RecoveryInfo,
+};
 pub use wal::{GroupAppendStats, Wal, WalError};

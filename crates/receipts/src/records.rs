@@ -28,7 +28,10 @@ pub struct FileRecord {
 pub enum Record {
     /// A file arrived and was classified.
     Arrival(FileRecord),
-    /// A file was delivered to a subscriber.
+    /// A file was delivered to a subscriber, named in full. The legacy
+    /// encoding of a delivery receipt: still decoded (old WALs, v1/v2
+    /// snapshots) and encodable so tests can build such logs, but never
+    /// written by the store — [`Record::Delivered`] replaced it.
     Delivery {
         /// The delivered file.
         file: FileId,
@@ -67,6 +70,28 @@ pub enum Record {
         bits: Vec<u8>,
         /// Count of leading fully-covered members.
         watermark: u64,
+    },
+    /// A subscriber name entered the store's name table under `id`.
+    /// Ids are dense, handed out in order of first use and never reused;
+    /// the record precedes the first [`Record::Delivered`] naming its id,
+    /// and every snapshot carries the whole table first.
+    Subscriber {
+        /// The id delivery sets name this subscriber by.
+        id: u32,
+        /// The subscriber's name.
+        name: String,
+    },
+    /// A file was delivered to a set of subscribers: bit `i` of `bits`
+    /// (LSB-first, as in [`Record::GroupMark`]) = the subscriber with id
+    /// `i`. Sets OR-merge on replay, so any prefix or repetition of them
+    /// is idempotent.
+    Delivered {
+        /// The delivered file.
+        file: FileId,
+        /// When the last delivery of the set completed.
+        at: TimePoint,
+        /// Subscriber-id bitmap.
+        bits: Vec<u8>,
     },
 }
 
@@ -138,7 +163,8 @@ impl ArrivalTemplate {
     /// Stamp the commit-assigned id and arrival time, yielding the exact
     /// WAL payload bytes and the in-memory [`FileRecord`].
     pub fn finish(&self, id: FileId, arrival: TimePoint) -> (Vec<u8>, FileRecord) {
-        let mut w = ByteWriter::new();
+        // sized once: tag, id varint, the halves, the 8-byte arrival
+        let mut w = ByteWriter::with_capacity(19 + self.mid.len() + self.tail.len());
         w.put_u8(TAG_ARRIVAL);
         w.put_varint(id.raw());
         let mut bytes = w.into_bytes();
@@ -163,50 +189,61 @@ const TAG_DELIVERY: u8 = 2;
 const TAG_EXPIRE: u8 = 3;
 const TAG_RECLASSIFY: u8 = 4;
 const TAG_GROUP_MARK: u8 = 5;
+const TAG_SUBSCRIBER: u8 = 6;
+const TAG_DELIVERED: u8 = 7;
 
-/// The bytes of `Record::Delivery { file, subscriber, at }` from borrowed
-/// parts, appended to `w`: the one record written per subscriber per
-/// file, so neither the store's hot path nor a snapshot builds an owned
-/// [`Record`] — or a buffer of its own — to get them.
-pub(crate) fn encode_delivery(w: &mut ByteWriter, file: FileId, subscriber: &str, at: TimePoint) {
-    w.put_u8(TAG_DELIVERY);
-    w.put_varint(file.raw());
-    w.put_str(subscriber);
-    w.put_u64(at.as_micros());
-}
+// One record's bytes from borrowed parts, appended to `w`: neither the
+// store's write path nor a snapshot builds an owned [`Record`] — or a
+// buffer per record — to get them.
 
-/// A record as replay reads it: a `Delivery` — nearly every record of a
-/// long log — keeps its subscriber name borrowed from the log bytes, to
-/// be interned by the table it lands in rather than allocated per record.
-pub(crate) enum Replayed<'a> {
-    /// `Record::Delivery` minus the time, which no table keeps.
-    Delivery {
-        /// The delivered file.
-        file: FileId,
-        /// The receiving subscriber's name.
-        subscriber: &'a str,
-    },
-    /// Any other record, owned.
-    Other(Record),
-}
-
-impl<'a> Replayed<'a> {
-    pub(crate) fn decode(data: &'a [u8]) -> Result<Replayed<'a>, CodecError> {
-        if data.first() != Some(&TAG_DELIVERY) {
-            return Record::decode(data).map(Replayed::Other);
+pub(crate) fn encode_arrival(w: &mut ByteWriter, f: &FileRecord) {
+    w.put_u8(TAG_ARRIVAL);
+    w.put_varint(f.id.raw());
+    w.put_str(&f.name);
+    w.put_str(&f.staged_path);
+    w.put_varint(f.size);
+    w.put_u64(f.arrival.as_micros());
+    match f.feed_time {
+        Some(t) => {
+            w.put_u8(1);
+            w.put_u64(t.as_micros());
         }
-        let (file, subscriber, _) = decode_delivery(&mut ByteReader::new(&data[1..]))?;
-        Ok(Replayed::Delivery { file, subscriber })
+        None => w.put_u8(0),
+    }
+    w.put_varint(f.feeds.len() as u64);
+    for feed in &f.feeds {
+        w.put_str(feed);
     }
 }
 
-/// The fields of a delivery record, after its tag.
-fn decode_delivery<'a>(r: &mut ByteReader<'a>) -> Result<(FileId, &'a str, TimePoint), CodecError> {
-    Ok((
-        FileId(r.get_varint()?),
-        r.get_str()?,
-        TimePoint::from_micros(r.get_u64()?),
-    ))
+pub(crate) fn encode_group_mark(
+    w: &mut ByteWriter,
+    file: FileId,
+    group: &str,
+    bits: &[u8],
+    watermark: u64,
+) {
+    w.put_u8(TAG_GROUP_MARK);
+    w.put_varint(file.raw());
+    w.put_str(group);
+    w.put_bytes(bits);
+    w.put_varint(watermark);
+}
+
+pub(crate) fn encode_subscriber(w: &mut ByteWriter, id: u32, name: &str) {
+    w.put_u8(TAG_SUBSCRIBER);
+    w.put_varint(u64::from(id));
+    w.put_str(name);
+}
+
+/// The time is a varint: a snapshot's sets carry the epoch in one byte,
+/// and a real timestamp takes no more than the eight of a `u64` until
+/// the year 4253.
+pub(crate) fn encode_delivered(w: &mut ByteWriter, file: FileId, at: TimePoint, bits: &[u8]) {
+    w.put_u8(TAG_DELIVERED);
+    w.put_varint(file.raw());
+    w.put_varint(at.as_micros());
+    w.put_bytes(bits);
 }
 
 impl Record {
@@ -214,30 +251,17 @@ impl Record {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         match self {
-            Record::Arrival(f) => {
-                w.put_u8(TAG_ARRIVAL);
-                w.put_varint(f.id.raw());
-                w.put_str(&f.name);
-                w.put_str(&f.staged_path);
-                w.put_varint(f.size);
-                w.put_u64(f.arrival.as_micros());
-                match f.feed_time {
-                    Some(t) => {
-                        w.put_u8(1);
-                        w.put_u64(t.as_micros());
-                    }
-                    None => w.put_u8(0),
-                }
-                w.put_varint(f.feeds.len() as u64);
-                for feed in &f.feeds {
-                    w.put_str(feed);
-                }
-            }
+            Record::Arrival(f) => encode_arrival(&mut w, f),
             Record::Delivery {
                 file,
                 subscriber,
                 at,
-            } => encode_delivery(&mut w, *file, subscriber, *at),
+            } => {
+                w.put_u8(TAG_DELIVERY);
+                w.put_varint(file.raw());
+                w.put_str(subscriber);
+                w.put_u64(at.as_micros());
+            }
             Record::Expire { file, at } => {
                 w.put_u8(TAG_EXPIRE);
                 w.put_varint(file.raw());
@@ -256,13 +280,9 @@ impl Record {
                 group,
                 bits,
                 watermark,
-            } => {
-                w.put_u8(TAG_GROUP_MARK);
-                w.put_varint(file.raw());
-                w.put_str(group);
-                w.put_bytes(bits);
-                w.put_varint(*watermark);
-            }
+            } => encode_group_mark(&mut w, *file, group, bits, *watermark),
+            Record::Subscriber { id, name } => encode_subscriber(&mut w, *id, name),
+            Record::Delivered { file, at, bits } => encode_delivered(&mut w, *file, *at, bits),
         }
         w.into_bytes()
     }
@@ -297,14 +317,11 @@ impl Record {
                     feeds,
                 })
             }
-            TAG_DELIVERY => {
-                let (file, subscriber, at) = decode_delivery(&mut r)?;
-                Record::Delivery {
-                    file,
-                    subscriber: subscriber.to_string(),
-                    at,
-                }
-            }
+            TAG_DELIVERY => Record::Delivery {
+                file: FileId(r.get_varint()?),
+                subscriber: r.get_str()?.to_string(),
+                at: TimePoint::from_micros(r.get_u64()?),
+            },
             TAG_EXPIRE => Record::Expire {
                 file: FileId(r.get_varint()?),
                 at: TimePoint::from_micros(r.get_u64()?),
@@ -323,6 +340,18 @@ impl Record {
                 group: r.get_str()?.to_string(),
                 bits: r.get_bytes()?.to_vec(),
                 watermark: r.get_varint()?,
+            },
+            TAG_SUBSCRIBER => {
+                let id = r.get_varint()?;
+                Record::Subscriber {
+                    id: u32::try_from(id).map_err(|_| CodecError::BadLength { len: id })?,
+                    name: r.get_str()?.to_string(),
+                }
+            }
+            TAG_DELIVERED => Record::Delivered {
+                file: FileId(r.get_varint()?),
+                at: TimePoint::from_micros(r.get_varint()?),
+                bits: r.get_bytes()?.to_vec(),
             },
             other => {
                 return Err(CodecError::BadTag {
@@ -384,6 +413,24 @@ mod tests {
                 group: "G".to_string(),
                 bits: vec![],
                 watermark: 0,
+            },
+            Record::Subscriber {
+                id: 0,
+                name: "warehouse_dallas".to_string(),
+            },
+            Record::Subscriber {
+                id: u32::MAX,
+                name: String::new(),
+            },
+            Record::Delivered {
+                file: FileId(42),
+                at: TimePoint::from_secs(1_285_372_860),
+                bits: vec![0xFF, 0b0000_0101],
+            },
+            Record::Delivered {
+                file: FileId(u64::MAX),
+                at: TimePoint::EPOCH,
+                bits: vec![],
             },
         ];
         for rec in records {
@@ -448,5 +495,77 @@ mod tests {
                 "group mark cut at {cut}"
             );
         }
+    }
+
+    /// The two delivery-set records decode totally: every cut is an
+    /// error, never a panic or a shorter record, and an id too wide for
+    /// the table's `u32` is refused where it enters.
+    #[test]
+    fn subscriber_and_delivered_records_reject_every_cut() {
+        let records = [
+            Record::Subscriber {
+                id: 300,
+                name: "warehouse_dallas".to_string(),
+            },
+            Record::Delivered {
+                file: FileId(1 << 40),
+                at: TimePoint::from_secs(1_285_372_860),
+                bits: vec![0xFF; 25],
+            },
+        ];
+        for rec in records {
+            let bytes = rec.encode();
+            assert_eq!(Record::decode(&bytes).unwrap(), rec);
+            for cut in 0..bytes.len() {
+                assert!(Record::decode(&bytes[..cut]).is_err(), "{rec:?} cut {cut}");
+            }
+        }
+        let mut w = ByteWriter::new();
+        w.put_u8(TAG_SUBSCRIBER);
+        w.put_varint(u64::from(u32::MAX) + 1);
+        w.put_str("s");
+        assert!(matches!(
+            Record::decode(w.as_bytes()),
+            Err(CodecError::BadLength { .. })
+        ));
+        // a bitmap whose length prefix overruns the record
+        let mut w = ByteWriter::new();
+        w.put_u8(TAG_DELIVERED);
+        w.put_varint(1);
+        w.put_varint(0);
+        w.put_varint(1 << 30);
+        assert!(matches!(
+            Record::decode(w.as_bytes()),
+            Err(CodecError::BadLength { .. })
+        ));
+    }
+
+    /// What the store's hot records cost on disk: a set of one is never
+    /// larger than the named record it replaced, and a set of 200 is one
+    /// record of 38 bytes where there were 200 of 17.
+    #[test]
+    fn a_delivery_set_is_no_larger_than_the_named_record() {
+        let at = TimePoint::from_secs(1_285_372_860);
+        let named = |sub: &str| {
+            Record::Delivery {
+                file: FileId(70_000),
+                subscriber: sub.to_string(),
+                at,
+            }
+            .encode()
+            .len()
+        };
+        let set = |bits: Vec<u8>| {
+            Record::Delivered {
+                file: FileId(70_000),
+                at,
+                bits,
+            }
+            .encode()
+            .len()
+        };
+        assert!(set(vec![0b1]) <= named("s"));
+        assert!(set(vec![0, 0b10]) <= named("s09"));
+        assert_eq!((set(vec![0xFF; 25]), named("s000")), (38, 17));
     }
 }

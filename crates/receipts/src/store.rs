@@ -5,14 +5,25 @@
 //! durable. Recovery = load snapshot (if present) + replay WAL; every
 //! record application is idempotent, so a crash between snapshotting and
 //! pruning is harmless.
+//!
+//! `delivery_receipts` is one set per file: the store interns subscriber
+//! names to dense ids ([`Record::Subscriber`], first use, never reused),
+//! a live file carries the bitmap of ids it has been delivered to, and a
+//! delivery is logged as one [`Record::Delivered`] per file — however many
+//! subscribers it covers — through [`ReceiptStore::record_deliveries`],
+//! the only way a delivery receipt reaches the log. Ids never leave this
+//! crate: every query takes and returns names.
 
-use crate::records::{encode_delivery, ArrivalTemplate, FileRecord, Record, Replayed};
+use crate::records::{
+    encode_arrival, encode_delivered, encode_group_mark, encode_subscriber, ArrivalTemplate,
+    FileRecord, Record,
+};
 use crate::wal::{Wal, WalError};
 use bistro_base::checksum::crc32;
 use bistro_base::sync::Mutex;
-use bistro_base::{ByteReader, ByteWriter, FileId, IdGen, TimePoint};
+use bistro_base::{ByteReader, ByteWriter, CodecError, FileId, IdGen, TimePoint};
 use bistro_vfs::{FileStore, VfsError};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -25,8 +36,18 @@ pub enum ReceiptError {
     Vfs(VfsError),
     /// Snapshot file is corrupt.
     CorruptSnapshot(String),
-    /// Unknown file id.
+    /// The file is not live: expired, or never seen.
     UnknownFile(FileId),
+    /// The WAL holds an intact record of a kind this build does not
+    /// know — a newer build wrote it. Skipping it would forget whatever
+    /// it recorded (a set of receipts is a mass re-delivery), so the
+    /// store refuses to open.
+    UnknownRecord {
+        /// WAL sequence of the record.
+        seq: u64,
+        /// Its tag byte.
+        tag: u8,
+    },
 }
 
 impl fmt::Display for ReceiptError {
@@ -36,6 +57,10 @@ impl fmt::Display for ReceiptError {
             ReceiptError::Vfs(e) => write!(f, "{e}"),
             ReceiptError::CorruptSnapshot(m) => write!(f, "corrupt snapshot: {m}"),
             ReceiptError::UnknownFile(id) => write!(f, "unknown file {id}"),
+            ReceiptError::UnknownRecord { seq, tag } => write!(
+                f,
+                "receipt WAL record {seq} has tag {tag}, unknown to this build"
+            ),
         }
     }
 }
@@ -54,36 +79,179 @@ impl From<VfsError> for ReceiptError {
     }
 }
 
+// Sets of subscriber ids are LSB-first bitmaps, as `GroupMark`'s member
+// sets are: bit `i % 8` of byte `i / 8`, absent bytes read as zero.
+
+fn has_bit(bits: &[u8], i: u32) -> bool {
+    bits.get(i as usize / 8)
+        .is_some_and(|b| b & (1 << (i % 8)) != 0)
+}
+
+fn set_bit(bits: &mut Vec<u8>, i: u32) {
+    let byte = i as usize / 8;
+    if bits.len() <= byte {
+        bits.resize(byte + 1, 0);
+    }
+    bits[byte] |= 1 << (i % 8);
+}
+
+/// OR-merge: a set only grows, so replaying any prefix, repetition or
+/// reordering of the records that built it is idempotent.
+fn or_into(dst: &mut Vec<u8>, src: &[u8]) {
+    if dst.len() < src.len() {
+        dst.resize(src.len(), 0);
+    }
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d |= s;
+    }
+}
+
+/// The ids in `bits`, ascending.
+fn ones(bits: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bits.iter().enumerate().flat_map(|(byte, &b)| {
+        (0..8u32)
+            .filter(move |k| b & (1 << k) != 0)
+            .map(move |k| byte as u32 * 8 + k)
+    })
+}
+
+/// Why replay refused an intact record.
+#[derive(Debug)]
+enum ReplayError {
+    /// It does not decode.
+    Codec(CodecError),
+    /// It contradicts the name table: a `Subscriber` record out of
+    /// sequence or renaming an id, or a set naming an id no `Subscriber`
+    /// record introduced.
+    Subscriber(u32),
+}
+
+impl fmt::Display for ReplayError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReplayError::Codec(e) => write!(f, "{e}"),
+            ReplayError::Subscriber(id) => {
+                write!(f, "subscriber id {id} contradicts the name table")
+            }
+        }
+    }
+}
+
+impl From<CodecError> for ReplayError {
+    fn from(e: CodecError) -> Self {
+        ReplayError::Codec(e)
+    }
+}
+
+/// Every subscriber name a delivery has named, stored once, and the id
+/// delivery sets know it by: dense, in order of first use, never reused
+/// (a name stays after its last file expired — one entry per subscriber
+/// ever named is what the store keeps forever).
 #[derive(Default)]
-struct Tables {
-    /// Live (non-expired) files by id. Boxed to keep the tree's nodes
-    /// small: with the 112-byte record inline a leaf is 1.3 kB, and every
-    /// request of 1 kB or more makes glibc consolidate its fast bins first
-    /// — on replay that was a quarter of the time.
-    files: BTreeMap<u64, Box<FileRecord>>,
-    /// feed name → live file ids.
-    by_feed: HashMap<String, BTreeSet<u64>>,
-    /// file id → subscribers it has been delivered to. The names are
-    /// handles into `names`, not copies: a copy per (file, subscriber)
-    /// is a small heap block per receipt, all of a file's released at
-    /// once when it expires, and the allocator's bookkeeping for those
-    /// bursts lands on whichever deposit comes next.
-    delivered: HashMap<u64, BTreeSet<Arc<str>>>,
-    /// Every subscriber name a delivery has named, stored once.
-    names: HashSet<Arc<str>>,
-    /// Every delivery receipt in WAL order, positioned by its WAL
-    /// sequence — the backfill cursor a failover coordinator pages
-    /// through ([`ReceiptStore::deliveries_since`]). Receipts recovered
-    /// from a snapshot (whose covering segments were pruned) carry seq 0.
-    log: Vec<LoggedMark>,
-    /// file id → group name → (member ack bitmap, high-watermark).
+struct Names {
+    by_id: Vec<Arc<str>>,
+    ids: HashMap<Arc<str>, u32>,
+    /// Ids below this have their `Subscriber` record in the log or in
+    /// the snapshot. The rest were named only by legacy `Delivery`
+    /// records (or by a write that failed): the next set written logs
+    /// their records first.
+    recorded: usize,
+}
+
+impl Names {
+    fn id(&self, name: &str) -> Option<u32> {
+        self.ids.get(name).copied()
+    }
+
+    fn intern(&mut self, name: &str) -> u32 {
+        if let Some(id) = self.id(name) {
+            return id;
+        }
+        let id = u32::try_from(self.by_id.len()).expect("fewer than 2^32 subscribers ever named");
+        let name: Arc<str> = Arc::from(name);
+        self.by_id.push(name.clone());
+        self.ids.insert(name, id);
+        id
+    }
+
+    /// Replay a `Subscriber` record: the next id in sequence, or an id
+    /// already holding this name (a snapshot and the log it covers both
+    /// carry the record).
+    fn restore(&mut self, id: u32, name: &str) -> Result<(), ReplayError> {
+        let known = self.id(name);
+        if known.is_none() && id as usize == self.by_id.len() {
+            self.intern(name);
+        } else if known != Some(id) {
+            return Err(ReplayError::Subscriber(id));
+        }
+        if id as usize == self.recorded {
+            self.recorded += 1;
+        }
+        Ok(())
+    }
+}
+
+/// A live file and its delivery state. They share an entry so that
+/// expiring the file drops all of it: the store's memory is bounded by
+/// the live set, not by how many deliveries it ever recorded.
+struct LiveFile {
+    rec: FileRecord,
+    /// Ids of the subscribers the file has been delivered to.
+    delivered: Vec<u8>,
+    /// Ids a [`ReceiptStore::record_deliveries`] call in progress has
+    /// gathered for this file and not yet logged. Empty between calls.
+    pending: Vec<u8>,
+    /// One entry per delivery record that added receipts — its WAL
+    /// sequence and the ids it added — in WAL order: the file's part of
+    /// the backfill cursor ([`ReceiptStore::deliveries_since`]). Receipts
+    /// recovered from a snapshot (whose covering segments were pruned)
+    /// carry seq 0.
+    log: Vec<(u64, Vec<u8>)>,
+    /// group name → (member ack bitmap, high-watermark).
     /// Shared-delivery-tree coverage (§3 delivery network): one compact
     /// mark per (file, group) instead of one receipt per member. BTreeMap
     /// so snapshots serialize the marks in a deterministic order.
-    group_marks: BTreeMap<u64, BTreeMap<String, (Vec<u8>, u64)>>,
+    group_marks: BTreeMap<String, (Vec<u8>, u64)>,
+}
+
+impl LiveFile {
+    /// Mark the file delivered to the ids in `bits`, logged at `seq`;
+    /// returns how many of them are new. Only those enter the log — the
+    /// table dedupes, and the log must match it.
+    fn deliver(&mut self, seq: u64, mut bits: Vec<u8>) -> u64 {
+        for (b, held) in bits.iter_mut().zip(&self.delivered) {
+            *b &= !held;
+        }
+        while bits.last() == Some(&0) {
+            bits.pop();
+        }
+        if bits.is_empty() {
+            return 0;
+        }
+        let added = bits.iter().map(|b| u64::from(b.count_ones())).sum();
+        or_into(&mut self.delivered, &bits);
+        match self.log.last_mut() {
+            // one entry per record: only a snapshot's seq 0 repeats
+            Some((last, held)) if *last == seq => or_into(held, &bits),
+            _ => self.log.push((seq, bits)),
+        }
+        added
+    }
+}
+
+#[derive(Default)]
+struct Tables {
+    /// Live (non-expired) files by id. Boxed to keep the tree's nodes
+    /// small: with the record inline a leaf is well over 1 kB, and every
+    /// request of 1 kB or more makes glibc consolidate its fast bins first
+    /// — on replay that was a quarter of the time.
+    files: BTreeMap<u64, Box<LiveFile>>,
+    /// feed name → live file ids.
+    by_feed: HashMap<String, BTreeSet<u64>>,
+    names: Names,
     /// Count of expired files (for monitoring).
     expired_count: u64,
-    /// Count of delivery receipts (including to-expired files).
+    /// Count of delivery receipts (including to since-expired files).
     delivery_count: u64,
     /// Highest file id seen in any applied `Arrival` (snapshot or WAL);
     /// a durable lower bound for id recovery.
@@ -92,128 +260,121 @@ struct Tables {
 
 impl Tables {
     /// [`Tables::apply`] for a record still in its log bytes.
-    fn replay(&mut self, seq: Option<u64>, bytes: &[u8]) -> Result<(), bistro_base::CodecError> {
-        match Replayed::decode(bytes)? {
-            Replayed::Delivery { file, subscriber } => self.deliver(seq, file, subscriber),
-            Replayed::Other(rec) => self.apply(seq, rec),
-        }
-        Ok(())
+    fn replay(&mut self, seq: u64, bytes: &[u8]) -> Result<(), ReplayError> {
+        self.apply(seq, Record::decode(bytes)?)
     }
 
-    /// Apply the record logged at WAL sequence `seq` (`None`: a snapshot
-    /// record, whose deliveries [`ReceiptStore::open`] logs afterwards).
-    fn apply(&mut self, seq: Option<u64>, rec: Record) {
+    /// Apply the record logged at WAL sequence `seq` (0: a snapshot
+    /// record). Only replay comes through here — a write applies what it
+    /// logged through the method of its kind below.
+    fn apply(&mut self, seq: u64, rec: Record) -> Result<(), ReplayError> {
         match rec {
-            Record::Arrival(f) => {
-                self.max_arrival_id = self.max_arrival_id.max(f.id.raw());
-                for feed in &f.feeds {
-                    // get_mut first: the feed's set almost always exists
-                    // already, and `entry` would clone the name every time
-                    match self.by_feed.get_mut(feed) {
-                        Some(set) => {
-                            set.insert(f.id.raw());
-                        }
-                        None => {
-                            self.by_feed
-                                .entry(feed.clone())
-                                .or_default()
-                                .insert(f.id.raw());
-                        }
-                    }
-                }
-                self.files.insert(f.id.raw(), Box::new(f));
-            }
+            Record::Arrival(f) => self.arrive(f),
             Record::Delivery {
                 file, subscriber, ..
-            } => self.deliver(seq, file, &subscriber),
-            Record::Expire { file, .. } => {
-                if let Some(f) = self.files.remove(&file.raw()) {
-                    for feed in &f.feeds {
-                        if let Some(set) = self.by_feed.get_mut(feed) {
-                            set.remove(&file.raw());
-                        }
-                    }
-                    self.delivered.remove(&file.raw());
-                    self.group_marks.remove(&file.raw());
-                    self.expired_count += 1;
+            } => {
+                // the legacy receipt names its subscriber in full; the
+                // id it gets here goes on record with the next set written
+                if let Some(f) = self.files.get_mut(&file.raw()) {
+                    let mut bits = Vec::new();
+                    set_bit(&mut bits, self.names.intern(&subscriber));
+                    self.delivery_count += f.deliver(seq, bits);
                 }
             }
+            Record::Subscriber { id, name } => self.names.restore(id, &name)?,
+            Record::Delivered { file, bits, .. } => {
+                if let Some(stray) = ones(&bits).find(|&id| id as usize >= self.names.by_id.len()) {
+                    return Err(ReplayError::Subscriber(stray));
+                }
+                // a set replayed after its file expired is stale
+                if let Some(f) = self.files.get_mut(&file.raw()) {
+                    self.delivery_count += f.deliver(seq, bits);
+                }
+            }
+            Record::Expire { file, .. } => self.expire(file),
             Record::GroupMark {
                 file,
                 group,
                 bits,
                 watermark,
-            } => {
-                // Marks only make sense against a live arrival; a mark
-                // replayed after the file expired is stale and dropped
-                // (Expire removed the whole entry).
-                if self.files.contains_key(&file.raw()) {
-                    let slot = self
-                        .group_marks
-                        .entry(file.raw())
-                        .or_default()
-                        .entry(group)
-                        .or_insert_with(|| (Vec::new(), 0));
-                    // OR-merge: coverage only grows, so replaying any
-                    // prefix or reordering of marks is idempotent.
-                    if slot.0.len() < bits.len() {
-                        slot.0.resize(bits.len(), 0);
-                    }
-                    for (i, b) in bits.iter().enumerate() {
-                        slot.0[i] |= b;
-                    }
-                    slot.1 = slot.1.max(watermark);
+            } => self.group_mark(file, &group, &bits, watermark),
+            Record::Reclassify { file, feeds } => self.reclassify(file, feeds),
+        }
+        Ok(())
+    }
+
+    fn arrive(&mut self, f: FileRecord) {
+        let id = f.id.raw();
+        self.max_arrival_id = self.max_arrival_id.max(id);
+        for feed in &f.feeds {
+            // get_mut first: the feed's set almost always exists
+            // already, and `entry` would clone the name every time
+            match self.by_feed.get_mut(feed) {
+                Some(set) => {
+                    set.insert(id);
+                }
+                None => {
+                    self.by_feed.entry(feed.clone()).or_default().insert(id);
                 }
             }
-            Record::Reclassify { file, feeds } => {
-                if let Some(f) = self.files.get_mut(&file.raw()) {
-                    for feed in &f.feeds {
-                        if let Some(set) = self.by_feed.get_mut(feed) {
-                            set.remove(&file.raw());
-                        }
-                    }
-                    f.feeds = feeds;
-                    for feed in &f.feeds {
-                        self.by_feed
-                            .entry(feed.clone())
-                            .or_default()
-                            .insert(file.raw());
-                    }
-                }
+        }
+        match self.files.get_mut(&id) {
+            // replayed over a snapshot that holds the file already: its
+            // delivery state stays
+            Some(live) => live.rec = f,
+            None => {
+                let live = LiveFile {
+                    rec: f,
+                    delivered: Vec::new(),
+                    pending: Vec::new(),
+                    log: Vec::new(),
+                    group_marks: BTreeMap::new(),
+                };
+                self.files.insert(id, Box::new(live));
             }
         }
     }
 
-    /// Mark `file` delivered to `subscriber`. The first receipt for the
-    /// pair enters the delivery log at `seq` — a duplicate does not (the
-    /// table dedupes; the log must match it), nor does a receipt for an
-    /// unknown file (nothing to name the mark with).
-    fn deliver(&mut self, seq: Option<u64>, file: FileId, subscriber: &str) {
-        let subscriber = match self.names.get(subscriber) {
-            Some(name) => name.clone(),
-            None => {
-                let name: Arc<str> = Arc::from(subscriber);
-                self.names.insert(name.clone());
-                name
+    fn expire(&mut self, file: FileId) {
+        if let Some(f) = self.files.remove(&file.raw()) {
+            for feed in &f.rec.feeds {
+                if let Some(set) = self.by_feed.get_mut(feed) {
+                    set.remove(&file.raw());
+                }
             }
-        };
-        let held = self.delivered.entry(file.raw()).or_default();
-        if !held.insert(subscriber.clone()) {
-            return;
+            self.expired_count += 1;
         }
-        self.delivery_count += 1;
-        if let (Some(seq), Some(f)) = (seq, self.files.get(&file.raw())) {
-            // deliveries of one file arrive in runs: share the run's name
-            let file_name = match self.log.last() {
-                Some(last) if last.file == file => last.file_name.clone(),
-                _ => Arc::from(f.name.as_str()),
-            };
-            self.log.push(LoggedMark {
-                seq,
-                file,
-                file_name,
-                subscriber,
-            });
+    }
+
+    /// Marks only make sense against a live arrival; a mark for a file
+    /// that is not live is stale and dropped.
+    fn group_mark(&mut self, file: FileId, group: &str, bits: &[u8], watermark: u64) {
+        let Some(f) = self.files.get_mut(&file.raw()) else {
+            return;
+        };
+        let slot = match f.group_marks.get_mut(group) {
+            Some(slot) => slot,
+            None => f.group_marks.entry(group.to_string()).or_default(),
+        };
+        or_into(&mut slot.0, bits);
+        slot.1 = slot.1.max(watermark);
+    }
+
+    fn reclassify(&mut self, file: FileId, feeds: Vec<String>) {
+        let Some(f) = self.files.get_mut(&file.raw()) else {
+            return;
+        };
+        for feed in &f.rec.feeds {
+            if let Some(set) = self.by_feed.get_mut(feed) {
+                set.remove(&file.raw());
+            }
+        }
+        f.rec.feeds = feeds;
+        for feed in &f.rec.feeds {
+            self.by_feed
+                .entry(feed.clone())
+                .or_default()
+                .insert(file.raw());
         }
     }
 }
@@ -228,8 +389,26 @@ pub struct RecoveryInfo {
     pub snapshot_records: u64,
     /// Records replayed from the WAL.
     pub wal_records: u64,
+    /// Intact WAL records of a known kind that did not decode or
+    /// contradicted the name table, and were skipped. Never expected;
+    /// whatever they recorded is re-done (a receipt: re-delivered).
+    pub undecodable_records: u64,
     /// A leftover `snapshot.tmp` from a torn snapshot write was discarded.
     pub tmp_discarded: bool,
+}
+
+/// What [`ReceiptStore::record_deliveries`] did with one
+/// (file, subscriber) pair.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DeliveryOutcome {
+    /// The receipt is new: logged, and the delivery is now on record.
+    Recorded,
+    /// The pair already had its receipt — on record, or from an earlier
+    /// pair of the same call.
+    AlreadyDelivered,
+    /// The file is not live (expired, or never seen): nothing was
+    /// logged and no table grew.
+    UnknownFile,
 }
 
 /// The transactional receipt database (paper §4.2).
@@ -242,25 +421,80 @@ pub struct ReceiptStore {
 }
 
 struct Inner {
-    wal: Wal,
+    log: Log,
     tables: Tables,
+}
+
+/// The WAL and the group-commit buffer in front of it.
+struct Log {
+    wal: Wal,
     /// Group-commit buffering between [`ReceiptStore::begin_group`] and
     /// [`ReceiptStore::end_group`]; `None` = per-record durability.
     group: Option<Group>,
-    /// Where a delivery record is encoded, kept between records: outside
-    /// a group window the bytes are only borrowed by the WAL.
-    scratch: Vec<u8>,
 }
 
-/// A [`DeliveryMark`] as the log holds it: both names shared — the
-/// subscriber's with the delivered table, the file's by every mark of
-/// one run of deliveries of that file — so the log costs no heap block
-/// per receipt.
-struct LoggedMark {
-    seq: u64,
-    file: FileId,
-    file_name: Arc<str>,
-    subscriber: Arc<str>,
+impl Log {
+    /// Log one encoded record: straight to the WAL normally, or into the
+    /// group buffer (flushing at `max`) inside a group-commit window.
+    /// Returns the record's WAL sequence; inside a group window the
+    /// sequence is the one the buffered record *will* receive at flush
+    /// (batch appends assign consecutive sequences and nothing else can
+    /// interleave while the window is open). The group buffer takes the
+    /// bytes out of `bytes` (leaving it empty); the WAL only reads them.
+    fn append(&mut self, bytes: &mut Vec<u8>) -> Result<u64, ReceiptError> {
+        let next = self.wal.next_seq();
+        let (seq, flush_now) = match self.group.as_mut() {
+            Some(g) => {
+                g.pending.push(std::mem::take(bytes));
+                g.stats.records += 1;
+                (next + g.pending.len() as u64 - 1, g.pending.len() >= g.max)
+            }
+            None => return Ok(self.wal.append(bytes)?),
+        };
+        if flush_now {
+            self.flush()?;
+        }
+        Ok(seq)
+    }
+
+    /// Log several records, which receive consecutive sequences from the
+    /// one returned: one physical append outside a group window, the
+    /// window's buffer (and its flush rule, record by record) inside.
+    fn append_all(&mut self, payloads: impl Iterator<Item = Vec<u8>>) -> Result<u64, ReceiptError> {
+        let Some(g) = &self.group else {
+            let first = self.wal.next_seq();
+            let payloads: Vec<_> = payloads.collect();
+            if let [one] = &payloads[..] {
+                // the same bytes, without a batch's buffers
+                self.wal.append(one)?;
+            } else {
+                self.wal.append_batch(&payloads)?;
+            }
+            return Ok(first);
+        };
+        let first = self.wal.next_seq() + g.pending.len() as u64;
+        for mut bytes in payloads {
+            self.append(&mut bytes)?;
+        }
+        Ok(first)
+    }
+
+    /// Durably append every buffered group record in one batched WAL
+    /// append. No-op outside a group window or with nothing pending.
+    fn flush(&mut self) -> Result<(), ReceiptError> {
+        let payloads = match self.group.as_mut() {
+            Some(g) if !g.pending.is_empty() => std::mem::take(&mut g.pending),
+            _ => return Ok(()),
+        };
+        let n = payloads.len() as u64;
+        let s = self.wal.append_batch(&payloads)?;
+        if let Some(g) = self.group.as_mut() {
+            g.stats.physical_appends += s.physical_appends;
+            g.stats.flushes += 1;
+            g.stats.flush_sizes.push(n);
+        }
+        Ok(())
+    }
 }
 
 /// One delivery receipt positioned by its receipt-WAL sequence number.
@@ -271,7 +505,8 @@ struct LoggedMark {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeliveryMark {
     /// WAL sequence of the delivery record (0 = recovered from a
-    /// snapshot whose WAL coverage was pruned).
+    /// snapshot whose WAL coverage was pruned). The receipts of one
+    /// record share its sequence.
     pub seq: u64,
     /// The delivered file's id in *this* store.
     pub file: FileId,
@@ -306,9 +541,13 @@ pub struct GroupCommitStats {
 }
 
 const SNAPSHOT_MAGIC: &[u8; 4] = b"BSNP";
-/// v2 widens `expired_count` to u64 and adds the id high-water mark.
-/// v1 (`[magic 4][ver 1][crc 4][expired u32][body]`) is still readable.
-const SNAPSHOT_VERSION: u8 = 2;
+/// v2 widened `expired_count` to u64 and added the id high-water mark.
+/// v3 keeps v2's header; its body leads with the subscriber table and
+/// holds one delivery set per file where v1/v2 held one `Delivery` per
+/// (file, subscriber) — a build that predates the set record refuses the
+/// version instead of misreading the body. v1
+/// (`[magic 4][ver 1][crc 4][expired u32][body]`) and v2 stay readable.
+const SNAPSHOT_VERSION: u8 = 3;
 const V1_HEADER: usize = 13;
 const V2_HEADER: usize = 25;
 
@@ -328,6 +567,9 @@ impl ReceiptStore {
             recovery.tmp_discarded = true;
         }
 
+        // Snapshot-covered deliveries pre-date the surviving WAL: they
+        // enter the backfill log at seq 0, so a cursor of 0 always
+        // replays the full delivered set.
         let snap_path = format!("{dir}/snapshot.bin");
         let mut snapshot_high_water = None;
         if store.exists(&snap_path) {
@@ -338,40 +580,20 @@ impl ReceiptStore {
             recovery.snapshot_records = n;
         }
 
-        // Snapshot-covered deliveries pre-date the surviving WAL: they
-        // enter the backfill log at seq 0, in (file id, subscriber)
-        // order, so a cursor of 0 always replays the full delivered set.
-        {
-            let Tables {
-                files,
-                delivered,
-                log,
-                ..
-            } = &mut tables;
-            let mut ids: Vec<u64> = delivered.keys().copied().collect();
-            ids.sort_unstable();
-            for id in ids {
-                let Some(f) = files.get(&id) else {
-                    continue;
-                };
-                let file_name: Arc<str> = Arc::from(f.name.as_str());
-                log.extend(delivered[&id].iter().map(|sub| LoggedMark {
-                    seq: 0,
-                    file: f.id,
-                    file_name: file_name.clone(),
-                    subscriber: sub.clone(),
-                }));
-            }
-        }
-
         let wal_dir = format!("{dir}/wal");
-        let mut wal_records = 0u64;
+        let mut unknown = None;
         let wal = Wal::open(store.clone(), &wal_dir, |seq, payload| {
-            if tables.replay(Some(seq), payload).is_ok() {
-                wal_records += 1;
+            match tables.replay(seq, payload) {
+                Ok(()) => recovery.wal_records += 1,
+                Err(ReplayError::Codec(CodecError::BadTag { tag, .. })) => {
+                    unknown.get_or_insert(ReceiptError::UnknownRecord { seq, tag });
+                }
+                Err(_) => recovery.undecodable_records += 1,
             }
         })?;
-        recovery.wal_records = wal_records;
+        if let Some(e) = unknown {
+            return Err(e);
+        }
 
         // Never reissue an id: resume past the persisted high-water mark
         // (which covers allocations burned by failed appends) and past
@@ -392,10 +614,8 @@ impl ReceiptStore {
             store,
             dir: dir.to_string(),
             inner: Mutex::new(Inner {
-                wal,
+                log: Log { wal, group: None },
                 tables,
-                group: None,
-                scratch: Vec::new(),
             }),
             ids,
             recovery,
@@ -403,7 +623,7 @@ impl ReceiptStore {
     }
 
     /// Apply a snapshot to `tables`; returns the persisted id high-water
-    /// mark (v2 only) and the number of records applied.
+    /// mark (v2 on) and the number of records applied.
     fn load_snapshot(data: &[u8], tables: &mut Tables) -> Result<(Option<u64>, u64), ReceiptError> {
         if data.len() < 5 || &data[0..4] != SNAPSHOT_MAGIC {
             return Err(ReceiptError::CorruptSnapshot("bad header".to_string()));
@@ -418,9 +638,9 @@ impl ReceiptStore {
                 tables.expired_count = expired as u64;
                 (&data[V1_HEADER..], crc, None)
             }
-            2 => {
+            2 | 3 => {
                 if data.len() < V2_HEADER {
-                    return Err(ReceiptError::CorruptSnapshot("short v2 header".to_string()));
+                    return Err(ReceiptError::CorruptSnapshot("short header".to_string()));
                 }
                 let crc = u32::from_le_bytes(data[5..9].try_into().unwrap());
                 tables.expired_count = u64::from_le_bytes(data[9..17].try_into().unwrap());
@@ -447,7 +667,7 @@ impl ReceiptStore {
                 .get_bytes()
                 .map_err(|e| ReceiptError::CorruptSnapshot(e.to_string()))?;
             tables
-                .replay(None, rec_bytes)
+                .replay(0, rec_bytes)
                 .map_err(|e| ReceiptError::CorruptSnapshot(e.to_string()))?;
         }
         Ok((high_water, n))
@@ -467,51 +687,13 @@ impl ReceiptStore {
             .add(self.recovery.snapshot_records);
         reg.counter("recovery.wal_records")
             .add(self.recovery.wal_records);
+        reg.counter("recovery.undecodable_records")
+            .add(self.recovery.undecodable_records);
         let torn = reg.counter("recovery.snapshot_tmp_discarded");
         if self.recovery.tmp_discarded {
             torn.inc();
         }
-        self.inner.lock().wal.set_telemetry(reg, clock);
-    }
-
-    /// Log one encoded record: straight to the WAL normally, or into the
-    /// group buffer (flushing at `max`) inside a group-commit window.
-    /// Returns the record's WAL sequence; inside a group window the
-    /// sequence is the one the buffered record *will* receive at flush
-    /// (batch appends assign consecutive sequences and nothing else can
-    /// interleave while the window is open). The group buffer takes the
-    /// bytes out of `bytes` (leaving it empty); the WAL only reads them.
-    fn log_bytes(inner: &mut Inner, bytes: &mut Vec<u8>) -> Result<u64, ReceiptError> {
-        let next = inner.wal.next_seq();
-        let (seq, flush_now) = match inner.group.as_mut() {
-            Some(g) => {
-                g.pending.push(std::mem::take(bytes));
-                g.stats.records += 1;
-                (next + g.pending.len() as u64 - 1, g.pending.len() >= g.max)
-            }
-            None => return Ok(inner.wal.append(bytes)?),
-        };
-        if flush_now {
-            Self::flush_pending(inner)?;
-        }
-        Ok(seq)
-    }
-
-    /// Durably append every buffered group record in one batched WAL
-    /// append. No-op outside a group window or with nothing pending.
-    fn flush_pending(inner: &mut Inner) -> Result<(), ReceiptError> {
-        let payloads = match inner.group.as_mut() {
-            Some(g) if !g.pending.is_empty() => std::mem::take(&mut g.pending),
-            _ => return Ok(()),
-        };
-        let n = payloads.len() as u64;
-        let s = inner.wal.append_batch(&payloads)?;
-        if let Some(g) = inner.group.as_mut() {
-            g.stats.physical_appends += s.physical_appends;
-            g.stats.flushes += 1;
-            g.stats.flush_sizes.push(n);
-        }
-        Ok(())
+        self.inner.lock().log.wal.set_telemetry(reg, clock);
     }
 
     /// Enter a group-commit window: subsequent records buffer their WAL
@@ -530,8 +712,8 @@ impl ReceiptStore {
     /// clamped to ≥ 1; nested calls are not supported.
     pub fn begin_group(&self, max: usize) {
         let mut inner = self.inner.lock();
-        debug_assert!(inner.group.is_none(), "nested begin_group");
-        inner.group = Some(Group {
+        debug_assert!(inner.log.group.is_none(), "nested begin_group");
+        inner.log.group = Some(Group {
             max: max.max(1),
             pending: Vec::new(),
             stats: GroupCommitStats::default(),
@@ -542,7 +724,7 @@ impl ReceiptStore {
     /// durable now (one batched append), keeping the window open. No-op
     /// outside a window or with nothing pending.
     pub fn flush_group(&self) -> Result<(), ReceiptError> {
-        Self::flush_pending(&mut self.inner.lock())
+        self.inner.lock().log.flush()
     }
 
     /// Leave the group-commit window, flushing anything still buffered.
@@ -551,16 +733,20 @@ impl ReceiptStore {
     /// treated as crashed, per the WAL error contract).
     pub fn end_group(&self) -> Result<GroupCommitStats, ReceiptError> {
         let mut inner = self.inner.lock();
-        let flushed = Self::flush_pending(&mut inner);
-        let stats = inner.group.take().map(|g| g.stats).unwrap_or_default();
+        let flushed = inner.log.flush();
+        let stats = inner.log.group.take().map(|g| g.stats).unwrap_or_default();
         flushed.map(|()| stats)
     }
 
-    fn log_and_apply(&self, rec: Record) -> Result<(), ReceiptError> {
-        let mut bytes = rec.encode();
+    /// Log one record, then apply it to the tables.
+    fn log_then(
+        &self,
+        mut bytes: Vec<u8>,
+        apply: impl FnOnce(&mut Tables),
+    ) -> Result<(), ReceiptError> {
         let mut inner = self.inner.lock();
-        let seq = Self::log_bytes(&mut inner, &mut bytes)?;
-        inner.tables.apply(Some(seq), rec);
+        inner.log.append(&mut bytes)?;
+        apply(&mut inner.tables);
         Ok(())
     }
 
@@ -574,10 +760,8 @@ impl ReceiptStore {
         arrival: TimePoint,
     ) -> Result<FileId, ReceiptError> {
         let id: FileId = self.ids.next();
-        let (mut bytes, rec) = template.finish(id, arrival);
-        let mut inner = self.inner.lock();
-        let seq = Self::log_bytes(&mut inner, &mut bytes)?;
-        inner.tables.apply(Some(seq), Record::Arrival(rec));
+        let (bytes, rec) = template.finish(id, arrival);
+        self.log_then(bytes, |t| t.arrive(rec))?;
         Ok(id)
     }
 
@@ -602,28 +786,98 @@ impl ReceiptStore {
             feed_time,
             feeds,
         };
-        self.log_and_apply(Record::Arrival(rec))?;
+        let mut w = ByteWriter::new();
+        encode_arrival(&mut w, &rec);
+        self.log_then(w.into_bytes(), |t| t.arrive(rec))?;
         Ok(id)
     }
 
-    /// Record a completed delivery.
+    /// Record completed deliveries — every (file, subscriber) pair of one
+    /// drain of acknowledgements, or of one file's local fan-out — as
+    /// **one delivery set per file**, in the order the files first
+    /// appear, logged together: one physical append outside a
+    /// group-commit window, the window's buffer inside one. `at` is when
+    /// the last of them completed. A subscriber named for the first time
+    /// gets its `Subscriber` record ahead of the sets. Returns what
+    /// became of each pair, in order; only a
+    /// [`DeliveryOutcome::Recorded`] pair wrote anything. The whole call
+    /// holds the store's lock, so the still-owed check, the append and
+    /// the table update are one step.
+    ///
+    /// A crash inside the append loses a suffix of whole records: the
+    /// receipts in them were never observable, and their deliveries are
+    /// re-sent after recovery (subscribers dedup a resend).
+    pub fn record_deliveries<'a>(
+        &self,
+        pairs: impl IntoIterator<Item = (FileId, &'a str)>,
+        at: TimePoint,
+    ) -> Result<Vec<DeliveryOutcome>, ReceiptError> {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let Tables { files, names, .. } = &mut inner.tables;
+        let mut outcomes = Vec::new();
+        // the files that gain receipts, in first-seen order; the ids each
+        // gains gather in its `pending` and move here once all are in
+        let mut sets: Vec<(FileId, Vec<u8>)> = Vec::new();
+        for (file, subscriber) in pairs {
+            let Some(f) = files.get_mut(&file.raw()) else {
+                outcomes.push(DeliveryOutcome::UnknownFile);
+                continue;
+            };
+            let id = names.intern(subscriber);
+            if has_bit(&f.delivered, id) || has_bit(&f.pending, id) {
+                outcomes.push(DeliveryOutcome::AlreadyDelivered);
+                continue;
+            }
+            if f.pending.is_empty() {
+                sets.push((file, Vec::new()));
+            }
+            set_bit(&mut f.pending, id);
+            outcomes.push(DeliveryOutcome::Recorded);
+        }
+        if sets.is_empty() {
+            return Ok(outcomes);
+        }
+        for (file, bits) in &mut sets {
+            let f = files.get_mut(&file.raw()).expect("found live above");
+            *bits = std::mem::take(&mut f.pending);
+        }
+
+        let unrecorded = names.recorded..names.by_id.len();
+        let subscribers = unrecorded.clone().map(|id| {
+            let mut w = ByteWriter::new();
+            encode_subscriber(&mut w, id as u32, &names.by_id[id]);
+            w.into_bytes()
+        });
+        let delivered = sets.iter().map(|(file, bits)| {
+            let mut w = ByteWriter::with_capacity(bits.len() + 24);
+            encode_delivered(&mut w, *file, at, bits);
+            w.into_bytes()
+        });
+        let first = inner.log.append_all(subscribers.chain(delivered))?;
+
+        let tables = &mut inner.tables;
+        tables.names.recorded = unrecorded.end;
+        for (seq, (file, bits)) in (first + unrecorded.len() as u64..).zip(sets) {
+            let f = tables.files.get_mut(&file.raw());
+            tables.delivery_count += f.expect("found live above").deliver(seq, bits);
+        }
+        Ok(outcomes)
+    }
+
+    /// Record one completed delivery: [`ReceiptStore::record_deliveries`]
+    /// of a single pair. Idempotent for a pair already on record; a file
+    /// that is not live is an error, and nothing is logged for it.
     pub fn record_delivery(
         &self,
         file: FileId,
         subscriber: &str,
         at: TimePoint,
     ) -> Result<(), ReceiptError> {
-        let mut inner = self.inner.lock();
-        let mut bytes = std::mem::take(&mut inner.scratch);
-        bytes.reserve(subscriber.len() + 24);
-        let mut w = ByteWriter::from_bytes(bytes);
-        encode_delivery(&mut w, file, subscriber, at);
-        let mut bytes = w.into_bytes();
-        let logged = Self::log_bytes(&mut inner, &mut bytes);
-        bytes.clear();
-        inner.scratch = bytes;
-        inner.tables.deliver(Some(logged?), file, subscriber);
-        Ok(())
+        match self.record_deliveries([(file, subscriber)], at)?[0] {
+            DeliveryOutcome::UnknownFile => Err(ReceiptError::UnknownFile(file)),
+            DeliveryOutcome::Recorded | DeliveryOutcome::AlreadyDelivered => Ok(()),
+        }
     }
 
     /// Record (or widen) a group delivery mark: the member ack bitmap and
@@ -638,29 +892,24 @@ impl ReceiptStore {
         bits: &[u8],
         watermark: u64,
     ) -> Result<(), ReceiptError> {
-        self.log_and_apply(Record::GroupMark {
-            file,
-            group: group.to_string(),
-            bits: bits.to_vec(),
-            watermark,
+        let mut w = ByteWriter::new();
+        encode_group_mark(&mut w, file, group, bits, watermark);
+        self.log_then(w.into_bytes(), |t| {
+            t.group_mark(file, group, bits, watermark)
         })
     }
 
     /// The merged (bitmap, high-watermark) coverage recorded for a group's
     /// delivery of `file`, if any mark has been logged.
     pub fn group_coverage(&self, file: FileId, group: &str) -> Option<(Vec<u8>, u64)> {
-        self.inner
-            .lock()
-            .tables
-            .group_marks
-            .get(&file.raw())
-            .and_then(|g| g.get(group))
-            .cloned()
+        let inner = self.inner.lock();
+        let f = inner.tables.files.get(&file.raw())?;
+        f.group_marks.get(group).cloned()
     }
 
     /// Record a file expiration (caller removes the staged payload).
     pub fn record_expiration(&self, file: FileId, at: TimePoint) -> Result<(), ReceiptError> {
-        self.log_and_apply(Record::Expire { file, at })
+        self.log_then(Record::Expire { file, at }.encode(), |t| t.expire(file))
     }
 
     /// Record new feed membership for a file after a definition change.
@@ -669,13 +918,17 @@ impl ReceiptStore {
         file: FileId,
         feeds: Vec<String>,
     ) -> Result<(), ReceiptError> {
-        self.log_and_apply(Record::Reclassify { file, feeds })
+        let rec = Record::Reclassify {
+            file,
+            feeds: feeds.clone(),
+        };
+        self.log_then(rec.encode(), |t| t.reclassify(file, feeds))
     }
 
     /// Fetch a live file record.
     pub fn file(&self, id: FileId) -> Option<FileRecord> {
         let inner = self.inner.lock();
-        inner.tables.files.get(&id.raw()).map(|f| (**f).clone())
+        inner.tables.files.get(&id.raw()).map(|f| f.rec.clone())
     }
 
     /// Number of live (non-expired) files.
@@ -702,7 +955,7 @@ impl ReceiptStore {
             .get(feed)
             .map(|ids| {
                 ids.iter()
-                    .filter_map(|id| inner.tables.files.get(id).map(|f| (**f).clone()))
+                    .filter_map(|id| inner.tables.files.get(id).map(|f| f.rec.clone()))
                     .collect()
             })
             .unwrap_or_default()
@@ -710,52 +963,62 @@ impl ReceiptStore {
 
     /// True if `file` has been delivered to `subscriber`.
     pub fn is_delivered(&self, file: FileId, subscriber: &str) -> bool {
-        self.inner
-            .lock()
-            .tables
-            .delivered
-            .get(&file.raw())
-            .map(|s| s.contains(subscriber))
-            .unwrap_or(false)
+        let tables = &self.inner.lock().tables;
+        match (tables.files.get(&file.raw()), tables.names.id(subscriber)) {
+            (Some(f), Some(id)) => has_bit(&f.delivered, id),
+            _ => false,
+        }
     }
 
     /// True if `file` is live and has no delivery receipt for
-    /// `subscriber` yet — what an acknowledgement must find for its
-    /// receipt to be written, answered under one lock.
+    /// `subscriber` yet, answered under one lock.
     pub fn owes(&self, file: FileId, subscriber: &str) -> bool {
         let tables = &self.inner.lock().tables;
-        tables.files.contains_key(&file.raw())
-            && !tables
-                .delivered
-                .get(&file.raw())
-                .is_some_and(|s| s.contains(subscriber))
+        tables.files.get(&file.raw()).is_some_and(|f| {
+            !tables
+                .names
+                .id(subscriber)
+                .is_some_and(|id| has_bit(&f.delivered, id))
+        })
     }
 
     /// The current backfill cursor: the WAL sequence the *next* record
     /// will receive. `deliveries_since(cursor)` returns only receipts
     /// recorded after this point; `deliveries_since(0)` replays all.
     pub fn delivery_cursor(&self) -> u64 {
-        self.inner.lock().wal.next_seq()
+        self.inner.lock().log.wal.next_seq()
     }
 
-    /// Delivery receipts whose WAL sequence is ≥ `from_seq`, in WAL
-    /// order. This is the query behind cross-server backfill: a failover
-    /// coordinator pages through the failed home's delivered set (by file
-    /// *name* — ids are store-local) so the new home can mark them
-    /// against its replicated arrivals and deliver only the remainder.
-    /// Receipts recovered from a snapshot carry seq 0 and are therefore
-    /// always included when paging from the start.
+    /// Delivery receipts of live files whose WAL sequence is ≥
+    /// `from_seq`, in WAL order (the receipts of one record share its
+    /// sequence). This is the query behind cross-server backfill: a
+    /// failover coordinator pages through the failed home's delivered set
+    /// (by file *name* — ids are store-local) so the new home can mark
+    /// them against its replicated arrivals and deliver only the
+    /// remainder. Receipts recovered from a snapshot carry seq 0 and are
+    /// therefore always included when paging from the start.
     pub fn deliveries_since(&self, from_seq: u64) -> Vec<DeliveryMark> {
-        let inner = self.inner.lock();
-        let marks = &inner.tables.log;
-        let start = marks.partition_point(|m| m.seq < from_seq);
-        marks[start..]
-            .iter()
-            .map(|m| DeliveryMark {
-                seq: m.seq,
-                file: m.file,
-                file_name: m.file_name.to_string(),
-                subscriber: m.subscriber.to_string(),
+        let tables = &self.inner.lock().tables;
+        let mut sets: Vec<(u64, &LiveFile, &[u8])> = tables
+            .files
+            .values()
+            .flat_map(|f| {
+                let start = f.log.partition_point(|(seq, _)| *seq < from_seq);
+                f.log[start..]
+                    .iter()
+                    .map(move |(seq, bits)| (*seq, &**f, &bits[..]))
+            })
+            .collect();
+        // stable: the seq-0 sets of a snapshot stay in file-id order
+        sets.sort_by_key(|(seq, _, _)| *seq);
+        sets.into_iter()
+            .flat_map(|(seq, f, bits)| {
+                ones(bits).map(move |id| DeliveryMark {
+                    seq,
+                    file: f.rec.id,
+                    file_name: f.rec.name.clone(),
+                    subscriber: tables.names.by_id[id as usize].to_string(),
+                })
             })
             .collect()
     }
@@ -769,8 +1032,8 @@ impl ReceiptStore {
             .tables
             .files
             .values()
-            .find(|f| f.name == name)
-            .map(|f| (**f).clone())
+            .find(|f| f.rec.name == name)
+            .map(|f| f.rec.clone())
     }
 
     /// Compute a subscriber's **delivery queue**: all live files in any of
@@ -779,75 +1042,54 @@ impl ReceiptStore {
     /// core of reliable delivery (§4.2) — new subscribers and recovered
     /// subscribers are backfilled from exactly this.
     pub fn pending_for(&self, subscriber: &str, feeds: &[String]) -> Vec<FileRecord> {
-        let inner = self.inner.lock();
+        let tables = &self.inner.lock().tables;
         let mut ids: BTreeSet<u64> = BTreeSet::new();
         for feed in feeds {
-            if let Some(set) = inner.tables.by_feed.get(feed) {
+            if let Some(set) = tables.by_feed.get(feed) {
                 ids.extend(set.iter().copied());
             }
         }
+        let sub = tables.names.id(subscriber);
         ids.into_iter()
-            .filter(|id| {
-                !inner
-                    .tables
-                    .delivered
-                    .get(id)
-                    .map(|s| s.contains(subscriber))
-                    .unwrap_or(false)
-            })
-            .filter_map(|id| inner.tables.files.get(&id).map(|f| (**f).clone()))
+            .filter_map(|id| tables.files.get(&id))
+            .filter(|f| !sub.is_some_and(|sub| has_bit(&f.delivered, sub)))
+            .map(|f| f.rec.clone())
             .collect()
     }
 
     /// All live files, in id (arrival) order.
     pub fn all_live(&self) -> Vec<FileRecord> {
         let inner = self.inner.lock();
-        inner.tables.files.values().map(|f| (**f).clone()).collect()
+        inner.tables.files.values().map(|f| f.rec.clone()).collect()
     }
 
     /// A content digest of the delivery state: live files (name, feeds,
     /// size) and the delivered (file name, subscriber) pairs, plus the
     /// expired-file count. One ingredient of a model-checker state hash,
-    /// so it is deliberately *schedule-independent*: file ids, WAL
-    /// sequences and timestamps — which vary with the order operations
-    /// interleaved in — are excluded, and everything is hashed in sorted
-    /// order. Two stores that agree on this digest hold the same files
-    /// and owe the same subscribers the same deliveries.
+    /// so it is deliberately *schedule-independent*: file ids, subscriber
+    /// ids, WAL sequences and timestamps — which vary with the order
+    /// operations interleaved in — are excluded, and everything is hashed
+    /// in sorted order. Two stores that agree on this digest hold the
+    /// same files and owe the same subscribers the same deliveries.
     pub fn state_digest(&self) -> u64 {
         use bistro_base::fnv1a64;
-        let inner = self.inner.lock();
-        let mut lines: Vec<String> = Vec::with_capacity(inner.tables.files.len() * 2);
-        for f in inner.tables.files.values() {
-            let mut feeds = f.feeds.clone();
+        let tables = &self.inner.lock().tables;
+        let mut lines: Vec<String> = Vec::with_capacity(tables.files.len() * 2);
+        for f in tables.files.values() {
+            let name = &f.rec.name;
+            let mut feeds = f.rec.feeds.clone();
             feeds.sort_unstable();
-            lines.push(format!("live\0{}\0{}\0{}", f.name, feeds.join(","), f.size));
-        }
-        for (id, subs) in &inner.tables.delivered {
-            // name the file if still live; expired files keep their id
-            // (ids are only compared within one store's digest history)
-            let key = inner
-                .tables
-                .files
-                .get(id)
-                .map(|f| f.name.clone())
-                .unwrap_or_else(|| format!("#{id}"));
-            for sub in subs {
-                lines.push(format!("delivered\0{key}\0{sub}"));
+            lines.push(format!("live\0{name}\0{}\0{}", feeds.join(","), f.rec.size));
+            for id in ones(&f.delivered) {
+                let sub = &tables.names.by_id[id as usize];
+                lines.push(format!("delivered\0{name}\0{sub}"));
             }
-        }
-        for (id, groups) in &inner.tables.group_marks {
-            let key = inner
-                .tables
-                .files
-                .get(id)
-                .map(|f| f.name.clone())
-                .unwrap_or_else(|| format!("#{id}"));
-            for (group, (bits, wm)) in groups {
+            for (group, (bits, wm)) in &f.group_marks {
                 let mut hex = String::with_capacity(bits.len() * 2);
                 for b in bits {
                     hex.push_str(&format!("{b:02x}"));
                 }
-                lines.push(format!("gmark\0{key}\0{group}\0{hex}\0{wm}"));
+                lines.push(format!("gmark\0{name}\0{group}\0{hex}\0{wm}"));
             }
         }
         lines.sort_unstable();
@@ -856,7 +1098,7 @@ impl ReceiptStore {
             acc.extend_from_slice(line.as_bytes());
             acc.push(b'\n');
         }
-        acc.extend_from_slice(&inner.tables.expired_count.to_le_bytes());
+        acc.extend_from_slice(&tables.expired_count.to_le_bytes());
         fnv1a64(&acc)
     }
 
@@ -870,52 +1112,50 @@ impl ReceiptStore {
             .tables
             .files
             .values()
-            .filter(|f| f.feed_time.unwrap_or(f.arrival) < cutoff)
-            .map(|f| (**f).clone())
+            .filter(|f| f.rec.feed_time.unwrap_or(f.rec.arrival) < cutoff)
+            .map(|f| f.rec.clone())
             .collect()
     }
 
     /// Write a snapshot of the live state and prune covered WAL segments.
     /// Bounds recovery time; returns the number of segments removed.
+    ///
+    /// Body: the subscriber table first (every id, in order), then per
+    /// live file its arrival, its delivery set if it has one, and its
+    /// group marks.
     pub fn snapshot(&self) -> Result<usize, ReceiptError> {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         // a snapshot inside a group window must not cover records that
         // are buffered but not yet durable: flush them first
-        Self::flush_pending(&mut inner)?;
-        // records are encoded straight into the body, counted as they go:
-        // the count leads the body, so it is prepended afterwards
+        inner.log.flush()?;
+        // records are encoded — through one scratch buffer, for the
+        // length each is prefixed with — straight into the body, counted
+        // as they go: the count leads the body, so it is prepended
+        // afterwards
+        let tables = &inner.tables;
         let mut records = ByteWriter::new();
         let mut n = 0u64;
-        let mut put = |encoded: &[u8]| {
-            records.put_bytes(encoded);
+        let mut scratch = Vec::new();
+        let mut put = |encode: &dyn Fn(&mut ByteWriter)| {
+            let mut w = ByteWriter::from_bytes(std::mem::take(&mut scratch));
+            encode(&mut w);
+            records.put_bytes(w.as_bytes());
+            scratch = w.into_bytes();
+            scratch.clear();
             n += 1;
         };
-        for f in inner.tables.files.values() {
-            put(&Record::Arrival((**f).clone()).encode());
+        for (id, name) in tables.names.by_id.iter().enumerate() {
+            put(&|w| encode_subscriber(w, id as u32, name));
         }
-        for (file, subs) in &inner.tables.delivered {
-            if !inner.tables.files.contains_key(file) {
-                continue;
-            }
-            for sub in subs {
+        for f in tables.files.values() {
+            put(&|w| encode_arrival(w, &f.rec));
+            if !f.delivered.is_empty() {
                 // delivery times are not part of queue computation
-                let mut w = ByteWriter::with_capacity(sub.len() + 24);
-                encode_delivery(&mut w, FileId(*file), sub, TimePoint::EPOCH);
-                put(w.as_bytes());
+                put(&|w| encode_delivered(w, f.rec.id, TimePoint::EPOCH, &f.delivered));
             }
-        }
-        for (file, groups) in &inner.tables.group_marks {
-            if !inner.tables.files.contains_key(file) {
-                continue;
-            }
-            for (group, (bits, wm)) in groups {
-                let mark = Record::GroupMark {
-                    file: FileId(*file),
-                    group: group.clone(),
-                    bits: bits.clone(),
-                    watermark: *wm,
-                };
-                put(&mark.encode());
+            for (group, (bits, wm)) in &f.group_marks {
+                put(&|w| encode_group_mark(w, f.rec.id, group, bits, *wm));
             }
         }
         let mut body = ByteWriter::with_capacity(records.len() + 10);
@@ -927,7 +1167,7 @@ impl ReceiptStore {
         out.extend_from_slice(SNAPSHOT_MAGIC);
         out.push(SNAPSHOT_VERSION);
         out.extend_from_slice(&crc32(&body).to_le_bytes());
-        out.extend_from_slice(&inner.tables.expired_count.to_le_bytes());
+        out.extend_from_slice(&tables.expired_count.to_le_bytes());
         // the id high-water mark: even ids whose arrival append failed
         // must never be reissued after recovery
         out.extend_from_slice(&self.ids.peek().saturating_sub(1).to_le_bytes());
@@ -941,10 +1181,13 @@ impl ReceiptStore {
         let dst = format!("{}/snapshot.bin", self.dir);
         self.store.write(&tmp, &out)?;
         self.store.replace(&tmp, &dst)?;
+        // every name is on record now, whatever the log goes on to lose
+        inner.tables.names.recorded = inner.tables.names.by_id.len();
 
-        let covered = inner.wal.next_seq().saturating_sub(1);
-        inner.wal.rotate()?;
-        let removed = inner.wal.prune(covered)?;
+        let wal = &mut inner.log.wal;
+        let covered = wal.next_seq().saturating_sub(1);
+        wal.rotate()?;
+        let removed = wal.prune(covered)?;
         Ok(removed)
     }
 }
@@ -993,31 +1236,295 @@ mod tests {
         assert_eq!(db.pending_for("sub2", &["F".to_string()]).len(), 2);
     }
 
-    /// Receipts share their names: a heap block per (file, subscriber)
-    /// is what made expiry release hundreds of blocks per file.
+    /// What the store keeps is bounded by the live set: a name is stored
+    /// once however many receipts name it, a file's receipts are one set
+    /// and one log entry per record, and expiry takes all of a file's
+    /// delivery state with it — only the name table (one entry per
+    /// subscriber ever named) outlives the files.
     #[test]
     fn delivery_names_are_stored_once() {
         let store = MemFs::shared(SimClock::new());
         let db = open(&store);
+        let mut files = Vec::new();
         for (name, t) in [("a.csv", 1), ("b.csv", 2)] {
             let f = arrive(&db, name, &["F"], t);
-            for sub in ["sub1", "sub2"] {
-                db.record_delivery(f, sub, TimePoint::from_secs(3)).unwrap();
-            }
+            db.record_deliveries([(f, "sub1"), (f, "sub2")], TimePoint::from_secs(3))
+                .unwrap();
+            db.record_delivery(f, "sub3", TimePoint::from_secs(4))
+                .unwrap();
+            files.push(f);
         }
         let reopened = open(&store);
         for db in [&db, &reopened] {
+            assert_eq!(db.delivery_count(), 6);
             let inner = db.inner.lock();
-            assert_eq!(inner.tables.names.len(), 2);
-            let marks = &inner.tables.log;
-            assert_eq!(marks.len(), 4);
-            // a.csv→sub1, a.csv→sub2, b.csv→sub1, b.csv→sub2
-            assert!(Arc::ptr_eq(&marks[0].file_name, &marks[1].file_name));
-            assert!(Arc::ptr_eq(&marks[0].subscriber, &marks[2].subscriber));
-            let held = &inner.tables.delivered[&marks[2].file.raw()];
-            assert!(Arc::ptr_eq(held.get("sub1").unwrap(), &marks[2].subscriber));
+            let names: Vec<&str> = inner.tables.names.by_id.iter().map(|n| &**n).collect();
+            assert_eq!(names, ["sub1", "sub2", "sub3"]);
+            assert_eq!(inner.tables.names.recorded, 3);
+            for f in inner.tables.files.values() {
+                assert_eq!(f.delivered, [0b111]);
+                let log: Vec<&[u8]> = f.log.iter().map(|(_, bits)| &bits[..]).collect();
+                assert_eq!(log, [&[0b011u8][..], &[0b100][..]], "one entry per record");
+            }
+        }
+        for db in [db, reopened] {
+            for &f in &files {
+                db.record_expiration(f, TimePoint::from_secs(9)).unwrap();
+            }
+            assert!(db.deliveries_since(0).is_empty());
+            let inner = db.inner.lock();
+            assert!(inner.tables.files.is_empty(), "sets and log went with them");
+            assert!(inner.tables.by_feed.values().all(BTreeSet::is_empty));
+            assert_eq!(inner.tables.names.by_id.len(), 3);
         }
     }
+
+    fn wal_len(store: &Arc<MemFs>) -> usize {
+        wal_dump(store).iter().map(|(_, bytes)| bytes.len()).sum()
+    }
+
+    /// A receipt for a file that is not live — expired, or never seen —
+    /// used to append a record, count, and leave a table entry no
+    /// `Expire` would ever remove.
+    #[test]
+    fn delivery_to_a_file_that_is_not_live_is_refused() {
+        let store = MemFs::shared(SimClock::new());
+        let db = open(&store);
+        let gone = arrive(&db, "gone.csv", &["F"], 1);
+        let live = arrive(&db, "live.csv", &["F"], 2);
+        db.record_delivery(gone, "sub1", TimePoint::from_secs(3))
+            .unwrap();
+        db.record_expiration(gone, TimePoint::from_secs(4)).unwrap();
+        let (count, len, digest) = (db.delivery_count(), wal_len(&store), db.state_digest());
+
+        for file in [gone, FileId(999)] {
+            assert_eq!(
+                db.record_delivery(file, "sub2", TimePoint::from_secs(5)),
+                Err(ReceiptError::UnknownFile(file))
+            );
+        }
+        // in a drain such pairs are skipped, and name nobody
+        let outcomes = db
+            .record_deliveries(
+                [
+                    (gone, "sub3"),
+                    (live, "sub1"),
+                    (FileId(999), "sub1"),
+                    (live, "sub1"),
+                ],
+                TimePoint::from_secs(5),
+            )
+            .unwrap();
+        use DeliveryOutcome::*;
+        assert_eq!(
+            outcomes,
+            [UnknownFile, Recorded, UnknownFile, AlreadyDelivered]
+        );
+        db.record_expiration(live, TimePoint::from_secs(7)).unwrap();
+        assert_eq!(db.delivery_count(), count + 1);
+        assert_eq!(db.inner.lock().tables.names.by_id.len(), 1);
+        assert!(db.inner.lock().tables.files.is_empty());
+
+        // and before the drain nothing had moved at all
+        let fresh = MemFs::shared(SimClock::new());
+        let db2 = open(&fresh);
+        let gone = arrive(&db2, "gone.csv", &["F"], 1);
+        arrive(&db2, "live.csv", &["F"], 2);
+        db2.record_delivery(gone, "sub1", TimePoint::from_secs(3))
+            .unwrap();
+        db2.record_expiration(gone, TimePoint::from_secs(4))
+            .unwrap();
+        assert!(db2
+            .record_delivery(gone, "sub2", TimePoint::from_secs(5))
+            .is_err());
+        assert_eq!(
+            (db2.delivery_count(), wal_len(&fresh), db2.state_digest()),
+            (count, len, digest)
+        );
+        let reopened = open(&fresh);
+        assert_eq!(reopened.delivery_count(), count);
+        assert_eq!(reopened.state_digest(), digest);
+    }
+
+    /// Hand-write a receipt WAL: `payloads` as consecutive records.
+    fn write_wal(store: &Arc<MemFs>, payloads: &[Vec<u8>]) {
+        let mut wal = Wal::open(
+            store.clone() as Arc<dyn FileStore>,
+            "receipts/wal",
+            |_, _| {},
+        )
+        .unwrap();
+        for p in payloads {
+            wal.append(p).unwrap();
+        }
+    }
+
+    fn file_record(id: u64, name: &str) -> FileRecord {
+        FileRecord {
+            id: FileId(id),
+            name: name.to_string(),
+            staged_path: format!("staging/{name}"),
+            size: 100,
+            arrival: TimePoint::from_secs(id),
+            feed_time: None,
+            feeds: vec!["F".to_string()],
+        }
+    }
+
+    /// Recovery used to skip an intact record it could not decode without
+    /// a count or an error — for a record kind a newer build added, every
+    /// receipt in it silently became a re-delivery.
+    #[test]
+    fn recovery_does_not_silently_drop_what_it_cannot_decode() {
+        let arrivals = [
+            Record::Arrival(file_record(1, "a.csv")).encode(),
+            Record::Arrival(file_record(2, "b.csv")).encode(),
+        ];
+        // a tag no build knows, between two arrivals: open fails, loudly
+        let store = MemFs::shared(SimClock::new());
+        write_wal(
+            &store,
+            &[arrivals[0].clone(), vec![99, 1, 2, 3], arrivals[1].clone()],
+        );
+        let err = ReceiptStore::open(store.clone() as Arc<dyn FileStore>, "receipts")
+            .err()
+            .expect("an unknown record kind must not open clean");
+        assert_eq!(err, ReceiptError::UnknownRecord { seq: 2, tag: 99 });
+        assert!(err.to_string().contains("record 2 has tag 99"), "{err}");
+
+        // a known kind that does not decode, or contradicts the name
+        // table: skipped, but counted
+        let store = MemFs::shared(SimClock::new());
+        let mut cut = arrivals[1].clone();
+        cut.truncate(cut.len() - 1);
+        let set_of_nobody = Record::Delivered {
+            file: FileId(1),
+            at: TimePoint::from_secs(3),
+            bits: vec![0b1],
+        };
+        write_wal(
+            &store,
+            &[
+                arrivals[0].clone(),
+                cut,
+                set_of_nobody.encode(),
+                arrivals[1].clone(),
+            ],
+        );
+        let db = open(&store);
+        assert_eq!(db.live_count(), 2);
+        assert_eq!(db.delivery_count(), 0);
+        let info = db.recovery_info();
+        assert_eq!((info.wal_records, info.undecodable_records), (2, 2));
+        let reg = bistro_telemetry::Registry::new();
+        db.set_telemetry(&reg, SimClock::new());
+        assert_eq!(reg.counter_value("recovery.undecodable_records"), Some(2));
+    }
+
+    /// A store the previous format wrote — a v2 snapshot and a WAL of
+    /// per-pair `Delivery` records — opens to the same tables, keeps
+    /// working with set records following in the same log, and never
+    /// hands out an id twice.
+    #[test]
+    fn stores_written_with_legacy_delivery_records_open_and_keep_working() {
+        let delivery = |file: u64, sub: &str| {
+            Record::Delivery {
+                file: FileId(file),
+                subscriber: sub.to_string(),
+                at: TimePoint::from_secs(50),
+            }
+            .encode()
+        };
+        let store = MemFs::shared(SimClock::new());
+        let snap_records = [
+            Record::Arrival(file_record(4, "a.csv")).encode(),
+            Record::Arrival(file_record(5, "b.csv")).encode(),
+            delivery(4, "alice"),
+            delivery(4, "bob"),
+            delivery(5, "bob"),
+        ];
+        let mut body = ByteWriter::new();
+        body.put_varint(snap_records.len() as u64);
+        for rec in &snap_records {
+            body.put_bytes(rec);
+        }
+        let body = body.into_bytes();
+        let mut snap = Vec::new();
+        snap.extend_from_slice(b"BSNP");
+        snap.push(2u8);
+        snap.extend_from_slice(&crc32(&body).to_le_bytes());
+        snap.extend_from_slice(&3u64.to_le_bytes()); // expired
+        snap.extend_from_slice(&5u64.to_le_bytes()); // id high-water
+        snap.extend_from_slice(&body);
+        store.create_dir_all("receipts").unwrap();
+        store.write("receipts/snapshot.bin", &snap).unwrap();
+        write_wal(
+            &store,
+            &[
+                Record::Arrival(file_record(6, "c.csv")).encode(),
+                delivery(6, "carol"),
+                delivery(4, "carol"),
+                delivery(5, "alice"),
+                delivery(5, "alice"), // the old log could repeat itself
+            ],
+        );
+
+        let feeds = ["F".to_string()];
+        let pending = |db: &ReceiptStore, sub: &str| -> Vec<String> {
+            let files = db.pending_for(sub, &feeds);
+            files.into_iter().map(|f| f.name).collect()
+        };
+        let db = open(&store);
+        // as the build that wrote them recovers these bytes
+        assert_eq!(db.state_digest(), LEGACY_FIXTURE_DIGEST);
+        assert_eq!(db.delivery_count(), 6);
+        assert_eq!(db.expired_count(), 3);
+        assert_eq!(pending(&db, "alice"), ["c.csv"]);
+        assert_eq!(pending(&db, "bob"), ["c.csv"]);
+        assert_eq!(pending(&db, "carol"), ["b.csv"]);
+        assert_eq!(db.deliveries_since(0).len(), 6);
+        assert_eq!(db.deliveries_since(1).len(), 3);
+
+        // set records follow in the same log; a new name joins the table
+        let (c, at) = (FileId(6), TimePoint::from_secs(60));
+        db.record_deliveries([(c, "alice"), (c, "dave"), (FileId(5), "dave")], at)
+            .unwrap();
+        let (digest, names) = (
+            db.state_digest(),
+            db.inner.lock().tables.names.by_id.clone(),
+        );
+        assert_eq!(names.len(), 4);
+        drop(db);
+        let db = open(&store);
+        assert_eq!(db.recovery_info().undecodable_records, 0);
+        assert_eq!(db.state_digest(), digest);
+        assert_eq!(db.inner.lock().tables.names.by_id, names);
+        assert_eq!(db.delivery_count(), 9);
+        assert_eq!(pending(&db, "dave"), ["a.csv"]);
+
+        // an id handed out after the reopen is a fresh one, and the ids
+        // on record still mean who they meant
+        db.record_delivery(FileId(4), "erin", at).unwrap();
+        {
+            let inner = db.inner.lock();
+            assert_eq!(inner.tables.names.by_id[..4], names[..]);
+            assert_eq!(&*inner.tables.names.by_id[4], "erin");
+        }
+        assert!(db.is_delivered(FileId(4), "alice") && !db.is_delivered(FileId(4), "dave"));
+        let digest = db.state_digest();
+        db.snapshot().unwrap();
+        assert_eq!(store.read("receipts/snapshot.bin").unwrap()[4], 3);
+        drop(db);
+        let db = open(&store);
+        assert_eq!(db.state_digest(), digest);
+        assert_eq!(pending(&db, "erin"), ["b.csv", "c.csv"]);
+        let next = arrive(&db, "d.csv", &["F"], 70);
+        assert_eq!(next.raw(), 7, "file ids resume past the high-water mark");
+    }
+
+    /// `state_digest` of the legacy fixture above, as the last build that
+    /// wrote `Delivery` records computes it from the same bytes.
+    const LEGACY_FIXTURE_DIGEST: u64 = 12_598_060_974_288_948_117;
 
     #[test]
     fn recovery_replays_state() {
@@ -1141,7 +1648,7 @@ mod tests {
         assert!(!store.exists("receipts/snapshot.tmp"));
         let snap = store.read("receipts/snapshot.bin").unwrap();
         assert_eq!(&snap[0..4], b"BSNP");
-        assert_eq!(snap[4], 2);
+        assert_eq!(snap[4], 3);
     }
 
     #[test]
@@ -1341,7 +1848,8 @@ mod tests {
         for group in [1usize, 2, 3, 64] {
             let (store, stats) = drive(Some(group));
             assert_eq!(wal_dump(&store), expect, "group={group}");
-            assert_eq!(stats.records, 24, "group={group}");
+            // 3 × (7 arrivals + a set), and sub1's `Subscriber` record once
+            assert_eq!(stats.records, 25, "group={group}");
             if group >= 8 {
                 assert_eq!(stats.physical_appends, 3, "group={group}");
             }

@@ -117,6 +117,12 @@ pub struct Wal {
     active_has_records: bool,
     /// Records are numbered from 1 across segments.
     next_seq: u64,
+    /// Every segment on disk — the active one last — with the sequence
+    /// of its first record: what its header pins (or, for a legacy
+    /// headerless segment, where replay found it). A segment's records
+    /// end where the next one's begin, so [`Wal::prune`] decides from
+    /// this table without reading the log back.
+    segments: Vec<(u64, u64)>,
     /// Rotate segments at this size.
     segment_bytes: u64,
     /// Optional `wal.*` metrics.
@@ -157,6 +163,7 @@ impl Wal {
         let mut active_segment = *segments.last().unwrap_or(&1);
         let mut active_bytes = 0u64;
         let mut active_has_records = false;
+        let mut first_seqs = Vec::with_capacity(segments.len().max(1));
 
         for &seg in &segments {
             let path = segment_path(dir, seg);
@@ -171,6 +178,7 @@ impl Wal {
                 None => 0, // legacy headerless segment
             };
             let before = seq;
+            first_seqs.push((seg, before + 1));
             let valid = body_off + Self::replay_segment(&data[body_off..], &mut seq, &mut apply);
             if seg == active_segment {
                 active_bytes = valid as u64;
@@ -193,6 +201,9 @@ impl Wal {
                 break;
             }
         }
+        if first_seqs.is_empty() {
+            first_seqs.push((active_segment, seq + 1));
+        }
 
         Ok(Wal {
             store,
@@ -203,6 +214,7 @@ impl Wal {
             active_bytes,
             active_has_records,
             next_seq: seq + 1,
+            segments: first_seqs,
             segment_bytes: DEFAULT_SEGMENT_BYTES,
             metrics: None,
         })
@@ -253,6 +265,7 @@ impl Wal {
         self.active_path = segment_path(&self.dir, self.active_segment);
         self.active_bytes = 0;
         self.active_has_records = false;
+        self.segments.push((self.active_segment, self.next_seq));
         if let Some(m) = &self.metrics {
             m.rotations.inc();
         }
@@ -395,38 +408,19 @@ impl Wal {
     }
 
     /// Delete all segments strictly older than the active one whose
-    /// records are covered by a snapshot at `covered_seq`. Conservative:
-    /// only removes whole segments that cannot contain records after
-    /// `covered_seq`, which we establish by re-reading and counting.
+    /// records are covered by a snapshot at `covered_seq`: whole segments
+    /// only, and only those that cannot contain a record after
+    /// `covered_seq` — the next segment begins at or before
+    /// `covered_seq + 1`.
     pub fn prune(&mut self, covered_seq: u64) -> Result<usize, WalError> {
-        let mut removed = 0usize;
-        let mut segments: Vec<u64> = Vec::new();
-        for entry in self.store.list_dir(&self.dir)? {
-            if let Some(stem) = entry.name.strip_suffix(".seg") {
-                if let Ok(n) = stem.parse::<u64>() {
-                    segments.push(n);
-                }
-            }
+        let covered = (self.segments.windows(2))
+            .take_while(|pair| pair[1].1 <= covered_seq.saturating_add(1))
+            .count();
+        for &(seg, _) in &self.segments[..covered] {
+            self.store.remove(&segment_path(&self.dir, seg))?;
         }
-        segments.sort_unstable();
-        let mut seq = 0u64;
-        for &seg in &segments {
-            let path = segment_path(&self.dir, seg);
-            let data = self.store.read(&path)?;
-            let (body_off, base) = match segment_header(&data) {
-                Some((first_seq, off)) => (off, first_seq.saturating_sub(1)),
-                None => (0, seq),
-            };
-            let mut last_in_seg = base;
-            Self::replay_segment(&data[body_off..], &mut last_in_seg, &mut |_, _| {});
-            // records in this segment are (base, last_in_seg]
-            if seg != self.active_segment && last_in_seg <= covered_seq {
-                self.store.remove(&path)?;
-                removed += 1;
-            }
-            seq = last_in_seg;
-        }
-        Ok(removed)
+        self.segments.drain(..covered);
+        Ok(covered)
     }
 }
 
@@ -651,6 +645,68 @@ mod tests {
         // and a further reopen keeps the sequence going
         let mut wal = Wal::open(store.clone() as Arc<dyn FileStore>, "wal", |_, _| {}).unwrap();
         assert_eq!(wal.append(b"new-5").unwrap(), 5);
+    }
+
+    /// Which segments `prune` removes, decided the way it used to:
+    /// re-read every segment and count its frames.
+    fn prunable_by_counting(store: &Arc<MemFs>, active: u64, covered_seq: u64) -> Vec<String> {
+        let mut seq = 0u64;
+        let mut out = Vec::new();
+        for (path, data) in wal_bytes(store) {
+            let (body_off, base) = match segment_header(&data) {
+                Some((first_seq, off)) => (off, first_seq.saturating_sub(1)),
+                None => (0, seq),
+            };
+            let mut last = base;
+            Wal::replay_segment(&data[body_off..], &mut last, &mut |_, _| {});
+            if path != segment_path("wal", active) && last <= covered_seq {
+                out.push(path);
+            }
+            seq = last;
+        }
+        out
+    }
+
+    /// `prune` used to read and checksum the whole log back at every
+    /// snapshot to learn where each segment ends; the segment table
+    /// answers that, so pruning reads nothing — and removes exactly what
+    /// counting frames would.
+    #[test]
+    fn prune_reads_nothing_and_removes_what_counting_would() {
+        for covered in [0u64, 1, 17, 49, 50, 10_000] {
+            for reopen in [false, true] {
+                let store = mem();
+                let open = || Wal::open(store.clone() as Arc<dyn FileStore>, "wal", |_, _| {});
+                let mut wal = open().unwrap();
+                wal.set_segment_bytes(64);
+                for i in 0..50u32 {
+                    wal.append(format!("record-{i:04}").as_bytes()).unwrap();
+                }
+                // what a snapshot does: rotate, then prune what it covers
+                wal.rotate().unwrap();
+                if reopen {
+                    // the table `open` rebuilds equals the one appends grew
+                    drop(wal);
+                    wal = open().unwrap();
+                }
+                let before: Vec<String> = wal_bytes(&store).into_iter().map(|(p, _)| p).collect();
+                assert!(before.len() > 3, "a multi-segment log: {before:?}");
+                let expect = prunable_by_counting(&store, wal.active_segment, covered);
+                let reads = store.stats().snapshot();
+                let removed = wal.prune(covered).unwrap();
+                let delta = store.stats().snapshot().since(&reads);
+                assert_eq!((delta.reads, delta.bytes_read), (0, 0), "covered={covered}");
+                let after: Vec<String> = wal_bytes(&store).into_iter().map(|(p, _)| p).collect();
+                let gone: Vec<String> = (before.into_iter())
+                    .filter(|p| !after.contains(p))
+                    .collect();
+                assert_eq!(gone, expect, "covered={covered} reopen={reopen}");
+                assert_eq!(removed, expect.len());
+                // a second prune finds nothing more, and numbering holds
+                assert_eq!(wal.prune(covered).unwrap(), 0);
+                assert_eq!(wal.append(b"next").unwrap(), 51);
+            }
+        }
     }
 
     #[test]

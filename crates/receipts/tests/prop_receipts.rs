@@ -5,7 +5,7 @@
 use bistro_base::prop::{self, Runner, Shrink};
 use bistro_base::rng::Rng;
 use bistro_base::{prop_assert_eq, FileId, SimClock, TimePoint};
-use bistro_receipts::{ReceiptStore, Record};
+use bistro_receipts::{DeliveryOutcome, ReceiptStore, Record};
 use bistro_vfs::{FileStore, MemFs};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -143,6 +143,197 @@ fn store_matches_model() {
             Ok(())
         },
     );
+}
+
+/// One step of [`delivery_sets_match_per_pair_receipts`]: `Deliver`s
+/// gather into a drain until one of them cuts it or another kind of op
+/// comes.
+#[derive(Debug, Clone)]
+enum DrainOp {
+    Arrive { feed: u8 },
+    Deliver { file_idx: usize, sub: u8, cut: bool },
+    Expire { file_idx: usize },
+    Snapshot,
+    Crash,
+}
+
+impl Shrink for DrainOp {}
+
+fn drain_op_gen(rng: &mut Rng) -> DrainOp {
+    match rng.gen_range(0u32..16) {
+        0..=3 => DrainOp::Arrive {
+            feed: rng.gen_range(0u8..2),
+        },
+        // 12 subscribers: ids reach the bitmap's second byte
+        4..=12 => DrainOp::Deliver {
+            file_idx: rng.gen_range(0usize..64),
+            sub: rng.gen_range(0u8..12),
+            cut: rng.gen_range(0u32..4) == 0,
+        },
+        13 => DrainOp::Expire {
+            file_idx: rng.gen_range(0usize..64),
+        },
+        14 => DrainOp::Snapshot,
+        _ => DrainOp::Crash,
+    }
+}
+
+/// Everything a caller can ask two stores about deliveries must agree.
+fn assert_same_deliveries(
+    sets: &ReceiptStore,
+    pairs: &ReceiptStore,
+    files: &[u64],
+) -> Result<(), String> {
+    prop_assert_eq!(sets.state_digest(), pairs.state_digest());
+    prop_assert_eq!(sets.delivery_count(), pairs.delivery_count());
+    prop_assert_eq!(sets.live_count(), pairs.live_count());
+    for sub in (0..12).map(|i| format!("sub{i}")) {
+        for &id in files {
+            let id = FileId(id);
+            prop_assert_eq!(sets.is_delivered(id, &sub), pairs.is_delivered(id, &sub));
+            prop_assert_eq!(sets.owes(id, &sub), pairs.owes(id, &sub));
+        }
+        let feeds = ["feed0".to_string(), "feed1".to_string()];
+        prop_assert_eq!(
+            sets.pending_for(&sub, &feeds),
+            pairs.pending_for(&sub, &feeds)
+        );
+    }
+    // the backfill cursor: the same receipts, each store's in WAL order
+    // (the sequences differ — a set is one record where pairs are many)
+    let marks = |db: &ReceiptStore| -> Result<BTreeSet<(String, String)>, String> {
+        let marks = db.deliveries_since(0);
+        prop_assert_eq!(marks.len() as u64, marks_of_live(db));
+        for w in marks.windows(2) {
+            bistro_base::prop_assert!(w[0].seq <= w[1].seq, "marks out of WAL order");
+        }
+        Ok(marks
+            .into_iter()
+            .map(|m| (m.file_name, m.subscriber))
+            .collect())
+    };
+    prop_assert_eq!(marks(sets)?, marks(pairs)?);
+    Ok(())
+}
+
+/// Receipts held by live files, counted pair by pair.
+fn marks_of_live(db: &ReceiptStore) -> u64 {
+    let subs: Vec<String> = (0..12).map(|i| format!("sub{i}")).collect();
+    (db.all_live().iter())
+        .map(|f| subs.iter().filter(|s| db.is_delivered(f.id, s)).count() as u64)
+        .sum()
+}
+
+/// The set entry point is an encoding, not a behaviour: the same
+/// operations driven through `record_deliveries` — in drains of random
+/// size — and through one `record_delivery` per pair leave two stores no
+/// query can tell apart, before and after reopening, with snapshots and
+/// expirations in between.
+#[test]
+fn delivery_sets_match_per_pair_receipts() {
+    Runner::new("delivery_sets_match_per_pair_receipts")
+        .cases(48)
+        .run(
+            |rng| prop::vec_of(rng, 1..=79, drain_op_gen),
+            |ops| {
+                let open = |fs: &Arc<MemFs>| {
+                    ReceiptStore::open(fs.clone() as Arc<dyn FileStore>, "r").unwrap()
+                };
+                let (fs_sets, fs_pairs) = (
+                    MemFs::shared(SimClock::new()),
+                    MemFs::shared(SimClock::new()),
+                );
+                let (mut sets, mut pairs) = (open(&fs_sets), open(&fs_pairs));
+                let mut files: Vec<u64> = Vec::new();
+                // (pair, what the per-pair path said) awaiting `sets`
+                let mut drain: Vec<((FileId, String), bool)> = Vec::new();
+                let mut t = 0u64;
+
+                let flush = |sets: &ReceiptStore,
+                             drain: &mut Vec<((FileId, String), bool)>,
+                             t: u64|
+                 -> Result<(), String> {
+                    let outcomes = sets
+                        .record_deliveries(
+                            drain.iter().map(|((f, s), _)| (*f, s.as_str())),
+                            TimePoint::from_secs(t),
+                        )
+                        .unwrap();
+                    prop_assert_eq!(outcomes.len(), drain.len());
+                    for (outcome, (pair, accepted)) in outcomes.iter().zip(drain.drain(..)) {
+                        let refused = *outcome == DeliveryOutcome::UnknownFile;
+                        prop_assert_eq!(refused, !accepted, "pair {:?}", pair);
+                    }
+                    Ok(())
+                };
+
+                for op in ops {
+                    t += 1;
+                    if !matches!(op, DrainOp::Deliver { .. }) {
+                        flush(&sets, &mut drain, t)?;
+                    }
+                    match op {
+                        DrainOp::Arrive { feed } => {
+                            let arrive = |db: &ReceiptStore| {
+                                db.record_arrival(
+                                    &format!("f{t}.csv"),
+                                    &format!("staging/f{t}.csv"),
+                                    10,
+                                    TimePoint::from_secs(t),
+                                    None,
+                                    vec![format!("feed{feed}")],
+                                )
+                                .unwrap()
+                            };
+                            let id = arrive(&sets);
+                            prop_assert_eq!(id, arrive(&pairs));
+                            files.push(id.raw());
+                        }
+                        DrainOp::Deliver { file_idx, sub, cut } => {
+                            // expired files stay in `files`: a late ack
+                            // names one, and both paths must refuse it
+                            let id = match files.get(file_idx % files.len().max(1)) {
+                                Some(&id) => FileId(id),
+                                None => FileId(999),
+                            };
+                            let sub = format!("sub{sub}");
+                            let accepted = pairs
+                                .record_delivery(id, &sub, TimePoint::from_secs(t))
+                                .is_ok();
+                            drain.push(((id, sub), accepted));
+                            if *cut {
+                                flush(&sets, &mut drain, t)?;
+                            }
+                        }
+                        DrainOp::Expire { file_idx } => {
+                            if let Some(&id) = files.get(file_idx % files.len().max(1)) {
+                                for db in [&sets, &pairs] {
+                                    db.record_expiration(FileId(id), TimePoint::from_secs(t))
+                                        .unwrap();
+                                }
+                            }
+                        }
+                        DrainOp::Snapshot => {
+                            sets.snapshot().unwrap();
+                            pairs.snapshot().unwrap();
+                        }
+                        DrainOp::Crash => {
+                            drop((sets, pairs));
+                            (sets, pairs) = (open(&fs_sets), open(&fs_pairs));
+                        }
+                    }
+                    if drain.is_empty() {
+                        assert_same_deliveries(&sets, &pairs, &files)?;
+                    }
+                }
+                flush(&sets, &mut drain, t)?;
+                assert_same_deliveries(&sets, &pairs, &files)?;
+                drop((sets, pairs));
+                let (sets, pairs) = (open(&fs_sets), open(&fs_pairs));
+                prop_assert_eq!(sets.recovery_info().undecodable_records, 0);
+                assert_same_deliveries(&sets, &pairs, &files)
+            },
+        );
 }
 
 #[test]

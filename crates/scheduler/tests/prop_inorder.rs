@@ -3,7 +3,6 @@
 //! real-time performance for).
 
 use bistro_base::prop::{self, Runner};
-use bistro_base::rng::Rng;
 use bistro_base::{prop_assert_eq, TimePoint};
 use bistro_scheduler::{BackfillMode, Engine, EngineConfig, JobSpec, PolicyKind, SubscriberSpec};
 use std::collections::HashMap;

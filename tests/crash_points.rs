@@ -20,6 +20,7 @@
 use bistro::base::{crc32, Clock, SimClock, TimePoint, TimeSpan};
 use bistro::config::parse_config;
 use bistro::server::{Server, ServerError};
+use bistro::transport::messages::{Message, ReliableMsg};
 use bistro::transport::{LinkSpec, RetryPolicy, SimNetwork, SubscriberClient};
 use bistro::vfs::{walk_files, FaultStore, FileStore, MemFs};
 use std::collections::BTreeSet;
@@ -460,6 +461,194 @@ fn sweep_window_sends_never_outrun_their_arrival() {
             sub.delivered().iter().any(|(_, feed, _)| feed == "G"),
             "{ctx}: g_4.csv never reached the subscriber: {:?}",
             sub.delivered()
+        );
+    }
+}
+
+const DRAIN_CONFIG: &str = r#"
+    feed F { pattern "f_%i.csv"; }
+    subscriber alpha { endpoint "alpha"; subscribe F; delivery push; trigger remote "load %N"; }
+    subscriber beta  { endpoint "beta";  subscribe F; delivery push; trigger remote "load %N"; }
+    subscriber gamma { endpoint "gamma"; subscribe F; delivery push; trigger remote "load %N"; }
+"#;
+
+/// The faulted incarnation of the drain sweep. `f_0` is delivered to
+/// alpha and beta and receipted; then `f_1` and `f_2` arrive, all three
+/// clients poll — gamma for the first time, so it acks all three files
+/// and its name is new to the store — and two repeats join the inbox:
+/// alpha's ack of `f_0` again (late: receipted long ago) and beta's ack
+/// of `f_1` again (inside the drain). The last call, one
+/// `poll_network`, is the drain the sweep crashes inside: 9 acks over 3
+/// files, logged as gamma's `Subscriber` record and one set per file.
+/// Returns the server, the mutating-op count before the drain, and what
+/// the drain returned.
+fn drain_phase_a(
+    clock: &Arc<SimClock>,
+    store: Arc<FaultStore>,
+    net: &Arc<SimNetwork>,
+    clients: &mut [SubscriberClient; 3],
+) -> (Server, u64, Result<usize, ServerError>) {
+    let config = parse_config(DRAIN_CONFIG).unwrap();
+    let mut server = Server::new("b", config, clock.clone(), store.clone())
+        .unwrap()
+        .with_network(net.clone())
+        .with_reliable_delivery(retry_policy(), SEED);
+    server.persist_config().unwrap();
+    server.deposit("f_0.csv", &payload(0)).unwrap();
+    let now = clock.advance(TimeSpan::from_secs(1));
+    for c in &mut clients[..2] {
+        c.poll_notifications(net, now);
+    }
+    clock.advance(TimeSpan::from_secs(1));
+    assert_eq!(server.poll_network().unwrap(), 2);
+
+    server.deposit("f_1.csv", &payload(1)).unwrap();
+    server.deposit("f_2.csv", &payload(2)).unwrap();
+    let now = clock.advance(TimeSpan::from_secs(1));
+    for c in clients.iter_mut() {
+        c.poll_notifications(net, now);
+    }
+    let id = |name: &str| server.receipts().file_by_name(name).unwrap().id;
+    for (from, file) in [("alpha", id("f_0.csv")), ("beta", id("f_1.csv"))] {
+        let ack = Message::Reliable(ReliableMsg::Ack { file, attempt: 1 });
+        net.send(now, from, "b", ack);
+    }
+    clock.advance(TimeSpan::from_secs(1));
+    let before = store.mutation_ops();
+    let drained = server.poll_network();
+    (server, before, drained)
+}
+
+fn drain_clients() -> [SubscriberClient; 3] {
+    ["alpha", "beta", "gamma"].map(|name| SubscriberClient::new(name, "b"))
+}
+
+/// Crash the drain at `crash_op`, recover, check every invariant, and
+/// return a digest of all observable state for replay comparison.
+fn run_drain_crash(seed: u64, crash_op: u64) -> String {
+    let ctx = format!("seed={seed:#x} crash_op={crash_op}");
+    let clock = SimClock::starting_at(START);
+    let inner = MemFs::shared(clock.clone());
+    let net = Arc::new(SimNetwork::new(LinkSpec::default()));
+    let faulted = Arc::new(FaultStore::armed(inner.clone(), seed, crash_op));
+    let mut clients = drain_clients();
+    let (dead, _, drained) = drain_phase_a(&clock, faulted, &net, &mut clients);
+    assert!(
+        drained.is_err(),
+        "{ctx}: crash point inside the drain did not fire"
+    );
+    let fired = dead.trigger_log().entries();
+    drop(dead);
+
+    let mut server = Server::open_existing("b", clock.clone(), inner.clone() as Arc<dyn FileStore>)
+        .unwrap_or_else(|e| panic!("{ctx}: reopen: {e}"))
+        .with_network(net.clone())
+        .with_reliable_delivery(retry_policy(), seed.wrapping_add(1));
+    let receipts = server.receipts();
+    // invariant: no trigger fired for a receipt that is not durable
+    for t in &fired {
+        for file in &t.files {
+            assert!(
+                receipts.is_delivered(*file, &t.subscriber),
+                "{ctx}: {} was triggered for {file}, whose receipt did not survive",
+                t.subscriber
+            );
+        }
+    }
+    // invariant: what was acked and receipted before the drain stays
+    let f0 = receipts.file_by_name("f_0.csv").unwrap().id;
+    for sub in ["alpha", "beta"] {
+        assert!(
+            receipts.is_delivered(f0, sub),
+            "{ctx}: {sub}'s receipt for f_0 forgotten"
+        );
+    }
+    // invariant: the drain's records survive as a prefix of whole sets,
+    // in the order the inbox first names each file — every client's
+    // first ack lands before anyone's second, and gamma's first is f_0's
+    // (a torn append may keep all of its last record)
+    let held = receipts.delivery_count();
+    assert!(
+        [2, 5, 6, 9].contains(&held),
+        "{ctx}: {held} receipts survived — not 2 + a prefix of (f_1 x3, f_0 x1, f_2 x3)"
+    );
+    // invariant: no live receipt references a missing staged payload
+    for rec in receipts.all_live() {
+        let staged = format!("staging/{}", rec.staged_path);
+        assert!(inner.exists(&staged), "{ctx}: {staged} missing");
+    }
+
+    // the lost suffix is a resend, which the clients dedup
+    server
+        .backfill_unacked()
+        .unwrap_or_else(|e| panic!("{ctx}: backfill_unacked: {e}"));
+    let [alpha, beta, gamma] = &mut clients;
+    pump(&mut server, &mut [alpha, beta, gamma], &net, &clock, 40)
+        .unwrap_or_else(|e| panic!("{ctx}: settle pump: {e}"));
+    assert_eq!(server.unacked_count(), 0, "{ctx}: unacked after settle");
+    assert_eq!(server.receipts().delivery_count(), 9, "{ctx}");
+    let mut triggered: Vec<(String, u64)> = (fired.iter())
+        .chain(&server.trigger_log().entries())
+        .flat_map(|t| t.files.iter().map(|f| (t.subscriber.clone(), f.raw())))
+        .collect();
+    let total = triggered.len();
+    triggered.sort();
+    triggered.dedup();
+    assert_eq!(triggered.len(), total, "{ctx}: a trigger fired twice");
+    for client in &clients {
+        let got: BTreeSet<u64> = client.delivered().iter().map(|d| d.0.raw()).collect();
+        assert_eq!(got.len(), 3, "{ctx}: {} missed a file", client.endpoint);
+        assert_eq!(
+            client.delivered().len(),
+            3,
+            "{ctx}: {} received a file twice",
+            client.endpoint
+        );
+    }
+
+    let mut digest = format!("held={held} triggered={triggered:?}\n");
+    for path in walk_files(inner.as_ref(), "").unwrap() {
+        let data = inner.read(&path).unwrap();
+        digest.push_str(&format!("{path}:{}:{:08x}\n", data.len(), crc32(&data)));
+    }
+    for client in &clients {
+        digest.push_str(&format!(
+            "{}={}/{}\n",
+            client.endpoint,
+            client.delivered().len(),
+            client.duplicates_ignored()
+        ));
+    }
+    digest
+}
+
+#[test]
+fn sweep_ack_drain_is_durable_before_it_is_observable() {
+    // The receipts of one `poll_network` drain are one append, written
+    // before any of them shows in a trigger: a crash anywhere inside it
+    // leaves a prefix of whole set records, no trigger for anything past
+    // the prefix, and — after restart and backfill — every file at every
+    // client exactly once.
+    let (lo, hi) = {
+        let clock = SimClock::starting_at(START);
+        let counting = Arc::new(FaultStore::counting(MemFs::shared(clock.clone())));
+        let net = Arc::new(SimNetwork::new(LinkSpec::default()));
+        let (server, lo, drained) =
+            drain_phase_a(&clock, counting.clone(), &net, &mut drain_clients());
+        assert_eq!(drained.unwrap(), 9, "7 first acks and 2 repeats");
+        assert_eq!(server.receipts().delivery_count(), 9);
+        assert_eq!(server.trigger_log().len(), 9, "the repeats fired nothing");
+        (lo, counting.mutation_ops())
+    };
+    assert_eq!(hi - lo, 4, "gamma's name + a set per file, nothing else");
+    println!("ack-drain sweep: drain ops {lo}..{hi}, seed {SEED:#x}");
+    // several seeds per op: where the torn record is cut is seeded
+    for (crash_op, seed) in (lo..hi).flat_map(|op| (SEED..SEED + 4).map(move |s| (op, s))) {
+        let digest = run_drain_crash(seed, crash_op);
+        assert_eq!(
+            digest,
+            run_drain_crash(seed, crash_op),
+            "seed={seed:#x} crash_op={crash_op} did not replay"
         );
     }
 }
