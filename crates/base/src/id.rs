@@ -47,11 +47,6 @@ define_id!(
     "file#"
 );
 define_id!(
-    /// Identifies a registered consumer feed definition.
-    FeedId,
-    "feed#"
-);
-define_id!(
     /// Identifies a registered subscriber.
     SubscriberId,
     "sub#"
@@ -149,11 +144,11 @@ mod tests {
     fn idgen_bump_past() {
         let g = IdGen::new();
         g.bump_past(100);
-        let a: FeedId = g.next();
+        let a: FileId = g.next();
         assert_eq!(a.raw(), 101);
         // bumping below current is a no-op
         g.bump_past(5);
-        let b: FeedId = g.next();
+        let b: FileId = g.next();
         assert_eq!(b.raw(), 102);
     }
 

@@ -3,7 +3,8 @@
 //! Shared substrate for the Bistro data feed management system: time points
 //! and clocks (wall and simulated), strongly-typed identifiers, checksums
 //! (CRC32 / FNV-1a), the binary byte codecs used by the receipt store's
-//! write-ahead log and the transport message formats, plus the hermetic
+//! write-ahead log and the transport message formats, the one bitmap
+//! encoding both of them carry ([`Bitmap`]), plus the hermetic
 //! build substrate: seedable PRNG ([`rng`]), property-testing harness
 //! ([`prop`]) and poison-ignoring lock wrappers ([`sync`]).
 //!
@@ -11,6 +12,7 @@
 //! the higher layers (receipts, scheduler, transport, core) can be tested
 //! under a fully simulated clock, offline, with no external crates.
 
+pub mod bitmap;
 pub mod checksum;
 pub mod clock;
 pub mod codec;
@@ -21,10 +23,11 @@ pub mod rng;
 pub mod sync;
 pub mod time;
 
+pub use bitmap::Bitmap;
 pub use checksum::{crc32, fnv1a64};
 pub use clock::{Clock, SharedClock, SimClock, WallClock};
 pub use codec::{varint_len, ByteReader, ByteWriter, CodecError};
-pub use id::{BatchId, FeedId, FileId, IdGen, SubscriberId};
+pub use id::{BatchId, FileId, IdGen, SubscriberId};
 pub use pool::{Pool, ShardStat};
 pub use rng::Rng;
 pub use time::{TimePoint, TimeSpan};

@@ -53,4 +53,4 @@ pub mod server;
 pub use classifier::{Classification, Classifier};
 pub use cluster::{Cluster, ClusterError, Directory, HomeEntry};
 pub use log::{EventLog, LogEvent, LogLevel};
-pub use server::{DeliveryStats, Server, ServerError, DEFAULT_COMMIT_GROUP};
+pub use server::{DeliveryStats, Server, ServerError};

@@ -321,10 +321,6 @@ impl PoolMetrics {
     }
 }
 
-/// Default [`Server::with_commit_group`] flush knob: up to this many
-/// receipt records share one batched WAL append + fsync.
-pub const DEFAULT_COMMIT_GROUP: usize = 64;
-
 /// A Bistro server instance.
 pub struct Server {
     name: String,
@@ -339,9 +335,6 @@ pub struct Server {
     /// The *ceiling* on prepare threads; a batch uses them only when
     /// `compresses`.
     workers: Pool,
-    /// Max receipt records per batched WAL append (the group-commit
-    /// flush knob). WAL bytes are identical for any value ≥ 1.
-    commit_group: usize,
     receipts: ReceiptStore,
     archiver: Option<Archiver>,
     log: EventLog,
@@ -515,7 +508,6 @@ impl Server {
             classifier: Arc::new(classifier),
             compresses,
             workers: Pool::new(1),
-            commit_group: DEFAULT_COMMIT_GROUP,
             receipts,
             archiver,
             log: EventLog::default(),
@@ -635,28 +627,6 @@ impl Server {
         self.workers.workers()
     }
 
-    /// Set the group-commit flush knob: at most `group` receipt records
-    /// per batched WAL append (and so per fsync on a real filesystem)
-    /// during [`Server::deposit_batch`]. Clamped to ≥ 1; 1 restores
-    /// per-record appends. Receipts, WAL bytes and `status_json` are
-    /// byte-identical for any value — only the physical append batching
-    /// (visible in [`Server::pool_telemetry`]'s `wal.group_size` /
-    /// `wal.physical_appends`) changes.
-    pub fn with_commit_group(mut self, group: usize) -> Server {
-        self.commit_group = group.max(1);
-        self
-    }
-
-    /// Change the group-commit flush knob at runtime.
-    pub fn set_commit_group(&mut self, group: usize) {
-        self.commit_group = group.max(1);
-    }
-
-    /// The configured group-commit flush knob.
-    pub fn commit_group(&self) -> usize {
-        self.commit_group
-    }
-
     /// The server's name (its network endpoint).
     pub fn name(&self) -> &str {
         &self.name
@@ -704,8 +674,9 @@ impl Server {
     /// compresses and runs inline otherwise; the results —
     /// staging writes, receipt WAL appends, deliveries — commit strictly
     /// in deposit order on the caller's thread, inside one group-commit
-    /// window (one batched WAL append + fsync per
-    /// [`Server::commit_group`] records instead of per record).
+    /// window: the batch's receipts reach the WAL in one batched append
+    /// and fsync — or more, when a file's deliveries go over a network,
+    /// since its arrival is flushed before the first send naming it.
     ///
     /// Determinism contract: because workers run only the pure
     /// [`parallel::prepare`] stage (they never touch the store, the WAL
@@ -730,7 +701,7 @@ impl Server {
         prepare_span.finish();
         self.record_pool_stats(&shard_stats, &prepared);
 
-        self.receipts.begin_group(self.commit_group);
+        self.receipts.begin_group();
         let result = prepared
             .into_iter()
             .try_for_each(|(rel, r)| self.ingest_prepared(&rel, r?));
@@ -746,8 +717,8 @@ impl Server {
     }
 
     /// Group-commit telemetry for one batch, into the pool registry
-    /// (group-size-dependent, so excluded from `status_json` just like
-    /// the per-worker tallies).
+    /// (it depends on how deposits were cut into batches, so it stays
+    /// out of `status_json` just like the per-worker tallies).
     fn record_group_stats(&self, stats: &GroupCommitStats) {
         let m = &self.pool_metrics;
         for &n in &stats.flush_sizes {

@@ -87,23 +87,21 @@ fn commit_window_batches_local_receipts_and_flushes_before_network_sends() {
 
     // local deliveries: a single deposit commits its arrival and the set
     // of both delivery receipts (warehouse + viz) in one physical append,
-    // and a batch keeps filling the window up to the group size
+    // and a batch is one window however many records it logs: no record
+    // count cuts it, so 40 files are 80 records and one append
     let clock = SimClock::starting_at(START);
     let mut local = new_server(clock.clone(), MemFs::shared(clock.clone()));
     local
         .deposit("CPU_poller0_201009250000.csv", b"cpu")
         .unwrap();
     assert_eq!(appends(&local), 1);
-    local.deposit_batch((1..4).map(cpu).collect()).unwrap();
-    assert_eq!(appends(&local), 2, "six records, one append");
-    local.set_commit_group(1);
-    local
-        .deposit("CPU_poller4_201009250000.csv", b"cpu")
-        .unwrap();
-    assert_eq!(appends(&local), 4, "group 1 is per-record: arrival, set");
+    local.deposit_batch((1..41).map(cpu).collect()).unwrap();
+    assert_eq!(appends(&local), 2, "eighty records, one append");
+    let sizes = local.pool_telemetry().histogram("wal.group_size");
+    assert_eq!((sizes.count(), sizes.max()), (2, Some(80)));
 
     // over a network every arrival is durable before the first send
-    // that names it: one flush per file, whatever the group size
+    // that names it: one flush per file
     let clock = SimClock::starting_at(START);
     let net = Arc::new(SimNetwork::new(LinkSpec::default()));
     let mut remote = new_server(clock.clone(), MemFs::shared(clock.clone())).with_network(net);

@@ -21,7 +21,7 @@ use crate::records::{
 use crate::wal::{Wal, WalError};
 use bistro_base::checksum::crc32;
 use bistro_base::sync::Mutex;
-use bistro_base::{ByteReader, ByteWriter, CodecError, FileId, IdGen, TimePoint};
+use bistro_base::{Bitmap, ByteReader, ByteWriter, CodecError, FileId, IdGen, TimePoint};
 use bistro_vfs::{FileStore, VfsError};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -77,42 +77,6 @@ impl From<VfsError> for ReceiptError {
     fn from(e: VfsError) -> Self {
         ReceiptError::Vfs(e)
     }
-}
-
-// Sets of subscriber ids are LSB-first bitmaps, as `GroupMark`'s member
-// sets are: bit `i % 8` of byte `i / 8`, absent bytes read as zero.
-
-fn has_bit(bits: &[u8], i: u32) -> bool {
-    bits.get(i as usize / 8)
-        .is_some_and(|b| b & (1 << (i % 8)) != 0)
-}
-
-fn set_bit(bits: &mut Vec<u8>, i: u32) {
-    let byte = i as usize / 8;
-    if bits.len() <= byte {
-        bits.resize(byte + 1, 0);
-    }
-    bits[byte] |= 1 << (i % 8);
-}
-
-/// OR-merge: a set only grows, so replaying any prefix, repetition or
-/// reordering of the records that built it is idempotent.
-fn or_into(dst: &mut Vec<u8>, src: &[u8]) {
-    if dst.len() < src.len() {
-        dst.resize(src.len(), 0);
-    }
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d |= s;
-    }
-}
-
-/// The ids in `bits`, ascending.
-fn ones(bits: &[u8]) -> impl Iterator<Item = u32> + '_ {
-    bits.iter().enumerate().flat_map(|(byte, &b)| {
-        (0..8u32)
-            .filter(move |k| b & (1 << k) != 0)
-            .map(move |k| byte as u32 * 8 + k)
-    })
 }
 
 /// Why replay refused an intact record.
@@ -193,46 +157,45 @@ impl Names {
 
 /// A live file and its delivery state. They share an entry so that
 /// expiring the file drops all of it: the store's memory is bounded by
-/// the live set, not by how many deliveries it ever recorded.
+/// the live set, not by how many deliveries it ever recorded. Sets of
+/// subscriber ids are [`Bitmap`]s, as `GroupMark`'s member sets are, and
+/// only grow by OR-merge: replaying any prefix, repetition or reordering
+/// of the records that built one is idempotent.
 struct LiveFile {
     rec: FileRecord,
     /// Ids of the subscribers the file has been delivered to.
-    delivered: Vec<u8>,
+    delivered: Bitmap,
     /// Ids a [`ReceiptStore::record_deliveries`] call in progress has
     /// gathered for this file and not yet logged. Empty between calls.
-    pending: Vec<u8>,
+    pending: Bitmap,
     /// One entry per delivery record that added receipts — its WAL
     /// sequence and the ids it added — in WAL order: the file's part of
     /// the backfill cursor ([`ReceiptStore::deliveries_since`]). Receipts
     /// recovered from a snapshot (whose covering segments were pruned)
     /// carry seq 0.
-    log: Vec<(u64, Vec<u8>)>,
+    log: Vec<(u64, Bitmap)>,
     /// group name → (member ack bitmap, high-watermark).
     /// Shared-delivery-tree coverage (§3 delivery network): one compact
     /// mark per (file, group) instead of one receipt per member. BTreeMap
     /// so snapshots serialize the marks in a deterministic order.
-    group_marks: BTreeMap<String, (Vec<u8>, u64)>,
+    group_marks: BTreeMap<String, (Bitmap, u64)>,
 }
 
 impl LiveFile {
     /// Mark the file delivered to the ids in `bits`, logged at `seq`;
     /// returns how many of them are new. Only those enter the log — the
     /// table dedupes, and the log must match it.
-    fn deliver(&mut self, seq: u64, mut bits: Vec<u8>) -> u64 {
-        for (b, held) in bits.iter_mut().zip(&self.delivered) {
-            *b &= !held;
-        }
-        while bits.last() == Some(&0) {
-            bits.pop();
-        }
+    fn deliver(&mut self, seq: u64, mut bits: Bitmap) -> u64 {
+        bits.and_not(self.delivered.bytes());
+        bits.trim();
         if bits.is_empty() {
             return 0;
         }
-        let added = bits.iter().map(|b| u64::from(b.count_ones())).sum();
-        or_into(&mut self.delivered, &bits);
+        self.delivered.or(bits.bytes());
+        let added = u64::from(bits.count());
         match self.log.last_mut() {
             // one entry per record: only a snapshot's seq 0 repeats
-            Some((last, held)) if *last == seq => or_into(held, &bits),
+            Some((last, held)) if *last == seq => held.or(bits.bytes()),
             _ => self.log.push((seq, bits)),
         }
         added
@@ -276,14 +239,15 @@ impl Tables {
                 // the legacy receipt names its subscriber in full; the
                 // id it gets here goes on record with the next set written
                 if let Some(f) = self.files.get_mut(&file.raw()) {
-                    let mut bits = Vec::new();
-                    set_bit(&mut bits, self.names.intern(&subscriber));
+                    let mut bits = Bitmap::default();
+                    bits.set(self.names.intern(&subscriber));
                     self.delivery_count += f.deliver(seq, bits);
                 }
             }
             Record::Subscriber { id, name } => self.names.restore(id, &name)?,
             Record::Delivered { file, bits, .. } => {
-                if let Some(stray) = ones(&bits).find(|&id| id as usize >= self.names.by_id.len()) {
+                let (bits, named) = (Bitmap::from(bits), self.names.by_id.len());
+                if let Some(stray) = bits.ones().find(|&id| id as usize >= named) {
                     return Err(ReplayError::Subscriber(stray));
                 }
                 // a set replayed after its file expired is stale
@@ -325,8 +289,8 @@ impl Tables {
             None => {
                 let live = LiveFile {
                     rec: f,
-                    delivered: Vec::new(),
-                    pending: Vec::new(),
+                    delivered: Bitmap::default(),
+                    pending: Bitmap::default(),
                     log: Vec::new(),
                     group_marks: BTreeMap::new(),
                 };
@@ -356,7 +320,7 @@ impl Tables {
             Some(slot) => slot,
             None => f.group_marks.entry(group.to_string()).or_default(),
         };
-        or_into(&mut slot.0, bits);
+        slot.0.or(bits);
         slot.1 = slot.1.max(watermark);
     }
 
@@ -435,46 +399,37 @@ struct Log {
 
 impl Log {
     /// Log one encoded record: straight to the WAL normally, or into the
-    /// group buffer (flushing at `max`) inside a group-commit window.
-    /// Returns the record's WAL sequence; inside a group window the
-    /// sequence is the one the buffered record *will* receive at flush
-    /// (batch appends assign consecutive sequences and nothing else can
-    /// interleave while the window is open). The group buffer takes the
-    /// bytes out of `bytes` (leaving it empty); the WAL only reads them.
-    fn append(&mut self, bytes: &mut Vec<u8>) -> Result<u64, ReceiptError> {
-        let next = self.wal.next_seq();
-        let (seq, flush_now) = match self.group.as_mut() {
-            Some(g) => {
-                g.pending.push(std::mem::take(bytes));
-                g.stats.records += 1;
-                (next + g.pending.len() as u64 - 1, g.pending.len() >= g.max)
-            }
-            None => return Ok(self.wal.append(bytes)?),
+    /// buffer of an open group-commit window. Returns the record's WAL
+    /// sequence; inside a window the sequence is the one the buffered
+    /// record *will* receive at flush (batch appends assign consecutive
+    /// sequences and nothing else can interleave while the window is
+    /// open).
+    fn append(&mut self, bytes: Vec<u8>) -> Result<u64, ReceiptError> {
+        let Some(g) = &mut self.group else {
+            return Ok(self.wal.append(&bytes)?);
         };
-        if flush_now {
-            self.flush()?;
-        }
-        Ok(seq)
+        g.pending.push(bytes);
+        g.stats.records += 1;
+        Ok(self.wal.next_seq() + g.pending.len() as u64 - 1)
     }
 
     /// Log several records, which receive consecutive sequences from the
     /// one returned: one physical append outside a group window, the
-    /// window's buffer (and its flush rule, record by record) inside.
+    /// window's buffer inside.
     fn append_all(&mut self, payloads: impl Iterator<Item = Vec<u8>>) -> Result<u64, ReceiptError> {
-        let Some(g) = &self.group else {
-            let first = self.wal.next_seq();
-            let payloads: Vec<_> = payloads.collect();
-            if let [one] = &payloads[..] {
-                // the same bytes, without a batch's buffers
-                self.wal.append(one)?;
-            } else {
-                self.wal.append_batch(&payloads)?;
-            }
-            return Ok(first);
-        };
-        let first = self.wal.next_seq() + g.pending.len() as u64;
-        for mut bytes in payloads {
-            self.append(&mut bytes)?;
+        let first = self.wal.next_seq();
+        if let Some(g) = &mut self.group {
+            let buffered = g.pending.len();
+            g.pending.extend(payloads);
+            g.stats.records += (g.pending.len() - buffered) as u64;
+            return Ok(first + buffered as u64);
+        }
+        let payloads: Vec<_> = payloads.collect();
+        if let [one] = &payloads[..] {
+            // the same bytes, without a batch's buffers
+            self.wal.append(one)?;
+        } else {
+            self.wal.append_batch(&payloads)?;
         }
         Ok(first)
     }
@@ -518,8 +473,6 @@ pub struct DeliveryMark {
 
 /// In-flight group-commit state.
 struct Group {
-    /// Flush whenever this many records are pending.
-    max: usize,
     /// Encoded record payloads awaiting their batched WAL append.
     pending: Vec<Vec<u8>>,
     stats: GroupCommitStats,
@@ -527,7 +480,8 @@ struct Group {
 
 /// How a [`ReceiptStore::begin_group`] … [`ReceiptStore::end_group`]
 /// window was committed, for telemetry. None of this feeds back into the
-/// record stream: the WAL bytes are identical for every group size.
+/// record stream: the WAL bytes are identical wherever a window is
+/// flushed.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GroupCommitStats {
     /// Records logged inside the group window.
@@ -697,24 +651,26 @@ impl ReceiptStore {
     }
 
     /// Enter a group-commit window: subsequent records buffer their WAL
-    /// bytes and are appended in batches of at most `max` (one physical
-    /// append + fsync per batch instead of per record), until
-    /// [`ReceiptStore::end_group`]. Records still apply to the in-memory
-    /// tables immediately — queries and delivery-queue computation see
-    /// them as usual — so the write-ahead discipline is relaxed *within
-    /// the window only*: a crash inside it loses a suffix of whole
-    /// records (never a torn one; see [`Wal::append_batch`]), exactly as
-    /// if the deposit batch had been cut short. That is only safe while
-    /// nothing outside this process has seen the buffered records: the
-    /// caller must [`ReceiptStore::flush_group`] before anything naming a
-    /// buffered record (a `FileId` above all) leaves over a network, or a
-    /// restart would reissue an id a subscriber already holds. `max` is
-    /// clamped to ≥ 1; nested calls are not supported.
-    pub fn begin_group(&self, max: usize) {
+    /// bytes and are appended together (one physical append + fsync per
+    /// flush instead of per record) at the next
+    /// [`ReceiptStore::flush_group`] or at [`ReceiptStore::end_group`].
+    /// The window is as large as the caller makes it: its buffer holds
+    /// the records of work the caller already holds in memory. Records
+    /// still apply to the in-memory tables immediately — queries and
+    /// delivery-queue computation see them as usual — so the write-ahead
+    /// discipline is relaxed *within the window only*: a crash inside it
+    /// loses a suffix of whole records (never a torn one; see
+    /// [`Wal::append_batch`]), exactly as if the deposit batch had been
+    /// cut short. That is only safe while nothing outside this process
+    /// has seen the buffered records: the caller must
+    /// [`ReceiptStore::flush_group`] before anything naming a buffered
+    /// record (a `FileId` above all) leaves over a network, or a restart
+    /// would reissue an id a subscriber already holds. Nested calls are
+    /// not supported.
+    pub fn begin_group(&self) {
         let mut inner = self.inner.lock();
         debug_assert!(inner.log.group.is_none(), "nested begin_group");
         inner.log.group = Some(Group {
-            max: max.max(1),
             pending: Vec::new(),
             stats: GroupCommitStats::default(),
         });
@@ -741,11 +697,11 @@ impl ReceiptStore {
     /// Log one record, then apply it to the tables.
     fn log_then(
         &self,
-        mut bytes: Vec<u8>,
+        bytes: Vec<u8>,
         apply: impl FnOnce(&mut Tables),
     ) -> Result<(), ReceiptError> {
         let mut inner = self.inner.lock();
-        inner.log.append(&mut bytes)?;
+        inner.log.append(bytes)?;
         apply(&mut inner.tables);
         Ok(())
     }
@@ -818,21 +774,21 @@ impl ReceiptStore {
         let mut outcomes = Vec::new();
         // the files that gain receipts, in first-seen order; the ids each
         // gains gather in its `pending` and move here once all are in
-        let mut sets: Vec<(FileId, Vec<u8>)> = Vec::new();
+        let mut sets: Vec<(FileId, Bitmap)> = Vec::new();
         for (file, subscriber) in pairs {
             let Some(f) = files.get_mut(&file.raw()) else {
                 outcomes.push(DeliveryOutcome::UnknownFile);
                 continue;
             };
             let id = names.intern(subscriber);
-            if has_bit(&f.delivered, id) || has_bit(&f.pending, id) {
+            if f.delivered.get(id) || f.pending.get(id) {
                 outcomes.push(DeliveryOutcome::AlreadyDelivered);
                 continue;
             }
             if f.pending.is_empty() {
-                sets.push((file, Vec::new()));
+                sets.push((file, Bitmap::default()));
             }
-            set_bit(&mut f.pending, id);
+            f.pending.set(id);
             outcomes.push(DeliveryOutcome::Recorded);
         }
         if sets.is_empty() {
@@ -850,8 +806,8 @@ impl ReceiptStore {
             w.into_bytes()
         });
         let delivered = sets.iter().map(|(file, bits)| {
-            let mut w = ByteWriter::with_capacity(bits.len() + 24);
-            encode_delivered(&mut w, *file, at, bits);
+            let mut w = ByteWriter::with_capacity(bits.bytes().len() + 24);
+            encode_delivered(&mut w, *file, at, bits.bytes());
             w.into_bytes()
         });
         let first = inner.log.append_all(subscribers.chain(delivered))?;
@@ -904,7 +860,8 @@ impl ReceiptStore {
     pub fn group_coverage(&self, file: FileId, group: &str) -> Option<(Vec<u8>, u64)> {
         let inner = self.inner.lock();
         let f = inner.tables.files.get(&file.raw())?;
-        f.group_marks.get(group).cloned()
+        let (bits, watermark) = f.group_marks.get(group)?;
+        Some((bits.bytes().to_vec(), *watermark))
     }
 
     /// Record a file expiration (caller removes the staged payload).
@@ -965,21 +922,9 @@ impl ReceiptStore {
     pub fn is_delivered(&self, file: FileId, subscriber: &str) -> bool {
         let tables = &self.inner.lock().tables;
         match (tables.files.get(&file.raw()), tables.names.id(subscriber)) {
-            (Some(f), Some(id)) => has_bit(&f.delivered, id),
+            (Some(f), Some(id)) => f.delivered.get(id),
             _ => false,
         }
-    }
-
-    /// True if `file` is live and has no delivery receipt for
-    /// `subscriber` yet, answered under one lock.
-    pub fn owes(&self, file: FileId, subscriber: &str) -> bool {
-        let tables = &self.inner.lock().tables;
-        tables.files.get(&file.raw()).is_some_and(|f| {
-            !tables
-                .names
-                .id(subscriber)
-                .is_some_and(|id| has_bit(&f.delivered, id))
-        })
     }
 
     /// The current backfill cursor: the WAL sequence the *next* record
@@ -999,21 +944,21 @@ impl ReceiptStore {
     /// therefore always included when paging from the start.
     pub fn deliveries_since(&self, from_seq: u64) -> Vec<DeliveryMark> {
         let tables = &self.inner.lock().tables;
-        let mut sets: Vec<(u64, &LiveFile, &[u8])> = tables
+        let mut sets: Vec<(u64, &LiveFile, &Bitmap)> = tables
             .files
             .values()
             .flat_map(|f| {
                 let start = f.log.partition_point(|(seq, _)| *seq < from_seq);
                 f.log[start..]
                     .iter()
-                    .map(move |(seq, bits)| (*seq, &**f, &bits[..]))
+                    .map(move |(seq, bits)| (*seq, &**f, bits))
             })
             .collect();
         // stable: the seq-0 sets of a snapshot stay in file-id order
         sets.sort_by_key(|(seq, _, _)| *seq);
         sets.into_iter()
             .flat_map(|(seq, f, bits)| {
-                ones(bits).map(move |id| DeliveryMark {
+                bits.ones().map(move |id| DeliveryMark {
                     seq,
                     file: f.rec.id,
                     file_name: f.rec.name.clone(),
@@ -1052,7 +997,7 @@ impl ReceiptStore {
         let sub = tables.names.id(subscriber);
         ids.into_iter()
             .filter_map(|id| tables.files.get(&id))
-            .filter(|f| !sub.is_some_and(|sub| has_bit(&f.delivered, sub)))
+            .filter(|f| !sub.is_some_and(|sub| f.delivered.get(sub)))
             .map(|f| f.rec.clone())
             .collect()
     }
@@ -1080,16 +1025,12 @@ impl ReceiptStore {
             let mut feeds = f.rec.feeds.clone();
             feeds.sort_unstable();
             lines.push(format!("live\0{name}\0{}\0{}", feeds.join(","), f.rec.size));
-            for id in ones(&f.delivered) {
+            for id in f.delivered.ones() {
                 let sub = &tables.names.by_id[id as usize];
                 lines.push(format!("delivered\0{name}\0{sub}"));
             }
             for (group, (bits, wm)) in &f.group_marks {
-                let mut hex = String::with_capacity(bits.len() * 2);
-                for b in bits {
-                    hex.push_str(&format!("{b:02x}"));
-                }
-                lines.push(format!("gmark\0{name}\0{group}\0{hex}\0{wm}"));
+                lines.push(format!("gmark\0{name}\0{group}\0{bits:x}\0{wm}"));
             }
         }
         lines.sort_unstable();
@@ -1152,10 +1093,10 @@ impl ReceiptStore {
             put(&|w| encode_arrival(w, &f.rec));
             if !f.delivered.is_empty() {
                 // delivery times are not part of queue computation
-                put(&|w| encode_delivered(w, f.rec.id, TimePoint::EPOCH, &f.delivered));
+                put(&|w| encode_delivered(w, f.rec.id, TimePoint::EPOCH, f.delivered.bytes()));
             }
             for (group, (bits, wm)) in &f.group_marks {
-                put(&|w| encode_group_mark(w, f.rec.id, group, bits, *wm));
+                put(&|w| encode_group_mark(w, f.rec.id, group, bits.bytes(), *wm));
             }
         }
         let mut body = ByteWriter::with_capacity(records.len() + 10);
@@ -1262,8 +1203,8 @@ mod tests {
             assert_eq!(names, ["sub1", "sub2", "sub3"]);
             assert_eq!(inner.tables.names.recorded, 3);
             for f in inner.tables.files.values() {
-                assert_eq!(f.delivered, [0b111]);
-                let log: Vec<&[u8]> = f.log.iter().map(|(_, bits)| &bits[..]).collect();
+                assert_eq!(f.delivered.bytes(), [0b111]);
+                let log: Vec<&[u8]> = f.log.iter().map(|(_, bits)| bits.bytes()).collect();
                 assert_eq!(log, [&[0b011u8][..], &[0b100][..]], "one entry per record");
             }
         }
@@ -1805,17 +1746,18 @@ mod tests {
     }
 
     /// Drive the same mixed workload with and without group commit: the
-    /// WAL bytes and recovered state must be identical for every group
-    /// size, and batching must actually amortize physical appends.
+    /// WAL bytes and recovered state must be identical wherever a window
+    /// is flushed, and batching must actually amortize physical appends.
     #[test]
-    fn group_commit_wal_bytes_identical_across_group_sizes() {
-        let drive = |group: Option<usize>| -> (Arc<MemFs>, GroupCommitStats) {
+    fn group_commit_wal_bytes_identical_across_flush_points() {
+        // `Some(k)`: a window per round, flushed after every k-th arrival
+        let drive = |flush_every: Option<u64>| -> (Arc<MemFs>, GroupCommitStats) {
             let store = MemFs::shared(SimClock::new());
             let db = open(&store);
             let mut stats = GroupCommitStats::default();
             for round in 0..3u64 {
-                if let Some(g) = group {
-                    db.begin_group(g);
+                if flush_every.is_some() {
+                    db.begin_group();
                 }
                 let mut ids = Vec::new();
                 for i in 0..7u64 {
@@ -1830,11 +1772,14 @@ mod tests {
                         db.record_arrival_prepared(&t, TimePoint::from_secs(1_000 + round))
                             .unwrap(),
                     );
+                    if flush_every.is_some_and(|k| (i + 1) % k == 0) {
+                        db.flush_group().unwrap();
+                    }
                 }
                 // deliveries raised mid-window route through the buffer too
                 db.record_delivery(ids[0], "sub1", TimePoint::from_secs(2_000))
                     .unwrap();
-                if group.is_some() {
+                if flush_every.is_some() {
                     let s = db.end_group().unwrap();
                     stats.records += s.records;
                     stats.physical_appends += s.physical_appends;
@@ -1845,13 +1790,13 @@ mod tests {
         };
         let (reference, _) = drive(None);
         let expect = wal_dump(&reference);
-        for group in [1usize, 2, 3, 64] {
-            let (store, stats) = drive(Some(group));
-            assert_eq!(wal_dump(&store), expect, "group={group}");
+        for k in [1u64, 2, 3, 64] {
+            let (store, stats) = drive(Some(k));
+            assert_eq!(wal_dump(&store), expect, "flush every {k}");
             // 3 × (7 arrivals + a set), and sub1's `Subscriber` record once
-            assert_eq!(stats.records, 25, "group={group}");
-            if group >= 8 {
-                assert_eq!(stats.physical_appends, 3, "group={group}");
+            assert_eq!(stats.records, 25, "flush every {k}");
+            if k >= 8 {
+                assert_eq!(stats.physical_appends, 3, "one append per window");
             }
             // recovery sees the same world
             let db = open(&store);
@@ -1864,7 +1809,7 @@ mod tests {
     fn snapshot_inside_group_window_flushes_pending_first() {
         let store = MemFs::shared(SimClock::new());
         let db = open(&store);
-        db.begin_group(1024); // never auto-flushes
+        db.begin_group();
         arrive(&db, "a.csv", &["F"], 100);
         arrive(&db, "b.csv", &["F"], 200);
         db.snapshot().unwrap();
@@ -1882,9 +1827,12 @@ mod tests {
         let store = MemFs::shared(SimClock::new());
         {
             let db = open(&store);
-            db.begin_group(2); // flush after every 2 records
+            db.begin_group();
             for i in 0..5u64 {
                 arrive(&db, &format!("f{i}.csv"), &["F"], 100 + i);
+                if i == 3 {
+                    db.flush_group().unwrap();
+                }
             }
             // crash before end_group: the 5th record was never flushed
         }
@@ -1985,7 +1933,7 @@ mod tests {
         let db = open(&store);
         let f1 = arrive(&db, "a.csv", &["F"], 100);
         let f2 = arrive(&db, "b.csv", &["F"], 200);
-        db.begin_group(64);
+        db.begin_group();
         db.record_delivery(f1, "s1", TimePoint::from_secs(300))
             .unwrap();
         db.record_delivery(f2, "s1", TimePoint::from_secs(301))

@@ -104,10 +104,8 @@ pub struct GroupAppendStats {
 pub struct Wal {
     store: Arc<dyn FileStore>,
     dir: String,
-    /// Segment currently being appended to.
-    active_segment: u64,
-    /// `segment_path(dir, active_segment)`, rendered when the segment
-    /// changes instead of once per append.
+    /// The active segment's path, rendered when the segment changes
+    /// instead of once per append.
     active_path: String,
     /// The frame under construction, reused across [`Wal::append`]s.
     frame: Vec<u8>,
@@ -160,7 +158,7 @@ impl Wal {
         segments.sort_unstable();
 
         let mut seq = 0u64;
-        let mut active_segment = *segments.last().unwrap_or(&1);
+        let last = segments.last().copied();
         let mut active_bytes = 0u64;
         let mut active_has_records = false;
         let mut first_seqs = Vec::with_capacity(segments.len().max(1));
@@ -180,7 +178,7 @@ impl Wal {
             let before = seq;
             first_seqs.push((seg, before + 1));
             let valid = body_off + Self::replay_segment(&data[body_off..], &mut seq, &mut apply);
-            if seg == active_segment {
+            if Some(seg) == last {
                 active_bytes = valid as u64;
                 active_has_records = seq > before;
                 if valid < data.len() {
@@ -195,21 +193,21 @@ impl Wal {
                 for &later in segments.iter().filter(|&&s| s > seg) {
                     store.remove(&segment_path(dir, later))?;
                 }
-                active_segment = seg;
                 active_bytes = valid as u64;
                 active_has_records = seq > before;
                 break;
             }
         }
         if first_seqs.is_empty() {
-            first_seqs.push((active_segment, seq + 1));
+            first_seqs.push((1, seq + 1));
         }
 
+        // the last segment replay reached is the active one
+        let (active, _) = first_seqs[first_seqs.len() - 1];
         Ok(Wal {
             store,
             dir: dir.to_string(),
-            active_segment,
-            active_path: segment_path(dir, active_segment),
+            active_path: segment_path(dir, active),
             frame: Vec::new(),
             active_bytes,
             active_has_records,
@@ -261,11 +259,12 @@ impl Wal {
 
     /// Move on to the next (empty) segment.
     fn advance_segment(&mut self) {
-        self.active_segment += 1;
-        self.active_path = segment_path(&self.dir, self.active_segment);
+        // the active segment is the table's last entry; prune keeps it
+        let next = self.segments[self.segments.len() - 1].0 + 1;
+        self.active_path = segment_path(&self.dir, next);
         self.active_bytes = 0;
         self.active_has_records = false;
-        self.segments.push((self.active_segment, self.next_seq));
+        self.segments.push((next, self.next_seq));
         if let Some(m) = &self.metrics {
             m.rotations.inc();
         }
@@ -336,15 +335,14 @@ impl Wal {
             records: payloads.len() as u64,
             physical_appends: 0,
         };
-        // frames accumulated for `chunk_segment`, flushed on rotation and
-        // at the end — one physical append per (group × segment)
+        // frames accumulated for the active segment, flushed before a
+        // rotation and at the end — one physical append per (group ×
+        // segment)
         let mut chunk: Vec<Vec<u8>> = Vec::new();
-        let mut chunk_segment = self.active_segment;
         for payload in payloads {
             if self.active_bytes >= self.segment_bytes {
-                self.flush_chunk(&mut chunk, chunk_segment, &mut stats)?;
+                self.flush_chunk(&mut chunk, &mut stats)?;
                 self.advance_segment();
-                chunk_segment = self.active_segment;
             }
             let mut frame = Vec::with_capacity(SEG_HEADER + FRAME_HEADER + payload.len());
             self.frame_record(&mut frame, payload);
@@ -353,16 +351,15 @@ impl Wal {
             self.next_seq += 1;
             chunk.push(frame);
         }
-        self.flush_chunk(&mut chunk, chunk_segment, &mut stats)?;
+        self.flush_chunk(&mut chunk, &mut stats)?;
         Ok(stats)
     }
 
-    /// Durably append the buffered frames of one segment in a single
-    /// [`FileStore::append_many`] call.
+    /// Durably append the buffered frames of the active segment in a
+    /// single [`FileStore::append_many`] call.
     fn flush_chunk(
         &mut self,
         chunk: &mut Vec<Vec<u8>>,
-        segment: u64,
         stats: &mut GroupAppendStats,
     ) -> Result<(), WalError> {
         if chunk.is_empty() {
@@ -370,8 +367,7 @@ impl Wal {
         }
         let parts: Vec<&[u8]> = chunk.iter().map(|f| f.as_slice()).collect();
         let started = self.metrics.as_ref().map(|m| m.clock.now());
-        self.store
-            .append_many(&segment_path(&self.dir, segment), &parts)?;
+        self.store.append_many(&self.active_path, &parts)?;
         if let (Some(m), Some(t0)) = (&self.metrics, started) {
             let elapsed = m.clock.now().since(t0).as_micros();
             m.fsync_us.record_n(elapsed, chunk.len() as u64);
@@ -691,7 +687,7 @@ mod tests {
                 }
                 let before: Vec<String> = wal_bytes(&store).into_iter().map(|(p, _)| p).collect();
                 assert!(before.len() > 3, "a multi-segment log: {before:?}");
-                let expect = prunable_by_counting(&store, wal.active_segment, covered);
+                let expect = prunable_by_counting(&store, wal.segments.last().unwrap().0, covered);
                 let reads = store.stats().snapshot();
                 let removed = wal.prune(covered).unwrap();
                 let delta = store.stats().snapshot().since(&reads);

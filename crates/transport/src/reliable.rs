@@ -28,8 +28,9 @@
 //! [`ReliableMsg::Attempt`]: crate::messages::ReliableMsg::Attempt
 
 use crate::messages::SubscriberMsg;
-use bistro_base::{FileId, Rng, TimePoint, TimeSpan};
+use bistro_base::{Bitmap, FileId, Rng, TimePoint, TimeSpan};
 use bistro_telemetry::{Counter, Gauge, Registry};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -389,15 +390,17 @@ impl<P: Clone> RetryTracker<P> {
 // state scale with group count rather than member count.
 // ---------------------------------------------------------------------------
 
-/// Member-coverage bitmap for one `(group, file)` delivery: bit `i`
-/// (LSB-first within each byte) is set when member `i` of the group's
-/// sorted member list has received the file. The *watermark* is the
-/// count of leading covered members — the high-watermark form used on
-/// the wire and in receipt records, cheap to compare during recovery.
+/// Member-coverage bitmap for one `(group, file)` delivery: bit `i` of a
+/// [`Bitmap`] is set when member `i` of the group's sorted member list
+/// has received the file. The *watermark* is the count of leading
+/// covered members — the high-watermark form used on the wire and in
+/// receipt records, cheap to compare during recovery. The member count
+/// fixes the bytes at exactly the members and keeps every bit past the
+/// last member clear, whatever a report claims.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Coverage {
     members: u32,
-    bits: Vec<u8>,
+    bits: Bitmap,
 }
 
 impl Coverage {
@@ -405,70 +408,45 @@ impl Coverage {
     pub fn new(members: u32) -> Coverage {
         Coverage {
             members,
-            bits: vec![0; (members as usize).div_ceil(8)],
+            bits: Bitmap::zeros(members),
         }
     }
 
-    /// Rebuild from wire/receipt form, clamping adversarial input: the
-    /// bitmap is truncated (or zero-extended) to the local member count,
-    /// stray bits beyond `members` are masked off, and the watermark
-    /// prefix is OR-ed in (capped at `members`).
+    /// Rebuild from wire/receipt form, clamped to the member count as
+    /// [`Coverage::merge_wire`] clamps.
     pub fn from_wire(members: u32, bits: &[u8], watermark: u64) -> Coverage {
         let mut c = Coverage::new(members);
-        for (i, byte) in c.bits.iter_mut().enumerate() {
-            *byte = bits.get(i).copied().unwrap_or(0);
-        }
-        c.mask_tail();
-        let wm = watermark.min(members as u64) as u32;
-        for i in 0..wm {
-            c.bits[(i / 8) as usize] |= 1 << (i % 8);
-        }
+        c.merge_wire(bits, watermark);
         c
-    }
-
-    /// Zero any bits past the member count so `complete`/`count` are
-    /// exact even after merging a hostile bitmap.
-    fn mask_tail(&mut self) {
-        let spare = self.bits.len() * 8 - self.members as usize;
-        if spare > 0 {
-            if let Some(last) = self.bits.last_mut() {
-                *last &= 0xFF >> spare;
-            }
-        }
     }
 
     /// Mark member `i` covered; true if it was newly set.
     pub fn set(&mut self, i: u32) -> bool {
-        if i >= self.members {
-            return false;
-        }
-        let (byte, bit) = ((i / 8) as usize, 1u8 << (i % 8));
-        let newly = self.bits[byte] & bit == 0;
-        self.bits[byte] |= bit;
-        newly
+        i < self.members && self.bits.set(i)
     }
 
     /// Is member `i` covered?
     pub fn get(&self, i: u32) -> bool {
-        i < self.members && self.bits[(i / 8) as usize] & (1 << (i % 8)) != 0
+        self.bits.get(i)
     }
 
-    /// OR another report into this one; true if anything changed.
+    /// OR a report into this one, in place; true if anything changed.
+    /// Adversarial input is clamped: a longer bitmap is cut to the member
+    /// count, stray bits past the last member are dropped, and the
+    /// watermark prefix is capped at `members`.
     pub fn merge_wire(&mut self, bits: &[u8], watermark: u64) -> bool {
-        let merged = Coverage::from_wire(self.members, bits, watermark);
-        let mut changed = false;
-        for (mine, theirs) in self.bits.iter_mut().zip(merged.bits.iter()) {
-            if *mine | *theirs != *mine {
-                *mine |= *theirs;
-                changed = true;
-            }
+        let (before, width) = (self.count(), self.bits.bytes().len());
+        self.bits.or(&bits[..bits.len().min(width)]);
+        self.bits.truncate(self.members);
+        for i in 0..watermark.min(u64::from(self.members)) as u32 {
+            self.bits.set(i);
         }
-        changed
+        self.count() != before
     }
 
     /// Covered members.
     pub fn count(&self) -> u32 {
-        self.bits.iter().map(|b| b.count_ones()).sum()
+        self.bits.count()
     }
 
     /// Every member covered?
@@ -478,16 +456,7 @@ impl Coverage {
 
     /// Count of leading covered members (the high-watermark).
     pub fn watermark(&self) -> u32 {
-        let mut wm = 0;
-        for &byte in &self.bits {
-            if byte == 0xFF {
-                wm += 8;
-                continue;
-            }
-            wm += byte.trailing_ones();
-            break;
-        }
-        wm.min(self.members)
+        self.bits.leading_ones()
     }
 
     /// The group's member count.
@@ -497,7 +466,7 @@ impl Coverage {
 
     /// The raw bitmap (wire/receipt form).
     pub fn bits(&self) -> &[u8] {
-        &self.bits
+        self.bits.bytes()
     }
 }
 
@@ -517,29 +486,32 @@ pub struct GroupSend {
 }
 
 impl RetryTracker<GroupSend> {
-    /// A coverage report for `(group, file)` arrived. Merges it in and
-    /// returns `(merged coverage, changed)` — `None` if the pair is not
-    /// outstanding (stale or duplicate ack of a finished delivery).
-    /// Unlike a per-subscriber ack, a report only clears the entry once
-    /// the merged bitmap is complete.
+    /// A coverage report for `(group, file)` arrived. Merges it into the
+    /// entry in place and returns `(merged coverage, changed)` — `None`
+    /// if the pair is not outstanding (stale or duplicate ack of a
+    /// finished delivery). Unlike a per-subscriber ack, a report only
+    /// clears the entry once the merged bitmap is complete; the coverage
+    /// then comes back owned, out of the removed entry.
     pub fn on_coverage(
         &mut self,
         group: &str,
         file: FileId,
         bits: &[u8],
         watermark: u64,
-    ) -> Option<(Coverage, bool)> {
+    ) -> Option<(Cow<'_, Coverage>, bool)> {
         let files = self.outstanding.get_mut(group)?;
         let coverage = &mut files.get_mut(&file.raw())?.payload.coverage;
         let changed = coverage.merge_wire(bits, watermark);
-        let merged = coverage.clone();
         self.metrics.acks.inc();
-        if merged.complete() {
-            files.remove(&file.raw());
-            self.len -= 1;
-            self.resized();
+        if !coverage.complete() {
+            // looked up again: handing `coverage` itself out would keep
+            // `files` (and all of `self`) borrowed on the path below too
+            return Some((Cow::Borrowed(&files[&file.raw()].payload.coverage), changed));
         }
-        Some((merged, changed))
+        let done = files.remove(&file.raw()).expect("merged above");
+        self.len -= 1;
+        self.metrics.outstanding.set(self.len as i64);
+        Some((Cow::Owned(done.payload.coverage), changed))
     }
 }
 

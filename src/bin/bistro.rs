@@ -7,11 +7,10 @@
 //! bistro discover <dir> [min]       run new-feed discovery over a real directory
 //! bistro analyze <config> <dir>     full analyzer pass: classify a directory,
 //!                                   then report unknowns, suggestions, drift
-//! bistro status [--json] [--seed N] [--workers W] [--group G]
+//! bistro status [--json] [--seed N] [--workers W]
 //!                                   one-screen health report from the seeded
 //!                                   demo scenario (same seed → same bytes,
-//!                                   for any ingest worker count W and any
-//!                                   WAL group-commit size G)
+//!                                   for any ingest worker count W)
 //! ```
 
 use bistro::analyzer::{infer_schema, suggest_groups, FeedDiscoverer, FnDetector};
@@ -38,7 +37,7 @@ fn main() -> ExitCode {
                  bistro classify <config> <name>…  match filenames against feeds\n\
                  bistro discover <dir> [min]       suggest feed definitions for a directory\n\
                  bistro analyze <config> <dir>     classify a directory and report drift\n\
-                 bistro status [--json] [--seed N] [--workers W] [--group G]\n\
+                 bistro status [--json] [--seed N] [--workers W]\n\
                  \u{20}                                 health report from the seeded demo run"
             );
             return ExitCode::from(2);
@@ -169,7 +168,6 @@ fn cmd_status(args: &[String]) -> Result<(), String> {
     let mut json = false;
     let mut seed: u64 = 0xB157_0057;
     let mut workers: usize = 1;
-    let mut group: usize = bistro::server::DEFAULT_COMMIT_GROUP;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -182,20 +180,13 @@ fn cmd_status(args: &[String]) -> Result<(), String> {
                 let v = it.next().ok_or("--workers needs a value")?;
                 workers = v.parse().map_err(|_| format!("bad workers: {v}"))?;
             }
-            "--group" => {
-                let v = it.next().ok_or("--group needs a value")?;
-                group = v.parse().map_err(|_| format!("bad group: {v}"))?;
-            }
             other => return Err(format!("unknown status flag {other}")),
         }
     }
     if json {
-        println!(
-            "{}",
-            bistro::status::status_json(seed, workers, group).render()
-        );
+        println!("{}", bistro::status::status_json(seed, workers).render());
     } else {
-        print!("{}", bistro::status::status_text(seed, workers, group));
+        print!("{}", bistro::status::status_text(seed, workers));
     }
     Ok(())
 }

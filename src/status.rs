@@ -28,11 +28,10 @@ const CONFIG: &str = r#"
 
 /// Drive the demo scenario to completion and hand back the server so
 /// callers can render whichever status form they want. `workers` sizes
-/// the parallel ingest pool and `group` sets the WAL group-commit flush
-/// knob; by the `deposit_batch` determinism contract the returned
-/// server's status snapshot is byte-identical for any worker count *and*
-/// any group size.
-pub fn demo_server(seed: u64, workers: usize, group: usize) -> Server {
+/// the parallel ingest pool; by the `deposit_batch` determinism contract
+/// the returned server's status snapshot is byte-identical for any
+/// worker count.
+pub fn demo_server(seed: u64, workers: usize) -> Server {
     let clock = SimClock::starting_at(START);
     let store = MemFs::shared(clock.clone());
     let net = Arc::new(SimNetwork::new(LinkSpec {
@@ -63,8 +62,7 @@ pub fn demo_server(seed: u64, workers: usize, group: usize) -> Server {
         .unwrap()
         .with_network(net.clone())
         .with_reliable_delivery(policy, seed)
-        .with_workers(workers)
-        .with_commit_group(group);
+        .with_workers(workers);
     let mut alpha = SubscriberClient::new("alpha", "b");
     let mut beta = SubscriberClient::new("beta", "b");
 
@@ -98,24 +96,23 @@ pub fn demo_server(seed: u64, workers: usize, group: usize) -> Server {
 }
 
 /// The `bistro status --json` document for `seed`.
-pub fn status_json(seed: u64, workers: usize, group: usize) -> Json {
-    demo_server(seed, workers, group).status_json()
+pub fn status_json(seed: u64, workers: usize) -> Json {
+    demo_server(seed, workers).status_json()
 }
 
 /// The human-readable `bistro status` report for `seed`.
-pub fn status_text(seed: u64, workers: usize, group: usize) -> String {
-    demo_server(seed, workers, group).status_text()
+pub fn status_text(seed: u64, workers: usize) -> String {
+    demo_server(seed, workers).status_text()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::server::log::LogLevel;
-    use crate::server::DEFAULT_COMMIT_GROUP;
 
     #[test]
     fn demo_fires_retry_exhaustion_alarm_into_event_log() {
-        let server = demo_server(7, 1, DEFAULT_COMMIT_GROUP);
+        let server = demo_server(7, 1);
         let alarms = server.event_log().alarms();
         assert!(
             alarms
@@ -136,18 +133,18 @@ mod tests {
 
     #[test]
     fn same_seed_renders_byte_identical_json() {
-        let a = status_json(42, 1, DEFAULT_COMMIT_GROUP).render();
-        let b = status_json(42, 1, DEFAULT_COMMIT_GROUP).render();
+        let a = status_json(42, 1).render();
+        let b = status_json(42, 1).render();
         assert_eq!(a, b);
         assert!(a.contains("\"delivery.receipts\""), "{a}");
     }
 
     #[test]
     fn worker_count_does_not_change_the_snapshot() {
-        let reference = status_json(42, 1, DEFAULT_COMMIT_GROUP).render();
+        let reference = status_json(42, 1).render();
         for workers in [2, 4, 8] {
             assert_eq!(
-                status_json(42, workers, DEFAULT_COMMIT_GROUP).render(),
+                status_json(42, workers).render(),
                 reference,
                 "workers={workers}"
             );
@@ -155,34 +152,10 @@ mod tests {
         // the separate pool registry shows where prepare ran: the demo's
         // feed keeps files as delivered, so four workers are a ceiling
         // the server never reaches for — every file on the caller's thread
-        let server = demo_server(42, 4, DEFAULT_COMMIT_GROUP);
+        let server = demo_server(42, 4);
         let pool = |name: &str| server.pool_telemetry().counter_value(name).unwrap();
         assert!(pool("pool.batches") >= 6);
         assert_eq!(pool("pool.worker0.files"), 25, "6 rounds x 4 + 1 unknown");
         assert_eq!(pool("pool.worker3.files"), 0);
-    }
-
-    #[test]
-    fn commit_group_does_not_change_the_snapshot() {
-        let reference = status_json(42, 1, 1).render();
-        for group in [2, 7, DEFAULT_COMMIT_GROUP, 1024] {
-            assert_eq!(
-                status_json(42, 1, group).render(),
-                reference,
-                "group={group}"
-            );
-        }
-        // the demo delivers over a network, where every arrival is flushed
-        // ahead of the first send that names it: the window cannot batch
-        // across files here, whatever the knob says (the pool registry
-        // shows it — one physical append per classified file)
-        let appends = |group: usize| {
-            demo_server(42, 1, group)
-                .pool_telemetry()
-                .counter_value("wal.physical_appends")
-                .unwrap()
-        };
-        assert_eq!(appends(1), 24, "6 rounds x 4 classified files");
-        assert_eq!(appends(DEFAULT_COMMIT_GROUP), appends(1));
     }
 }

@@ -133,7 +133,6 @@ fn phase_a(
     // a subscriber holds must be durable, and a torn append must
     // recover to a whole-record prefix, never a receipt whose staged
     // payload is missing
-    server.set_commit_group(2);
     server.deposit_batch(
         (10..13usize)
             .map(|i| (format!("f_{i}.csv"), payload(i)))

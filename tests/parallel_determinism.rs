@@ -1,12 +1,12 @@
 //! Property test for the parallel ingest determinism contract: for
-//! random seeded file batches, `deposit_batch` with N workers and a
-//! WAL group-commit size of G produces the same classifications,
-//! receipt sequence numbers, raw WAL segment bytes, telemetry totals
-//! and `status_json` bytes as one worker committing record-by-record,
-//! for N ∈ {2, 4, 8} × G ∈ {1, 2, 7, 64} — and for the one-ingest-path
-//! contract: `deposit`, `deposit_batch` at any chunking, `notify_deposit`
-//! and `scan_landing` are four doors into the same commit, so the same
-//! files through any of them leave the same bytes behind.
+//! random seeded file batches, `deposit_batch` with N workers produces
+//! the same classifications, receipt sequence numbers, raw WAL segment
+//! bytes, telemetry totals and `status_json` bytes as one worker, for
+//! N ∈ {2, 4, 8} — and for the one-ingest-path contract: `deposit`,
+//! `deposit_batch` at any chunking (so any commit-window size),
+//! `notify_deposit` and `scan_landing` are four doors into the same
+//! commit, so the same files through any of them leave the same bytes
+//! behind.
 
 use bistro::base::prop::{self, Runner};
 use bistro::base::{prop_assert_eq, SimClock, TimePoint, TimeSpan};
@@ -62,17 +62,10 @@ struct Observed {
     wal: String,
 }
 
-/// Run `rounds` of deposits through `entry` with the given worker count
-/// and group-commit size; the clock moves (and the server ticks) only
-/// between rounds.
-fn run(
-    config: &str,
-    rounds: &[Vec<(String, Vec<u8>)>],
-    entry: Entry,
-    workers: usize,
-    group: usize,
-) -> Observed {
-    run_counting(config, rounds, entry, workers, group).0
+/// Run `rounds` of deposits through `entry` with the given worker
+/// count; the clock moves (and the server ticks) only between rounds.
+fn run(config: &str, rounds: &[Vec<(String, Vec<u8>)>], entry: Entry, workers: usize) -> Observed {
+    run_counting(config, rounds, entry, workers).0
 }
 
 /// [`run`], plus how many files were prepared on a pool thread other
@@ -85,7 +78,6 @@ fn run_counting(
     rounds: &[Vec<(String, Vec<u8>)>],
     entry: Entry,
     workers: usize,
-    group: usize,
 ) -> (Observed, u64) {
     let clock = SimClock::starting_at(START);
     let store = MemFs::shared(clock.clone());
@@ -96,8 +88,7 @@ fn run_counting(
         store.clone(),
     )
     .unwrap()
-    .with_workers(workers)
-    .with_commit_group(group);
+    .with_workers(workers);
     for round in rounds {
         if matches!(entry, Entry::Notify | Entry::Scan) {
             for (name, data) in round {
@@ -176,7 +167,7 @@ fn deposit_batch_is_deterministic_across_worker_counts() {
     let round: Vec<(String, Vec<u8>)> = (0..8)
         .map(|i| (format!("MEM_poller{i}_201009250400.csv"), vec![b'm'; 16]))
         .collect();
-    let (_, off_thread) = run_counting(CONFIG, &[round], Entry::Batch(usize::MAX), 4, 1);
+    let (_, off_thread) = run_counting(CONFIG, &[round], Entry::Batch(usize::MAX), 4);
     assert_eq!(off_thread, 6, "CONFIG no longer makes the server fan out");
 
     Runner::new("deposit_batch_is_deterministic_across_worker_counts")
@@ -216,28 +207,11 @@ fn deposit_batch_is_deterministic_across_worker_counts() {
                     .collect::<Vec<_>>()
             },
             |rounds| {
-                // reference: one worker, record-by-record WAL appends
-                let reference = run(CONFIG, rounds, Entry::Batch(usize::MAX), 1, 1);
-                // sweep both axes plus combinations: any worker count ×
-                // any group-commit size must reproduce the reference
-                for (workers, group) in [
-                    (2, 1),
-                    (4, 1),
-                    (8, 1),
-                    (1, 2),
-                    (1, 7),
-                    (1, 64),
-                    (4, 7),
-                    (8, 64),
-                ] {
-                    let got = run(CONFIG, rounds, Entry::Batch(usize::MAX), workers, group);
-                    prop_assert_eq!(
-                        &got,
-                        &reference,
-                        "run diverges at workers={} group={}",
-                        workers,
-                        group
-                    );
+                // reference: one worker; any worker count must reproduce it
+                let reference = run(CONFIG, rounds, Entry::Batch(usize::MAX), 1);
+                for workers in [2, 4, 8] {
+                    let got = run(CONFIG, rounds, Entry::Batch(usize::MAX), workers);
+                    prop_assert_eq!(&got, &reference, "run diverges at workers={}", workers);
                 }
                 Ok(())
             },
@@ -288,38 +262,36 @@ fn four_entry_points_are_one_path() {
     let rounds = [files];
 
     for workers in [1, 4] {
-        for group in [1, 3, 64] {
-            let ctx = format!("workers={workers} group={group}");
-            let single = run(ENTRY_CONFIG, &rounds, Entry::Single, workers, group);
-            assert_eq!(single.receipts.split(';').count(), n - 1, "{ctx}");
-            assert!(single.payloads.contains("unknown/mystery.dat:"), "{ctx}");
-            assert_ne!(single.triggers, "[]", "{ctx}: no batch ever closed");
-            assert!(single.landing.is_empty(), "{ctx}: {:?}", single.landing);
+        let ctx = format!("workers={workers}");
+        let single = run(ENTRY_CONFIG, &rounds, Entry::Single, workers);
+        assert_eq!(single.receipts.split(';').count(), n - 1, "{ctx}");
+        assert!(single.payloads.contains("unknown/mystery.dat:"), "{ctx}");
+        assert_ne!(single.triggers, "[]", "{ctx}: no batch ever closed");
+        assert!(single.landing.is_empty(), "{ctx}: {:?}", single.landing);
 
-            // any chunking of deposit_batch is the same commit, status
-            // (store-op tallies included) and all
-            for chunk in [1, 3, n] {
-                let (batch, off_thread) =
-                    run_counting(ENTRY_CONFIG, &rounds, Entry::Batch(chunk), workers, group);
-                assert_eq!(batch, single, "{ctx}: deposit_batch chunk={chunk}");
-                // … and at four workers the whole-round batch really did
-                // leave the caller's thread to get there
-                if workers > 1 && chunk == n {
-                    assert!(off_thread > 0, "{ctx}: prepared inline");
-                }
+        // any chunking of deposit_batch is the same commit, status
+        // (store-op tallies included) and all
+        for chunk in [1, 3, n] {
+            let (batch, off_thread) =
+                run_counting(ENTRY_CONFIG, &rounds, Entry::Batch(chunk), workers);
+            assert_eq!(batch, single, "{ctx}: deposit_batch chunk={chunk}");
+            // … and at four workers the whole-round batch really did
+            // leave the caller's thread to get there
+            if workers > 1 && chunk == n {
+                assert!(off_thread > 0, "{ctx}: prepared inline");
             }
-            // the landing callers read and remove the source copy on top
-            // (so the vfs tallies in status differ); everything else is
-            // byte-identical and nothing stays in landing/
-            for entry in [Entry::Notify, Entry::Scan] {
-                let landed = run(ENTRY_CONFIG, &rounds, entry, workers, group);
-                let expected = Observed {
-                    status: landed.status.clone(),
-                    ..single.clone()
-                };
-                assert_eq!(landed, expected, "{ctx}: {entry:?}");
-                assert_ne!(landed.status, single.status, "{ctx}: {entry:?}");
-            }
+        }
+        // the landing callers read and remove the source copy on top
+        // (so the vfs tallies in status differ); everything else is
+        // byte-identical and nothing stays in landing/
+        for entry in [Entry::Notify, Entry::Scan] {
+            let landed = run(ENTRY_CONFIG, &rounds, entry, workers);
+            let expected = Observed {
+                status: landed.status.clone(),
+                ..single.clone()
+            };
+            assert_eq!(landed, expected, "{ctx}: {entry:?}");
+            assert_ne!(landed.status, single.status, "{ctx}: {entry:?}");
         }
     }
 }
