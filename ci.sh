@@ -42,12 +42,15 @@ stage_faults() {
 # batch deposit — reopen on the surviving bytes, and check the recovery
 # invariants (store opens, no acked delivery forgotten, no dangling
 # receipt, no FileId reuse — ids a subscriber merely *received* count —
-# exactly-once after backfill). Three narrower sweeps ride along: every
+# exactly-once after backfill). Four narrower sweeps ride along: every
 # crash op of a networked `deposit_batch` window (no send outruns its
-# arrival), of a `scan_landing` (a landing file is never lost), and of
+# arrival), of a `scan_landing` (a landing file is never lost), of
 # one `poll_network` drain of nine acks over three files (the drain's
 # receipts are one append: a prefix of whole sets survives, no trigger
-# fired past it, the lost suffix is a resend the clients dedup).
+# fired past it, the lost suffix is a resend the clients dedup), and
+# from two runtime `add_subscriber`s to the first set that puts their
+# ids on record (the store reopens, a durable id survives registering
+# again, backfill is exactly-once).
 # Uncaptured so a failure echoes its `seed=... crash_op=...` replay key.
 stage_crash() {
   cargo test --offline --test crash_points -- --nocapture

@@ -1,6 +1,7 @@
 //! The one bit-set encoding the system uses — delivery-tree coverage on
 //! the wire and in receipt records, a file's delivered subscriber ids in
-//! the receipt store. Its bytes are that wire/record form, and binary
+//! the receipt store, the delivery index's postings and the subscribers
+//! a direct send still waits on. Its bytes are that wire/record form, and binary
 //! operands are byte slices in it, so a decoded message merges uncopied.
 
 use std::fmt;
@@ -37,6 +38,19 @@ impl Bitmap {
         let newly = self.0[byte] & bit == 0;
         self.0[byte] |= bit;
         newly
+    }
+
+    /// Clear bit `i`; true if it was set. The length stays.
+    #[inline]
+    pub fn clear(&mut self, i: u32) -> bool {
+        let bit = 1 << (i % 8);
+        match self.0.get_mut(i as usize / 8) {
+            Some(byte) if *byte & bit != 0 => {
+                *byte &= !bit;
+                true
+            }
+            _ => false,
+        }
     }
 
     /// OR `other` in, growing to its length.
@@ -139,6 +153,7 @@ mod tests {
         assert!(b.set(0) && b.set(9) && !b.set(9));
         assert_eq!(b.bytes(), [0b0000_0001, 0b0000_0010]);
         assert!(b.get(9) && !b.get(8) && !b.get(1_000));
+        assert!(!b.clear(1_000) && !b.clear(8));
         assert_eq!(format!("{b:x}"), "0102");
         assert_eq!(b.ones().collect::<Vec<_>>(), [0, 9]);
         assert_eq!(b.leading_ones(), 1);
@@ -148,6 +163,7 @@ mod tests {
     #[derive(Clone, Debug)]
     enum Op {
         Set(u32),
+        Clear(u32),
         Or(Vec<u8>),
         AndNot(Vec<u8>),
         Trim,
@@ -165,8 +181,9 @@ mod tests {
                 _ => r.gen_range(0u32..256) as u8,
             })
         };
-        match rng.gen_range(0u32..8) {
+        match rng.gen_range(0u32..9) {
             0..=2 => Op::Set(rng.gen_range(0u32..40)),
+            8 => Op::Clear(rng.gen_range(0u32..44)),
             3 => Op::Or(bytes(rng)),
             4 => Op::AndNot(bytes(rng)),
             5 => Op::Trim,
@@ -197,6 +214,9 @@ mod tests {
                         Op::Set(i) => {
                             prop_assert_eq!(bits.set(*i), oracle.insert(*i));
                             len = len.max(*i as usize / 8 + 1);
+                        }
+                        Op::Clear(i) => {
+                            prop_assert_eq!(bits.clear(*i), oracle.remove(i));
                         }
                         Op::Or(other) => {
                             bits.or(other);

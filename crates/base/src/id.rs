@@ -8,14 +8,14 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 macro_rules! define_id {
-    ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
+    ($(#[$doc:meta])* $name:ident, $repr:ty, $prefix:literal) => {
         $(#[$doc])*
         #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-        pub struct $name(pub u64);
+        pub struct $name(pub $repr);
 
         impl $name {
             /// The raw numeric value.
-            pub const fn raw(self) -> u64 {
+            pub const fn raw(self) -> $repr {
                 self.0
             }
         }
@@ -32,8 +32,8 @@ macro_rules! define_id {
             }
         }
 
-        impl From<u64> for $name {
-            fn from(v: u64) -> Self {
+        impl From<$repr> for $name {
+            fn from(v: $repr) -> Self {
                 $name(v)
             }
         }
@@ -44,16 +44,21 @@ define_id!(
     /// Identifies one received file (assigned by the receipt store on
     /// arrival; stable across restarts because it is WAL-logged).
     FileId,
+    u64,
     "file#"
 );
 define_id!(
-    /// Identifies a registered subscriber.
+    /// Identifies a registered subscriber: the receipt store's durable
+    /// subscriber id — dense, handed out at registration, never reused,
+    /// so one bit of a bitmap can name it.
     SubscriberId,
+    u32,
     "sub#"
 );
 define_id!(
     /// Identifies a batch of files sharing a trigger invocation.
     BatchId,
+    u64,
     "batch#"
 );
 
@@ -126,7 +131,7 @@ mod tests {
     fn ids_are_distinct_types() {
         let f = FileId(3);
         let s = SubscriberId(3);
-        assert_eq!(f.raw(), s.raw());
+        assert_eq!(f.raw(), u64::from(s.raw()));
         assert_eq!(format!("{f}"), "file#3");
         assert_eq!(format!("{s}"), "sub#3");
     }

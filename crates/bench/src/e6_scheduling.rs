@@ -139,12 +139,12 @@ fn measure_auto_partitioned() -> Point {
 
     // real run: partitioned, with classes assigned from observation
     let mut eng = Engine::new(EngineConfig::partitioned(&[2, 1]));
-    for s in 1..=4u64 {
+    for s in 1..=4u32 {
         let mut sub = SubscriberSpec::simple(s, 100 * MB);
         sub.class = derived[&bistro_base::SubscriberId(s)];
         eng.add_subscriber(sub);
     }
-    for s in 5..=6u64 {
+    for s in 5..=6u32 {
         let mut sub = SubscriberSpec::simple(s, MB / 5);
         sub.class = derived[&bistro_base::SubscriberId(s)];
         eng.add_subscriber(sub);

@@ -1091,7 +1091,8 @@ impl Cluster {
                     .filter_map(|name| receipts.file_by_name(name))
                     .map(|rec| rec.id)
                     .collect();
-                receipts.record_deliveries(marked.iter().map(|&id| (id, &*subscriber)), now)?;
+                let sub = receipts.register_subscriber(&subscriber);
+                receipts.record_deliveries(marked.iter().map(|&id| (id, sub)), now)?;
                 self.metrics.backfill_marked.add(marked.len() as u64);
                 if let Some(def) = def {
                     if server

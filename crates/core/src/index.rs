@@ -8,20 +8,23 @@
 //! [`DeliveryIndex`] inverts the subscription relation so
 //! `ingest_prepared` touches only `O(matched)` state per deposit:
 //!
-//! * `by_feed` — feed name → the *online, ungrouped* subscribers whose
-//!   resolved feed set contains that feed. Sorted sets, so a lookup
-//!   yields the same delivery order the sorted scan produced.
+//! * `by_feed` — feed name → the bitmap of *online, ungrouped*
+//!   subscriber ids whose resolved feed set contains that feed. A match
+//!   is an OR over the file's feed postings, and yields ids ascending —
+//!   the order the direct fan-out sends in.
 //! * `groups_by_feed` — feed name → the shared-delivery plan indices
 //!   whose member feed union contains that feed, ascending — identical
 //!   to enumerating the plan list in order.
-//! * `by_endpoint` — configured endpoint → subscriber names sharing it
-//!   (acks carry no name on the wire; the lexicographically-first name
-//!   is the resolution, matching the scan-and-sort it replaces).
+//! * `by_endpoint` — configured endpoint → the names sharing it, each
+//!   with its id (acks carry no name on the wire; the
+//!   lexicographically-first name is the resolution, matching the
+//!   scan-and-sort it replaces).
 //!
-//! Postings hold the subscriber table's own handle for a name
-//! (`Arc<str>`, ordered like the string it points at), so a match hands
-//! out 200 handles, not 200 copies, and an ack resolves to a handle the
-//! tracker and the subscriber table are keyed by.
+//! Postings hold the receipt store's durable subscriber ids
+//! ([`SubscriberId`]), the ids the server's subscriber table, the retry
+//! tracker's owed bitmaps and the receipt sets are indexed by. Ids are
+//! never reused, so a posting can never name a different subscriber
+//! than the one it was made for.
 //!
 //! The index is *incrementally maintained* at every mutation point —
 //! subscriber registration and removal, online/offline flips, group
@@ -36,8 +39,9 @@
 //! `status_json`, whose bytes are contract-equal between the indexed
 //! and scan delivery paths, and only the indexed path performs lookups.
 
+use bistro_base::{Bitmap, SubscriberId};
 use bistro_telemetry::{Counter, Gauge, Registry};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Handles into the owning server's pool-telemetry registry, resolved
@@ -64,9 +68,9 @@ struct IndexMetrics {
 /// The inverted feed→subscriber / feed→plan / endpoint→subscriber
 /// index. See the module docs for the invariants.
 pub(crate) struct DeliveryIndex {
-    by_feed: HashMap<String, BTreeSet<Arc<str>>>,
+    by_feed: HashMap<String, Bitmap>,
     groups_by_feed: HashMap<String, BTreeSet<usize>>,
-    by_endpoint: HashMap<String, BTreeSet<Arc<str>>>,
+    by_endpoint: HashMap<String, BTreeMap<String, SubscriberId>>,
     metrics: IndexMetrics,
 }
 
@@ -90,57 +94,64 @@ impl DeliveryIndex {
         }
     }
 
-    /// Register `name` under its endpoint and — when `online` and not
-    /// routed through a relay group — under each of its feeds.
+    /// Register subscriber `id` (named `name`) under its endpoint and —
+    /// when `online` and not routed through a relay group — under each
+    /// of its feeds.
     pub fn insert_subscriber(
         &mut self,
-        name: &Arc<str>,
+        id: SubscriberId,
+        name: &str,
         feeds: &[String],
         endpoint: &str,
         online: bool,
         grouped: bool,
     ) {
         self.metrics.inserts.inc();
-        if self
-            .by_endpoint
-            .entry(endpoint.to_string())
-            .or_default()
-            .insert(name.clone())
-        {
+        let names = match self.by_endpoint.get_mut(endpoint) {
+            Some(names) => names,
+            None => self.by_endpoint.entry(endpoint.to_string()).or_default(),
+        };
+        if names.insert(name.to_string(), id).is_none() {
             self.metrics.endpoint_entries.add(1);
         }
         if online && !grouped {
-            self.post_feeds(name, feeds);
+            self.post_feeds(id, feeds);
         }
     }
 
-    /// Drop every posting for `name`. `feeds`/`endpoint`/`online` are
-    /// the state the subscriber was registered with.
-    pub fn remove_subscriber(&mut self, name: &str, feeds: &[String], endpoint: &str) {
+    /// Drop every posting for subscriber `id`. `name`/`feeds`/`endpoint`
+    /// are what it was registered with.
+    pub fn remove_subscriber(
+        &mut self,
+        id: SubscriberId,
+        name: &str,
+        feeds: &[String],
+        endpoint: &str,
+    ) {
         self.metrics.removes.inc();
-        if let Some(set) = self.by_endpoint.get_mut(endpoint) {
-            if set.remove(name) {
+        if let Some(names) = self.by_endpoint.get_mut(endpoint) {
+            if names.remove(name).is_some() {
                 self.metrics.endpoint_entries.add(-1);
             }
-            if set.is_empty() {
+            if names.is_empty() {
                 self.by_endpoint.remove(endpoint);
             }
         }
-        self.unpost_feeds(name, feeds);
+        self.unpost_feeds(id, feeds);
     }
 
     /// Apply an online/offline transition: offline subscribers keep
     /// their endpoint posting (acks still identify them) but leave the
     /// per-feed interested sets.
-    pub fn set_online(&mut self, name: &Arc<str>, feeds: &[String], online: bool, grouped: bool) {
+    pub fn set_online(&mut self, id: SubscriberId, feeds: &[String], online: bool, grouped: bool) {
         self.metrics.online_flips.inc();
         if grouped {
             return; // grouped members never sit in by_feed
         }
         if online {
-            self.post_feeds(name, feeds);
+            self.post_feeds(id, feeds);
         } else {
-            self.unpost_feeds(name, feeds);
+            self.unpost_feeds(id, feeds);
         }
     }
 
@@ -158,28 +169,18 @@ impl DeliveryIndex {
         }
     }
 
-    /// The delivery match for a classified file: the sorted union of
-    /// interested online subscribers and the ascending union of matched
-    /// plan indices, over the file's feeds. Equals the brute-force
-    /// subscriber/plan scan by the module invariant.
-    pub fn matches(&self, feeds: &[String]) -> (Vec<Arc<str>>, Vec<usize>) {
+    /// The delivery match for a classified file: the interested online
+    /// subscribers as an id bitmap (the OR of the file's feed postings)
+    /// and the ascending union of matched plan indices. Equals the
+    /// brute-force subscriber/plan scan by the module invariant.
+    pub fn matches(&self, feeds: &[String]) -> (Bitmap, Vec<usize>) {
         self.metrics.lookups.inc();
-        let subscribers: Vec<Arc<str>> = match feeds {
-            [feed] => self
-                .by_feed
-                .get(feed)
-                .map(|s| s.iter().cloned().collect())
-                .unwrap_or_default(),
-            _ => {
-                let mut merged: BTreeSet<&Arc<str>> = BTreeSet::new();
-                for feed in feeds {
-                    if let Some(s) = self.by_feed.get(feed) {
-                        merged.extend(s);
-                    }
-                }
-                merged.into_iter().cloned().collect()
+        let mut subscribers = Bitmap::default();
+        for feed in feeds {
+            if let Some(posting) = self.by_feed.get(feed) {
+                subscribers.or(posting.bytes());
             }
-        };
+        }
         let plans: Vec<usize> = match feeds {
             [feed] => self
                 .groups_by_feed
@@ -198,47 +199,51 @@ impl DeliveryIndex {
         };
         self.metrics
             .matched_subscribers
-            .add(subscribers.len() as u64);
+            .add(u64::from(subscribers.count()));
         self.metrics.matched_groups.add(plans.len() as u64);
         (subscribers, plans)
     }
 
     /// The subscriber an ack from `endpoint` resolves to: the
     /// lexicographically-first registered name on that endpoint.
-    pub fn subscriber_for_endpoint(&self, endpoint: &str) -> Option<&Arc<str>> {
-        self.by_endpoint.get(endpoint)?.iter().next()
+    pub fn subscriber_for_endpoint(&self, endpoint: &str) -> Option<SubscriberId> {
+        let (_, &id) = self.by_endpoint.get(endpoint)?.first_key_value()?;
+        Some(id)
     }
 
     /// `(feed postings, endpoint postings)` currently live — the gauge
     /// values, exposed for invariant checks in tests.
     pub fn entry_counts(&self) -> (usize, usize) {
         (
-            self.by_feed.values().map(|s| s.len()).sum(),
-            self.by_endpoint.values().map(|s| s.len()).sum(),
+            self.by_feed.values().map(|b| b.count() as usize).sum(),
+            self.by_endpoint.values().map(BTreeMap::len).sum(),
         )
     }
 
-    fn post_feeds(&mut self, name: &Arc<str>, feeds: &[String]) {
+    fn post_feeds(&mut self, id: SubscriberId, feeds: &[String]) {
         for feed in feeds {
-            if self
-                .by_feed
-                .entry(feed.clone())
-                .or_default()
-                .insert(name.clone())
-            {
+            let posting = match self.by_feed.get_mut(feed) {
+                Some(posting) => posting,
+                None => self.by_feed.entry(feed.clone()).or_default(),
+            };
+            if posting.set(id.raw()) {
                 self.metrics.feed_entries.add(1);
             }
         }
     }
 
-    fn unpost_feeds(&mut self, name: &str, feeds: &[String]) {
+    /// Clear `id` from its feeds' postings; a posting left empty goes,
+    /// so the table never outgrows the feeds someone is online for.
+    fn unpost_feeds(&mut self, id: SubscriberId, feeds: &[String]) {
         for feed in feeds {
-            if let Some(set) = self.by_feed.get_mut(feed) {
-                if set.remove(name) {
+            if let Some(posting) = self.by_feed.get_mut(feed) {
+                if posting.clear(id.raw()) {
                     self.metrics.feed_entries.add(-1);
                 }
-                if set.is_empty() {
+                if posting.is_empty() {
                     self.by_feed.remove(feed);
+                } else {
+                    posting.trim();
                 }
             }
         }
@@ -248,33 +253,30 @@ impl DeliveryIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bistro_base::SubscriberId as S;
 
     fn feeds(names: &[&str]) -> Vec<String> {
         names.iter().map(|s| s.to_string()).collect()
     }
 
-    fn h(name: &str) -> Arc<str> {
-        Arc::from(name)
-    }
-
-    fn matched(idx: &DeliveryIndex, of: &[&str]) -> Vec<String> {
+    fn matched(idx: &DeliveryIndex, of: &[&str]) -> Vec<u32> {
         let (subs, _) = idx.matches(&feeds(of));
-        subs.iter().map(|s| s.to_string()).collect()
+        subs.ones().collect()
     }
 
     #[test]
-    fn matches_unions_and_sorts_across_feeds() {
+    fn matches_unions_across_feeds_in_id_order() {
         let reg = Registry::new();
         let mut idx = DeliveryIndex::new(&reg);
-        idx.insert_subscriber(&h("zeta"), &feeds(&["A", "B"]), "z:1", true, false);
-        idx.insert_subscriber(&h("alpha"), &feeds(&["B"]), "a:1", true, false);
-        idx.insert_subscriber(&h("mid"), &feeds(&["C"]), "m:1", true, false);
+        idx.insert_subscriber(S(9), "zeta", &feeds(&["A", "B"]), "z:1", true, false);
+        idx.insert_subscriber(S(2), "alpha", &feeds(&["B"]), "a:1", true, false);
+        idx.insert_subscriber(S(4), "mid", &feeds(&["C"]), "m:1", true, false);
         assert_eq!(
             matched(&idx, &["A", "B"]),
-            vec!["alpha", "zeta"],
-            "sorted union, deduped"
+            [2, 9],
+            "ascending union, deduped"
         );
-        assert_eq!(matched(&idx, &["C"]), vec!["mid"]);
+        assert_eq!(matched(&idx, &["C"]), [4]);
         assert!(matched(&idx, &["NONE"]).is_empty());
     }
 
@@ -282,35 +284,37 @@ mod tests {
     fn offline_and_grouped_subscribers_leave_feed_postings() {
         let reg = Registry::new();
         let mut idx = DeliveryIndex::new(&reg);
-        idx.insert_subscriber(&h("s1"), &feeds(&["A"]), "h:1", true, false);
-        idx.insert_subscriber(&h("s2"), &feeds(&["A"]), "h:2", true, true); // grouped
+        idx.insert_subscriber(S(0), "s1", &feeds(&["A"]), "h:1", true, false);
+        idx.insert_subscriber(S(1), "s2", &feeds(&["A"]), "h:2", true, true); // grouped
         assert_eq!(
             matched(&idx, &["A"]),
-            vec!["s1"],
+            [0],
             "grouped member must not fan out directly"
         );
 
-        idx.set_online(&h("s1"), &feeds(&["A"]), false, false);
+        idx.set_online(S(0), &feeds(&["A"]), false, false);
         assert!(matched(&idx, &["A"]).is_empty());
         // the endpoint posting survives offline: acks still resolve
-        assert_eq!(&**idx.subscriber_for_endpoint("h:1").unwrap(), "s1");
+        assert_eq!(idx.subscriber_for_endpoint("h:1"), Some(S(0)));
 
-        idx.set_online(&h("s1"), &feeds(&["A"]), true, false);
-        assert_eq!(matched(&idx, &["A"]), vec!["s1"]);
+        idx.set_online(S(0), &feeds(&["A"]), true, false);
+        assert_eq!(matched(&idx, &["A"]), [0]);
     }
 
     #[test]
     fn endpoint_resolution_is_lexicographically_first_and_tracks_removal() {
         let reg = Registry::new();
         let mut idx = DeliveryIndex::new(&reg);
-        idx.insert_subscriber(&h("late"), &feeds(&["A"]), "shared:1", true, false);
-        idx.insert_subscriber(&h("early"), &feeds(&["A"]), "shared:1", true, false);
-        assert_eq!(&**idx.subscriber_for_endpoint("shared:1").unwrap(), "early");
-        idx.remove_subscriber("early", &feeds(&["A"]), "shared:1");
-        assert_eq!(&**idx.subscriber_for_endpoint("shared:1").unwrap(), "late");
-        idx.remove_subscriber("late", &feeds(&["A"]), "shared:1");
+        // ids follow registration, not names: the name decides
+        idx.insert_subscriber(S(0), "late", &feeds(&["A"]), "shared:1", true, false);
+        idx.insert_subscriber(S(1), "early", &feeds(&["A"]), "shared:1", true, false);
+        assert_eq!(idx.subscriber_for_endpoint("shared:1"), Some(S(1)));
+        idx.remove_subscriber(S(1), "early", &feeds(&["A"]), "shared:1");
+        assert_eq!(idx.subscriber_for_endpoint("shared:1"), Some(S(0)));
+        idx.remove_subscriber(S(0), "late", &feeds(&["A"]), "shared:1");
         assert!(idx.subscriber_for_endpoint("shared:1").is_none());
         assert_eq!(idx.entry_counts(), (0, 0), "no postings may leak");
+        assert!(idx.by_feed.is_empty() && idx.by_endpoint.is_empty());
     }
 
     #[test]
@@ -334,13 +338,13 @@ mod tests {
     fn gauges_track_posting_counts() {
         let reg = Registry::new();
         let mut idx = DeliveryIndex::new(&reg);
-        idx.insert_subscriber(&h("s1"), &feeds(&["A", "B"]), "h:1", true, false);
-        idx.insert_subscriber(&h("s2"), &feeds(&["B"]), "h:2", true, false);
+        idx.insert_subscriber(S(0), "s1", &feeds(&["A", "B"]), "h:1", true, false);
+        idx.insert_subscriber(S(17), "s2", &feeds(&["B"]), "h:2", true, false);
         assert_eq!(reg.gauge_value("index.feed_entries"), Some(3));
         assert_eq!(reg.gauge_value("index.endpoint_entries"), Some(2));
-        idx.set_online(&h("s1"), &feeds(&["A", "B"]), false, false);
+        idx.set_online(S(0), &feeds(&["A", "B"]), false, false);
         assert_eq!(reg.gauge_value("index.feed_entries"), Some(1));
-        idx.remove_subscriber("s2", &feeds(&["B"]), "h:2");
+        idx.remove_subscriber(S(17), "s2", &feeds(&["B"]), "h:2");
         assert_eq!(reg.gauge_value("index.feed_entries"), Some(0));
         assert_eq!(reg.gauge_value("index.endpoint_entries"), Some(1));
         let (f, e) = idx.entry_counts();

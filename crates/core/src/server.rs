@@ -17,7 +17,9 @@ use bistro_analyzer::fn_detect::FnWarning;
 use bistro_analyzer::{
     fp_report, FeedDiscoverer, FeedProgress, FnDetector, FpReport, ProgressAlert,
 };
-use bistro_base::{BatchId, FileId, IdGen, Pool, ShardStat, SharedClock, TimePoint, TimeSpan};
+use bistro_base::{
+    BatchId, Bitmap, FileId, IdGen, Pool, ShardStat, SharedClock, SubscriberId, TimePoint, TimeSpan,
+};
 use bistro_config::validate::validate;
 use bistro_config::{BatchSpec, Config, DeliveryMode, FeedDef, SubscriberDef};
 use bistro_receipts::{
@@ -29,8 +31,8 @@ use bistro_telemetry::{
 use bistro_transport::messages::{BatchCloseReason, GroupMsg, Message, ReliableMsg, SubscriberMsg};
 use bistro_transport::trigger::TriggerContext;
 use bistro_transport::{
-    BatchOutcome, Batcher, Coverage, GroupSend, Resend, RetryPolicy, RetryRound, RetryTracker,
-    SimNetwork, TriggerLog,
+    BatchOutcome, Batcher, Cohort, CohortSend, Coverage, GroupSend, RetryPolicy, RetryRound,
+    RetryTracker, SimNetwork, TriggerLog,
 };
 use bistro_vfs::{FileStore, VfsError};
 use std::borrow::Cow;
@@ -109,16 +111,18 @@ pub struct DeliveryStats {
     pub bytes_delivered: u64,
 }
 
-/// Everything the server holds per subscriber. Registration creates it
-/// and deregistration drops it whole — nothing about a subscriber lives
-/// in a table keyed by a copy of its name.
+/// Everything the server holds per subscriber, in the table slot of its
+/// durable id. Registration creates it and deregistration drops it
+/// whole; the delivery index, the retry tracker, the receipt store and
+/// the per-deposit match know the subscriber by its id alone.
 struct SubscriberState {
-    /// The one allocation of the subscriber's name. The subscriber table
-    /// is keyed by it, and the delivery index, the retry tracker and the
-    /// per-deposit match hold clones of the handle.
-    name: Arc<str>,
+    id: SubscriberId,
     def: SubscriberDef,
     feeds: Vec<String>,
+    /// A member of a relay group this server plans for: the group's one
+    /// send serves it, so it is never fanned out to or backfilled
+    /// directly.
+    grouped: bool,
     online: bool,
     consecutive_failures: u32,
     /// Deposit→delivery latency (microseconds; detached — never renders
@@ -131,16 +135,83 @@ struct SubscriberState {
 }
 
 impl SubscriberState {
-    fn new(def: SubscriberDef, feeds: Vec<String>) -> SubscriberState {
+    fn new(id: SubscriberId, def: SubscriberDef, feeds: Vec<String>) -> SubscriberState {
         SubscriberState {
-            name: Arc::from(def.name.as_str()),
+            id,
             def,
             feeds,
+            grouped: false,
             online: true,
             consecutive_failures: 0,
             latency: Histogram::detached(),
             batchers: BTreeMap::new(),
         }
+    }
+}
+
+/// The subscriber table: a slot per durable id the receipt store handed
+/// this server ([`ReceiptStore::register_subscriber`]), empty once its
+/// subscriber left — ids are never reused, so a slot is never refilled by
+/// anyone else — plus the name → id map the name-based API and the
+/// name-ordered walks (status output, backfill) go through. Slots hold
+/// their state inline, so a walk over every subscriber reads one array.
+#[derive(Default)]
+struct Subscribers {
+    slots: Vec<Option<SubscriberState>>,
+    by_name: BTreeMap<String, SubscriberId>,
+}
+
+impl Subscribers {
+    fn get(&self, id: SubscriberId) -> Option<&SubscriberState> {
+        self.slots.get(id.raw() as usize)?.as_ref()
+    }
+
+    fn get_mut(&mut self, id: SubscriberId) -> Option<&mut SubscriberState> {
+        self.slots.get_mut(id.raw() as usize)?.as_mut()
+    }
+
+    fn id(&self, name: &str) -> Option<SubscriberId> {
+        self.by_name.get(name).copied()
+    }
+
+    /// The id registered under `name`, or [`ServerError::UnknownSubscriber`].
+    fn known(&self, name: &str) -> Result<SubscriberId, ServerError> {
+        self.id(name)
+            .ok_or_else(|| ServerError::UnknownSubscriber(name.to_string()))
+    }
+
+    fn named(&self, name: &str) -> Option<&SubscriberState> {
+        self.get(self.id(name)?)
+    }
+
+    fn insert(&mut self, st: SubscriberState) {
+        let slot = st.id.raw() as usize;
+        if self.slots.len() <= slot {
+            self.slots.resize_with(slot + 1, || None);
+        }
+        self.by_name.insert(st.def.name.clone(), st.id);
+        self.slots[slot] = Some(st);
+    }
+
+    fn remove(&mut self, id: SubscriberId) -> Option<SubscriberState> {
+        let st = self.slots.get_mut(id.raw() as usize)?.take()?;
+        self.by_name.remove(&st.def.name);
+        Some(st)
+    }
+
+    /// Every subscriber, in name order.
+    fn in_name_order(&self) -> impl Iterator<Item = &SubscriberState> {
+        self.by_name.values().filter_map(|&id| self.get(id))
+    }
+
+    /// Every subscriber, in id order.
+    fn in_id_order(&self) -> impl Iterator<Item = &SubscriberState> {
+        self.slots.iter().flatten()
+    }
+
+    /// Ids in name order, for a walk that mutates the server.
+    fn ids(&self) -> Vec<SubscriberId> {
+        self.by_name.values().copied().collect()
     }
 }
 
@@ -191,7 +262,7 @@ impl FilePlan {
 /// acknowledgement arrived, or its send needs none — and awaits its
 /// receipt ([`Server::complete_deliveries`]).
 struct Completed {
-    sub: Arc<str>,
+    sub: SubscriberId,
     file: FileId,
     /// The file's plan, where the caller holds it; an acknowledgement
     /// the unacked table no longer knew has it rebuilt from the arrival
@@ -226,26 +297,11 @@ struct GroupPlan {
 /// server without delivery trees renders no `group.*` metrics.
 struct GroupState {
     plans: Vec<GroupPlan>,
-    /// Every subscriber routed through some plan: excluded from direct
-    /// per-subscriber fan-out and backfill.
-    grouped: BTreeSet<String>,
     tracker: RetryTracker<GroupSend>,
     /// `group.completed`: deliveries whose coverage reached every member.
     completed: Arc<Counter>,
     /// `group.undeliverable`: group sends dropped for want of a network.
     undeliverable: Arc<Counter>,
-}
-
-/// Which of the server's two unacked tables a retry round came from:
-/// fixes the event-log wording and what exhaustion does.
-#[derive(Clone, Copy)]
-enum Unacked {
-    /// Per-subscriber sends: exhaustion flags the subscriber offline.
-    Subscriber,
-    /// Group sends to a relay: exhaustion only alarms — the relay is
-    /// shared infrastructure and members' individual health is tracked
-    /// at the relay tier.
-    Group,
 }
 
 /// Seed for the group tracker's retry jitter when the server is not in
@@ -340,17 +396,21 @@ pub struct Server {
     log: EventLog,
     triggers: TriggerLog,
     batch_ids: IdGen,
-    subscribers: HashMap<Arc<str>, SubscriberState>,
+    subscribers: Subscribers,
     /// Inverted feed→subscriber / feed→plan / endpoint→subscriber maps,
     /// maintained at every subscriber/group mutation point so the
     /// per-deposit match is `O(matched)` (DESIGN.md §12.5).
     index: DeliveryIndex,
     net: Option<Arc<SimNetwork>>,
-    /// The per-subscriber unacked-send table when reliable delivery is
-    /// enabled (§4.2): an entry holds the file's plan, from which a
-    /// resend re-renders its message and an ack completes the delivery.
-    /// Its tallies live in the telemetry registry (`reliable.*`).
-    reliable: Option<RetryTracker<Arc<FilePlan>>>,
+    /// The direct unacked-send table when reliable delivery is enabled
+    /// (§4.2): an entry is one send cohort of a file — a deposit's whole
+    /// fan-out, or one backfill send — holding the file's plan, from
+    /// which a resend re-renders its messages and an ack completes its
+    /// delivery, and the bitmap of subscriber ids still owed an ack. Its
+    /// tallies (`reliable.*`) count (subscriber, file) pairs.
+    reliable: Option<RetryTracker<CohortSend<Arc<FilePlan>>, Cohort>>,
+    /// The number the next send cohort takes.
+    cohorts: u64,
     groups: Option<GroupState>,
     progress: HashMap<String, FeedProgress>,
     discoverer: FeedDiscoverer,
@@ -398,14 +458,18 @@ impl Server {
                 .collect(),
         );
 
-        let mut subscribers = HashMap::new();
+        let mut subscribers = Subscribers::default();
         // subscription targets repeat across wide deployments (every
         // member of a delivery tree names the same feed), so memoize
         // resolution per target instead of re-walking the config — and
         // resolve from the def at hand rather than `subscriber_feeds`,
-        // whose by-name lookup would make this loop quadratic
+        // whose by-name lookup would make this loop quadratic. Names
+        // register in name order, so on a fresh store ids follow names;
+        // a name the store already knows keeps its id.
         let mut resolved: HashMap<String, Vec<String>> = HashMap::new();
-        for def in &config.subscribers {
+        let mut defs: Vec<&SubscriberDef> = config.subscribers.iter().collect();
+        defs.sort_by(|a, b| a.name.cmp(&b.name));
+        for def in defs {
             let mut feeds: BTreeSet<String> = BTreeSet::new();
             for target in &def.subscriptions {
                 if let Some(r) = resolved.get(target) {
@@ -416,8 +480,12 @@ impl Server {
                     resolved.insert(target.clone(), r);
                 }
             }
-            let st = SubscriberState::new(def.clone(), feeds.into_iter().collect());
-            subscribers.insert(st.name.clone(), st);
+            let id = receipts.register_subscriber(&def.name);
+            subscribers.insert(SubscriberState::new(
+                id,
+                def.clone(),
+                feeds.into_iter().collect(),
+            ));
         }
 
         // Shared delivery plans from the config's relay groups. The
@@ -426,7 +494,6 @@ impl Server {
         // upstream tier (deliver once per group) and the relay tier
         // (fan out per member).
         let mut plans: Vec<GroupPlan> = Vec::new();
-        let mut grouped: BTreeSet<String> = BTreeSet::new();
         for g in &config.groups {
             let Some(relay) = &g.relay else { continue };
             if relay == name {
@@ -438,10 +505,10 @@ impl Server {
             for m in &members {
                 // validated: every member is a subscriber, whose feeds
                 // were just resolved above
-                if let Some(st) = subscribers.get(m.as_str()) {
+                if let Some(st) = subscribers.id(m).and_then(|id| subscribers.get_mut(id)) {
                     feeds.extend(st.feeds.iter().cloned());
+                    st.grouped = true;
                 }
-                grouped.insert(m.clone());
             }
             plans.push(GroupPlan {
                 name: g.name.clone(),
@@ -456,7 +523,6 @@ impl Server {
         } else {
             Some(GroupState {
                 plans,
-                grouped,
                 tracker: RetryTracker::with_telemetry(
                     RetryPolicy::default(),
                     GROUP_RETRY_SEED,
@@ -474,11 +540,16 @@ impl Server {
         // byte-stable `status --json` surface the main registry renders.
         let pool_telemetry = Registry::new();
         let mut index = DeliveryIndex::new(&pool_telemetry);
-        for st in subscribers.values() {
-            let in_group = groups
-                .as_ref()
-                .is_some_and(|g| g.grouped.contains(&st.def.name));
-            index.insert_subscriber(&st.name, &st.feeds, &st.def.endpoint, st.online, in_group);
+        for st in subscribers.in_id_order() {
+            let (def, feeds) = (&st.def, &st.feeds);
+            index.insert_subscriber(
+                st.id,
+                &def.name,
+                feeds,
+                &def.endpoint,
+                st.online,
+                st.grouped,
+            );
         }
         if let Some(g) = &groups {
             index.set_group_plans(
@@ -517,6 +588,7 @@ impl Server {
             index,
             net: None,
             reliable: None,
+            cohorts: 0,
             groups,
             progress: HashMap::new(),
             discoverer,
@@ -838,15 +910,15 @@ impl Server {
             }
         }
 
-        // delivery to online subscribers of any matched feed (sorted so
-        // the network send order — and hence a faulty run's RNG stream —
-        // replays bit-for-bit). The interested set is collected up front:
-        // delivering to one subscriber never changes another's online
-        // state or feed set, and the common case — nobody subscribes to
-        // this feed — then skips the receipt lookup entirely. Members of
-        // a relay group are excluded: their delivery is the one send per
-        // group below. The index lookup touches only the matched
-        // postings.
+        // delivery to online subscribers of any matched feed, in id order
+        // (so the network send order — and hence a faulty run's RNG
+        // stream — replays bit-for-bit). The interested set is collected
+        // up front: delivering to one subscriber never changes another's
+        // online state or feed set, and the common case — nobody
+        // subscribes to this feed — then skips the receipt lookup
+        // entirely. Members of a relay group are excluded: their delivery
+        // is the one send per group below. The index lookup touches only
+        // the matched postings.
         let (interested, group_matches) = self.index.matches(feeds);
         if !interested.is_empty() || !group_matches.is_empty() {
             // the one durability rule: nothing naming this file leaves
@@ -857,10 +929,7 @@ impl Server {
                 self.receipts.flush_group()?;
             }
             let plan = self.file_plan(self.receipts.file(file).expect("just recorded"));
-            let mut done = Vec::new();
-            for sub in &interested {
-                done.extend(self.deliver_one(&plan, sub)?);
-            }
+            let done = self.deliver(&plan, interested)?;
             self.complete_deliveries(done)?;
             for group in group_matches {
                 self.deliver_group(group, &plan)?;
@@ -873,23 +942,14 @@ impl Server {
     /// subscriber, enumerate every plan. `O(subscribers + plans)` per
     /// call — kept as the oracle [`DeliveryIndex`] is checked against
     /// (`tests/delivery_index.rs`). Must return exactly what
-    /// [`DeliveryIndex::matches`] returns for the same state.
+    /// [`DeliveryIndex::matches`] returns for the same state: the
+    /// subscribers' names in ascending id order, then the plan indices.
     #[doc(hidden)]
     pub fn match_via_scan(&self, feeds: &[String]) -> (Vec<String>, Vec<usize>) {
-        let mut interested: Vec<String> = self
-            .subscribers
-            .values()
-            .filter(|st| {
-                st.online
-                    && st.feeds.iter().any(|f| feeds.contains(f))
-                    && self
-                        .groups
-                        .as_ref()
-                        .is_none_or(|g| !g.grouped.contains(&st.def.name))
-            })
+        let interested: Vec<String> = (self.subscribers.in_id_order())
+            .filter(|st| st.online && !st.grouped && st.feeds.iter().any(|f| feeds.contains(f)))
             .map(|st| st.def.name.clone())
             .collect();
-        interested.sort();
         let group_matches: Vec<usize> = match &self.groups {
             Some(g) => g
                 .plans
@@ -904,19 +964,28 @@ impl Server {
     }
 
     /// The indexed delivery match for `feeds` — exposed for the
-    /// index-vs-scan equivalence property test.
+    /// index-vs-scan equivalence property test. A posting whose id has
+    /// no subscriber renders as `#<id>`, which no scan returns.
     #[doc(hidden)]
     pub fn match_via_index(&self, feeds: &[String]) -> (Vec<String>, Vec<usize>) {
         let (subs, plans) = self.index.matches(feeds);
-        (subs.iter().map(|s| s.to_string()).collect(), plans)
+        let mut names = Vec::with_capacity(subs.count() as usize);
+        names.extend(
+            subs.ones()
+                .map(|id| match self.subscribers.get(SubscriberId(id)) {
+                    Some(st) => st.def.name.clone(),
+                    None => format!("#{id}"),
+                }),
+        );
+        (names, plans)
     }
 
     /// Endpoint→subscriber resolution — exposed for ack-lookup
     /// regression tests (rename, re-home).
     #[doc(hidden)]
     pub fn resolve_endpoint(&self, endpoint: &str) -> Option<String> {
-        let sub = self.index.subscriber_for_endpoint(endpoint)?;
-        Some(sub.to_string())
+        let id = self.index.subscriber_for_endpoint(endpoint)?;
+        Some(self.subscribers.get(id)?.def.name.clone())
     }
 
     /// Live `(feed, endpoint)` posting counts in the delivery index —
@@ -995,49 +1064,65 @@ impl Server {
         }
     }
 
-    /// Deliver (push or notify) one file to one subscriber — the caller
-    /// names only pairs the receipt store still owes. In reliable mode
-    /// this sends an [`ReliableMsg::Attempt`] and returns `None` — the
-    /// delivery completes in [`Server::poll_network`] when the ack comes
-    /// back. Otherwise it is complete now, and returned for the caller to
-    /// receipt together with the rest of its fan-out
+    /// Deliver (push or notify) one file to the subscribers in `to`, in
+    /// id order — the caller names only pairs the receipt store still
+    /// owes; a pair an earlier send of the file still owes is skipped,
+    /// its send being in flight. In reliable mode the sends are one
+    /// cohort — a [`ReliableMsg::Attempt`] per subscriber and one
+    /// unacked-table entry with one deadline — and nothing is returned:
+    /// each delivery completes in [`Server::poll_network`] when its ack
+    /// comes back. Otherwise they are complete now, and returned for the
+    /// caller to receipt together with the rest of its fan-out
     /// ([`Server::complete_deliveries`]).
-    fn deliver_one(
+    fn deliver(
         &mut self,
         plan: &Arc<FilePlan>,
-        sub_name: &str,
-    ) -> Result<Option<Completed>, ServerError> {
-        let now = self.clock.now();
-        let st = self
-            .subscribers
-            .get(sub_name)
-            .ok_or_else(|| ServerError::UnknownSubscriber(sub_name.to_string()))?;
-        let done = |at, dest_path| Completed {
-            sub: st.name.clone(),
-            file: plan.rec.id,
+        mut to: Bitmap,
+    ) -> Result<Vec<Completed>, ServerError> {
+        let (now, file) = (self.clock.now(), plan.rec.id);
+        let done = |sub, at, dest_path| Completed {
+            sub: SubscriberId(sub),
+            file,
             plan: Some(plan.clone()),
             at,
             dest_path,
         };
         let Some(net) = &self.net else {
-            return Ok(Some(done(now, None)));
+            return Ok(to.ones().map(|sub| done(sub, now, None)).collect());
         };
-        let feed = plan.feed_for(st);
-        let dest_path = self.dest_path(plan, st, feed);
-        let (file, endpoint) = (plan.rec.id, st.def.endpoint.as_str());
-        if let Some(tracker) = self.reliable.as_mut() {
-            if tracker.is_outstanding(sub_name, file) {
-                return Ok(None); // a send is already in flight
+        if let Some(tracker) = &self.reliable {
+            for owed in tracker.owed(file) {
+                to.and_not(owed.bytes());
             }
-            let attempt = tracker.track(sub_name, file, plan.clone(), now);
-            let inner = plan.message(st, feed, &dest_path);
-            let msg = Message::Reliable(ReliableMsg::Attempt { attempt, inner });
-            net.send(now, &self.name, endpoint, msg);
-            return Ok(None);
         }
-        let msg = Message::Subscriber(plan.message(st, feed, &dest_path));
-        let delivered_at = net.send(now, &self.name, endpoint, msg);
-        Ok(Some(done(delivered_at, Some(dest_path.into_owned()))))
+        let mut completed = Vec::new();
+        for sub in to.ones() {
+            let st = (self.subscribers.get(SubscriberId(sub)))
+                .ok_or_else(|| ServerError::UnknownSubscriber(SubscriberId(sub).to_string()))?;
+            let feed = plan.feed_for(st);
+            let dest_path = self.dest_path(plan, st, feed);
+            let inner = plan.message(st, feed, &dest_path);
+            let endpoint = st.def.endpoint.as_str();
+            if self.reliable.is_some() {
+                let msg = Message::Reliable(ReliableMsg::Attempt { attempt: 1, inner });
+                net.send(now, &self.name, endpoint, msg);
+            } else {
+                let at = net.send(now, &self.name, endpoint, Message::Subscriber(inner));
+                completed.push(done(sub, at, Some(dest_path.into_owned())));
+            }
+        }
+        if let Some(tracker) = self.reliable.as_mut() {
+            if !to.is_empty() {
+                let cohort = (file, self.cohorts);
+                self.cohorts += 1;
+                let send = CohortSend {
+                    plan: plan.clone(),
+                    owed: to,
+                };
+                tracker.track_key(cohort, send, now);
+            }
+        }
+        Ok(completed)
     }
 
     /// Deliver one file to a group's relay endpoint: a single
@@ -1113,7 +1198,7 @@ impl Server {
         let Some(at) = done.iter().map(|c| c.at).max() else {
             return Ok(());
         };
-        let pairs = done.iter().map(|c| (c.file, &*c.sub));
+        let pairs = done.iter().map(|c| (c.file, c.sub));
         let outcomes = self.receipts.record_deliveries(pairs, at)?;
         for (c, outcome) in done.into_iter().zip(outcomes) {
             if outcome == DeliveryOutcome::Recorded {
@@ -1127,7 +1212,7 @@ impl Server {
     /// and run the subscriber's batcher/trigger.
     fn finish_delivery(&mut self, done: Completed) -> Result<(), ServerError> {
         let Completed {
-            sub: sub_name,
+            sub,
             file,
             plan,
             at: delivered_at,
@@ -1137,16 +1222,15 @@ impl Server {
             Some(plan) => plan,
             None => self.file_plan(self.receipts.file(file).expect("receipted files are live")),
         };
-        let unknown = || ServerError::UnknownSubscriber(sub_name.to_string());
+        let unknown = || ServerError::UnknownSubscriber(sub.to_string());
+        let st = self.subscribers.get(sub).ok_or_else(unknown)?;
+        let feed_name = plan.feed_for(st);
         let dest_path = match &dest_path {
             Some(rendered) => Cow::Borrowed(rendered.as_str()),
-            None => {
-                let st = self.subscribers.get(&sub_name).ok_or_else(unknown)?;
-                self.dest_path(&plan, st, plan.feed_for(st))
-            }
+            None => self.dest_path(&plan, st, feed_name),
         };
         let rec = &plan.rec;
-        let st = self.subscribers.get_mut(&sub_name).ok_or_else(unknown)?;
+        let st = self.subscribers.get_mut(sub).ok_or_else(unknown)?;
         self.stats.deliveries += 1;
         self.metrics.delivery_receipts.inc();
         if st.def.delivery == DeliveryMode::Push {
@@ -1160,7 +1244,6 @@ impl Server {
         // between deliveries (otherwise this file would be folded into a
         // stale batch), then account this file with its feed-time origin
         // so the window stays anchored to the interval it covers
-        let feed_name = plan.feed_for(st);
         let spec: BatchSpec = st.def.batch;
         let batcher = match st.batchers.get_mut(feed_name) {
             Some(b) => b,
@@ -1173,7 +1256,7 @@ impl Server {
         let closed = batcher.on_file_at(rec.id, delivered_at, rec.feed_time);
         st.consecutive_failures = 0;
         for batch in lapsed.into_iter().chain(closed) {
-            self.close_batch(feed_name, &sub_name, batch, &dest_path);
+            self.close_batch(feed_name, sub, batch, &dest_path);
         }
         Ok(())
     }
@@ -1182,18 +1265,17 @@ impl Server {
     /// subscriber's trigger, if it has one. Only a batch completed by a
     /// file (count close) names that file's `dest_path`; a window or
     /// punctuation close happened apart from any one file and has none.
-    fn close_batch(&mut self, feed: &str, sub: &str, batch: BatchOutcome, dest_path: &str) {
+    fn close_batch(&mut self, feed: &str, sub: SubscriberId, batch: BatchOutcome, dest_path: &str) {
         let batch_id: BatchId = self.batch_ids.next();
-        let Some(def) = self
-            .subscribers
-            .get(sub)
-            .and_then(|s| s.def.trigger.as_ref())
-        else {
+        let Some(st) = self.subscribers.get(sub) else {
+            return;
+        };
+        let Some(def) = st.def.trigger.as_ref() else {
             return;
         };
         let by_file = batch.reason == BatchCloseReason::Count;
         self.triggers.fire(
-            sub,
+            &st.def.name,
             def,
             &TriggerContext {
                 feed,
@@ -1221,8 +1303,9 @@ impl Server {
         };
         let now = self.clock.now();
         let mut n = 0;
-        let mut acked = Vec::new();
-        for d in net.recv_ready(&self.name, now) {
+        let ready = net.recv_ready(&self.name, now);
+        let mut acked = Vec::with_capacity(ready.len());
+        for d in ready {
             if self.take_message(&d.from, d.at, d.msg, &mut acked)? {
                 n += 1;
             }
@@ -1263,12 +1346,12 @@ impl Server {
             Message::Reliable(ReliableMsg::Ack { file, .. }) => {
                 // acks carry no name on the wire: the sender's endpoint
                 // identifies the subscriber
-                let Some(sub) = self.index.subscriber_for_endpoint(from).cloned() else {
+                let Some(sub) = self.index.subscriber_for_endpoint(from) else {
                     return Ok(false);
                 };
                 let mut plan = None;
                 if let Some(tracker) = self.reliable.as_mut() {
-                    plan = tracker.take_acked(&sub, file);
+                    plan = tracker.ack_member(file, sub.raw());
                     // counts every processed ack — including late duplicates
                     // the tracker no longer knows (those still prove delivery)
                     self.metrics.acks_processed.inc();
@@ -1344,9 +1427,9 @@ impl Server {
 
     /// Sweep both unacked tables: lapsed sends are retransmitted (Warn)
     /// with exponential backoff; sends that exhausted the policy's
-    /// attempt budget raise an Alarm and — for a per-subscriber send —
-    /// flag the subscriber offline (recovery then goes through backfill,
-    /// §4.2). A lapsed group fanout is re-sent to its relay.
+    /// attempt budget raise an Alarm and — for a direct send — flag each
+    /// subscriber still owed offline (recovery then goes through
+    /// backfill, §4.2). A lapsed group fanout is re-sent to its relay.
     pub fn retry_tick(&mut self) -> Result<(), ServerError> {
         self.sweep_retries(false)
     }
@@ -1360,8 +1443,8 @@ impl Server {
         self.sweep_retries(true)
     }
 
-    /// One retry sweep over the per-subscriber table, then the group
-    /// table; `fire_all` lapses every deadline first.
+    /// One retry sweep over the direct table, then the group table;
+    /// `fire_all` lapses every deadline first.
     fn sweep_retries(&mut self, fire_all: bool) -> Result<(), ServerError> {
         let now = self.clock.now();
         if let Some(tracker) = self.reliable.as_mut() {
@@ -1371,15 +1454,7 @@ impl Server {
                 tracker.due(now)
             };
             let max_attempts = tracker.policy().max_attempts;
-            self.run_retry_round(round, now, max_attempts, Unacked::Subscriber, |srv, r| {
-                let (plan, st) = (&r.payload, srv.subscribers.get(&r.target)?);
-                let feed = plan.feed_for(st);
-                let attempt = ReliableMsg::Attempt {
-                    attempt: r.attempt,
-                    inner: plan.message(st, feed, &srv.dest_path(plan, st, feed)),
-                };
-                Some((st.def.endpoint.as_str(), Message::Reliable(attempt)))
-            })?;
+            self.retry_direct(round, now, max_attempts)?;
         }
         if let Some(g) = self.groups.as_mut() {
             let round = if fire_all {
@@ -1388,75 +1463,110 @@ impl Server {
                 g.tracker.due(now)
             };
             let max_attempts = g.tracker.policy().max_attempts;
-            self.run_retry_round(round, now, max_attempts, Unacked::Group, |srv, r| {
-                let plans = &srv.groups.as_ref()?.plans;
-                let plan = plans.iter().find(|p| *p.name == *r.target)?;
-                let deliver = GroupMsg::Deliver {
-                    group: r.target.to_string(),
-                    file: r.file,
-                    file_name: r.payload.file_name.clone(),
-                    size: r.payload.size,
-                    attempt: r.attempt,
-                };
-                Some((plan.endpoint.as_str(), Message::Group(deliver)))
-            })?;
+            self.retry_groups(round, now, max_attempts);
         }
         Ok(())
     }
 
-    /// Walk one tracker's retry round. The caller supplies what differs
-    /// between the two tables: `envelope` turns a resend into its
-    /// `(endpoint, message)` (`None` when the target is no longer
-    /// known), and `table` picks the log wording and whether exhaustion
-    /// flags the target offline.
-    fn run_retry_round<P>(
+    /// Walk a direct retry round: a lapsed cohort is re-sent to each
+    /// subscriber it still owes, in id order, under its one bumped
+    /// attempt; an exhausted one alarms per pair and flags each
+    /// subscriber still owed offline, in id order.
+    fn retry_direct(
         &mut self,
-        round: RetryRound<P>,
+        round: RetryRound<CohortSend<Arc<FilePlan>>, Cohort>,
         now: TimePoint,
         max_attempts: u32,
-        table: Unacked,
-        envelope: impl for<'a> Fn(&'a Server, &Resend<P>) -> Option<(&'a str, Message)>,
     ) -> Result<(), ServerError> {
         let Some(net) = self.net.clone() else {
             return Ok(());
         };
-        let to = match table {
-            Unacked::Subscriber => "",
-            Unacked::Group => "group ",
+        for r in &round.resend {
+            let plan = &r.payload.plan;
+            for id in r.payload.owed.ones() {
+                let Some(st) = self.subscribers.get(SubscriberId(id)) else {
+                    continue;
+                };
+                let feed = plan.feed_for(st);
+                let attempt = ReliableMsg::Attempt {
+                    attempt: r.attempt,
+                    inner: plan.message(st, feed, &self.dest_path(plan, st, feed)),
+                };
+                net.send(
+                    now,
+                    &self.name,
+                    &st.def.endpoint,
+                    Message::Reliable(attempt),
+                );
+                self.log.log(
+                    now,
+                    LogLevel::Warn,
+                    "delivery",
+                    format!(
+                        "retrying file {} to {} (attempt {})",
+                        plan.rec.id.raw(),
+                        st.def.name,
+                        r.attempt
+                    ),
+                );
+            }
+        }
+        for ((file, _), send) in round.exhausted {
+            for id in send.owed.ones().map(SubscriberId) {
+                let Some(st) = self.subscribers.get(id) else {
+                    continue;
+                };
+                let line = format!(
+                    "delivery of file {} to {} abandoned after {max_attempts} attempts",
+                    file.raw(),
+                    st.def.name
+                );
+                self.log.log(now, LogLevel::Alarm, "delivery", line);
+                self.set_online(id, false)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Walk a group retry round: a lapsed fanout is re-sent to its
+    /// relay; an exhausted one only alarms — the relay is shared
+    /// infrastructure, and members' own health is tracked at the relay
+    /// tier.
+    fn retry_groups(&self, round: RetryRound<GroupSend>, now: TimePoint, max_attempts: u32) {
+        let (Some(net), Some(g)) = (&self.net, &self.groups) else {
+            return;
         };
         for r in &round.resend {
-            let Some((endpoint, msg)) = envelope(self, r) else {
+            let (group, file) = &r.key;
+            let Some(plan) = g.plans.iter().find(|p| *p.name == **group) else {
                 continue;
             };
-            net.send(now, &self.name, endpoint, msg);
+            let deliver = GroupMsg::Deliver {
+                group: group.to_string(),
+                file: *file,
+                file_name: r.payload.file_name.clone(),
+                size: r.payload.size,
+                attempt: r.attempt,
+            };
+            net.send(now, &self.name, &plan.endpoint, Message::Group(deliver));
             self.log.log(
                 now,
                 LogLevel::Warn,
                 "delivery",
                 format!(
-                    "retrying file {} to {to}{} (attempt {})",
-                    r.file.raw(),
-                    r.target,
+                    "retrying file {} to group {group} (attempt {})",
+                    file.raw(),
                     r.attempt
                 ),
             );
         }
-        for (target, file) in &round.exhausted {
-            let file = file.raw();
-            let line = match table {
-                Unacked::Subscriber => format!(
-                    "delivery of file {file} to {target} abandoned after {max_attempts} attempts"
-                ),
-                Unacked::Group => format!(
-                    "group {target} delivery of file {file} abandoned after {max_attempts} attempts"
-                ),
-            };
+        for ((group, file), _) in &round.exhausted {
+            let line = format!(
+                "group {group} delivery of file {} abandoned after {max_attempts} attempts",
+                file.raw()
+            );
             self.log.log(now, LogLevel::Alarm, "delivery", line);
-            if let Unacked::Subscriber = table {
-                self.set_subscriber_online(target, false)?;
-            }
         }
-        Ok(())
     }
 
     /// Re-deliver everything the receipt store does not show as
@@ -1464,11 +1574,9 @@ impl Server {
     /// In reliable mode receipts record only acked sends, so after a
     /// crash-restart this is exactly the unacked backfill.
     pub fn backfill_unacked(&mut self) -> Result<usize, ServerError> {
-        let mut subs: Vec<Arc<str>> = self.subscribers.keys().cloned().collect();
-        subs.sort();
         let mut n = 0;
-        for sub in subs {
-            n += self.deliver_pending_for(&sub)?;
+        for id in self.subscribers.ids() {
+            n += self.deliver_pending(id)?;
         }
         n += self.backfill_groups()?;
         Ok(n)
@@ -1545,26 +1653,23 @@ impl Server {
     /// (recovered). Recovery triggers backfill of the full pending queue
     /// (§4.2).
     pub fn set_subscriber_online(&mut self, sub: &str, online: bool) -> Result<(), ServerError> {
+        let id = self.subscribers.known(sub)?;
+        self.set_online(id, online)
+    }
+
+    /// [`Server::set_subscriber_online`] by id. Offline drops the
+    /// subscriber's bit from every unacked send: it is owed nothing until
+    /// recovery backfills it.
+    fn set_online(&mut self, id: SubscriberId, online: bool) -> Result<(), ServerError> {
         let now = self.clock.now();
-        let st = self
-            .subscribers
-            .get_mut(sub)
-            .ok_or_else(|| ServerError::UnknownSubscriber(sub.to_string()))?;
+        let st = (self.subscribers.get_mut(id))
+            .ok_or_else(|| ServerError::UnknownSubscriber(id.to_string()))?;
         if st.online == online {
             return Ok(());
         }
         st.online = online;
-        let in_group = self
-            .groups
-            .as_ref()
-            .is_some_and(|g| g.grouped.contains(sub));
-        self.index.set_online(&st.name, &st.feeds, online, in_group);
-        if !online {
-            // stop retrying into a dead subscriber; recovery backfills
-            if let Some(tracker) = self.reliable.as_mut() {
-                tracker.forget(sub);
-            }
-        }
+        self.index.set_online(id, &st.feeds, online, st.grouped);
+        let sub = st.def.name.clone();
         if online {
             self.log.log(
                 now,
@@ -1572,8 +1677,12 @@ impl Server {
                 "delivery",
                 format!("{sub} recovered; backfilling"),
             );
-            self.deliver_pending_for(sub)?;
+            self.deliver_pending(id)?;
         } else {
+            // stop retrying into a dead subscriber; recovery backfills
+            if let Some(tracker) = self.reliable.as_mut() {
+                tracker.forget_member(id.raw());
+            }
             self.log.log(
                 now,
                 LogLevel::Alarm,
@@ -1586,38 +1695,38 @@ impl Server {
 
     /// Deliver everything pending for one subscriber (backfill).
     pub fn deliver_pending_for(&mut self, sub: &str) -> Result<usize, ServerError> {
+        let id = self.subscribers.known(sub)?;
+        self.deliver_pending(id)
+    }
+
+    /// [`Server::deliver_pending_for`] by id. Each file is a send cohort
+    /// of its own, so a backfill never shares an attempt count with a
+    /// send that went out before it.
+    fn deliver_pending(&mut self, id: SubscriberId) -> Result<usize, ServerError> {
+        let st = (self.subscribers.get(id))
+            .ok_or_else(|| ServerError::UnknownSubscriber(id.to_string()))?;
         // members of a relay group ride the shared delivery plan — direct
         // backfill here would double-deliver what the relay fans out
-        if self
-            .groups
-            .as_ref()
-            .is_some_and(|g| g.grouped.contains(sub))
-        {
+        if st.grouped || !st.online {
             return Ok(0);
         }
-        let feeds = {
-            let st = self
-                .subscribers
-                .get(sub)
-                .ok_or_else(|| ServerError::UnknownSubscriber(sub.to_string()))?;
-            if !st.online {
-                return Ok(0);
-            }
-            st.feeds.clone()
-        };
-        let pending = self.receipts.pending_for(sub, &feeds);
+        let pending = self.receipts.pending_for(&st.def.name, &st.feeds);
         let n = pending.len();
         let mut done = Vec::new();
         for rec in pending {
             let plan = self.file_plan(rec);
-            done.extend(self.deliver_one(&plan, sub)?);
+            let mut to = Bitmap::default();
+            to.set(id.raw());
+            done.extend(self.deliver(&plan, to)?);
         }
         self.complete_deliveries(done)?;
         Ok(n)
     }
 
     /// Register a new subscriber at runtime; it immediately receives the
-    /// full available history of its feeds (§4.2).
+    /// full available history of its feeds (§4.2). The receipt store
+    /// hands out its id — the one it had before, if the name was
+    /// registered here earlier.
     pub fn add_subscriber(&mut self, def: SubscriberDef) -> Result<usize, ServerError> {
         // validate against the candidate config, rolling the push back on
         // rejection — leaving the invalid def in place would poison every
@@ -1633,41 +1742,39 @@ impl Server {
                 return Err(e);
             }
         };
-        let in_group = self
-            .groups
-            .as_ref()
-            .is_some_and(|g| g.grouped.contains(&def.name));
-        let st = SubscriberState::new(def, feeds);
-        let name = st.name.clone();
+        let grouped = (self.groups.as_ref()).is_some_and(|g| {
+            g.plans
+                .iter()
+                .any(|p| p.members.binary_search(&def.name).is_ok())
+        });
+        let id = self.receipts.register_subscriber(&def.name);
+        let mut st = SubscriberState::new(id, def, feeds);
+        st.grouped = grouped;
+        let (def, feeds) = (&st.def, &st.feeds);
         self.index
-            .insert_subscriber(&name, &st.feeds, &st.def.endpoint, true, in_group);
-        self.subscribers.insert(name.clone(), st);
-        self.deliver_pending_for(&name)
+            .insert_subscriber(id, &def.name, feeds, &def.endpoint, true, grouped);
+        self.subscribers.insert(st);
+        self.deliver_pending(id)
     }
 
     /// Deregister a subscriber at runtime: drops its config entry, live
     /// state (latency histogram and open batches with it), index
-    /// postings and any in-flight reliable retries — every handle to its
-    /// name. Members of a relay delivery group are refused — their
-    /// delivery rides the shared group plan, which cannot lose a member
-    /// without recompiling the tree.
+    /// postings and its bit in every in-flight reliable send. Its id
+    /// stays its own: registering the name again gets it back. Members
+    /// of a relay delivery group are refused — their delivery rides the
+    /// shared group plan, which cannot lose a member without recompiling
+    /// the tree.
     pub fn remove_subscriber(&mut self, sub: &str) -> Result<(), ServerError> {
-        if self
-            .groups
-            .as_ref()
-            .is_some_and(|g| g.grouped.contains(sub))
-        {
+        let id = self.subscribers.known(sub)?;
+        if self.subscribers.get(id).is_some_and(|st| st.grouped) {
             return Err(ServerError::GroupedSubscriber(sub.to_string()));
         }
-        let st = self
-            .subscribers
-            .remove(sub)
-            .ok_or_else(|| ServerError::UnknownSubscriber(sub.to_string()))?;
+        let st = self.subscribers.remove(id).expect("known above");
         self.config.subscribers.retain(|d| d.name != sub);
         self.index
-            .remove_subscriber(sub, &st.feeds, &st.def.endpoint);
+            .remove_subscriber(id, sub, &st.feeds, &st.def.endpoint);
         if let Some(tracker) = self.reliable.as_mut() {
-            tracker.forget(sub);
+            tracker.forget_member(id.raw());
         }
         self.log.log(
             self.clock.now(),
@@ -1729,11 +1836,9 @@ impl Server {
                 self.notify_deposit(&rel)?;
             }
         }
-        // deliver any newly pending files (sorted: see `ingest_prepared`)
-        let mut subs: Vec<Arc<str>> = self.subscribers.keys().cloned().collect();
-        subs.sort();
-        for sub in subs {
-            self.deliver_pending_for(&sub)?;
+        // deliver any newly pending files, subscribers in name order
+        for id in self.subscribers.ids() {
+            self.deliver_pending(id)?;
         }
         self.log.log(
             self.clock.now(),
@@ -1751,7 +1856,7 @@ impl Server {
         // batch windows ((feed, subscriber) order, so trigger-log order
         // is deterministic)
         for (feed, sub) in self.open_batchers(None) {
-            self.on_batcher(&feed, &sub, |b| b.on_tick(now));
+            self.on_batcher(&feed, sub, |b| b.on_tick(now));
         }
         // progress audits (sorted: HashMap iteration order must not
         // decide the event-log line order)
@@ -1805,22 +1910,21 @@ impl Server {
     pub fn punctuate_feed(&mut self, feed: &str) {
         let now = self.clock.now();
         for (feed, sub) in self.open_batchers(Some(feed)) {
-            self.on_batcher(&feed, &sub, |b| b.on_punctuation(now));
+            self.on_batcher(&feed, sub, |b| b.on_punctuation(now));
         }
     }
 
     /// Every `(feed, subscriber)` that has a batcher — those of one feed
-    /// when `only` names it — in `(feed, subscriber)` order.
-    fn open_batchers(&self, only: Option<&str>) -> Vec<(String, Arc<str>)> {
-        let mut keys: Vec<(String, Arc<str>)> = self
-            .subscribers
-            .values()
-            .flat_map(|st| st.batchers.keys().map(|feed| (feed, &st.name)))
-            .filter(|(feed, _)| only.is_none_or(|f| f == *feed))
-            .map(|(feed, sub)| (feed.clone(), sub.clone()))
+    /// when `only` names it — in `(feed, subscriber name)` order.
+    fn open_batchers(&self, only: Option<&str>) -> Vec<(String, SubscriberId)> {
+        let mut keys: Vec<(&String, &String, SubscriberId)> = (self.subscribers.in_id_order())
+            .flat_map(|st| (st.batchers.keys()).map(move |feed| (feed, &st.def.name, st.id)))
+            .filter(|(feed, _, _)| only.is_none_or(|f| f == *feed))
             .collect();
-        keys.sort();
-        keys
+        keys.sort_unstable();
+        (keys.into_iter())
+            .map(|(feed, _, sub)| (feed.clone(), sub))
+            .collect()
     }
 
     /// Run a clock- or source-driven close (`on_tick`, `on_punctuation`)
@@ -1828,7 +1932,7 @@ impl Server {
     fn on_batcher(
         &mut self,
         feed: &str,
-        sub: &str,
+        sub: SubscriberId,
         close: impl FnOnce(&mut Batcher) -> Option<BatchOutcome>,
     ) {
         let batcher = self
@@ -1976,17 +2080,16 @@ impl Server {
 
     /// Schedule-independent digest of this server's protocol state: the
     /// receipt store's content digest, each subscriber's liveness, and
-    /// the unacked reliable sends (by file *name*, not id — ids depend
-    /// on arrival order). Two runs that reached the same logical state
-    /// through different interleavings hash equal; used by the model
-    /// checker to dedup explored states.
+    /// the unacked reliable sends — one line per owed (subscriber, file)
+    /// pair, by file *name*, not id (ids depend on arrival order). Two
+    /// runs that reached the same logical state through different
+    /// interleavings hash equal; used by the model checker to dedup
+    /// explored states.
     pub fn state_digest(&self) -> u64 {
         use std::fmt::Write as _;
         let mut acc = String::new();
-        let mut subs: Vec<&Arc<str>> = self.subscribers.keys().collect();
-        subs.sort();
-        for name in subs {
-            let st = &self.subscribers[name];
+        for st in self.subscribers.in_name_order() {
+            let name = &st.def.name;
             writeln!(
                 acc,
                 "sub\0{name}\0{}\0{}",
@@ -1994,45 +2097,46 @@ impl Server {
             )
             .unwrap();
         }
+        // per table, a sorted `tag\0target\0file-name\0attempt…` line
+        // per unacked (target, file) send
+        let file_name = |file: FileId| match self.receipts.file(file) {
+            Some(rec) => rec.name,
+            None => format!("#{}", file.raw()),
+        };
+        let mut append = |mut lines: Vec<String>| {
+            lines.sort();
+            for line in lines {
+                acc.push_str(&line);
+                acc.push('\n');
+            }
+        };
         if let Some(tracker) = &self.reliable {
-            self.digest_unacked(&mut acc, "out", tracker, |_| String::new());
+            let mut out = Vec::new();
+            for (&(file, _), attempt, send) in tracker.entries() {
+                let name = file_name(file);
+                for st in send
+                    .owed
+                    .ones()
+                    .filter_map(|id| self.subscribers.get(SubscriberId(id)))
+                {
+                    out.push(format!("out\0{}\0{name}\0{attempt}", st.def.name));
+                }
+            }
+            append(out);
         }
         if let Some(g) = &self.groups {
-            self.digest_unacked(&mut acc, "gout", &g.tracker, |send| {
-                format!("\0{}", send.coverage.count())
-            });
+            append(
+                (g.tracker.entries())
+                    .map(|((group, file), attempt, send)| {
+                        let (name, covered) = (file_name(*file), send.coverage.count());
+                        format!("gout\0{group}\0{name}\0{attempt}\0{covered}")
+                    })
+                    .collect(),
+            );
         }
         let mut bytes = acc.into_bytes();
         bytes.extend_from_slice(&self.receipts.state_digest().to_le_bytes());
         bistro_base::fnv1a64(&bytes)
-    }
-
-    /// Append one unacked table to a [`Server::state_digest`]
-    /// accumulator: a sorted `tag\0target\0file-name\0attempt` line per
-    /// entry, plus whatever `suffix` adds from the entry's payload.
-    fn digest_unacked<P: Clone>(
-        &self,
-        acc: &mut String,
-        tag: &str,
-        tracker: &RetryTracker<P>,
-        suffix: impl Fn(&P) -> String,
-    ) {
-        let mut out: Vec<String> = tracker
-            .entries()
-            .map(|(target, file, attempt, payload)| {
-                let name = self
-                    .receipts
-                    .file(file)
-                    .map(|r| r.name)
-                    .unwrap_or_else(|| format!("#{}", file.raw()));
-                format!("{tag}\0{target}\0{name}\0{attempt}{}", suffix(payload))
-            })
-            .collect();
-        out.sort();
-        for line in out {
-            acc.push_str(&line);
-            acc.push('\n');
-        }
     }
 
     /// The trigger invocation log.
@@ -2054,7 +2158,7 @@ impl Server {
     /// subscriber's deliveries, `None` before the first. Mean and max are
     /// exact; p95 is the histogram's rank-exact upper quantile bound.
     pub fn latency_summary(&self, subscriber: &str) -> Option<(TimeSpan, TimeSpan, TimeSpan)> {
-        let h = &self.subscribers.get(subscriber)?.latency;
+        let h = &self.subscribers.named(subscriber)?.latency;
         let count = h.count();
         if count == 0 {
             return None;
@@ -2103,13 +2207,11 @@ impl Server {
     /// Deterministic — identical runs render byte-identical snapshots.
     pub fn status_json(&self) -> Json {
         self.store.stats().publish(&self.telemetry);
-        let mut subs: Vec<(&Arc<str>, &SubscriberState)> = self.subscribers.iter().collect();
-        subs.sort_by_key(|(name, _)| name.to_string());
         let subscribers = Json::Arr(
-            subs.into_iter()
-                .map(|(name, st)| {
+            (self.subscribers.in_name_order())
+                .map(|st| {
                     Json::Obj(vec![
-                        ("name".into(), Json::Str(name.to_string())),
+                        ("name".into(), Json::Str(st.def.name.clone())),
                         ("online".into(), Json::Bool(st.online)),
                         ("feeds".into(), Json::Num(st.feeds.len() as f64)),
                     ])
@@ -2163,11 +2265,10 @@ impl Server {
             self.name,
             self.clock.now().as_micros()
         ));
-        let mut subs: Vec<(&Arc<str>, &SubscriberState)> = self.subscribers.iter().collect();
-        subs.sort_by_key(|(name, _)| name.to_string());
-        for (name, st) in subs {
+        for st in self.subscribers.in_name_order() {
             out.push_str(&format!(
-                "  subscriber {name}: {} ({} feeds)\n",
+                "  subscriber {}: {} ({} feeds)\n",
+                st.def.name,
                 if st.online { "online" } else { "OFFLINE" },
                 st.feeds.len()
             ));

@@ -1309,3 +1309,165 @@ fn a_drain_of_acks_equals_the_same_messages_one_at_a_time() {
     // stretch of acks between coverage reports (4) against one per ack (6)
     assert_eq!((drain_appends, single_appends), (11, 13));
 }
+
+// -- direct sends: one unacked entry per file send --------------------------
+
+/// A reliable server over `subscribers` (`name endpoint` pairs, all on
+/// feed F) with a jitter-free policy: three attempts, 10 s apart.
+fn direct_server(clock: &Arc<SimClock>, subscribers: &[(&str, &str)]) -> Server {
+    let mut cfg = String::from("feed F { pattern \"f_%i.csv\"; }\n");
+    for (name, endpoint) in subscribers {
+        cfg.push_str(&format!(
+            "subscriber {name} {{ endpoint \"{endpoint}\"; subscribe F; trigger remote \"load %N\"; }}\n"
+        ));
+    }
+    let policy = bistro_transport::RetryPolicy {
+        base_timeout: TimeSpan::from_secs(10),
+        backoff: 2,
+        max_timeout: TimeSpan::from_secs(60),
+        max_attempts: 3,
+        jitter: 0.0,
+    };
+    Server::new(
+        "hub",
+        parse_config(&cfg).unwrap(),
+        clock.clone(),
+        MemFs::shared(clock.clone()),
+    )
+    .unwrap()
+    .with_network(Arc::new(SimNetwork::new(LinkSpec::default())))
+    .with_reliable_delivery(policy, 5)
+}
+
+/// The event log's messages at `level` from `since` on, oldest first.
+fn logged(server: &Server, level: LogLevel, since: usize) -> Vec<String> {
+    (server.event_log().recent().into_iter().skip(since))
+        .filter(|e| e.level == level)
+        .map(|e| e.message)
+        .collect()
+}
+
+#[test]
+fn a_backfill_send_is_a_cohort_of_its_own() {
+    // c is offline when f_1 fans out, so the fan-out's cohort owes a and
+    // b; by the time c recovers that cohort is on attempt 2. c's backfill
+    // must start at attempt 1 — folded into the fan-out's entry it would
+    // inherit attempt 2, and be abandoned a round early.
+    let clock = SimClock::starting_at(START);
+    let mut server = direct_server(&clock, &[("a", "ea"), ("b", "eb"), ("c", "ec")]);
+    server.set_subscriber_online("c", false).unwrap();
+    server.deposit("f_1.csv", b"one").unwrap();
+    assert_eq!(server.unacked_count(), 2);
+    server.retry_fire().unwrap(); // a and b: attempt 2
+    server.set_subscriber_online("c", true).unwrap(); // c: attempt 1
+    assert_eq!(server.unacked_count(), 3);
+
+    let mark = server.event_log().recent().len();
+    server.retry_fire().unwrap();
+    assert_eq!(
+        logged(&server, LogLevel::Warn, mark),
+        [
+            "retrying file 1 to a (attempt 3)",
+            "retrying file 1 to b (attempt 3)",
+            "retrying file 1 to c (attempt 2)",
+        ]
+    );
+    // the fan-out's budget is spent, the backfill's is not
+    let mark = server.event_log().recent().len();
+    server.retry_fire().unwrap();
+    assert_eq!(
+        logged(&server, LogLevel::Warn, mark),
+        ["retrying file 1 to c (attempt 3)"]
+    );
+    assert_eq!(server.unacked_count(), 1);
+    // resends: a+b twice, c twice; abandoned: a and b
+    assert_eq!(server.reliability_counters(), (0, 6, 2));
+}
+
+#[test]
+fn exhaustion_flags_exactly_the_subscribers_still_owed_in_id_order() {
+    // config names get ids in name order (m, x); `b` registers later and
+    // gets the next id, so id order (m, x, b) is not name order
+    let clock = SimClock::starting_at(START);
+    let mut server = direct_server(&clock, &[("x", "ex"), ("m", "em")]);
+    server.add_subscriber(push_sub("b", "eb", "F")).unwrap();
+    server.deposit("f_1.csv", b"one").unwrap();
+    ack(&mut server, "ex", 1, clock.now());
+    assert_eq!(server.unacked_count(), 2);
+    server.retry_fire().unwrap(); // attempt 2
+    server.retry_fire().unwrap(); // attempt 3 == max
+
+    let mark = server.event_log().recent().len();
+    server.retry_fire().unwrap();
+    assert_eq!(
+        logged(&server, LogLevel::Alarm, mark),
+        [
+            "delivery of file 1 to m abandoned after 3 attempts",
+            "m flagged offline",
+            "delivery of file 1 to b abandoned after 3 attempts",
+            "b flagged offline",
+        ]
+    );
+    assert_eq!(server.unacked_count(), 0);
+    let online = |name: &str| {
+        server
+            .match_via_scan(&["F".to_string()])
+            .0
+            .contains(&name.to_string())
+    };
+    assert!(online("x") && !online("m") && !online("b"));
+    assert_eq!(server.reliability_counters(), (1, 4, 2));
+}
+
+#[test]
+fn an_offline_flip_drops_exactly_that_subscribers_owed_pairs() {
+    let clock = SimClock::starting_at(START);
+    let mut server = direct_server(&clock, &[("a", "ea"), ("b", "eb"), ("c", "ec")]);
+    for i in 1..=3 {
+        server.deposit(&format!("f_{i}.csv"), b"x").unwrap();
+    }
+    assert_eq!(server.unacked_count(), 9, "three cohorts of three");
+    ack(&mut server, "eb", 1, clock.now());
+    ack(&mut server, "ea", 2, clock.now());
+    assert_eq!(server.unacked_count(), 7);
+    server.set_subscriber_online("b", false).unwrap(); // owed f_2, f_3
+    assert_eq!(server.unacked_count(), 5);
+    server.set_subscriber_online("c", false).unwrap(); // owed all three
+    assert_eq!(server.unacked_count(), 2);
+    server.set_subscriber_online("c", false).unwrap(); // already offline
+    assert_eq!(server.unacked_count(), 2);
+    // recovery backfills what the store still owes: f_2 and f_3 to b
+    server.set_subscriber_online("b", true).unwrap();
+    assert_eq!(server.unacked_count(), 4);
+    server.remove_subscriber("a").unwrap(); // owed f_1, f_3
+    assert_eq!(server.unacked_count(), 2);
+}
+
+#[test]
+fn a_duplicate_ack_after_its_send_completed_writes_nothing() {
+    let clock = SimClock::starting_at(START);
+    let mut server = direct_server(&clock, &[("a", "ea"), ("b", "eb")]);
+    server.deposit("f_1.csv", b"one").unwrap();
+    ack(&mut server, "ea", 1, clock.now());
+    ack(&mut server, "eb", 1, clock.now());
+    assert_eq!(
+        server.unacked_count(),
+        0,
+        "the cohort went with its last ack"
+    );
+    let written = |server: &Server| {
+        (
+            server.telemetry().counter_value("wal.appends"),
+            server.receipts().delivery_count(),
+            server.trigger_log().len(),
+            server.stats().deliveries,
+        )
+    };
+    let before = written(&server);
+    assert_eq!(before.1, 2);
+    // late, from either subscriber: processed, but no second receipt
+    ack(&mut server, "ea", 1, clock.now());
+    ack(&mut server, "eb", 1, clock.now());
+    assert_eq!(written(&server), before);
+    assert_eq!(server.reliability_counters().0, 4, "every ack is counted");
+}

@@ -6,13 +6,15 @@
 //! record application is idempotent, so a crash between snapshotting and
 //! pruning is harmless.
 //!
-//! `delivery_receipts` is one set per file: the store interns subscriber
-//! names to dense ids ([`Record::Subscriber`], first use, never reused),
-//! a live file carries the bitmap of ids it has been delivered to, and a
-//! delivery is logged as one [`Record::Delivered`] per file — however many
-//! subscribers it covers — through [`ReceiptStore::record_deliveries`],
-//! the only way a delivery receipt reaches the log. Ids never leave this
-//! crate: every query takes and returns names.
+//! `delivery_receipts` is one set per file. The store hands out the
+//! durable subscriber ids: [`ReceiptStore::register_subscriber`] interns
+//! a name to a dense [`SubscriberId`] (never reused) without writing, and
+//! its [`Record::Subscriber`] goes on record ahead of the first delivery
+//! set that names it. A live file carries the bitmap of ids it has been
+//! delivered to, and a delivery is logged as one [`Record::Delivered`]
+//! per file — however many subscribers it covers — through
+//! [`ReceiptStore::record_deliveries`], which takes ids and is the only
+//! way a delivery receipt reaches the log. Queries take and return names.
 
 use crate::records::{
     encode_arrival, encode_delivered, encode_group_mark, encode_subscriber, ArrivalTemplate,
@@ -21,7 +23,9 @@ use crate::records::{
 use crate::wal::{Wal, WalError};
 use bistro_base::checksum::crc32;
 use bistro_base::sync::Mutex;
-use bistro_base::{Bitmap, ByteReader, ByteWriter, CodecError, FileId, IdGen, TimePoint};
+use bistro_base::{
+    Bitmap, ByteReader, ByteWriter, CodecError, FileId, IdGen, SubscriberId, TimePoint,
+};
 use bistro_vfs::{FileStore, VfsError};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -107,24 +111,36 @@ impl From<CodecError> for ReplayError {
     }
 }
 
-/// Every subscriber name a delivery has named, stored once, and the id
-/// delivery sets know it by: dense, in order of first use, never reused
-/// (a name stays after its last file expired — one entry per subscriber
-/// ever named is what the store keeps forever).
+/// Every subscriber name registered or named by a delivery, stored
+/// once, and the id delivery sets know it by: dense, in order of
+/// registration, never reused (a name stays after its subscriber left
+/// and its last file expired — one entry per subscriber ever registered
+/// is what the store keeps forever).
 #[derive(Default)]
 struct Names {
     by_id: Vec<Arc<str>>,
     ids: HashMap<Arc<str>, u32>,
     /// Ids below this have their `Subscriber` record in the log or in
-    /// the snapshot. The rest were named only by legacy `Delivery`
-    /// records (or by a write that failed): the next set written logs
-    /// their records first.
+    /// the snapshot.
     recorded: usize,
+    /// Ids below this are named by a delivery — on record, replayed from
+    /// a legacy `Delivery` record, or in a set whose write failed — and
+    /// must be on record before anything else names them: the next set
+    /// or snapshot written logs the records of `recorded..named` first.
+    /// Ids at or past it were only registered, and cost the log nothing
+    /// yet.
+    named: usize,
 }
 
 impl Names {
     fn id(&self, name: &str) -> Option<u32> {
         self.ids.get(name).copied()
+    }
+
+    /// `id` is in a delivery set: it, and every id below it, must be on
+    /// record before the set is.
+    fn name(&mut self, id: u32) {
+        self.named = self.named.max(id as usize + 1);
     }
 
     fn intern(&mut self, name: &str) -> u32 {
@@ -150,6 +166,7 @@ impl Names {
         }
         if id as usize == self.recorded {
             self.recorded += 1;
+            self.named = self.named.max(self.recorded);
         }
         Ok(())
     }
@@ -239,8 +256,10 @@ impl Tables {
                 // the legacy receipt names its subscriber in full; the
                 // id it gets here goes on record with the next set written
                 if let Some(f) = self.files.get_mut(&file.raw()) {
+                    let id = self.names.intern(&subscriber);
+                    self.names.name(id);
                     let mut bits = Bitmap::default();
-                    bits.set(self.names.intern(&subscriber));
+                    bits.set(id);
                     self.delivery_count += f.deliver(seq, bits);
                 }
             }
@@ -748,24 +767,46 @@ impl ReceiptStore {
         Ok(id)
     }
 
+    /// Register a subscriber: its durable id, the one it already has if
+    /// the name was ever registered or delivered to (ids are never
+    /// reused, so a name that comes back keeps its id). Writes nothing:
+    /// the name's `Subscriber` record is logged ahead of the first
+    /// delivery set that names it, so registering a subscriber that never
+    /// receives anything costs the log nothing. A name registered but
+    /// not yet on record may get another id after a crash — nothing
+    /// durable names it.
+    pub fn register_subscriber(&self, name: &str) -> SubscriberId {
+        SubscriberId(self.inner.lock().tables.names.intern(name))
+    }
+
+    /// The id of a registered name, if it has one.
+    pub fn subscriber_id(&self, name: &str) -> Option<SubscriberId> {
+        self.inner.lock().tables.names.id(name).map(SubscriberId)
+    }
+
     /// Record completed deliveries — every (file, subscriber) pair of one
     /// drain of acknowledgements, or of one file's local fan-out — as
     /// **one delivery set per file**, in the order the files first
     /// appear, logged together: one physical append outside a
     /// group-commit window, the window's buffer inside one. `at` is when
-    /// the last of them completed. A subscriber named for the first time
-    /// gets its `Subscriber` record ahead of the sets. Returns what
-    /// became of each pair, in order; only a
-    /// [`DeliveryOutcome::Recorded`] pair wrote anything. The whole call
-    /// holds the store's lock, so the still-owed check, the append and
-    /// the table update are one step.
+    /// the last of them completed. Every id a set names (and every id
+    /// below it) gets its `Subscriber` record ahead of the sets if it is
+    /// not on record yet. Returns what became of each pair, in order;
+    /// only a [`DeliveryOutcome::Recorded`] pair wrote anything. The
+    /// whole call holds the store's lock, so the still-owed check, the
+    /// append and the table update are one step.
     ///
     /// A crash inside the append loses a suffix of whole records: the
     /// receipts in them were never observable, and their deliveries are
     /// re-sent after recovery (subscribers dedup a resend).
-    pub fn record_deliveries<'a>(
+    ///
+    /// # Panics
+    ///
+    /// If an id was never handed out by
+    /// [`ReceiptStore::register_subscriber`].
+    pub fn record_deliveries(
         &self,
-        pairs: impl IntoIterator<Item = (FileId, &'a str)>,
+        pairs: impl IntoIterator<Item = (FileId, SubscriberId)>,
         at: TimePoint,
     ) -> Result<Vec<DeliveryOutcome>, ReceiptError> {
         let mut guard = self.inner.lock();
@@ -775,12 +816,20 @@ impl ReceiptStore {
         // the files that gain receipts, in first-seen order; the ids each
         // gains gather in its `pending` and move here once all are in
         let mut sets: Vec<(FileId, Bitmap)> = Vec::new();
-        for (file, subscriber) in pairs {
-            let Some(f) = files.get_mut(&file.raw()) else {
+        // a drain names one file many times in a row: look it up once
+        let mut cur: Option<(FileId, &mut LiveFile)> = None;
+        for (file, SubscriberId(id)) in pairs {
+            assert!(
+                (id as usize) < names.by_id.len(),
+                "subscriber id {id} was never registered"
+            );
+            if cur.as_ref().map(|(at, _)| *at) != Some(file) {
+                cur = files.get_mut(&file.raw()).map(|f| (file, &mut **f));
+            }
+            let Some((_, f)) = &mut cur else {
                 outcomes.push(DeliveryOutcome::UnknownFile);
                 continue;
             };
-            let id = names.intern(subscriber);
             if f.delivered.get(id) || f.pending.get(id) {
                 outcomes.push(DeliveryOutcome::AlreadyDelivered);
                 continue;
@@ -789,6 +838,7 @@ impl ReceiptStore {
                 sets.push((file, Bitmap::default()));
             }
             f.pending.set(id);
+            names.name(id);
             outcomes.push(DeliveryOutcome::Recorded);
         }
         if sets.is_empty() {
@@ -799,7 +849,7 @@ impl ReceiptStore {
             *bits = std::mem::take(&mut f.pending);
         }
 
-        let unrecorded = names.recorded..names.by_id.len();
+        let unrecorded = names.recorded..names.named;
         let subscribers = unrecorded.clone().map(|id| {
             let mut w = ByteWriter::new();
             encode_subscriber(&mut w, id as u32, &names.by_id[id]);
@@ -822,15 +872,17 @@ impl ReceiptStore {
     }
 
     /// Record one completed delivery: [`ReceiptStore::record_deliveries`]
-    /// of a single pair. Idempotent for a pair already on record; a file
-    /// that is not live is an error, and nothing is logged for it.
+    /// of a single pair, registering `subscriber` if it is new.
+    /// Idempotent for a pair already on record; a file that is not live
+    /// is an error, and nothing is logged for it.
     pub fn record_delivery(
         &self,
         file: FileId,
         subscriber: &str,
         at: TimePoint,
     ) -> Result<(), ReceiptError> {
-        match self.record_deliveries([(file, subscriber)], at)?[0] {
+        let id = self.register_subscriber(subscriber);
+        match self.record_deliveries([(file, id)], at)?[0] {
             DeliveryOutcome::UnknownFile => Err(ReceiptError::UnknownFile(file)),
             DeliveryOutcome::Recorded | DeliveryOutcome::AlreadyDelivered => Ok(()),
         }
@@ -1061,7 +1113,8 @@ impl ReceiptStore {
     /// Write a snapshot of the live state and prune covered WAL segments.
     /// Bounds recovery time; returns the number of segments removed.
     ///
-    /// Body: the subscriber table first (every id, in order), then per
+    /// Body: the subscriber table first (every id a delivery names, in
+    /// order — a name only registered stays off the record), then per
     /// live file its arrival, its delivery set if it has one, and its
     /// group marks.
     pub fn snapshot(&self) -> Result<usize, ReceiptError> {
@@ -1086,7 +1139,8 @@ impl ReceiptStore {
             scratch.clear();
             n += 1;
         };
-        for (id, name) in tables.names.by_id.iter().enumerate() {
+        let named = tables.names.named;
+        for (id, name) in tables.names.by_id[..named].iter().enumerate() {
             put(&|w| encode_subscriber(w, id as u32, name));
         }
         for f in tables.files.values() {
@@ -1122,8 +1176,9 @@ impl ReceiptStore {
         let dst = format!("{}/snapshot.bin", self.dir);
         self.store.write(&tmp, &out)?;
         self.store.replace(&tmp, &dst)?;
-        // every name is on record now, whatever the log goes on to lose
-        inner.tables.names.recorded = inner.tables.names.by_id.len();
+        // every name a delivery names is on record now, whatever the log
+        // goes on to lose
+        inner.tables.names.recorded = named;
 
         let wal = &mut inner.log.wal;
         let covered = wal.next_seq().saturating_sub(1);
@@ -1187,9 +1242,10 @@ mod tests {
         let store = MemFs::shared(SimClock::new());
         let db = open(&store);
         let mut files = Vec::new();
+        let subs = ["sub1", "sub2"].map(|s| db.register_subscriber(s));
         for (name, t) in [("a.csv", 1), ("b.csv", 2)] {
             let f = arrive(&db, name, &["F"], t);
-            db.record_deliveries([(f, "sub1"), (f, "sub2")], TimePoint::from_secs(3))
+            db.record_deliveries(subs.map(|s| (f, s)), TimePoint::from_secs(3))
                 .unwrap();
             db.record_delivery(f, "sub3", TimePoint::from_secs(4))
                 .unwrap();
@@ -1220,6 +1276,55 @@ mod tests {
         }
     }
 
+    /// Registration hands out the id and writes nothing: a name goes on
+    /// record — with every lower id not on record yet, so replay sees ids
+    /// in sequence — only with the first set that names it, and a
+    /// snapshot leaves names nothing names off the record too.
+    #[test]
+    fn a_registered_name_goes_on_record_with_the_first_set_naming_it() {
+        let store = MemFs::shared(SimClock::new());
+        let db = open(&store);
+        let f = arrive(&db, "a.csv", &["F"], 1);
+        let len = wal_len(&store);
+        let [a, b, c] = ["a", "b", "c"].map(|s| db.register_subscriber(s));
+        assert_eq!(
+            (a, b, c),
+            (SubscriberId(0), SubscriberId(1), SubscriberId(2))
+        );
+        assert_eq!(db.register_subscriber("b"), b, "a name keeps its id");
+        assert_eq!(db.subscriber_id("c"), Some(c));
+        assert_eq!(db.subscriber_id("d"), None);
+        assert_eq!(wal_len(&store), len, "registration writes nothing");
+
+        db.snapshot().unwrap();
+        assert!(
+            open(&store).subscriber_id("a").is_none(),
+            "nothing named a yet"
+        );
+
+        db.record_deliveries([(f, b)], TimePoint::from_secs(2))
+            .unwrap();
+        let reopened = open(&store);
+        assert_eq!(reopened.subscriber_id("a"), Some(a));
+        assert_eq!(reopened.subscriber_id("b"), Some(b));
+        assert_eq!(
+            reopened.subscriber_id("c"),
+            None,
+            "c is above every named id"
+        );
+        assert!(reopened.is_delivered(f, "b") && !reopened.is_delivered(f, "a"));
+        // a registration the crash lost takes the next free id
+        assert_eq!(reopened.register_subscriber("d"), SubscriberId(2));
+
+        db.record_deliveries([(f, c)], TimePoint::from_secs(3))
+            .unwrap();
+        db.snapshot().unwrap();
+        let reopened = open(&store);
+        assert_eq!(reopened.recovery_info().undecodable_records, 0);
+        assert_eq!(reopened.subscriber_id("c"), Some(c));
+        assert_eq!(reopened.delivery_count(), 2);
+    }
+
     fn wal_len(store: &Arc<MemFs>) -> usize {
         wal_dump(store).iter().map(|(_, bytes)| bytes.len()).sum()
     }
@@ -1244,14 +1349,18 @@ mod tests {
                 Err(ReceiptError::UnknownFile(file))
             );
         }
-        // in a drain such pairs are skipped, and name nobody
+        // in a drain such pairs are skipped, and put nobody on record
+        let (sub1, sub3) = (
+            db.subscriber_id("sub1").unwrap(),
+            db.register_subscriber("sub3"),
+        );
         let outcomes = db
             .record_deliveries(
                 [
-                    (gone, "sub3"),
-                    (live, "sub1"),
-                    (FileId(999), "sub1"),
-                    (live, "sub1"),
+                    (gone, sub3),
+                    (live, sub1),
+                    (FileId(999), sub1),
+                    (live, sub1),
                 ],
                 TimePoint::from_secs(5),
             )
@@ -1263,7 +1372,7 @@ mod tests {
         );
         db.record_expiration(live, TimePoint::from_secs(7)).unwrap();
         assert_eq!(db.delivery_count(), count + 1);
-        assert_eq!(db.inner.lock().tables.names.by_id.len(), 1);
+        assert_eq!(db.inner.lock().tables.names.recorded, 1);
         assert!(db.inner.lock().tables.files.is_empty());
 
         // and before the drain nothing had moved at all
@@ -1428,7 +1537,11 @@ mod tests {
 
         // set records follow in the same log; a new name joins the table
         let (c, at) = (FileId(6), TimePoint::from_secs(60));
-        db.record_deliveries([(c, "alice"), (c, "dave"), (FileId(5), "dave")], at)
+        let (alice, dave) = (
+            db.register_subscriber("alice"),
+            db.register_subscriber("dave"),
+        );
+        db.record_deliveries([(c, alice), (c, dave), (FileId(5), dave)], at)
             .unwrap();
         let (digest, names) = (
             db.state_digest(),

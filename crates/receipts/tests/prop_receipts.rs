@@ -254,11 +254,11 @@ fn delivery_sets_match_per_pair_receipts() {
                              drain: &mut Vec<((FileId, String), bool)>,
                              t: u64|
                  -> Result<(), String> {
+                    let pairs: Vec<_> = (drain.iter())
+                        .map(|((f, s), _)| (*f, sets.register_subscriber(s)))
+                        .collect();
                     let outcomes = sets
-                        .record_deliveries(
-                            drain.iter().map(|((f, s), _)| (*f, s.as_str())),
-                            TimePoint::from_secs(t),
-                        )
+                        .record_deliveries(pairs, TimePoint::from_secs(t))
                         .unwrap();
                     prop_assert_eq!(outcomes.len(), drain.len());
                     for (outcome, (pair, accepted)) in outcomes.iter().zip(drain.drain(..)) {

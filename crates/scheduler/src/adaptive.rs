@@ -101,7 +101,7 @@ pub fn classify_subscribers(
 mod tests {
     use super::*;
 
-    fn tp(pairs: &[(u64, f64)]) -> HashMap<SubscriberId, f64> {
+    fn tp(pairs: &[(u32, f64)]) -> HashMap<SubscriberId, f64> {
         pairs.iter().map(|&(s, t)| (SubscriberId(s), t)).collect()
     }
 

@@ -734,12 +734,12 @@ mod tests {
         let build = || {
             let mut eng = Engine::new(EngineConfig::partitioned(&[2, 1]));
             for s in 1..=6 {
-                let mut sub = SubscriberSpec::simple(s, s * MB);
+                let mut sub = SubscriberSpec::simple(s as u32, s * MB);
                 sub.class = (s % 2) as usize;
                 eng.add_subscriber(sub);
             }
             for i in 0..100u64 {
-                let mut j = JobSpec::new(i, 1 + (i % 6), i, i + 30, MB + i * 1000);
+                let mut j = JobSpec::new(i, 1 + (i % 6) as u32, i, i + 30, MB + i * 1000);
                 j.file_key = i % 10;
                 eng.add_job(j);
             }

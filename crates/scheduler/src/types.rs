@@ -23,7 +23,7 @@ pub struct SubscriberSpec {
 impl SubscriberSpec {
     /// A subscriber with the given id and bandwidth, no latency, class 0,
     /// always online.
-    pub fn simple(id: u64, bandwidth: u64) -> SubscriberSpec {
+    pub fn simple(id: u32, bandwidth: u64) -> SubscriberSpec {
         SubscriberSpec {
             id: SubscriberId(id),
             bandwidth,
@@ -76,7 +76,7 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// A simple real-time job.
-    pub fn new(id: u64, subscriber: u64, release_s: u64, deadline_s: u64, size: u64) -> JobSpec {
+    pub fn new(id: u64, subscriber: u32, release_s: u64, deadline_s: u64, size: u64) -> JobSpec {
         JobSpec {
             id,
             subscriber: SubscriberId(subscriber),

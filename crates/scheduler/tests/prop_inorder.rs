@@ -32,7 +32,7 @@ fn check_inorder(jobs: &[(u64, u64, u64)], outage: Option<(u64, u64)>) -> Result
         // would reorder if allowed to
         let mut j = JobSpec::new(
             i as u64,
-            sub,
+            sub as u32,
             release,
             release + 1 + (i as u64 * 37) % 100,
             size,
@@ -42,7 +42,7 @@ fn check_inorder(jobs: &[(u64, u64, u64)], outage: Option<(u64, u64)>) -> Result
     }
     let report = eng.run();
 
-    let mut per_sub: HashMap<u64, Vec<(TimePoint, u64)>> = HashMap::new();
+    let mut per_sub: HashMap<u32, Vec<(TimePoint, u64)>> = HashMap::new();
     for o in &report.outcomes {
         let done = o.completed.expect("everything completes");
         per_sub

@@ -43,7 +43,7 @@ fn all_jobs_complete_online() {
                 eng.add_subscriber(SubscriberSpec::simple(s, 5 * MB));
             }
             for (i, (sub, rel, dl, size)) in jobs.iter().enumerate() {
-                let mut j = JobSpec::new(i as u64, *sub, *rel, rel + dl, *size);
+                let mut j = JobSpec::new(i as u64, *sub as u32, *rel, rel + dl, *size);
                 j.file_key = i as u64 % 7;
                 eng.add_job(j);
             }
@@ -98,7 +98,7 @@ fn outages_never_lose_jobs() {
                 eng.add_subscriber(sub);
             }
             for (i, (sub, rel, dl, size)) in jobs.iter().enumerate() {
-                eng.add_job(JobSpec::new(i as u64, *sub, *rel, rel + dl, *size));
+                eng.add_job(JobSpec::new(i as u64, *sub as u32, *rel, rel + dl, *size));
             }
             let report = eng.run();
             for o in &report.outcomes {
@@ -125,7 +125,7 @@ fn makespan_sanity() {
             }
             let mut total_xfer_us = 0u64;
             for (i, (sub, rel, dl, size)) in jobs.iter().enumerate() {
-                eng.add_job(JobSpec::new(i as u64, *sub, *rel, rel + dl, *size));
+                eng.add_job(JobSpec::new(i as u64, *sub as u32, *rel, rel + dl, *size));
                 total_xfer_us += size * 1_000_000 / (5 * MB);
             }
             let report = eng.run();

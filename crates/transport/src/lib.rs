@@ -39,5 +39,8 @@ pub use batching::{BatchOutcome, Batcher};
 pub use client::{PendingFile, SubscriberClient};
 pub use messages::{ClusterMsg, GroupMsg, Message, ReliableMsg, SourceMsg, SubscriberMsg};
 pub use net::{Delivery, FaultPlan, FaultSpec, LinkFlap, LinkSpec, PendingMessage, SimNetwork};
-pub use reliable::{Coverage, GroupSend, Resend, RetryPolicy, RetryRound, RetryTracker};
+pub use reliable::{
+    Cohort, CohortSend, Coverage, GroupSend, Payload, Resend, RetryPolicy, RetryRound,
+    RetryTracker, Target,
+};
 pub use trigger::{expand_command, Invocation, TriggerLog};

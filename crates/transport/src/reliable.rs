@@ -5,25 +5,34 @@
 //! to all the feed's subscribers" — over a network that may drop,
 //! duplicate, or delay messages ([`crate::net::FaultPlan`]). The
 //! [`RetryTracker`] holds every unacked send and schedules
-//! retransmissions under a [`RetryPolicy`]: per-subscriber timeout with
+//! retransmissions under a [`RetryPolicy`]: per-send timeout with
 //! exponential backoff and seeded jitter (so two servers retrying into
 //! the same congested link desynchronize, yet a run still replays
 //! bit-for-bit from its seed).
 //!
 //! The tracker is pure bookkeeping: it never touches the network or the
 //! receipt store. The server sends [`ReliableMsg::Attempt`] envelopes,
-//! feeds acks into [`RetryTracker::on_ack`], polls
-//! [`RetryTracker::due`] on its clock ticks, and writes the delivery
-//! receipt only once the ack arrives.
+//! feeds acks back in, polls [`RetryTracker::due`] on its clock ticks,
+//! and writes the delivery receipt only once the ack arrives.
 //!
-//! There is one table type, generic over what an entry carries. The
-//! server runs two instances of it: one for per-subscriber sends, whose
-//! entries hold a shared handle to the file's delivery plan (a resend
-//! re-renders its message from it, an ack gets it back through
-//! [`RetryTracker::take_acked`]), and `RetryTracker<GroupSend>` for
-//! delivery trees, where an entry is one `(group, file)` send to a relay
-//! and a [`Coverage`] bitmap of the members served so far
-//! ([`RetryTracker::on_coverage`] is the only group-specific step).
+//! There is one table type, generic over what an entry carries and what
+//! it is keyed by. An entry has one attempt count and one jittered
+//! deadline however many subscribers it serves. The server runs two
+//! instances of it, both shaped "one entry per file send":
+//!
+//! * direct sends, `RetryTracker<CohortSend<_>, Cohort>`: one entry per
+//!   (file, send cohort) — a deposit's whole fan-out, or one backfill
+//!   send — holding a shared handle to the file's delivery plan (a resend
+//!   re-renders its messages from it) and the bitmap of subscriber ids
+//!   still owed an ack ([`RetryTracker::ack_member`] clears one bit);
+//! * delivery trees, `RetryTracker<GroupSend>`: one entry per
+//!   `(group, file)` send to a relay, holding a [`Coverage`] bitmap of the
+//!   members served so far ([`RetryTracker::on_coverage`]).
+//!
+//! The counters count (target, file) sends either way: a cohort stands
+//! for one send per subscriber it still owes ([`Payload::sends`]). The
+//! default key, a `(name, file)` [`Target`], takes the by-name calls
+//! ([`RetryTracker::track`], [`RetryTracker::on_ack`]).
 //!
 //! [`ReliableMsg::Attempt`]: crate::messages::ReliableMsg::Attempt
 
@@ -73,6 +82,26 @@ impl RetryPolicy {
     }
 }
 
+/// What a tracker entry carries: whatever the caller needs to send
+/// again.
+pub trait Payload: Clone {
+    /// How many (target, file) sends the entry stands for — what the
+    /// counters and [`RetryTracker::outstanding_count`] count.
+    fn sends(&self) -> u32 {
+        1
+    }
+}
+
+impl Payload for SubscriberMsg {}
+
+/// The default key: a target's name (stored once per entry) and a file.
+pub type Target = (Arc<str>, FileId);
+
+/// A direct send's key: the file and its send cohort, a number the
+/// caller hands out so that each send of a file — its deposit fan-out,
+/// each backfill send — is an entry of its own.
+pub type Cohort = (FileId, u64);
+
 /// One unacked send.
 #[derive(Clone, Debug)]
 struct Entry<P> {
@@ -84,12 +113,9 @@ struct Entry<P> {
 
 /// A retransmission scheduled by [`RetryTracker::due`].
 #[derive(Clone, Debug)]
-pub struct Resend<P = SubscriberMsg> {
-    /// Who to retransmit to: a subscriber, or a group (via its relay) —
-    /// the table's own handle for the name.
-    pub target: Arc<str>,
-    /// The file being redelivered.
-    pub file: FileId,
+pub struct Resend<P = SubscriberMsg, K = Target> {
+    /// Which send: a `(target, file)` pair, or a file's send cohort.
+    pub key: K,
     /// The new (bumped) attempt number to stamp on the envelope.
     pub attempt: u32,
     /// What the send carries — the caller wraps it in the wire envelope.
@@ -98,13 +124,13 @@ pub struct Resend<P = SubscriberMsg> {
 
 /// The outcome of one [`RetryTracker::due`] sweep.
 #[derive(Clone, Debug)]
-pub struct RetryRound<P = SubscriberMsg> {
-    /// Sends whose timeout lapsed: retransmit these.
-    pub resend: Vec<Resend<P>>,
-    /// Sends that exhausted [`RetryPolicy::max_attempts`]; they are no
-    /// longer tracked — the caller should alarm and fall back to
-    /// failure-detection + backfill.
-    pub exhausted: Vec<(Arc<str>, FileId)>,
+pub struct RetryRound<P = SubscriberMsg, K = Target> {
+    /// Sends whose timeout lapsed, in key order: retransmit these.
+    pub resend: Vec<Resend<P, K>>,
+    /// Sends that exhausted [`RetryPolicy::max_attempts`], in key order,
+    /// with what they carried; they are no longer tracked — the caller
+    /// should alarm and fall back to failure-detection + backfill.
+    pub exhausted: Vec<(K, P)>,
 }
 
 /// The tracker's telemetry handles. Counters are the *only* tallies —
@@ -140,49 +166,50 @@ impl TrackerMetrics {
     }
 }
 
-/// The unacked-send table, keyed by target then file (deterministic
-/// iteration in `(target, file)` order: two `BTreeMap`s) and generic over
-/// what each entry carries — whatever the caller needs to send again: a
-/// [`SubscriberMsg`], a [`GroupSend`] (coverage bitmap + file identity)
-/// for a delivery tree, or a handle to a plan it can re-render from.
-///
-/// A target's name is stored once, when it is first tracked; every
-/// lookup after that borrows the caller's `&str`. An acked-empty target
-/// keeps its (empty) file map until [`RetryTracker::forget`], so the
-/// steady ack/track cycle of a live subscriber allocates nothing.
-pub struct RetryTracker<P = SubscriberMsg> {
+/// The unacked-send table: one entry per key, iterated in key order —
+/// retry rounds (and so the jitter draw order and the resend order on
+/// the wire) and state digests inherit it — and generic over what each
+/// entry carries: a [`SubscriberMsg`], a [`GroupSend`] (coverage bitmap
+/// and file identity) for a delivery tree, or a [`CohortSend`] (a plan
+/// to re-render from and the subscribers still owed).
+pub struct RetryTracker<P = SubscriberMsg, K = Target> {
     policy: RetryPolicy,
     rng: Rng,
-    outstanding: BTreeMap<Arc<str>, BTreeMap<u64, Entry<P>>>,
-    /// Entries across all targets.
-    len: usize,
+    /// Entries are boxed to keep the tree's nodes small: a leaf of eleven
+    /// inline `GroupSend` entries is over 1 kB, and a table that fills
+    /// and drains every file splits and frees such leaves all the time —
+    /// glibc consolidates its fast bins before serving any request of
+    /// 1 kB or more, which after a snapshot's frees took milliseconds.
+    outstanding: BTreeMap<K, Box<Entry<P>>>,
+    /// Sends across all entries ([`Payload::sends`]).
+    sends: usize,
     metrics: TrackerMetrics,
 }
 
-impl<P: Clone> RetryTracker<P> {
+impl<P: Payload, K: Ord + Clone> RetryTracker<P, K> {
     /// A tracker under `policy`; `seed` drives the backoff jitter.
     /// Counters record into detached handles; use
     /// [`RetryTracker::with_telemetry`] to surface them in a registry.
-    pub fn new(policy: RetryPolicy, seed: u64) -> RetryTracker<P> {
+    pub fn new(policy: RetryPolicy, seed: u64) -> RetryTracker<P, K> {
         RetryTracker {
             policy,
             rng: Rng::seed_from_u64(seed),
             outstanding: BTreeMap::new(),
-            len: 0,
+            sends: 0,
             metrics: TrackerMetrics::detached(),
         }
     }
 
     /// A tracker whose `{prefix}.*` counters and outstanding gauge live
-    /// in `reg` (`"reliable"` for per-subscriber sends, `"group"` for
-    /// delivery trees). Telemetry draws nothing from the jitter RNG, so
-    /// a registered tracker replays identically to a detached one.
+    /// in `reg` (`"reliable"` for direct sends, `"group"` for delivery
+    /// trees). Telemetry draws nothing from the jitter RNG, so a
+    /// registered tracker replays identically to a detached one.
     pub fn with_telemetry(
         policy: RetryPolicy,
         seed: u64,
         reg: &Registry,
         prefix: &str,
-    ) -> RetryTracker<P> {
+    ) -> RetryTracker<P, K> {
         RetryTracker {
             metrics: TrackerMetrics::registered(reg, prefix),
             ..RetryTracker::new(policy, seed)
@@ -204,137 +231,99 @@ impl<P: Clone> RetryTracker<P> {
         &self.policy
     }
 
-    fn jittered(&mut self, nominal: TimeSpan) -> TimeSpan {
-        if self.policy.jitter <= 0.0 {
+    fn jittered(policy: &RetryPolicy, rng: &mut Rng, nominal: TimeSpan) -> TimeSpan {
+        if policy.jitter <= 0.0 {
             return nominal;
         }
         // uniform in [1-jitter, 1+jitter], re-clamped at max_timeout:
         // `timeout_for` caps the *nominal* timeout, so without the final
         // min() an upward jitter draw could schedule a deadline as far as
         // (1+jitter)·max_timeout out, past the policy's stated ceiling.
-        let f = 1.0 + self.policy.jitter * (2.0 * self.rng.next_f64() - 1.0);
-        TimeSpan::from_micros((nominal.as_micros() as f64 * f) as u64).min(self.policy.max_timeout)
-    }
-
-    fn entry(&self, target: &str, file: FileId) -> Option<&Entry<P>> {
-        self.outstanding.get(target)?.get(&file.raw())
+        let f = 1.0 + policy.jitter * (2.0 * rng.next_f64() - 1.0);
+        TimeSpan::from_micros((nominal.as_micros() as f64 * f) as u64).min(policy.max_timeout)
     }
 
     /// Record the table size after it changed.
     fn resized(&self) {
-        self.metrics.outstanding.set(self.len as i64);
+        self.metrics.outstanding.set(self.sends as i64);
     }
 
-    /// Register attempt 1 of a send made at `now`; returns the attempt
-    /// number to stamp on the envelope. If the `(target, file)` pair is
-    /// already outstanding, the existing attempt is kept (the caller
-    /// should not double-send; [`RetryTracker::is_outstanding`] guards).
-    pub fn track(&mut self, target: &str, file: FileId, payload: P, now: TimePoint) -> u32 {
-        if let Some(o) = self.entry(target, file) {
-            return o.attempt;
+    /// Register attempt 1 of a send made at `now` under `key`; returns
+    /// the attempt number to stamp on the envelope. If `key` is already
+    /// outstanding, the existing attempt is kept.
+    pub fn track_key(&mut self, key: K, payload: P, now: TimePoint) -> u32 {
+        match self.outstanding.get(&key) {
+            Some(o) => o.attempt,
+            None => self.insert(key, payload, now),
         }
+    }
+
+    fn insert(&mut self, key: K, payload: P, now: TimePoint) -> u32 {
+        let sends = payload.sends();
+        let deadline =
+            now + Self::jittered(&self.policy, &mut self.rng, self.policy.timeout_for(1));
         let entry = Entry {
             attempt: 1,
-            deadline: now + self.jittered(self.policy.timeout_for(1)),
+            deadline,
             first_sent: now,
             payload,
         };
-        match self.outstanding.get_mut(target) {
-            Some(files) => files.insert(file.raw(), entry),
-            None => self
-                .outstanding
-                .entry(Arc::from(target))
-                .or_default()
-                .insert(file.raw(), entry),
-        };
-        self.len += 1;
-        self.metrics.attempts.inc();
+        self.outstanding.insert(key, Box::new(entry));
+        self.sends += sends as usize;
+        self.metrics.attempts.add(u64::from(sends));
         self.resized();
         1
     }
 
-    /// An ack for `(target, file)` arrived: clear the entry and hand
-    /// back what it carried, or `None` if the pair was not outstanding.
-    /// Any attempt number proves delivery — a late ack of an earlier
-    /// attempt is just as good.
-    pub fn take_acked(&mut self, target: &str, file: FileId) -> Option<P> {
-        let o = self.outstanding.get_mut(target)?.remove(&file.raw())?;
-        self.len -= 1;
-        self.metrics.acks.inc();
+    /// Drop the entry under `key`, handing back what it carried.
+    fn remove(&mut self, key: &K) -> Option<P> {
+        let o = self.outstanding.remove(key)?;
+        self.sends -= o.payload.sends() as usize;
         self.resized();
         Some(o.payload)
     }
 
-    /// [`RetryTracker::take_acked`] for a caller that only needs to know
-    /// whether the pair was outstanding.
-    pub fn on_ack(&mut self, target: &str, file: FileId, _attempt: u32) -> bool {
-        self.take_acked(target, file).is_some()
-    }
-
-    /// True if `(target, file)` has an unacked send in flight.
-    pub fn is_outstanding(&self, target: &str, file: FileId) -> bool {
-        self.entry(target, file).is_some()
-    }
-
-    /// Number of unacked sends.
+    /// Number of unacked sends ([`Payload::sends`] summed over entries).
     pub fn outstanding_count(&self) -> usize {
-        self.len
-    }
-
-    /// Drop every outstanding entry for `target` (it was flagged
-    /// offline or deregistered; recovery goes through backfill instead
-    /// of retries) and the table's handle for its name.
-    pub fn forget(&mut self, target: &str) {
-        if let Some(files) = self.outstanding.remove(target) {
-            self.len -= files.len();
-        }
-        self.resized();
+        self.sends
     }
 
     /// Sweep the table at `now`: every entry past its deadline is either
-    /// scheduled for retransmission (attempt bumped, backoff applied) or,
-    /// if `max_attempts` is spent, reported as exhausted and dropped.
-    pub fn due(&mut self, now: TimePoint) -> RetryRound<P> {
+    /// scheduled for retransmission (attempt bumped once, backoff applied,
+    /// one jitter draw) or, if `max_attempts` is spent, reported as
+    /// exhausted and dropped.
+    pub fn due(&mut self, now: TimePoint) -> RetryRound<P, K> {
         let mut round = RetryRound {
             resend: Vec::new(),
             exhausted: Vec::new(),
         };
-        let lapsed: Vec<(Arc<str>, u64)> = self
-            .outstanding
-            .iter()
-            .flat_map(|(target, files)| files.iter().map(move |(file, o)| (target, *file, o)))
-            .filter(|(_, _, o)| o.deadline <= now)
-            .map(|(target, file, _)| (target.clone(), file))
+        let lapsed: Vec<K> = (self.outstanding.iter())
+            .filter(|(_, o)| o.deadline <= now)
+            .map(|(key, _)| key.clone())
             .collect();
-        for (target, file) in lapsed {
-            let files = self.outstanding.get_mut(&target).expect("collected above");
-            let o = files.get_mut(&file).expect("collected above");
+        let (mut resent, mut exhausted) = (0u64, 0u64);
+        for key in lapsed {
+            let o = self.outstanding.get_mut(&key).expect("collected above");
+            let sends = u64::from(o.payload.sends());
             if o.attempt >= self.policy.max_attempts {
-                files.remove(&file);
-                self.len -= 1;
-                round.exhausted.push((target, FileId(file)));
+                let payload = self.remove(&key).expect("collected above");
+                exhausted += sends;
+                round.exhausted.push((key, payload));
                 continue;
             }
             o.attempt += 1;
-            let attempt = o.attempt;
-            let payload = o.payload.clone();
-            let nominal = self.policy.timeout_for(attempt);
-            let deadline = now + self.jittered(nominal);
-            self.outstanding
-                .get_mut(&target)
-                .and_then(|files| files.get_mut(&file))
-                .expect("still present")
-                .deadline = deadline;
+            let nominal = self.policy.timeout_for(o.attempt);
+            o.deadline = now + Self::jittered(&self.policy, &mut self.rng, nominal);
+            resent += sends;
             round.resend.push(Resend {
-                target,
-                file: FileId(file),
-                attempt,
-                payload,
+                attempt: o.attempt,
+                payload: o.payload.clone(),
+                key,
             });
         }
-        self.metrics.attempts.add(round.resend.len() as u64);
-        self.metrics.resends.add(round.resend.len() as u64);
-        self.metrics.exhausted.add(round.exhausted.len() as u64);
+        self.metrics.attempts.add(resent);
+        self.metrics.resends.add(resent);
+        self.metrics.exhausted.add(exhausted);
         self.resized();
         round
     }
@@ -344,37 +333,62 @@ impl<P: Clone> RetryTracker<P> {
     /// abstracts away wall-clock deadlines: an interleaving where the
     /// timer fires is explored regardless of how much virtual time the
     /// policy would have required.
-    pub fn fire_all(&mut self, now: TimePoint) -> RetryRound<P> {
-        for o in self.outstanding.values_mut().flat_map(BTreeMap::values_mut) {
+    pub fn fire_all(&mut self, now: TimePoint) -> RetryRound<P, K> {
+        for o in self.outstanding.values_mut() {
             o.deadline = now;
         }
         self.due(now)
     }
 
-    /// The outstanding table as `(target, file, attempt, payload)` in
-    /// key order — digestible state for model-checker state hashes.
-    pub fn entries(&self) -> impl Iterator<Item = (&str, FileId, u32, &P)> {
-        self.outstanding.iter().flat_map(|(target, files)| {
-            files
-                .iter()
-                .map(move |(file, o)| (&**target, FileId(*file), o.attempt, &o.payload))
-        })
+    /// The outstanding table as `(key, attempt, payload)` in key order —
+    /// digestible state for model-checker state hashes.
+    pub fn entries(&self) -> impl Iterator<Item = (&K, u32, &P)> {
+        (self.outstanding.iter()).map(|(key, o)| (key, o.attempt, &o.payload))
     }
 
-    /// The scheduled retransmission deadline for `(target, file)`, if
-    /// outstanding — test-only visibility into the jitter schedule.
+    /// The scheduled retransmission deadline under `key`, if outstanding
+    /// — test-only visibility into the jitter schedule.
     #[cfg(test)]
-    fn deadline_of(&self, target: &str, file: FileId) -> Option<TimePoint> {
-        self.entry(target, file).map(|o| o.deadline)
+    fn deadline_of(&self, key: &K) -> Option<TimePoint> {
+        self.outstanding.get(key).map(|o| o.deadline)
     }
 
     /// How long the oldest unacked send has been waiting, as of `now`.
     pub fn oldest_unacked_age(&self, now: TimePoint) -> Option<TimeSpan> {
-        self.outstanding
-            .values()
-            .flat_map(BTreeMap::values)
+        (self.outstanding.values())
             .map(|o| now.since(o.first_sent))
             .max()
+    }
+}
+
+/// The stored form of a by-name key.
+fn key(target: &str, file: FileId) -> Target {
+    (Arc::from(target), file)
+}
+
+impl<P: Payload> RetryTracker<P, Target> {
+    /// Register attempt 1 of a send of `file` to `target` made at `now`;
+    /// returns the attempt number to stamp on the envelope. If the pair
+    /// is already outstanding, the existing attempt is kept (the caller
+    /// should not double-send; [`RetryTracker::is_outstanding`] guards).
+    pub fn track(&mut self, target: &str, file: FileId, payload: P, now: TimePoint) -> u32 {
+        self.track_key(key(target, file), payload, now)
+    }
+
+    /// An ack for `(target, file)` arrived: clear the entry; false if the
+    /// pair was not outstanding. Any attempt number proves delivery — a
+    /// late ack of an earlier attempt is just as good.
+    pub fn on_ack(&mut self, target: &str, file: FileId, _attempt: u32) -> bool {
+        let acked = self.remove(&key(target, file)).is_some();
+        if acked {
+            self.metrics.acks.inc();
+        }
+        acked
+    }
+
+    /// True if `(target, file)` has an unacked send in flight.
+    pub fn is_outstanding(&self, target: &str, file: FileId) -> bool {
+        self.outstanding.contains_key(&key(target, file))
     }
 }
 
@@ -485,6 +499,8 @@ pub struct GroupSend {
     pub size: u64,
 }
 
+impl Payload for GroupSend {}
+
 impl RetryTracker<GroupSend> {
     /// A coverage report for `(group, file)` arrived. Merges it into the
     /// entry in place and returns `(merged coverage, changed)` — `None`
@@ -499,19 +515,83 @@ impl RetryTracker<GroupSend> {
         bits: &[u8],
         watermark: u64,
     ) -> Option<(Cow<'_, Coverage>, bool)> {
-        let files = self.outstanding.get_mut(group)?;
-        let coverage = &mut files.get_mut(&file.raw())?.payload.coverage;
+        let key = key(group, file);
+        let coverage = &mut self.outstanding.get_mut(&key)?.payload.coverage;
         let changed = coverage.merge_wire(bits, watermark);
         self.metrics.acks.inc();
         if !coverage.complete() {
             // looked up again: handing `coverage` itself out would keep
-            // `files` (and all of `self`) borrowed on the path below too
-            return Some((Cow::Borrowed(&files[&file.raw()].payload.coverage), changed));
+            // all of `self` borrowed on the path below too
+            return Some((
+                Cow::Borrowed(&self.outstanding[&key].payload.coverage),
+                changed,
+            ));
         }
-        let done = files.remove(&file.raw()).expect("merged above");
-        self.len -= 1;
-        self.metrics.outstanding.set(self.len as i64);
-        Some((Cow::Owned(done.payload.coverage), changed))
+        let done = self.remove(&key).expect("merged above");
+        Some((Cow::Owned(done.coverage), changed))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Direct fan-out: one entry per file send, an owed bitmap over subscriber
+// ids as its payload — the group tier's shape, with the server itself as
+// the relay. A deposit's fan-out to 200 subscribers is one entry, one
+// deadline and one jitter draw, not 200 of each.
+// ---------------------------------------------------------------------------
+
+/// What one unacked send *cohort* of a file carries in the
+/// [`RetryTracker`]: what a resend re-renders its messages from, and who
+/// has not acked yet. Its key is a [`Cohort`].
+#[derive(Clone, Debug)]
+pub struct CohortSend<T> {
+    /// The file's delivery plan.
+    pub plan: T,
+    /// Bit `i` is set while subscriber id `i` owes its ack.
+    pub owed: Bitmap,
+}
+
+impl<T: Clone> Payload for CohortSend<T> {
+    fn sends(&self) -> u32 {
+        self.owed.count()
+    }
+}
+
+impl<T: Clone> RetryTracker<CohortSend<T>, Cohort> {
+    /// What `file`'s open cohorts still owe, one bitmap per cohort.
+    pub fn owed(&self, file: FileId) -> impl Iterator<Item = &Bitmap> {
+        (self.outstanding.range((file, 0)..=(file, u64::MAX))).map(|(_, o)| &o.payload.owed)
+    }
+
+    /// An ack of `file` from subscriber `id` arrived: clear its bit in
+    /// the cohort that owes it — a cohort goes with its last bit — and
+    /// hand back the cohort's plan, or `None` if no cohort owed the pair
+    /// (a late or duplicate ack).
+    pub fn ack_member(&mut self, file: FileId, id: u32) -> Option<T> {
+        let (&key, o) = (self.outstanding.range_mut((file, 0)..=(file, u64::MAX)))
+            .find(|(_, o)| o.payload.owed.get(id))?;
+        o.payload.owed.clear(id);
+        let plan = o.payload.plan.clone();
+        if o.payload.owed.is_empty() {
+            self.outstanding.remove(&key);
+        }
+        self.sends -= 1;
+        self.metrics.acks.inc();
+        self.resized();
+        Some(plan)
+    }
+
+    /// Clear subscriber `id`'s bit in every cohort (it went offline or
+    /// left; recovery goes through backfill), dropping the cohorts that
+    /// then owe nobody.
+    pub fn forget_member(&mut self, id: u32) {
+        let sends = &mut self.sends;
+        self.outstanding.retain(|_, o| {
+            if o.payload.owed.clear(id) {
+                *sends -= 1;
+            }
+            !o.payload.owed.is_empty()
+        });
+        self.resized();
     }
 }
 
@@ -573,7 +653,7 @@ mod tests {
         }
     }
 
-    fn check_backoff<P: Clone>(payload: P) {
+    fn check_backoff<P: Payload>(payload: P) {
         let mut tr = RetryTracker::new(policy(), 1);
         tr.track("s", FileId(1), payload, t(0));
         assert!(tr.due(t(5)).resend.is_empty(), "not due yet");
@@ -593,14 +673,15 @@ mod tests {
         check_backoff(group_send(8));
     }
 
-    fn check_exhaustion<P: Clone>(payload: P) {
+    fn check_exhaustion<P: Payload>(payload: P) {
         let mut tr = RetryTracker::new(policy(), 1);
         tr.track("s", FileId(1), payload, t(0));
         tr.due(t(10)); // attempt 2
         tr.due(t(100)); // attempt 3 == max
         let r = tr.due(t(1000));
         assert!(r.resend.is_empty());
-        assert_eq!(r.exhausted, vec![(Arc::from("s"), FileId(1))]);
+        let keys: Vec<&Target> = r.exhausted.iter().map(|(key, _)| key).collect();
+        assert_eq!(keys, [&(Arc::from("s"), FileId(1))]);
         assert_eq!(tr.outstanding_count(), 0);
         assert_eq!(tr.totals(), (0, 2, 1));
     }
@@ -616,7 +697,7 @@ mod tests {
         let mut tr = RetryTracker::new(policy(), 1);
         tr.track("g", FileId(1), group_send(8), t(0));
         let r = tr.due(t(10));
-        assert_eq!(&*r.resend[0].target, "g");
+        assert_eq!(&*r.resend[0].key.0, "g");
         assert_eq!(r.resend[0].payload.file_name, "f_1.csv");
         assert_eq!(r.resend[0].payload.size, 3);
     }
@@ -626,7 +707,7 @@ mod tests {
     /// RNG draw per `track` and per resend, in key order. A same-commit
     /// replay test cannot see the draw order shift between commits; these
     /// literals can.
-    fn check_golden_schedule<P: Clone>(payload: P) {
+    fn check_golden_schedule<P: Payload>(payload: P) {
         let p = RetryPolicy {
             jitter: 0.2,
             ..policy()
@@ -634,8 +715,8 @@ mod tests {
         let mut tr = RetryTracker::new(p, 0xB157);
         let schedule = |tr: &RetryTracker<P>| -> Vec<(String, u32, u64)> {
             tr.entries()
-                .map(|(target, file, attempt, _)| {
-                    let deadline = tr.deadline_of(target, file).expect("listed");
+                .map(|(key @ (target, file), attempt, _)| {
+                    let deadline = tr.deadline_of(key).expect("listed");
                     (
                         format!("{target}/{}", file.raw()),
                         attempt,
@@ -754,7 +835,7 @@ mod tests {
                 let first_sent = t(0);
                 tr.track("s", FileId(1), msg(1), first_sent);
                 let mut attempts = 1u64;
-                while let Some(deadline) = tr.deadline_of("s", FileId(1)) {
+                while let Some(deadline) = tr.deadline_of(&(Arc::from("s"), FileId(1))) {
                     let cap = first_sent + p.max_timeout.saturating_mul(attempts);
                     prop_assert!(
                         deadline <= cap,
@@ -771,14 +852,70 @@ mod tests {
         );
     }
 
+    fn cohort(ids: &[u32]) -> CohortSend<&'static str> {
+        let mut owed = Bitmap::default();
+        for &id in ids {
+            owed.set(id);
+        }
+        CohortSend { plan: "plan", owed }
+    }
+
+    /// A cohort is one entry — one attempt count, one deadline, one
+    /// jitter draw — while every counter counts the pairs it owes.
     #[test]
-    fn forget_drops_the_targets_entries() {
+    fn a_cohort_is_one_entry_counting_its_pairs() {
+        let reg = Registry::new();
+        let mut tr = RetryTracker::with_telemetry(policy(), 1, &reg, "reliable");
+        let f = FileId(7);
+        assert_eq!(tr.track_key((f, 0), cohort(&[0, 2, 5, 9]), t(0)), 1);
+        assert_eq!(tr.outstanding_count(), 4);
+        assert_eq!(reg.counter_value("reliable.attempts"), Some(4));
+        assert_eq!(tr.ack_member(f, 2), Some("plan"));
+        assert_eq!(tr.ack_member(f, 2), None, "a duplicate ack owes nothing");
+        assert_eq!(tr.ack_member(FileId(8), 0), None);
+        assert_eq!(reg.gauge_value("reliable.outstanding"), Some(3));
+
+        let round = tr.due(t(10));
+        assert_eq!(round.resend.len(), 1, "one resend per cohort");
+        let r = &round.resend[0];
+        assert_eq!((r.key, r.attempt), ((f, 0), 2));
+        assert_eq!(r.payload.owed.ones().collect::<Vec<_>>(), [0, 5, 9]);
+        assert_eq!(reg.counter_value("reliable.resends"), Some(3));
+        assert_eq!(reg.counter_value("reliable.attempts"), Some(7));
+
+        tr.forget_member(5);
+        tr.forget_member(5);
+        assert_eq!(tr.outstanding_count(), 2);
+        tr.ack_member(f, 0);
+        tr.forget_member(9);
+        assert_eq!(tr.outstanding_count(), 0);
+        assert_eq!(tr.entries().count(), 0, "a cohort goes with its last bit");
+        assert_eq!(tr.totals(), (2, 3, 0));
+        assert_eq!(reg.gauge_value("reliable.outstanding"), Some(0));
+    }
+
+    #[test]
+    fn cohorts_of_one_file_keep_their_own_attempts() {
         let mut tr = RetryTracker::new(policy(), 1);
-        tr.track("a", FileId(1), msg(1), t(0));
-        tr.track("b", FileId(2), msg(2), t(0));
-        tr.forget("a");
-        assert!(!tr.is_outstanding("a", FileId(1)));
-        assert!(tr.is_outstanding("b", FileId(2)));
+        let f = FileId(3);
+        tr.track_key((f, 0), cohort(&[1, 4]), t(0));
+        tr.due(t(10)); // the fan-out is at attempt 2
+        tr.track_key((f, 1), cohort(&[2]), t(10)); // a backfill send
+        let owed: Vec<Vec<u32>> = tr.owed(f).map(|b| b.ones().collect()).collect();
+        assert_eq!(owed, [vec![1, 4], vec![2]]);
+        let attempts: Vec<(Cohort, u32)> = tr.entries().map(|(k, a, _)| (*k, a)).collect();
+        assert_eq!(attempts, [((f, 0), 2), ((f, 1), 1)]);
+        assert!(tr.ack_member(f, 2).is_some());
+        assert_eq!(tr.entries().count(), 1);
+
+        // exhaustion hands back who was still owed
+        tr.due(t(30)); // attempt 3 == max
+        let r = tr.due(t(1000));
+        let gone: Vec<(Cohort, Vec<u32>)> = (r.exhausted.iter())
+            .map(|(k, p)| (*k, p.owed.ones().collect()))
+            .collect();
+        assert_eq!(gone, [((f, 0), vec![1, 4])]);
+        assert_eq!(tr.totals(), (1, 4, 2));
     }
 
     /// The table iterates in `(target, file)` order — the order the flat
@@ -786,7 +923,7 @@ mod tests {
     /// (and so the jitter draw order and the resend order on the wire)
     /// and state digests inherit. Checked against that flat map on a
     /// table whose targets share prefixes and whose files arrive out of
-    /// order, through acks, a forget and an emptied target.
+    /// order, through acks and an emptied target.
     #[test]
     fn iteration_order_is_target_then_file_on_a_mixed_table() {
         let mut tr = RetryTracker::new(policy(), 1);
@@ -811,14 +948,14 @@ mod tests {
         flat.remove(&("a".to_string(), 4));
         assert!(tr.on_ack("a1", FileId(9), 1)); // "a1" is now an empty target
         flat.remove(&("a1".to_string(), 9));
-        tr.forget("ab");
+        assert!(tr.on_ack("ab", FileId(1), 1) && tr.on_ack("ab", FileId(2), 1));
         flat.retain(|(target, _), _| target != "ab");
         tr.track("a1", FileId(8), msg(8), t(0));
         flat.insert(("a1".to_string(), 8), 1);
 
         let listed: Vec<(String, u64, u32)> = tr
             .entries()
-            .map(|(target, file, attempt, _)| (target.to_string(), file.raw(), attempt))
+            .map(|((target, file), attempt, _)| (target.to_string(), file.raw(), attempt))
             .collect();
         let reference: Vec<(String, u64, u32)> = flat
             .iter()
@@ -831,7 +968,7 @@ mod tests {
             .fire_all(t(1))
             .resend
             .iter()
-            .map(|r| (r.target.to_string(), r.file.raw()))
+            .map(|r| (r.key.0.to_string(), r.key.1.raw()))
             .collect();
         let keys: Vec<(String, u64)> = flat.keys().cloned().collect();
         assert_eq!(resent, keys);
@@ -866,7 +1003,9 @@ mod tests {
         let r = tr.fire_all(t(1));
         assert_eq!(r.resend.len(), 2);
         assert!(r.exhausted.is_empty());
-        let attempts: Vec<_> = tr.entries().map(|(k, f, a, _)| (k, f.raw(), a)).collect();
+        let attempts: Vec<_> = (tr.entries())
+            .map(|((k, f), a, _)| (&**k, f.raw(), a))
+            .collect();
         assert_eq!(attempts, vec![("a", 1, 2), ("b", 2, 2)]);
         // repeated firing walks each entry to exhaustion
         tr.fire_all(t(2)); // attempt 3 == max
@@ -956,7 +1095,7 @@ mod tests {
         assert!(changed);
         assert_eq!(merged.count(), 4);
         assert!(tr.is_outstanding("g", FileId(1)));
-        let (_, _, _, held) = tr.entries().next().unwrap();
+        let (_, _, held) = tr.entries().next().unwrap();
         assert_eq!(held.coverage.watermark(), 4);
 
         // same report again: no change
@@ -985,7 +1124,7 @@ mod tests {
         tr.on_coverage("g", FileId(1), half.bits(), 2);
         let covered: Vec<_> = tr
             .entries()
-            .map(|(g, f, a, p)| (g, f.raw(), a, p.coverage.count()))
+            .map(|((g, f), a, p)| (&**g, f.raw(), a, p.coverage.count()))
             .collect();
         assert_eq!(covered, vec![("g", 1, 1, 2), ("h", 2, 1, 0)]);
         let full = Coverage::from_wire(2, &[], 2);

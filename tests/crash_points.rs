@@ -17,7 +17,7 @@
 //! Every panic message embeds `seed=… crash_op=…`; rerunning the sweep
 //! with those two numbers replays the failure bit-for-bit.
 
-use bistro::base::{crc32, Clock, SimClock, TimePoint, TimeSpan};
+use bistro::base::{crc32, Clock, SimClock, SubscriberId, TimePoint, TimeSpan};
 use bistro::config::parse_config;
 use bistro::server::{Server, ServerError};
 use bistro::transport::messages::{Message, ReliableMsg};
@@ -649,6 +649,165 @@ fn sweep_ack_drain_is_durable_before_it_is_observable() {
             run_drain_crash(seed, crash_op),
             "seed={seed:#x} crash_op={crash_op} did not replay"
         );
+    }
+}
+
+const REGISTRATION_CONFIG: &str = r#"
+    feed F { pattern "f_%i.csv"; }
+    subscriber alpha { endpoint "alpha"; subscribe F; delivery push; }
+    subscriber zeta  { endpoint "zeta";  subscribe F; delivery push; }
+    subscriber delta { endpoint "delta"; subscribe F; delivery push; }
+"#;
+
+/// The subscribers the registration sweep adds at runtime, in the order
+/// it adds them — not name order, so `zeta` gets the lower id.
+const LATE: [&str; 2] = ["zeta", "delta"];
+
+/// The config the registration sweep boots from (`alpha` alone), and
+/// the defs of [`LATE`].
+fn registration_config() -> (bistro::config::Config, [bistro::config::SubscriberDef; 2]) {
+    let mut config = parse_config(REGISTRATION_CONFIG).unwrap();
+    let late = LATE.map(|name| {
+        let at = config
+            .subscribers
+            .iter()
+            .position(|d| d.name == name)
+            .unwrap();
+        config.subscribers.remove(at)
+    });
+    (config, late)
+}
+
+fn registration_clients() -> [SubscriberClient; 3] {
+    ["alpha", "zeta", "delta"].map(|name| SubscriberClient::new(name, "b"))
+}
+
+/// The faulted incarnation of the registration sweep. `alpha` holds a
+/// receipted `f_0` (its `Subscriber` record is on the log); then `zeta`
+/// and `delta` register at runtime — ids 1 and 2, written nowhere — and
+/// are sent `f_0` as backfill, a snapshot leaves both names off the
+/// record, `f_1` fans out to all three, and one drain takes the acks of
+/// `delta` and `alpha` only: the first delivery sets naming a runtime
+/// id, logged behind the `Subscriber` records of ids 1 and 2. Returns the
+/// mutating-op count just before the first registration.
+fn registration_phase_a(
+    clock: &Arc<SimClock>,
+    store: Arc<FaultStore>,
+    net: &Arc<SimNetwork>,
+    clients: &mut [SubscriberClient; 3],
+) -> Result<u64, ServerError> {
+    let (config, late) = registration_config();
+    let mut server = Server::new("b", config, clock.clone(), store.clone())?
+        .with_network(net.clone())
+        .with_reliable_delivery(retry_policy(), SEED);
+    server.persist_config()?;
+    let [alpha, _, delta] = clients;
+    server.deposit("f_0.csv", &payload(0))?;
+    pump(&mut server, &mut [&mut *alpha], net, clock, 2)?;
+
+    let before = store.mutation_ops();
+    for def in late {
+        server.add_subscriber(def)?;
+    }
+    server.snapshot()?;
+    server.deposit("f_1.csv", &payload(1))?;
+    // round one: the two clients ack; round two: the server drains
+    pump(&mut server, &mut [delta, alpha], net, clock, 2)?;
+    Ok(before)
+}
+
+#[test]
+fn sweep_registration_until_its_record_is_durable() {
+    // A runtime registration writes nothing: the name's id goes on record
+    // only ahead of the first delivery set naming it. Crash anywhere from
+    // the registration to that set, restart, register the names again —
+    // in the other order — and the store must open, a name whose record
+    // survived must get its id back, and backfill must bring every file
+    // to every subscriber exactly once.
+    let (lo, hi) = {
+        let clock = SimClock::starting_at(START);
+        let counting = Arc::new(FaultStore::counting(MemFs::shared(clock.clone())));
+        let net = Arc::new(SimNetwork::new(LinkSpec::default()));
+        let lo = registration_phase_a(&clock, counting.clone(), &net, &mut registration_clients())
+            .expect("uncrashed scenario must complete");
+        let hi = counting.mutation_ops();
+        let reopened = Server::open_existing("b", clock, counting as Arc<dyn FileStore>).unwrap();
+        assert_eq!(
+            LATE.map(|name| reopened.receipts().subscriber_id(name)),
+            [Some(SubscriberId(1)), Some(SubscriberId(2))],
+            "the drain puts both runtime names on record, in registration order"
+        );
+        (lo, hi)
+    };
+    println!("registration sweep: ops {lo}..{hi}, seed {SEED:#x}");
+    for (crash_op, seed) in (lo..hi).flat_map(|op| (SEED..SEED + 4).map(move |s| (op, s))) {
+        let ctx = format!("seed={seed:#x} crash_op={crash_op}");
+        let clock = SimClock::starting_at(START);
+        let inner = MemFs::shared(clock.clone());
+        let net = Arc::new(SimNetwork::new(LinkSpec::default()));
+        let faulted = Arc::new(FaultStore::armed(inner.clone(), seed, crash_op));
+        let mut clients = registration_clients();
+        assert!(
+            registration_phase_a(&clock, faulted, &net, &mut clients).is_err(),
+            "{ctx}: crash point after the registration did not fire"
+        );
+
+        // a `Subscriber` record out of sequence would fail the reopen
+        let reopen = || {
+            Server::open_existing("b", clock.clone(), inner.clone() as Arc<dyn FileStore>)
+                .unwrap_or_else(|e| panic!("{ctx}: reopen: {e}"))
+        };
+        let mut server = reopen()
+            .with_network(net.clone())
+            .with_reliable_delivery(retry_policy(), seed.wrapping_add(1));
+        let durable = LATE.map(|name| server.receipts().subscriber_id(name));
+        for (def, was) in registration_config().1.into_iter().zip(durable).rev() {
+            let name = def.name.clone();
+            server
+                .add_subscriber(def)
+                .unwrap_or_else(|e| panic!("{ctx}: add {name} again: {e}"));
+            let id = server.receipts().subscriber_id(&name).unwrap();
+            if let Some(was) = was {
+                assert_eq!(id, was, "{ctx}: {name}'s durable id changed");
+            }
+        }
+        let all = ["alpha", "zeta", "delta"].map(|name| server.receipts().subscriber_id(name));
+        assert_eq!(all[0], Some(SubscriberId(0)), "{ctx}: alpha's id moved");
+        assert!(
+            all[1] != all[2] && all[1..].iter().all(|id| id.unwrap().raw() > 0),
+            "{ctx}: ids collide: {all:?}"
+        );
+
+        // a crash before f_1's arrival was durable lost it unsent
+        if server.receipts().file_by_name("f_1.csv").is_none() {
+            server
+                .deposit("f_1.csv", &payload(1))
+                .unwrap_or_else(|e| panic!("{ctx}: deposit f_1 again: {e}"));
+        }
+        server
+            .backfill_unacked()
+            .unwrap_or_else(|e| panic!("{ctx}: backfill_unacked: {e}"));
+        let [alpha, zeta, delta] = &mut clients;
+        pump(&mut server, &mut [alpha, zeta, delta], &net, &clock, 40)
+            .unwrap_or_else(|e| panic!("{ctx}: settle pump: {e}"));
+        assert_eq!(server.unacked_count(), 0, "{ctx}: unacked after settle");
+        assert_eq!(server.receipts().delivery_count(), 6, "{ctx}: 2 files x 3");
+        for client in &clients {
+            let got: BTreeSet<u64> = client.delivered().iter().map(|d| d.0.raw()).collect();
+            assert_eq!(got.len(), 2, "{ctx}: {} missed a file", client.endpoint);
+            assert_eq!(
+                client.delivered().len(),
+                2,
+                "{ctx}: {} received a file twice",
+                client.endpoint
+            );
+        }
+
+        // everything is on record now, and replays to the same ids
+        drop(server);
+        let again = reopen();
+        let replayed = ["alpha", "zeta", "delta"].map(|name| again.receipts().subscriber_id(name));
+        assert_eq!(replayed, all, "{ctx}: ids moved on a clean reopen");
     }
 }
 

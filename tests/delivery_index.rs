@@ -7,16 +7,19 @@
 //! bytes, raw WAL segment bytes — is what the scan would have produced.
 //!
 //! Two angles:
-//! * a seeded property test churns a random server (register,
+//! * a seeded property test churns a random server (register — runtime
+//!   names out of name order, and names removed and registered again —
 //!   deregister, online/offline flips, random group layouts, deposits)
-//!   and checks index == scan plus endpoint-resolution == scan after
-//!   every mutation;
+//!   and checks after every mutation that index == scan (both in
+//!   ascending subscriber-id order), endpoint resolution == scan, the
+//!   posting counts equal a fresh recount, and a name registered again
+//!   gets its old id back;
 //! * a deterministic deposit/churn script checks index == scan every
 //!   round and that each deposit reached exactly the recipients the
 //!   scan named.
 
 use bistro::base::prop::{Runner, Shrink};
-use bistro::base::{prop_assert_eq, SimClock, TimePoint, TimeSpan};
+use bistro::base::{prop_assert_eq, SimClock, SubscriberId, TimePoint, TimeSpan};
 use bistro::config::{parse_config, BatchSpec, DeliveryMode, SubscriberDef};
 use bistro::server::{Server, ServerError};
 use bistro::transport::{LinkSpec, SimNetwork};
@@ -96,14 +99,45 @@ fn queries() -> Vec<Vec<String>> {
     qs
 }
 
+/// Names registered at runtime: none sorts where its registration
+/// order would put it, and `s1`/`s3` collide with config names, so a
+/// config subscriber removed at runtime can come back.
+const RUNTIME_NAMES: [&str; 8] = ["zed", "amy", "s1", "kim", "bo", "s3", "n10", "n9"];
+
+/// Posting counts recomputed from the config and the test's own
+/// online mirror: `(feed postings, endpoint postings)`.
+fn recount(server: &Server, online: &HashMap<String, bool>) -> (usize, usize) {
+    let config = server.config();
+    let grouped = |name: &String| {
+        (config.groups.iter()).any(|g| g.relay.is_some() && g.members.contains(name))
+    };
+    let feed = (config.subscribers.iter())
+        .filter(|d| online[&d.name] && !grouped(&d.name))
+        .map(|d| config.subscriber_feeds(&d.name).unwrap().len())
+        .sum();
+    (feed, config.subscribers.len())
+}
+
 /// One churn operation, pre-resolved to numbers so the generator stays
 /// a pure data producer.
 #[derive(Debug, Clone)]
 enum Op {
-    Add { target: usize, endpoint: usize },
-    Remove { pick: usize },
-    Flip { pick: usize, online: bool },
-    Deposit { feed: usize, serial: usize },
+    Add {
+        name: usize,
+        target: usize,
+        endpoint: usize,
+    },
+    Remove {
+        pick: usize,
+    },
+    Flip {
+        pick: usize,
+        online: bool,
+    },
+    Deposit {
+        feed: usize,
+        serial: usize,
+    },
 }
 
 // ops shrink by Vec element removal; an individual op is atomic
@@ -123,8 +157,9 @@ fn index_equals_scan_under_churn() {
             let group = rng.gen_range(0u64..2) == 1;
             let n_ops = rng.gen_range(10u64..40) as usize;
             let ops: Vec<Op> = (0..n_ops)
-                .map(|k| match rng.gen_range(0u32..5) {
-                    0 => Op::Add {
+                .map(|k| match rng.gen_range(0u32..6) {
+                    0 | 5 => Op::Add {
+                        name: rng.gen_range(0u64..RUNTIME_NAMES.len() as u64) as usize,
                         target: rng.gen_range(0u64..99) as usize,
                         endpoint: rng.gen_range(0u64..99) as usize,
                     },
@@ -154,12 +189,13 @@ fn index_equals_scan_under_churn() {
                 .with_network(net);
 
             // driver-side mirror of who exists and who is online, so the
-            // posting-count invariant can be recomputed independently
+            // posting-count invariant can be recomputed independently, and
+            // the first id each name got
             let mut online: HashMap<String, bool> =
                 (0..*n_subs).map(|i| (format!("s{i}"), true)).collect();
-            let mut next_add = 0usize;
+            let mut ids: HashMap<String, SubscriberId> = HashMap::new();
 
-            let check = |server: &Server| {
+            let check = |server: &Server, online: &HashMap<String, bool>| {
                 for q in queries() {
                     prop_assert_eq!(
                         server.match_via_index(&q),
@@ -176,19 +212,35 @@ fn index_equals_scan_under_churn() {
                         ep
                     );
                 }
+                // nothing leaked, nothing missing: a stale id in a posting
+                // counts here (and shows as `#id` in the indexed match)
+                prop_assert_eq!(
+                    server.index_entry_counts(),
+                    recount(server, online),
+                    "index postings diverge from recomputation"
+                );
                 Ok(())
             };
-            check(&server)?;
+            check(&server, &online)?;
 
             for op in ops {
                 match op {
-                    Op::Add { target, endpoint } => {
-                        let name = format!("n{next_add}");
-                        next_add += 1;
+                    Op::Add {
+                        name,
+                        target,
+                        endpoint,
+                    } => {
+                        let name = RUNTIME_NAMES[*name];
+                        if online.contains_key(name) {
+                            continue;
+                        }
                         server
-                            .add_subscriber(subdef(&name, *target, *endpoint))
+                            .add_subscriber(subdef(name, *target, *endpoint))
                             .unwrap();
-                        online.insert(name, true);
+                        online.insert(name.to_string(), true);
+                        let id = server.receipts().subscriber_id(name).unwrap();
+                        let first = *ids.entry(name.to_string()).or_insert(id);
+                        prop_assert_eq!(id, first, "{} came back under another id", name);
                     }
                     Op::Remove { pick } => {
                         let mut names: Vec<&String> = online.keys().collect();
@@ -197,9 +249,11 @@ fn index_equals_scan_under_churn() {
                         }
                         names.sort();
                         let name = names[pick % names.len()].clone();
+                        let id = server.receipts().subscriber_id(&name).unwrap();
                         match server.remove_subscriber(&name) {
                             Ok(()) => {
                                 online.remove(&name);
+                                ids.entry(name.clone()).or_insert(id);
                             }
                             // grouped members are refused and must stay
                             Err(ServerError::GroupedSubscriber(_)) => {}
@@ -223,32 +277,8 @@ fn index_equals_scan_under_churn() {
                             .unwrap();
                     }
                 }
-                check(&server)?;
+                check(&server, &online)?;
             }
-
-            // nothing leaked: recompute both posting counts from the
-            // config and the driver's own online mirror
-            let expected_endpoint: usize = server.config().subscribers.len();
-            let expected_feed: usize = server
-                .config()
-                .subscribers
-                .iter()
-                .filter(|d| online[&d.name])
-                .filter(|d| {
-                    !(*group
-                        && server
-                            .config()
-                            .groups
-                            .iter()
-                            .any(|g| g.relay.is_some() && g.members.contains(&d.name)))
-                })
-                .map(|d| server.config().subscriber_feeds(&d.name).unwrap().len())
-                .sum();
-            prop_assert_eq!(
-                server.index_entry_counts(),
-                (expected_feed, expected_endpoint),
-                "index postings diverge from recomputation"
-            );
             Ok(())
         },
     );
@@ -303,7 +333,9 @@ fn index_and_scan_paths_are_byte_identical() {
                 .map(|d| d.name.clone())
                 .collect();
             delivered.sort();
-            assert_eq!(delivered, expect.0, "round {round}: {name} recipients");
+            let mut expected = expect.0.clone();
+            expected.sort();
+            assert_eq!(delivered, expected, "round {round}: {name} recipients");
             assert_eq!(
                 server.group_outstanding() - groups_before,
                 expect.1.len(),
