@@ -58,11 +58,13 @@ stage_crash() {
 
 # Distributed suite: the relay network plus the seeded multi-server
 # failover scenario (kill + re-home + backfill, exactly-once, replayed
-# bit-for-bit). Uncaptured so a failure echoes the replay seed the
-# scenario prints (`[distributed] failover scenario seed=0x...`),
+# bit-for-bit), then the cluster's unit tests (placement, fencing, the
+# backfill page bound). Uncaptured so a failure echoes the replay seed
+# the scenario prints (`[distributed] failover scenario seed=0x...`),
 # mirroring the crash-sweep stage.
 stage_distributed() {
   cargo test --offline --test distributed -- --nocapture
+  cargo test --offline -p bistro-core --lib cluster -- --nocapture
 }
 
 # Telemetry subsystem: its own suite plus a `bistro status --json` smoke

@@ -32,24 +32,26 @@
 //! else). The re-homing handshake is fully message-driven and paged:
 //!
 //! ```text
-//! directory --- DirAssign{group, home, epoch} ---> every live member
-//! new home  --- BackfillRequest{from_seq: 0}  ---> directory
-//! directory --- BackfillPage{names, next_seq} ---> new home   (repeat)
-//! directory --- BackfillPage{done: true}      ---> new home
+//! directory --- DirAssign{group, home, epoch}  ---> every live member
+//! new home  --- BackfillRequest{after_file: 0} ---> directory
+//! directory --- BackfillPage{names, last_file} ---> new home   (repeat)
+//! directory --- BackfillPage{done: true}       ---> new home
 //! ```
 //!
-//! The pages carry file *names* (file ids are store-local) ordered by
-//! the failed store's WAL sequence ([`ReceiptStore::deliveries_since`]);
-//! the new home marks each named file it holds as already delivered and
-//! only then attaches the subscriber, whose attach-time backfill covers
-//! exactly the files the failed home never delivered.
+//! The pages carry file *names* (file ids are store-local) in the failed
+//! store's file-id order ([`ReceiptStore::deliveries_after`]), at most
+//! [`BACKFILL_PAGE`] to a page, the cursor the last file id paged. Order
+//! only has to be stable: the failed store is opened once and never
+//! written. The new home marks each named file it holds as already
+//! delivered and only then attaches the subscriber, whose attach-time
+//! backfill covers exactly the files the failed home never delivered.
 //!
 //! Everything is deterministic: `BTreeMap` iteration everywhere, the
 //! same seed replays bit-for-bit.
 
 use crate::classifier::Classifier;
 use crate::server::{Server, ServerError};
-use bistro_base::{TimePoint, TimeSpan};
+use bistro_base::{FileId, TimePoint, TimeSpan};
 use bistro_config::{Config, ConfigError, FeedPolicy, SubscriberDef};
 use bistro_receipts::{ReceiptError, ReceiptStore};
 use bistro_telemetry::{
@@ -65,10 +67,7 @@ use std::sync::Arc;
 /// The directory service's endpoint on the simulated network.
 pub const DIRECTORY_ENDPOINT: &str = "directory";
 
-/// Delivery receipts per [`ClusterMsg::BackfillPage`]. Pages are
-/// extended past this to finish a run of equal WAL sequences (snapshot
-/// receipts all recover at seq 0), so `next_seq` is always a clean
-/// resume point.
+/// The most delivery receipts one [`ClusterMsg::BackfillPage`] carries.
 pub const BACKFILL_PAGE: usize = 64;
 
 /// A member's cluster-control endpoint (heartbeats out, directory
@@ -745,9 +744,9 @@ impl Cluster {
             ClusterMsg::BackfillRequest {
                 group,
                 subscriber,
-                from_seq,
+                after_file,
             } => {
-                self.serve_backfill(&group, &subscriber, from_seq, from, now)?;
+                self.serve_backfill(&group, &subscriber, after_file, from, now)?;
             }
             _ => {}
         }
@@ -846,12 +845,14 @@ impl Cluster {
     }
 
     /// Serve one backfill page for `(group, subscriber)` from the
-    /// failed home's durable receipt store.
+    /// failed home's durable receipt store: the subscriber's next
+    /// [`BACKFILL_PAGE`] receipts after file `after_file`, in file-id
+    /// order.
     fn serve_backfill(
         &mut self,
         group: &str,
         subscriber: &str,
-        from_seq: u64,
+        after_file: FileId,
         reply_to: &str,
         now: TimePoint,
     ) -> Result<(), ClusterError> {
@@ -860,7 +861,7 @@ impl Cluster {
                 group: group.to_string(),
                 subscriber: subscriber.to_string(),
                 delivered: Vec::new(),
-                next_seq: from_seq,
+                last_file: after_file,
                 done: true,
             },
             Some(source) => {
@@ -875,30 +876,15 @@ impl Cluster {
                     self.dead_stores
                         .insert(source.clone(), ReceiptStore::open(store, "receipts")?);
                 }
-                let db = &self.dead_stores[&source];
-                let marks: Vec<_> = db
-                    .deliveries_since(from_seq)
-                    .into_iter()
-                    .filter(|m| m.subscriber == subscriber)
-                    .collect();
-                // cut at the page size, but finish any run of equal
-                // seqs (snapshot-recovered receipts all carry seq 0)
-                let mut cut = marks.len().min(BACKFILL_PAGE);
-                while cut > 0 && cut < marks.len() && marks[cut].seq == marks[cut - 1].seq {
-                    cut += 1;
-                }
-                let done = cut == marks.len();
-                let next_seq = if done {
-                    db.delivery_cursor()
-                } else {
-                    marks[cut - 1].seq + 1
-                };
+                let marks = self.dead_stores[&source].deliveries_after(after_file);
+                let mut marks = marks.into_iter().filter(|m| m.subscriber == subscriber);
+                let page: Vec<_> = marks.by_ref().take(BACKFILL_PAGE).collect();
                 ClusterMsg::BackfillPage {
                     group: group.to_string(),
                     subscriber: subscriber.to_string(),
-                    delivered: marks[..cut].iter().map(|m| m.file_name.clone()).collect(),
-                    next_seq,
-                    done,
+                    last_file: page.last().map_or(after_file, |m| m.file),
+                    delivered: page.into_iter().map(|m| m.file_name).collect(),
+                    done: marks.next().is_none(),
                 }
             }
         };
@@ -1033,7 +1019,7 @@ impl Cluster {
                             Message::Cluster(ClusterMsg::BackfillRequest {
                                 group: group.clone(),
                                 subscriber: sub,
-                                from_seq: 0,
+                                after_file: FileId(0),
                             }),
                         );
                     }
@@ -1054,7 +1040,7 @@ impl Cluster {
                 group,
                 subscriber,
                 delivered,
-                next_seq,
+                last_file,
                 done,
             } => {
                 let key = (group.clone(), subscriber.clone());
@@ -1071,7 +1057,7 @@ impl Cluster {
                         Message::Cluster(ClusterMsg::BackfillRequest {
                             group,
                             subscriber,
-                            from_seq: next_seq,
+                            after_file: last_file,
                         }),
                     );
                     return Ok(());
@@ -1194,11 +1180,11 @@ mod tests {
     }
 
     /// Unique (file, subscriber) deliveries recorded at `server` for
-    /// `sub` — counted through the backfill cursor, which dedupes.
+    /// `sub` — counted through the backfill query, which dedupes.
     fn delivered_count(server: &Server, sub: &str) -> usize {
         server
             .receipts()
-            .deliveries_since(0)
+            .deliveries_after(FileId(0))
             .iter()
             .filter(|m| m.subscriber == sub)
             .count()
@@ -1342,6 +1328,87 @@ mod tests {
             .unwrap();
         // 2 backfill-marked replicas + 1 fresh delivery
         assert_eq!(delivered_count(cluster.server("s2").unwrap(), "wh"), 3);
+    }
+
+    /// Backfill pages hold at most [`BACKFILL_PAGE`] receipts however the
+    /// failed home's receipts were recovered. Paged by WAL sequence, every
+    /// receipt a snapshot covered came back at seq 0 and the first page
+    /// stretched to hold them all.
+    #[test]
+    fn backfill_pages_stay_bounded_across_a_snapshot() {
+        let (clock, net, mut cluster) = harness(&["s1", "s2"]);
+        cluster.assign("SNMP", "s1", &["s2"]).unwrap();
+        cluster.register_subscriber(&sub("wh", &["SNMP"])).unwrap();
+        let name = |i: usize| format!("CPU_20100901{:02}{:02}.csv", i / 60, i % 60);
+        let deposit = |cluster: &mut Cluster, files: std::ops::Range<usize>| {
+            for i in files {
+                cluster.route_deposit(&name(i), b"x", clock.now()).unwrap();
+            }
+        };
+        deposit(&mut cluster, 0..70);
+        step(&clock, &mut cluster, TimeSpan::from_secs(1));
+        cluster.server("s1").unwrap().snapshot().unwrap();
+        deposit(&mut cluster, 70..100);
+        step(&clock, &mut cluster, TimeSpan::from_secs(1));
+        assert_eq!(delivered_count(cluster.server("s1").unwrap(), "wh"), 100);
+
+        // fail s1 over, draining the members' control inboxes by hand to
+        // read every page on its way to the new home
+        cluster.kill("s1").unwrap();
+        let mut pages: Vec<Vec<String>> = Vec::new();
+        for _ in 0..12 {
+            clock.advance(TimeSpan::from_secs(1));
+            let now = clock.now();
+            cluster.tick(now).unwrap();
+            for member in cluster.member_names() {
+                for d in net.recv_ready(&control_endpoint(&member), now) {
+                    let Message::Cluster(msg) = d.msg else {
+                        continue;
+                    };
+                    if let ClusterMsg::BackfillPage { delivered, .. } = &msg {
+                        pages.push(delivered.clone());
+                    }
+                    cluster.handle_member_msg(&member, msg, now).unwrap();
+                }
+            }
+        }
+        assert_eq!(cluster.directory().home_of("SNMP").unwrap().home, "s2");
+        assert_eq!(pages.len(), 2);
+        assert!(pages.iter().all(|p| p.len() <= BACKFILL_PAGE), "{pages:?}");
+        let paged: BTreeSet<String> = pages.into_iter().flatten().collect();
+        let dead = ReceiptStore::open(cluster.store_of("s1").unwrap(), "receipts").unwrap();
+        let on_record: BTreeSet<String> = (dead.deliveries_after(FileId(0)).into_iter())
+            .filter(|m| m.subscriber == "wh")
+            .map(|m| m.file_name)
+            .collect();
+        assert_eq!(paged, on_record);
+        assert_eq!(paged.len(), 100);
+        let reg = cluster.telemetry();
+        assert_eq!(reg.counter_value("cluster.backfill_pages"), Some(2));
+        assert_eq!(reg.counter_value("cluster.backfill_marked"), Some(100));
+        assert_eq!(reg.counter_value("cluster.backfill_delivered"), Some(0));
+
+        // exactly once at the wire: 100 sends from s1, then only the
+        // post-failover file from s2
+        deposit(&mut cluster, 100..101);
+        let s2_sends = cluster
+            .server("s2")
+            .unwrap()
+            .telemetry()
+            .counter_value("delivery.receipts");
+        assert_eq!(s2_sends, Some(1));
+        clock.advance(TimeSpan::from_secs(1));
+        let wire: Vec<String> = (net.recv_ready("wh:7070", clock.now()).into_iter())
+            .filter_map(|d| match d.msg {
+                Message::Subscriber(bistro_transport::messages::SubscriberMsg::FileDelivered {
+                    dest_path,
+                    ..
+                }) => Some(dest_path),
+                _ => None,
+            })
+            .collect();
+        let distinct: BTreeSet<&String> = wire.iter().collect();
+        assert_eq!((wire.len(), distinct.len()), (101, 101));
     }
 
     #[test]

@@ -502,4 +502,59 @@ mod tests {
         assert_eq!(net.recv_ready("wh1", clock.now()).len(), 1);
         assert_eq!(net.recv_ready("wh2", clock.now()).len(), 1);
     }
+
+    /// Regression: a group send completed only when its coverage held
+    /// every member, and the relay never delivers a file to a member
+    /// that subscribes to none of its feeds — so a group whose members
+    /// subscribe to different feeds never completed a file. The hub
+    /// resent it until its budget ran out, alarmed, and re-fanned it
+    /// after every restart. Such members now start covered.
+    #[test]
+    fn group_of_members_on_different_feeds_completes_in_one_round() {
+        let clock = SimClock::starting_at(START);
+        let net = Arc::new(SimNetwork::new(LinkSpec::default()));
+        let cfg_text = r#"
+            feed A { pattern "A_%i.csv"; }
+            feed B { pattern "B_%i.csv"; }
+            subscriber wh1 { endpoint "wh1"; subscribe A; }
+            subscriber wh2 { endpoint "wh2"; subscribe B; }
+            group EDGE { members wh1, wh2; relay "edge"; }
+        "#;
+        let server = |name: &str| {
+            let cfg = parse_config(cfg_text).unwrap();
+            Server::new(name, cfg, clock.clone(), MemFs::shared(clock.clone()))
+                .unwrap()
+                .with_network(net.clone())
+        };
+        let (mut hub, mut edge) = (server("hub"), server("edge"));
+        let mut relay = Relay::new();
+
+        hub.deposit("A_1.csv", b"a").unwrap();
+        assert_eq!(hub.group_outstanding(), 1);
+        clock.advance(TimeSpan::from_secs(1));
+        relay.pump(&net, &hub, &mut edge, clock.now()).unwrap();
+        clock.advance(TimeSpan::from_secs(1));
+        assert_eq!(hub.poll_network().unwrap(), 1);
+        assert_eq!(
+            hub.group_outstanding(),
+            0,
+            "one coverage round completes it"
+        );
+
+        for _ in 0..6 {
+            clock.advance(TimeSpan::from_secs(30));
+            relay.pump(&net, &hub, &mut edge, clock.now()).unwrap();
+            hub.poll_network().unwrap();
+            hub.retry_tick().unwrap();
+            hub.tick();
+        }
+        assert_eq!(hub.backfill_unacked().unwrap(), 0, "nothing to re-fan");
+        let reg = hub.telemetry();
+        assert_eq!(reg.counter_value("group.exhausted"), Some(0));
+        assert_eq!(reg.counter_value("group.resends"), Some(0));
+        assert_eq!(hub.event_log().count(crate::log::LogLevel::Alarm), 0);
+        // wh1, the one member that wants the file, got it; wh2 did not
+        assert_eq!(net.recv_ready("wh1", clock.now()).len(), 1);
+        assert!(net.recv_ready("wh2", clock.now()).is_empty());
+    }
 }

@@ -97,8 +97,9 @@ impl From<bistro_config::ConfigError> for ServerError {
     }
 }
 
-/// Server-wide delivery totals. Per-subscriber latency lives with the
-/// subscriber ([`Server::latency_summary`]).
+/// Server-wide delivery totals, read off the telemetry counters
+/// ([`Server::stats`]). Per-subscriber latency lives with the subscriber
+/// ([`Server::latency_summary`]).
 #[derive(Clone, Debug, Default)]
 pub struct DeliveryStats {
     /// Files classified into at least one feed.
@@ -124,7 +125,6 @@ struct SubscriberState {
     /// directly.
     grouped: bool,
     online: bool,
-    consecutive_failures: u32,
     /// Deposit→delivery latency (microseconds; detached — never renders
     /// into `status_json`). A fixed-size histogram, so memory is
     /// O(subscribers) however many deliveries a long run records.
@@ -142,7 +142,6 @@ impl SubscriberState {
             feeds,
             grouped: false,
             online: true,
-            consecutive_failures: 0,
             latency: Histogram::detached(),
             batchers: BTreeMap::new(),
         }
@@ -287,6 +286,25 @@ struct GroupPlan {
     members: Vec<String>,
     /// Union of the members' concrete feeds.
     feeds: Vec<String>,
+    /// Each member's concrete feeds, by member position — `None` when
+    /// every member subscribes to the same feeds, and so wants every file
+    /// the plan matches.
+    member_feeds: Option<Vec<Vec<String>>>,
+}
+
+impl GroupPlan {
+    /// The coverage a send of a file in `feeds` starts from: the bits of
+    /// the members that subscribe to none of them are set, because the
+    /// relay never delivers the file to them.
+    fn coverage_for(&self, feeds: &[String]) -> Coverage {
+        let mut coverage = Coverage::new(self.members.len() as u32);
+        for (i, mine) in self.member_feeds.iter().flatten().enumerate() {
+            if !mine.iter().any(|f| feeds.contains(f)) {
+                coverage.set(i as u32);
+            }
+        }
+        coverage
+    }
 }
 
 /// Shared-delivery-tree state (§3 delivery network): one tracker entry
@@ -415,7 +433,6 @@ pub struct Server {
     progress: HashMap<String, FeedProgress>,
     discoverer: FeedDiscoverer,
     fn_detector: FnDetector,
-    stats: DeliveryStats,
     telemetry: SharedRegistry,
     pool_telemetry: SharedRegistry,
     metrics: ServerMetrics,
@@ -502,19 +519,23 @@ impl Server {
             let mut members = g.members.clone();
             members.sort();
             let mut feeds: BTreeSet<String> = BTreeSet::new();
+            let mut member_feeds = Vec::with_capacity(members.len());
             for m in &members {
                 // validated: every member is a subscriber, whose feeds
                 // were just resolved above
                 if let Some(st) = subscribers.id(m).and_then(|id| subscribers.get_mut(id)) {
                     feeds.extend(st.feeds.iter().cloned());
                     st.grouped = true;
+                    member_feeds.push(st.feeds.clone());
                 }
             }
+            let alike = member_feeds.windows(2).all(|w| w[0] == w[1]);
             plans.push(GroupPlan {
                 name: g.name.clone(),
                 endpoint: relay.clone(),
                 members,
                 feeds: feeds.into_iter().collect(),
+                member_feeds: (!alike).then_some(member_feeds),
             });
         }
         plans.sort_by(|a, b| a.name.cmp(&b.name));
@@ -593,7 +614,6 @@ impl Server {
             progress: HashMap::new(),
             discoverer,
             fn_detector,
-            stats: DeliveryStats::default(),
             telemetry,
             pool_metrics: PoolMetrics::new(&pool_telemetry, 1),
             pool_telemetry,
@@ -873,7 +893,6 @@ impl Server {
                 .write_owned(&format!("unknown/{rel_path}"), raw)?;
             self.discoverer.observe(rel_path);
             self.fn_detector.observe(rel_path);
-            self.stats.files_unknown += 1;
             self.metrics.ingest_unknown.inc();
             self.log.log(
                 now,
@@ -900,7 +919,6 @@ impl Server {
             .as_ref()
             .expect("classified files carry a pre-serialized receipt");
         let file = self.receipts.record_arrival_prepared(template, now)?;
-        self.stats.files_ingested += 1;
         self.metrics.ingest_files.inc();
 
         let feeds = &template.feeds;
@@ -1128,20 +1146,27 @@ impl Server {
     /// Deliver one file to a group's relay endpoint: a single
     /// [`GroupMsg::Deliver`] regardless of member count, tracked by the
     /// bitmap tracker until the relay's coverage report shows every
-    /// member served. Returns whether a send actually went out (skipped
-    /// when the delivery is already in flight or durably complete).
+    /// member that subscribes to the file served. Returns whether a send
+    /// actually went out (skipped when the delivery is already in flight
+    /// or durably complete).
     fn deliver_group(&mut self, plan_idx: usize, file: &FilePlan) -> Result<bool, ServerError> {
         let (rec, size) = (&file.rec, file.size);
         let now = self.clock.now();
-        let (group, endpoint, members) = {
+        let (group, endpoint, coverage) = {
             let g = self.groups.as_ref().expect("caller checked group state");
             let p = &g.plans[plan_idx];
-            (p.name.clone(), p.endpoint.clone(), p.members.len() as u32)
+            (
+                p.name.clone(),
+                p.endpoint.clone(),
+                p.coverage_for(&rec.feeds),
+            )
         };
         // durably complete from a previous incarnation: the group mark
         // is the crash-recovery boundary, exactly like a delivery receipt
         if let Some((bits, wm)) = self.receipts.group_coverage(rec.id, &group) {
-            if Coverage::from_wire(members, &bits, wm).complete() {
+            let mut durable = coverage.clone();
+            durable.merge_wire(&bits, wm);
+            if durable.complete() {
                 return Ok(false);
             }
         }
@@ -1167,7 +1192,7 @@ impl Server {
             return Ok(false); // a send is already in flight
         }
         let send = GroupSend {
-            coverage: Coverage::new(members),
+            coverage,
             file_name: rec.name.clone(),
             size,
         };
@@ -1231,10 +1256,8 @@ impl Server {
         };
         let rec = &plan.rec;
         let st = self.subscribers.get_mut(sub).ok_or_else(unknown)?;
-        self.stats.deliveries += 1;
         self.metrics.delivery_receipts.inc();
         if st.def.delivery == DeliveryMode::Push {
-            self.stats.bytes_delivered += plan.size;
             self.metrics.delivery_bytes.add(plan.size);
         }
         st.latency
@@ -1254,7 +1277,6 @@ impl Server {
         };
         let lapsed = batcher.take_lapsed(delivered_at);
         let closed = batcher.on_file_at(rec.id, delivered_at, rec.feed_time);
-        st.consecutive_failures = 0;
         for batch in lapsed.into_iter().chain(closed) {
             self.close_batch(feed_name, sub, batch, &dest_path);
         }
@@ -2090,12 +2112,7 @@ impl Server {
         let mut acc = String::new();
         for st in self.subscribers.in_name_order() {
             let name = &st.def.name;
-            writeln!(
-                acc,
-                "sub\0{name}\0{}\0{}",
-                st.online, st.consecutive_failures
-            )
-            .unwrap();
+            writeln!(acc, "sub\0{name}\0{}", st.online).unwrap();
         }
         // per table, a sorted `tag\0target\0file-name\0attempt…` line
         // per unacked (target, file) send
@@ -2149,9 +2166,16 @@ impl Server {
         &self.log
     }
 
-    /// Delivery statistics.
-    pub fn stats(&self) -> &DeliveryStats {
-        &self.stats
+    /// Delivery statistics: the `ingest.files`, `ingest.unknown`,
+    /// `delivery.receipts` and `delivery.bytes` counters.
+    pub fn stats(&self) -> DeliveryStats {
+        let m = &self.metrics;
+        DeliveryStats {
+            files_ingested: m.ingest_files.get(),
+            files_unknown: m.ingest_unknown.get(),
+            deliveries: m.delivery_receipts.get(),
+            bytes_delivered: m.delivery_bytes.get(),
+        }
     }
 
     /// `(mean, p95, max)` deposit→delivery latency of a registered

@@ -911,7 +911,9 @@ fn state_digest_of_a_mixed_unacked_table_is_pinned() {
     server.retry_fire().unwrap();
     assert_eq!(server.unacked_count(), 2 + 4 + 3);
     assert_eq!(server.receipts().delivery_count(), 4);
-    assert_eq!(server.state_digest(), 15_476_652_756_863_274_317);
+    // (re-read once since, off the same commit with only the constant
+    // `consecutive_failures` column of the `sub` lines removed)
+    assert_eq!(server.state_digest(), 1_285_703_194_497_739_797);
 }
 
 #[test]
@@ -1279,7 +1281,10 @@ fn a_drain_of_acks_equals_the_same_messages_one_at_a_time() {
         let appends = server.telemetry().counter_value("wal.appends").unwrap();
         (
             (server.trigger_log().entries(), events, counters),
-            (server.state_digest(), server.receipts().deliveries_since(0)),
+            (
+                server.state_digest(),
+                server.receipts().deliveries_after(bistro_base::FileId(0)),
+            ),
             appends,
         )
     };

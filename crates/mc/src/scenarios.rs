@@ -11,7 +11,7 @@
 //! time-driven behavior has an explicit action standing in for it.
 
 use crate::{Action, Model};
-use bistro_base::{fnv1a64, Clock, SimClock, TimePoint, TimeSpan};
+use bistro_base::{fnv1a64, Clock, FileId, SimClock, TimePoint, TimeSpan};
 use bistro_config::{parse_config, BatchSpec, Config, DeliveryMode, SubscriberDef};
 use bistro_core::cluster::DIRECTORY_ENDPOINT;
 use bistro_core::{Cluster, Server};
@@ -249,7 +249,7 @@ impl SingleServer {
     fn marks(&self, server: &Server) -> BTreeSet<String> {
         server
             .receipts()
-            .deliveries_since(0)
+            .deliveries_after(FileId(0))
             .into_iter()
             .filter(|m| m.subscriber == self.subscriber.name)
             .map(|m| m.file_name)
@@ -744,7 +744,7 @@ impl Model for ClusterFailover {
             let Some(server) = cluster.server(&member) else {
                 continue;
             };
-            for mark in server.receipts().deliveries_since(0) {
+            for mark in server.receipts().deliveries_after(FileId(0)) {
                 if mark.subscriber == self.subscriber.name
                     && !self.subscriber.seen.contains(&mark.file_name)
                     && !in_flight.contains(&mark.file_name)

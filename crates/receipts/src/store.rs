@@ -185,12 +185,6 @@ struct LiveFile {
     /// Ids a [`ReceiptStore::record_deliveries`] call in progress has
     /// gathered for this file and not yet logged. Empty between calls.
     pending: Bitmap,
-    /// One entry per delivery record that added receipts — its WAL
-    /// sequence and the ids it added — in WAL order: the file's part of
-    /// the backfill cursor ([`ReceiptStore::deliveries_since`]). Receipts
-    /// recovered from a snapshot (whose covering segments were pruned)
-    /// carry seq 0.
-    log: Vec<(u64, Bitmap)>,
     /// group name → (member ack bitmap, high-watermark).
     /// Shared-delivery-tree coverage (§3 delivery network): one compact
     /// mark per (file, group) instead of one receipt per member. BTreeMap
@@ -199,23 +193,14 @@ struct LiveFile {
 }
 
 impl LiveFile {
-    /// Mark the file delivered to the ids in `bits`, logged at `seq`;
-    /// returns how many of them are new. Only those enter the log — the
-    /// table dedupes, and the log must match it.
-    fn deliver(&mut self, seq: u64, mut bits: Bitmap) -> u64 {
-        bits.and_not(self.delivered.bytes());
-        bits.trim();
-        if bits.is_empty() {
-            return 0;
-        }
-        self.delivered.or(bits.bytes());
-        let added = u64::from(bits.count());
-        match self.log.last_mut() {
-            // one entry per record: only a snapshot's seq 0 repeats
-            Some((last, held)) if *last == seq => held.or(bits.bytes()),
-            _ => self.log.push((seq, bits)),
-        }
-        added
+    /// Mark the file delivered to the ids in `bits`; returns how many of
+    /// them are new. The set keeps the shortest bytes for its ids, as the
+    /// snapshot writes them.
+    fn deliver(&mut self, bits: &[u8]) -> u64 {
+        let before = self.delivered.count();
+        self.delivered.or(bits);
+        self.delivered.trim();
+        u64::from(self.delivered.count() - before)
     }
 }
 
@@ -240,14 +225,14 @@ struct Tables {
 
 impl Tables {
     /// [`Tables::apply`] for a record still in its log bytes.
-    fn replay(&mut self, seq: u64, bytes: &[u8]) -> Result<(), ReplayError> {
-        self.apply(seq, Record::decode(bytes)?)
+    fn replay(&mut self, bytes: &[u8]) -> Result<(), ReplayError> {
+        self.apply(Record::decode(bytes)?)
     }
 
-    /// Apply the record logged at WAL sequence `seq` (0: a snapshot
-    /// record). Only replay comes through here — a write applies what it
-    /// logged through the method of its kind below.
-    fn apply(&mut self, seq: u64, rec: Record) -> Result<(), ReplayError> {
+    /// Apply a record from the log or a snapshot. Only replay comes
+    /// through here — a write applies what it logged through the method
+    /// of its kind below.
+    fn apply(&mut self, rec: Record) -> Result<(), ReplayError> {
         match rec {
             Record::Arrival(f) => self.arrive(f),
             Record::Delivery {
@@ -260,7 +245,7 @@ impl Tables {
                     self.names.name(id);
                     let mut bits = Bitmap::default();
                     bits.set(id);
-                    self.delivery_count += f.deliver(seq, bits);
+                    self.delivery_count += f.deliver(bits.bytes());
                 }
             }
             Record::Subscriber { id, name } => self.names.restore(id, &name)?,
@@ -271,7 +256,7 @@ impl Tables {
                 }
                 // a set replayed after its file expired is stale
                 if let Some(f) = self.files.get_mut(&file.raw()) {
-                    self.delivery_count += f.deliver(seq, bits);
+                    self.delivery_count += f.deliver(bits.bytes());
                 }
             }
             Record::Expire { file, .. } => self.expire(file),
@@ -310,7 +295,6 @@ impl Tables {
                     rec: f,
                     delivered: Bitmap::default(),
                     pending: Bitmap::default(),
-                    log: Vec::new(),
                     group_marks: BTreeMap::new(),
                 };
                 self.files.insert(id, Box::new(live));
@@ -418,30 +402,25 @@ struct Log {
 
 impl Log {
     /// Log one encoded record: straight to the WAL normally, or into the
-    /// buffer of an open group-commit window. Returns the record's WAL
-    /// sequence; inside a window the sequence is the one the buffered
-    /// record *will* receive at flush (batch appends assign consecutive
-    /// sequences and nothing else can interleave while the window is
-    /// open).
-    fn append(&mut self, bytes: Vec<u8>) -> Result<u64, ReceiptError> {
+    /// buffer of an open group-commit window.
+    fn append(&mut self, bytes: Vec<u8>) -> Result<(), ReceiptError> {
         let Some(g) = &mut self.group else {
-            return Ok(self.wal.append(&bytes)?);
+            self.wal.append(&bytes)?;
+            return Ok(());
         };
         g.pending.push(bytes);
         g.stats.records += 1;
-        Ok(self.wal.next_seq() + g.pending.len() as u64 - 1)
+        Ok(())
     }
 
-    /// Log several records, which receive consecutive sequences from the
-    /// one returned: one physical append outside a group window, the
-    /// window's buffer inside.
-    fn append_all(&mut self, payloads: impl Iterator<Item = Vec<u8>>) -> Result<u64, ReceiptError> {
-        let first = self.wal.next_seq();
+    /// Log several records: one physical append outside a group window,
+    /// the window's buffer inside.
+    fn append_all(&mut self, payloads: impl Iterator<Item = Vec<u8>>) -> Result<(), ReceiptError> {
         if let Some(g) = &mut self.group {
             let buffered = g.pending.len();
             g.pending.extend(payloads);
             g.stats.records += (g.pending.len() - buffered) as u64;
-            return Ok(first + buffered as u64);
+            return Ok(());
         }
         let payloads: Vec<_> = payloads.collect();
         if let [one] = &payloads[..] {
@@ -450,7 +429,7 @@ impl Log {
         } else {
             self.wal.append_batch(&payloads)?;
         }
-        Ok(first)
+        Ok(())
     }
 
     /// Durably append every buffered group record in one batched WAL
@@ -471,17 +450,13 @@ impl Log {
     }
 }
 
-/// One delivery receipt positioned by its receipt-WAL sequence number.
+/// One delivery receipt ([`ReceiptStore::deliveries_after`]).
 ///
-/// Carries the file *name* rather than its [`FileId`]: ids are local to
-/// one store, names are the cross-server join key a standby uses to mark
-/// the failed home's deliveries against its own replicated arrivals.
+/// Carries the file *name* beside its [`FileId`]: ids are local to one
+/// store, names are the cross-server join key a standby uses to mark the
+/// failed home's deliveries against its own replicated arrivals.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeliveryMark {
-    /// WAL sequence of the delivery record (0 = recovered from a
-    /// snapshot whose WAL coverage was pruned). The receipts of one
-    /// record share its sequence.
-    pub seq: u64,
     /// The delivered file's id in *this* store.
     pub file: FileId,
     /// The delivered file's original deposited name.
@@ -540,9 +515,6 @@ impl ReceiptStore {
             recovery.tmp_discarded = true;
         }
 
-        // Snapshot-covered deliveries pre-date the surviving WAL: they
-        // enter the backfill log at seq 0, so a cursor of 0 always
-        // replays the full delivered set.
         let snap_path = format!("{dir}/snapshot.bin");
         let mut snapshot_high_water = None;
         if store.exists(&snap_path) {
@@ -556,7 +528,7 @@ impl ReceiptStore {
         let wal_dir = format!("{dir}/wal");
         let mut unknown = None;
         let wal = Wal::open(store.clone(), &wal_dir, |seq, payload| {
-            match tables.replay(seq, payload) {
+            match tables.replay(payload) {
                 Ok(()) => recovery.wal_records += 1,
                 Err(ReplayError::Codec(CodecError::BadTag { tag, .. })) => {
                     unknown.get_or_insert(ReceiptError::UnknownRecord { seq, tag });
@@ -640,7 +612,7 @@ impl ReceiptStore {
                 .get_bytes()
                 .map_err(|e| ReceiptError::CorruptSnapshot(e.to_string()))?;
             tables
-                .replay(0, rec_bytes)
+                .replay(rec_bytes)
                 .map_err(|e| ReceiptError::CorruptSnapshot(e.to_string()))?;
         }
         Ok((high_water, n))
@@ -860,13 +832,13 @@ impl ReceiptStore {
             encode_delivered(&mut w, *file, at, bits.bytes());
             w.into_bytes()
         });
-        let first = inner.log.append_all(subscribers.chain(delivered))?;
+        inner.log.append_all(subscribers.chain(delivered))?;
 
         let tables = &mut inner.tables;
         tables.names.recorded = unrecorded.end;
-        for (seq, (file, bits)) in (first + unrecorded.len() as u64..).zip(sets) {
+        for (file, bits) in sets {
             let f = tables.files.get_mut(&file.raw());
-            tables.delivery_count += f.expect("found live above").deliver(seq, bits);
+            tables.delivery_count += f.expect("found live above").deliver(bits.bytes());
         }
         Ok(outcomes)
     }
@@ -979,39 +951,20 @@ impl ReceiptStore {
         }
     }
 
-    /// The current backfill cursor: the WAL sequence the *next* record
-    /// will receive. `deliveries_since(cursor)` returns only receipts
-    /// recorded after this point; `deliveries_since(0)` replays all.
-    pub fn delivery_cursor(&self) -> u64 {
-        self.inner.lock().log.wal.next_seq()
-    }
-
-    /// Delivery receipts of live files whose WAL sequence is ≥
-    /// `from_seq`, in WAL order (the receipts of one record share its
-    /// sequence). This is the query behind cross-server backfill: a
-    /// failover coordinator pages through the failed home's delivered set
-    /// (by file *name* — ids are store-local) so the new home can mark
-    /// them against its replicated arrivals and deliver only the
-    /// remainder. Receipts recovered from a snapshot carry seq 0 and are
-    /// therefore always included when paging from the start.
-    pub fn deliveries_since(&self, from_seq: u64) -> Vec<DeliveryMark> {
+    /// The delivery receipts of the live files whose id is above `after`,
+    /// in file-id order and, within a file, subscriber-id order;
+    /// `deliveries_after(FileId(0))` is every receipt on record. This is
+    /// the query behind cross-server backfill: a failover coordinator
+    /// pages through the failed home's delivered sets (by file *name* —
+    /// ids are store-local), its cursor the last file id paged, so the new
+    /// home can mark them against its replicated arrivals and deliver
+    /// only the remainder.
+    pub fn deliveries_after(&self, after: FileId) -> Vec<DeliveryMark> {
+        use std::ops::Bound::{Excluded, Unbounded};
         let tables = &self.inner.lock().tables;
-        let mut sets: Vec<(u64, &LiveFile, &Bitmap)> = tables
-            .files
-            .values()
-            .flat_map(|f| {
-                let start = f.log.partition_point(|(seq, _)| *seq < from_seq);
-                f.log[start..]
-                    .iter()
-                    .map(move |(seq, bits)| (*seq, &**f, bits))
-            })
-            .collect();
-        // stable: the seq-0 sets of a snapshot stay in file-id order
-        sets.sort_by_key(|(seq, _, _)| *seq);
-        sets.into_iter()
-            .flat_map(|(seq, f, bits)| {
-                bits.ones().map(move |id| DeliveryMark {
-                    seq,
+        (tables.files.range((Excluded(after.raw()), Unbounded)))
+            .flat_map(|(_, f)| {
+                f.delivered.ones().map(move |id| DeliveryMark {
                     file: f.rec.id,
                     file_name: f.rec.name.clone(),
                     subscriber: tables.names.by_id[id as usize].to_string(),
@@ -1233,10 +1186,10 @@ mod tests {
     }
 
     /// What the store keeps is bounded by the live set: a name is stored
-    /// once however many receipts name it, a file's receipts are one set
-    /// and one log entry per record, and expiry takes all of a file's
-    /// delivery state with it — only the name table (one entry per
-    /// subscriber ever named) outlives the files.
+    /// once however many receipts name it, a file's receipts are one set,
+    /// and expiry takes all of a file's delivery state with it — only the
+    /// name table (one entry per subscriber ever named) outlives the
+    /// files.
     #[test]
     fn delivery_names_are_stored_once() {
         let store = MemFs::shared(SimClock::new());
@@ -1260,17 +1213,15 @@ mod tests {
             assert_eq!(inner.tables.names.recorded, 3);
             for f in inner.tables.files.values() {
                 assert_eq!(f.delivered.bytes(), [0b111]);
-                let log: Vec<&[u8]> = f.log.iter().map(|(_, bits)| bits.bytes()).collect();
-                assert_eq!(log, [&[0b011u8][..], &[0b100][..]], "one entry per record");
             }
         }
         for db in [db, reopened] {
             for &f in &files {
                 db.record_expiration(f, TimePoint::from_secs(9)).unwrap();
             }
-            assert!(db.deliveries_since(0).is_empty());
+            assert!(db.deliveries_after(FileId(0)).is_empty());
             let inner = db.inner.lock();
-            assert!(inner.tables.files.is_empty(), "sets and log went with them");
+            assert!(inner.tables.files.is_empty(), "sets went with them");
             assert!(inner.tables.by_feed.values().all(BTreeSet::is_empty));
             assert_eq!(inner.tables.names.by_id.len(), 3);
         }
@@ -1532,8 +1483,8 @@ mod tests {
         assert_eq!(pending(&db, "alice"), ["c.csv"]);
         assert_eq!(pending(&db, "bob"), ["c.csv"]);
         assert_eq!(pending(&db, "carol"), ["b.csv"]);
-        assert_eq!(db.deliveries_since(0).len(), 6);
-        assert_eq!(db.deliveries_since(1).len(), 3);
+        assert_eq!(db.deliveries_after(FileId(0)).len(), 6);
+        assert_eq!(db.deliveries_after(FileId(4)).len(), 3);
 
         // set records follow in the same log; a new name joins the table
         let (c, at) = (FileId(6), TimePoint::from_secs(60));
@@ -1982,83 +1933,57 @@ mod tests {
         assert_eq!(wal_dump(&a), wal_dump(&b));
     }
 
+    /// The backfill query pages by file id: the receipts of the live
+    /// files above the cursor, in file-id then subscriber-id order — the
+    /// same marks from the live store and from a snapshot plus the log
+    /// after it, group-commit window included.
     #[test]
-    fn delivery_cursor_pages_and_survives_recovery() {
+    fn deliveries_after_pages_by_file_id_and_survives_recovery() {
+        let marks = |db: &ReceiptStore, after: FileId| -> Vec<(FileId, String, String)> {
+            (db.deliveries_after(after).into_iter())
+                .map(|m| (m.file, m.file_name, m.subscriber))
+                .collect()
+        };
+        let mark = |f: FileId, name: &str, sub: &str| (f, name.to_string(), sub.to_string());
         let store = MemFs::shared(SimClock::new());
-        let (f1, f2, cursor_mid);
+        let (f1, f2, f3, all);
         {
             let db = open(&store);
             f1 = arrive(&db, "a.csv", &["F"], 100);
             f2 = arrive(&db, "b.csv", &["F"], 200);
+            f3 = arrive(&db, "c.csv", &["F"], 300);
+            // s2 is named first, so it has the lower id
+            db.record_delivery(f2, "s2", TimePoint::from_secs(250))
+                .unwrap();
             db.record_delivery(f1, "s1", TimePoint::from_secs(150))
                 .unwrap();
-            cursor_mid = db.delivery_cursor();
-            db.record_delivery(f2, "s1", TimePoint::from_secs(250))
+            db.snapshot().unwrap(); // prunes the log of the receipts so far
+            db.begin_group();
+            db.record_delivery(f3, "s2", TimePoint::from_secs(350))
                 .unwrap();
-            db.record_delivery(f1, "s2", TimePoint::from_secs(260))
+            db.record_delivery(f2, "s1", TimePoint::from_secs(360))
                 .unwrap();
-            // duplicates never re-enter the log
-            db.record_delivery(f1, "s1", TimePoint::from_secs(270))
-                .unwrap();
+            db.end_group().unwrap();
+            db.record_delivery(f1, "s1", TimePoint::from_secs(370))
+                .unwrap(); // a duplicate adds nothing
 
-            let all = db.deliveries_since(0);
-            assert_eq!(all.len(), 3);
-            assert_eq!(all[0].file_name, "a.csv");
-            assert_eq!(all[0].subscriber, "s1");
-            // marks are ordered by WAL sequence and pageable mid-stream
-            let tail = db.deliveries_since(cursor_mid);
-            assert_eq!(tail.len(), 2);
-            assert_eq!(tail[0].file_name, "b.csv");
-            assert_eq!(tail[1].subscriber, "s2");
-            assert!(db.deliveries_since(db.delivery_cursor()).is_empty());
+            all = vec![
+                mark(f1, "a.csv", "s1"),
+                mark(f2, "b.csv", "s2"),
+                mark(f2, "b.csv", "s1"),
+                mark(f3, "c.csv", "s2"),
+            ];
+            assert_eq!(marks(&db, FileId(0)), all);
+            assert_eq!(marks(&db, f1), all[1..]);
+            assert!(marks(&db, f3).is_empty());
         } // crash
         let db = open(&store);
-        // WAL replay rebuilds the log with the original sequences
-        assert_eq!(db.deliveries_since(0).len(), 3);
-        assert_eq!(db.deliveries_since(cursor_mid).len(), 2);
-    }
-
-    #[test]
-    fn delivery_cursor_covers_snapshot_receipts_at_seq_zero() {
-        let store = MemFs::shared(SimClock::new());
-        {
-            let db = open(&store);
-            let f1 = arrive(&db, "a.csv", &["F"], 100);
-            db.record_delivery(f1, "s1", TimePoint::from_secs(150))
-                .unwrap();
-            db.snapshot().unwrap(); // prunes the covering WAL segments
-            let f2 = arrive(&db, "b.csv", &["F"], 200);
-            db.record_delivery(f2, "s1", TimePoint::from_secs(250))
-                .unwrap();
-        }
-        let db = open(&store);
-        let all = db.deliveries_since(0);
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0].seq, 0, "snapshot-covered receipt enters at seq 0");
-        assert_eq!(all[0].file_name, "a.csv");
-        assert!(all[1].seq > 0, "post-snapshot receipt keeps its WAL seq");
-        assert_eq!(all[1].file_name, "b.csv");
-    }
-
-    #[test]
-    fn delivery_cursor_group_commit_sequences_match_flushed_wal() {
-        let store = MemFs::shared(SimClock::new());
-        let db = open(&store);
-        let f1 = arrive(&db, "a.csv", &["F"], 100);
-        let f2 = arrive(&db, "b.csv", &["F"], 200);
-        db.begin_group();
-        db.record_delivery(f1, "s1", TimePoint::from_secs(300))
-            .unwrap();
-        db.record_delivery(f2, "s1", TimePoint::from_secs(301))
-            .unwrap();
-        db.end_group().unwrap();
-        let predicted: Vec<u64> = db.deliveries_since(1).iter().map(|m| m.seq).collect();
-        drop(db);
-        // replay assigns the real sequences: they must match the
-        // predictions made while the records were still buffered
-        let db = open(&store);
-        let replayed: Vec<u64> = db.deliveries_since(1).iter().map(|m| m.seq).collect();
-        assert_eq!(predicted, replayed);
+        assert!(db.recovery_info().snapshot_loaded);
+        assert_eq!(marks(&db, FileId(0)), all);
+        assert_eq!(marks(&db, f2), all[3..]);
+        // an expired file leaves the pages
+        db.record_expiration(f2, TimePoint::from_secs(900)).unwrap();
+        assert_eq!(marks(&db, FileId(0)), [&all[..1], &all[3..]].concat());
     }
 
     #[test]

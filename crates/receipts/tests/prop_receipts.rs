@@ -200,14 +200,10 @@ fn assert_same_deliveries(
             pairs.pending_for(&sub, &feeds)
         );
     }
-    // the backfill cursor: the same receipts, each store's in WAL order
-    // (the sequences differ — a set is one record where pairs are many)
+    // the backfill query: the same receipts
     let marks = |db: &ReceiptStore| -> Result<BTreeSet<(String, String)>, String> {
-        let marks = db.deliveries_since(0);
+        let marks = db.deliveries_after(FileId(0));
         prop_assert_eq!(marks.len() as u64, marks_of_live(db));
-        for w in marks.windows(2) {
-            bistro_base::prop_assert!(w[0].seq <= w[1].seq, "marks out of WAL order");
-        }
         Ok(marks
             .into_iter()
             .map(|m| (m.file_name, m.subscriber))

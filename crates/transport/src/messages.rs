@@ -166,14 +166,15 @@ pub enum ClusterMsg {
         epoch: u64,
     },
     /// New home → directory: request the failed home's delivery receipts
-    /// for one subscriber, starting at a receipt-WAL sequence cursor.
+    /// for one subscriber, from just after a file-id cursor.
     BackfillRequest {
         /// Feed-group being re-homed.
         group: String,
         /// Subscriber whose delivered-set is wanted.
         subscriber: String,
-        /// Resume cursor: receipt-WAL sequence to start from.
-        from_seq: u64,
+        /// Resume cursor: the last file id (in the failed home's store)
+        /// already paged; 0 asks from the start.
+        after_file: FileId,
     },
     /// Directory → new home: one page of the failed home's delivery
     /// receipts (file *names* — receipt ids are store-local).
@@ -184,8 +185,8 @@ pub enum ClusterMsg {
         subscriber: String,
         /// Delivered file names in this page.
         delivered: Vec<String>,
-        /// Cursor for the next page.
-        next_seq: u64,
+        /// The last file id this page covers: the next request's cursor.
+        last_file: FileId,
         /// True on the final page: re-homing may complete.
         done: bool,
     },
@@ -440,18 +441,18 @@ impl Message {
             Message::Cluster(ClusterMsg::BackfillRequest {
                 group,
                 subscriber,
-                from_seq,
+                after_file,
             }) => {
                 w.put_u8(TAG_BACKFILL_REQ);
                 w.put_str(group);
                 w.put_str(subscriber);
-                w.put_varint(*from_seq);
+                w.put_varint(after_file.raw());
             }
             Message::Cluster(ClusterMsg::BackfillPage {
                 group,
                 subscriber,
                 delivered,
-                next_seq,
+                last_file,
                 done,
             }) => {
                 w.put_u8(TAG_BACKFILL_PAGE);
@@ -461,7 +462,7 @@ impl Message {
                 for name in delivered {
                     w.put_str(name);
                 }
-                w.put_varint(*next_seq);
+                w.put_varint(last_file.raw());
                 w.put_u8(u8::from(*done));
             }
             Message::Group(GroupMsg::Deliver {
@@ -590,7 +591,7 @@ impl Message {
             TAG_BACKFILL_REQ => Message::Cluster(ClusterMsg::BackfillRequest {
                 group: r.get_str()?.to_string(),
                 subscriber: r.get_str()?.to_string(),
-                from_seq: r.get_varint()?,
+                after_file: FileId(r.get_varint()?),
             }),
             TAG_BACKFILL_PAGE => {
                 let group = r.get_str()?.to_string();
@@ -607,7 +608,7 @@ impl Message {
                     group,
                     subscriber,
                     delivered,
-                    next_seq: r.get_varint()?,
+                    last_file: FileId(r.get_varint()?),
                     done: r.get_u8()? != 0,
                 })
             }
@@ -679,20 +680,24 @@ impl Message {
             Message::Cluster(ClusterMsg::BackfillRequest {
                 group,
                 subscriber,
-                from_seq,
-            }) => 1 + prefixed(group.len()) + prefixed(subscriber.len()) + varint_len(*from_seq),
+                after_file,
+            }) => {
+                1 + prefixed(group.len())
+                    + prefixed(subscriber.len())
+                    + varint_len(after_file.raw())
+            }
             Message::Cluster(ClusterMsg::BackfillPage {
                 group,
                 subscriber,
                 delivered,
-                next_seq,
+                last_file,
                 ..
             }) => {
                 1 + prefixed(group.len())
                     + prefixed(subscriber.len())
                     + varint_len(delivered.len() as u64)
                     + delivered.iter().map(|n| prefixed(n.len())).sum::<usize>()
-                    + varint_len(*next_seq)
+                    + varint_len(last_file.raw())
                     + 1
             }
             Message::Group(GroupMsg::Deliver {
@@ -812,13 +817,13 @@ mod tests {
             Message::Cluster(ClusterMsg::BackfillRequest {
                 group: "SNMP".to_string(),
                 subscriber: "warehouse".to_string(),
-                from_seq: 17,
+                after_file: FileId(17),
             }),
             Message::Cluster(ClusterMsg::BackfillPage {
                 group: "SNMP".to_string(),
                 subscriber: "warehouse".to_string(),
                 delivered: vec!["a.csv".to_string(), "b.csv".to_string()],
-                next_seq: 19,
+                last_file: FileId(19),
                 done: true,
             }),
             Message::Group(GroupMsg::Deliver {
@@ -951,13 +956,13 @@ mod tests {
             Message::Cluster(ClusterMsg::BackfillRequest {
                 group: "SNMP".to_string(),
                 subscriber: "wh".to_string(),
-                from_seq: 17,
+                after_file: FileId(17),
             }),
             Message::Cluster(ClusterMsg::BackfillPage {
                 group: "SNMP".to_string(),
                 subscriber: "wh".to_string(),
                 delivered: vec!["a.csv".to_string()],
-                next_seq: 19,
+                last_file: FileId(19),
                 done: false,
             }),
             Message::Group(GroupMsg::Deliver {
@@ -1055,13 +1060,13 @@ mod tests {
             Message::Cluster(ClusterMsg::BackfillRequest {
                 group: s.clone(),
                 subscriber: t.clone(),
-                from_seq: a,
+                after_file: FileId(a),
             }),
             Message::Cluster(ClusterMsg::BackfillPage {
                 group: s.clone(),
                 subscriber: t.clone(),
                 delivered: list.iter().map(|f| format!("{s}{f}")).collect(),
-                next_seq: b,
+                last_file: FileId(b),
                 done: a.is_multiple_of(2),
             }),
             Message::Group(GroupMsg::Deliver {

@@ -2,7 +2,7 @@
 //! (paper §3: "organizing Bistro servers into a network of cooperating
 //! feed managers").
 
-use bistro::base::{Clock, SimClock, TimePoint, TimeSpan};
+use bistro::base::{Clock, FileId, SimClock, TimePoint, TimeSpan};
 use bistro::config::parse_config;
 use bistro::server::relay::pump;
 use bistro::server::Server;
@@ -184,7 +184,7 @@ struct FailoverOutcome {
 fn unique_deliveries(server: &bistro::server::Server, sub: &str) -> usize {
     server
         .receipts()
-        .deliveries_since(0)
+        .deliveries_after(FileId(0))
         .iter()
         .filter(|m| m.subscriber == sub)
         .count()
