@@ -52,8 +52,12 @@ stage_faults() {
 # ids on record (the store reopens, a durable id survives registering
 # again, backfill is exactly-once).
 # Uncaptured so a failure echoes its `seed=... crash_op=...` replay key.
+# Then the receipt crate's own suite: the on-disk format (record tags,
+# snapshot version, torn frames, a crash between snapshot and prune) is
+# tested there, and the root package's `cargo test` does not run it.
 stage_crash() {
   cargo test --offline --test crash_points -- --nocapture
+  cargo test --offline -p bistro-receipts -- --nocapture
 }
 
 # Distributed suite: the relay network plus the seeded multi-server

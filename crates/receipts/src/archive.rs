@@ -53,9 +53,8 @@ impl Archiver {
         Ok(())
     }
 
-    /// Append an arbitrary receipt record to the redo log (used to ship
-    /// delivery receipts for disaster recovery).
-    pub fn log(&self, rec: &Record) -> Result<(), VfsError> {
+    /// Append a receipt record to the redo log.
+    fn log(&self, rec: &Record) -> Result<(), VfsError> {
         let payload = rec.encode();
         let mut frame = Vec::with_capacity(8 + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -154,10 +153,10 @@ mod tests {
             )
             .unwrap();
         }
-        arch.log(&Record::Delivery {
+        arch.log(&Record::Delivered {
             file: FileId(3),
-            subscriber: "s".to_string(),
             at: TimePoint::from_secs(500),
+            bits: vec![0b1],
         })
         .unwrap();
 

@@ -28,18 +28,6 @@ pub struct FileRecord {
 pub enum Record {
     /// A file arrived and was classified.
     Arrival(FileRecord),
-    /// A file was delivered to a subscriber, named in full. The legacy
-    /// encoding of a delivery receipt: still decoded (old WALs, v1/v2
-    /// snapshots) and encodable so tests can build such logs, but never
-    /// written by the store — [`Record::Delivered`] replaced it.
-    Delivery {
-        /// The delivered file.
-        file: FileId,
-        /// The receiving subscriber's name.
-        subscriber: String,
-        /// Delivery completion time.
-        at: TimePoint,
-    },
     /// A file fell out of the retention window and was expunged.
     Expire {
         /// The expired file.
@@ -185,7 +173,7 @@ impl ArrivalTemplate {
 }
 
 const TAG_ARRIVAL: u8 = 1;
-const TAG_DELIVERY: u8 = 2;
+// tag 2 is retired: a delivery receipt is a `Delivered` set
 const TAG_EXPIRE: u8 = 3;
 const TAG_RECLASSIFY: u8 = 4;
 const TAG_GROUP_MARK: u8 = 5;
@@ -252,16 +240,6 @@ impl Record {
         let mut w = ByteWriter::new();
         match self {
             Record::Arrival(f) => encode_arrival(&mut w, f),
-            Record::Delivery {
-                file,
-                subscriber,
-                at,
-            } => {
-                w.put_u8(TAG_DELIVERY);
-                w.put_varint(file.raw());
-                w.put_str(subscriber);
-                w.put_u64(at.as_micros());
-            }
             Record::Expire { file, at } => {
                 w.put_u8(TAG_EXPIRE);
                 w.put_varint(file.raw());
@@ -317,11 +295,6 @@ impl Record {
                     feeds,
                 })
             }
-            TAG_DELIVERY => Record::Delivery {
-                file: FileId(r.get_varint()?),
-                subscriber: r.get_str()?.to_string(),
-                at: TimePoint::from_micros(r.get_u64()?),
-            },
             TAG_EXPIRE => Record::Expire {
                 file: FileId(r.get_varint()?),
                 at: TimePoint::from_micros(r.get_u64()?),
@@ -389,11 +362,6 @@ mod tests {
                 feeds: vec![],
                 ..sample_file()
             }),
-            Record::Delivery {
-                file: FileId(42),
-                subscriber: "warehouse_dallas".to_string(),
-                at: TimePoint::from_secs(1_285_372_860),
-            },
             Record::Expire {
                 file: FileId(42),
                 at: TimePoint::from_secs(1_285_977_600),
@@ -538,34 +506,5 @@ mod tests {
             Record::decode(w.as_bytes()),
             Err(CodecError::BadLength { .. })
         ));
-    }
-
-    /// What the store's hot records cost on disk: a set of one is never
-    /// larger than the named record it replaced, and a set of 200 is one
-    /// record of 38 bytes where there were 200 of 17.
-    #[test]
-    fn a_delivery_set_is_no_larger_than_the_named_record() {
-        let at = TimePoint::from_secs(1_285_372_860);
-        let named = |sub: &str| {
-            Record::Delivery {
-                file: FileId(70_000),
-                subscriber: sub.to_string(),
-                at,
-            }
-            .encode()
-            .len()
-        };
-        let set = |bits: Vec<u8>| {
-            Record::Delivered {
-                file: FileId(70_000),
-                at,
-                bits,
-            }
-            .encode()
-            .len()
-        };
-        assert!(set(vec![0b1]) <= named("s"));
-        assert!(set(vec![0, 0b10]) <= named("s09"));
-        assert_eq!((set(vec![0xFF; 25]), named("s000")), (38, 17));
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! All mutations are logged to the WAL *before* the in-memory indexes are
 //! updated (write-ahead), so any state observable through queries is
-//! durable. Recovery = load snapshot (if present) + replay WAL; every
-//! record application is idempotent, so a crash between snapshotting and
-//! pruning is harmless.
+//! durable. Recovery = load snapshot (if present) + replay the WAL
+//! segments it does not cover. The snapshot names the first of those, so
+//! a crash between snapshotting and pruning replays nothing it covers.
 //!
 //! `delivery_receipts` is one set per file. The store hands out the
 //! durable subscriber ids: [`ReceiptStore::register_subscriber`] interns
@@ -43,12 +43,11 @@ pub enum ReceiptError {
     /// The file is not live: expired, or never seen.
     UnknownFile(FileId),
     /// The WAL holds an intact record of a kind this build does not
-    /// know — a newer build wrote it. Skipping it would forget whatever
-    /// it recorded (a set of receipts is a mass re-delivery), so the
-    /// store refuses to open.
+    /// know. Skipping it would forget whatever it recorded (a set of
+    /// receipts is a mass re-delivery), so the store refuses to open.
     UnknownRecord {
-        /// WAL sequence of the record.
-        seq: u64,
+        /// The record's 1-based position in the replay.
+        position: u64,
         /// Its tag byte.
         tag: u8,
     },
@@ -61,9 +60,9 @@ impl fmt::Display for ReceiptError {
             ReceiptError::Vfs(e) => write!(f, "{e}"),
             ReceiptError::CorruptSnapshot(m) => write!(f, "corrupt snapshot: {m}"),
             ReceiptError::UnknownFile(id) => write!(f, "unknown file {id}"),
-            ReceiptError::UnknownRecord { seq, tag } => write!(
+            ReceiptError::UnknownRecord { position, tag } => write!(
                 f,
-                "receipt WAL record {seq} has tag {tag}, unknown to this build"
+                "receipt WAL record {position} has tag {tag}, unknown to this build"
             ),
         }
     }
@@ -123,10 +122,10 @@ struct Names {
     /// Ids below this have their `Subscriber` record in the log or in
     /// the snapshot.
     recorded: usize,
-    /// Ids below this are named by a delivery — on record, replayed from
-    /// a legacy `Delivery` record, or in a set whose write failed — and
-    /// must be on record before anything else names them: the next set
-    /// or snapshot written logs the records of `recorded..named` first.
+    /// Ids below this are named by a delivery — on record, or in a set
+    /// whose write failed — and must be on record before anything else
+    /// names them: the next set or snapshot written logs the records of
+    /// `recorded..named` first.
     /// Ids at or past it were only registered, and cost the log nothing
     /// yet.
     named: usize,
@@ -235,19 +234,6 @@ impl Tables {
     fn apply(&mut self, rec: Record) -> Result<(), ReplayError> {
         match rec {
             Record::Arrival(f) => self.arrive(f),
-            Record::Delivery {
-                file, subscriber, ..
-            } => {
-                // the legacy receipt names its subscriber in full; the
-                // id it gets here goes on record with the next set written
-                if let Some(f) = self.files.get_mut(&file.raw()) {
-                    let id = self.names.intern(&subscriber);
-                    self.names.name(id);
-                    let mut bits = Bitmap::default();
-                    bits.set(id);
-                    self.delivery_count += f.deliver(bits.bytes());
-                }
-            }
             Record::Subscriber { id, name } => self.names.restore(id, &name)?,
             Record::Delivered { file, bits, .. } => {
                 let (bits, named) = (Bitmap::from(bits), self.names.by_id.len());
@@ -489,15 +475,11 @@ pub struct GroupCommitStats {
 }
 
 const SNAPSHOT_MAGIC: &[u8; 4] = b"BSNP";
-/// v2 widened `expired_count` to u64 and added the id high-water mark.
-/// v3 keeps v2's header; its body leads with the subscriber table and
-/// holds one delivery set per file where v1/v2 held one `Delivery` per
-/// (file, subscriber) — a build that predates the set record refuses the
-/// version instead of misreading the body. v1
-/// (`[magic 4][ver 1][crc 4][expired u32][body]`) and v2 stay readable.
-const SNAPSHOT_VERSION: u8 = 3;
-const V1_HEADER: usize = 13;
-const V2_HEADER: usize = 25;
+/// The only version written or read:
+/// `[magic 4][version 1][crc 4][expired u64][id high-water u64][first
+/// uncovered WAL segment u64][body]`.
+const SNAPSHOT_VERSION: u8 = 4;
+const SNAPSHOT_HEADER: usize = 33;
 
 impl ReceiptStore {
     /// Open (or create) a receipt store rooted at `dir` within `store`.
@@ -516,22 +498,23 @@ impl ReceiptStore {
         }
 
         let snap_path = format!("{dir}/snapshot.bin");
-        let mut snapshot_high_water = None;
+        let (mut high_water, mut first_segment) = (0, 1);
         if store.exists(&snap_path) {
             let data = store.read(&snap_path)?;
-            let (hw, n) = Self::load_snapshot(&data, &mut tables)?;
-            snapshot_high_water = hw;
+            let n;
+            (high_water, first_segment, n) = Self::load_snapshot(&data, &mut tables)?;
             recovery.snapshot_loaded = true;
             recovery.snapshot_records = n;
         }
 
         let wal_dir = format!("{dir}/wal");
-        let mut unknown = None;
-        let wal = Wal::open(store.clone(), &wal_dir, |seq, payload| {
+        let (mut position, mut unknown) = (0, None);
+        let wal = Wal::open(store.clone(), &wal_dir, first_segment, |payload| {
+            position += 1;
             match tables.replay(payload) {
                 Ok(()) => recovery.wal_records += 1,
                 Err(ReplayError::Codec(CodecError::BadTag { tag, .. })) => {
-                    unknown.get_or_insert(ReceiptError::UnknownRecord { seq, tag });
+                    unknown.get_or_insert(ReceiptError::UnknownRecord { position, tag });
                 }
                 Err(_) => recovery.undecodable_records += 1,
             }
@@ -540,20 +523,11 @@ impl ReceiptStore {
             return Err(e);
         }
 
-        // Never reissue an id: resume past the persisted high-water mark
+        // Never reissue an id: resume past the snapshot's high-water mark
         // (which covers allocations burned by failed appends) and past
-        // every arrival actually on record. v1 snapshots carried no
-        // high-water, so fall back to the legacy live-max + expired-count
-        // heuristic for them.
-        let hint = match snapshot_high_water {
-            Some(hw) => hw,
-            None => {
-                let max_live = tables.files.keys().next_back().copied().unwrap_or(0);
-                max_live + tables.expired_count
-            }
-        };
+        // every arrival actually on record.
         let ids = IdGen::starting_at(1);
-        ids.bump_past(hint.max(tables.max_arrival_id));
+        ids.bump_past(high_water.max(tables.max_arrival_id));
 
         Ok(ReceiptStore {
             store,
@@ -568,36 +542,26 @@ impl ReceiptStore {
     }
 
     /// Apply a snapshot to `tables`; returns the persisted id high-water
-    /// mark (v2 on) and the number of records applied.
-    fn load_snapshot(data: &[u8], tables: &mut Tables) -> Result<(Option<u64>, u64), ReceiptError> {
+    /// mark, the first WAL segment the snapshot does not cover and the
+    /// number of records applied.
+    fn load_snapshot(data: &[u8], tables: &mut Tables) -> Result<(u64, u64, u64), ReceiptError> {
         if data.len() < 5 || &data[0..4] != SNAPSHOT_MAGIC {
             return Err(ReceiptError::CorruptSnapshot("bad header".to_string()));
         }
-        let (body, crc_expected, high_water) = match data[4] {
-            1 => {
-                if data.len() < V1_HEADER {
-                    return Err(ReceiptError::CorruptSnapshot("short v1 header".to_string()));
-                }
-                let crc = u32::from_le_bytes(data[5..9].try_into().unwrap());
-                let expired = u32::from_le_bytes(data[9..13].try_into().unwrap());
-                tables.expired_count = expired as u64;
-                (&data[V1_HEADER..], crc, None)
-            }
-            2 | 3 => {
-                if data.len() < V2_HEADER {
-                    return Err(ReceiptError::CorruptSnapshot("short header".to_string()));
-                }
-                let crc = u32::from_le_bytes(data[5..9].try_into().unwrap());
-                tables.expired_count = u64::from_le_bytes(data[9..17].try_into().unwrap());
-                let hw = u64::from_le_bytes(data[17..25].try_into().unwrap());
-                (&data[V2_HEADER..], crc, Some(hw))
-            }
-            v => {
-                return Err(ReceiptError::CorruptSnapshot(format!(
-                    "unsupported version {v}"
-                )));
-            }
-        };
+        if data[4] != SNAPSHOT_VERSION {
+            let v = data[4];
+            return Err(ReceiptError::CorruptSnapshot(format!(
+                "unsupported version {v}"
+            )));
+        }
+        if data.len() < SNAPSHOT_HEADER {
+            return Err(ReceiptError::CorruptSnapshot("short header".to_string()));
+        }
+        let u64_at = |at: usize| u64::from_le_bytes(data[at..at + 8].try_into().unwrap());
+        let crc_expected = u32::from_le_bytes(data[5..9].try_into().unwrap());
+        tables.expired_count = u64_at(9);
+        let (high_water, first_segment) = (u64_at(17), u64_at(25));
+        let body = &data[SNAPSHOT_HEADER..];
         if crc32(body) != crc_expected {
             return Err(ReceiptError::CorruptSnapshot(
                 "checksum mismatch".to_string(),
@@ -615,7 +579,7 @@ impl ReceiptStore {
                 .replay(rec_bytes)
                 .map_err(|e| ReceiptError::CorruptSnapshot(e.to_string()))?;
         }
-        Ok((high_water, n))
+        Ok((high_water, first_segment, n))
     }
 
     /// What the last `open` recovered (snapshot/WAL record counts, torn
@@ -1063,8 +1027,12 @@ impl ReceiptStore {
             .collect()
     }
 
-    /// Write a snapshot of the live state and prune covered WAL segments.
-    /// Bounds recovery time; returns the number of segments removed.
+    /// Write a snapshot of the live state and prune the WAL segments it
+    /// covers. Bounds recovery time; returns the number of segments
+    /// removed. The WAL rotates first, so the snapshot covers every
+    /// segment below the active one and records the active one's number:
+    /// a crash after the snapshot lands and before the prune leaves
+    /// segments that the next open removes unread.
     ///
     /// Body: the subscriber table first (every id a delivery names, in
     /// order — a name only registered stays off the record), then per
@@ -1076,6 +1044,7 @@ impl ReceiptStore {
         // a snapshot inside a group window must not cover records that
         // are buffered but not yet durable: flush them first
         inner.log.flush()?;
+        let first_segment = inner.log.wal.rotate();
         // records are encoded — through one scratch buffer, for the
         // length each is prefixed with — straight into the body, counted
         // as they go: the count leads the body, so it is prepended
@@ -1111,7 +1080,7 @@ impl ReceiptStore {
         let mut body = body.into_bytes();
         body.extend_from_slice(records.as_bytes());
 
-        let mut out = Vec::with_capacity(V2_HEADER + body.len());
+        let mut out = Vec::with_capacity(SNAPSHOT_HEADER + body.len());
         out.extend_from_slice(SNAPSHOT_MAGIC);
         out.push(SNAPSHOT_VERSION);
         out.extend_from_slice(&crc32(&body).to_le_bytes());
@@ -1119,12 +1088,13 @@ impl ReceiptStore {
         // the id high-water mark: even ids whose arrival append failed
         // must never be reissued after recovery
         out.extend_from_slice(&self.ids.peek().saturating_sub(1).to_le_bytes());
+        out.extend_from_slice(&first_segment.to_le_bytes());
         out.extend_from_slice(&body);
 
         // Write-then-rename: a crash can tear only `snapshot.tmp`, never
         // `snapshot.bin`, so recovery always sees a whole snapshot (old or
         // new). WAL segments are pruned only after the replace lands —
-        // until then they still cover the pre-snapshot history.
+        // until then the old snapshot still needs them.
         let tmp = format!("{}/snapshot.tmp", self.dir);
         let dst = format!("{}/snapshot.bin", self.dir);
         self.store.write(&tmp, &out)?;
@@ -1133,11 +1103,7 @@ impl ReceiptStore {
         // goes on to lose
         inner.tables.names.recorded = named;
 
-        let wal = &mut inner.log.wal;
-        let covered = wal.next_seq().saturating_sub(1);
-        wal.rotate()?;
-        let removed = wal.prune(covered)?;
-        Ok(removed)
+        Ok(inner.log.wal.prune()?)
     }
 }
 
@@ -1352,7 +1318,8 @@ mod tests {
         let mut wal = Wal::open(
             store.clone() as Arc<dyn FileStore>,
             "receipts/wal",
-            |_, _| {},
+            1,
+            |_| {},
         )
         .unwrap();
         for p in payloads {
@@ -1390,7 +1357,13 @@ mod tests {
         let err = ReceiptStore::open(store.clone() as Arc<dyn FileStore>, "receipts")
             .err()
             .expect("an unknown record kind must not open clean");
-        assert_eq!(err, ReceiptError::UnknownRecord { seq: 2, tag: 99 });
+        assert_eq!(
+            err,
+            ReceiptError::UnknownRecord {
+                position: 2,
+                tag: 99
+            }
+        );
         assert!(err.to_string().contains("record 2 has tag 99"), "{err}");
 
         // a known kind that does not decode, or contradicts the name
@@ -1422,114 +1395,29 @@ mod tests {
         assert_eq!(reg.counter_value("recovery.undecodable_records"), Some(2));
     }
 
-    /// A store the previous format wrote — a v2 snapshot and a WAL of
-    /// per-pair `Delivery` records — opens to the same tables, keeps
-    /// working with set records following in the same log, and never
-    /// hands out an id twice.
+    /// Tag 2 — the per-pair delivery receipt, named in full — is retired:
+    /// a log holding one is refused like any other unknown kind.
     #[test]
-    fn stores_written_with_legacy_delivery_records_open_and_keep_working() {
-        let delivery = |file: u64, sub: &str| {
-            Record::Delivery {
-                file: FileId(file),
-                subscriber: sub.to_string(),
-                at: TimePoint::from_secs(50),
-            }
-            .encode()
-        };
+    fn a_retired_delivery_record_fails_open() {
+        let mut delivery = ByteWriter::new();
+        delivery.put_u8(2);
+        delivery.put_varint(1);
+        delivery.put_str("alice");
+        delivery.put_u64(TimePoint::from_secs(50).as_micros());
         let store = MemFs::shared(SimClock::new());
-        let snap_records = [
-            Record::Arrival(file_record(4, "a.csv")).encode(),
-            Record::Arrival(file_record(5, "b.csv")).encode(),
-            delivery(4, "alice"),
-            delivery(4, "bob"),
-            delivery(5, "bob"),
-        ];
-        let mut body = ByteWriter::new();
-        body.put_varint(snap_records.len() as u64);
-        for rec in &snap_records {
-            body.put_bytes(rec);
-        }
-        let body = body.into_bytes();
-        let mut snap = Vec::new();
-        snap.extend_from_slice(b"BSNP");
-        snap.push(2u8);
-        snap.extend_from_slice(&crc32(&body).to_le_bytes());
-        snap.extend_from_slice(&3u64.to_le_bytes()); // expired
-        snap.extend_from_slice(&5u64.to_le_bytes()); // id high-water
-        snap.extend_from_slice(&body);
-        store.create_dir_all("receipts").unwrap();
-        store.write("receipts/snapshot.bin", &snap).unwrap();
         write_wal(
             &store,
             &[
-                Record::Arrival(file_record(6, "c.csv")).encode(),
-                delivery(6, "carol"),
-                delivery(4, "carol"),
-                delivery(5, "alice"),
-                delivery(5, "alice"), // the old log could repeat itself
+                Record::Arrival(file_record(1, "a.csv")).encode(),
+                delivery.into_bytes(),
             ],
         );
-
-        let feeds = ["F".to_string()];
-        let pending = |db: &ReceiptStore, sub: &str| -> Vec<String> {
-            let files = db.pending_for(sub, &feeds);
-            files.into_iter().map(|f| f.name).collect()
-        };
-        let db = open(&store);
-        // as the build that wrote them recovers these bytes
-        assert_eq!(db.state_digest(), LEGACY_FIXTURE_DIGEST);
-        assert_eq!(db.delivery_count(), 6);
-        assert_eq!(db.expired_count(), 3);
-        assert_eq!(pending(&db, "alice"), ["c.csv"]);
-        assert_eq!(pending(&db, "bob"), ["c.csv"]);
-        assert_eq!(pending(&db, "carol"), ["b.csv"]);
-        assert_eq!(db.deliveries_after(FileId(0)).len(), 6);
-        assert_eq!(db.deliveries_after(FileId(4)).len(), 3);
-
-        // set records follow in the same log; a new name joins the table
-        let (c, at) = (FileId(6), TimePoint::from_secs(60));
-        let (alice, dave) = (
-            db.register_subscriber("alice"),
-            db.register_subscriber("dave"),
+        let err = ReceiptStore::open(store.clone() as Arc<dyn FileStore>, "receipts").err();
+        assert!(
+            matches!(err, Some(ReceiptError::UnknownRecord { tag: 2, .. })),
+            "{err:?}"
         );
-        db.record_deliveries([(c, alice), (c, dave), (FileId(5), dave)], at)
-            .unwrap();
-        let (digest, names) = (
-            db.state_digest(),
-            db.inner.lock().tables.names.by_id.clone(),
-        );
-        assert_eq!(names.len(), 4);
-        drop(db);
-        let db = open(&store);
-        assert_eq!(db.recovery_info().undecodable_records, 0);
-        assert_eq!(db.state_digest(), digest);
-        assert_eq!(db.inner.lock().tables.names.by_id, names);
-        assert_eq!(db.delivery_count(), 9);
-        assert_eq!(pending(&db, "dave"), ["a.csv"]);
-
-        // an id handed out after the reopen is a fresh one, and the ids
-        // on record still mean who they meant
-        db.record_delivery(FileId(4), "erin", at).unwrap();
-        {
-            let inner = db.inner.lock();
-            assert_eq!(inner.tables.names.by_id[..4], names[..]);
-            assert_eq!(&*inner.tables.names.by_id[4], "erin");
-        }
-        assert!(db.is_delivered(FileId(4), "alice") && !db.is_delivered(FileId(4), "dave"));
-        let digest = db.state_digest();
-        db.snapshot().unwrap();
-        assert_eq!(store.read("receipts/snapshot.bin").unwrap()[4], 3);
-        drop(db);
-        let db = open(&store);
-        assert_eq!(db.state_digest(), digest);
-        assert_eq!(pending(&db, "erin"), ["b.csv", "c.csv"]);
-        let next = arrive(&db, "d.csv", &["F"], 70);
-        assert_eq!(next.raw(), 7, "file ids resume past the high-water mark");
     }
-
-    /// `state_digest` of the legacy fixture above, as the last build that
-    /// wrote `Delivery` records computes it from the same bytes.
-    const LEGACY_FIXTURE_DIGEST: u64 = 12_598_060_974_288_948_117;
 
     #[test]
     fn recovery_replays_state() {
@@ -1653,42 +1541,79 @@ mod tests {
         assert!(!store.exists("receipts/snapshot.tmp"));
         let snap = store.read("receipts/snapshot.bin").unwrap();
         assert_eq!(&snap[0..4], b"BSNP");
-        assert_eq!(snap[4], 3);
+        assert_eq!(snap[4], 4);
     }
 
+    /// Only the version the store writes is read: any other is refused
+    /// by name, before its header is parsed.
     #[test]
-    fn v1_snapshots_still_readable() {
+    fn other_snapshot_versions_are_refused() {
         let store = MemFs::shared(SimClock::new());
-        // hand-craft a v1 snapshot: one live arrival (id 1), 7 expired
-        let rec = Record::Arrival(FileRecord {
-            id: FileId(1),
-            name: "old.csv".to_string(),
-            staged_path: "staging/old.csv".to_string(),
-            size: 42,
-            arrival: TimePoint::from_secs(100),
-            feed_time: None,
-            feeds: vec!["F".to_string()],
-        });
-        let mut body = ByteWriter::new();
-        body.put_varint(1);
-        body.put_bytes(&rec.encode());
-        let body = body.into_bytes();
-        let mut out = Vec::new();
-        out.extend_from_slice(b"BSNP");
-        out.push(1u8);
-        out.extend_from_slice(&crc32(&body).to_le_bytes());
-        out.extend_from_slice(&7u32.to_le_bytes());
-        out.extend_from_slice(&body);
-        store.create_dir_all("receipts").unwrap();
-        store.write("receipts/snapshot.bin", &out).unwrap();
+        {
+            let db = open(&store);
+            arrive(&db, "a.csv", &["F"], 100);
+            db.snapshot().unwrap();
+        }
+        let snap = store.read("receipts/snapshot.bin").unwrap();
+        for v in [1u8, 2, 3, 5] {
+            let mut old = snap.clone();
+            old[4] = v;
+            store.write("receipts/snapshot.bin", &old).unwrap();
+            let err = ReceiptStore::open(store.clone() as Arc<dyn FileStore>, "receipts").err();
+            assert_eq!(
+                err,
+                Some(ReceiptError::CorruptSnapshot(format!(
+                    "unsupported version {v}"
+                )))
+            );
+        }
+    }
+
+    /// A crash after the snapshot's replace and before its prune leaves
+    /// the covered segments on disk. Replaying them over the snapshot
+    /// re-created every file expired before it and counted its expiry
+    /// again; the snapshot now names the first segment it does not cover,
+    /// and open removes the others unread.
+    #[test]
+    fn a_crash_between_snapshot_and_prune_replays_nothing_covered() {
+        let store = MemFs::shared(SimClock::new());
+        let db = open(&store);
+        let a = arrive(&db, "a.csv", &["F"], 100);
+        arrive(&db, "b.csv", &["F"], 200);
+        db.record_delivery(a, "s", TimePoint::from_secs(150))
+            .unwrap();
+        db.record_expiration(a, TimePoint::from_secs(300)).unwrap();
+        let covered = store.read("receipts/wal/0000000001.seg").unwrap();
+        assert_eq!(db.snapshot().unwrap(), 1);
+        let digest = db.state_digest();
+        drop(db);
+        // the prune never happened
+        store
+            .write("receipts/wal/0000000001.seg", &covered)
+            .unwrap();
 
         let db = open(&store);
-        assert_eq!(db.live_count(), 1);
-        assert_eq!(db.expired_count(), 7);
-        // v1 has no high-water: the legacy heuristic (live max + expired)
-        // must still apply, so the next id clears the expired range
-        let next = arrive(&db, "new.csv", &["F"], 200);
-        assert_eq!(next.raw(), 9);
+        assert_eq!(db.expired_count(), 1);
+        assert_eq!(db.recovery_info().wal_records, 0);
+        assert_eq!(db.state_digest(), digest);
+        assert!(!store.exists("receipts/wal/0000000001.seg"));
+    }
+
+    /// A snapshot leaves an active segment with no file. A reopen before
+    /// anything is appended must still append past the snapshot's first
+    /// segment, or the next open would remove the record unread.
+    #[test]
+    fn a_record_appended_after_reopening_a_fresh_snapshot_survives() {
+        let store = MemFs::shared(SimClock::new());
+        let db = open(&store);
+        arrive(&db, "a.csv", &["F"], 100);
+        db.snapshot().unwrap();
+        drop(db);
+        let b = arrive(&open(&store), "b.csv", &["F"], 200);
+        let db = open(&store);
+        assert_eq!(db.live_count(), 2);
+        assert_eq!(db.file(b).unwrap().name, "b.csv");
+        assert_eq!(db.recovery_info().wal_records, 1);
     }
 
     #[test]

@@ -1,15 +1,8 @@
 //! Segmented, CRC-framed write-ahead log.
 //!
 //! Records are appended to numbered segment files
-//! (`<dir>/0000000001.seg`, …) under a [`FileStore`]. Each segment
-//! starts with a small header pinning the sequence number of its first
-//! record:
-//!
-//! ```text
-//! [4B magic "BSG1"][u64 first-record sequence]
-//! ```
-//!
-//! followed by records framed as:
+//! (`<dir>/0000000001.seg`, …) under a [`FileStore`]. A segment is
+//! frames and nothing else:
 //!
 //! ```text
 //! [u32 payload length][u32 CRC-32 of payload][payload bytes]
@@ -18,13 +11,11 @@
 //! Replay reads segments in order and stops at the first torn or corrupt
 //! frame — everything before it is durable, everything after is treated
 //! as a crashed-in-flight write and discarded (and the segment is
-//! truncated on the next append). A snapshot records the highest record
-//! sequence number it covers; segments whose records are all covered can
-//! be deleted. The per-segment base sequence is what keeps numbering
-//! *stable* across pruning: surviving records replay with their original
-//! sequence numbers instead of being renumbered from 1, so external
-//! state keyed by WAL sequence never dangles. Headerless (legacy)
-//! segments are still readable and number from the running sequence.
+//! truncated on the next append). A snapshot covers every segment below
+//! the active one: it [rotates](Wal::rotate) first and records the number
+//! of the segment it does not cover, [`Wal::open`] removes the segments
+//! below that number without reading them, and [`Wal::prune`] removes
+//! them once the snapshot is in place.
 
 use bistro_base::checksum::crc32;
 use bistro_base::SharedClock;
@@ -62,21 +53,6 @@ impl From<VfsError> for WalError {
 /// Frame header size.
 const FRAME_HEADER: usize = 8;
 
-/// Segment header: magic + first-record sequence.
-const SEG_MAGIC: &[u8; 4] = b"BSG1";
-/// Segment header size.
-const SEG_HEADER: usize = 12;
-
-/// Parse an optional segment header; returns `(first_seq, body_offset)`.
-fn segment_header(data: &[u8]) -> Option<(u64, usize)> {
-    if data.len() >= SEG_HEADER && &data[0..4] == SEG_MAGIC {
-        let first = u64::from_le_bytes(data[4..12].try_into().unwrap());
-        Some((first, SEG_HEADER))
-    } else {
-        None
-    }
-}
-
 /// Telemetry handles for a WAL (attached via [`Wal::set_telemetry`]).
 struct WalMetrics {
     appends: Arc<Counter>,
@@ -109,18 +85,12 @@ pub struct Wal {
     active_path: String,
     /// The frame under construction, reused across [`Wal::append`]s.
     frame: Vec<u8>,
-    /// Bytes in the active segment (header included).
+    /// Bytes in the active segment: whole frames only, so it holds a
+    /// record exactly when this is not zero.
     active_bytes: u64,
-    /// Whether the active segment holds at least one record.
-    active_has_records: bool,
-    /// Records are numbered from 1 across segments.
-    next_seq: u64,
-    /// Every segment on disk — the active one last — with the sequence
-    /// of its first record: what its header pins (or, for a legacy
-    /// headerless segment, where replay found it). A segment's records
-    /// end where the next one's begin, so [`Wal::prune`] decides from
-    /// this table without reading the log back.
-    segments: Vec<(u64, u64)>,
+    /// The numbers of the segments on disk, oldest first; the active one
+    /// is last (it has no file until its first append).
+    segments: Vec<u64>,
     /// Rotate segments at this size.
     segment_bytes: u64,
     /// Optional `wal.*` metrics.
@@ -138,12 +108,15 @@ impl Wal {
     /// Open (or create) a WAL in `dir`, replaying existing records into
     /// `apply`. Returns the WAL positioned for appending.
     ///
-    /// `apply` is called once per intact record, in order, with
-    /// `(sequence_number, payload)`.
+    /// Segments numbered below `first` are covered by a snapshot: they
+    /// are removed without being read, and no new segment is numbered
+    /// below `first`. `apply` is called once per intact record of the
+    /// rest, in order.
     pub fn open(
         store: Arc<dyn FileStore>,
         dir: &str,
-        mut apply: impl FnMut(u64, &[u8]),
+        first: u64,
+        mut apply: impl FnMut(&[u8]),
     ) -> Result<Wal, WalError> {
         store.create_dir_all(dir)?;
         let mut segments: Vec<u64> = Vec::new();
@@ -156,63 +129,44 @@ impl Wal {
             }
         }
         segments.sort_unstable();
+        let covered = segments.partition_point(|&n| n < first);
+        for n in segments.drain(..covered) {
+            store.remove(&segment_path(dir, n))?;
+        }
 
-        let mut seq = 0u64;
-        let last = segments.last().copied();
         let mut active_bytes = 0u64;
-        let mut active_has_records = false;
-        let mut first_seqs = Vec::with_capacity(segments.len().max(1));
-
-        for &seg in &segments {
+        let mut end = segments.len();
+        for (i, &seg) in segments.iter().enumerate() {
             let path = segment_path(dir, seg);
             let data = store.read(&path)?;
-            let body_off = match segment_header(&data) {
-                Some((first_seq, off)) => {
-                    // the header pins this segment's numbering even when
-                    // every earlier segment has been pruned away
-                    seq = first_seq.saturating_sub(1);
-                    off
-                }
-                None => 0, // legacy headerless segment
-            };
-            let before = seq;
-            first_seqs.push((seg, before + 1));
-            let valid = body_off + Self::replay_segment(&data[body_off..], &mut seq, &mut apply);
-            if Some(seg) == last {
-                active_bytes = valid as u64;
-                active_has_records = seq > before;
-                if valid < data.len() {
-                    // torn tail: truncate so future appends are clean
-                    store.write(&path, &data[..valid])?;
-                }
-            } else if valid < data.len() {
-                // corruption in a non-final segment: everything after it
-                // is unreachable; truncate here and make this the active
-                // segment (later segments are stale garbage from a crash)
+            let valid = Self::replay_segment(&data, &mut apply);
+            active_bytes = valid as u64;
+            if valid < data.len() {
+                // a torn tail, or corruption in a non-final segment:
+                // everything after it is unreachable, so truncate here
+                // and make this the active segment (later segments are
+                // stale garbage from a crash)
                 store.write(&path, &data[..valid])?;
-                for &later in segments.iter().filter(|&&s| s > seg) {
+                for &later in &segments[i + 1..] {
                     store.remove(&segment_path(dir, later))?;
                 }
-                active_bytes = valid as u64;
-                active_has_records = seq > before;
+                end = i + 1;
                 break;
             }
         }
-        if first_seqs.is_empty() {
-            first_seqs.push((1, seq + 1));
+        segments.truncate(end);
+        if segments.is_empty() {
+            segments.push(first.max(1));
         }
 
-        // the last segment replay reached is the active one
-        let (active, _) = first_seqs[first_seqs.len() - 1];
+        let active = segments[segments.len() - 1];
         Ok(Wal {
             store,
             dir: dir.to_string(),
             active_path: segment_path(dir, active),
             frame: Vec::new(),
             active_bytes,
-            active_has_records,
-            next_seq: seq + 1,
-            segments: first_seqs,
+            segments,
             segment_bytes: DEFAULT_SEGMENT_BYTES,
             metrics: None,
         })
@@ -232,7 +186,7 @@ impl Wal {
 
     /// Replay one segment buffer; returns the byte offset of the first
     /// invalid frame (== `data.len()` if the whole segment is intact).
-    fn replay_segment(data: &[u8], seq: &mut u64, apply: &mut impl FnMut(u64, &[u8])) -> usize {
+    fn replay_segment(data: &[u8], apply: &mut impl FnMut(&[u8])) -> usize {
         let mut pos = 0usize;
         while pos + FRAME_HEADER <= data.len() {
             let len = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
@@ -245,8 +199,7 @@ impl Wal {
             if crc32(payload) != crc {
                 break; // corrupt
             }
-            *seq += 1;
-            apply(*seq, payload);
+            apply(payload);
             pos = end;
         }
         pos
@@ -259,39 +212,30 @@ impl Wal {
 
     /// Move on to the next (empty) segment.
     fn advance_segment(&mut self) {
-        // the active segment is the table's last entry; prune keeps it
-        let next = self.segments[self.segments.len() - 1].0 + 1;
+        let next = self.segments[self.segments.len() - 1] + 1;
         self.active_path = segment_path(&self.dir, next);
         self.active_bytes = 0;
-        self.active_has_records = false;
-        self.segments.push((next, self.next_seq));
+        self.segments.push(next);
         if let Some(m) = &self.metrics {
             m.rotations.inc();
         }
     }
 
-    /// Frame `payload` as the next record of the active segment into
-    /// `frame` (cleared first), led by the segment header when the
-    /// segment is still empty.
-    fn frame_record(&self, frame: &mut Vec<u8>, payload: &[u8]) {
+    /// Frame `payload` into `frame` (cleared first).
+    fn frame_record(frame: &mut Vec<u8>, payload: &[u8]) {
         frame.clear();
-        if self.active_bytes == 0 {
-            // first bytes of a fresh segment: pin its base sequence
-            frame.extend_from_slice(SEG_MAGIC);
-            frame.extend_from_slice(&self.next_seq.to_le_bytes());
-        }
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(payload).to_le_bytes());
         frame.extend_from_slice(payload);
     }
 
-    /// Append one record; returns its sequence number.
-    pub fn append(&mut self, payload: &[u8]) -> Result<u64, WalError> {
+    /// Append one record.
+    pub fn append(&mut self, payload: &[u8]) -> Result<(), WalError> {
         if self.active_bytes >= self.segment_bytes {
             self.advance_segment();
         }
         let mut frame = std::mem::take(&mut self.frame);
-        self.frame_record(&mut frame, payload);
+        Self::frame_record(&mut frame, payload);
         let started = self.metrics.as_ref().map(|m| m.clock.now());
         let appended = self.store.append(&self.active_path, &frame);
         let len = frame.len() as u64;
@@ -303,10 +247,7 @@ impl Wal {
             m.bytes.add(len);
         }
         self.active_bytes += len;
-        self.active_has_records = true;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        Ok(seq)
+        Ok(())
     }
 
     /// Append a group of records with one physical store append (and so
@@ -315,13 +256,13 @@ impl Wal {
     ///
     /// The byte stream is **identical** to calling [`Wal::append`] once
     /// per payload: rotation is decided record by record while framing,
-    /// so segment boundaries, headers and sequence numbers land exactly
-    /// where the per-record path would put them — group size can never
-    /// change the WAL bytes. Each frame is handed to the store as its
-    /// own part via [`FileStore::append_many`], so the vfs ledger counts
-    /// one write per record and a torn physical append still tears on a
-    /// frame boundary at worst (replay then recovers a prefix of whole
-    /// records; a tear *inside* a frame is caught by the CRC).
+    /// so segment boundaries land exactly where the per-record path
+    /// would put them — group size can never change the WAL bytes. Each
+    /// frame is handed to the store as its own part via
+    /// [`FileStore::append_many`], so the vfs ledger counts one write per
+    /// record and a torn physical append still tears on a frame boundary
+    /// at worst (replay then recovers a prefix of whole records; a tear
+    /// *inside* a frame is caught by the CRC).
     ///
     /// Per-record metrics (`wal.appends`, `wal.bytes`, `wal.fsync_us`
     /// samples) are recorded per record — the fsync histogram gets the
@@ -344,11 +285,9 @@ impl Wal {
                 self.flush_chunk(&mut chunk, &mut stats)?;
                 self.advance_segment();
             }
-            let mut frame = Vec::with_capacity(SEG_HEADER + FRAME_HEADER + payload.len());
-            self.frame_record(&mut frame, payload);
+            let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
+            Self::frame_record(&mut frame, payload);
             self.active_bytes += frame.len() as u64;
-            self.active_has_records = true;
-            self.next_seq += 1;
             chunk.push(frame);
         }
         self.flush_chunk(&mut chunk, &mut stats)?;
@@ -381,38 +320,23 @@ impl Wal {
         Ok(())
     }
 
-    /// The sequence number the next append will receive.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Start a fresh segment so that every record logged so far lives in
-    /// a non-active segment (and can be pruned once covered by a
-    /// snapshot). The new segment's header is written eagerly so the base
-    /// sequence survives even if every older segment is pruned before the
-    /// next append.
-    pub fn rotate(&mut self) -> Result<(), WalError> {
-        if self.active_has_records {
+    /// Start a fresh segment, so that every record logged so far lives
+    /// in a segment below the active one; returns the active segment's
+    /// number. Writes nothing: the new segment's file appears with its
+    /// first append. A log whose active segment is still empty stays
+    /// where it is.
+    pub fn rotate(&mut self) -> u64 {
+        if self.active_bytes > 0 {
             self.advance_segment();
-            let mut header = Vec::with_capacity(SEG_HEADER);
-            header.extend_from_slice(SEG_MAGIC);
-            header.extend_from_slice(&self.next_seq.to_le_bytes());
-            self.store.append(&self.active_path, &header)?;
-            self.active_bytes = SEG_HEADER as u64;
         }
-        Ok(())
+        self.segments[self.segments.len() - 1]
     }
 
-    /// Delete all segments strictly older than the active one whose
-    /// records are covered by a snapshot at `covered_seq`: whole segments
-    /// only, and only those that cannot contain a record after
-    /// `covered_seq` — the next segment begins at or before
-    /// `covered_seq + 1`.
-    pub fn prune(&mut self, covered_seq: u64) -> Result<usize, WalError> {
-        let covered = (self.segments.windows(2))
-            .take_while(|pair| pair[1].1 <= covered_seq.saturating_add(1))
-            .count();
-        for &(seg, _) in &self.segments[..covered] {
+    /// Delete every segment older than the active one — what a snapshot
+    /// taken right after [`Wal::rotate`] covers. Returns how many went.
+    pub fn prune(&mut self) -> Result<usize, WalError> {
+        let covered = self.segments.len() - 1;
+        for &seg in &self.segments[..covered] {
             self.store.remove(&segment_path(&self.dir, seg))?;
         }
         self.segments.drain(..covered);
@@ -430,75 +354,66 @@ mod tests {
         MemFs::shared(SimClock::new())
     }
 
-    fn replayed(store: &Arc<MemFs>) -> Vec<(u64, Vec<u8>)> {
-        let mut out = Vec::new();
-        let _ = Wal::open(store.clone() as Arc<dyn FileStore>, "wal", |seq, p| {
-            out.push((seq, p.to_vec()))
+    fn open_at(store: &Arc<MemFs>, first: u64, out: &mut Vec<Vec<u8>>) -> Wal {
+        Wal::open(store.clone() as Arc<dyn FileStore>, "wal", first, |p| {
+            out.push(p.to_vec())
         })
-        .unwrap();
+        .unwrap()
+    }
+
+    fn open(store: &Arc<MemFs>) -> Wal {
+        open_at(store, 1, &mut Vec::new())
+    }
+
+    fn replayed(store: &Arc<MemFs>) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        open_at(store, 1, &mut out);
         out
+    }
+
+    fn payloads(items: &[&str]) -> Vec<Vec<u8>> {
+        items.iter().map(|p| p.as_bytes().to_vec()).collect()
     }
 
     #[test]
     fn append_and_replay() {
         let store = mem();
         {
-            let mut wal = Wal::open(store.clone() as Arc<dyn FileStore>, "wal", |_, _| {}).unwrap();
-            assert_eq!(wal.append(b"one").unwrap(), 1);
-            assert_eq!(wal.append(b"two").unwrap(), 2);
-            assert_eq!(wal.append(b"three").unwrap(), 3);
+            let mut wal = open(&store);
+            for p in ["one", "two", "three"] {
+                wal.append(p.as_bytes()).unwrap();
+            }
         }
-        let recs = replayed(&store);
-        assert_eq!(
-            recs,
-            vec![
-                (1, b"one".to_vec()),
-                (2, b"two".to_vec()),
-                (3, b"three".to_vec())
-            ]
-        );
+        assert_eq!(replayed(&store), payloads(&["one", "two", "three"]));
     }
 
     #[test]
-    fn reopen_continues_sequence() {
+    fn reopen_appends_after_the_replayed_records() {
         let store = mem();
-        {
-            let mut wal = Wal::open(store.clone() as Arc<dyn FileStore>, "wal", |_, _| {}).unwrap();
-            wal.append(b"a").unwrap();
-        }
-        {
-            let mut wal = Wal::open(store.clone() as Arc<dyn FileStore>, "wal", |_, _| {}).unwrap();
-            assert_eq!(wal.append(b"b").unwrap(), 2);
-        }
-        assert_eq!(replayed(&store).len(), 2);
+        open(&store).append(b"a").unwrap();
+        open(&store).append(b"b").unwrap();
+        assert_eq!(replayed(&store), payloads(&["a", "b"]));
     }
 
     #[test]
     fn torn_tail_discarded_and_truncated() {
         let store = mem();
-        {
-            let mut wal = Wal::open(store.clone() as Arc<dyn FileStore>, "wal", |_, _| {}).unwrap();
-            wal.append(b"good").unwrap();
-        }
+        open(&store).append(b"good").unwrap();
         // simulate a torn write: append a partial frame
         store
             .append("wal/0000000001.seg", &[0x55, 0x00, 0x00])
             .unwrap();
-        let recs = replayed(&store);
-        assert_eq!(recs, vec![(1, b"good".to_vec())]);
+        assert_eq!(replayed(&store), payloads(&["good"]));
         // after recovery the torn bytes are gone; appends resume cleanly
-        {
-            let mut wal = Wal::open(store.clone() as Arc<dyn FileStore>, "wal", |_, _| {}).unwrap();
-            wal.append(b"after").unwrap();
-        }
-        assert_eq!(replayed(&store).len(), 2);
+        open(&store).append(b"after").unwrap();
+        assert_eq!(replayed(&store), payloads(&["good", "after"]));
     }
 
     #[test]
     fn corrupt_payload_stops_replay() {
         let store = mem();
         {
-            let mut wal = Wal::open(store.clone() as Arc<dyn FileStore>, "wal", |_, _| {}).unwrap();
+            let mut wal = open(&store);
             wal.append(b"first").unwrap();
             wal.append(b"second").unwrap();
         }
@@ -507,214 +422,141 @@ mod tests {
         let n = data.len();
         data[n - 1] ^= 0xFF;
         store.write("wal/0000000001.seg", &data).unwrap();
-        let recs = replayed(&store);
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].1, b"first");
+        assert_eq!(replayed(&store), payloads(&["first"]));
+    }
+
+    fn fifty_records(wal: &mut Wal) -> Vec<Vec<u8>> {
+        let records: Vec<Vec<u8>> = (0..50u32)
+            .map(|i| format!("record-{i:04}").into_bytes())
+            .collect();
+        for r in &records {
+            wal.append(r).unwrap();
+        }
+        records
     }
 
     #[test]
     fn segment_rotation() {
         let store = mem();
-        {
-            let mut wal = Wal::open(store.clone() as Arc<dyn FileStore>, "wal", |_, _| {}).unwrap();
+        let records = {
+            let mut wal = open(&store);
             wal.set_segment_bytes(64);
-            for i in 0..50u32 {
-                wal.append(format!("record-{i:04}").as_bytes()).unwrap();
-            }
-        }
+            fifty_records(&mut wal)
+        };
         let segs = store.list_dir("wal").unwrap();
         assert!(
             segs.len() > 1,
             "expected rotation, got {} segments",
             segs.len()
         );
-        let recs = replayed(&store);
-        assert_eq!(recs.len(), 50);
-        assert_eq!(recs[49].1, b"record-0049");
+        assert_eq!(replayed(&store), records);
     }
 
     #[test]
-    fn prune_removes_covered_segments() {
+    fn prune_removes_every_segment_below_the_active_one() {
         let store = mem();
-        let mut wal = Wal::open(store.clone() as Arc<dyn FileStore>, "wal", |_, _| {}).unwrap();
+        let mut wal = open(&store);
         wal.set_segment_bytes(64);
-        for i in 0..50u32 {
-            wal.append(format!("record-{i:04}").as_bytes()).unwrap();
-        }
+        let records = fifty_records(&mut wal);
         let before = store.list_dir("wal").unwrap().len();
-        let removed = wal.prune(50).unwrap();
-        assert!(removed > 0);
-        assert_eq!(store.list_dir("wal").unwrap().len(), before - removed);
-        // numbering must not restart after prune: the surviving segments'
-        // headers pin the base sequence, so the next record is exactly 51
-        let mut wal2 = Wal::open(store.clone() as Arc<dyn FileStore>, "wal", |_, _| {}).unwrap();
-        let seq = wal2.append(b"post-prune").unwrap();
-        assert_eq!(seq, 51);
+        let removed = wal.prune().unwrap();
+        assert_eq!(removed, before - 1);
+        // the active segment keeps its records and its place
+        let left = replayed(&store);
+        assert_eq!(left[..], records[records.len() - left.len()..]);
+        wal.append(b"post-prune").unwrap();
+        assert_eq!(replayed(&store).last().unwrap(), b"post-prune");
+        assert_eq!(wal.prune().unwrap(), 0, "nothing more to prune");
     }
 
     #[test]
-    fn prune_all_then_reopen_preserves_numbering() {
+    fn prune_before_any_rotation_removes_nothing() {
         let store = mem();
-        let mut wal = Wal::open(store.clone() as Arc<dyn FileStore>, "wal", |_, _| {}).unwrap();
-        for i in 0..50u32 {
-            wal.append(format!("record-{i:04}").as_bytes()).unwrap();
-        }
-        // rotate so every record lives in a prunable segment, then cover
-        // all of them: only the (empty) active segment remains on disk
-        wal.rotate().unwrap();
-        assert!(wal.prune(50).unwrap() > 0);
+        let mut wal = open(&store);
+        let records = fifty_records(&mut wal);
+        assert_eq!(wal.prune().unwrap(), 0);
+        assert_eq!(replayed(&store), records);
+    }
+
+    /// What a snapshot does — rotate, then prune — leaves only an active
+    /// segment with no file. Reopening at the number `rotate` returned
+    /// must append to that segment, never to a lower one that the next
+    /// open would remove unread.
+    #[test]
+    fn a_reopened_log_never_numbers_a_segment_below_its_first() {
+        let store = mem();
+        let mut wal = open(&store);
+        fifty_records(&mut wal);
+        let first = wal.rotate();
+        assert_eq!(first, 2);
+        assert_eq!(wal.rotate(), first, "an empty active segment stays");
+        assert_eq!(wal.prune().unwrap(), 1);
+        drop(wal);
+        assert!(store.list_dir("wal").unwrap().is_empty());
+
+        let mut recs = Vec::new();
+        let mut wal = open_at(&store, first, &mut recs);
+        assert!(recs.is_empty(), "pruned records must not replay");
+        wal.append(b"later").unwrap();
         drop(wal);
         let mut recs = Vec::new();
-        let mut wal2 = Wal::open(store.clone() as Arc<dyn FileStore>, "wal", |seq, p| {
-            recs.push((seq, p.to_vec()))
-        })
-        .unwrap();
-        assert!(recs.is_empty(), "pruned records must not replay");
-        assert_eq!(wal2.next_seq(), 51, "sequence restarted after prune");
-        assert_eq!(wal2.append(b"later").unwrap(), 51);
-        // and the replayed sequence numbers stay pinned on the next reopen
-        drop(wal2);
-        let replayed = replayed(&store);
-        assert_eq!(replayed, vec![(51, b"later".to_vec())]);
+        open_at(&store, first, &mut recs);
+        assert_eq!(recs, payloads(&["later"]));
+        assert!(store.exists("wal/0000000002.seg"));
     }
 
+    /// Open removes the segments a snapshot covers without reading them,
+    /// and replays the rest.
     #[test]
-    fn legacy_headerless_segment_replays_from_one() {
+    fn open_removes_covered_segments_unread() {
         let store = mem();
-        // hand-build a pre-header segment: raw frames, no magic
-        let payload = b"old-style";
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        store.create_dir_all("wal").unwrap();
-        store.write("wal/0000000001.seg", &frame).unwrap();
-        let recs = replayed(&store);
-        assert_eq!(recs, vec![(1, b"old-style".to_vec())]);
-        let mut wal = Wal::open(store.clone() as Arc<dyn FileStore>, "wal", |_, _| {}).unwrap();
-        assert_eq!(wal.append(b"new").unwrap(), 2);
+        let records = {
+            let mut wal = open(&store);
+            wal.set_segment_bytes(64);
+            fifty_records(&mut wal)
+        };
+        let segs = store.list_dir("wal").unwrap().len() as u64;
+        assert!(segs > 3, "a multi-segment log: {segs}");
+        let mut covered = 0;
+        for n in [1, 2] {
+            let data = store.read(&segment_path("wal", n)).unwrap();
+            Wal::replay_segment(&data, &mut |_| covered += 1);
+        }
+        let reads = store.stats().snapshot();
+        let mut recs = Vec::new();
+        open_at(&store, 3, &mut recs);
+        let delta = store.stats().snapshot().since(&reads);
+        assert_eq!(delta.reads, segs - 2, "only the uncovered segments");
+        assert_eq!(recs[..], records[covered..]);
+        assert_eq!(store.list_dir("wal").unwrap().len() as u64, segs - 2);
     }
 
+    /// A segment is frames and nothing else, so a fresh segment's first
+    /// append torn at any byte is an ordinary torn frame: the records
+    /// before it replay, and the next append lands cleanly.
     #[test]
-    fn legacy_segment_coexists_with_headered_segments() {
-        // Regression for the mixed case: a pre-"BSG1" headerless segment
-        // followed by headered segments must replay as one continuous
-        // sequence — the legacy segment numbers from the running
-        // sequence, the headered one from its pinned base — and reopen
-        // must keep appending where the stream left off.
+    fn a_fresh_segments_first_frame_torn_at_every_cut() {
         let store = mem();
-        // hand-build the legacy segment: raw frames, no magic
-        let mut legacy = Vec::new();
-        for p in [b"old-1".as_slice(), b"old-2".as_slice()] {
-            legacy.extend_from_slice(&(p.len() as u32).to_le_bytes());
-            legacy.extend_from_slice(&crc32(p).to_le_bytes());
-            legacy.extend_from_slice(p);
+        let mut wal = open(&store);
+        wal.append(b"before").unwrap();
+        assert_eq!(wal.rotate(), 2);
+        wal.append(b"torn").unwrap();
+        let first = store.read("wal/0000000001.seg").unwrap();
+        let full = store.read("wal/0000000002.seg").unwrap();
+        for cut in 0..full.len() {
+            let torn = mem();
+            torn.create_dir_all("wal").unwrap();
+            torn.write("wal/0000000001.seg", &first).unwrap();
+            torn.write("wal/0000000002.seg", &full[..cut]).unwrap();
+            assert_eq!(replayed(&torn), payloads(&["before"]), "cut={cut}");
+            open(&torn).append(b"next").unwrap();
+            assert_eq!(replayed(&torn), payloads(&["before", "next"]), "cut={cut}");
+            assert_eq!(
+                torn.read("wal/0000000002.seg").unwrap().len(),
+                FRAME_HEADER + 4,
+                "cut={cut}: the torn bytes were truncated"
+            );
         }
-        store.create_dir_all("wal").unwrap();
-        store.write("wal/0000000001.seg", &legacy).unwrap();
-
-        {
-            let mut wal = Wal::open(store.clone() as Arc<dyn FileStore>, "wal", |_, _| {}).unwrap();
-            assert_eq!(wal.next_seq(), 3, "legacy records must count");
-            assert_eq!(wal.append(b"new-3").unwrap(), 3);
-            wal.rotate().unwrap(); // segment 2 gets an eager "BSG1" header
-            assert_eq!(wal.append(b"new-4").unwrap(), 4);
-        }
-        // on disk: segment 1 is still headerless, segment 2 is headered
-        // and pinned at the running sequence
-        assert!(segment_header(&store.read("wal/0000000001.seg").unwrap()).is_none());
-        assert_eq!(
-            segment_header(&store.read("wal/0000000002.seg").unwrap()).map(|(first, _)| first),
-            Some(4)
-        );
-        // mixed replay is one continuous, correctly numbered stream
-        let recs = replayed(&store);
-        assert_eq!(
-            recs,
-            vec![
-                (1, b"old-1".to_vec()),
-                (2, b"old-2".to_vec()),
-                (3, b"new-3".to_vec()),
-                (4, b"new-4".to_vec()),
-            ]
-        );
-        // and a further reopen keeps the sequence going
-        let mut wal = Wal::open(store.clone() as Arc<dyn FileStore>, "wal", |_, _| {}).unwrap();
-        assert_eq!(wal.append(b"new-5").unwrap(), 5);
-    }
-
-    /// Which segments `prune` removes, decided the way it used to:
-    /// re-read every segment and count its frames.
-    fn prunable_by_counting(store: &Arc<MemFs>, active: u64, covered_seq: u64) -> Vec<String> {
-        let mut seq = 0u64;
-        let mut out = Vec::new();
-        for (path, data) in wal_bytes(store) {
-            let (body_off, base) = match segment_header(&data) {
-                Some((first_seq, off)) => (off, first_seq.saturating_sub(1)),
-                None => (0, seq),
-            };
-            let mut last = base;
-            Wal::replay_segment(&data[body_off..], &mut last, &mut |_, _| {});
-            if path != segment_path("wal", active) && last <= covered_seq {
-                out.push(path);
-            }
-            seq = last;
-        }
-        out
-    }
-
-    /// `prune` used to read and checksum the whole log back at every
-    /// snapshot to learn where each segment ends; the segment table
-    /// answers that, so pruning reads nothing — and removes exactly what
-    /// counting frames would.
-    #[test]
-    fn prune_reads_nothing_and_removes_what_counting_would() {
-        for covered in [0u64, 1, 17, 49, 50, 10_000] {
-            for reopen in [false, true] {
-                let store = mem();
-                let open = || Wal::open(store.clone() as Arc<dyn FileStore>, "wal", |_, _| {});
-                let mut wal = open().unwrap();
-                wal.set_segment_bytes(64);
-                for i in 0..50u32 {
-                    wal.append(format!("record-{i:04}").as_bytes()).unwrap();
-                }
-                // what a snapshot does: rotate, then prune what it covers
-                wal.rotate().unwrap();
-                if reopen {
-                    // the table `open` rebuilds equals the one appends grew
-                    drop(wal);
-                    wal = open().unwrap();
-                }
-                let before: Vec<String> = wal_bytes(&store).into_iter().map(|(p, _)| p).collect();
-                assert!(before.len() > 3, "a multi-segment log: {before:?}");
-                let expect = prunable_by_counting(&store, wal.segments.last().unwrap().0, covered);
-                let reads = store.stats().snapshot();
-                let removed = wal.prune(covered).unwrap();
-                let delta = store.stats().snapshot().since(&reads);
-                assert_eq!((delta.reads, delta.bytes_read), (0, 0), "covered={covered}");
-                let after: Vec<String> = wal_bytes(&store).into_iter().map(|(p, _)| p).collect();
-                let gone: Vec<String> = (before.into_iter())
-                    .filter(|p| !after.contains(p))
-                    .collect();
-                assert_eq!(gone, expect, "covered={covered} reopen={reopen}");
-                assert_eq!(removed, expect.len());
-                // a second prune finds nothing more, and numbering holds
-                assert_eq!(wal.prune(covered).unwrap(), 0);
-                assert_eq!(wal.append(b"next").unwrap(), 51);
-            }
-        }
-    }
-
-    #[test]
-    fn prune_keeps_uncovered() {
-        let store = mem();
-        let mut wal = Wal::open(store.clone() as Arc<dyn FileStore>, "wal", |_, _| {}).unwrap();
-        wal.set_segment_bytes(64);
-        for i in 0..50u32 {
-            wal.append(format!("record-{i:04}").as_bytes()).unwrap();
-        }
-        // nothing covered: nothing pruned
-        assert_eq!(wal.prune(0).unwrap(), 0);
     }
 
     #[test]
@@ -722,13 +564,13 @@ mod tests {
         let store = mem();
         let clock = SimClock::new();
         let reg = Registry::new();
-        let mut wal = Wal::open(store.clone() as Arc<dyn FileStore>, "wal", |_, _| {}).unwrap();
+        let mut wal = open(&store);
         wal.set_telemetry(&reg, clock.clone());
         wal.set_segment_bytes(64);
         for i in 0..10u32 {
             wal.append(format!("record-{i:04}").as_bytes()).unwrap();
         }
-        wal.rotate().unwrap();
+        wal.rotate();
         assert_eq!(reg.counter_value("wal.appends"), Some(10));
         let rotations = reg.counter_value("wal.rotations").unwrap();
         assert!(rotations >= 2, "size rotations + explicit: {rotations}");
@@ -761,8 +603,7 @@ mod tests {
         // reference: one append per record, with rotation forced often
         let ref_store = mem();
         {
-            let mut wal =
-                Wal::open(ref_store.clone() as Arc<dyn FileStore>, "wal", |_, _| {}).unwrap();
+            let mut wal = open(&ref_store);
             wal.set_segment_bytes(96);
             for p in &payloads {
                 wal.append(p).unwrap();
@@ -773,7 +614,7 @@ mod tests {
         // rotation boundaries and a size larger than the whole stream
         for group in [1usize, 2, 5, 7, 64] {
             let store = mem();
-            let mut wal = Wal::open(store.clone() as Arc<dyn FileStore>, "wal", |_, _| {}).unwrap();
+            let mut wal = open(&store);
             wal.set_segment_bytes(96);
             let mut physical = 0u64;
             for batch in payloads.chunks(group) {
@@ -781,8 +622,8 @@ mod tests {
                 assert_eq!(s.records, batch.len() as u64);
                 physical += s.physical_appends;
             }
-            assert_eq!(wal.next_seq(), payloads.len() as u64 + 1);
             assert_eq!(wal_bytes(&store), reference, "group={group}");
+            assert_eq!(replayed(&store), payloads, "group={group}");
             if group > 1 {
                 assert!(
                     physical < payloads.len() as u64,
@@ -801,11 +642,8 @@ mod tests {
     #[test]
     fn torn_group_append_recovers_to_whole_record_prefix() {
         let store = mem();
-        {
-            let mut wal = Wal::open(store.clone() as Arc<dyn FileStore>, "wal", |_, _| {}).unwrap();
-            wal.append_batch(&[b"alpha".to_vec(), b"beta".to_vec(), b"gamma".to_vec()])
-                .unwrap();
-        }
+        let whole = payloads(&["alpha", "beta", "gamma"]);
+        open(&store).append_batch(&whole).unwrap();
         // tear the physical group append at every byte boundary: replay
         // must always land on a prefix of whole records, never half a one
         let full = store.read("wal/0000000001.seg").unwrap();
@@ -814,12 +652,7 @@ mod tests {
             torn.create_dir_all("wal").unwrap();
             torn.write("wal/0000000001.seg", &full[..cut]).unwrap();
             let recs = replayed(&torn);
-            let whole: Vec<Vec<u8>> = vec![b"alpha".to_vec(), b"beta".to_vec(), b"gamma".to_vec()];
-            assert!(recs.len() <= whole.len());
-            for (i, (seq, payload)) in recs.iter().enumerate() {
-                assert_eq!(*seq, i as u64 + 1, "cut={cut}");
-                assert_eq!(payload, &whole[i], "cut={cut}: half-record replayed");
-            }
+            assert_eq!(recs[..], whole[..recs.len()], "cut={cut}");
         }
     }
 
@@ -828,7 +661,7 @@ mod tests {
         let store = mem();
         let clock = SimClock::new();
         let reg = Registry::new();
-        let mut wal = Wal::open(store.clone() as Arc<dyn FileStore>, "wal", |_, _| {}).unwrap();
+        let mut wal = open(&store);
         wal.set_telemetry(&reg, clock.clone());
         let payloads: Vec<Vec<u8>> = (0..10u32).map(|i| vec![b'r', i as u8]).collect();
         let s = wal.append_batch(&payloads).unwrap();
@@ -842,11 +675,7 @@ mod tests {
     #[test]
     fn empty_record_roundtrips() {
         let store = mem();
-        {
-            let mut wal = Wal::open(store.clone() as Arc<dyn FileStore>, "wal", |_, _| {}).unwrap();
-            wal.append(b"").unwrap();
-        }
-        let recs = replayed(&store);
-        assert_eq!(recs, vec![(1, vec![])]);
+        open(&store).append(b"").unwrap();
+        assert_eq!(replayed(&store), vec![Vec::<u8>::new()]);
     }
 }

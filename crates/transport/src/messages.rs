@@ -114,8 +114,8 @@ pub enum ReliableMsg {
 /// stale home can be told apart from the current one after a failover.
 /// `Replicate` is the server-to-server channel a failover-policy feed's
 /// deposits travel on; `BackfillPage` streams the failed home's delivery
-/// receipts (positioned by a receipt-WAL sequence cursor) to the new
-/// home so re-homed subscribers are backfilled exactly once.
+/// receipts, paged by file id, to the new home so re-homed subscribers
+/// are backfilled exactly once.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ClusterMsg {
     /// Server → directory: liveness beacon.
