@@ -132,10 +132,12 @@ stage_compress() {
 }
 
 # --workspace: without it clippy lints the root package alone, and a
-# warning in any crate's tests goes unseen.
+# warning in any crate's tests goes unseen. The doc build fails on any
+# rustdoc warning, so a doc link naming a deleted item fails the gate.
 stage_lint() {
   cargo clippy --offline --workspace --all-targets -- -D warnings
   cargo fmt --check
+  RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 }
 
 # Run a release experiment binary in quick mode from target/ci-bench, so

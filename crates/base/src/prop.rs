@@ -35,6 +35,8 @@
 //! shrunk candidate can fall outside the generator's domain; properties
 //! should therefore be total over structurally smaller inputs (they
 //! already are, in this workspace).
+//!
+//! [`prop_assert!`]: crate::prop_assert
 
 use crate::rng::{splitmix64, Rng};
 use std::fmt::Debug;

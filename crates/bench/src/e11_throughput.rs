@@ -244,7 +244,7 @@ pub fn bench_ingest_parallel(file_size: usize, samples: usize, workers: usize) -
 /// Rounds [`bench_par_arms`] measures every arm for.
 const PAR_ROUNDS: usize = 5;
 
-/// The `par{N}` arms for `workers`, each the quietest of [`PAR_ROUNDS`]
+/// The `par{N}` arms for `workers`, each the quietest of `PAR_ROUNDS`
 /// interleaved measurements (`par1, par2, …, par1, par2, …`; the round
 /// with the lowest median is kept). One arm's 30 samples span some
 /// 30 ms, and on a shared box a noisy spell that long is common: a

@@ -147,7 +147,8 @@ pub struct HomeEntry {
 }
 
 /// The feed-group → home-server map. Owned by [`Cluster`]; members see
-/// it only through `DirHome` / `DirAssign` messages.
+/// it only through the `DirAssign` the directory pushes to every live
+/// member on each (re)assignment.
 #[derive(Default)]
 pub struct Directory {
     homes: BTreeMap<String, HomeEntry>,
@@ -537,14 +538,12 @@ impl Cluster {
                 .last_heartbeat
                 .is_none_or(|t| now >= t + self.heartbeat_every);
             if due {
-                let epoch = member.view.values().map(|(_, e)| *e).max().unwrap_or(0);
                 self.net.send(
                     now,
                     &control_endpoint(name),
                     DIRECTORY_ENDPOINT,
                     Message::Cluster(ClusterMsg::Heartbeat {
                         server: name.clone(),
-                        epoch,
                     }),
                 );
                 member.last_heartbeat = Some(now);
@@ -570,7 +569,7 @@ impl Cluster {
     }
 
     /// Drain and apply all ready cluster-control messages: the
-    /// directory's inbox (heartbeats, lookups, backfill requests) and
+    /// directory's inbox (heartbeats, backfill requests) and
     /// every member's control inbox (assignments, replicas, backfill
     /// pages). Returns how many messages were processed. Multi-hop
     /// exchanges (assign → request → page → …) need one pump per
@@ -634,19 +633,6 @@ impl Cluster {
             }
         }
         Ok(())
-    }
-
-    /// Ask the directory (over the wire) where `group` lives; the
-    /// `DirHome` reply updates `server`'s view when pumped.
-    pub fn send_lookup(&self, server: &str, group: &str, now: TimePoint) {
-        self.net.send(
-            now,
-            &control_endpoint(server),
-            DIRECTORY_ENDPOINT,
-            Message::Cluster(ClusterMsg::DirLookup {
-                group: group.to_string(),
-            }),
-        );
     }
 
     /// A member's current view of a group: (home, epoch).
@@ -723,23 +709,9 @@ impl Cluster {
         now: TimePoint,
     ) -> Result<(), ClusterError> {
         match msg {
-            ClusterMsg::Heartbeat { server, .. } => {
+            ClusterMsg::Heartbeat { server } => {
                 self.last_seen.insert(server, at);
                 self.metrics.heartbeats.inc();
-            }
-            ClusterMsg::DirLookup { group } => {
-                if let Some(entry) = self.directory.homes.get(&group) {
-                    self.net.send(
-                        now,
-                        DIRECTORY_ENDPOINT,
-                        from,
-                        Message::Cluster(ClusterMsg::DirHome {
-                            group,
-                            home: entry.home.clone(),
-                            epoch: entry.epoch,
-                        }),
-                    );
-                }
             }
             ClusterMsg::BackfillRequest {
                 group,
@@ -983,8 +955,7 @@ impl Cluster {
                     None => self.metrics.replica_dropped.inc(),
                 }
             }
-            ClusterMsg::DirHome { group, home, epoch }
-            | ClusterMsg::DirAssign { group, home, epoch } => {
+            ClusterMsg::DirAssign { group, home, epoch } => {
                 let is_assign = {
                     let member = self.members.get_mut(name).expect("checked above");
                     let seen = member.view.get(&group).map(|(_, e)| *e).unwrap_or(0);
@@ -1204,21 +1175,6 @@ mod tests {
         assert_eq!(group_of("SNMP/CPU"), "SNMP");
         assert_eq!(group_of("SNMP/CPU/CORE"), "SNMP");
         assert_eq!(group_of("FLAT"), "FLAT");
-    }
-
-    #[test]
-    fn directory_lookup_over_the_wire_updates_member_view() {
-        let (clock, _net, mut cluster) = harness(&["s1", "s2"]);
-        cluster.assign("SNMP", "s1", &["s2"]).unwrap();
-        // s2 forgets and asks again (simulate a fresh view)
-        cluster.send_lookup("s2", "SNMP", clock.now());
-        // lookup + reply need two latency hops
-        for _ in 0..3 {
-            step(&clock, &mut cluster, TimeSpan::from_millis(10));
-        }
-        let (home, epoch) = cluster.view_of("s2", "SNMP").unwrap();
-        assert_eq!(home, "s1");
-        assert_eq!(epoch, cluster.directory().epoch());
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //!   subscriber and an rsync/cron-style stateless tree synchronizer.
 //! * `index` (crate-private) — the inverted feed→subscriber /
 //!   feed→group-plan / endpoint→subscriber delivery index that keeps
-//!   [`server::Server::ingest_prepared`]'s per-deposit match
+//!   `Server::ingest_prepared`'s per-deposit match
 //!   `O(matched)` instead of `O(subscribers)` (DESIGN.md §12.5).
 //! * [`relay`] — Bistro-as-subscriber-of-Bistro: the distributed feed
 //!   delivery network of §3.

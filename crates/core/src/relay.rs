@@ -13,8 +13,10 @@
 //! ingest them with its own classification/normalization/delivery — the
 //! full pipeline repeats per hop. Three protocol obligations live here:
 //!
-//! * only relay-relevant messages are drained ([`SimNetwork::recv_where`]);
-//!   unrelated traffic sharing the endpoint stays queued for its owner.
+//! * only delivery frames the *upstream* server sent are drained
+//!   ([`SimNetwork::recv_where`]); anything else sharing the endpoint —
+//!   cluster traffic, a pull subscriber's fetch request — stays queued
+//!   for its owner.
 //! * reliable [`ReliableMsg::Attempt`] envelopes are acknowledged on
 //!   *every* attempt, and redelivered payloads are suppressed against the
 //!   downstream receipt store (durable dedup: a relay restart cannot
@@ -82,20 +84,17 @@ impl Relay {
         now: TimePoint,
     ) -> Result<usize, ServerError> {
         let mut relayed = 0;
-        // drain only what a relay consumes; anything else addressed to
-        // this endpoint (cluster heartbeats, source notifications, acks
-        // owned by a co-located server) stays queued for its owner
+        // drain only the delivery frames upstream sent; anything else
+        // addressed to this endpoint (cluster heartbeats, acks owned by
+        // a co-located server, a pull subscriber's fetch request, which
+        // is a FileAvailable too) stays queued for its owner
         let batch = net.recv_where(downstream.name(), now, |d| {
             matches!(
                 &d.msg,
-                Message::Subscriber(
-                    SubscriberMsg::FileDelivered { .. } | SubscriberMsg::FileAvailable { .. }
-                ) | Message::Reliable(ReliableMsg::Attempt {
-                    inner: SubscriberMsg::FileDelivered { .. }
-                        | SubscriberMsg::FileAvailable { .. },
-                    ..
-                }) | Message::Group(GroupMsg::Deliver { .. })
-            )
+                Message::Subscriber(_)
+                    | Message::Reliable(ReliableMsg::Attempt { .. })
+                    | Message::Group(GroupMsg::Deliver { .. })
+            ) && *d.from == *upstream.name()
         });
         for delivery in batch {
             match delivery.msg {
@@ -115,15 +114,16 @@ impl Relay {
                     // this the upstream tracker retries until its
                     // attempt budget exhausts and falsely alarms.
                     if outcome != Deposit::Gone {
-                        if let Some(file) = file_of(&inner) {
-                            net.send(
-                                now,
-                                downstream.name(),
-                                &delivery.from,
-                                Message::Reliable(ReliableMsg::Ack { file, attempt }),
-                            );
-                            self.stats.acked += 1;
-                        }
+                        net.send(
+                            now,
+                            downstream.name(),
+                            &delivery.from,
+                            Message::Reliable(ReliableMsg::Ack {
+                                file: inner.file(),
+                                attempt,
+                            }),
+                        );
+                        self.stats.acked += 1;
                     }
                 }
                 Message::Group(GroupMsg::Deliver { group, file, .. }) => {
@@ -170,10 +170,7 @@ impl Relay {
         upstream: &Server,
         downstream: &mut Server,
     ) -> Result<Deposit, ServerError> {
-        let Some(file) = file_of(inner) else {
-            return Ok(Deposit::Gone);
-        };
-        let Some(rec) = upstream.receipts().file(file) else {
+        let Some(rec) = upstream.receipts().file(inner.file()) else {
             return Ok(Deposit::Gone); // expired upstream before relay
         };
         // the original *filename* is what downstream classifies; the
@@ -248,38 +245,13 @@ enum Deposit {
     Gone,
 }
 
-/// The file a delivery notification refers to.
-fn file_of(msg: &SubscriberMsg) -> Option<bistro_base::FileId> {
-    match msg {
-        SubscriberMsg::FileDelivered { file, .. } | SubscriberMsg::FileAvailable { file, .. } => {
-            Some(*file)
-        }
-        _ => None,
-    }
-}
-
-/// Pump deliveries from `upstream` to `downstream` through `net` as of
-/// simulated time `now`, with a throwaway [`Relay`]. Returns the number
-/// of files relayed. Deduplication is durable (it rides the downstream
-/// receipt store), so repeated calls through fresh relays stay
-/// exactly-once; hold a [`Relay`] instead when you want cumulative
-/// stats.
-pub fn pump(
-    net: &SimNetwork,
-    upstream: &Server,
-    downstream: &mut Server,
-    now: TimePoint,
-) -> Result<usize, ServerError> {
-    Relay::new().pump(net, upstream, downstream, now)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bistro_base::{Clock, SimClock, TimePoint, TimeSpan};
+    use bistro_base::{Clock, FileId, SimClock, TimePoint, TimeSpan};
     use bistro_config::parse_config;
     use bistro_transport::messages::ClusterMsg;
-    use bistro_transport::{LinkSpec, RetryPolicy, SimNetwork};
+    use bistro_transport::{LinkSpec, RetryPolicy, SimNetwork, SubscriberClient};
     use bistro_vfs::MemFs;
     use std::sync::Arc;
 
@@ -342,7 +314,9 @@ mod tests {
 
         // advance past network latency and pump the relay hop
         clock.advance(TimeSpan::from_secs(1));
-        let relayed = pump(&net, &hub, &mut edge, clock.now()).unwrap();
+        let relayed = Relay::new()
+            .pump(&net, &hub, &mut edge, clock.now())
+            .unwrap();
         assert_eq!(relayed, 1, "only MEMORY is subscribed by the edge");
 
         // the edge re-classified and delivered to its own subscriber
@@ -372,12 +346,13 @@ mod tests {
             "edge",
             Message::Cluster(ClusterMsg::Heartbeat {
                 server: "hub".to_string(),
-                epoch: 3,
             }),
         );
 
         clock.advance(TimeSpan::from_secs(1));
-        let relayed = pump(&net, &hub, &mut edge, clock.now()).unwrap();
+        let relayed = Relay::new()
+            .pump(&net, &hub, &mut edge, clock.now())
+            .unwrap();
         assert_eq!(relayed, 1);
 
         // the heartbeat survived the pump for whoever owns the endpoint
@@ -385,8 +360,62 @@ mod tests {
         assert_eq!(rest.len(), 1, "cluster message was eaten by the pump");
         assert!(matches!(
             rest[0].msg,
-            Message::Cluster(ClusterMsg::Heartbeat { epoch: 3, .. })
+            Message::Cluster(ClusterMsg::Heartbeat { .. })
         ));
+    }
+
+    /// Regression: a pull subscriber's fetch request is a
+    /// `FileAvailable` addressed to its server's endpoint, carrying that
+    /// server's file id. The pump drained it like an upstream delivery,
+    /// looked the id up in the *upstream* store and deposited whatever
+    /// file had that id there. Only frames sent by upstream are relayed.
+    #[test]
+    fn a_pull_subscribers_fetch_request_is_not_an_upstream_delivery() {
+        let clock = SimClock::starting_at(START);
+        let net = Arc::new(SimNetwork::new(LinkSpec::default()));
+        let (mut hub, _) = hub_edge(&clock, &net, None);
+        let edge_cfg = parse_config(
+            r#"
+            feed SNMP/MEMORY { pattern "MEMORY_poller%i_%Y%m%d.gz"; }
+            subscriber warehouse {
+                endpoint "warehouse";
+                subscribe SNMP/MEMORY;
+                delivery notify;
+            }
+            "#,
+        )
+        .unwrap();
+        let mut edge = Server::new(
+            "edge",
+            edge_cfg,
+            clock.clone(),
+            MemFs::shared(clock.clone()),
+        )
+        .unwrap()
+        .with_network(net.clone());
+        let mut relay = Relay::new();
+        let mut warehouse = SubscriberClient::new("warehouse", "edge");
+
+        // hub id 1 is a file the edge does not subscribe to; hub id 2
+        // is relayed and becomes edge id 1
+        hub.deposit("CPU_POLL1_201009250000.txt", b"cpu-data")
+            .unwrap();
+        hub.deposit("MEMORY_poller1_20100925.gz", b"memory-data")
+            .unwrap();
+        clock.advance(TimeSpan::from_secs(1));
+        assert_eq!(relay.pump(&net, &hub, &mut edge, clock.now()).unwrap(), 1);
+
+        clock.advance(TimeSpan::from_secs(1));
+        assert_eq!(warehouse.poll_notifications(&net, clock.now()), 1);
+        assert_eq!(warehouse.pending()[0].file, FileId(1));
+        // the fetch request for edge id 1 lands at the edge's endpoint
+        warehouse.fetch_all(&net, clock.now());
+        clock.advance(TimeSpan::from_secs(1));
+        assert_eq!(relay.pump(&net, &hub, &mut edge, clock.now()).unwrap(), 0);
+
+        assert_eq!(relay.stats().relayed, 1);
+        assert_eq!(edge.receipts().live_count(), 1);
+        assert!(!edge.store().exists("unknown/CPU_POLL1_201009250000.txt"));
     }
 
     /// Regression: under reliable delivery the pump never acknowledged

@@ -28,7 +28,8 @@ use bistro_receipts::{
 use bistro_telemetry::{
     AlarmRule, AlarmSet, Condition, Counter, Histogram, Json, Registry, SharedRegistry, Span,
 };
-use bistro_transport::messages::{BatchCloseReason, GroupMsg, Message, ReliableMsg, SubscriberMsg};
+use bistro_transport::batching::BatchCloseReason;
+use bistro_transport::messages::{GroupMsg, Message, ReliableMsg, SubscriberMsg};
 use bistro_transport::trigger::TriggerContext;
 use bistro_transport::{
     BatchOutcome, Batcher, Cohort, CohortSend, Coverage, GroupSend, RetryPolicy, RetryRound,

@@ -140,7 +140,6 @@ impl SubModel {
                     SubscriberMsg::FileAvailable {
                         file, staged_path, ..
                     } => (*file, base_name(staged_path)),
-                    SubscriberMsg::BatchComplete { .. } => return Ok(()),
                 };
                 self.record(name);
                 net.send(
@@ -159,7 +158,6 @@ impl SubModel {
                 self.record(base_name(&staged_path));
                 Ok(())
             }
-            Message::Subscriber(SubscriberMsg::BatchComplete { .. }) => Ok(()),
             other => Err(format!(
                 "subscriber {} received unexpected message {other:?}",
                 self.name
@@ -474,6 +472,8 @@ impl Model for SingleServer {
 /// the replica epoch fence disabled the checker finds that race as a
 /// duplicate wire delivery; with the fence (the default) it proves the
 /// race closed within the same bounds.
+///
+/// [`ClusterMsg::Replicate`]: bistro_transport::messages::ClusterMsg::Replicate
 pub struct ClusterFailover {
     clock: Arc<SimClock>,
     net: Arc<SimNetwork>,

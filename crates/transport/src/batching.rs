@@ -20,7 +20,16 @@
 use bistro_base::{FileId, TimePoint, TimeSpan};
 use bistro_config::BatchSpec;
 
-pub use crate::messages::BatchCloseReason;
+/// Why a batch boundary was emitted.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BatchCloseReason {
+    /// The configured file count was reached.
+    Count,
+    /// The configured time window elapsed.
+    Window,
+    /// The source sent end-of-batch punctuation.
+    Punctuation,
+}
 
 /// A closed batch ready for trigger invocation.
 #[derive(Clone, Debug, PartialEq, Eq)]

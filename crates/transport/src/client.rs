@@ -5,11 +5,16 @@
 //! will pull the data after relevant notifications are received at the
 //! time of their choosing."
 //!
-//! The wire protocol adds a fetch request/response pair to the message
-//! set; [`SubscriberClient`] tracks received [`FileAvailable`]
-//! notifications and issues fetches when the application decides to pull.
+//! [`SubscriberClient`] tracks received [`FileAvailable`] notifications
+//! and fetches when the application decides to pull. The fetch request
+//! is a header-only `FileAvailable` (size 0) sent from the subscriber to
+//! its server, carrying that server's file id; the reply is a
+//! [`FileDelivered`] carrying the payload. A relay drains only frames
+//! sent by its upstream server, so a fetch request addressed to a relay
+//! server is never mistaken for an upstream delivery.
 //!
 //! [`FileAvailable`]: crate::messages::SubscriberMsg::FileAvailable
+//! [`FileDelivered`]: crate::messages::SubscriberMsg::FileDelivered
 
 use crate::messages::{Message, ReliableMsg, SubscriberMsg};
 use crate::net::SimNetwork;
@@ -111,11 +116,7 @@ impl SubscriberClient {
         attempt: u32,
         inner: SubscriberMsg,
     ) -> bool {
-        let file = match &inner {
-            SubscriberMsg::FileDelivered { file, .. }
-            | SubscriberMsg::FileAvailable { file, .. } => *file,
-            SubscriberMsg::BatchComplete { .. } => return false, // not file-bearing
-        };
+        let file = inner.file();
         net.send(
             now,
             &self.endpoint,
@@ -148,7 +149,6 @@ impl SubscriberClient {
                     },
                 );
             }
-            SubscriberMsg::BatchComplete { .. } => unreachable!("filtered above"),
         }
         true
     }

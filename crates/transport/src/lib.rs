@@ -7,10 +7,11 @@
 //! transmission, but rather with the poor communication protocols used".
 //! This crate implements the protocols Bistro defines to fix that:
 //!
-//! * [`messages`] — the wire messages: source → server *deposit
-//!   notifications* and *end-of-batch punctuation* (the analogue of
-//!   stream punctuations), and server → subscriber *file / batch
-//!   notifications* for push and hybrid push-pull delivery;
+//! * [`messages`] — the wire messages: server → subscriber *file
+//!   deliveries and notifications* for push and hybrid push-pull
+//!   delivery, the reliable attempt/ack envelope, the cluster control
+//!   plane and group fan-out. Sources notify deposits and punctuate
+//!   batches through `Server` calls, not frames;
 //! * [`batching`] — the batch-boundary engine: count-based, time-based
 //!   and hybrid batch specs from the configuration language, plus
 //!   source punctuation, deciding when subscriber triggers fire (§2.3);
@@ -37,7 +38,7 @@ pub mod trigger;
 pub use adaptive::AdaptiveBatcher;
 pub use batching::{BatchOutcome, Batcher};
 pub use client::{PendingFile, SubscriberClient};
-pub use messages::{ClusterMsg, GroupMsg, Message, ReliableMsg, SourceMsg, SubscriberMsg};
+pub use messages::{ClusterMsg, GroupMsg, Message, ReliableMsg, SubscriberMsg};
 pub use net::{Delivery, FaultPlan, FaultSpec, LinkFlap, LinkSpec, PendingMessage, SimNetwork};
 pub use reliable::{
     Cohort, CohortSend, Coverage, GroupSend, Payload, Resend, RetryPolicy, RetryRound,

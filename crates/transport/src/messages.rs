@@ -4,32 +4,7 @@
 //! realistic byte sizes; a Bistro relay (a server subscribing to another
 //! server) exchanges exactly these messages.
 
-use bistro_base::{varint_len, BatchId, ByteReader, ByteWriter, CodecError, FileId, TimePoint};
-
-/// Messages a data source (or its lightweight client library) sends to a
-/// Bistro server.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SourceMsg {
-    /// "I have deposited a file in your landing directory."
-    Deposited {
-        /// Path within the landing directory.
-        path: String,
-        /// Payload size in bytes.
-        size: u64,
-    },
-    /// End-of-batch punctuation: every file of this source for the given
-    /// interval has been deposited (§4.1: "data source specific
-    /// end-of-batch markers perform a function very similar to stream
-    /// punctuations").
-    EndOfBatch {
-        /// The source's name.
-        source: String,
-        /// Start of the covered interval.
-        interval_start: TimePoint,
-        /// End of the covered interval.
-        interval_end: TimePoint,
-    },
-}
+use bistro_base::{varint_len, ByteReader, ByteWriter, CodecError, FileId};
 
 /// Messages a Bistro server sends to a subscriber.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -57,28 +32,6 @@ pub enum SubscriberMsg {
         /// Payload size.
         size: u64,
     },
-    /// A batch closed: fire the subscriber's trigger.
-    BatchComplete {
-        /// Batch identity.
-        batch: BatchId,
-        /// The feed the batch belongs to.
-        feed: String,
-        /// Files in the batch.
-        files: Vec<FileId>,
-        /// Why the batch closed.
-        reason: BatchCloseReason,
-    },
-}
-
-/// Why a batch boundary was emitted.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BatchCloseReason {
-    /// The configured file count was reached.
-    Count,
-    /// The configured time window elapsed.
-    Window,
-    /// The source sent end-of-batch punctuation.
-    Punctuation,
 }
 
 /// The acknowledgement/retry envelope for reliable delivery (§4.2).
@@ -109,9 +62,10 @@ pub enum ReliableMsg {
 
 /// Cluster control-plane and server↔server data-channel messages.
 ///
-/// The directory protocol (`DirLookup`/`DirHome`/`DirAssign`) maps feed
-/// groups to home servers and fences every assignment with an epoch so a
-/// stale home can be told apart from the current one after a failover.
+/// Members send `Heartbeat`s to the directory. The directory owns the
+/// feed-group → home map and pushes every change of it to each live
+/// member as a `DirAssign`, fenced by an epoch so a stale home can be
+/// told apart from the current one after a failover; no member asks.
 /// `Replicate` is the server-to-server channel a failover-policy feed's
 /// deposits travel on; `BackfillPage` streams the failed home's delivery
 /// receipts, paged by file id, to the new home so re-homed subscribers
@@ -122,22 +76,6 @@ pub enum ClusterMsg {
     Heartbeat {
         /// The sending server's name.
         server: String,
-        /// The directory epoch the sender last observed.
-        epoch: u64,
-    },
-    /// Any node → directory: who homes this feed group?
-    DirLookup {
-        /// Feed-group name (top-level feed-name prefix).
-        group: String,
-    },
-    /// Directory → asker: current home for the group.
-    DirHome {
-        /// Feed-group name.
-        group: String,
-        /// Home server name (empty = unassigned).
-        home: String,
-        /// Assignment epoch.
-        epoch: u64,
     },
     /// Directory → members: the group was (re-)assigned — a failover
     /// bumps the epoch, and members discard assignments with a stale one.
@@ -242,8 +180,6 @@ pub enum GroupMsg {
 /// Any protocol message (what travels on a [`crate::net::SimNetwork`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Message {
-    /// Source → server.
-    Source(SourceMsg),
     /// Server → subscriber.
     Subscriber(SubscriberMsg),
     /// The reliable-delivery envelope (either direction).
@@ -254,35 +190,13 @@ pub enum Message {
     Group(GroupMsg),
 }
 
-impl BatchCloseReason {
-    fn tag(self) -> u8 {
-        match self {
-            BatchCloseReason::Count => 0,
-            BatchCloseReason::Window => 1,
-            BatchCloseReason::Punctuation => 2,
-        }
-    }
-
-    fn from_tag(t: u8) -> Option<Self> {
-        match t {
-            0 => Some(BatchCloseReason::Count),
-            1 => Some(BatchCloseReason::Window),
-            2 => Some(BatchCloseReason::Punctuation),
-            _ => None,
-        }
-    }
-}
-
-const TAG_DEPOSITED: u8 = 1;
-const TAG_EOB: u8 = 2;
+// Tags 1, 2, 5, 9 and 10 are retired and never reused: a frame carrying
+// one fails decode with `BadTag`.
 const TAG_DELIVERED: u8 = 3;
 const TAG_AVAILABLE: u8 = 4;
-const TAG_BATCH: u8 = 5;
 const TAG_ATTEMPT: u8 = 6;
 const TAG_ACK: u8 = 7;
 const TAG_HEARTBEAT: u8 = 8;
-const TAG_DIR_LOOKUP: u8 = 9;
-const TAG_DIR_HOME: u8 = 10;
 const TAG_DIR_ASSIGN: u8 = 11;
 const TAG_REPLICATE: u8 = 12;
 const TAG_BACKFILL_REQ: u8 = 13;
@@ -297,6 +211,14 @@ fn prefixed(len: usize) -> usize {
 }
 
 impl SubscriberMsg {
+    /// The file the message delivers or announces.
+    pub fn file(&self) -> FileId {
+        match self {
+            SubscriberMsg::FileDelivered { file, .. }
+            | SubscriberMsg::FileAvailable { file, .. } => *file,
+        }
+    }
+
     fn encode_into(&self, w: &mut ByteWriter) {
         match self {
             SubscriberMsg::FileDelivered {
@@ -323,21 +245,6 @@ impl SubscriberMsg {
                 w.put_str(staged_path);
                 w.put_varint(*size);
             }
-            SubscriberMsg::BatchComplete {
-                batch,
-                feed,
-                files,
-                reason,
-            } => {
-                w.put_u8(TAG_BATCH);
-                w.put_varint(batch.raw());
-                w.put_str(feed);
-                w.put_u8(reason.tag());
-                w.put_varint(files.len() as u64);
-                for f in files {
-                    w.put_varint(f.raw());
-                }
-            }
         }
     }
 
@@ -360,15 +267,6 @@ impl SubscriberMsg {
                     + prefixed(path.len())
                     + varint_len(*size)
             }
-            SubscriberMsg::BatchComplete {
-                batch, feed, files, ..
-            } => {
-                1 + varint_len(batch.raw())
-                    + prefixed(feed.len())
-                    + 1
-                    + varint_len(files.len() as u64)
-                    + files.iter().map(|f| varint_len(f.raw())).sum::<usize>()
-            }
         }
     }
 }
@@ -378,21 +276,6 @@ impl Message {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::with_capacity(self.encoded_len());
         match self {
-            Message::Source(SourceMsg::Deposited { path, size }) => {
-                w.put_u8(TAG_DEPOSITED);
-                w.put_str(path);
-                w.put_varint(*size);
-            }
-            Message::Source(SourceMsg::EndOfBatch {
-                source,
-                interval_start,
-                interval_end,
-            }) => {
-                w.put_u8(TAG_EOB);
-                w.put_str(source);
-                w.put_u64(interval_start.as_micros());
-                w.put_u64(interval_end.as_micros());
-            }
             Message::Subscriber(inner) => inner.encode_into(&mut w),
             Message::Reliable(ReliableMsg::Attempt { attempt, inner }) => {
                 w.put_u8(TAG_ATTEMPT);
@@ -405,20 +288,9 @@ impl Message {
                 w.put_varint(file.raw());
                 w.put_varint(*attempt as u64);
             }
-            Message::Cluster(ClusterMsg::Heartbeat { server, epoch }) => {
+            Message::Cluster(ClusterMsg::Heartbeat { server }) => {
                 w.put_u8(TAG_HEARTBEAT);
                 w.put_str(server);
-                w.put_varint(*epoch);
-            }
-            Message::Cluster(ClusterMsg::DirLookup { group }) => {
-                w.put_u8(TAG_DIR_LOOKUP);
-                w.put_str(group);
-            }
-            Message::Cluster(ClusterMsg::DirHome { group, home, epoch }) => {
-                w.put_u8(TAG_DIR_HOME);
-                w.put_str(group);
-                w.put_str(home);
-                w.put_varint(*epoch);
             }
             Message::Cluster(ClusterMsg::DirAssign { group, home, epoch }) => {
                 w.put_u8(TAG_DIR_ASSIGN);
@@ -500,15 +372,6 @@ impl Message {
         let mut r = ByteReader::new(data);
         let tag = r.get_u8()?;
         let msg = match tag {
-            TAG_DEPOSITED => Message::Source(SourceMsg::Deposited {
-                path: r.get_str()?.to_string(),
-                size: r.get_varint()?,
-            }),
-            TAG_EOB => Message::Source(SourceMsg::EndOfBatch {
-                source: r.get_str()?.to_string(),
-                interval_start: TimePoint::from_micros(r.get_u64()?),
-                interval_end: TimePoint::from_micros(r.get_u64()?),
-            }),
             TAG_DELIVERED => Message::Subscriber(SubscriberMsg::FileDelivered {
                 file: FileId(r.get_varint()?),
                 feed: r.get_str()?.to_string(),
@@ -521,31 +384,6 @@ impl Message {
                 staged_path: r.get_str()?.to_string(),
                 size: r.get_varint()?,
             }),
-            TAG_BATCH => {
-                let batch = BatchId(r.get_varint()?);
-                let feed = r.get_str()?.to_string();
-                let reason_tag = r.get_u8()?;
-                let reason = BatchCloseReason::from_tag(reason_tag).ok_or(CodecError::BadTag {
-                    what: "batch close reason",
-                    tag: reason_tag,
-                })?;
-                let n = r.get_varint()?;
-                // each element costs ≥ 1 byte, so a count beyond the
-                // remaining input is a lie — reject before allocating
-                if n > r.remaining() as u64 {
-                    return Err(CodecError::BadLength { len: n });
-                }
-                let mut files = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    files.push(FileId(r.get_varint()?));
-                }
-                Message::Subscriber(SubscriberMsg::BatchComplete {
-                    batch,
-                    feed,
-                    files,
-                    reason,
-                })
-            }
             TAG_ATTEMPT => {
                 let attempt = r.get_varint()? as u32;
                 let inner_bytes = r.get_bytes()?;
@@ -567,15 +405,6 @@ impl Message {
             }),
             TAG_HEARTBEAT => Message::Cluster(ClusterMsg::Heartbeat {
                 server: r.get_str()?.to_string(),
-                epoch: r.get_varint()?,
-            }),
-            TAG_DIR_LOOKUP => Message::Cluster(ClusterMsg::DirLookup {
-                group: r.get_str()?.to_string(),
-            }),
-            TAG_DIR_HOME => Message::Cluster(ClusterMsg::DirHome {
-                group: r.get_str()?.to_string(),
-                home: r.get_str()?.to_string(),
-                epoch: r.get_varint()?,
             }),
             TAG_DIR_ASSIGN => Message::Cluster(ClusterMsg::DirAssign {
                 group: r.get_str()?.to_string(),
@@ -645,12 +474,6 @@ impl Message {
     /// its bytes was an allocation and a copy per send.
     pub fn encoded_len(&self) -> usize {
         match self {
-            Message::Source(SourceMsg::Deposited { path, size }) => {
-                1 + prefixed(path.len()) + varint_len(*size)
-            }
-            Message::Source(SourceMsg::EndOfBatch { source, .. }) => {
-                1 + prefixed(source.len()) + 8 + 8
-            }
             Message::Subscriber(inner) => inner.encoded_len(),
             Message::Reliable(ReliableMsg::Attempt { attempt, inner }) => {
                 1 + varint_len(*attempt as u64) + prefixed(inner.encoded_len())
@@ -658,14 +481,10 @@ impl Message {
             Message::Reliable(ReliableMsg::Ack { file, attempt }) => {
                 1 + varint_len(file.raw()) + varint_len(*attempt as u64)
             }
-            Message::Cluster(ClusterMsg::Heartbeat { server, epoch }) => {
-                1 + prefixed(server.len()) + varint_len(*epoch)
+            Message::Cluster(ClusterMsg::Heartbeat { server }) => 1 + prefixed(server.len()),
+            Message::Cluster(ClusterMsg::DirAssign { group, home, epoch }) => {
+                1 + prefixed(group.len()) + prefixed(home.len()) + varint_len(*epoch)
             }
-            Message::Cluster(ClusterMsg::DirLookup { group }) => 1 + prefixed(group.len()),
-            Message::Cluster(
-                ClusterMsg::DirHome { group, home, epoch }
-                | ClusterMsg::DirAssign { group, home, epoch },
-            ) => 1 + prefixed(group.len()) + prefixed(home.len()) + varint_len(*epoch),
             Message::Cluster(ClusterMsg::Replicate {
                 group,
                 name,
@@ -751,15 +570,6 @@ mod tests {
     #[test]
     fn roundtrip_all_variants() {
         let msgs = vec![
-            Message::Source(SourceMsg::Deposited {
-                path: "poller1/MEMORY_poller1_20100925.gz".to_string(),
-                size: 123_456,
-            }),
-            Message::Source(SourceMsg::EndOfBatch {
-                source: "poller1".to_string(),
-                interval_start: TimePoint::from_secs(1000),
-                interval_end: TimePoint::from_secs(1300),
-            }),
             Message::Subscriber(SubscriberMsg::FileDelivered {
                 file: FileId(7),
                 feed: "SNMP/MEMORY".to_string(),
@@ -771,12 +581,6 @@ mod tests {
                 feed: "SNMP/CPU".to_string(),
                 staged_path: "staging/SNMP/CPU/y.txt".to_string(),
                 size: 20,
-            }),
-            Message::Subscriber(SubscriberMsg::BatchComplete {
-                batch: BatchId(3),
-                feed: "SNMP/MEMORY".to_string(),
-                files: vec![FileId(1), FileId(2), FileId(3)],
-                reason: BatchCloseReason::Count,
             }),
             Message::Reliable(ReliableMsg::Attempt {
                 attempt: 3,
@@ -793,15 +597,6 @@ mod tests {
             }),
             Message::Cluster(ClusterMsg::Heartbeat {
                 server: "bistro-east".to_string(),
-                epoch: 4,
-            }),
-            Message::Cluster(ClusterMsg::DirLookup {
-                group: "SNMP".to_string(),
-            }),
-            Message::Cluster(ClusterMsg::DirHome {
-                group: "SNMP".to_string(),
-                home: "bistro-east".to_string(),
-                epoch: 4,
             }),
             Message::Cluster(ClusterMsg::DirAssign {
                 group: "SNMP".to_string(),
@@ -890,15 +685,6 @@ mod tests {
     /// decode sweeps below mutate each of these.
     fn every_variant() -> Vec<Message> {
         vec![
-            Message::Source(SourceMsg::Deposited {
-                path: "p/x.gz".to_string(),
-                size: 9,
-            }),
-            Message::Source(SourceMsg::EndOfBatch {
-                source: "poller1".to_string(),
-                interval_start: TimePoint::from_secs(1),
-                interval_end: TimePoint::from_secs(2),
-            }),
             Message::Subscriber(SubscriberMsg::FileDelivered {
                 file: FileId(7),
                 feed: "SNMP/MEMORY".to_string(),
@@ -910,12 +696,6 @@ mod tests {
                 feed: "SNMP/CPU".to_string(),
                 staged_path: "staging/y.txt".to_string(),
                 size: 20,
-            }),
-            Message::Subscriber(SubscriberMsg::BatchComplete {
-                batch: BatchId(3),
-                feed: "SNMP".to_string(),
-                files: vec![FileId(1), FileId(2)],
-                reason: BatchCloseReason::Window,
             }),
             Message::Reliable(ReliableMsg::Attempt {
                 attempt: 2,
@@ -932,15 +712,6 @@ mod tests {
             }),
             Message::Cluster(ClusterMsg::Heartbeat {
                 server: "s1".to_string(),
-                epoch: 4,
-            }),
-            Message::Cluster(ClusterMsg::DirLookup {
-                group: "SNMP".to_string(),
-            }),
-            Message::Cluster(ClusterMsg::DirHome {
-                group: "SNMP".to_string(),
-                home: "s1".to_string(),
-                epoch: 4,
             }),
             Message::Cluster(ClusterMsg::DirAssign {
                 group: "SNMP".to_string(),
@@ -983,19 +754,11 @@ mod tests {
 
     /// Every wire variant built from one tuple of arbitrary fields, so
     /// the length property below sweeps field magnitudes (varint widths,
-    /// empty and long strings) across all sixteen frames.
+    /// empty and long strings) across all eleven frames, with an
+    /// `Attempt` around each of the two subscriber frames.
     fn variants_from(a: u64, b: u64, s: &str, t: &str, list: &[u64]) -> Vec<Message> {
         let (s, t) = (s.to_string(), t.to_string());
         vec![
-            Message::Source(SourceMsg::Deposited {
-                path: s.clone(),
-                size: a,
-            }),
-            Message::Source(SourceMsg::EndOfBatch {
-                source: s.clone(),
-                interval_start: TimePoint::from_micros(a),
-                interval_end: TimePoint::from_micros(b),
-            }),
             Message::Subscriber(SubscriberMsg::FileDelivered {
                 file: FileId(a),
                 feed: s.clone(),
@@ -1008,12 +771,6 @@ mod tests {
                 staged_path: t.clone(),
                 size: b,
             }),
-            Message::Subscriber(SubscriberMsg::BatchComplete {
-                batch: BatchId(a),
-                feed: s.clone(),
-                files: list.iter().map(|&f| FileId(f)).collect(),
-                reason: BatchCloseReason::Punctuation,
-            }),
             Message::Reliable(ReliableMsg::Attempt {
                 attempt: b as u32,
                 inner: SubscriberMsg::FileDelivered {
@@ -1025,27 +782,18 @@ mod tests {
             }),
             Message::Reliable(ReliableMsg::Attempt {
                 attempt: a as u32,
-                inner: SubscriberMsg::BatchComplete {
-                    batch: BatchId(b),
+                inner: SubscriberMsg::FileAvailable {
+                    file: FileId(b),
                     feed: t.clone(),
-                    files: list.iter().map(|&f| FileId(f)).collect(),
-                    reason: BatchCloseReason::Count,
+                    staged_path: s.clone(),
+                    size: a,
                 },
             }),
             Message::Reliable(ReliableMsg::Ack {
                 file: FileId(a),
                 attempt: b as u32,
             }),
-            Message::Cluster(ClusterMsg::Heartbeat {
-                server: s.clone(),
-                epoch: a,
-            }),
-            Message::Cluster(ClusterMsg::DirLookup { group: s.clone() }),
-            Message::Cluster(ClusterMsg::DirHome {
-                group: s.clone(),
-                home: t.clone(),
-                epoch: a,
-            }),
+            Message::Cluster(ClusterMsg::Heartbeat { server: s.clone() }),
             Message::Cluster(ClusterMsg::DirAssign {
                 group: s.clone(),
                 home: t.clone(),
@@ -1194,45 +942,36 @@ mod tests {
 
     #[test]
     fn unknown_tags_rejected() {
-        for tag in [0u8, 17, 77, 255] {
-            assert!(
-                matches!(
-                    Message::decode(&[tag, 0, 0, 0]),
-                    Err(CodecError::BadTag { .. } | CodecError::TrailingBytes { .. })
-                ),
+        // 1, 2, 5, 9 and 10 are retired tags: never reused
+        for tag in [0u8, 1, 2, 5, 9, 10, 17, 77, 255] {
+            assert_eq!(
+                Message::decode(&[tag, 0, 0, 0]),
+                Err(CodecError::BadTag {
+                    what: "transport message",
+                    tag
+                }),
                 "unknown tag {tag} accepted"
             );
         }
         // a bad byte inside a well-tagged frame is reported as itself,
         // not as the frame tag that was fine
-        let mut w = bistro_base::ByteWriter::new();
-        w.put_u8(TAG_BATCH);
-        w.put_varint(3); // batch id
-        w.put_str("F");
-        w.put_u8(0xEE); // no such close reason
-        assert_eq!(
-            Message::decode(w.as_bytes()),
-            Err(CodecError::BadTag {
-                what: "batch close reason",
-                tag: 0xEE
-            })
-        );
+        for inner in [5u8, 0xEE] {
+            let mut w = bistro_base::ByteWriter::new();
+            w.put_u8(TAG_ATTEMPT);
+            w.put_varint(1);
+            w.put_bytes(&[inner]);
+            assert_eq!(
+                Message::decode(w.as_bytes()),
+                Err(CodecError::BadTag {
+                    what: "transport message",
+                    tag: inner
+                })
+            );
+        }
     }
 
     #[test]
     fn implausible_counts_rejected_before_allocation() {
-        // BatchComplete claiming 2^40 files in a 10-byte frame
-        let mut w = bistro_base::ByteWriter::new();
-        w.put_u8(TAG_BATCH);
-        w.put_varint(3); // batch id
-        w.put_str("F");
-        w.put_u8(0); // reason = Count
-        w.put_varint(1 << 40); // file count
-        assert!(matches!(
-            Message::decode(w.as_bytes()),
-            Err(CodecError::BadLength { .. })
-        ));
-
         // BackfillPage claiming more names than there are bytes
         let mut w = bistro_base::ByteWriter::new();
         w.put_u8(TAG_BACKFILL_PAGE);

@@ -530,11 +530,16 @@ impl SimNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::SourceMsg;
+    use crate::messages::SubscriberMsg;
+    use bistro_base::FileId;
 
+    /// A header-only frame: `size` is a header field, so the wire cost
+    /// stays a few bytes whatever it says.
     fn msg(size: u64) -> Message {
-        Message::Source(SourceMsg::Deposited {
-            path: "x".to_string(),
+        Message::Subscriber(SubscriberMsg::FileAvailable {
+            file: FileId(1),
+            feed: "F".to_string(),
+            staged_path: "x".to_string(),
             size,
         })
     }
@@ -549,7 +554,7 @@ mod tests {
             bandwidth: 1_000_000, // 1 MB/s
             latency: TimeSpan::from_millis(100),
         });
-        // Deposited msg wire size is header-only (~small)
+        // a notification's wire size is header-only (~small)
         let arrival = net.send(t(0), "a", "b", msg(0));
         assert!(arrival >= TimePoint::from_millis(100));
         assert!(arrival < TimePoint::from_millis(200));

@@ -5,7 +5,7 @@ use bistro_base::prop::{self, Runner};
 use bistro_base::rng::Rng;
 use bistro_base::{prop_assert, prop_assert_eq, FileId, TimePoint, TimeSpan};
 use bistro_config::BatchSpec;
-use bistro_transport::messages::{Message, SourceMsg, SubscriberMsg};
+use bistro_transport::messages::{Message, SubscriberMsg};
 use bistro_transport::{AdaptiveBatcher, Batcher, LinkSpec, SimNetwork};
 
 /// Arbitrary arrival schedule: (gap_ms to previous event, is_punctuation).
@@ -125,10 +125,6 @@ fn message_roundtrip() {
         |(path, size, file, feed)| {
             let (size, file) = (*size, *file);
             let msgs = vec![
-                Message::Source(SourceMsg::Deposited {
-                    path: path.clone(),
-                    size,
-                }),
                 Message::Subscriber(SubscriberMsg::FileDelivered {
                     file: FileId(file),
                     feed: feed.clone(),
@@ -177,8 +173,10 @@ fn network_causality() {
                     sent,
                     "a",
                     "b",
-                    Message::Source(SourceMsg::Deposited {
-                        path: "x".into(),
+                    Message::Subscriber(SubscriberMsg::FileAvailable {
+                        file: FileId(1),
+                        feed: "F".into(),
+                        staged_path: "x".into(),
                         size,
                     }),
                 );

@@ -8,7 +8,7 @@
 
 use bistro::base::{Clock, SimClock, TimePoint, TimeSpan};
 use bistro::config::parse_config;
-use bistro::server as core;
+use bistro::server::relay::Relay;
 use bistro::server::Server;
 use bistro::transport::{LinkSpec, SimNetwork};
 use bistro::vfs::MemFs;
@@ -103,8 +103,9 @@ fn main() {
     // let the WAN drain, then pump each relay hop
     clock.advance(TimeSpan::from_secs(5));
     let now = clock.now();
-    let n_atl = core::relay::pump(&net, &hub, &mut atlanta, now).unwrap();
-    let n_dal = core::relay::pump(&net, &hub, &mut dallas, now).unwrap();
+    let (mut to_atl, mut to_dal) = (Relay::new(), Relay::new());
+    let n_atl = to_atl.pump(&net, &hub, &mut atlanta, now).unwrap();
+    let n_dal = to_dal.pump(&net, &hub, &mut dallas, now).unwrap();
     println!("relayed: {n_atl} files → Atlanta (BPS only), {n_dal} files → Dallas (all)");
 
     clock.advance(TimeSpan::from_secs(5));

@@ -4,7 +4,7 @@
 
 use bistro::base::{Clock, FileId, SimClock, TimePoint, TimeSpan};
 use bistro::config::parse_config;
-use bistro::server::relay::pump;
+use bistro::server::relay::Relay;
 use bistro::server::Server;
 use bistro::transport::{LinkSpec, SimNetwork};
 use bistro::vfs::MemFs;
@@ -82,12 +82,17 @@ fn three_tier_relay_chain() {
     }
 
     // pump each hop in turn
+    let (mut relay1, mut relay2) = (Relay::new(), Relay::new());
     clock.advance(TimeSpan::from_secs(2));
-    let hop1 = pump(&net, &collector, &mut regional, clock.now()).unwrap();
+    let hop1 = relay1
+        .pump(&net, &collector, &mut regional, clock.now())
+        .unwrap();
     assert_eq!(hop1, 8, "regional subscribes to everything");
 
     clock.advance(TimeSpan::from_secs(2));
-    let hop2 = pump(&net, &regional, &mut edge, clock.now()).unwrap();
+    let hop2 = relay2
+        .pump(&net, &regional, &mut edge, clock.now())
+        .unwrap();
     assert_eq!(hop2, 4, "edge subscribes to MEMORY only");
 
     clock.advance(TimeSpan::from_secs(2));
@@ -129,18 +134,20 @@ fn relay_survives_downstream_outage() {
         net.clone(),
     );
 
+    let mut relay = Relay::new();
+
     // edge goes down (from the hub's perspective)
     hub.set_subscriber_online("edge", false).unwrap();
     for i in 0..5 {
         hub.deposit(&format!("f_{i}.csv"), b"x").unwrap();
     }
     clock.advance(TimeSpan::from_secs(5));
-    assert_eq!(pump(&net, &hub, &mut edge, clock.now()).unwrap(), 0);
+    assert_eq!(relay.pump(&net, &hub, &mut edge, clock.now()).unwrap(), 0);
 
     // recovery: hub backfills, relay pumps everything through
     hub.set_subscriber_online("edge", true).unwrap();
     clock.advance(TimeSpan::from_secs(5));
-    assert_eq!(pump(&net, &hub, &mut edge, clock.now()).unwrap(), 5);
+    assert_eq!(relay.pump(&net, &hub, &mut edge, clock.now()).unwrap(), 5);
     clock.advance(TimeSpan::from_secs(5));
     assert_eq!(net.recv_ready("app", clock.now()).len(), 5);
 }

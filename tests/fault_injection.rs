@@ -15,6 +15,7 @@ use bistro::base::prop_assert;
 use bistro::base::{Clock, SimClock, TimePoint, TimeSpan};
 use bistro::config::parse_config;
 use bistro::server::log::LogLevel;
+use bistro::server::relay::Relay;
 use bistro::server::Server;
 use bistro::transport::{
     FaultPlan, FaultSpec, LinkFlap, LinkSpec, RetryPolicy, SimNetwork, SubscriberClient,
@@ -268,6 +269,7 @@ fn run_relay_hop(seed: u64, files: usize) -> String {
         .iter()
         .map(|m| SubscriberClient::new(m, "edge"))
         .collect();
+    let mut relay = Relay::new();
 
     for round in 0..600 {
         clock.advance(TimeSpan::from_secs(1));
@@ -276,7 +278,7 @@ fn run_relay_hop(seed: u64, files: usize) -> String {
             hub.deposit(&format!("f_{round}.csv"), b"tree-bytes")
                 .unwrap();
         }
-        bistro::server::relay::pump(&net, &hub, &mut edge, now).unwrap();
+        relay.pump(&net, &hub, &mut edge, now).unwrap();
         for m in &mut members {
             m.poll_notifications(&net, now);
         }
