@@ -32,9 +32,12 @@ stage_test() {
 
 # Fault-injection suite, run explicitly and uncaptured so a failure
 # surfaces its replay seed (scenario asserts embed `seed 0x...`; the
-# property harness prints `BISTRO_PROP_SEED=...`).
+# property harness prints `BISTRO_PROP_SEED=...`). Then the fabric's
+# seeded properties: causality, and the inbox order against an ordered
+# map under drops, delayed duplicates, outages and take/drop/duplicate.
 stage_faults() {
   cargo test --offline --test fault_injection -- --nocapture
+  cargo test --offline -p bistro-transport --test prop_transport -- --nocapture
 }
 
 # Storage crash-point sweeps: replay the full pipeline crashing at every

@@ -6,6 +6,9 @@
 //! non-cryptographic hashing (dedup keys, hash-partitioning of files onto
 //! delivery workers).
 
+use crate::hash::FnvHasher;
+use std::hash::Hasher;
+
 /// Lookup tables for the reflected IEEE polynomial 0xEDB88320, for
 /// slicing-by-8: `TABLES[0]` is the classic byte-at-a-time table and
 /// `TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so
@@ -68,14 +71,12 @@ pub fn crc32(data: &[u8]) -> u32 {
     s ^ 0xFFFF_FFFF
 }
 
-/// One-shot FNV-1a 64-bit hash of a byte slice.
+/// One-shot FNV-1a 64-bit hash of a byte slice: one write through
+/// [`FnvHasher`], the streaming form maps hash with.
 pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
+    let mut hash = FnvHasher::default();
+    hash.write(data);
+    hash.finish()
 }
 
 #[cfg(test)]

@@ -16,9 +16,13 @@
 //!   whose member feed union contains that feed, ascending — identical
 //!   to enumerating the plan list in order.
 //! * `by_endpoint` — configured endpoint → the names sharing it, each
-//!   with its id (acks carry no name on the wire; the
-//!   lexicographically-first name is the resolution, matching the
-//!   scan-and-sort it replaces).
+//!   with its id. Acks carry no name on the wire: an ack resolves to the
+//!   first name on its endpoint, in name order, that still owes the
+//!   acked file, and to the first name when none does (a late
+//!   duplicate).
+//!
+//! All three are keyed by config feed and endpoint names, which this
+//! process picks, so they hash with FNV-1a ([`FnvHashMap`]).
 //!
 //! Postings hold the receipt store's durable subscriber ids
 //! ([`SubscriberId`]), the ids the server's subscriber table, the retry
@@ -39,9 +43,9 @@
 //! `status_json`, whose bytes are contract-equal between the indexed
 //! and scan delivery paths, and only the indexed path performs lookups.
 
-use bistro_base::{Bitmap, SubscriberId};
+use bistro_base::{Bitmap, FnvHashMap, SubscriberId};
 use bistro_telemetry::{Counter, Gauge, Registry};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Handles into the owning server's pool-telemetry registry, resolved
@@ -68,9 +72,9 @@ struct IndexMetrics {
 /// The inverted feed→subscriber / feed→plan / endpoint→subscriber
 /// index. See the module docs for the invariants.
 pub(crate) struct DeliveryIndex {
-    by_feed: HashMap<String, Bitmap>,
-    groups_by_feed: HashMap<String, BTreeSet<usize>>,
-    by_endpoint: HashMap<String, BTreeMap<String, SubscriberId>>,
+    by_feed: FnvHashMap<String, Bitmap>,
+    groups_by_feed: FnvHashMap<String, BTreeSet<usize>>,
+    by_endpoint: FnvHashMap<String, BTreeMap<String, SubscriberId>>,
     metrics: IndexMetrics,
 }
 
@@ -78,9 +82,9 @@ impl DeliveryIndex {
     /// An empty index recording its `index.*` tallies into `reg`.
     pub fn new(reg: &Registry) -> DeliveryIndex {
         DeliveryIndex {
-            by_feed: HashMap::new(),
-            groups_by_feed: HashMap::new(),
-            by_endpoint: HashMap::new(),
+            by_feed: FnvHashMap::default(),
+            groups_by_feed: FnvHashMap::default(),
+            by_endpoint: FnvHashMap::default(),
             metrics: IndexMetrics {
                 lookups: reg.counter("index.lookups"),
                 matched_subscribers: reg.counter("index.matched_subscribers"),
@@ -204,11 +208,21 @@ impl DeliveryIndex {
         (subscribers, plans)
     }
 
-    /// The subscriber an ack from `endpoint` resolves to: the
-    /// lexicographically-first registered name on that endpoint.
-    pub fn subscriber_for_endpoint(&self, endpoint: &str) -> Option<SubscriberId> {
-        let (_, &id) = self.by_endpoint.get(endpoint)?.first_key_value()?;
-        Some(id)
+    /// The subscriber an ack from `endpoint` resolves to: the first name
+    /// on it, in name order, that `owes` its ack, else the first name (a
+    /// late duplicate's resolution). An endpoint with one name never asks
+    /// `owes`.
+    pub fn ack_sender(
+        &self,
+        endpoint: &str,
+        mut owes: impl FnMut(SubscriberId) -> bool,
+    ) -> Option<SubscriberId> {
+        let mut ids = self.by_endpoint.get(endpoint)?.values().copied();
+        let first = ids.next()?;
+        if ids.len() == 0 || owes(first) {
+            return Some(first);
+        }
+        Some(ids.find(|&id| owes(id)).unwrap_or(first))
     }
 
     /// `(feed postings, endpoint postings)` currently live — the gauge
@@ -295,7 +309,7 @@ mod tests {
         idx.set_online(S(0), &feeds(&["A"]), false, false);
         assert!(matched(&idx, &["A"]).is_empty());
         // the endpoint posting survives offline: acks still resolve
-        assert_eq!(idx.subscriber_for_endpoint("h:1"), Some(S(0)));
+        assert_eq!(idx.ack_sender("h:1", |_| false), Some(S(0)));
 
         idx.set_online(S(0), &feeds(&["A"]), true, false);
         assert_eq!(matched(&idx, &["A"]), [0]);
@@ -308,13 +322,34 @@ mod tests {
         // ids follow registration, not names: the name decides
         idx.insert_subscriber(S(0), "late", &feeds(&["A"]), "shared:1", true, false);
         idx.insert_subscriber(S(1), "early", &feeds(&["A"]), "shared:1", true, false);
-        assert_eq!(idx.subscriber_for_endpoint("shared:1"), Some(S(1)));
+        assert_eq!(idx.ack_sender("shared:1", |_| false), Some(S(1)));
         idx.remove_subscriber(S(1), "early", &feeds(&["A"]), "shared:1");
-        assert_eq!(idx.subscriber_for_endpoint("shared:1"), Some(S(0)));
+        assert_eq!(idx.ack_sender("shared:1", |_| false), Some(S(0)));
         idx.remove_subscriber(S(0), "late", &feeds(&["A"]), "shared:1");
-        assert!(idx.subscriber_for_endpoint("shared:1").is_none());
+        assert!(idx.ack_sender("shared:1", |_| false).is_none());
         assert_eq!(idx.entry_counts(), (0, 0), "no postings may leak");
         assert!(idx.by_feed.is_empty() && idx.by_endpoint.is_empty());
+    }
+
+    #[test]
+    fn an_ack_resolves_to_the_first_name_still_owed() {
+        let reg = Registry::new();
+        let mut idx = DeliveryIndex::new(&reg);
+        idx.insert_subscriber(S(0), "b", &feeds(&["A"]), "shared", true, false);
+        idx.insert_subscriber(S(1), "a", &feeds(&["A"]), "shared", true, false);
+        idx.insert_subscriber(S(2), "c", &feeds(&["A"]), "shared", true, false);
+        idx.insert_subscriber(S(3), "solo", &feeds(&["A"]), "own", true, false);
+        assert_eq!(idx.ack_sender("shared", |_| true), Some(S(1)));
+        assert_eq!(idx.ack_sender("shared", |id| id != S(1)), Some(S(0)));
+        assert_eq!(idx.ack_sender("shared", |id| id == S(2)), Some(S(2)));
+        // owed by nobody (a late duplicate): the first name, as before
+        assert_eq!(idx.ack_sender("shared", |_| false), Some(S(1)));
+        // one name on the endpoint: resolved without asking
+        assert_eq!(
+            idx.ack_sender("own", |_| panic!("a lone name needs no owed check")),
+            Some(S(3))
+        );
+        assert_eq!(idx.ack_sender("nobody", |_| true), None);
     }
 
     #[test]

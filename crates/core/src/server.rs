@@ -999,11 +999,11 @@ impl Server {
         (names, plans)
     }
 
-    /// Endpoint→subscriber resolution — exposed for ack-lookup
-    /// regression tests (rename, re-home).
+    /// Endpoint→subscriber resolution of an ack no send still owes —
+    /// exposed for ack-lookup regression tests (rename, re-home).
     #[doc(hidden)]
     pub fn resolve_endpoint(&self, endpoint: &str) -> Option<String> {
-        let id = self.index.subscriber_for_endpoint(endpoint)?;
+        let id = self.index.ack_sender(endpoint, |_| false)?;
         Some(self.subscribers.get(id)?.def.name.clone())
     }
 
@@ -1368,8 +1368,13 @@ impl Server {
         match msg {
             Message::Reliable(ReliableMsg::Ack { file, .. }) => {
                 // acks carry no name on the wire: the sender's endpoint
-                // identifies the subscriber
-                let Some(sub) = self.index.subscriber_for_endpoint(from) else {
+                // identifies the subscriber, and among names sharing it,
+                // the first one still owed the file
+                let tracker = self.reliable.as_ref();
+                let owes = |id: SubscriberId| {
+                    tracker.is_some_and(|t| t.owed(file).any(|owed| owed.get(id.raw())))
+                };
+                let Some(sub) = self.index.ack_sender(from, owes) else {
                     return Ok(false);
                 };
                 let mut plan = None;

@@ -1476,3 +1476,44 @@ fn a_duplicate_ack_after_its_send_completed_writes_nothing() {
     assert_eq!(written(&server), before);
     assert_eq!(server.reliability_counters().0, 4, "every ack is counted");
 }
+
+#[test]
+fn two_reliable_subscribers_sharing_an_endpoint_both_complete() {
+    // An ack names a file, not a subscriber: the sender's endpoint does.
+    // Two subscribers on one endpoint each get their own send of the
+    // file and the client acks both; each ack must clear a pair the hub
+    // still owes, not the first name's twice — or the second is never
+    // receipted, then abandoned and flagged offline.
+    let cfg = r#"
+        feed F { pattern "f_%i.csv"; }
+        subscriber a { endpoint "shared"; subscribe F; delivery push; }
+        subscriber b { endpoint "shared"; subscribe F; delivery push; }
+    "#;
+    let clock = SimClock::starting_at(START);
+    let net = Arc::new(SimNetwork::new(LinkSpec::default()));
+    let mut server = Server::new(
+        "hub",
+        parse_config(cfg).unwrap(),
+        clock.clone(),
+        MemFs::shared(clock.clone()),
+    )
+    .unwrap()
+    .with_network(net.clone())
+    .with_reliable_delivery(bistro_transport::RetryPolicy::default(), 3);
+    let mut client = bistro_transport::SubscriberClient::new("shared", "hub");
+    server.deposit("f_1.csv", b"one").unwrap();
+    for _ in 0..40 {
+        clock.advance(TimeSpan::from_secs(30));
+        client.poll_notifications(&net, clock.now());
+        clock.advance(TimeSpan::from_secs(1));
+        server.poll_network().unwrap();
+        server.retry_tick().unwrap();
+    }
+    assert_eq!(client.acks_sent(), 2, "one send each, no resend");
+    assert_eq!(server.stats().deliveries, 2);
+    assert_eq!(server.unacked_count(), 0);
+    let feeds = ["F".to_string()];
+    assert!(server.receipts().pending_for("a", &feeds).is_empty());
+    assert!(server.receipts().pending_for("b", &feeds).is_empty());
+    assert!(logged(&server, LogLevel::Alarm, 0).is_empty());
+}

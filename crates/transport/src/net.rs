@@ -11,6 +11,20 @@
 //! FIFO per link) plus a fixed propagation latency. A message entering a
 //! link during an outage window is queued until the link recovers.
 //!
+//! ## Inbox order
+//!
+//! An endpoint's inbox is a queue in `(arrival, fabric seq)` order: by
+//! arrival time, and among equal arrivals by the fabric-wide sequence
+//! number each copy gets when it is enqueued. A send almost always
+//! arrives no earlier than the inbox's tail and is pushed at the back;
+//! one that arrives earlier (a faster link, a duplicate's `dup_delay`
+//! running out before later traffic) is inserted at its place. A drain
+//! ([`SimNetwork::recv_where`]) takes the arrived prefix and returns its
+//! matches in that order; the messages it leaves keep their order. So a
+//! message costs O(1) amortized to send and to drain, and every reader
+//! — drains, [`SimNetwork::next_arrival`], the model checker's
+//! [`SimNetwork::pending_messages`] — sees one order.
+//!
 //! ## Fault injection
 //!
 //! A seeded [`FaultPlan`] turns the fabric hostile: per-link message
@@ -22,8 +36,8 @@
 
 use crate::messages::Message;
 use bistro_base::sync::Mutex;
-use bistro_base::{Rng, TimePoint, TimeSpan};
-use std::collections::{BTreeMap, HashMap};
+use bistro_base::{FnvHashMap, Rng, TimePoint, TimeSpan};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Link characteristics.
@@ -171,18 +185,20 @@ struct Link {
     faults: Option<FaultSpec>,
 }
 
-/// An endpoint's inbox, ordered by arrival time then fabric sequence.
-type Inbox = BTreeMap<(TimePoint, u64), Delivery>;
+/// An endpoint's inbox: each message with its fabric sequence, in
+/// `(arrival, seq)` order (module docs, "Inbox order").
+type Inbox = VecDeque<(u64, Delivery)>;
 
 struct Inner {
     /// Endpoint name → dense id. A name is interned at its first
     /// mention, so a send names its two ends by id and stamps the
     /// sender on the message as a shared handle — no per-message copy
-    /// of either name.
-    ids: HashMap<Arc<str>, u32>,
+    /// of either name. Endpoint names and the id pairs of `links` are
+    /// picked by this process, so both hash with FNV-1a.
+    ids: FnvHashMap<Arc<str>, u32>,
     /// Per-endpoint name and inbox, indexed by id.
     endpoints: Vec<(Arc<str>, Inbox)>,
-    links: HashMap<(u32, u32), Link>,
+    links: FnvHashMap<(u32, u32), Link>,
     default_link: LinkSpec,
     faults: Option<FaultState>,
     seq: u64,
@@ -220,6 +236,9 @@ impl Inner {
         Some(&mut self.endpoints[id as usize].1)
     }
 
+    /// Queue a message for `to`: at the back when it arrives no earlier
+    /// than the tail (the fresh seq orders it after equal arrivals),
+    /// else after every message arriving no later than it.
     fn enqueue(&mut self, to: u32, at: TimePoint, from: &Arc<str>, msg: Message) {
         self.seq += 1;
         let delivery = Delivery {
@@ -227,9 +246,13 @@ impl Inner {
             from: from.clone(),
             msg,
         };
-        self.endpoints[to as usize]
-            .1
-            .insert((at, self.seq), delivery);
+        let inbox = &mut self.endpoints[to as usize].1;
+        if inbox.back().is_none_or(|(_, tail)| tail.at <= at) {
+            inbox.push_back((self.seq, delivery));
+        } else {
+            let pos = inbox.partition_point(|(_, d)| d.at <= at);
+            inbox.insert(pos, (self.seq, delivery));
+        }
     }
 }
 
@@ -243,9 +266,9 @@ impl SimNetwork {
     pub fn new(default_link: LinkSpec) -> SimNetwork {
         SimNetwork {
             inner: Mutex::new(Inner {
-                ids: HashMap::new(),
+                ids: FnvHashMap::default(),
                 endpoints: Vec::new(),
-                links: HashMap::new(),
+                links: FnvHashMap::default(),
                 default_link,
                 faults: None,
                 seq: 0,
@@ -374,9 +397,10 @@ impl SimNetwork {
     }
 
     /// Drain only the messages arrived at `endpoint` by `now` that match
-    /// `pred`; everything else stays queued. Lets a protocol client pick
-    /// its own responses out of the inbox without discarding unrelated
-    /// traffic that arrived in the same window.
+    /// `pred`, in `(arrival, seq)` order; everything else stays queued,
+    /// in its order. Lets a protocol client pick its own responses out of
+    /// the inbox without discarding unrelated traffic that arrived in the
+    /// same window.
     pub fn recv_where(
         &self,
         endpoint: &str,
@@ -387,10 +411,24 @@ impl SimNetwork {
         let Some(inbox) = inner.inbox(endpoint) else {
             return Vec::new();
         };
-        inbox
-            .extract_if(..=(now, u64::MAX), |_, d| pred(d))
-            .map(|(_, d)| d)
-            .collect()
+        let arrived = inbox.partition_point(|(_, d)| d.at <= now);
+        if arrived == 0 {
+            return Vec::new();
+        }
+        let mut out = Vec::with_capacity(arrived);
+        let mut kept = Vec::new();
+        for (seq, d) in inbox.drain(..arrived) {
+            if pred(&d) {
+                out.push(d);
+            } else {
+                kept.push((seq, d));
+            }
+        }
+        // the unmatched go back in front of what has not arrived yet
+        for queued in kept.into_iter().rev() {
+            inbox.push_front(queued);
+        }
+        out
     }
 
     /// Every message still in flight, across all endpoints, sorted by
@@ -405,11 +443,11 @@ impl SimNetwork {
             .endpoints
             .iter()
             .flat_map(|(endpoint, inbox)| {
-                inbox.iter().map(move |(&(at, seq), d)| PendingMessage {
+                inbox.iter().map(move |(seq, d)| PendingMessage {
                     endpoint: endpoint.to_string(),
-                    seq,
+                    seq: *seq,
                     from: d.from.to_string(),
-                    at,
+                    at: d.at,
                     msg: d.msg.clone(),
                 })
             })
@@ -424,8 +462,8 @@ impl SimNetwork {
     pub fn take_message(&self, endpoint: &str, seq: u64) -> Option<Delivery> {
         let mut inner = self.inner.lock();
         let inbox = inner.inbox(endpoint)?;
-        let key = inbox.keys().find(|&&(_, s)| s == seq).copied()?;
-        inbox.remove(&key)
+        let pos = inbox.iter().position(|&(s, _)| s == seq)?;
+        inbox.remove(pos).map(|(_, d)| d)
     }
 
     /// Silently discard the in-flight message addressed by
@@ -450,7 +488,7 @@ impl SimNetwork {
         let copy = inner.endpoints[to as usize]
             .1
             .iter()
-            .find(|(&(_, s), _)| s == seq)
+            .find(|&&(s, _)| s == seq)
             .map(|(_, d)| d.clone())?;
         inner.enqueue(to, copy.at, &copy.from, copy.msg);
         inner.messages_duplicated += 1;
@@ -470,7 +508,7 @@ impl SimNetwork {
             .endpoints
             .iter()
             .flat_map(|(endpoint, inbox)| {
-                inbox.values().map(move |d| {
+                inbox.iter().map(move |(_, d)| {
                     let mut bytes = Vec::with_capacity(64);
                     bytes.extend_from_slice(endpoint.as_bytes());
                     bytes.push(0);
@@ -493,7 +531,7 @@ impl SimNetwork {
     /// driver advance the clock to the next interesting instant.
     pub fn next_arrival(&self, endpoint: &str) -> Option<TimePoint> {
         let mut inner = self.inner.lock();
-        inner.inbox(endpoint)?.keys().next().map(|(t, _)| *t)
+        inner.inbox(endpoint)?.front().map(|(_, d)| d.at)
     }
 
     /// Earliest pending arrival across all endpoints.
@@ -502,7 +540,7 @@ impl SimNetwork {
         inner
             .endpoints
             .iter()
-            .filter_map(|(_, b)| b.keys().next().map(|(t, _)| *t))
+            .filter_map(|(_, inbox)| inbox.front().map(|(_, d)| d.at))
             .min()
     }
 
