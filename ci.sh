@@ -53,14 +53,20 @@ stage_faults() {
 # fired past it, the lost suffix is a resend the clients dedup), and
 # from two runtime `add_subscriber`s to the first set that puts their
 # ids on record (the store reopens, a durable id survives registering
-# again, backfill is exactly-once).
+# again, backfill is exactly-once), and of a run whose receipt store
+# snapshots itself under its checkpoint rule (a reopen replays at most
+# the threshold plus one commit).
 # Uncaptured so a failure echoes its `seed=... crash_op=...` replay key.
 # Then the receipt crate's own suite: the on-disk format (record tags,
-# snapshot version, torn frames, a crash between snapshot and prune) is
-# tested there, and the root package's `cargo test` does not run it.
+# snapshot version, torn frames, a crash between snapshot and prune) and
+# the checkpoint rule's property test are there, and the root package's
+# `cargo test` does not run it. Last, the real-disk suite: a `DiskFs`
+# store past the checkpoint threshold holds only its snapshot and the
+# segments it does not cover.
 stage_crash() {
   cargo test --offline --test crash_points -- --nocapture
   cargo test --offline -p bistro-receipts -- --nocapture
+  cargo test --offline --test on_disk -- --nocapture
 }
 
 # Distributed suite: the relay network plus the seeded multi-server

@@ -27,7 +27,8 @@
 //!   of the delivery tree is durably covered (cascaded backfill).
 
 use crate::server::{Server, ServerError};
-use bistro_base::TimePoint;
+use bistro_base::{FileId, SubscriberId, TimePoint};
+use bistro_receipts::ReceiptStore;
 use bistro_transport::messages::{GroupMsg, Message, ReliableMsg, SubscriberMsg};
 use bistro_transport::{Coverage, SimNetwork};
 use std::collections::HashMap;
@@ -49,13 +50,51 @@ pub struct RelayStats {
 /// struct itself is stateless between calls — deduplication rides the
 /// downstream receipt store, so it survives relay restarts — but it
 /// accumulates [`RelayStats`] for observability and memoizes each
-/// group's sorted member list (the coverage-report order), which is
-/// pure config: re-sorting it on every ack made each group ack
-/// `O(M log M)` in the member count.
+/// group's members: the sorted member list (the coverage-report
+/// order, pure config) and the members' durable ids in the downstream
+/// store, so a coverage report is one read of the file's delivered set.
 #[derive(Debug, Default)]
 pub struct Relay {
     stats: RelayStats,
-    sorted_members: HashMap<String, Vec<String>>,
+    members: HashMap<String, Members>,
+}
+
+/// A relay group's members in coverage-report order — sorted, as the
+/// upstream fan-out plan orders them — and each one's id in the
+/// downstream receipt store once that id is on record. An id off the
+/// record is looked up again on every report: no delivered set holds it
+/// yet, and a downstream restart may renumber it.
+#[derive(Debug)]
+struct Members {
+    names: Vec<String>,
+    ids: Vec<Option<SubscriberId>>,
+}
+
+impl Members {
+    fn sorted(names: &[String]) -> Members {
+        let mut names = names.to_vec();
+        names.sort();
+        let ids = vec![None; names.len()];
+        Members { names, ids }
+    }
+
+    /// The members `file` is delivered to in `receipts`, or `None` if
+    /// the file is not live there.
+    fn coverage(&mut self, receipts: &ReceiptStore, file: FileId) -> Option<Coverage> {
+        for (name, id) in self.names.iter().zip(&mut self.ids) {
+            if id.is_none() {
+                *id = receipts.recorded_subscriber_id(name);
+            }
+        }
+        let delivered = receipts.delivered_ids(file)?;
+        let mut coverage = Coverage::new(self.names.len() as u32);
+        for (i, id) in self.ids.iter().enumerate() {
+            if id.is_some_and(|id| delivered.get(id.raw())) {
+                coverage.set(i as u32);
+            }
+        }
+        Some(coverage)
+    }
 }
 
 impl Relay {
@@ -215,20 +254,12 @@ impl Relay {
         let local = downstream.receipts().file_by_name(name)?;
         // group membership is fixed at config time, so the sorted order
         // is computed once per group, not once per ack
-        let members = self
-            .sorted_members
-            .entry(group.to_string())
-            .or_insert_with(|| {
-                let mut m = def.members.clone();
-                m.sort();
-                m
-            });
-        let mut coverage = Coverage::new(members.len() as u32);
-        for (i, member) in members.iter().enumerate() {
-            if downstream.receipts().is_delivered(local.id, member) {
-                coverage.set(i as u32);
-            }
+        if !self.members.contains_key(group) {
+            let members = Members::sorted(&def.members);
+            self.members.insert(group.to_string(), members);
         }
+        let members = self.members.get_mut(group)?;
+        let coverage = members.coverage(downstream.receipts(), local.id)?;
         let watermark = u64::from(coverage.watermark());
         Some((coverage.bits().to_vec(), watermark))
     }
@@ -530,6 +561,56 @@ mod tests {
         clock.advance(TimeSpan::from_secs(1));
         assert_eq!(net.recv_ready("wh1", clock.now()).len(), 1);
         assert_eq!(net.recv_ready("wh2", clock.now()).len(), 1);
+    }
+
+    /// A coverage report read from the file's delivered set through the
+    /// members' cached ids equals the by-name computation — one lookup
+    /// per member — for a member never registered, one registered but
+    /// not on record, and one whose record lands later.
+    #[test]
+    fn coverage_from_cached_ids_matches_the_by_name_computation() {
+        let clock = SimClock::starting_at(START);
+        let receipts = ReceiptStore::open(MemFs::shared(clock.clone()), "r").unwrap();
+        let names = ["wh3", "ghost", "wh1", "wh2"].map(String::from);
+        let mut members = Members::sorted(&names);
+        let [wh1, wh2, wh3] = ["wh1", "wh2", "wh3"].map(|n| receipts.register_subscriber(n));
+        let arrive = |name: &str| {
+            let feeds = vec!["F".to_string()];
+            (receipts.record_arrival(name, name, 1, clock.now(), None, feeds)).unwrap()
+        };
+        let (a, b) = (arrive("a"), arrive("b"));
+        let report = |c: Coverage| (c.bits().to_vec(), c.watermark());
+        let sorted = members.names.clone();
+        let by_name = |file: FileId| {
+            let mut coverage = Coverage::new(4);
+            for (i, member) in sorted.iter().enumerate() {
+                if receipts.is_delivered(file, member) {
+                    coverage.set(i as u32);
+                }
+            }
+            Some(report(coverage))
+        };
+        let expect = by_name(a);
+        assert_eq!(members.coverage(&receipts, a).map(report), expect);
+
+        receipts
+            .record_deliveries([(a, wh1), (a, wh2)], clock.now())
+            .unwrap();
+        let expect = by_name(a);
+        assert_eq!(members.coverage(&receipts, a).map(report), expect);
+        assert_eq!(
+            members.ids,
+            [None, Some(wh1), Some(wh2), None],
+            "wh3 is off the record"
+        );
+
+        receipts.record_deliveries([(b, wh3)], clock.now()).unwrap();
+        for file in [a, b] {
+            let expect = by_name(file);
+            assert_eq!(members.coverage(&receipts, file).map(report), expect);
+        }
+        assert_eq!(members.ids, [None, Some(wh1), Some(wh2), Some(wh3)]);
+        assert!(members.coverage(&receipts, FileId(99)).is_none());
     }
 
     /// Regression: a group send completed only when its coverage held

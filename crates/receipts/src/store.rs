@@ -6,6 +6,16 @@
 //! segments it does not cover. The snapshot names the first of those, so
 //! a crash between snapshotting and pruning replays nothing it covers.
 //!
+//! The store takes its own snapshots by one rule (see
+//! [`ReceiptStore::snapshot`] for what one is): after each commit that
+//! wrote a record — a group-commit window's end, or a write outside a
+//! window — it snapshots once the WAL the last snapshot does not cover
+//! outgrows `max(one WAL segment, 4 × that snapshot)`. What a reopen
+//! replays is therefore at most that threshold plus the commit in flight,
+//! however long the store has run and however often it crashed, and a
+//! snapshot costs at most a quarter of the WAL bytes written since the
+//! one before.
+//!
 //! `delivery_receipts` is one set per file. The store hands out the
 //! durable subscriber ids: [`ReceiptStore::register_subscriber`] interns
 //! a name to a dense [`SubscriberId`] (never reused) without writing, and
@@ -26,6 +36,7 @@ use bistro_base::sync::Mutex;
 use bistro_base::{
     Bitmap, ByteReader, ByteWriter, CodecError, FileId, IdGen, SubscriberId, TimePoint,
 };
+use bistro_telemetry::Counter;
 use bistro_vfs::{FileStore, VfsError};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -342,6 +353,8 @@ pub struct RecoveryInfo {
     pub snapshot_records: u64,
     /// Records replayed from the WAL.
     pub wal_records: u64,
+    /// Bytes of the WAL records replayed, frame headers included.
+    pub wal_bytes: u64,
     /// Intact WAL records of a known kind that did not decode or
     /// contradicted the name table, and were skipped. Never expected;
     /// whatever they recorded is re-done (a receipt: re-delivered).
@@ -376,6 +389,27 @@ pub struct ReceiptStore {
 struct Inner {
     log: Log,
     tables: Tables,
+    /// Bytes of `snapshot.bin` as the last `open` found it or the last
+    /// snapshot wrote it; 0 while there is none.
+    snapshot_bytes: u64,
+    /// `receipts.checkpoints`, once telemetry is attached.
+    checkpoints: Option<Arc<Counter>>,
+}
+
+/// The checkpoint rule's multiple: the store snapshots once the WAL the
+/// last snapshot does not cover exceeds this many times that snapshot's
+/// bytes (and one segment), so a snapshot costs at most `1 / CHECKPOINT_RATIO`
+/// of the WAL bytes it retires.
+const CHECKPOINT_RATIO: u64 = 4;
+
+impl Inner {
+    /// The checkpoint threshold: `max(one segment, CHECKPOINT_RATIO × the
+    /// last snapshot)`. The store snapshots once the WAL a reopen would
+    /// replay — counting the records the last open replayed — exceeds it.
+    fn checkpoint_threshold(&self) -> u64 {
+        let floor = self.log.wal.segment_bytes();
+        floor.max(CHECKPOINT_RATIO * self.snapshot_bytes)
+    }
 }
 
 /// The WAL and the group-commit buffer in front of it.
@@ -498,11 +532,12 @@ impl ReceiptStore {
         }
 
         let snap_path = format!("{dir}/snapshot.bin");
-        let (mut high_water, mut first_segment) = (0, 1);
+        let (mut high_water, mut first_segment, mut snapshot_bytes) = (0, 1, 0);
         if store.exists(&snap_path) {
             let data = store.read(&snap_path)?;
             let n;
             (high_water, first_segment, n) = Self::load_snapshot(&data, &mut tables)?;
+            snapshot_bytes = data.len() as u64;
             recovery.snapshot_loaded = true;
             recovery.snapshot_records = n;
         }
@@ -522,6 +557,7 @@ impl ReceiptStore {
         if let Some(e) = unknown {
             return Err(e);
         }
+        recovery.wal_bytes = wal.bytes();
 
         // Never reissue an id: resume past the snapshot's high-water mark
         // (which covers allocations burned by failed appends) and past
@@ -535,6 +571,8 @@ impl ReceiptStore {
             inner: Mutex::new(Inner {
                 log: Log { wal, group: None },
                 tables,
+                snapshot_bytes,
+                checkpoints: None,
             }),
             ids,
             recovery,
@@ -589,8 +627,9 @@ impl ReceiptStore {
     }
 
     /// Attach `wal.*` telemetry (append/rotation counters, durable-write
-    /// latency histogram timed on `clock`) to the underlying WAL, and
-    /// publish what recovery found as `recovery.*` counters.
+    /// latency histogram timed on `clock`) to the underlying WAL, count
+    /// the snapshots the checkpoint rule takes as `receipts.checkpoints`,
+    /// and publish what recovery found as `recovery.*` counters.
     pub fn set_telemetry(&self, reg: &bistro_telemetry::Registry, clock: bistro_base::SharedClock) {
         reg.counter("recovery.snapshot_records")
             .add(self.recovery.snapshot_records);
@@ -602,7 +641,16 @@ impl ReceiptStore {
         if self.recovery.tmp_discarded {
             torn.inc();
         }
-        self.inner.lock().log.wal.set_telemetry(reg, clock);
+        let mut inner = self.inner.lock();
+        inner.log.wal.set_telemetry(reg, clock);
+        inner.checkpoints = Some(reg.counter("receipts.checkpoints"));
+    }
+
+    /// Override the WAL segment size, which is also the checkpoint
+    /// rule's floor: tests reach the threshold with small segments.
+    #[doc(hidden)]
+    pub fn set_segment_bytes(&self, bytes: u64) {
+        self.inner.lock().log.wal.set_segment_bytes(bytes);
     }
 
     /// Enter a group-commit window: subsequent records buffer their WAL
@@ -638,7 +686,8 @@ impl ReceiptStore {
         self.inner.lock().log.flush()
     }
 
-    /// Leave the group-commit window, flushing anything still buffered.
+    /// Leave the group-commit window, flushing anything still buffered,
+    /// and apply the checkpoint rule if the window logged anything.
     /// Returns how the window was committed. The window is closed even if
     /// the final flush fails (the error is returned and the store must be
     /// treated as crashed, per the WAL error contract).
@@ -646,7 +695,26 @@ impl ReceiptStore {
         let mut inner = self.inner.lock();
         let flushed = inner.log.flush();
         let stats = inner.log.group.take().map(|g| g.stats).unwrap_or_default();
-        flushed.map(|()| stats)
+        flushed?;
+        if stats.records > 0 {
+            self.committed(&mut inner)?;
+        }
+        Ok(stats)
+    }
+
+    /// A write that logged at least one record has applied it. Outside a
+    /// group-commit window that is a commit, and the checkpoint rule is
+    /// applied; inside one, the window's end is the commit. A checkpoint
+    /// that fails returns its error, though the commit's records are
+    /// durable.
+    fn committed(&self, inner: &mut Inner) -> Result<(), ReceiptError> {
+        if inner.log.group.is_none() && inner.log.wal.bytes() > inner.checkpoint_threshold() {
+            self.write_snapshot(inner)?;
+            if let Some(c) = &inner.checkpoints {
+                c.inc();
+            }
+        }
+        Ok(())
     }
 
     /// Log one record, then apply it to the tables.
@@ -658,7 +726,7 @@ impl ReceiptStore {
         let mut inner = self.inner.lock();
         inner.log.append(bytes)?;
         apply(&mut inner.tables);
-        Ok(())
+        self.committed(&mut inner)
     }
 
     /// [`ReceiptStore::record_arrival`] from a pre-serialized
@@ -804,6 +872,7 @@ impl ReceiptStore {
             let f = tables.files.get_mut(&file.raw());
             tables.delivery_count += f.expect("found live above").deliver(bits.bytes());
         }
+        self.committed(inner)?;
         Ok(outcomes)
     }
 
@@ -913,6 +982,24 @@ impl ReceiptStore {
             (Some(f), Some(id)) => f.delivered.get(id),
             _ => false,
         }
+    }
+
+    /// The ids of the subscribers `file` has been delivered to, if it is
+    /// live: every receipt of the file in one read.
+    pub fn delivered_ids(&self, file: FileId) -> Option<Bitmap> {
+        let tables = &self.inner.lock().tables;
+        tables.files.get(&file.raw()).map(|f| f.delivered.clone())
+    }
+
+    /// The id of `name` if its `Subscriber` record is durable. Only such
+    /// ids are in delivered sets, and only they are fixed for good: a
+    /// name registered but not on record may get another id after a
+    /// crash, and its old id another name.
+    pub fn recorded_subscriber_id(&self, name: &str) -> Option<SubscriberId> {
+        let names = &self.inner.lock().tables.names;
+        (names.id(name))
+            .filter(|&id| (id as usize) < names.recorded)
+            .map(SubscriberId)
     }
 
     /// The delivery receipts of the live files whose id is above `after`,
@@ -1032,15 +1119,19 @@ impl ReceiptStore {
     /// removed. The WAL rotates first, so the snapshot covers every
     /// segment below the active one and records the active one's number:
     /// a crash after the snapshot lands and before the prune leaves
-    /// segments that the next open removes unread.
+    /// segments that the next open removes unread. The store also takes
+    /// one by itself, under the checkpoint rule (module docs).
     ///
     /// Body: the subscriber table first (every id a delivery names, in
     /// order — a name only registered stays off the record), then per
     /// live file its arrival, its delivery set if it has one, and its
     /// group marks.
     pub fn snapshot(&self) -> Result<usize, ReceiptError> {
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
+        self.write_snapshot(&mut self.inner.lock())
+    }
+
+    /// [`ReceiptStore::snapshot`] under the store's lock.
+    fn write_snapshot(&self, inner: &mut Inner) -> Result<usize, ReceiptError> {
         // a snapshot inside a group window must not cover records that
         // are buffered but not yet durable: flush them first
         inner.log.flush()?;
@@ -1099,6 +1190,7 @@ impl ReceiptStore {
         let dst = format!("{}/snapshot.bin", self.dir);
         self.store.write(&tmp, &out)?;
         self.store.replace(&tmp, &dst)?;
+        inner.snapshot_bytes = out.len() as u64;
         // every name a delivery names is on record now, whatever the log
         // goes on to lose
         inner.tables.names.recorded = named;
@@ -1990,6 +2082,84 @@ mod tests {
             db.group_coverage(f2, "G").is_none(),
             "expiration drops the file's group marks"
         );
+    }
+
+    /// The checkpoint threshold as the store sees it, and the WAL bytes
+    /// it counts against it.
+    fn rule(db: &ReceiptStore) -> (u64, u64) {
+        let inner = db.inner.lock();
+        (inner.checkpoint_threshold(), inner.log.wal.bytes())
+    }
+
+    /// The rule is checked only where a commit that wrote something
+    /// ends: never inside a group-commit window, never after a window or
+    /// a drain that logged nothing, and never by `open` — a second
+    /// instance opened to look at a live store must not prune segments
+    /// the live one still appends to. What `open` replayed counts.
+    #[test]
+    fn the_rule_is_checked_only_where_a_commit_that_wrote_ends() {
+        let store = MemFs::shared(SimClock::new());
+        let db = open(&store);
+        db.set_segment_bytes(64);
+        db.begin_group();
+        let f = arrive(&db, "a.csv", &["F"], 1);
+        for i in 0..9 {
+            arrive(&db, &format!("f{i}.csv"), &["F"], i);
+            db.flush_group().unwrap();
+        }
+        assert!(rule(&db).1 > rule(&db).0, "past the threshold");
+        assert!(
+            !store.exists("receipts/snapshot.bin"),
+            "not inside a window"
+        );
+        drop(db); // the window never ends
+
+        let writes = store.stats().snapshot().writes;
+        let db = open(&store);
+        let replayed = db.recovery_info().wal_bytes;
+        assert_eq!(
+            store.stats().snapshot().writes,
+            writes,
+            "open writes nothing"
+        );
+        db.set_segment_bytes(64);
+        assert_eq!(rule(&db).1, replayed, "what open replayed counts");
+        db.begin_group();
+        db.end_group().unwrap();
+        let sub = db.register_subscriber("s");
+        db.record_deliveries([(FileId(999), sub)], TimePoint::from_secs(2))
+            .unwrap();
+        assert!(
+            !store.exists("receipts/snapshot.bin"),
+            "a commit that wrote nothing does not check"
+        );
+        db.record_deliveries([(f, sub)], TimePoint::from_secs(2))
+            .unwrap();
+        assert!(store.exists("receipts/snapshot.bin"));
+        assert_eq!(rule(&db).1, 0);
+        assert!(wal_dump(&store).is_empty(), "every segment covered");
+    }
+
+    /// A window's end is its commit: a window that crosses the threshold
+    /// snapshots once, at `end_group`, covering every record it logged.
+    #[test]
+    fn a_window_that_crosses_the_threshold_snapshots_at_its_end() {
+        let store = MemFs::shared(SimClock::new());
+        let db = open(&store);
+        let reg = bistro_telemetry::Registry::new();
+        db.set_telemetry(&reg, SimClock::new());
+        db.set_segment_bytes(128);
+        db.begin_group();
+        for i in 0..8 {
+            arrive(&db, &format!("f{i}.csv"), &["F"], i);
+        }
+        assert_eq!(reg.counter_value("receipts.checkpoints"), Some(0));
+        let stats = db.end_group().unwrap();
+        assert_eq!(stats.records, 8);
+        assert_eq!(reg.counter_value("receipts.checkpoints"), Some(1));
+        let reopened = open(&store);
+        assert_eq!(reopened.live_count(), 8);
+        assert_eq!(reopened.recovery_info().wal_records, 0);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! the active one: it [rotates](Wal::rotate) first and records the number
 //! of the segment it does not cover, [`Wal::open`] removes the segments
 //! below that number without reading them, and [`Wal::prune`] removes
-//! them once the snapshot is in place.
+//! them once the snapshot is in place. [`Wal::bytes`] counts what is
+//! left: the bytes a reopen would replay.
 
 use bistro_base::checksum::crc32;
 use bistro_base::SharedClock;
@@ -88,6 +89,10 @@ pub struct Wal {
     /// Bytes in the active segment: whole frames only, so it holds a
     /// record exactly when this is not zero.
     active_bytes: u64,
+    /// Bytes of whole frames in every segment on disk, the active one
+    /// included — what a reopen would replay, counting what the last
+    /// open replayed.
+    bytes: u64,
     /// The numbers of the segments on disk, oldest first; the active one
     /// is last (it has no file until its first append).
     segments: Vec<u64>,
@@ -134,13 +139,14 @@ impl Wal {
             store.remove(&segment_path(dir, n))?;
         }
 
-        let mut active_bytes = 0u64;
+        let (mut active_bytes, mut bytes) = (0u64, 0u64);
         let mut end = segments.len();
         for (i, &seg) in segments.iter().enumerate() {
             let path = segment_path(dir, seg);
             let data = store.read(&path)?;
             let valid = Self::replay_segment(&data, &mut apply);
             active_bytes = valid as u64;
+            bytes += active_bytes;
             if valid < data.len() {
                 // a torn tail, or corruption in a non-final segment:
                 // everything after it is unreachable, so truncate here
@@ -166,6 +172,7 @@ impl Wal {
             active_path: segment_path(dir, active),
             frame: Vec::new(),
             active_bytes,
+            bytes,
             segments,
             segment_bytes: DEFAULT_SEGMENT_BYTES,
             metrics: None,
@@ -210,6 +217,17 @@ impl Wal {
         self.segment_bytes = bytes.max(FRAME_HEADER as u64 + 1);
     }
 
+    /// The segment rotation size.
+    pub fn segment_bytes(&self) -> u64 {
+        self.segment_bytes
+    }
+
+    /// Bytes of whole records in the segments on disk: what a reopen
+    /// would replay, the records the last open replayed included.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
     /// Move on to the next (empty) segment.
     fn advance_segment(&mut self) {
         let next = self.segments[self.segments.len() - 1] + 1;
@@ -247,6 +265,7 @@ impl Wal {
             m.bytes.add(len);
         }
         self.active_bytes += len;
+        self.bytes += len;
         Ok(())
     }
 
@@ -288,6 +307,7 @@ impl Wal {
             let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
             Self::frame_record(&mut frame, payload);
             self.active_bytes += frame.len() as u64;
+            self.bytes += frame.len() as u64;
             chunk.push(frame);
         }
         self.flush_chunk(&mut chunk, &mut stats)?;
@@ -340,6 +360,8 @@ impl Wal {
             self.store.remove(&segment_path(&self.dir, seg))?;
         }
         self.segments.drain(..covered);
+        // every byte outside the active segment was in a removed one
+        self.bytes = self.active_bytes;
         Ok(covered)
     }
 }
@@ -670,6 +692,38 @@ mod tests {
         assert_eq!(reg.counter_value("wal.appends"), Some(10));
         assert_eq!(reg.histogram("wal.fsync_us").count(), 10);
         assert_eq!(reg.histogram_quantile("wal.fsync_us", 0.99), Some(0));
+    }
+
+    /// `bytes` is what a reopen would replay: every whole frame on disk,
+    /// through appends, batches, rotations, a reopen and a prune.
+    #[test]
+    fn bytes_count_what_a_reopen_would_replay() {
+        let store = mem();
+        let on_disk = |store: &Arc<MemFs>| -> u64 {
+            wal_bytes(store).iter().map(|(_, d)| d.len() as u64).sum()
+        };
+        let mut wal = open(&store);
+        wal.set_segment_bytes(64);
+        fifty_records(&mut wal);
+        wal.append_batch(&payloads(&["x", "yy", "zzz"])).unwrap();
+        assert_eq!(wal.bytes(), on_disk(&store));
+        drop(wal);
+        // a torn tail is not counted: the reopen truncates it
+        let last = wal_bytes(&store).pop().unwrap().0;
+        store.append(&last, &[1, 2, 3]).unwrap();
+        let mut wal = open(&store);
+        assert_eq!(wal.bytes(), on_disk(&store));
+        wal.set_segment_bytes(64);
+        wal.append(b"after").unwrap();
+        let first = wal.rotate();
+        wal.prune().unwrap();
+        assert_eq!(wal.bytes(), 0);
+        wal.append(b"tail").unwrap();
+        assert_eq!(wal.bytes(), on_disk(&store));
+        drop(wal);
+        let mut out = Vec::new();
+        assert_eq!(open_at(&store, first, &mut out).bytes(), on_disk(&store));
+        assert_eq!(out, payloads(&["tail"]));
     }
 
     #[test]

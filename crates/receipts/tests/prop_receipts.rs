@@ -4,7 +4,7 @@
 
 use bistro_base::prop::{self, Runner, Shrink};
 use bistro_base::rng::Rng;
-use bistro_base::{prop_assert_eq, FileId, SimClock, TimePoint};
+use bistro_base::{prop_assert, prop_assert_eq, FileId, SimClock, TimePoint};
 use bistro_receipts::{DeliveryOutcome, ReceiptStore, Record};
 use bistro_vfs::{FileStore, MemFs};
 use std::collections::{BTreeMap, BTreeSet};
@@ -329,6 +329,221 @@ fn delivery_sets_match_per_pair_receipts() {
                 let (sets, pairs) = (open(&fs_sets), open(&fs_pairs));
                 prop_assert_eq!(sets.recovery_info().undecodable_records, 0);
                 assert_same_deliveries(&sets, &pairs, &files)
+            },
+        );
+}
+
+/// One step of [`the_checkpoint_rule_bounds_what_a_reopen_replays`].
+#[derive(Debug, Clone)]
+enum RuleOp {
+    Arrive {
+        feed: u8,
+    },
+    /// One drain: a delivery set per file, to the subscribers in `subs`'
+    /// low 12 bits.
+    Deliver {
+        file_idx: usize,
+        subs: u16,
+    },
+    Expire {
+        file_idx: usize,
+    },
+    /// A group-commit window of `arrivals` arrivals and a set for the
+    /// first, flushed after the first; with `crash` the process dies
+    /// before the window ends, losing whatever the flush did not write.
+    Window {
+        arrivals: u8,
+        crash: bool,
+    },
+    Crash,
+}
+
+impl Shrink for RuleOp {}
+
+fn rule_op_gen(rng: &mut Rng) -> RuleOp {
+    match rng.gen_range(0u32..16) {
+        0..=5 => RuleOp::Arrive {
+            feed: rng.gen_range(0u8..2),
+        },
+        6..=9 => RuleOp::Deliver {
+            file_idx: rng.gen_range(0usize..64),
+            subs: rng.gen_range(1u16..1 << 12),
+        },
+        10..=11 => RuleOp::Expire {
+            file_idx: rng.gen_range(0usize..64),
+        },
+        12..=14 => RuleOp::Window {
+            arrivals: rng.gen_range(1u8..12),
+            crash: rng.gen_range(0u32..4) == 0,
+        },
+        _ => RuleOp::Crash,
+    }
+}
+
+/// Bytes of the receipt WAL segments in `fs` — the records a reopen
+/// replays — and of its snapshot (0 without one).
+fn on_disk(fs: &MemFs) -> (u64, u64) {
+    let wal = (fs.list_dir("r/wal").unwrap().iter())
+        .map(|e| fs.read(&format!("r/wal/{}", e.name)).unwrap().len() as u64)
+        .sum();
+    let snapshot = fs.read("r/snapshot.bin").map_or(0, |d| d.len() as u64);
+    (wal, snapshot)
+}
+
+/// The checkpoint rule, checked from the outside. Two stores take the
+/// same seeded arrivals, delivery sets, expirations and group windows,
+/// with crashes between commits and inside windows: one with a small WAL
+/// segment, so the rule fires, and one at the default 1 MiB, which never
+/// reaches the floor.
+///
+/// * After every commit the small store's WAL on disk is within the
+///   threshold `max(segment, 4 × snapshot.bin)`; a crash inside a window
+///   replays at most the threshold plus the window's flushed bytes.
+/// * After every reopen both stores hold the same state
+///   ([`ReceiptStore::state_digest`]).
+/// * The store under the floor writes nothing but its WAL records: no
+///   snapshot, and the vfs ledger's bytes are the segment's bytes.
+#[test]
+fn the_checkpoint_rule_bounds_what_a_reopen_replays() {
+    Runner::new("the_checkpoint_rule_bounds_what_a_reopen_replays")
+        .cases(48)
+        .run(
+            |rng| {
+                let segment = prop::select(rng, &[96u64, 256, 1024]);
+                (segment, prop::vec_of(rng, 1..=120, rule_op_gen))
+            },
+            |(segment, ops)| {
+                // the shrinker may take the size below any real segment
+                let segment = (*segment).max(96);
+                let (fs_small, fs_big) = (
+                    MemFs::shared(SimClock::new()),
+                    MemFs::shared(SimClock::new()),
+                );
+                let open = |fs: &Arc<MemFs>, small: bool| {
+                    let db = ReceiptStore::open(fs.clone() as Arc<dyn FileStore>, "r").unwrap();
+                    if small {
+                        db.set_segment_bytes(segment);
+                    }
+                    db
+                };
+                let threshold = |fs: &MemFs| segment.max(4 * on_disk(fs).1);
+                let (mut small, mut big) = (open(&fs_small, true), open(&fs_big, false));
+                // each file's id in the small store and in the big one
+                let mut files: Vec<(FileId, FileId)> = Vec::new();
+                let mut t = 0u64;
+                // what crashes inside windows left past the threshold,
+                // until the next commit that writes
+                let mut slack = 0u64;
+
+                for op in ops {
+                    t += 1;
+                    let at = TimePoint::from_secs(t);
+                    let arrive = |db: &ReceiptStore, n: u64, feed: u8| {
+                        db.record_arrival(
+                            &format!("f{t}_{n}.csv"),
+                            &format!("staging/f{t}_{n}.csv"),
+                            10,
+                            at,
+                            None,
+                            vec![format!("feed{feed}")],
+                        )
+                        .unwrap()
+                    };
+                    // whether the drain logged a set
+                    let deliver = |db: &ReceiptStore, file: FileId, subs: u16| {
+                        let ids: Vec<_> = (0..12)
+                            .filter(|i| subs & (1 << i) != 0)
+                            .map(|i| (file, db.register_subscriber(&format!("sub{i}"))))
+                            .collect();
+                        let outcomes = db.record_deliveries(ids, at).unwrap();
+                        outcomes.contains(&DeliveryOutcome::Recorded)
+                    };
+                    let pick = |idx: usize| files.get(idx % files.len().max(1)).copied();
+                    let mut wrote = true;
+                    match *op {
+                        RuleOp::Arrive { feed } => {
+                            files.push((arrive(&small, 0, feed), arrive(&big, 0, feed)));
+                        }
+                        RuleOp::Deliver { file_idx, subs } => {
+                            wrote = false;
+                            if let Some((a, b)) = pick(file_idx) {
+                                wrote = deliver(&small, a, subs);
+                                prop_assert_eq!(deliver(&big, b, subs), wrote);
+                            }
+                        }
+                        RuleOp::Expire { file_idx } => {
+                            wrote = false;
+                            if let Some((a, b)) = pick(file_idx) {
+                                small.record_expiration(a, at).unwrap();
+                                big.record_expiration(b, at).unwrap();
+                                wrote = true;
+                            }
+                        }
+                        RuleOp::Window { arrivals, crash } => {
+                            let before = (on_disk(&fs_small).0, threshold(&fs_small));
+                            let window = |db: &ReceiptStore| {
+                                db.begin_group();
+                                let first = arrive(db, 0, 0);
+                                db.flush_group().unwrap();
+                                for n in 1..u64::from(arrivals) {
+                                    arrive(db, n, 1);
+                                }
+                                deliver(db, first, 0b101);
+                                if !crash {
+                                    db.end_group().unwrap();
+                                }
+                                first
+                            };
+                            files.push((window(&small), window(&big)));
+                            if crash {
+                                // the flush is the only write that lands
+                                let flushed = on_disk(&fs_small).0 - before.0;
+                                wrote = false;
+                                slack += flushed;
+                                drop((small, big));
+                                (small, big) = (open(&fs_small, true), open(&fs_big, false));
+                                let replayed = small.recovery_info().wal_bytes;
+                                prop_assert!(
+                                    replayed <= before.1 + slack,
+                                    "replayed {} > threshold {} + windows {}",
+                                    replayed,
+                                    before.1,
+                                    slack
+                                );
+                                prop_assert_eq!(small.state_digest(), big.state_digest());
+                            }
+                        }
+                        RuleOp::Crash => {
+                            wrote = false;
+                            drop((small, big));
+                            (small, big) = (open(&fs_small, true), open(&fs_big, false));
+                            prop_assert_eq!(small.state_digest(), big.state_digest());
+                        }
+                    }
+                    if wrote {
+                        slack = 0;
+                    }
+                    let (wal, _) = on_disk(&fs_small);
+                    prop_assert!(
+                        wal <= threshold(&fs_small) + slack,
+                        "{} WAL bytes past the threshold {} (+ {}) after {:?}",
+                        wal,
+                        threshold(&fs_small),
+                        slack,
+                        op
+                    );
+                    prop_assert_eq!(small.state_digest(), big.state_digest());
+                }
+                drop((small, big));
+                let (small, big) = (open(&fs_small, true), open(&fs_big, false));
+                prop_assert_eq!(small.state_digest(), big.state_digest());
+                prop_assert_eq!(small.live_count(), big.live_count());
+                prop_assert!(small.recovery_info().wal_bytes <= threshold(&fs_small) + slack);
+                // under the floor: the WAL's records and nothing else
+                let (wal, snapshot) = on_disk(&fs_big);
+                prop_assert_eq!(snapshot, 0);
+                prop_assert_eq!(fs_big.stats().snapshot().bytes_written, wal);
+                Ok(())
             },
         );
 }

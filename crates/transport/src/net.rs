@@ -412,23 +412,29 @@ impl SimNetwork {
             return Vec::new();
         };
         let arrived = inbox.partition_point(|(_, d)| d.at <= now);
-        if arrived == 0 {
-            return Vec::new();
-        }
-        let mut out = Vec::with_capacity(arrived);
-        let mut kept = Vec::new();
-        for (seq, d) in inbox.drain(..arrived) {
-            if pred(&d) {
-                out.push(d);
-            } else {
-                kept.push((seq, d));
+        // one pass, `pred` once per arrived message: each unmatched one
+        // moves forward over the matched ahead of it, so the unmatched
+        // keep their order at the front and a drain that matches
+        // nothing moves nothing
+        let (mut kept, mut swapped) = (0, false);
+        for i in 0..arrived {
+            if !pred(&inbox[i].1) {
+                if kept != i {
+                    inbox.swap(kept, i);
+                    swapped = true;
+                }
+                kept += 1;
             }
         }
-        // the unmatched go back in front of what has not arrived yet
-        for queued in kept.into_iter().rev() {
-            inbox.push_front(queued);
+        if kept == arrived {
+            return Vec::new();
         }
-        out
+        if swapped {
+            // the swaps reordered the matched: restore the inbox order
+            let matched = &mut inbox.make_contiguous()[kept..arrived];
+            matched.sort_unstable_by_key(|(seq, d)| (d.at, *seq));
+        }
+        inbox.drain(kept..arrived).map(|(_, d)| d).collect()
     }
 
     /// Every message still in flight, across all endpoints, sorted by

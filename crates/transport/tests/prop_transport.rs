@@ -270,12 +270,15 @@ fn file_of(msg: &Message) -> u64 {
     }
 }
 
-/// A drain predicate from a random word: `0 (mod 4)` takes everything,
-/// otherwise it rejects every file whose id is `≡ 0 (mod k)` after a
-/// shift, `k` in 2..=4.
+/// A drain predicate from a random word: `0 (mod 5)` takes everything,
+/// `4 (mod 5)` nothing, and otherwise it rejects every file whose id is
+/// `≡ 0 (mod k)` after a shift, `k` in 2..=4.
 fn keeps(word: u64, d_file: u64) -> bool {
-    let k = word % 4;
-    k == 0 || !(d_file + word / 4).is_multiple_of(k + 1)
+    match word % 5 {
+        0 => true,
+        4 => false,
+        k => !(d_file + word / 5).is_multiple_of(k + 1),
+    }
 }
 
 /// The setup half of a case: the fault plan's seed, per-link specs

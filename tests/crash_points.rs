@@ -367,6 +367,214 @@ fn sweep_is_bit_for_bit_replayable() {
     assert_eq!(a, b);
 }
 
+const CHECKPOINT_CONFIG: &str = r#"
+    server { retention 6s; }
+    feed F { pattern "f_%i.csv"; }
+    subscriber alpha { endpoint "alpha"; subscribe F; delivery push; }
+    subscriber beta  { endpoint "beta";  subscribe F; delivery push; }
+"#;
+
+/// The WAL segment the checkpoint sweep's faulted incarnation runs at:
+/// the checkpoint rule's floor, small enough that the run crosses the
+/// threshold several times.
+const CHECKPOINT_SEGMENT: u64 = 128;
+
+/// Rounds of the checkpoint sweep: a three-file batch, four pumped
+/// seconds and an expiry sweep each.
+const CHECKPOINT_ROUNDS: usize = 16;
+
+/// What the checkpoint sweep's faulted incarnation did.
+#[derive(Debug, Default)]
+struct CheckpointRun {
+    /// Checkpoints taken at the end of a `deposit_batch` window.
+    in_batches: u64,
+    /// Checkpoints taken after a `poll_network` drain's sets.
+    in_drains: u64,
+    /// The most WAL bytes one top-level call — a batch, one pumped
+    /// second, an expiry sweep — appended: at least its largest commit.
+    largest_call: u64,
+}
+
+/// The faulted incarnation of the checkpoint sweep: a reliable network
+/// server whose receipt store runs at [`CHECKPOINT_SEGMENT`], so the
+/// store snapshots itself — at the end of a batch's commit window, after
+/// a drain's delivery sets, inside an expiry sweep — while files arrive,
+/// are acked and expire.
+fn checkpoint_phase_a(
+    clock: &Arc<SimClock>,
+    store: Arc<dyn FileStore>,
+    net: &Arc<SimNetwork>,
+    clients: &mut [SubscriberClient; 2],
+    seen: &mut BTreeSet<u64>,
+    run: &mut CheckpointRun,
+) -> Result<(), ServerError> {
+    let config = parse_config(CHECKPOINT_CONFIG).unwrap();
+    let mut server = Server::new("b", config, clock.clone(), store)?
+        .with_network(net.clone())
+        .with_reliable_delivery(retry_policy(), SEED);
+    server.receipts().set_segment_bytes(CHECKPOINT_SEGMENT);
+    server.persist_config()?;
+    let tel = server.telemetry().clone();
+    let read = || {
+        let counter = |name| tel.counter_value(name).unwrap_or(0);
+        (counter("receipts.checkpoints"), counter("wal.bytes"))
+    };
+    for round in 0..CHECKPOINT_ROUNDS {
+        let before = read();
+        server.deposit_batch(
+            (3 * round..3 * round + 3)
+                .map(|i| (format!("f_{i}.csv"), payload(i)))
+                .collect(),
+        )?;
+        let after = read();
+        run.in_batches += after.0 - before.0;
+        run.largest_call = run.largest_call.max(after.1 - before.1);
+        note_live_ids(&server, seen);
+        for _ in 0..4 {
+            let before = read();
+            let [alpha, beta] = &mut *clients;
+            pump(&mut server, &mut [alpha, beta], net, clock, 1)?;
+            let after = read();
+            run.in_drains += after.0 - before.0;
+            run.largest_call = run.largest_call.max(after.1 - before.1);
+        }
+        let before = read();
+        server.expire()?;
+        run.largest_call = run.largest_call.max(read().1 - before.1);
+    }
+    Ok(())
+}
+
+/// Crash the checkpoint run at `crash_op`, reopen on the surviving bytes
+/// and check every invariant; `largest_call` is the uncrashed run's.
+fn run_checkpoint_crash(crash_op: u64, largest_call: u64) {
+    let ctx = format!("seed={SEED:#x} crash_op={crash_op}");
+    let clock = SimClock::starting_at(START);
+    let inner = MemFs::shared(clock.clone());
+    let faulted = Arc::new(FaultStore::armed(inner.clone(), SEED, crash_op));
+    let net = Arc::new(SimNetwork::new(LinkSpec::default()));
+    let mut clients = ["alpha", "beta"].map(|name| SubscriberClient::new(name, "b"));
+    let mut seen = BTreeSet::new();
+    let mut run = CheckpointRun::default();
+    let crashed = checkpoint_phase_a(&clock, faulted, &net, &mut clients, &mut seen, &mut run);
+    assert!(crashed.is_err(), "{ctx}: the crash point did not fire");
+
+    // the checkpoint rule bounds what the reopen replays: the threshold
+    // of the snapshot on disk, plus the commit the crash cut short
+    let snapshot = inner
+        .read("receipts/snapshot.bin")
+        .map_or(0, |d| d.len() as u64);
+    let threshold = CHECKPOINT_SEGMENT.max(4 * snapshot);
+    let store: Arc<dyn FileStore> = inner.clone();
+    let reopened = if inner.exists("bistro.conf") {
+        Server::open_existing("b", clock.clone(), store)
+    } else {
+        Server::new(
+            "b",
+            parse_config(CHECKPOINT_CONFIG).unwrap(),
+            clock.clone(),
+            store,
+        )
+    };
+    let mut server = reopened
+        .unwrap_or_else(|e| panic!("{ctx}: store failed to reopen after crash: {e}"))
+        .with_network(net.clone())
+        .with_reliable_delivery(retry_policy(), SEED + 1);
+    let replayed = server.receipts().recovery_info().wal_bytes;
+    assert!(
+        replayed <= threshold + largest_call,
+        "{ctx}: replayed {replayed} WAL bytes, past threshold {threshold} + {largest_call}"
+    );
+
+    // invariant: no live receipt references a missing staged payload
+    for rec in server.receipts().all_live() {
+        let staged = format!("staging/{}", rec.staged_path);
+        assert!(inner.exists(&staged), "{ctx}: {staged} missing");
+    }
+    note_live_ids(&server, &mut seen);
+    server
+        .persist_config()
+        .unwrap_or_else(|e| panic!("{ctx}: persist_config: {e}"));
+    server
+        .backfill_unacked()
+        .unwrap_or_else(|e| panic!("{ctx}: backfill_unacked: {e}"));
+    let [alpha, beta] = &mut clients;
+    pump(&mut server, &mut [alpha, beta], &net, &clock, 40)
+        .unwrap_or_else(|e| panic!("{ctx}: settle pump: {e}"));
+    note_received_ids(&[alpha, beta], &mut seen);
+
+    // invariant: exactly-once delivery after backfill
+    assert_eq!(server.unacked_count(), 0, "{ctx}: unacked after settle");
+    let receipts = server.receipts();
+    for rec in receipts.all_live() {
+        for client in &clients {
+            assert!(
+                receipts.is_delivered(rec.id, &client.endpoint),
+                "{ctx}: live file {} not delivered to {}",
+                rec.id,
+                client.endpoint
+            );
+        }
+    }
+    for client in &clients {
+        let mut uniq = BTreeSet::new();
+        for (fid, _, _) in client.delivered() {
+            let name = &client.endpoint;
+            assert!(uniq.insert(fid.raw()), "{ctx}: {name} received {fid} twice");
+            if receipts.file(*fid).is_some() {
+                assert!(
+                    receipts.is_delivered(*fid, name),
+                    "{ctx}: {name}'s acked delivery of {fid} forgotten"
+                );
+            }
+        }
+    }
+
+    // invariant: a new arrival gets an id nobody has held
+    server
+        .deposit("f_99.csv", &payload(99))
+        .unwrap_or_else(|e| panic!("{ctx}: deposit f_99: {e}"));
+    let id = server.receipts().file_by_name("f_99.csv").unwrap().id;
+    assert!(
+        !seen.contains(&id.raw()),
+        "{ctx}: id {id} reused for f_99.csv"
+    );
+}
+
+#[test]
+fn sweep_crash_around_self_taken_checkpoints() {
+    // The receipt store snapshots itself once its un-snapshotted WAL
+    // outgrows max(one segment, 4 x its last snapshot). Crash at every
+    // storage op of a run that crosses that threshold in batch windows
+    // and in ack drains: the store reopens, replays at most the
+    // threshold plus one commit, and delivery stays exactly-once.
+    let (run, total) = {
+        let clock = SimClock::starting_at(START);
+        let counting = Arc::new(FaultStore::counting(MemFs::shared(clock.clone())));
+        let net = Arc::new(SimNetwork::new(LinkSpec::default()));
+        let mut clients = ["alpha", "beta"].map(|name| SubscriberClient::new(name, "b"));
+        let mut run = CheckpointRun::default();
+        checkpoint_phase_a(
+            &clock,
+            counting.clone(),
+            &net,
+            &mut clients,
+            &mut BTreeSet::new(),
+            &mut run,
+        )
+        .expect("uncrashed scenario must complete");
+        (run, counting.mutation_ops())
+    };
+    assert!(
+        run.in_batches >= 1 && run.in_drains >= 1 && run.in_batches + run.in_drains >= 2,
+        "the run must checkpoint in a batch window and in a drain: {run:?}"
+    );
+    println!("checkpoint sweep: {total} storage ops, {run:?}, seed {SEED:#x}");
+    for crash_op in 0..total {
+        run_checkpoint_crash(crash_op, run.largest_call);
+    }
+}
+
 /// The mutating-op range `lo..hi` of the call a narrow sweep crashes
 /// inside: an uncrashed `scenario` (which returns the op count just
 /// before that call) over a counting store.

@@ -108,3 +108,82 @@ fn wal_survives_partial_disk_writes() {
 
     let _ = std::fs::remove_dir_all(&root);
 }
+
+#[test]
+fn a_real_store_checkpoints_itself_past_the_threshold() {
+    // Past max(one WAL segment, 4 x its last snapshot) of un-snapshotted
+    // WAL the receipt store snapshots itself: on disk that leaves the
+    // snapshot and the segments it does not cover, and nothing else.
+    let root = temp_root("checkpoint");
+    let store: Arc<dyn FileStore> = Arc::new(DiskFs::open(&root).unwrap());
+    let clock = WallClock::shared();
+    let mut server = Server::new(
+        "bistro",
+        parse_config(CONFIG).unwrap(),
+        clock.clone(),
+        store,
+    )
+    .unwrap();
+    server.receipts().set_segment_bytes(512);
+    for i in 0..200 {
+        server
+            .deposit(&format!("MEMORY_poller{i}_20100925.gz"), b"bytes")
+            .unwrap();
+    }
+    let checkpoints = server
+        .telemetry()
+        .counter_value("receipts.checkpoints")
+        .unwrap();
+    assert!(checkpoints >= 2, "{checkpoints} checkpoints");
+    let live = server.receipts().live_count();
+    drop(server);
+
+    let receipts = root.join("receipts");
+    let listing = |dir: &std::path::Path| -> Vec<(String, u64)> {
+        let mut out: Vec<(String, u64)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .map(|e| {
+                (
+                    e.file_name().into_string().unwrap(),
+                    e.metadata().unwrap().len(),
+                )
+            })
+            .collect();
+        out.sort();
+        out
+    };
+    let names: Vec<String> = listing(&receipts).into_iter().map(|(n, _)| n).collect();
+    assert_eq!(names, ["snapshot.bin", "wal"], "no snapshot.tmp, no debris");
+    // the v4 header names the first WAL segment the snapshot does not
+    // cover (bytes 25..33)
+    let snapshot = std::fs::read(receipts.join("snapshot.bin")).unwrap();
+    let first = u64::from_le_bytes(snapshot[25..33].try_into().unwrap());
+    let segments = listing(&receipts.join("wal"));
+    let mut uncovered = 0;
+    for (name, len) in &segments {
+        let n: u64 = name.strip_suffix(".seg").unwrap().parse().unwrap();
+        assert!(n >= first, "segment {name} is covered by the snapshot");
+        uncovered += len;
+    }
+    assert!(uncovered <= 512.max(4 * snapshot.len() as u64));
+
+    let store2: Arc<dyn FileStore> = Arc::new(DiskFs::open(&root).unwrap());
+    let server = Server::new("bistro", parse_config(CONFIG).unwrap(), clock, store2).unwrap();
+    let info = server.receipts().recovery_info();
+    assert!(info.snapshot_loaded);
+    assert_eq!(
+        info.wal_bytes, uncovered,
+        "replays only the uncovered segments"
+    );
+    assert_eq!(server.receipts().live_count(), live);
+    println!(
+        "real store: {checkpoints} checkpoints over 200 deposits; snapshot {} B, \
+         {} uncovered segment(s) of {uncovered} B replayed ({} records)",
+        snapshot.len(),
+        segments.len(),
+        info.wal_records
+    );
+
+    let _ = std::fs::remove_dir_all(&root);
+}
