@@ -45,17 +45,19 @@ stage_faults() {
 # batch deposit — reopen on the surviving bytes, and check the recovery
 # invariants (store opens, no acked delivery forgotten, no dangling
 # receipt, no FileId reuse — ids a subscriber merely *received* count —
-# exactly-once after backfill). Four narrower sweeps ride along: every
+# exactly-once after backfill). Five narrower sweeps ride along: every
 # crash op of a networked `deposit_batch` window (no send outruns its
 # arrival), of a `scan_landing` (a landing file is never lost), of
 # one `poll_network` drain of nine acks over three files (the drain's
 # receipts are one append: a prefix of whole sets survives, no trigger
-# fired past it, the lost suffix is a resend the clients dedup), and
-# from two runtime `add_subscriber`s to the first set that puts their
+# fired past it, the lost suffix is a resend the clients dedup), from
+# two runtime `add_subscriber`s to the first set that puts their
 # ids on record (the store reopens, a durable id survives registering
-# again, backfill is exactly-once), and of a run whose receipt store
+# again, backfill is exactly-once), of a run whose receipt store
 # snapshots itself under its checkpoint rule (a reopen replays at most
-# the threshold plus one commit).
+# the threshold plus one commit), and of a hub whose relay group's
+# coverage reports complete files (a completion it counted is durable,
+# backfill re-sends exactly the files without their group receipt).
 # Uncaptured so a failure echoes its `seed=... crash_op=...` replay key.
 # Then the receipt crate's own suite: the on-disk format (record tags,
 # snapshot version, torn frames, a crash between snapshot and prune) and
@@ -167,15 +169,18 @@ stage_bench() {
   quick_exp exp_e11
 }
 
-# Delivery-tree fanout: the group-delivery unit/integration suites, the
-# delivery-index equivalence property suite, then E14 in quick mode: the
-# shape table (sends and tracker entries per deposit follow the group
+# Delivery-tree fanout: the group-delivery unit/integration suites (the
+# hub's one receipt per file and group against a reference coverage
+# merge), the crash sweep at a hub across its group-completion drains,
+# the delivery-index equivalence property suite, then E14 in quick mode:
+# the shape table (sends and tracker entries per deposit follow the group
 # count — the run panics otherwise) and the deposit-cost sweep, which
 # fails itself if it is not flat in subscriber count.
 stage_fanout() {
   cargo test -q --offline -p bistro-core --lib relay
   cargo test -q --offline -p bistro-core --lib index
   cargo test -q --offline -p bistro-core --test server_integration group
+  cargo test --offline --test crash_points group -- --nocapture
   cargo test -q --offline --test delivery_index
   cargo test --offline --test fault_injection relay_hop -- --nocapture
   quick_exp exp_e14

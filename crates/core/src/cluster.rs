@@ -661,11 +661,6 @@ impl Cluster {
         &self.telemetry
     }
 
-    /// Append an alarm rule over the cluster registry.
-    pub fn add_alarm_rule(&mut self, rule: AlarmRule) {
-        self.alarms.add(rule);
-    }
-
     /// One deterministic JSON document for the whole cluster: the
     /// directory epoch, every live member's full status snapshot
     /// (sorted by name), and the cluster counters. Two same-seed runs

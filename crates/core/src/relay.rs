@@ -177,9 +177,7 @@ impl Relay {
                     // report cumulative member coverage from our own
                     // delivery receipts; the upstream tracker keeps the
                     // fanout outstanding until the tree is complete
-                    if let Some((bits, watermark)) =
-                        self.member_coverage(downstream, &group, &rec.name)
-                    {
+                    if let Some(bits) = self.member_coverage(downstream, &group, &rec.name) {
                         net.send(
                             now,
                             downstream.name(),
@@ -188,7 +186,6 @@ impl Relay {
                                 group,
                                 file, // the *upstream* id the tracker keys on
                                 bits,
-                                watermark,
                             }),
                         );
                         self.stats.group_acks += 1;
@@ -244,12 +241,7 @@ impl Relay {
     /// downstream config does not define the group or has not ingested
     /// the file — no ack is sent, so the upstream retries and alarms
     /// instead of silently marking members covered.
-    fn member_coverage(
-        &mut self,
-        downstream: &Server,
-        group: &str,
-        name: &str,
-    ) -> Option<(Vec<u8>, u64)> {
+    fn member_coverage(&mut self, downstream: &Server, group: &str, name: &str) -> Option<Vec<u8>> {
         let def = downstream.config().group(group)?;
         let local = downstream.receipts().file_by_name(name)?;
         // group membership is fixed at config time, so the sorted order
@@ -260,8 +252,7 @@ impl Relay {
         }
         let members = self.members.get_mut(group)?;
         let coverage = members.coverage(downstream.receipts(), local.id)?;
-        let watermark = u64::from(coverage.watermark());
-        Some((coverage.bits().to_vec(), watermark))
+        Some(coverage.bits().to_vec())
     }
 }
 
@@ -550,11 +541,14 @@ mod tests {
             .receipts()
             .file_by_name("MEMORY_poller1_20100925.gz")
             .unwrap();
-        let (bits, watermark) = hub
-            .receipts()
-            .group_coverage(file.id, "EDGE")
-            .expect("coverage persisted as a group mark");
-        assert!(Coverage::from_wire(2, &bits, watermark).complete());
+        // the hub's one receipt of the file is the group's, over the
+        // group's own id — registered ahead of the members, so it is 0
+        let edge_id = hub.receipts().subscriber_id("EDGE").unwrap();
+        assert_eq!(edge_id.raw(), 0);
+        let delivered = hub.receipts().delivered_ids(file.id).unwrap();
+        assert_eq!(delivered.ones().collect::<Vec<_>>(), [edge_id.raw()]);
+        assert_eq!(hub.stats().deliveries, 0, "not a subscriber delivery");
+        assert_eq!(hub.telemetry().counter_value("group.completed"), Some(1));
         assert_eq!(relay.stats().group_acks, 1);
 
         // both members actually received their copies from the edge
@@ -579,7 +573,7 @@ mod tests {
             (receipts.record_arrival(name, name, 1, clock.now(), None, feeds)).unwrap()
         };
         let (a, b) = (arrive("a"), arrive("b"));
-        let report = |c: Coverage| (c.bits().to_vec(), c.watermark());
+        let report = |c: Coverage| c.bits().to_vec();
         let sorted = members.names.clone();
         let by_name = |file: FileId| {
             let mut coverage = Coverage::new(4);

@@ -273,6 +273,10 @@ struct Completed {
     /// Where the subscriber received the file, when the send already
     /// rendered it.
     dest_path: Option<String>,
+    /// The plan index when `sub` is a relay group's id: the group's
+    /// coverage report completed, and its tail is a count and a log line,
+    /// not a subscriber's.
+    group: Option<usize>,
 }
 
 /// One active shared-delivery plan, built from a relay group in the
@@ -281,6 +285,9 @@ struct Completed {
 /// regular subscriber path — the same config drives both tiers.
 struct GroupPlan {
     name: String,
+    /// The group's id in the receipt store: a file's delivered set holds
+    /// it once the relay reported every member served.
+    id: SubscriberId,
     endpoint: String,
     /// Member subscriber names, sorted: the ack bitmap index of a member
     /// is its position here (the relay sorts identically).
@@ -317,7 +324,8 @@ impl GroupPlan {
 struct GroupState {
     plans: Vec<GroupPlan>,
     tracker: RetryTracker<GroupSend>,
-    /// `group.completed`: deliveries whose coverage reached every member.
+    /// `group.completed`: group receipts written — deliveries whose
+    /// coverage reached every member.
     completed: Arc<Counter>,
     /// `group.undeliverable`: group sends dropped for want of a network.
     undeliverable: Arc<Counter>,
@@ -476,6 +484,21 @@ impl Server {
                 .collect(),
         );
 
+        // The relay groups this server plans — each whose relay is another
+        // server — are subscribers of it (§3): a group's delivery is a
+        // receipt over the group's own id. They register first, in name
+        // order, because a set naming id n puts ids 0..n on record: ahead
+        // of the members, a hub's sets name only group ids and stay a few
+        // bytes. A relay skips its own group, so its ids do not move.
+        let mut relayed: Vec<_> = (config.groups.iter())
+            .filter_map(|g| Some((g, g.relay.as_deref()?)))
+            .filter(|&(_, relay)| relay != name)
+            .collect();
+        relayed.sort_by(|a, b| a.0.name.cmp(&b.0.name));
+        let group_ids: Vec<SubscriberId> = (relayed.iter())
+            .map(|(g, _)| receipts.register_subscriber(&g.name))
+            .collect();
+
         let mut subscribers = Subscribers::default();
         // subscription targets repeat across wide deployments (every
         // member of a delivery tree names the same feed), so memoize
@@ -506,17 +529,13 @@ impl Server {
             ));
         }
 
-        // Shared delivery plans from the config's relay groups. The
-        // relay endpoint itself skips its own plans: there the members
-        // stay in the direct fan-out path, so one config drives both the
-        // upstream tier (deliver once per group) and the relay tier
-        // (fan out per member).
-        let mut plans: Vec<GroupPlan> = Vec::new();
-        for g in &config.groups {
-            let Some(relay) = &g.relay else { continue };
-            if relay == name {
-                continue;
-            }
+        // Shared delivery plans from the config's relay groups, in name
+        // order. The relay endpoint itself skips its own plans: there the
+        // members stay in the direct fan-out path, so one config drives
+        // both the upstream tier (deliver once per group) and the relay
+        // tier (fan out per member).
+        let mut plans: Vec<GroupPlan> = Vec::with_capacity(relayed.len());
+        for ((g, relay), id) in relayed.into_iter().zip(group_ids) {
             let mut members = g.members.clone();
             members.sort();
             let mut feeds: BTreeSet<String> = BTreeSet::new();
@@ -533,13 +552,13 @@ impl Server {
             let alike = member_feeds.windows(2).all(|w| w[0] == w[1]);
             plans.push(GroupPlan {
                 name: g.name.clone(),
-                endpoint: relay.clone(),
+                id,
+                endpoint: relay.to_string(),
                 members,
                 feeds: feeds.into_iter().collect(),
                 member_feeds: (!alike).then_some(member_feeds),
             });
         }
-        plans.sort_by(|a, b| a.name.cmp(&b.name));
         let groups = if plans.is_empty() {
             None
         } else {
@@ -1105,6 +1124,7 @@ impl Server {
             plan: Some(plan.clone()),
             at,
             dest_path,
+            group: None,
         };
         let Some(net) = &self.net else {
             return Ok(to.ones().map(|sub| done(sub, now, None)).collect());
@@ -1149,28 +1169,23 @@ impl Server {
     /// bitmap tracker until the relay's coverage report shows every
     /// member that subscribes to the file served. Returns whether a send
     /// actually went out (skipped when the delivery is already in flight
-    /// or durably complete).
+    /// or the file's delivered set holds the group's receipt).
     fn deliver_group(&mut self, plan_idx: usize, file: &FilePlan) -> Result<bool, ServerError> {
         let (rec, size) = (&file.rec, file.size);
         let now = self.clock.now();
         let (group, endpoint, coverage) = {
             let g = self.groups.as_ref().expect("caller checked group state");
             let p = &g.plans[plan_idx];
+            let delivered = self.receipts.delivered_ids(rec.id);
+            if delivered.is_some_and(|d| d.get(p.id.raw())) {
+                return Ok(false);
+            }
             (
                 p.name.clone(),
                 p.endpoint.clone(),
                 p.coverage_for(&rec.feeds),
             )
         };
-        // durably complete from a previous incarnation: the group mark
-        // is the crash-recovery boundary, exactly like a delivery receipt
-        if let Some((bits, wm)) = self.receipts.group_coverage(rec.id, &group) {
-            let mut durable = coverage.clone();
-            durable.merge_wire(&bits, wm);
-            if durable.complete() {
-                return Ok(false);
-            }
-        }
         let Some(net) = self.net.clone() else {
             // group delivery is a network construct, and the members are
             // excluded from direct fan-out: without a network nobody
@@ -1227,11 +1242,35 @@ impl Server {
         let pairs = done.iter().map(|c| (c.file, c.sub));
         let outcomes = self.receipts.record_deliveries(pairs, at)?;
         for (c, outcome) in done.into_iter().zip(outcomes) {
-            if outcome == DeliveryOutcome::Recorded {
-                self.finish_delivery(c)?;
+            if outcome != DeliveryOutcome::Recorded {
+                continue;
+            }
+            match c.group {
+                Some(plan_idx) => self.finish_group(plan_idx, c.file, c.at),
+                None => self.finish_delivery(c)?,
             }
         }
         Ok(())
+    }
+
+    /// The tail of a relay group's receipt: count the completion and log
+    /// it. A group has no batcher or trigger, and its receipt is not a
+    /// subscriber's delivery in [`DeliveryStats`].
+    fn finish_group(&self, plan_idx: usize, file: FileId, at: TimePoint) {
+        let g = self.groups.as_ref().expect("a group receipt has a plan");
+        let p = &g.plans[plan_idx];
+        g.completed.inc();
+        self.log.log(
+            at,
+            LogLevel::Info,
+            "delivery",
+            format!(
+                "group {} delivery of file {} complete ({} members)",
+                p.name,
+                file.raw(),
+                p.members.len()
+            ),
+        );
     }
 
     /// The tail of a delivery whose receipt is on record: update stats,
@@ -1243,6 +1282,7 @@ impl Server {
             plan,
             at: delivered_at,
             dest_path,
+            ..
         } = done;
         let plan = match plan {
             Some(plan) => plan,
@@ -1357,7 +1397,9 @@ impl Server {
 
     /// One message of a drain. A subscriber's ack only resolves here —
     /// endpoint → subscriber, unacked entry → plan — and joins `acked`,
-    /// which the caller completes at the end of the drain.
+    /// which the caller completes at the end of the drain; so does the
+    /// coverage report that completes a group's send, as the group's
+    /// receipt.
     fn take_message(
         &mut self,
         from: &str,
@@ -1390,67 +1432,33 @@ impl Server {
                     plan,
                     at,
                     dest_path: None,
+                    group: None,
                 });
                 Ok(true)
             }
-            Message::Group(GroupMsg::Ack {
-                group,
-                file,
-                bits,
-                watermark,
-            }) => {
-                // a coverage report writes a record and log lines of its
-                // own: the acks ahead of it complete first, so a mixed
-                // drain's effects keep message order
-                self.complete_deliveries(std::mem::take(acked))?;
-                self.handle_group_ack(&group, file, &bits, watermark, at)
+            Message::Group(GroupMsg::Ack { group, file, bits }) => {
+                let Some(g) = self.groups.as_mut() else {
+                    return Ok(false);
+                };
+                let Some(complete) = g.tracker.on_coverage(&group, file, &bits) else {
+                    return Ok(false); // stale report after completion
+                };
+                if complete {
+                    let plan_idx = (g.plans.binary_search_by(|p| p.name.cmp(&group)))
+                        .expect("a tracked group has a plan");
+                    acked.push(Completed {
+                        sub: g.plans[plan_idx].id,
+                        file,
+                        plan: None,
+                        at,
+                        dest_path: None,
+                        group: Some(plan_idx),
+                    });
+                }
+                Ok(true)
             }
             _ => Ok(false),
         }
-    }
-
-    /// Merge a relay's coverage report into the group tracker and, when
-    /// the coverage advanced, persist it as a group delivery mark — the
-    /// durable high-watermark crash recovery and cascaded backfill
-    /// resume from, so members already served are never re-fanned.
-    fn handle_group_ack(
-        &mut self,
-        group: &str,
-        file: FileId,
-        bits: &[u8],
-        watermark: u64,
-        at: TimePoint,
-    ) -> Result<bool, ServerError> {
-        let Some(g) = self.groups.as_mut() else {
-            return Ok(false);
-        };
-        let Some((coverage, changed)) = g.tracker.on_coverage(group, file, bits, watermark) else {
-            return Ok(false); // stale report after completion
-        };
-        if coverage.complete() {
-            g.completed.inc();
-        }
-        if changed {
-            self.receipts.record_group_mark(
-                file,
-                group,
-                coverage.bits(),
-                u64::from(coverage.watermark()),
-            )?;
-        }
-        if coverage.complete() {
-            self.log.log(
-                at,
-                LogLevel::Info,
-                "delivery",
-                format!(
-                    "group {group} delivery of file {} complete ({} members)",
-                    file.raw(),
-                    coverage.members()
-                ),
-            );
-        }
-        Ok(true)
     }
 
     /// Sweep both unacked tables: lapsed sends are retransmitted (Warn)
@@ -1610,10 +1618,10 @@ impl Server {
         Ok(n)
     }
 
-    /// Re-fan every live file whose durable group coverage is still
-    /// incomplete. Crash recovery for delivery trees: the relay reports
-    /// cumulative member coverage on every ack, so redelivery resumes
-    /// from the persisted bitmap instead of restarting the whole group.
+    /// Re-fan every live file a group plan matches whose delivered set
+    /// lacks the group's receipt. Crash recovery for delivery trees: the
+    /// relay answers the resend from its own receipts — cumulative member
+    /// coverage — and backfills only the members it has not served.
     fn backfill_groups(&mut self) -> Result<usize, ServerError> {
         let plan_feeds: Vec<Vec<String>> = match self.groups.as_ref() {
             Some(g) => g.plans.iter().map(|p| p.feeds.clone()).collect(),
@@ -2225,11 +2233,6 @@ impl Server {
     /// [`Server::status_json`] determinism surface.
     pub fn pool_telemetry(&self) -> &SharedRegistry {
         &self.pool_telemetry
-    }
-
-    /// Add an alarm rule to the set checked on every [`Server::tick`].
-    pub fn add_alarm_rule(&mut self, rule: AlarmRule) {
-        self.alarms.add(rule);
     }
 
     /// One-screen health snapshot as JSON: identity, subscriber states,

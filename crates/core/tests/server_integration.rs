@@ -529,7 +529,6 @@ fn retry_fire_resends_outstanding_group_delivery() {
         group: "EDGE".to_string(),
         file,
         bits: vec![0b11],
-        watermark: 2,
     });
     assert!(server
         .handle_network_message("edge", clock.now(), ack)
@@ -1208,8 +1207,8 @@ fn a_drain_of_acks_equals_the_same_messages_one_at_a_time() {
     // `poll_network` writes the receipts of a whole drain as one append
     // and runs the deliveries' tails afterwards; nothing but the WAL may
     // tell that from handling the messages singly. The drain here mixes
-    // subscriber acks (one of them a repeat) with group coverage reports,
-    // which write records and log lines of their own in between.
+    // subscriber acks (one of them a repeat) with group coverage reports:
+    // a complete one is the group's receipt, a partial one writes nothing.
     let cfg = r#"
         feed F { pattern "f_%i.csv"; }
         subscriber a { endpoint "ea"; subscribe F; trigger remote "load %N"; }
@@ -1239,22 +1238,21 @@ fn a_drain_of_acks_equals_the_same_messages_one_at_a_time() {
                 attempt: 1,
             })
         };
-        let group_ack = |file, bits, watermark| {
+        let group_ack = |file, bits| {
             Message::Group(GroupMsg::Ack {
                 group: "EDGE".to_string(),
                 file: bistro_base::FileId(file),
                 bits,
-                watermark,
             })
         };
         for (from, msg) in [
             ("ea", sub_ack(1)),
             ("eb", sub_ack(1)),
-            ("edge", group_ack(1, vec![0b11], 2)),
+            ("edge", group_ack(1, vec![0b11])),
             ("ec", sub_ack(1)),
             ("ea", sub_ack(2)),
             ("ea", sub_ack(1)), // a repeat inside the drain
-            ("edge", group_ack(2, vec![0b01], 1)),
+            ("edge", group_ack(2, vec![0b01])),
             ("ec", sub_ack(2)),
             ("eb", sub_ack(2)),
         ] {
@@ -1301,7 +1299,8 @@ fn a_drain_of_acks_equals_the_same_messages_one_at_a_time() {
         pairs
     };
     assert_eq!(pairs(&drained_state.1), pairs(&single_state.1));
-    assert_eq!(pairs(&drained_state.1).len(), 6);
+    // a, b, c and EDGE have file 1; a, b and c file 2
+    assert_eq!(pairs(&drained_state.1).len(), 7);
     // triggers fired in ack order: a, b, then c's batch of two when its
     // second file is acked, then b
     let fired: Vec<&str> = drained.0.iter().map(|t| t.subscriber.as_str()).collect();
@@ -1310,9 +1309,9 @@ fn a_drain_of_acks_equals_the_same_messages_one_at_a_time() {
         .1
         .iter()
         .any(|e| e.contains("group EDGE delivery of file 1 complete")));
-    // two arrivals, two group marks, three names; then a set per file per
-    // stretch of acks between coverage reports (4) against one per ack (6)
-    assert_eq!((drain_appends, single_appends), (11, 13));
+    // two arrivals and four names (EDGE, a, b, c) either way; then a set
+    // per file of the drain (2) against one per receipt (7)
+    assert_eq!((drain_appends, single_appends), (8, 13));
 }
 
 // -- direct sends: one unacked entry per file send --------------------------
@@ -1516,4 +1515,212 @@ fn two_reliable_subscribers_sharing_an_endpoint_both_complete() {
     assert!(server.receipts().pending_for("a", &feeds).is_empty());
     assert!(server.receipts().pending_for("b", &feeds).is_empty());
     assert!(logged(&server, LogLevel::Alarm, 0).is_empty());
+}
+
+// -- relay groups: one receipt per (file, group) ----------------------------
+
+/// Two relay groups whose members are on different feeds: of an `A`
+/// file, `a3` and `b1` want nothing, of a `B` file `a1` and `b2`, so the
+/// hub's coverage of each starts with that member set.
+const TWO_GROUPS: &str = r#"
+    server { retention 1h; }
+    feed A { pattern "A_%i.csv"; }
+    feed B { pattern "B_%i.csv"; }
+    subscriber a1 { endpoint "a1"; subscribe A; }
+    subscriber a2 { endpoint "a2"; subscribe A, B; }
+    subscriber a3 { endpoint "a3"; subscribe B; }
+    subscriber b1 { endpoint "b1"; subscribe B; }
+    subscriber b2 { endpoint "b2"; subscribe A; }
+    group EAST { members a1, a2, a3; relay "east"; }
+    group WEST { members b1, b2; relay "west"; }
+"#;
+
+/// `(name, relay endpoint, members, bits pre-covered of an A file, of a
+/// B file)` per group of [`TWO_GROUPS`], members in sorted order.
+const GROUPS: [(&str, &str, u32, u8, u8); 2] = [
+    ("EAST", "east", 3, 0b100, 0b001),
+    ("WEST", "west", 2, 0b01, 0b10),
+];
+
+fn two_group_hub(clock: &Arc<SimClock>, store: &Arc<MemFs>, net: &Arc<SimNetwork>) -> Server {
+    let cfg = parse_config(TWO_GROUPS).unwrap();
+    Server::new("hub", cfg, clock.clone(), store.clone())
+        .unwrap()
+        .with_network(net.clone())
+}
+
+/// A step of [`prop_group_receipt_is_the_reference_coverage_completing`].
+#[derive(Clone, Debug)]
+enum GroupStep {
+    /// A coverage report from group `.0`'s relay for file `.1` (an index
+    /// into the deposits, wrapped), with bitmap byte `.2` — stray bits
+    /// past the last member included.
+    Report(u8, u8, u8),
+    /// The hub drains its inbox.
+    Drain,
+    /// The hub restarts on its store and backfills; reports in flight
+    /// arrive at the new incarnation.
+    Reopen,
+}
+
+impl bistro_base::prop::Shrink for GroupStep {}
+
+fn group_step(rng: &mut bistro_base::Rng) -> GroupStep {
+    match rng.gen_range(0u32..10) {
+        0..=5 => GroupStep::Report(
+            rng.gen_range(0u32..2) as u8,
+            rng.gen_range(0u32..4) as u8,
+            rng.gen_range(0u32..256) as u8,
+        ),
+        6..=8 => GroupStep::Drain,
+        _ => GroupStep::Reopen,
+    }
+}
+
+#[test]
+fn prop_group_receipt_is_the_reference_coverage_completing() {
+    // Reports arrive partial, complete, duplicated, in any order, after
+    // their delivery completed, and across a restart. The hub holds a
+    // (file, group) receipt exactly when a reference `Coverage` — started
+    // from the members that do not want the file, merged with the same
+    // reports in arrival order, and restarted with the tracker on a
+    // reopen — completes; `group.completed` counts those receipts.
+    use bistro_base::prop::{self, Runner};
+    use bistro_base::{prop_assert, prop_assert_eq};
+    use bistro_transport::Coverage;
+
+    Runner::new("group_receipt_is_the_reference_coverage_completing")
+        .cases(96)
+        .run(
+            |rng| {
+                let files = prop::vec_of(rng, 1..=4, |r| r.gen_bool(0.5));
+                let mut steps = prop::vec_of(rng, 0..=24, group_step);
+                // a report sent twice in a row
+                for i in 1..steps.len() {
+                    if matches!(steps[i - 1], GroupStep::Report(..)) && rng.gen_bool(0.2) {
+                        steps[i] = steps[i - 1].clone();
+                    }
+                }
+                (files, steps)
+            },
+            |(files, steps)| {
+                if files.is_empty() {
+                    return Ok(()); // shrunk past the generator's floor
+                }
+                let clock = SimClock::starting_at(START);
+                let store = MemFs::shared(clock.clone());
+                let net = Arc::new(SimNetwork::new(LinkSpec::default()));
+                let mut hub = two_group_hub(&clock, &store, &net);
+                let mut names = Vec::new();
+                for (i, &a) in files.iter().enumerate() {
+                    let name = format!("{}_{i}.csv", if a { "A" } else { "B" });
+                    hub.deposit(&name, b"x").unwrap();
+                    names.push(name);
+                }
+                let ids: Vec<_> = (names.iter())
+                    .map(|n| hub.receipts().file_by_name(n).unwrap().id)
+                    .collect();
+                let start = |g: usize, f: usize| {
+                    let (_, _, members, a, b) = GROUPS[g];
+                    Coverage::from_wire(members, &[if files[f] { a } else { b }])
+                };
+                // the reference: per (group, file), the coverage merged so
+                // far, and whether it completed
+                let mut reference: Vec<Vec<(Coverage, bool)>> = (0..2)
+                    .map(|g| (0..files.len()).map(|f| (start(g, f), false)).collect())
+                    .collect();
+                let mut in_flight: Vec<(usize, usize, u8)> = Vec::new();
+                let mut completed_before = 0;
+
+                let check =
+                    |hub: &Server, reference: &[Vec<(Coverage, bool)>], completed_before: u64| {
+                        let mut held = 0;
+                        for (g, per_file) in reference.iter().enumerate() {
+                            for (f, (_, done)) in per_file.iter().enumerate() {
+                                let receipted = hub.receipts().is_delivered(ids[f], GROUPS[g].0);
+                                prop_assert_eq!(receipted, *done, "group {} file {}", g, f);
+                                held += u64::from(receipted);
+                            }
+                        }
+                        let counted = hub.telemetry().counter_value("group.completed").unwrap();
+                        prop_assert_eq!(completed_before + counted, held);
+                        prop_assert_eq!(hub.stats().deliveries, 0);
+                        Ok(())
+                    };
+                for step in steps.iter().chain([&GroupStep::Drain]) {
+                    match *step {
+                        GroupStep::Report(g, f, bits) => {
+                            let (g, f) = (g as usize, f as usize % files.len());
+                            let (group, relay, ..) = GROUPS[g];
+                            let report = GroupMsg::Ack {
+                                group: group.to_string(),
+                                file: ids[f],
+                                bits: vec![bits],
+                            };
+                            let at = clock.advance(TimeSpan::from_millis(1));
+                            net.send(at, relay, "hub", Message::Group(report));
+                            in_flight.push((g, f, bits));
+                        }
+                        GroupStep::Drain => {
+                            clock.advance(TimeSpan::from_secs(1));
+                            hub.poll_network().unwrap();
+                            for (g, f, bits) in in_flight.drain(..) {
+                                let (coverage, done) = &mut reference[g][f];
+                                if !*done {
+                                    coverage.merge_wire(&[bits]);
+                                    *done = coverage.complete();
+                                }
+                            }
+                            check(&hub, &reference, completed_before)?;
+                        }
+                        GroupStep::Reopen => {
+                            completed_before +=
+                                hub.telemetry().counter_value("group.completed").unwrap();
+                            drop(hub);
+                            hub = two_group_hub(&clock, &store, &net);
+                            let owed = reference.iter().flatten().filter(|(_, d)| !d).count();
+                            prop_assert_eq!(hub.backfill_unacked().unwrap(), owed);
+                            for (g, per_file) in reference.iter_mut().enumerate() {
+                                for (f, (coverage, done)) in per_file.iter_mut().enumerate() {
+                                    if !*done {
+                                        *coverage = start(g, f);
+                                    }
+                                }
+                            }
+                            check(&hub, &reference, completed_before)?;
+                        }
+                    }
+                }
+                prop_assert!(in_flight.is_empty());
+                Ok(())
+            },
+        );
+}
+
+#[test]
+fn a_group_completion_for_an_expired_file_writes_nothing() {
+    // As with a late direct ack: the report that completes a group send
+    // of a file no longer live names no live file, so it writes no
+    // record and runs no tail.
+    let clock = SimClock::starting_at(START);
+    let store = MemFs::shared(clock.clone());
+    let net = Arc::new(SimNetwork::new(LinkSpec::default()));
+    let mut hub = two_group_hub(&clock, &store, &net);
+    hub.deposit("A_1.csv", b"x").unwrap();
+    let file = hub.receipts().file_by_name("A_1.csv").unwrap().id;
+    clock.advance(TimeSpan::from_secs(7_200));
+    assert_eq!(hub.expire().unwrap(), 1);
+    let appends = |hub: &Server| hub.telemetry().counter_value("wal.appends");
+    let before = appends(&hub);
+    let report = GroupMsg::Ack {
+        group: "WEST".to_string(),
+        file,
+        bits: vec![0b11],
+    };
+    assert!(hub
+        .handle_network_message("west", clock.now(), Message::Group(report))
+        .unwrap());
+    assert_eq!(appends(&hub), before);
+    assert_eq!(hub.telemetry().counter_value("group.completed"), Some(0));
+    assert_eq!(hub.group_outstanding(), 1, "EAST is still owed");
 }

@@ -43,22 +43,6 @@ pub enum Record {
         /// The new complete feed list.
         feeds: Vec<String>,
     },
-    /// Member-coverage mark for a shared-delivery-tree group: the relay
-    /// has confirmed delivery of `file` to the members set in `bits`
-    /// (bit `i`, LSB-first, = member `i` of the group's sorted member
-    /// list), of which the first `watermark` form a fully-covered
-    /// prefix. Re-applied marks OR-merge, so replay and cascaded
-    /// backfill stay exactly-once without one receipt per member.
-    GroupMark {
-        /// The delivered file.
-        file: FileId,
-        /// Subscriber-group name.
-        group: String,
-        /// Member-coverage bitmap.
-        bits: Vec<u8>,
-        /// Count of leading fully-covered members.
-        watermark: u64,
-    },
     /// A subscriber name entered the store's name table under `id`.
     /// Ids are dense, handed out in order of first use and never reused;
     /// the record precedes the first [`Record::Delivered`] naming its id,
@@ -70,7 +54,7 @@ pub enum Record {
         name: String,
     },
     /// A file was delivered to a set of subscribers: bit `i` of `bits`
-    /// (LSB-first, as in [`Record::GroupMark`]) = the subscriber with id
+    /// (LSB-first, as a [`bistro_base::Bitmap`] holds it) = the subscriber with id
     /// `i`. Sets OR-merge on replay, so any prefix or repetition of them
     /// is idempotent.
     Delivered {
@@ -176,7 +160,8 @@ const TAG_ARRIVAL: u8 = 1;
 // tag 2 is retired: a delivery receipt is a `Delivered` set
 const TAG_EXPIRE: u8 = 3;
 const TAG_RECLASSIFY: u8 = 4;
-const TAG_GROUP_MARK: u8 = 5;
+// tag 5 is retired: a hub's per-group member-coverage mark (`GroupMark`);
+// a relay group's delivery is a `Delivered` set naming the group's id
 const TAG_SUBSCRIBER: u8 = 6;
 const TAG_DELIVERED: u8 = 7;
 
@@ -202,20 +187,6 @@ pub(crate) fn encode_arrival(w: &mut ByteWriter, f: &FileRecord) {
     for feed in &f.feeds {
         w.put_str(feed);
     }
-}
-
-pub(crate) fn encode_group_mark(
-    w: &mut ByteWriter,
-    file: FileId,
-    group: &str,
-    bits: &[u8],
-    watermark: u64,
-) {
-    w.put_u8(TAG_GROUP_MARK);
-    w.put_varint(file.raw());
-    w.put_str(group);
-    w.put_bytes(bits);
-    w.put_varint(watermark);
 }
 
 pub(crate) fn encode_subscriber(w: &mut ByteWriter, id: u32, name: &str) {
@@ -253,12 +224,6 @@ impl Record {
                     w.put_str(feed);
                 }
             }
-            Record::GroupMark {
-                file,
-                group,
-                bits,
-                watermark,
-            } => encode_group_mark(&mut w, *file, group, bits, *watermark),
             Record::Subscriber { id, name } => encode_subscriber(&mut w, *id, name),
             Record::Delivered { file, at, bits } => encode_delivered(&mut w, *file, *at, bits),
         }
@@ -308,12 +273,6 @@ impl Record {
                 }
                 Record::Reclassify { file, feeds }
             }
-            TAG_GROUP_MARK => Record::GroupMark {
-                file: FileId(r.get_varint()?),
-                group: r.get_str()?.to_string(),
-                bits: r.get_bytes()?.to_vec(),
-                watermark: r.get_varint()?,
-            },
             TAG_SUBSCRIBER => {
                 let id = r.get_varint()?;
                 Record::Subscriber {
@@ -369,18 +328,6 @@ mod tests {
             Record::Reclassify {
                 file: FileId(42),
                 feeds: vec!["SNMP/MEMORY".to_string()],
-            },
-            Record::GroupMark {
-                file: FileId(42),
-                group: "EAST_COAST".to_string(),
-                bits: vec![0xFF, 0b0000_0101],
-                watermark: 8,
-            },
-            Record::GroupMark {
-                file: FileId(7),
-                group: "G".to_string(),
-                bits: vec![],
-                watermark: 0,
             },
             Record::Subscriber {
                 id: 0,
@@ -449,19 +396,6 @@ mod tests {
         let bytes = Record::Arrival(sample_file()).encode();
         for cut in [1usize, 5, bytes.len() / 2, bytes.len() - 1] {
             assert!(Record::decode(&bytes[..cut]).is_err(), "cut at {cut}");
-        }
-        let bytes = Record::GroupMark {
-            file: FileId(42),
-            group: "G".to_string(),
-            bits: vec![0xFF, 0x01],
-            watermark: 8,
-        }
-        .encode();
-        for cut in 1..bytes.len() {
-            assert!(
-                Record::decode(&bytes[..cut]).is_err(),
-                "group mark cut at {cut}"
-            );
         }
     }
 

@@ -27,8 +27,7 @@
 //! way a delivery receipt reaches the log. Queries take and return names.
 
 use crate::records::{
-    encode_arrival, encode_delivered, encode_group_mark, encode_subscriber, ArrivalTemplate,
-    FileRecord, Record,
+    encode_arrival, encode_delivered, encode_subscriber, ArrivalTemplate, FileRecord, Record,
 };
 use crate::wal::{Wal, WalError};
 use bistro_base::checksum::crc32;
@@ -185,9 +184,9 @@ impl Names {
 /// A live file and its delivery state. They share an entry so that
 /// expiring the file drops all of it: the store's memory is bounded by
 /// the live set, not by how many deliveries it ever recorded. Sets of
-/// subscriber ids are [`Bitmap`]s, as `GroupMark`'s member sets are, and
-/// only grow by OR-merge: replaying any prefix, repetition or reordering
-/// of the records that built one is idempotent.
+/// subscriber ids are [`Bitmap`]s, and only grow by OR-merge: replaying
+/// any prefix, repetition or reordering of the records that built one is
+/// idempotent.
 struct LiveFile {
     rec: FileRecord,
     /// Ids of the subscribers the file has been delivered to.
@@ -195,11 +194,6 @@ struct LiveFile {
     /// Ids a [`ReceiptStore::record_deliveries`] call in progress has
     /// gathered for this file and not yet logged. Empty between calls.
     pending: Bitmap,
-    /// group name → (member ack bitmap, high-watermark).
-    /// Shared-delivery-tree coverage (§3 delivery network): one compact
-    /// mark per (file, group) instead of one receipt per member. BTreeMap
-    /// so snapshots serialize the marks in a deterministic order.
-    group_marks: BTreeMap<String, (Bitmap, u64)>,
 }
 
 impl LiveFile {
@@ -257,12 +251,6 @@ impl Tables {
                 }
             }
             Record::Expire { file, .. } => self.expire(file),
-            Record::GroupMark {
-                file,
-                group,
-                bits,
-                watermark,
-            } => self.group_mark(file, &group, &bits, watermark),
             Record::Reclassify { file, feeds } => self.reclassify(file, feeds),
         }
         Ok(())
@@ -292,7 +280,6 @@ impl Tables {
                     rec: f,
                     delivered: Bitmap::default(),
                     pending: Bitmap::default(),
-                    group_marks: BTreeMap::new(),
                 };
                 self.files.insert(id, Box::new(live));
             }
@@ -308,20 +295,6 @@ impl Tables {
             }
             self.expired_count += 1;
         }
-    }
-
-    /// Marks only make sense against a live arrival; a mark for a file
-    /// that is not live is stale and dropped.
-    fn group_mark(&mut self, file: FileId, group: &str, bits: &[u8], watermark: u64) {
-        let Some(f) = self.files.get_mut(&file.raw()) else {
-            return;
-        };
-        let slot = match f.group_marks.get_mut(group) {
-            Some(slot) => slot,
-            None => f.group_marks.entry(group.to_string()).or_default(),
-        };
-        slot.0.or(bits);
-        slot.1 = slot.1.max(watermark);
     }
 
     fn reclassify(&mut self, file: FileId, feeds: Vec<String>) {
@@ -893,34 +866,6 @@ impl ReceiptStore {
         }
     }
 
-    /// Record (or widen) a group delivery mark: the member ack bitmap and
-    /// high-watermark for `group`'s shared delivery of `file`. Marks
-    /// OR-merge, so logging every coverage change keeps crash recovery
-    /// exactly-once: a recovered server resumes the group delivery from
-    /// the last durable coverage instead of refanning to every member.
-    pub fn record_group_mark(
-        &self,
-        file: FileId,
-        group: &str,
-        bits: &[u8],
-        watermark: u64,
-    ) -> Result<(), ReceiptError> {
-        let mut w = ByteWriter::new();
-        encode_group_mark(&mut w, file, group, bits, watermark);
-        self.log_then(w.into_bytes(), |t| {
-            t.group_mark(file, group, bits, watermark)
-        })
-    }
-
-    /// The merged (bitmap, high-watermark) coverage recorded for a group's
-    /// delivery of `file`, if any mark has been logged.
-    pub fn group_coverage(&self, file: FileId, group: &str) -> Option<(Vec<u8>, u64)> {
-        let inner = self.inner.lock();
-        let f = inner.tables.files.get(&file.raw())?;
-        let (bits, watermark) = f.group_marks.get(group)?;
-        Some((bits.bytes().to_vec(), *watermark))
-    }
-
     /// Record a file expiration (caller removes the staged payload).
     pub fn record_expiration(&self, file: FileId, at: TimePoint) -> Result<(), ReceiptError> {
         self.log_then(Record::Expire { file, at }.encode(), |t| t.expire(file))
@@ -1085,9 +1030,6 @@ impl ReceiptStore {
                 let sub = &tables.names.by_id[id as usize];
                 lines.push(format!("delivered\0{name}\0{sub}"));
             }
-            for (group, (bits, wm)) in &f.group_marks {
-                lines.push(format!("gmark\0{name}\0{group}\0{bits:x}\0{wm}"));
-            }
         }
         lines.sort_unstable();
         let mut acc = Vec::with_capacity(lines.len() * 32);
@@ -1124,8 +1066,7 @@ impl ReceiptStore {
     ///
     /// Body: the subscriber table first (every id a delivery names, in
     /// order — a name only registered stays off the record), then per
-    /// live file its arrival, its delivery set if it has one, and its
-    /// group marks.
+    /// live file its arrival and its delivery set if it has one.
     pub fn snapshot(&self) -> Result<usize, ReceiptError> {
         self.write_snapshot(&mut self.inner.lock())
     }
@@ -1161,9 +1102,6 @@ impl ReceiptStore {
             if !f.delivered.is_empty() {
                 // delivery times are not part of queue computation
                 put(&|w| encode_delivered(w, f.rec.id, TimePoint::EPOCH, f.delivered.bytes()));
-            }
-            for (group, (bits, wm)) in &f.group_marks {
-                put(&|w| encode_group_mark(w, f.rec.id, group, bits.bytes(), *wm));
             }
         }
         let mut body = ByteWriter::with_capacity(records.len() + 10);
@@ -1487,8 +1425,11 @@ mod tests {
         assert_eq!(reg.counter_value("recovery.undecodable_records"), Some(2));
     }
 
-    /// Tag 2 — the per-pair delivery receipt, named in full — is retired:
-    /// a log holding one is refused like any other unknown kind.
+    /// Retired tags are refused like any other unknown kind: tag 2, the
+    /// per-pair delivery receipt that named its subscriber in full, and
+    /// tag 5, `GroupMark`, the member-coverage mark a hub kept per relay
+    /// group (a group's delivery is now a `Delivered` set naming the
+    /// group's id).
     #[test]
     fn a_retired_delivery_record_fails_open() {
         let mut delivery = ByteWriter::new();
@@ -1496,19 +1437,28 @@ mod tests {
         delivery.put_varint(1);
         delivery.put_str("alice");
         delivery.put_u64(TimePoint::from_secs(50).as_micros());
-        let store = MemFs::shared(SimClock::new());
-        write_wal(
-            &store,
-            &[
-                Record::Arrival(file_record(1, "a.csv")).encode(),
-                delivery.into_bytes(),
-            ],
-        );
-        let err = ReceiptStore::open(store.clone() as Arc<dyn FileStore>, "receipts").err();
-        assert!(
-            matches!(err, Some(ReceiptError::UnknownRecord { tag: 2, .. })),
-            "{err:?}"
-        );
+        let mut group_mark = ByteWriter::new();
+        group_mark.put_u8(5);
+        group_mark.put_varint(1);
+        group_mark.put_str("EDGE");
+        group_mark.put_bytes(&[0b11]);
+        group_mark.put_varint(2);
+        for (tag, record) in [(2, delivery), (5, group_mark)] {
+            let store = MemFs::shared(SimClock::new());
+            write_wal(
+                &store,
+                &[
+                    Record::Arrival(file_record(1, "a.csv")).encode(),
+                    record.into_bytes(),
+                ],
+            );
+            let err = ReceiptStore::open(store.clone() as Arc<dyn FileStore>, "receipts").err();
+            assert_eq!(
+                err,
+                Some(ReceiptError::UnknownRecord { position: 2, tag }),
+                "tag {tag}"
+            );
+        }
     }
 
     #[test]
@@ -2024,68 +1974,6 @@ mod tests {
         assert_eq!(db.delivery_count(), 1);
     }
 
-    #[test]
-    fn group_marks_merge_idempotently() {
-        let store = MemFs::shared(SimClock::new());
-        let db = open(&store);
-        let f = arrive(&db, "a.csv", &["F"], 100);
-        assert!(db.group_coverage(f, "G").is_none());
-        db.record_group_mark(f, "G", &[0b0000_0101], 1).unwrap();
-        assert_eq!(db.group_coverage(f, "G"), Some((vec![0b0000_0101], 1)));
-        // widening mark ORs in; watermark is a max
-        db.record_group_mark(f, "G", &[0b0000_0010, 0x01], 3)
-            .unwrap();
-        assert_eq!(
-            db.group_coverage(f, "G"),
-            Some((vec![0b0000_0111, 0x01], 3))
-        );
-        // replaying an old (narrower) mark changes nothing
-        db.record_group_mark(f, "G", &[0b0000_0101], 1).unwrap();
-        assert_eq!(
-            db.group_coverage(f, "G"),
-            Some((vec![0b0000_0111, 0x01], 3))
-        );
-        // per-group isolation
-        db.record_group_mark(f, "H", &[0x01], 1).unwrap();
-        assert_eq!(db.group_coverage(f, "H"), Some((vec![0x01], 1)));
-        assert_eq!(
-            db.group_coverage(f, "G"),
-            Some((vec![0b0000_0111, 0x01], 3))
-        );
-        // marks against an unknown file are dropped, not indexed
-        db.record_group_mark(FileId(999), "G", &[0xFF], 8).unwrap();
-        assert!(db.group_coverage(FileId(999), "G").is_none());
-    }
-
-    #[test]
-    fn group_marks_survive_replay_and_snapshot() {
-        let store = MemFs::shared(SimClock::new());
-        let (f1, f2);
-        {
-            let db = open(&store);
-            f1 = arrive(&db, "a.csv", &["F"], 100);
-            f2 = arrive(&db, "b.csv", &["F"], 200);
-            db.record_group_mark(f1, "G", &[0b0000_1111], 4).unwrap();
-            db.record_group_mark(f2, "G", &[0x01], 1).unwrap();
-        } // crash: WAL replay
-        {
-            let db = open(&store);
-            assert_eq!(db.group_coverage(f1, "G"), Some((vec![0b0000_1111], 4)));
-            assert_eq!(db.group_coverage(f2, "G"), Some((vec![0x01], 1)));
-            db.record_group_mark(f1, "G", &[0b0011_0000], 6).unwrap();
-            db.snapshot().unwrap(); // marks must round-trip the snapshot
-            db.record_expiration(f2, TimePoint::from_secs(900)).unwrap();
-        }
-        let db = open(&store);
-        assert_eq!(db.group_coverage(f1, "G"), Some((vec![0b0011_1111], 6)));
-        assert!(
-            db.group_coverage(f2, "G").is_none(),
-            "expiration drops the file's group marks"
-        );
-    }
-
-    /// The checkpoint threshold as the store sees it, and the WAL bytes
-    /// it counts against it.
     fn rule(db: &ReceiptStore) -> (u64, u64) {
         let inner = db.inner.lock();
         (inner.checkpoint_threshold(), inner.log.wal.bytes())
@@ -2160,19 +2048,5 @@ mod tests {
         let reopened = open(&store);
         assert_eq!(reopened.live_count(), 8);
         assert_eq!(reopened.recovery_info().wal_records, 0);
-    }
-
-    #[test]
-    fn group_marks_change_state_digest() {
-        let store = MemFs::shared(SimClock::new());
-        let db = open(&store);
-        let f = arrive(&db, "a.csv", &["F"], 100);
-        let before = db.state_digest();
-        db.record_group_mark(f, "G", &[0x03], 2).unwrap();
-        let after = db.state_digest();
-        assert_ne!(before, after, "coverage is part of the recovery state");
-        // merging in an already-covered mark leaves the digest fixed
-        db.record_group_mark(f, "G", &[0x01], 1).unwrap();
-        assert_eq!(db.state_digest(), after);
     }
 }

@@ -137,8 +137,7 @@ pub enum ClusterMsg {
 /// server sends one [`GroupMsg::Deliver`] per group instead of one
 /// attempt per member; the relay fans out locally and answers with a
 /// [`GroupMsg::Ack`] describing *which members* it has covered so far
-/// (bitmap over the group's sorted member list, plus a high-watermark
-/// counting the fully-delivered prefix). Partial coverage keeps the
+/// (a bitmap over the group's sorted member list). Partial coverage keeps the
 /// delivery outstanding upstream; retries double as coverage refreshes
 /// and the relay backfills stragglers from its own store (cascaded
 /// backfill).
@@ -161,9 +160,8 @@ pub enum GroupMsg {
     },
     /// Relay → home server: member-coverage report for `(group, file)`.
     /// Bit `i` of `bits` (LSB-first within each byte) is set when member
-    /// `i` of the group's sorted member list has the file; `watermark`
-    /// counts the fully-covered member prefix. A complete bitmap
-    /// finishes the delivery upstream; a partial one leaves it
+    /// `i` of the group's sorted member list has the file. A complete
+    /// bitmap finishes the delivery upstream; a partial one leaves it
     /// outstanding for retry-driven cascaded backfill.
     Ack {
         /// Subscriber-group name.
@@ -172,8 +170,6 @@ pub enum GroupMsg {
         file: FileId,
         /// Member-coverage bitmap over the sorted member list.
         bits: Vec<u8>,
-        /// Count of leading members known fully delivered.
-        watermark: u64,
     },
 }
 
@@ -351,17 +347,11 @@ impl Message {
                 w.put_varint(*size);
                 w.put_varint(*attempt as u64);
             }
-            Message::Group(GroupMsg::Ack {
-                group,
-                file,
-                bits,
-                watermark,
-            }) => {
+            Message::Group(GroupMsg::Ack { group, file, bits }) => {
                 w.put_u8(TAG_GROUP_ACK);
                 w.put_str(group);
                 w.put_varint(file.raw());
                 w.put_bytes(bits);
-                w.put_varint(*watermark);
             }
         }
         w.into_bytes()
@@ -452,7 +442,6 @@ impl Message {
                 group: r.get_str()?.to_string(),
                 file: FileId(r.get_varint()?),
                 bits: r.get_bytes()?.to_vec(),
-                watermark: r.get_varint()?,
             }),
             other => {
                 return Err(CodecError::BadTag {
@@ -532,16 +521,8 @@ impl Message {
                     + varint_len(*size)
                     + varint_len(*attempt as u64)
             }
-            Message::Group(GroupMsg::Ack {
-                group,
-                file,
-                bits,
-                watermark,
-            }) => {
-                1 + prefixed(group.len())
-                    + varint_len(file.raw())
-                    + prefixed(bits.len())
-                    + varint_len(*watermark)
+            Message::Group(GroupMsg::Ack { group, file, bits }) => {
+                1 + prefixed(group.len()) + varint_len(file.raw()) + prefixed(bits.len())
             }
         }
     }
@@ -632,7 +613,6 @@ mod tests {
                 group: "EAST_COAST".to_string(),
                 file: FileId(21),
                 bits: vec![0b1011_0101, 0b0000_0011],
-                watermark: 4,
             }),
         ];
         for m in msgs {
@@ -747,7 +727,6 @@ mod tests {
                 group: "G".to_string(),
                 file: FileId(21),
                 bits: vec![0xFF, 0x01],
-                watermark: 9,
             }),
         ]
     }
@@ -828,7 +807,6 @@ mod tests {
                 group: s,
                 file: FileId(a),
                 bits: list.iter().map(|&f| f as u8).collect(),
-                watermark: b,
             }),
         ]
     }
@@ -899,9 +877,8 @@ mod tests {
             group: "G01".to_string(),
             file: FileId(300),
             bits: vec![0xff, 0x03],
-            watermark: 10,
         });
-        assert_eq!(hex(&group_ack), "1003473031ac0202ff030a");
+        assert_eq!(hex(&group_ack), "1003473031ac0202ff03");
         for m in [attempt, ack, deliver, group_ack] {
             assert_eq!(m.encoded_len(), m.encode().len());
         }
@@ -1013,7 +990,6 @@ mod tests {
                 group: "G".to_string(),
                 file: FileId(5),
                 bits: vec![0x0F],
-                watermark: 2,
             }),
         ] {
             let bytes = m.encode();

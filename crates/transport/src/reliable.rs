@@ -39,7 +39,6 @@
 use crate::messages::SubscriberMsg;
 use bistro_base::{Bitmap, FileId, Rng, TimePoint, TimeSpan};
 use bistro_telemetry::{Counter, Gauge, Registry};
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -406,11 +405,9 @@ impl<P: Payload> RetryTracker<P, Target> {
 
 /// Member-coverage bitmap for one `(group, file)` delivery: bit `i` of a
 /// [`Bitmap`] is set when member `i` of the group's sorted member list
-/// has received the file. The *watermark* is the count of leading
-/// covered members — the high-watermark form used on the wire and in
-/// receipt records, cheap to compare during recovery. The member count
-/// fixes the bytes at exactly the members and keeps every bit past the
-/// last member clear, whatever a report claims.
+/// has received the file — the form a relay's report carries on the
+/// wire. The member count fixes the bytes at exactly the members and
+/// keeps every bit past the last member clear, whatever a report claims.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Coverage {
     members: u32,
@@ -426,11 +423,11 @@ impl Coverage {
         }
     }
 
-    /// Rebuild from wire/receipt form, clamped to the member count as
+    /// Rebuild from wire form, clamped to the member count as
     /// [`Coverage::merge_wire`] clamps.
-    pub fn from_wire(members: u32, bits: &[u8], watermark: u64) -> Coverage {
+    pub fn from_wire(members: u32, bits: &[u8]) -> Coverage {
         let mut c = Coverage::new(members);
-        c.merge_wire(bits, watermark);
+        c.merge_wire(bits);
         c
     }
 
@@ -444,18 +441,13 @@ impl Coverage {
         self.bits.get(i)
     }
 
-    /// OR a report into this one, in place; true if anything changed.
-    /// Adversarial input is clamped: a longer bitmap is cut to the member
-    /// count, stray bits past the last member are dropped, and the
-    /// watermark prefix is capped at `members`.
-    pub fn merge_wire(&mut self, bits: &[u8], watermark: u64) -> bool {
-        let (before, width) = (self.count(), self.bits.bytes().len());
+    /// OR a report into this one, in place. Adversarial input is
+    /// clamped: a longer bitmap is cut to the member count, and stray
+    /// bits past the last member are dropped.
+    pub fn merge_wire(&mut self, bits: &[u8]) {
+        let width = self.bits.bytes().len();
         self.bits.or(&bits[..bits.len().min(width)]);
         self.bits.truncate(self.members);
-        for i in 0..watermark.min(u64::from(self.members)) as u32 {
-            self.bits.set(i);
-        }
-        self.count() != before
     }
 
     /// Covered members.
@@ -468,17 +460,7 @@ impl Coverage {
         self.count() == self.members
     }
 
-    /// Count of leading covered members (the high-watermark).
-    pub fn watermark(&self) -> u32 {
-        self.bits.leading_ones()
-    }
-
-    /// The group's member count.
-    pub fn members(&self) -> u32 {
-        self.members
-    }
-
-    /// The raw bitmap (wire/receipt form).
+    /// The raw bitmap (wire form).
     pub fn bits(&self) -> &[u8] {
         self.bits.bytes()
     }
@@ -503,32 +485,20 @@ impl Payload for GroupSend {}
 
 impl RetryTracker<GroupSend> {
     /// A coverage report for `(group, file)` arrived. Merges it into the
-    /// entry in place and returns `(merged coverage, changed)` — `None`
-    /// if the pair is not outstanding (stale or duplicate ack of a
+    /// entry in place and returns whether the delivery is now complete —
+    /// `None` if the pair is not outstanding (stale or duplicate ack of a
     /// finished delivery). Unlike a per-subscriber ack, a report only
-    /// clears the entry once the merged bitmap is complete; the coverage
-    /// then comes back owned, out of the removed entry.
-    pub fn on_coverage(
-        &mut self,
-        group: &str,
-        file: FileId,
-        bits: &[u8],
-        watermark: u64,
-    ) -> Option<(Cow<'_, Coverage>, bool)> {
+    /// clears the entry once the merged bitmap is complete.
+    pub fn on_coverage(&mut self, group: &str, file: FileId, bits: &[u8]) -> Option<bool> {
         let key = key(group, file);
         let coverage = &mut self.outstanding.get_mut(&key)?.payload.coverage;
-        let changed = coverage.merge_wire(bits, watermark);
+        coverage.merge_wire(bits);
         self.metrics.acks.inc();
-        if !coverage.complete() {
-            // looked up again: handing `coverage` itself out would keep
-            // all of `self` borrowed on the path below too
-            return Some((
-                Cow::Borrowed(&self.outstanding[&key].payload.coverage),
-                changed,
-            ));
+        let complete = coverage.complete();
+        if complete {
+            self.remove(&key);
         }
-        let done = self.remove(&key).expect("merged above");
-        Some((Cow::Owned(done.coverage), changed))
+        Some(complete)
     }
 }
 
@@ -1026,30 +996,26 @@ mod tests {
         // does not reset it either
         let mut tr = RetryTracker::new(policy(), 1);
         tr.track("g", FileId(1), group_send(4), t(2));
-        tr.on_coverage("g", FileId(1), &[], 2);
+        assert_eq!(tr.on_coverage("g", FileId(1), &[0b0011]), Some(false));
         assert_eq!(tr.oldest_unacked_age(t(15)), Some(TimeSpan::from_secs(13)));
     }
 
     // -- shared delivery trees ---------------------------------------------
 
     #[test]
-    fn coverage_set_count_watermark() {
+    fn coverage_set_count_complete() {
         let mut c = Coverage::new(11);
         assert_eq!(c.count(), 0);
-        assert_eq!(c.watermark(), 0);
         assert!(!c.complete());
         assert!(c.set(0));
         assert!(!c.set(0), "second set is not new");
         assert!(c.set(2));
         assert_eq!(c.count(), 2);
-        assert_eq!(c.watermark(), 1, "gap at member 1 stops the watermark");
-        c.set(1);
-        assert_eq!(c.watermark(), 3);
-        for i in 3..11 {
+        assert!(c.get(2) && !c.get(1));
+        for i in 1..11 {
             c.set(i);
         }
         assert!(c.complete());
-        assert_eq!(c.watermark(), 11);
         // out-of-range member indices are ignored, not panics
         assert!(!c.set(11));
         assert!(!c.get(11));
@@ -1062,21 +1028,15 @@ mod tests {
         c.set(1);
         c.set(7);
         c.set(9);
-        let back = Coverage::from_wire(10, c.bits(), c.watermark() as u64);
+        let back = Coverage::from_wire(10, c.bits());
         assert_eq!(back, c);
 
-        // oversized bitmap, stray tail bits and a lying watermark are
-        // all clamped to the member count
-        let hostile = Coverage::from_wire(3, &[0xFF, 0xFF, 0xFF, 0xFF], u64::MAX);
-        assert_eq!(hostile.members(), 3);
+        // an oversized bitmap and stray tail bits are clamped to the
+        // member count
+        let hostile = Coverage::from_wire(3, &[0xFF, 0xFF, 0xFF, 0xFF]);
         assert_eq!(hostile.count(), 3);
         assert!(hostile.complete());
-
-        // a short bitmap with a watermark still covers the prefix
-        let prefix = Coverage::from_wire(20, &[], 12);
-        assert_eq!(prefix.count(), 12);
-        assert_eq!(prefix.watermark(), 12);
-        assert!(!prefix.complete());
+        assert_eq!(hostile.bits(), [0b0111]);
     }
 
     #[test]
@@ -1088,28 +1048,23 @@ mod tests {
         assert_eq!(tr.track("g", FileId(1), group_send(10), t(1)), 1);
 
         // partial coverage: first 4 members — stays outstanding
-        let partial = Coverage::from_wire(10, &[], 4);
-        let (merged, changed) = tr
-            .on_coverage("g", FileId(1), partial.bits(), 4)
-            .expect("outstanding");
-        assert!(changed);
-        assert_eq!(merged.count(), 4);
+        let partial = [0b0000_1111];
+        assert_eq!(tr.on_coverage("g", FileId(1), &partial), Some(false));
         assert!(tr.is_outstanding("g", FileId(1)));
         let (_, _, held) = tr.entries().next().unwrap();
-        assert_eq!(held.coverage.watermark(), 4);
+        assert_eq!(held.coverage.count(), 4);
 
-        // same report again: no change
-        let (_, changed) = tr.on_coverage("g", FileId(1), partial.bits(), 4).unwrap();
-        assert!(!changed);
+        // same report again: still partial
+        assert_eq!(tr.on_coverage("g", FileId(1), &partial), Some(false));
+        assert_eq!(tr.entries().next().unwrap().2.coverage.count(), 4);
 
-        // full coverage finishes and removes the entry
-        let full = Coverage::from_wire(10, &[], 10);
-        let (merged, _) = tr.on_coverage("g", FileId(1), full.bits(), 10).unwrap();
-        assert!(merged.complete());
+        // the rest finishes and removes the entry
+        let rest = [0b1111_0000, 0b0000_0011];
+        assert_eq!(tr.on_coverage("g", FileId(1), &rest), Some(true));
         assert!(!tr.is_outstanding("g", FileId(1)));
         assert_eq!(tr.outstanding_count(), 0);
         // a report for a finished delivery is a stale no-op
-        assert!(tr.on_coverage("g", FileId(1), full.bits(), 10).is_none());
+        assert!(tr.on_coverage("g", FileId(1), &rest).is_none());
     }
 
     #[test]
@@ -1120,15 +1075,13 @@ mod tests {
         tr.track("h", FileId(2), group_send(2), t(0));
         assert_eq!(reg.counter_value("group.attempts"), Some(2));
         assert_eq!(reg.gauge_value("group.outstanding"), Some(2));
-        let half = Coverage::from_wire(4, &[], 2);
-        tr.on_coverage("g", FileId(1), half.bits(), 2);
+        tr.on_coverage("g", FileId(1), &[0b0011]);
         let covered: Vec<_> = tr
             .entries()
             .map(|((g, f), a, p)| (&**g, f.raw(), a, p.coverage.count()))
             .collect();
         assert_eq!(covered, vec![("g", 1, 1, 2), ("h", 2, 1, 0)]);
-        let full = Coverage::from_wire(2, &[], 2);
-        tr.on_coverage("h", FileId(2), full.bits(), 2);
+        tr.on_coverage("h", FileId(2), &[0b11]);
         assert_eq!(reg.counter_value("group.acks"), Some(2));
         assert_eq!(reg.gauge_value("group.outstanding"), Some(1));
         assert_eq!(reg.counter_value("reliable.acks"), None);

@@ -19,8 +19,9 @@
 
 use bistro::base::{crc32, Clock, SimClock, SubscriberId, TimePoint, TimeSpan};
 use bistro::config::parse_config;
+use bistro::server::relay::Relay;
 use bistro::server::{Server, ServerError};
-use bistro::transport::messages::{Message, ReliableMsg};
+use bistro::transport::messages::{GroupMsg, Message, ReliableMsg};
 use bistro::transport::{LinkSpec, RetryPolicy, SimNetwork, SubscriberClient};
 use bistro::vfs::{walk_files, FaultStore, FileStore, MemFs};
 use std::collections::BTreeSet;
@@ -1196,5 +1197,321 @@ fn read_fault_sweep_never_drops_payload_without_archiving() {
     assert!(
         skips >= 1,
         "no read fault ever exercised the archive skip path"
+    );
+}
+
+const GROUP_CONFIG: &str = r#"
+    feed F { pattern "f_%i.csv"; }
+    feed G { pattern "g_%i.csv"; }
+    subscriber m1 { endpoint "m1"; subscribe F; delivery push; }
+    subscriber m2 { endpoint "m2"; subscribe F, G; delivery push; }
+    group EDGE { members m1, m2; relay "edge"; }
+"#;
+
+/// What the group sweep deposits at the hub, in order. `m1` wants only
+/// the `f_` files, so the hub's coverage of `g_2` starts with it set.
+const GROUP_FILES: [&str; 5] = ["f_0.csv", "f_1.csv", "g_2.csv", "f_3.csv", "f_4.csv"];
+
+/// The downstream tier of the group sweep, which outlives every hub
+/// incarnation: the edge server on a store of its own, the relay hop into
+/// it, and the two members the edge serves.
+struct EdgeTier {
+    edge: Server,
+    relay: Relay,
+    members: [SubscriberClient; 2],
+    /// A hub drain failed: the crash fired inside a completion append.
+    drain_failed: bool,
+}
+
+impl EdgeTier {
+    fn new(clock: &Arc<SimClock>, net: &Arc<SimNetwork>) -> EdgeTier {
+        let config = parse_config(GROUP_CONFIG).unwrap();
+        let edge = Server::new("edge", config, clock.clone(), MemFs::shared(clock.clone()))
+            .unwrap()
+            .with_network(net.clone())
+            .with_reliable_delivery(retry_policy(), SEED);
+        EdgeTier {
+            edge,
+            relay: Relay::new(),
+            members: ["m1", "m2"].map(|m| SubscriberClient::new(m, "edge")),
+            drain_failed: false,
+        }
+    }
+
+    /// One second of both tiers: the relay pumps the hub's sends into the
+    /// edge and answers each with the members' coverage, the members poll
+    /// and ack, the edge drains their acks, and the hub drains the
+    /// reports. A hub error (the crash) propagates.
+    fn round(
+        &mut self,
+        hub: &mut Server,
+        net: &SimNetwork,
+        clock: &SimClock,
+    ) -> Result<(), ServerError> {
+        let now = clock.advance(TimeSpan::from_secs(1));
+        self.relay.pump(net, hub, &mut self.edge, now)?;
+        for m in &mut self.members {
+            m.poll_notifications(net, now);
+        }
+        self.edge.poll_network()?;
+        self.edge.retry_tick()?;
+        let drained = hub.poll_network();
+        self.drain_failed |= drained.is_err();
+        drained.map(drop)
+    }
+
+    /// Carry the hub's outstanding group sends to completion: the relay's
+    /// first report is partial — the members have not acked yet — and a
+    /// forced resend draws a complete one.
+    fn complete(
+        &mut self,
+        hub: &mut Server,
+        net: &SimNetwork,
+        clock: &SimClock,
+    ) -> Result<(), ServerError> {
+        for _ in 0..3 {
+            self.round(hub, net, clock)?;
+        }
+        hub.retry_fire()?;
+        for _ in 0..2 {
+            self.round(hub, net, clock)?;
+        }
+        Ok(())
+    }
+}
+
+/// The faulted hub incarnation of the group sweep: two files completed
+/// in one drain, a third with a member pre-covered, a stale report for a
+/// completed file, a snapshot, then two more files. The hub lands in
+/// `hub` once it is built, so the caller can read what it observed.
+fn group_phase_a(
+    clock: &Arc<SimClock>,
+    store: Arc<dyn FileStore>,
+    net: &Arc<SimNetwork>,
+    tier: &mut EdgeTier,
+    seen: &mut BTreeSet<u64>,
+    hub: &mut Option<Server>,
+) -> Result<(), ServerError> {
+    let config = parse_config(GROUP_CONFIG).unwrap();
+    let hub =
+        hub.insert(Server::new("hub", config, clock.clone(), store)?.with_network(net.clone()));
+    let mut deposit = |hub: &mut Server, names: &[&str]| -> Result<(), ServerError> {
+        for name in names {
+            hub.deposit(name, name.as_bytes())?;
+        }
+        note_live_ids(hub, seen);
+        Ok(())
+    };
+    deposit(hub, &GROUP_FILES[..2])?;
+    tier.complete(hub, net, clock)?;
+    deposit(hub, &GROUP_FILES[2..3])?;
+    tier.complete(hub, net, clock)?;
+    let f0 = hub.receipts().file_by_name(GROUP_FILES[0]).unwrap().id;
+    let stale = GroupMsg::Ack {
+        group: "EDGE".to_string(),
+        file: f0,
+        bits: vec![0b11],
+    };
+    net.send(clock.now(), "edge", "hub", Message::Group(stale));
+    tier.round(hub, net, clock)?;
+    hub.snapshot()?;
+    deposit(hub, &GROUP_FILES[3..])?;
+    tier.complete(hub, net, clock)
+}
+
+/// Crash the hub of the group sweep at `crash_op`, reopen it on the
+/// surviving bytes beside the running edge tier, and check every
+/// invariant. Returns whether the crash fired inside a hub drain.
+fn run_group_crash(seed: u64, crash_op: u64) -> bool {
+    let ctx = format!("seed={seed:#x} crash_op={crash_op}");
+    let clock = SimClock::starting_at(START);
+    let inner = MemFs::shared(clock.clone());
+    let net = Arc::new(SimNetwork::new(LinkSpec::default()));
+    let faulted = Arc::new(FaultStore::armed(inner.clone(), seed, crash_op));
+    let mut tier = EdgeTier::new(&clock, &net);
+    let mut seen = BTreeSet::new();
+    let mut dead = None;
+    assert!(
+        group_phase_a(&clock, faulted, &net, &mut tier, &mut seen, &mut dead).is_err(),
+        "{ctx}: crash point did not fire"
+    );
+    // the group receipts the dead hub held in memory, each of which it
+    // counted as a completion once its append returned
+    let observed: Vec<String> = (dead.iter())
+        .flat_map(|h| {
+            let receipts = h.receipts();
+            let completed = h.telemetry().counter_value("group.completed");
+            let held: Vec<String> = (receipts.all_live().into_iter())
+                .filter(|r| receipts.is_delivered(r.id, "EDGE"))
+                .map(|r| r.name)
+                .collect();
+            assert_eq!(
+                completed,
+                Some(held.len() as u64),
+                "{ctx}: tails ran unreceipted"
+            );
+            held
+        })
+        .collect();
+    drop(dead);
+
+    let config = parse_config(GROUP_CONFIG).unwrap();
+    let mut hub = Server::new(
+        "hub",
+        config,
+        clock.clone(),
+        inner.clone() as Arc<dyn FileStore>,
+    )
+    .unwrap_or_else(|e| panic!("{ctx}: reopen: {e}"))
+    .with_network(net.clone());
+    let receipts = hub.receipts();
+    let group = receipts.subscriber_id("EDGE");
+    assert_eq!(
+        group,
+        Some(SubscriberId(0)),
+        "{ctx}: the group registers first"
+    );
+    // invariant: no receipt dangles — each live file's payload is staged,
+    // and its delivered set names the group alone
+    for rec in receipts.all_live() {
+        let staged = format!("staging/{}", rec.staged_path);
+        assert!(inner.exists(&staged), "{ctx}: {staged} missing");
+        let delivered: Vec<u32> = receipts.delivered_ids(rec.id).unwrap().ones().collect();
+        assert!(
+            delivered.is_empty() || delivered == [0],
+            "{ctx}: {} delivered to ids {delivered:?}",
+            rec.name
+        );
+    }
+    // invariant: a completion the dead hub counted is durable
+    for name in &observed {
+        let rec = receipts.file_by_name(name);
+        assert!(
+            rec.is_some_and(|r| receipts.is_delivered(r.id, "EDGE")),
+            "{ctx}: the group receipt of {name} was counted and lost"
+        );
+    }
+    note_live_ids(&hub, &mut seen);
+
+    // invariant: backfill re-sends exactly the live files whose group
+    // receipt is missing
+    let owed = (receipts.all_live().iter())
+        .filter(|r| !receipts.is_delivered(r.id, "EDGE"))
+        .count();
+    let resent = hub
+        .backfill_unacked()
+        .unwrap_or_else(|e| panic!("{ctx}: backfill_unacked: {e}"));
+    assert_eq!(
+        resent, owed,
+        "{ctx}: backfill re-sent {resent} of {owed} owed"
+    );
+    assert_eq!(hub.group_outstanding(), owed, "{ctx}");
+
+    // an arrival the crash lost was never sent: deposit it again, under
+    // an id nobody has seen
+    for name in GROUP_FILES {
+        if hub.receipts().file_by_name(name).is_none() {
+            hub.deposit(name, name.as_bytes())
+                .unwrap_or_else(|e| panic!("{ctx}: deposit {name} again: {e}"));
+            let id = hub.receipts().file_by_name(name).unwrap().id.raw();
+            assert!(seen.insert(id), "{ctx}: id {id} reused for {name}");
+        }
+    }
+    tier.complete(&mut hub, &net, &clock)
+        .unwrap_or_else(|e| panic!("{ctx}: settle: {e}"));
+
+    // invariant: every file completed once, at every member that wants it
+    assert_eq!(
+        hub.group_outstanding(),
+        0,
+        "{ctx}: outstanding after settle"
+    );
+    assert_eq!(
+        tier.edge.unacked_count(),
+        0,
+        "{ctx}: edge unacked after settle"
+    );
+    let receipts = hub.receipts();
+    assert_eq!(receipts.live_count(), GROUP_FILES.len(), "{ctx}");
+    for rec in receipts.all_live() {
+        assert!(
+            receipts.is_delivered(rec.id, "EDGE"),
+            "{ctx}: {} incomplete after settle",
+            rec.name
+        );
+    }
+    for (member, wants) in tier.members.iter().zip([4, 5]) {
+        let got: BTreeSet<u64> = member.delivered().iter().map(|d| d.0.raw()).collect();
+        assert_eq!(got.len(), wants, "{ctx}: {} missed a file", member.endpoint);
+        assert_eq!(
+            member.delivered().len(),
+            wants,
+            "{ctx}: {} received a file twice",
+            member.endpoint
+        );
+    }
+
+    // invariant: the next arrival takes a fresh id
+    hub.deposit("f_5.csv", b"f_5.csv")
+        .unwrap_or_else(|e| panic!("{ctx}: deposit f_5: {e}"));
+    let f5 = hub.receipts().file_by_name("f_5.csv").unwrap().id.raw();
+    assert!(!seen.contains(&f5), "{ctx}: id {f5} reused for f_5.csv");
+    tier.drain_failed
+}
+
+#[test]
+fn sweep_hub_crash_across_group_completion_drains() {
+    // The hub receipts a relay group once, when the relay's coverage
+    // report completes: a `Delivered` set over the group's own id in the
+    // drain's one append, its count and log line after. Crash the hub at
+    // every storage op of a run with partial, complete and stale reports
+    // and a snapshot, reopen it beside the running edge, and the store
+    // opens, a counted completion is durable, backfill re-sends exactly
+    // the files without their receipt, and every member gets every file
+    // it wants once.
+    let total = {
+        let clock = SimClock::starting_at(START);
+        let counting = Arc::new(FaultStore::counting(MemFs::shared(clock.clone())));
+        let net = Arc::new(SimNetwork::new(LinkSpec::default()));
+        let mut tier = EdgeTier::new(&clock, &net);
+        let mut hub = None;
+        let store = counting.clone() as Arc<dyn FileStore>;
+        group_phase_a(
+            &clock,
+            store,
+            &net,
+            &mut tier,
+            &mut BTreeSet::new(),
+            &mut hub,
+        )
+        .expect("uncrashed scenario must complete");
+        let hub = hub.unwrap();
+        let completed = hub.telemetry().counter_value("group.completed");
+        assert_eq!(
+            completed,
+            Some(GROUP_FILES.len() as u64),
+            "the stale report counts nothing"
+        );
+        assert_eq!(
+            hub.stats().deliveries,
+            0,
+            "a group receipt is no subscriber delivery"
+        );
+        // a partial and a complete report merged per file, one forced
+        // resend per file between them
+        assert_eq!(hub.group_counters(), (10, 5, 0));
+        counting.mutation_ops()
+    };
+    let mut in_drain = 0;
+    for (crash_op, seed) in (0..total).flat_map(|op| (SEED..SEED + 2).map(move |s| (op, s))) {
+        in_drain += usize::from(run_group_crash(seed, crash_op));
+    }
+    println!(
+        "group-receipt sweep: {total} hub storage ops, {in_drain} crashes inside a drain, \
+         seed {SEED:#x}"
+    );
+    assert!(
+        in_drain > 0,
+        "the sweep never crashed inside a completion append"
     );
 }
