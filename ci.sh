@@ -113,7 +113,9 @@ stage_parallel() {
 # Model-checking stage: bounded exhaustive exploration of reliable
 # delivery, crash-restart and failover interleavings (DESIGN.md §11).
 # Uncaptured so the `[mc] scenario=… states=… elapsed_ms=…` counters
-# land in the build log. Runs the scenario file in release mode with a
+# land in the build log; under this stage's `BISTRO_MC_STATES=60000`
+# `tests/model_check.rs` also asserts each scenario's outcome and state
+# count equal to the pinned ones (245 / 34 / 51 222 / 60 000). Runs the scenario file in release mode with a
 # raised state cap: the same scenarios that cover ~20k distinct states
 # under a plain `cargo test` exhaust >100k here in similar wall time.
 stage_mc() {

@@ -1401,8 +1401,7 @@ mod tests {
         assert_eq!(s2.resolve_endpoint("wh:7070").as_deref(), Some("wh"));
         let feeds = vec!["SNMP/CPU".to_string(), "SNMP/MEM".to_string()];
         assert_eq!(s2.match_via_index(&feeds), s2.match_via_scan(&feeds));
-        let (matched, _) = s2.match_via_index(&feeds);
-        assert_eq!(matched, vec!["wh".to_string()]);
+        assert_eq!(s2.match_via_index(&feeds), vec!["wh".to_string()]);
 
         // and a post-failover deposit actually uses that index entry
         cluster

@@ -1,5 +1,5 @@
-//! Inverted delivery index: feed → interested subscribers, feed →
-//! group plans, endpoint → subscribers.
+//! Inverted delivery index: feed → interested receipt ids (subscribers
+//! and relay groups), endpoint → subscribers.
 //!
 //! The paper's server "matches each deposited file against the
 //! subscriber population" (§4.2); done naively that match is a scan of
@@ -8,20 +8,23 @@
 //! [`DeliveryIndex`] inverts the subscription relation so
 //! `ingest_prepared` touches only `O(matched)` state per deposit:
 //!
-//! * `by_feed` — feed name → the bitmap of *online, ungrouped*
-//!   subscriber ids whose resolved feed set contains that feed. A match
-//!   is an OR over the file's feed postings, and yields ids ascending —
-//!   the order the direct fan-out sends in.
-//! * `groups_by_feed` — feed name → the shared-delivery plan indices
-//!   whose member feed union contains that feed, ascending — identical
-//!   to enumerating the plan list in order.
+//! * `by_feed` — feed name → the bitmap of the receipt ids posted under
+//!   it: each *online, ungrouped* subscriber whose resolved feed set
+//!   contains the feed, and each planned relay group whose member feed
+//!   union does (a relay is a subscriber of this server, §3). A match is
+//!   an OR over the file's feed postings, and yields ids ascending. It
+//!   is the one "who is owed this file" rule: a deposit sends a fresh
+//!   file its match, and backfill and feed redefinition send each live
+//!   file its match minus its delivered set, in one pass.
+//! * `relays` — the relay groups' ids, which split a match into the
+//!   direct cohort and the group sends.
 //! * `by_endpoint` — configured endpoint → the names sharing it, each
 //!   with its id. Acks carry no name on the wire: an ack resolves to the
 //!   first name on its endpoint, in name order, that still owes the
 //!   acked file, and to the first name when none does (a late
 //!   duplicate).
 //!
-//! All three are keyed by config feed and endpoint names, which this
+//! Both maps are keyed by config feed and endpoint names, which this
 //! process picks, so they hash with FNV-1a ([`FnvHashMap`]).
 //!
 //! Postings hold the receipt store's durable subscriber ids
@@ -34,9 +37,10 @@
 //! subscriber registration and removal, online/offline flips, group
 //! plan compilation, and (through those) cluster re-homing after
 //! failover — and must at all times equal the brute-force scan over
-//! the subscriber table. `tests/delivery_index.rs` checks exactly that
-//! equivalence under random churn, plus byte-identity of receipts, WAL
-//! and `status --json` against the scan path.
+//! the subscriber table and the group plans. `tests/delivery_index.rs`
+//! checks exactly that equivalence under random churn, plus
+//! byte-identity of receipts, WAL and `status --json` against the scan
+//! path.
 //!
 //! Index tallies (`index.*`) live in the server's *pool* telemetry
 //! registry, not the main one: the main registry renders into
@@ -45,7 +49,7 @@
 
 use bistro_base::{Bitmap, FnvHashMap, SubscriberId};
 use bistro_telemetry::{Counter, Gauge, Registry};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Handles into the owning server's pool-telemetry registry, resolved
@@ -53,27 +57,25 @@ use std::sync::Arc;
 struct IndexMetrics {
     /// Delivery-match lookups served (one per classified deposit).
     lookups: Arc<Counter>,
-    /// Interested subscribers returned across all lookups.
+    /// Ids returned across all lookups, relay groups included.
     matched_subscribers: Arc<Counter>,
-    /// Group plans returned across all lookups.
-    matched_groups: Arc<Counter>,
     /// Subscribers inserted (registration, construction, re-homing).
     inserts: Arc<Counter>,
     /// Subscribers removed.
     removes: Arc<Counter>,
     /// Online/offline transitions applied.
     online_flips: Arc<Counter>,
-    /// Live (feed, subscriber) postings in `by_feed`.
+    /// Live (feed, id) postings in `by_feed`.
     feed_entries: Arc<Gauge>,
     /// Live (endpoint, subscriber) postings in `by_endpoint`.
     endpoint_entries: Arc<Gauge>,
 }
 
-/// The inverted feed→subscriber / feed→plan / endpoint→subscriber
-/// index. See the module docs for the invariants.
+/// The inverted feed→id / endpoint→subscriber index. See the module
+/// docs for the invariants.
 pub(crate) struct DeliveryIndex {
     by_feed: FnvHashMap<String, Bitmap>,
-    groups_by_feed: FnvHashMap<String, BTreeSet<usize>>,
+    relays: Bitmap,
     by_endpoint: FnvHashMap<String, BTreeMap<String, SubscriberId>>,
     metrics: IndexMetrics,
 }
@@ -83,12 +85,11 @@ impl DeliveryIndex {
     pub fn new(reg: &Registry) -> DeliveryIndex {
         DeliveryIndex {
             by_feed: FnvHashMap::default(),
-            groups_by_feed: FnvHashMap::default(),
+            relays: Bitmap::default(),
             by_endpoint: FnvHashMap::default(),
             metrics: IndexMetrics {
                 lookups: reg.counter("index.lookups"),
                 matched_subscribers: reg.counter("index.matched_subscribers"),
-                matched_groups: reg.counter("index.matched_groups"),
                 inserts: reg.counter("index.inserts"),
                 removes: reg.counter("index.removes"),
                 online_flips: reg.counter("index.online_flips"),
@@ -159,53 +160,45 @@ impl DeliveryIndex {
         }
     }
 
-    /// (Re)build the feed → plan-index postings from the compiled
-    /// shared-delivery plans, in plan order.
-    pub fn set_group_plans<'a>(&mut self, plans: impl Iterator<Item = (usize, &'a [String])>) {
-        self.groups_by_feed.clear();
-        for (idx, feeds) in plans {
-            for feed in feeds {
-                self.groups_by_feed
-                    .entry(feed.clone())
-                    .or_default()
-                    .insert(idx);
+    /// Post relay group `id` under each of its members' feeds. Groups
+    /// are planned once, at construction, and never leave.
+    pub fn insert_relay(&mut self, id: SubscriberId, feeds: &[String]) {
+        self.relays.set(id.raw());
+        self.post_feeds(id, feeds);
+    }
+
+    /// OR into `ids` the ids posted under any of `feeds`. Equals the
+    /// brute-force subscriber/plan scan by the module invariant.
+    pub fn or_postings(&self, feeds: &[String], ids: &mut Bitmap) {
+        for feed in feeds {
+            if let Some(posting) = self.by_feed.get(feed) {
+                ids.or(posting.bytes());
             }
         }
     }
 
-    /// The delivery match for a classified file: the interested online
-    /// subscribers as an id bitmap (the OR of the file's feed postings)
-    /// and the ascending union of matched plan indices. Equals the
-    /// brute-force subscriber/plan scan by the module invariant.
-    pub fn matches(&self, feeds: &[String]) -> (Bitmap, Vec<usize>) {
+    /// A deposit's delivery match: the ids posted under any of `feeds`,
+    /// ascending, counted in the `index.*` tallies.
+    pub fn matches(&self, feeds: &[String]) -> Bitmap {
         self.metrics.lookups.inc();
-        let mut subscribers = Bitmap::default();
-        for feed in feeds {
-            if let Some(posting) = self.by_feed.get(feed) {
-                subscribers.or(posting.bytes());
-            }
+        let mut ids = Bitmap::default();
+        self.or_postings(feeds, &mut ids);
+        self.metrics.matched_subscribers.add(u64::from(ids.count()));
+        ids
+    }
+
+    /// Split `ids` into `(direct subscribers, relay groups)`. A server
+    /// without relay groups hands the set back whole.
+    pub fn split_relays(&self, mut ids: Bitmap) -> (Bitmap, Bitmap) {
+        if self.relays.is_empty() {
+            return (ids, Bitmap::default());
         }
-        let plans: Vec<usize> = match feeds {
-            [feed] => self
-                .groups_by_feed
-                .get(feed)
-                .map(|s| s.iter().copied().collect())
-                .unwrap_or_default(),
-            _ => {
-                let mut merged: BTreeSet<usize> = BTreeSet::new();
-                for feed in feeds {
-                    if let Some(s) = self.groups_by_feed.get(feed) {
-                        merged.extend(s.iter().copied());
-                    }
-                }
-                merged.into_iter().collect()
-            }
-        };
-        self.metrics
-            .matched_subscribers
-            .add(u64::from(subscribers.count()));
-        self.metrics.matched_groups.add(plans.len() as u64);
-        (subscribers, plans)
+        let mut direct = Bitmap::default();
+        for id in ids.ones().filter(|&id| !self.relays.get(id)) {
+            direct.set(id);
+        }
+        ids.and_not(direct.bytes());
+        (direct, ids)
     }
 
     /// The subscriber an ack from `endpoint` resolves to: the first name
@@ -274,8 +267,7 @@ mod tests {
     }
 
     fn matched(idx: &DeliveryIndex, of: &[&str]) -> Vec<u32> {
-        let (subs, _) = idx.matches(&feeds(of));
-        subs.ones().collect()
+        idx.matches(&feeds(of)).ones().collect()
     }
 
     #[test]
@@ -353,20 +345,35 @@ mod tests {
     }
 
     #[test]
-    fn group_plans_rebuild_and_merge_ascending() {
+    fn relay_groups_post_by_id_and_split_out_of_a_match() {
         let reg = Registry::new();
         let mut idx = DeliveryIndex::new(&reg);
-        let p0 = feeds(&["A", "B"]);
-        let p1 = feeds(&["B", "C"]);
-        idx.set_group_plans([(0usize, p0.as_slice()), (1, p1.as_slice())].into_iter());
-        let (_, plans) = idx.matches(&feeds(&["B"]));
-        assert_eq!(plans, vec![0, 1]);
-        let (_, plans) = idx.matches(&feeds(&["C", "A"]));
-        assert_eq!(plans, vec![0, 1]);
-        // rebuild replaces, never accumulates
-        idx.set_group_plans([(0usize, p1.as_slice())].into_iter());
-        let (_, plans) = idx.matches(&feeds(&["A"]));
-        assert!(plans.is_empty());
+        idx.insert_relay(S(0), &feeds(&["A", "B"]));
+        idx.insert_relay(S(1), &feeds(&["B", "C"]));
+        idx.insert_subscriber(S(2), "d", &feeds(&["B"]), "d:1", true, false);
+        idx.insert_subscriber(S(3), "m", &feeds(&["A"]), "m:1", true, true); // grouped
+        assert_eq!(matched(&idx, &["B"]), [0, 1, 2]);
+        assert_eq!(matched(&idx, &["C", "A"]), [0, 1], "ascending union");
+        assert_eq!(reg.counter_value("index.matched_subscribers"), Some(5));
+        assert_eq!(reg.counter_value("index.lookups"), Some(2));
+
+        let split = |of: &[&str]| {
+            let (direct, groups) = idx.split_relays(idx.matches(&feeds(of)));
+            (
+                direct.ones().collect::<Vec<_>>(),
+                groups.ones().collect::<Vec<_>>(),
+            )
+        };
+        assert_eq!(split(&["B"]), (vec![2], vec![0, 1]));
+        assert_eq!(split(&["A"]), (vec![], vec![0]));
+        assert_eq!(idx.entry_counts(), (5, 2), "group postings count");
+
+        // without relay groups a match is all direct
+        let solo = DeliveryIndex::new(&reg);
+        let mut ids = Bitmap::default();
+        ids.set(7);
+        let (direct, groups) = solo.split_relays(ids.clone());
+        assert_eq!((direct, groups.is_empty()), (ids, true));
     }
 
     #[test]

@@ -153,7 +153,7 @@ impl SubscriberState {
 /// this server ([`ReceiptStore::register_subscriber`]), empty once its
 /// subscriber left — ids are never reused, so a slot is never refilled by
 /// anyone else — plus the name → id map the name-based API and the
-/// name-ordered walks (status output, backfill) go through. Slots hold
+/// name-ordered walks (status output, batch closes) go through. Slots hold
 /// their state inline, so a walk over every subscriber reads one array.
 #[derive(Default)]
 struct Subscribers {
@@ -207,11 +207,6 @@ impl Subscribers {
     /// Every subscriber, in id order.
     fn in_id_order(&self) -> impl Iterator<Item = &SubscriberState> {
         self.slots.iter().flatten()
-    }
-
-    /// Ids in name order, for a walk that mutates the server.
-    fn ids(&self) -> Vec<SubscriberId> {
-        self.by_name.values().copied().collect()
     }
 }
 
@@ -592,13 +587,8 @@ impl Server {
                 st.grouped,
             );
         }
-        if let Some(g) = &groups {
-            index.set_group_plans(
-                g.plans
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| (i, p.feeds.as_slice())),
-            );
+        for p in groups.iter().flat_map(|g| &g.plans) {
+            index.insert_relay(p.id, &p.feeds);
         }
 
         // Rebuild analyzer state from files parked in unknown/ by a
@@ -948,17 +938,13 @@ impl Server {
             }
         }
 
-        // delivery to online subscribers of any matched feed, in id order
-        // (so the network send order — and hence a faulty run's RNG
-        // stream — replays bit-for-bit). The interested set is collected
-        // up front: delivering to one subscriber never changes another's
-        // online state or feed set, and the common case — nobody
-        // subscribes to this feed — then skips the receipt lookup
-        // entirely. Members of a relay group are excluded: their delivery
-        // is the one send per group below. The index lookup touches only
-        // the matched postings.
-        let (interested, group_matches) = self.index.matches(feeds);
-        if !interested.is_empty() || !group_matches.is_empty() {
+        // a fresh file is owed its whole match: the online subscribers
+        // and relay groups posted under any of its feeds. Nobody has it
+        // yet, so its delivered set is not read, and the common case —
+        // nobody subscribes to this feed — skips the receipt lookup
+        // entirely. The index lookup touches only the matched postings.
+        let owed = self.index.matches(feeds);
+        if !owed.is_empty() {
             // the one durability rule: nothing naming this file leaves
             // over a network while its arrival is still buffered in the
             // commit window — a crash would reissue an id a subscriber
@@ -967,55 +953,61 @@ impl Server {
                 self.receipts.flush_group()?;
             }
             let plan = self.file_plan(self.receipts.file(file).expect("just recorded"));
-            let done = self.deliver(&plan, interested)?;
-            self.complete_deliveries(done)?;
-            for group in group_matches {
-                self.deliver_group(group, &plan)?;
-            }
+            self.send_owed(&plan, owed)?;
+        }
+        Ok(())
+    }
+
+    /// Send one file what it is owed — the ids posted under its feeds
+    /// minus those its delivered set holds — in id order (so the network
+    /// send order, and hence a faulty run's RNG stream, replays
+    /// bit-for-bit): the subscribers as one cohort ([`Server::deliver`]),
+    /// receipted at once when their sends need no ack, then each relay
+    /// group's one send ([`Server::deliver_group`]). Every send to all of
+    /// a file's subscribers comes through here: deposit, backfill and
+    /// feed redefinition.
+    fn send_owed(&mut self, plan: &Arc<FilePlan>, owed: Bitmap) -> Result<(), ServerError> {
+        let (direct, groups) = self.index.split_relays(owed);
+        let done = self.deliver(plan, direct)?;
+        self.complete_deliveries(done)?;
+        for id in groups.ones() {
+            self.deliver_group(SubscriberId(id), plan);
         }
         Ok(())
     }
 
     /// The pre-index brute-force delivery match: filter every
-    /// subscriber, enumerate every plan. `O(subscribers + plans)` per
-    /// call — kept as the oracle [`DeliveryIndex`] is checked against
+    /// subscriber and every plan. `O(subscribers + plans)` per call —
+    /// kept as the oracle [`DeliveryIndex`] is checked against
     /// (`tests/delivery_index.rs`). Must return exactly what
-    /// [`DeliveryIndex::matches`] returns for the same state: the
-    /// subscribers' names in ascending id order, then the plan indices.
+    /// [`Server::match_via_index`] returns for the same state: the names
+    /// of the online, ungrouped subscribers and the relay groups posted
+    /// under any of `feeds`, in ascending receipt-id order.
     #[doc(hidden)]
-    pub fn match_via_scan(&self, feeds: &[String]) -> (Vec<String>, Vec<usize>) {
-        let interested: Vec<String> = (self.subscribers.in_id_order())
-            .filter(|st| st.online && !st.grouped && st.feeds.iter().any(|f| feeds.contains(f)))
-            .map(|st| st.def.name.clone())
+    pub fn match_via_scan(&self, feeds: &[String]) -> Vec<String> {
+        let hit = |mine: &[String]| mine.iter().any(|f| feeds.contains(f));
+        let mut matched: Vec<(SubscriberId, &String)> = (self.subscribers.in_id_order())
+            .filter(|st| st.online && !st.grouped && hit(&st.feeds))
+            .map(|st| (st.id, &st.def.name))
             .collect();
-        let group_matches: Vec<usize> = match &self.groups {
-            Some(g) => g
-                .plans
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.feeds.iter().any(|f| feeds.contains(f)))
-                .map(|(i, _)| i)
-                .collect(),
-            None => Vec::new(),
-        };
-        (interested, group_matches)
+        let plans = self.groups.iter().flat_map(|g| &g.plans);
+        matched.extend(plans.filter(|p| hit(&p.feeds)).map(|p| (p.id, &p.name)));
+        matched.sort_unstable();
+        matched.into_iter().map(|(_, name)| name.clone()).collect()
     }
 
     /// The indexed delivery match for `feeds` — exposed for the
     /// index-vs-scan equivalence property test. A posting whose id has
-    /// no subscriber renders as `#<id>`, which no scan returns.
+    /// no subscriber or group renders as `#<id>`, which no scan returns.
     #[doc(hidden)]
-    pub fn match_via_index(&self, feeds: &[String]) -> (Vec<String>, Vec<usize>) {
-        let (subs, plans) = self.index.matches(feeds);
-        let mut names = Vec::with_capacity(subs.count() as usize);
-        names.extend(
-            subs.ones()
-                .map(|id| match self.subscribers.get(SubscriberId(id)) {
-                    Some(st) => st.def.name.clone(),
-                    None => format!("#{id}"),
-                }),
-        );
-        (names, plans)
+    pub fn match_via_index(&self, feeds: &[String]) -> Vec<String> {
+        let name = |id: u32| match self.subscribers.get(SubscriberId(id)) {
+            Some(st) => st.def.name.clone(),
+            None => (self.groups.iter().flat_map(|g| &g.plans))
+                .find(|p| p.id.raw() == id)
+                .map_or_else(|| format!("#{id}"), |p| p.name.clone()),
+        };
+        self.index.matches(feeds).ones().map(name).collect()
     }
 
     /// Endpoint→subscriber resolution of an ack no send still owes —
@@ -1164,68 +1156,60 @@ impl Server {
         Ok(completed)
     }
 
-    /// Deliver one file to a group's relay endpoint: a single
+    /// Deliver one file to relay group `id`'s endpoint — the caller
+    /// names only a group the receipt store still owes: a single
     /// [`GroupMsg::Deliver`] regardless of member count, tracked by the
     /// bitmap tracker until the relay's coverage report shows every
-    /// member that subscribes to the file served. Returns whether a send
-    /// actually went out (skipped when the delivery is already in flight
-    /// or the file's delivered set holds the group's receipt).
-    fn deliver_group(&mut self, plan_idx: usize, file: &FilePlan) -> Result<bool, ServerError> {
+    /// member that subscribes to the file served. Skipped while a send of
+    /// the file to the group is in flight.
+    fn deliver_group(&mut self, id: SubscriberId, file: &FilePlan) {
         let (rec, size) = (&file.rec, file.size);
         let now = self.clock.now();
-        let (group, endpoint, coverage) = {
-            let g = self.groups.as_ref().expect("caller checked group state");
-            let p = &g.plans[plan_idx];
-            let delivered = self.receipts.delivered_ids(rec.id);
-            if delivered.is_some_and(|d| d.get(p.id.raw())) {
-                return Ok(false);
-            }
-            (
-                p.name.clone(),
-                p.endpoint.clone(),
-                p.coverage_for(&rec.feeds),
-            )
-        };
-        let Some(net) = self.net.clone() else {
+        let GroupState {
+            plans,
+            tracker,
+            undeliverable,
+            ..
+        } = self.groups.as_mut().expect("a relay id has a plan");
+        let p = (plans.iter().find(|p| p.id == id)).expect("a relay id has a plan");
+        let Some(net) = &self.net else {
             // group delivery is a network construct, and the members are
             // excluded from direct fan-out: without a network nobody
             // receives this file, so say so
-            let g = self.groups.as_ref().expect("caller checked group state");
-            g.undeliverable.inc();
+            undeliverable.inc();
             self.log.log(
                 now,
                 LogLevel::Warn,
                 "delivery",
                 format!(
-                    "group {group} delivery of file {} dropped: no network attached",
+                    "group {} delivery of file {} dropped: no network attached",
+                    p.name,
                     rec.id.raw()
                 ),
             );
-            return Ok(false);
+            return;
         };
-        let g = self.groups.as_mut().expect("caller checked group state");
-        if g.tracker.is_outstanding(&group, rec.id) {
-            return Ok(false); // a send is already in flight
+        if tracker.is_outstanding(&p.name, rec.id) {
+            return; // a send is already in flight
         }
         let send = GroupSend {
-            coverage,
+            coverage: p.coverage_for(&rec.feeds),
             file_name: rec.name.clone(),
             size,
         };
-        let attempt = g.tracker.track(&group, rec.id, send, now);
+        let attempt = tracker.track(&p.name, rec.id, send, now);
         net.send(
             now,
             &self.name,
-            &endpoint,
+            &p.endpoint,
             Message::Group(GroupMsg::Deliver {
-                group,
+                group: p.name.clone(),
                 file: rec.id,
                 file_name: rec.name.clone(),
                 size,
                 attempt,
             }),
         );
-        Ok(true)
     }
 
     /// Write the receipts of completed deliveries — one record per file,
@@ -1606,41 +1590,27 @@ impl Server {
     }
 
     /// Re-deliver everything the receipt store does not show as
-    /// delivered, across all online subscribers (sorted for determinism).
-    /// In reliable mode receipts record only acked sends, so after a
-    /// crash-restart this is exactly the unacked backfill.
+    /// delivered: each live file's feed postings — online ungrouped
+    /// subscribers and relay groups — minus its delivered set, in one
+    /// pass in file-id order ([`ReceiptStore::owed`]), one send cohort
+    /// per file, then each relay group's one send — the path a deposit
+    /// sends through too. In reliable mode receipts record only acked
+    /// sends (a group's, only the coverage report that completed it), so
+    /// after a crash-restart this is exactly the unacked backfill; a
+    /// relay answers a group's resend from its own receipts and
+    /// backfills only the members it has not served. Returns the number
+    /// of (id, file) pairs owed, a pair whose send is still in flight
+    /// included (it is not sent again).
     pub fn backfill_unacked(&mut self) -> Result<usize, ServerError> {
+        let index = &self.index;
+        let owed = self
+            .receipts
+            .owed(|feeds, ids| index.or_postings(feeds, ids));
         let mut n = 0;
-        for id in self.subscribers.ids() {
-            n += self.deliver_pending(id)?;
-        }
-        n += self.backfill_groups()?;
-        Ok(n)
-    }
-
-    /// Re-fan every live file a group plan matches whose delivered set
-    /// lacks the group's receipt. Crash recovery for delivery trees: the
-    /// relay answers the resend from its own receipts — cumulative member
-    /// coverage — and backfills only the members it has not served.
-    fn backfill_groups(&mut self) -> Result<usize, ServerError> {
-        let plan_feeds: Vec<Vec<String>> = match self.groups.as_ref() {
-            Some(g) => g.plans.iter().map(|p| p.feeds.clone()).collect(),
-            None => return Ok(0),
-        };
-        let mut n = 0;
-        for (idx, feeds) in plan_feeds.iter().enumerate() {
-            let mut files: BTreeMap<u64, FileRecord> = BTreeMap::new();
-            for feed in feeds {
-                for rec in self.receipts.files_in_feed(feed) {
-                    files.insert(rec.id.raw(), rec);
-                }
-            }
-            for rec in files.into_values() {
-                let plan = self.file_plan(rec);
-                if self.deliver_group(idx, &plan)? {
-                    n += 1;
-                }
-            }
+        for (rec, ids) in owed {
+            n += ids.count() as usize;
+            let plan = self.file_plan(rec);
+            self.send_owed(&plan, ids)?;
         }
         Ok(n)
     }
@@ -1735,9 +1705,12 @@ impl Server {
         self.deliver_pending(id)
     }
 
-    /// [`Server::deliver_pending_for`] by id. Each file is a send cohort
-    /// of its own, so a backfill never shares an attempt count with a
-    /// send that went out before it.
+    /// [`Server::deliver_pending_for`] by id: the subscriber's delivery
+    /// queue ([`ReceiptStore::pending_for`]), what an online flip and a
+    /// registration backfill. Each file is a send cohort of its own, so
+    /// a backfill never shares an attempt count with a send that went
+    /// out before it. The all-subscriber walk is
+    /// [`Server::backfill_unacked`].
     fn deliver_pending(&mut self, id: SubscriberId) -> Result<usize, ServerError> {
         let st = (self.subscribers.get(id))
             .ok_or_else(|| ServerError::UnknownSubscriber(id.to_string()))?;
@@ -1823,7 +1796,8 @@ impl Server {
 
     /// Replace a feed definition (subscriber-approved analyzer
     /// suggestion, §5): recompiles the classifier and reclassifies live
-    /// files, then backfills any newly matching deliveries.
+    /// files, then sends every live file what it is now owed —
+    /// subscribers and relay groups alike ([`Server::backfill_unacked`]).
     pub fn redefine_feed(&mut self, def: FeedDef) -> Result<(), ServerError> {
         let name = def.name.clone();
         // validate against the candidate config and put the previous def
@@ -1872,10 +1846,7 @@ impl Server {
                 self.notify_deposit(&rel)?;
             }
         }
-        // deliver any newly pending files, subscribers in name order
-        for id in self.subscribers.ids() {
-            self.deliver_pending(id)?;
-        }
+        self.backfill_unacked()?;
         self.log.log(
             self.clock.now(),
             LogLevel::Info,
@@ -1986,7 +1957,9 @@ impl Server {
     /// crash between the receipt and the delete leaves a harmless orphan
     /// payload — never a live receipt pointing at a deleted file. A
     /// transient archive failure skips the victim entirely (payload and
-    /// receipt intact) so the next sweep retries it.
+    /// receipt intact) so the next sweep retries it. An expired file is
+    /// owed to nobody: its sends still in flight, direct and group, are
+    /// dropped unacked, never resent or exhausted.
     pub fn expire(&mut self) -> Result<usize, ServerError> {
         let now = self.clock.now();
         let cutoff = now.saturating_sub(self.config.server.retention);
@@ -2021,6 +1994,12 @@ impl Server {
                 }
             }
             self.receipts.record_expiration(rec.id, now)?;
+            if let Some(tracker) = self.reliable.as_mut() {
+                tracker.forget_where(|&(file, _)| file == rec.id);
+            }
+            if let Some(g) = self.groups.as_mut() {
+                g.tracker.forget_where(|&(_, file)| file == rec.id);
+            }
             match self.store.remove(&staged) {
                 Ok(()) | Err(VfsError::NotFound(_)) => {}
                 Err(e) => return Err(ServerError::Vfs(e)),

@@ -474,8 +474,9 @@ fn group_delivery_without_network_is_loud() {
         .any(|e| e.message.contains("group EDGE") && e.message.contains("no network"));
     assert!(warned, "the drop must name the group and the cause");
 
-    assert_eq!(server.backfill_unacked().unwrap(), 0);
-    assert_eq!(undeliverable(&server), Some(2), "backfill drops it again");
+    // the group is still owed the file, and backfill drops it again
+    assert_eq!(server.backfill_unacked().unwrap(), 1);
+    assert_eq!(undeliverable(&server), Some(2));
 }
 
 #[test]
@@ -1416,7 +1417,6 @@ fn exhaustion_flags_exactly_the_subscribers_still_owed_in_id_order() {
     let online = |name: &str| {
         server
             .match_via_scan(&["F".to_string()])
-            .0
             .contains(&name.to_string())
     };
     assert!(online("x") && !online("m") && !online("b"));
@@ -1699,9 +1699,9 @@ fn prop_group_receipt_is_the_reference_coverage_completing() {
 
 #[test]
 fn a_group_completion_for_an_expired_file_writes_nothing() {
-    // As with a late direct ack: the report that completes a group send
-    // of a file no longer live names no live file, so it writes no
-    // record and runs no tail.
+    // As with a late direct ack: expiry dropped the group sends of the
+    // file, so the report that would have completed one is stale — it
+    // writes no record and runs no tail.
     let clock = SimClock::starting_at(START);
     let store = MemFs::shared(clock.clone());
     let net = Arc::new(SimNetwork::new(LinkSpec::default()));
@@ -1717,10 +1717,106 @@ fn a_group_completion_for_an_expired_file_writes_nothing() {
         file,
         bits: vec![0b11],
     };
-    assert!(hub
+    assert_eq!(hub.group_outstanding(), 0, "expiry dropped both sends");
+    assert!(!hub
         .handle_network_message("west", clock.now(), Message::Group(report))
         .unwrap());
     assert_eq!(appends(&hub), before);
     assert_eq!(hub.telemetry().counter_value("group.completed"), Some(0));
-    assert_eq!(hub.group_outstanding(), 1, "EAST is still owed");
+}
+
+/// A direct subscriber `d1` and relay group `G { g1 }`, both on feed B;
+/// nobody takes feed A.
+const DIRECT_AND_GROUP: &str = r#"
+    server { retention 1h; }
+    feed A { pattern "A_%i.csv"; }
+    feed B { pattern "B_%i.csv"; }
+    subscriber d1 { endpoint "d1"; subscribe B; }
+    subscriber g1 { endpoint "g1"; subscribe B; }
+    group G { members g1; relay "relay"; }
+"#;
+
+/// The group sends the relay endpoint has received by `now`, as
+/// `(file name, attempt)`.
+fn group_sends(net: &SimNetwork, now: TimePoint) -> Vec<(String, u32)> {
+    (net.recv_ready("relay", now).into_iter())
+        .filter_map(|d| match d.msg {
+            Message::Group(GroupMsg::Deliver {
+                file_name, attempt, ..
+            }) => Some((file_name, attempt)),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn an_expired_file_is_neither_resent_nor_abandoned() {
+    // d1 never acks and the relay never reports. Once the file expires
+    // nobody is owed it, so its open sends go with it: no retry round
+    // resends or abandons them, and d1 is not flagged offline over a
+    // file that no longer exists.
+    let clock = SimClock::starting_at(START);
+    let net = Arc::new(SimNetwork::new(LinkSpec::default()));
+    let policy = bistro_transport::RetryPolicy {
+        base_timeout: TimeSpan::from_secs(600),
+        backoff: 2,
+        max_timeout: TimeSpan::from_secs(3_600),
+        max_attempts: 3,
+        jitter: 0.0,
+    };
+    let mut server = Server::new(
+        "hub",
+        parse_config(DIRECT_AND_GROUP).unwrap(),
+        clock.clone(),
+        MemFs::shared(clock.clone()),
+    )
+    .unwrap()
+    .with_network(net.clone())
+    .with_reliable_delivery(policy, 9);
+    server.deposit("B_1.csv", b"x").unwrap();
+    assert_eq!((server.unacked_count(), server.group_outstanding()), (1, 1));
+
+    clock.advance(TimeSpan::from_secs(7_200));
+    assert_eq!(server.expire().unwrap(), 1);
+    assert_eq!((server.unacked_count(), server.group_outstanding()), (0, 0));
+    for _ in 0..20 {
+        clock.advance(TimeSpan::from_secs(600));
+        server.retry_tick().unwrap();
+    }
+    assert_eq!(server.reliability_counters(), (0, 0, 0));
+    assert_eq!(server.group_counters(), (0, 0, 0));
+    assert!(logged(&server, LogLevel::Alarm, 0).is_empty());
+    assert!(server
+        .match_via_scan(&["B".to_string()])
+        .contains(&"d1".to_string()));
+}
+
+#[test]
+fn redefine_feed_sends_a_reclassified_file_to_its_relay_groups() {
+    // A_1.csv matches nobody until B widens to take A files; then it is
+    // owed to d1 and to G alike, and both get it at once.
+    let clock = SimClock::starting_at(START);
+    let net = Arc::new(SimNetwork::new(LinkSpec::default()));
+    let mut server = Server::new(
+        "hub",
+        parse_config(DIRECT_AND_GROUP).unwrap(),
+        clock.clone(),
+        MemFs::shared(clock.clone()),
+    )
+    .unwrap()
+    .with_network(net.clone());
+    server.deposit("A_1.csv", b"x").unwrap();
+    let file = server.receipts().file_by_name("A_1.csv").unwrap().id;
+    assert!(!server.receipts().is_delivered(file, "d1"));
+
+    let mut b = server.config().feed("B").unwrap().clone();
+    b.patterns
+        .push(server.config().feed("A").unwrap().patterns[0].clone());
+    server.redefine_feed(b).unwrap();
+    assert!(server.receipts().is_delivered(file, "d1"));
+    assert_eq!(server.group_outstanding(), 1);
+    clock.advance(TimeSpan::from_secs(1));
+    assert_eq!(group_sends(&net, clock.now()), [("A_1.csv".to_string(), 1)]);
+    assert_eq!(server.backfill_unacked().unwrap(), 1, "still in flight");
+    assert_eq!(server.group_outstanding(), 1, "and not sent twice");
 }

@@ -1003,6 +1003,31 @@ impl ReceiptStore {
             .collect()
     }
 
+    /// What each live file is owed, in one pass in id (arrival) order:
+    /// `postings` ORs into its argument the ids posted under the file's
+    /// feeds, and the file is owed those minus its delivered set — every
+    /// subscriber's [`ReceiptStore::pending_for`] at once. Only the files
+    /// owed someone come back, with their record and owed ids; the rest
+    /// are never copied. The store is locked for the pass, so `postings`
+    /// must not call back into it.
+    pub fn owed(
+        &self,
+        mut postings: impl FnMut(&[String], &mut Bitmap),
+    ) -> Vec<(FileRecord, Bitmap)> {
+        let tables = &self.inner.lock().tables;
+        let mut ids = Bitmap::default();
+        let mut owed = Vec::new();
+        for f in tables.files.values() {
+            ids.truncate(0);
+            postings(&f.rec.feeds, &mut ids);
+            ids.and_not(f.delivered.bytes());
+            if !ids.is_empty() {
+                owed.push((f.rec.clone(), ids.clone()));
+            }
+        }
+        owed
+    }
+
     /// All live files, in id (arrival) order.
     pub fn all_live(&self) -> Vec<FileRecord> {
         let inner = self.inner.lock();
@@ -1179,6 +1204,42 @@ mod tests {
         assert_eq!(queue[0].id, f2);
         // another subscriber's queue is unaffected
         assert_eq!(db.pending_for("sub2", &["F".to_string()]).len(), 2);
+    }
+
+    /// `owed` is every subscriber's `pending_for` in one pass: per live
+    /// file, the posted ids minus the delivered set, files owed nobody
+    /// left out.
+    #[test]
+    fn owed_is_postings_minus_delivered_per_file() {
+        let store = MemFs::shared(SimClock::new());
+        let db = open(&store);
+        let [a, b] = ["a", "b"].map(|s| db.register_subscriber(s).raw());
+        let f1 = arrive(&db, "1.csv", &["F"], 100);
+        let f2 = arrive(&db, "2.csv", &["F", "G"], 200);
+        arrive(&db, "3.csv", &["H"], 300);
+        db.record_delivery(f1, "a", TimePoint::from_secs(101))
+            .unwrap();
+        db.record_delivery(f1, "b", TimePoint::from_secs(101))
+            .unwrap();
+        db.record_delivery(f2, "a", TimePoint::from_secs(201))
+            .unwrap();
+        // F goes to a and b, G to b; nobody takes H
+        let owed = db.owed(|feeds, ids| {
+            for feed in feeds {
+                let posted: &[u32] = match feed.as_str() {
+                    "F" => &[a, b],
+                    "G" => &[b],
+                    _ => &[],
+                };
+                for &id in posted {
+                    ids.set(id);
+                }
+            }
+        });
+        let owed: Vec<(FileId, Vec<u32>)> = (owed.into_iter())
+            .map(|(rec, ids)| (rec.id, ids.ones().collect()))
+            .collect();
+        assert_eq!(owed, [(f2, vec![b])]);
     }
 
     /// What the store keeps is bounded by the live set: a name is stored

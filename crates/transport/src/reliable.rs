@@ -339,6 +339,21 @@ impl<P: Payload, K: Ord + Clone> RetryTracker<P, K> {
         self.due(now)
     }
 
+    /// Drop every entry whose key `gone` picks, as nobody's ack: what it
+    /// carried is owed no longer (its file expired), so it is neither
+    /// resent nor exhausted.
+    pub fn forget_where(&mut self, mut gone: impl FnMut(&K) -> bool) {
+        let sends = &mut self.sends;
+        self.outstanding.retain(|key, o| {
+            let keep = !gone(key);
+            if !keep {
+                *sends -= o.payload.sends() as usize;
+            }
+            keep
+        });
+        self.resized();
+    }
+
     /// The outstanding table as `(key, attempt, payload)` in key order —
     /// digestible state for model-checker state hashes.
     pub fn entries(&self) -> impl Iterator<Item = (&K, u32, &P)> {
@@ -1085,5 +1100,21 @@ mod tests {
         assert_eq!(reg.counter_value("group.acks"), Some(2));
         assert_eq!(reg.gauge_value("group.outstanding"), Some(1));
         assert_eq!(reg.counter_value("reliable.acks"), None);
+    }
+
+    #[test]
+    fn forgotten_entries_are_neither_resent_nor_exhausted_nor_acked() {
+        let reg = Registry::new();
+        let mut tr = RetryTracker::with_telemetry(policy(), 1, &reg, "group");
+        tr.track("g", FileId(1), group_send(4), t(0));
+        tr.track("h", FileId(1), group_send(4), t(0));
+        tr.track("g", FileId(2), group_send(4), t(0));
+        tr.forget_where(|(_, file)| *file == FileId(1));
+        assert_eq!(tr.outstanding_count(), 1);
+        assert_eq!(reg.gauge_value("group.outstanding"), Some(1));
+        let round = tr.fire_all(t(1));
+        let keys: Vec<_> = round.resend.iter().map(|r| r.key.1).collect();
+        assert_eq!(keys, [FileId(2)]);
+        assert_eq!(tr.totals(), (0, 1, 0), "a forget is not an ack");
     }
 }

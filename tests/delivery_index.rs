@@ -13,18 +13,21 @@
 //!   and checks after every mutation that index == scan (both in
 //!   ascending subscriber-id order), endpoint resolution == scan, the
 //!   posting counts equal a fresh recount, and a name registered again
-//!   gets its old id back;
+//!   gets its old id back; then, after a feed redefinition and a
+//!   reopen, that the one-pass backfill sends exactly what the old
+//!   per-subscriber reference owes;
 //! * a deterministic deposit/churn script checks index == scan every
 //!   round and that each deposit reached exactly the recipients the
 //!   scan named.
 
 use bistro::base::prop::{Runner, Shrink};
-use bistro::base::{prop_assert_eq, SimClock, SubscriberId, TimePoint, TimeSpan};
+use bistro::base::{prop_assert_eq, Clock, SimClock, SubscriberId, TimePoint, TimeSpan};
 use bistro::config::{parse_config, BatchSpec, DeliveryMode, SubscriberDef};
 use bistro::server::{Server, ServerError};
+use bistro::transport::messages::{GroupMsg, Message, SubscriberMsg};
 use bistro::transport::{LinkSpec, SimNetwork};
 use bistro::vfs::MemFs;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 const START: TimePoint = TimePoint::from_secs(1_285_372_800);
@@ -105,17 +108,27 @@ fn queries() -> Vec<Vec<String>> {
 const RUNTIME_NAMES: [&str; 8] = ["zed", "amy", "s1", "kim", "bo", "s3", "n10", "n9"];
 
 /// Posting counts recomputed from the config and the test's own
-/// online mirror: `(feed postings, endpoint postings)`.
+/// online mirror: `(feed postings, endpoint postings)`. A relay group is
+/// posted under the union of its members' feeds.
 fn recount(server: &Server, online: &HashMap<String, bool>) -> (usize, usize) {
     let config = server.config();
-    let grouped = |name: &String| {
-        (config.groups.iter()).any(|g| g.relay.is_some() && g.members.contains(name))
-    };
-    let feed = (config.subscribers.iter())
+    let relayed = || config.groups.iter().filter(|g| g.relay.is_some());
+    let grouped = |name: &String| relayed().any(|g| g.members.contains(name));
+    let feeds = |name: &String| config.subscriber_feeds(name).unwrap();
+    let direct: usize = (config.subscribers.iter())
         .filter(|d| online[&d.name] && !grouped(&d.name))
-        .map(|d| config.subscriber_feeds(&d.name).unwrap().len())
+        .map(|d| feeds(&d.name).len())
         .sum();
-    (feed, config.subscribers.len())
+    let groups: usize = relayed()
+        .map(|g| {
+            g.members
+                .iter()
+                .flat_map(feeds)
+                .collect::<BTreeSet<_>>()
+                .len()
+        })
+        .sum();
+    (direct + groups, config.subscribers.len())
 }
 
 /// One churn operation, pre-resolved to numbers so the generator stays
@@ -184,7 +197,7 @@ fn index_equals_scan_under_churn() {
             let net = Arc::new(SimNetwork::new(LinkSpec::default()));
             let cfg = parse_config(&base_config(*n_subs, sub_target, sub_endpoint, *group))
                 .expect("generated config parses");
-            let mut server = Server::new("b", cfg, clock.clone(), store)
+            let mut server = Server::new("b", cfg, clock.clone(), store.clone())
                 .unwrap()
                 .with_network(net);
 
@@ -279,9 +292,85 @@ fn index_equals_scan_under_churn() {
                 }
                 check(&server, &online)?;
             }
+
+            // widen F/A to take the B files too: every live B file is now
+            // owed to F/A's subscribers, and redefinition sends it
+            let mut fa = server.config().feed("F/A").unwrap().clone();
+            fa.patterns
+                .push(server.config().feed("F/B").unwrap().patterns[0].clone());
+            server.redefine_feed(fa).unwrap();
+            check(&server, &online)?;
+
+            // reopen on the same store, everyone online again, and
+            // backfill into a fresh network, so only its sends are there
+            let config = server.config().clone();
+            drop(server);
+            let net = Arc::new(SimNetwork::new(LinkSpec::default()));
+            let mut server = Server::new("b", config, clock.clone(), store)
+                .unwrap()
+                .with_network(net.clone());
+            let oracle = backfill_oracle(&server);
+            let sent = server.backfill_unacked().unwrap();
+            prop_assert_eq!(sent, oracle.len(), "backfill count != oracle");
+            prop_assert_eq!(on_the_wire(&net, clock.now()), oracle);
             Ok(())
         },
     );
+}
+
+/// What a backfill owes, computed the way it was before it became one
+/// pass: each online, ungrouped subscriber's delivery queue
+/// (`pending_for`), plus, per relay group, the live files of its
+/// members' feeds without the group's receipt. As sorted `(endpoint,
+/// file id)` pairs: names sharing an endpoint are one inbox.
+fn backfill_oracle(server: &Server) -> Vec<(String, u64)> {
+    let (config, receipts) = (server.config(), server.receipts());
+    // the scan over every feed names exactly the online, ungrouped
+    // subscribers (and the groups)
+    let direct = server.match_via_scan(&FEEDS.map(String::from));
+    let mut owed = Vec::new();
+    for d in &config.subscribers {
+        if direct.contains(&d.name) {
+            let feeds = config.subscriber_feeds(&d.name).unwrap();
+            for rec in receipts.pending_for(&d.name, &feeds) {
+                owed.push((d.endpoint.clone(), rec.id.raw()));
+            }
+        }
+    }
+    for g in config.groups.iter().filter(|g| g.relay.is_some()) {
+        let mut files = BTreeSet::new();
+        for member in &g.members {
+            for feed in config.subscriber_feeds(member).unwrap() {
+                files.extend(receipts.files_in_feed(&feed).iter().map(|rec| rec.id));
+            }
+        }
+        for file in files {
+            if !receipts.is_delivered(file, &g.name) {
+                owed.push((g.relay.clone().unwrap(), file.raw()));
+            }
+        }
+    }
+    owed.sort();
+    owed
+}
+
+/// Every delivery and group send the fabric carries by `now` plus a
+/// minute, as sorted `(endpoint, file id)` pairs.
+fn on_the_wire(net: &SimNetwork, now: TimePoint) -> Vec<(String, u64)> {
+    let later = now + TimeSpan::from_secs(60);
+    let mut sent = Vec::new();
+    for ep in ENDPOINTS.iter().chain(["relayep"].iter()) {
+        for d in net.recv_ready(ep, later) {
+            let file = match d.msg {
+                Message::Subscriber(SubscriberMsg::FileDelivered { file, .. }) => file,
+                Message::Group(GroupMsg::Deliver { file, .. }) => file,
+                other => panic!("backfill sent {other:?}"),
+            };
+            sent.push((ep.to_string(), file.raw()));
+        }
+    }
+    sent.sort();
+    sent
 }
 
 /// A fixed deposit/churn script through the production (indexed) path,
@@ -333,12 +422,13 @@ fn index_and_scan_paths_are_byte_identical() {
                 .map(|d| d.name.clone())
                 .collect();
             delivered.sort();
-            let mut expected = expect.0.clone();
+            let (groups, mut expected): (Vec<String>, Vec<String>) =
+                expect.into_iter().partition(|n| n == "RG");
             expected.sort();
             assert_eq!(delivered, expected, "round {round}: {name} recipients");
             assert_eq!(
                 server.group_outstanding() - groups_before,
-                expect.1.len(),
+                groups.len(),
                 "round {round}: {name} group sends"
             );
             deliveries += delivered.len();

@@ -20,16 +20,32 @@ fn state_cap(default_states: usize) -> usize {
         .unwrap_or(default_states)
 }
 
-fn report(scenario: &str, outcome: &Outcome) {
-    let label = match outcome {
+fn label(outcome: &Outcome) -> &'static str {
+    match outcome {
         Outcome::Pass(_) => "pass",
         Outcome::Truncated(_) => "truncated",
         Outcome::Violation { .. } => "violation",
-    };
+    }
+}
+
+/// Print the scenario's `[mc]` line and, under the CI `mc` stage's
+/// `BISTRO_MC_STATES=60000`, hold its outcome and explored-state count
+/// to `pinned` — the counts that stage prints are a pinned surface: a
+/// change that moves one changes the explored space and must say why.
+/// A plain `cargo test` checks only each test's lower bound.
+fn report(scenario: &str, outcome: &Outcome, pinned: (&str, usize)) {
     println!(
-        "[mc] scenario={scenario} outcome={label} {}",
+        "[mc] scenario={scenario} outcome={} {}",
+        label(outcome),
         outcome.stats()
     );
+    if std::env::var("BISTRO_MC_STATES").as_deref() == Ok("60000") {
+        assert_eq!(
+            (label(outcome), outcome.stats().states),
+            pinned,
+            "[mc] scenario={scenario} moved off its pinned count"
+        );
+    }
 }
 
 /// Scenario 1: reliable delivery over a single lossy link. Every
@@ -46,7 +62,7 @@ fn reliable_link_survives_drops_duplicates_and_retries() {
             max_states: state_cap(14_000),
         },
     );
-    report("reliable-link", &outcome);
+    report("reliable-link", &outcome, ("truncated", 60_000));
     if let Some(cx) = outcome.counterexample() {
         panic!("unexpected counterexample:\n{cx}");
     }
@@ -70,7 +86,7 @@ fn crash_restart_replays_wal_and_backfills_unacked() {
             max_states: state_cap(6_000),
         },
     );
-    report("crash-restart", &outcome);
+    report("crash-restart", &outcome, ("pass", 51_222));
     if let Some(cx) = outcome.counterexample() {
         panic!("unexpected counterexample:\n{cx}");
     }
@@ -95,7 +111,7 @@ fn cluster_failover_with_fence_holds_every_invariant() {
             max_states: 60_000,
         },
     );
-    report("cluster-failover", &outcome);
+    report("cluster-failover", &outcome, ("pass", 245));
     if let Some(cx) = outcome.counterexample() {
         panic!("unexpected counterexample:\n{cx}");
     }
@@ -130,7 +146,7 @@ fn disabling_the_replica_fence_reintroduces_the_backfill_race() {
             max_states: 60_000,
         },
     );
-    report("cluster-failover-unfenced", &outcome);
+    report("cluster-failover-unfenced", &outcome, ("violation", 34));
     let cx = outcome
         .counterexample()
         .expect("the unfenced race must be found");
