@@ -56,7 +56,7 @@ stage_faults() {
 # again, backfill is exactly-once), of a run whose receipt store
 # snapshots itself under its checkpoint rule (a reopen replays at most
 # the threshold plus one commit), and of a hub whose relay group's
-# coverage reports complete files (a completion it counted is durable,
+# completion acks complete files (a completion it counted is durable,
 # backfill re-sends exactly the files without their group receipt).
 # Uncaptured so a failure echoes its `seed=... crash_op=...` replay key.
 # Then the receipt crate's own suite: the on-disk format (record tags,
@@ -171,14 +171,17 @@ stage_bench() {
   quick_exp exp_e11
 }
 
-# Delivery-tree fanout: the group-delivery unit/integration suites (the
-# hub's one receipt per file and group against a reference coverage
-# merge), the crash sweep at a hub across its group-completion drains,
-# the delivery-index equivalence property suite, then E14 in quick mode:
-# the shape table (sends and tracker entries per deposit follow the group
-# count — the run panics otherwise) and the deposit-cost sweep, which
-# fails itself if it is not flat in subscriber count.
+# Delivery-tree fanout: the group tracker's unit tests, the
+# group-delivery unit/integration suites (the relay's completion rule
+# against a by-name reference, the hub's one receipt per file and group
+# on the relay's first completion ack), the crash sweep at a hub across
+# its group-completion drains, the delivery-index equivalence property
+# suite, the lossy relay hop with one-feed and two-feed groups, then E14
+# in quick mode: the shape table (sends and tracker entries per deposit
+# follow the group count — the run panics otherwise) and the deposit-cost
+# sweep, which fails itself if it is not flat in subscriber count.
 stage_fanout() {
+  cargo test -q --offline -p bistro-transport --lib reliable
   cargo test -q --offline -p bistro-core --lib relay
   cargo test -q --offline -p bistro-core --lib index
   cargo test -q --offline -p bistro-core --test server_integration group

@@ -1,8 +1,8 @@
-//! The one bit-set encoding the system uses — delivery-tree coverage on
-//! the wire and in receipt records, a file's delivered subscriber ids in
-//! the receipt store, the delivery index's postings and the subscribers
-//! a direct send still waits on. Its bytes are that wire/record form, and binary
-//! operands are byte slices in it, so a decoded message merges uncopied.
+//! The one bit-set encoding the system uses — a file's delivered
+//! subscriber ids in the receipt store and its `Delivered` records, the
+//! delivery index's postings and the subscribers a direct send still
+//! waits on. Its bytes are that record form, and binary operands are
+//! byte slices in it.
 
 use std::fmt;
 
@@ -14,11 +14,6 @@ pub struct Bitmap(Vec<u8>);
 // `#[inline]` on what receipts and acks run per pair: without it a call
 // from another crate is not inlined.
 impl Bitmap {
-    /// No bit set, in exactly the bytes `len` bits need.
-    pub fn zeros(len: u32) -> Bitmap {
-        Bitmap(vec![0; (len as usize).div_ceil(8)])
-    }
-
     /// Is bit `i` set? Bits past the last byte read as clear.
     #[inline]
     pub fn get(&self, i: u32) -> bool {
@@ -197,9 +192,9 @@ mod tests {
         Runner::new("bitmap_matches_a_set_oracle").cases(512).run(
             |rng| (rng.gen_range(0u32..20), prop::vec_of(rng, 0..=24, op)),
             |(width, ops)| {
-                let mut bits = Bitmap::zeros(*width);
-                let mut oracle: BTreeSet<u32> = BTreeSet::new();
                 let mut len = (*width as usize).div_ceil(8);
+                let mut bits = Bitmap::from(vec![0; len]);
+                let mut oracle: BTreeSet<u32> = BTreeSet::new();
                 for op in ops {
                     match op {
                         Op::Set(i) => {

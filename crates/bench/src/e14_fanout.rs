@@ -3,9 +3,9 @@
 //! Claim under test: a relay group turns per-subscriber fanout into
 //! per-group fanout. With `G` groups of `M` members each, one deposit
 //! costs `G` delivery sends and `G` tracker entries — independent of
-//! `M` — and the ack state per outstanding file is a `ceil(M/8)`-byte
-//! coverage bitmap instead of `M` per-member retry entries. The
-//! experiment drives a server with up to one million grouped
+//! `M` — and the upstream server holds no per-member ack state at all:
+//! each relay acks its group's send once its own receipts cover the
+//! members. The experiment drives a server with up to one million grouped
 //! subscribers and verifies both the shape (ops and tracker growth
 //! follow `G`, not `G×M`) and that the wall-clock cost of a deposit
 //! stays flat in subscriber count at a fixed `G`. (Deposit latency
@@ -93,9 +93,6 @@ pub struct FanoutPoint {
     /// Group-tracker entries per deposit (measured) — must equal
     /// `groups`; a per-member tracker would hold `subscribers`.
     pub tracker_entries_per_deposit: usize,
-    /// Coverage-bitmap bytes per deposit across all groups
-    /// (`groups × ceil(members/8)`).
-    pub bitmap_bytes_per_deposit: usize,
 }
 
 /// Deposit `deposits` files at one scale point and measure the fanout
@@ -130,7 +127,6 @@ pub fn run_fanout(groups: usize, members: usize, deposits: usize) -> FanoutPoint
         subscribers: groups * members,
         ops_per_deposit: sent / deposits,
         tracker_entries_per_deposit: server.group_outstanding() / deposits,
-        bitmap_bytes_per_deposit: groups * members.div_ceil(8),
     }
 }
 
@@ -185,7 +181,6 @@ pub fn table(points: &[FanoutPoint]) -> Table {
             "subscribers",
             "sends/deposit",
             "tracker entries/deposit",
-            "bitmap bytes/deposit",
         ],
     );
     for p in points {
@@ -195,7 +190,6 @@ pub fn table(points: &[FanoutPoint]) -> Table {
             p.subscribers.to_string(),
             p.ops_per_deposit.to_string(),
             p.tracker_entries_per_deposit.to_string(),
-            p.bitmap_bytes_per_deposit.to_string(),
         ]);
     }
     t
@@ -223,11 +217,9 @@ mod tests {
     }
 
     #[test]
-    fn bitmap_state_is_bytes_not_entries() {
+    fn tracker_state_is_one_entry_per_group() {
         let p = run_fanout(2, 20, 1);
-        // 20 members fit in 3 bytes per group; a per-member tracker
-        // would hold 40 entries
-        assert_eq!(p.bitmap_bytes_per_deposit, 2 * 3);
+        // a per-member tracker would hold 40 entries
         assert_eq!(p.tracker_entries_per_deposit, 2);
         assert_eq!(p.subscribers, 40);
     }

@@ -76,7 +76,7 @@ pub struct FeedDef {
 /// **subscriber group with a shared delivery plan** (§3 delivery
 /// network): members are subscriber names and the server delivers each
 /// file once to the relay endpoint, which fans out to the members and
-/// reports coverage with a compact ack bitmap.
+/// acks the file once every member that wants it has it.
 #[derive(Clone, Debug)]
 pub struct GroupDef {
     /// Group name.

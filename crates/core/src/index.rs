@@ -35,12 +35,12 @@
 //!
 //! The index is *incrementally maintained* at every mutation point —
 //! subscriber registration and removal, online/offline flips, group
-//! plan compilation, and (through those) cluster re-homing after
-//! failover — and must at all times equal the brute-force scan over
-//! the subscriber table and the group plans. `tests/delivery_index.rs`
-//! checks exactly that equivalence under random churn, plus
-//! byte-identity of receipts, WAL and `status --json` against the scan
-//! path.
+//! plan compilation, feed redefinition, and (through those) cluster
+//! re-homing after failover — and must at all times equal the
+//! brute-force scan over the subscriber table and the group plans.
+//! `tests/delivery_index.rs` checks exactly that equivalence under
+//! random churn, plus byte-identity of receipts, WAL and `status --json`
+//! against the scan path.
 //!
 //! Index tallies (`index.*`) live in the server's *pool* telemetry
 //! registry, not the main one: the main registry renders into
@@ -165,6 +165,13 @@ impl DeliveryIndex {
     pub fn insert_relay(&mut self, id: SubscriberId, feeds: &[String]) {
         self.relays.set(id.raw());
         self.post_feeds(id, feeds);
+    }
+
+    /// Move `id`'s feed postings from `old` to `new`: a subscriber or
+    /// relay group whose feeds a feed redefinition resolved anew.
+    pub fn repost(&mut self, id: SubscriberId, old: &[String], new: &[String]) {
+        self.unpost_feeds(id, old);
+        self.post_feeds(id, new);
     }
 
     /// OR into `ids` the ids posted under any of `feeds`. Equals the

@@ -21,17 +21,15 @@
 //!   *every* attempt, and redelivered payloads are suppressed against the
 //!   downstream receipt store (durable dedup: a relay restart cannot
 //!   double-deposit).
-//! * group [`GroupMsg::Deliver`] fanouts are answered with a cumulative
-//!   member-coverage report built from the downstream server's own
-//!   delivery receipts — the upstream tracker retries until every member
-//!   of the delivery tree is durably covered (cascaded backfill).
+//! * a group [`GroupMsg::Deliver`] is acked only once the downstream
+//!   server's own delivery receipts show the file delivered to every
+//!   member that wants it; until then the upstream tracker retries, and
+//!   each retry asks again (cascaded backfill).
 
 use crate::server::{Server, ServerError};
-use bistro_base::{FileId, SubscriberId, TimePoint};
-use bistro_receipts::ReceiptStore;
+use bistro_base::TimePoint;
 use bistro_transport::messages::{GroupMsg, Message, ReliableMsg, SubscriberMsg};
-use bistro_transport::{Coverage, SimNetwork};
-use std::collections::HashMap;
+use bistro_transport::SimNetwork;
 
 /// Counters accumulated across [`Relay::pump`] calls.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -42,59 +40,18 @@ pub struct RelayStats {
     pub duplicates: usize,
     /// Reliable attempts acknowledged back upstream.
     pub acked: usize,
-    /// Group coverage reports sent back upstream.
+    /// Group completion acks sent back upstream.
     pub group_acks: usize,
 }
 
 /// One relay hop between two servers sharing a [`SimNetwork`]. The
 /// struct itself is stateless between calls — deduplication rides the
-/// downstream receipt store, so it survives relay restarts — but it
-/// accumulates [`RelayStats`] for observability and memoizes each
-/// group's members: the sorted member list (the coverage-report
-/// order, pure config) and the members' durable ids in the downstream
-/// store, so a coverage report is one read of the file's delivered set.
+/// downstream receipt store, so it survives relay restarts, and the
+/// downstream server decides when a group is served — but it
+/// accumulates [`RelayStats`] for observability.
 #[derive(Debug, Default)]
 pub struct Relay {
     stats: RelayStats,
-    members: HashMap<String, Members>,
-}
-
-/// A relay group's members in coverage-report order — sorted, as the
-/// upstream fan-out plan orders them — and each one's id in the
-/// downstream receipt store once that id is on record. An id off the
-/// record is looked up again on every report: no delivered set holds it
-/// yet, and a downstream restart may renumber it.
-#[derive(Debug)]
-struct Members {
-    names: Vec<String>,
-    ids: Vec<Option<SubscriberId>>,
-}
-
-impl Members {
-    fn sorted(names: &[String]) -> Members {
-        let mut names = names.to_vec();
-        names.sort();
-        let ids = vec![None; names.len()];
-        Members { names, ids }
-    }
-
-    /// The members `file` is delivered to in `receipts`, or `None` if
-    /// the file is not live there.
-    fn coverage(&mut self, receipts: &ReceiptStore, file: FileId) -> Option<Coverage> {
-        for (name, id) in self.names.iter().zip(&mut self.ids) {
-            if id.is_none() {
-                *id = receipts.recorded_subscriber_id(name);
-            }
-        }
-        let delivered = receipts.delivered_ids(file)?;
-        let mut coverage = Coverage::new(self.names.len() as u32);
-        for (i, id) in self.ids.iter().enumerate() {
-            if id.is_some_and(|id| delivered.get(id.raw())) {
-                coverage.set(i as u32);
-            }
-        }
-        Some(coverage)
-    }
 }
 
 impl Relay {
@@ -174,10 +131,10 @@ impl Relay {
                     {
                         relayed += 1;
                     }
-                    // report cumulative member coverage from our own
-                    // delivery receipts; the upstream tracker keeps the
-                    // fanout outstanding until the tree is complete
-                    if let Some(bits) = self.member_coverage(downstream, &group, &rec.name) {
+                    // ack once our own receipts show every member that
+                    // wants the file served; until then stay silent, and
+                    // the upstream tracker's next resend asks again
+                    if downstream.group_served(&group, &rec.name) {
                         net.send(
                             now,
                             downstream.name(),
@@ -185,7 +142,6 @@ impl Relay {
                             Message::Group(GroupMsg::Ack {
                                 group,
                                 file, // the *upstream* id the tracker keys on
-                                bits,
                             }),
                         );
                         self.stats.group_acks += 1;
@@ -233,26 +189,6 @@ impl Relay {
         downstream.deposit(name, &payload)?;
         self.stats.relayed += 1;
         Ok(Deposit::New)
-    }
-
-    /// Build the coverage bitmap for `group` from the downstream
-    /// server's delivery receipts: member order is the *sorted* member
-    /// list, matching the upstream fanout plan. Returns `None` when the
-    /// downstream config does not define the group or has not ingested
-    /// the file — no ack is sent, so the upstream retries and alarms
-    /// instead of silently marking members covered.
-    fn member_coverage(&mut self, downstream: &Server, group: &str, name: &str) -> Option<Vec<u8>> {
-        let def = downstream.config().group(group)?;
-        let local = downstream.receipts().file_by_name(name)?;
-        // group membership is fixed at config time, so the sorted order
-        // is computed once per group, not once per ack
-        if !self.members.contains_key(group) {
-            let members = Members::sorted(&def.members);
-            self.members.insert(group.to_string(), members);
-        }
-        let members = self.members.get_mut(group)?;
-        let coverage = members.coverage(downstream.receipts(), local.id)?;
-        Some(coverage.bits().to_vec())
     }
 }
 
@@ -557,54 +493,138 @@ mod tests {
         assert_eq!(net.recv_ready("wh2", clock.now()).len(), 1);
     }
 
-    /// A coverage report read from the file's delivered set through the
-    /// members' cached ids equals the by-name computation — one lookup
-    /// per member — for a member never registered, one registered but
-    /// not on record, and one whose record lands later.
+    /// The relay-side completion rule against a by-name reference: a
+    /// relay acks a group's send exactly when every member whose feeds
+    /// meet the file's feeds has it, each member checked by name with one
+    /// `is_delivered`. Covers members on different feeds, a member
+    /// registered but never delivered (`ghost`), a file the relay does
+    /// not hold (`D_4`), a group it does not define (`NOPE`), and a relay
+    /// reopen that renumbers the members it had not put on record yet.
     #[test]
-    fn coverage_from_cached_ids_matches_the_by_name_computation() {
+    fn a_relay_acks_exactly_when_every_member_that_wants_the_file_has_it() {
         let clock = SimClock::starting_at(START);
-        let receipts = ReceiptStore::open(MemFs::shared(clock.clone()), "r").unwrap();
-        let names = ["wh3", "ghost", "wh1", "wh2"].map(String::from);
-        let mut members = Members::sorted(&names);
-        let [wh1, wh2, wh3] = ["wh1", "wh2", "wh3"].map(|n| receipts.register_subscriber(n));
-        let arrive = |name: &str| {
-            let feeds = vec!["F".to_string()];
-            (receipts.record_arrival(name, name, 1, clock.now(), None, feeds)).unwrap()
+        let net = Arc::new(SimNetwork::new(LinkSpec::default()));
+        let hub_cfg = r#"
+            feed A { pattern "A_%i.csv"; }
+            feed B { pattern "B_%i.csv"; }
+            feed C { pattern "C_%i.csv"; }
+            feed D { pattern "D_%i.csv"; }
+        "#;
+        let hub_store = MemFs::shared(clock.clone());
+        let mut hub = Server::new(
+            "hub",
+            parse_config(hub_cfg).unwrap(),
+            clock.clone(),
+            hub_store,
+        )
+        .unwrap();
+        let files = ["A_1.csv", "B_2.csv", "C_3.csv", "D_4.csv"];
+        for name in files {
+            hub.deposit(name, name.as_bytes()).unwrap();
+        }
+        let edge_store = MemFs::shared(clock.clone());
+        let edge_server = |extra: &str| {
+            let cfg = format!(
+                r#"
+                feed A {{ pattern "A_%i.csv"; }}
+                feed B {{ pattern "B_%i.csv"; }}
+                feed C {{ pattern "C_%i.csv"; }}
+                subscriber ghost {{ endpoint "ghost"; subscribe C; }}
+                subscriber wh1 {{ endpoint "wh1"; subscribe A; }}
+                subscriber wh2 {{ endpoint "wh2"; subscribe B; }}
+                subscriber wh3 {{ endpoint "wh3"; subscribe A, B; }}
+                group EDGE {{ members wh1, wh2, wh3, ghost; relay "edge"; }}
+                {extra}
+                "#
+            );
+            let cfg = parse_config(&cfg).unwrap();
+            Server::new("edge", cfg, clock.clone(), edge_store.clone())
+                .unwrap()
+                .with_network(net.clone())
+                .with_reliable_delivery(RetryPolicy::default(), 5)
         };
-        let (a, b) = (arrive("a"), arrive("b"));
-        let report = |c: Coverage| c.bits().to_vec();
-        let sorted = members.names.clone();
-        let by_name = |file: FileId| {
-            let mut coverage = Coverage::new(4);
-            for (i, member) in sorted.iter().enumerate() {
-                if receipts.is_delivered(file, member) {
-                    coverage.set(i as u32);
+        // the by-name reference
+        let wanted_by_all = |edge: &Server, group: &str, name: &str| {
+            let (Some(def), Some(rec)) = (
+                edge.config().group(group),
+                edge.receipts().file_by_name(name),
+            ) else {
+                return false;
+            };
+            def.members.iter().all(|m| {
+                let feeds = edge.config().subscriber_feeds(m).unwrap();
+                !feeds.iter().any(|f| rec.feeds.contains(f))
+                    || edge.receipts().is_delivered(rec.id, m)
+            })
+        };
+        // one Deliver per (group, file) from the hub, one pump, and the
+        // acks that come back — checked against the reference
+        let report = |relay: &mut Relay, edge: &mut Server| -> Vec<(String, String)> {
+            for group in ["EDGE", "NOPE"] {
+                for name in files {
+                    let file = hub.receipts().file_by_name(name).unwrap().id;
+                    let deliver = GroupMsg::Deliver {
+                        group: group.to_string(),
+                        file,
+                        file_name: name.to_string(),
+                        size: 1,
+                        attempt: 1,
+                    };
+                    net.send(clock.now(), "hub", "edge", Message::Group(deliver));
                 }
             }
-            Some(report(coverage))
+            relay
+                .pump(&net, &hub, edge, clock.advance(TimeSpan::from_secs(1)))
+                .unwrap();
+            let arrived = clock.advance(TimeSpan::from_secs(1));
+            let acked: Vec<(String, String)> = (net.recv_ready("hub", arrived).into_iter())
+                .filter_map(|d| match d.msg {
+                    Message::Group(GroupMsg::Ack { group, file }) => {
+                        Some((group, hub.receipts().file(file).unwrap().name))
+                    }
+                    _ => None,
+                })
+                .collect();
+            let expect: Vec<(String, String)> = (["EDGE", "NOPE"].into_iter())
+                .flat_map(|g| files.map(|f| (g.to_string(), f.to_string())))
+                .filter(|(g, f)| wanted_by_all(edge, g, f))
+                .collect();
+            assert_eq!(acked, expect);
+            acked
         };
-        let expect = by_name(a);
-        assert_eq!(members.coverage(&receipts, a).map(report), expect);
+        let member_ack = |edge: &mut Server, member: &str, name: &str| {
+            let file = edge.receipts().file_by_name(name).unwrap().id;
+            let ack = Message::Reliable(ReliableMsg::Ack { file, attempt: 1 });
+            edge.handle_network_message(member, clock.now(), ack)
+                .unwrap();
+        };
+        let pair = |f: &str| ("EDGE".to_string(), f.to_string());
+        let mut relay = Relay::new();
+        let mut edge = edge_server("");
 
-        receipts
-            .record_deliveries([(a, wh1), (a, wh2)], clock.now())
-            .unwrap();
-        let expect = by_name(a);
-        assert_eq!(members.coverage(&receipts, a).map(report), expect);
-        assert_eq!(
-            members.ids,
-            [None, Some(wh1), Some(wh2), None],
-            "wh3 is off the record"
-        );
+        // the first report deposits A, B and C downstream; D matches no
+        // feed there, so the relay never holds it
+        assert!(report(&mut relay, &mut edge).is_empty());
+        assert!(edge.receipts().file_by_name("D_4.csv").is_none());
+        // wh1 has A_1, but wh3 wants it too
+        member_ack(&mut edge, "wh1", "A_1.csv");
+        assert!(report(&mut relay, &mut edge).is_empty());
 
-        receipts.record_deliveries([(b, wh3)], clock.now()).unwrap();
-        for file in [a, b] {
-            let expect = by_name(file);
-            assert_eq!(members.coverage(&receipts, file).map(report), expect);
-        }
-        assert_eq!(members.ids, [None, Some(wh1), Some(wh2), Some(wh3)]);
-        assert!(members.coverage(&receipts, FileId(99)).is_none());
+        // ghost (0) and wh1 (1) are on record; the reopened relay gives
+        // aaa the next id, so wh2 and wh3 are renumbered
+        drop(edge);
+        let mut edge = edge_server(r#"subscriber aaa { endpoint "aaa"; subscribe A, B; }"#);
+        let id = |name: &str| edge.receipts().subscriber_id(name).unwrap().raw();
+        assert_eq!(["aaa", "wh2", "wh3"].map(id), [2, 3, 4]);
+        member_ack(&mut edge, "aaa", "B_2.csv");
+        assert!(report(&mut relay, &mut edge).is_empty());
+        member_ack(&mut edge, "wh3", "A_1.csv");
+        assert_eq!(report(&mut relay, &mut edge), [pair("A_1.csv")]);
+        member_ack(&mut edge, "wh3", "B_2.csv");
+        member_ack(&mut edge, "wh2", "B_2.csv");
+        // C_3 waits on ghost for good
+        let acked = report(&mut relay, &mut edge);
+        assert_eq!(acked, [pair("A_1.csv"), pair("B_2.csv")]);
     }
 
     /// Regression: a group send completed only when its coverage held
@@ -612,7 +632,8 @@ mod tests {
     /// that subscribes to none of its feeds — so a group whose members
     /// subscribe to different feeds never completed a file. The hub
     /// resent it until its budget ran out, alarmed, and re-fanned it
-    /// after every restart. Such members now start covered.
+    /// after every restart. The relay now acks once the members that
+    /// want the file have it.
     #[test]
     fn group_of_members_on_different_feeds_completes_in_one_round() {
         let clock = SimClock::starting_at(START);

@@ -32,8 +32,8 @@ use bistro_transport::batching::BatchCloseReason;
 use bistro_transport::messages::{GroupMsg, Message, ReliableMsg, SubscriberMsg};
 use bistro_transport::trigger::TriggerContext;
 use bistro_transport::{
-    BatchOutcome, Batcher, Cohort, CohortSend, Coverage, GroupSend, RetryPolicy, RetryRound,
-    RetryTracker, SimNetwork, TriggerLog,
+    BatchOutcome, Batcher, Cohort, CohortSend, GroupSend, RetryPolicy, RetryRound, RetryTracker,
+    SimNetwork, TriggerLog,
 };
 use bistro_vfs::{FileStore, VfsError};
 use std::borrow::Cow;
@@ -208,6 +208,40 @@ impl Subscribers {
     fn in_id_order(&self) -> impl Iterator<Item = &SubscriberState> {
         self.slots.iter().flatten()
     }
+
+    /// The union of the named subscribers' feeds, sorted: a relay
+    /// group's postings.
+    fn feed_union(&self, names: &[String]) -> Vec<String> {
+        let feeds: BTreeSet<&String> = (names.iter())
+            .filter_map(|name| self.named(name))
+            .flat_map(|st| &st.feeds)
+            .collect();
+        feeds.into_iter().cloned().collect()
+    }
+}
+
+/// `def`'s concrete feeds, sorted. Subscription targets repeat across
+/// wide deployments (every member of a delivery tree names the same
+/// feed), so resolution is memoized per target in `memo` instead of
+/// re-walking the config — and it starts from the def at hand rather
+/// than [`Config::subscriber_feeds`], whose by-name lookup would make a
+/// walk over every subscriber quadratic.
+fn resolve_feeds(
+    config: &Config,
+    def: &SubscriberDef,
+    memo: &mut HashMap<String, Vec<String>>,
+) -> Result<Vec<String>, ServerError> {
+    let mut feeds: BTreeSet<String> = BTreeSet::new();
+    for target in &def.subscriptions {
+        if let Some(r) = memo.get(target) {
+            feeds.extend(r.iter().cloned());
+        } else {
+            let r = config.resolve_subscription(target)?;
+            feeds.extend(r.iter().cloned());
+            memo.insert(target.clone(), r);
+        }
+    }
+    Ok(feeds.into_iter().collect())
 }
 
 /// What delivering one file takes that does not depend on who receives
@@ -268,9 +302,9 @@ struct Completed {
     /// Where the subscriber received the file, when the send already
     /// rendered it.
     dest_path: Option<String>,
-    /// The plan index when `sub` is a relay group's id: the group's
-    /// coverage report completed, and its tail is a count and a log line,
-    /// not a subscriber's.
+    /// The plan index when `sub` is a relay group's id: the relay acked
+    /// the group's send, and its tail is a count and a log line, not a
+    /// subscriber's.
     group: Option<usize>,
 }
 
@@ -281,46 +315,26 @@ struct Completed {
 struct GroupPlan {
     name: String,
     /// The group's id in the receipt store: a file's delivered set holds
-    /// it once the relay reported every member served.
+    /// it once the relay acked the file.
     id: SubscriberId,
     endpoint: String,
-    /// Member subscriber names, sorted: the ack bitmap index of a member
-    /// is its position here (the relay sorts identically).
+    /// Member subscriber names, sorted.
     members: Vec<String>,
     /// Union of the members' concrete feeds.
     feeds: Vec<String>,
-    /// Each member's concrete feeds, by member position — `None` when
-    /// every member subscribes to the same feeds, and so wants every file
-    /// the plan matches.
-    member_feeds: Option<Vec<Vec<String>>>,
-}
-
-impl GroupPlan {
-    /// The coverage a send of a file in `feeds` starts from: the bits of
-    /// the members that subscribe to none of them are set, because the
-    /// relay never delivers the file to them.
-    fn coverage_for(&self, feeds: &[String]) -> Coverage {
-        let mut coverage = Coverage::new(self.members.len() as u32);
-        for (i, mine) in self.member_feeds.iter().flatten().enumerate() {
-            if !mine.iter().any(|f| feeds.contains(f)) {
-                coverage.set(i as u32);
-            }
-        }
-        coverage
-    }
 }
 
 /// Shared-delivery-tree state (§3 delivery network): one tracker entry
-/// and one coverage bitmap per `(group, file)` in flight, instead of a
-/// per-subscriber tracker entry per member — fanout bookkeeping scales
-/// with the group count, not the member count. Tallies live in the
+/// per `(group, file)` in flight, instead of a per-subscriber tracker
+/// entry per member — fanout bookkeeping scales with the group count,
+/// not the member count. Tallies live in the
 /// server's telemetry registry (`group.*`), created with the plans so a
 /// server without delivery trees renders no `group.*` metrics.
 struct GroupState {
     plans: Vec<GroupPlan>,
     tracker: RetryTracker<GroupSend>,
-    /// `group.completed`: group receipts written — deliveries whose
-    /// coverage reached every member.
+    /// `group.completed`: group receipts written — deliveries the relay
+    /// acked.
     completed: Arc<Counter>,
     /// `group.undeliverable`: group sends dropped for want of a network.
     undeliverable: Arc<Counter>,
@@ -434,6 +448,11 @@ pub struct Server {
     /// The number the next send cohort takes.
     cohorts: u64,
     groups: Option<GroupState>,
+    /// The relay groups whose relay is this server, by name: each
+    /// member's id in this incarnation, in config order. A group's send
+    /// arriving here is acked once every member that wants the file has
+    /// it ([`Server::group_served`]).
+    relayed_here: BTreeMap<String, Vec<SubscriberId>>,
     progress: HashMap<String, FeedProgress>,
     discoverer: FeedDiscoverer,
     fn_detector: FnDetector,
@@ -495,33 +514,15 @@ impl Server {
             .collect();
 
         let mut subscribers = Subscribers::default();
-        // subscription targets repeat across wide deployments (every
-        // member of a delivery tree names the same feed), so memoize
-        // resolution per target instead of re-walking the config — and
-        // resolve from the def at hand rather than `subscriber_feeds`,
-        // whose by-name lookup would make this loop quadratic. Names
-        // register in name order, so on a fresh store ids follow names;
-        // a name the store already knows keeps its id.
-        let mut resolved: HashMap<String, Vec<String>> = HashMap::new();
+        // Names register in name order, so on a fresh store ids follow
+        // names; a name the store already knows keeps its id.
+        let mut resolved = HashMap::new();
         let mut defs: Vec<&SubscriberDef> = config.subscribers.iter().collect();
         defs.sort_by(|a, b| a.name.cmp(&b.name));
         for def in defs {
-            let mut feeds: BTreeSet<String> = BTreeSet::new();
-            for target in &def.subscriptions {
-                if let Some(r) = resolved.get(target) {
-                    feeds.extend(r.iter().cloned());
-                } else {
-                    let r = config.resolve_subscription(target)?;
-                    feeds.extend(r.iter().cloned());
-                    resolved.insert(target.clone(), r);
-                }
-            }
+            let feeds = resolve_feeds(&config, def, &mut resolved)?;
             let id = receipts.register_subscriber(&def.name);
-            subscribers.insert(SubscriberState::new(
-                id,
-                def.clone(),
-                feeds.into_iter().collect(),
-            ));
+            subscribers.insert(SubscriberState::new(id, def.clone(), feeds));
         }
 
         // Shared delivery plans from the config's relay groups, in name
@@ -533,27 +534,27 @@ impl Server {
         for ((g, relay), id) in relayed.into_iter().zip(group_ids) {
             let mut members = g.members.clone();
             members.sort();
-            let mut feeds: BTreeSet<String> = BTreeSet::new();
-            let mut member_feeds = Vec::with_capacity(members.len());
             for m in &members {
-                // validated: every member is a subscriber, whose feeds
-                // were just resolved above
+                // validated: every member is a subscriber
                 if let Some(st) = subscribers.id(m).and_then(|id| subscribers.get_mut(id)) {
-                    feeds.extend(st.feeds.iter().cloned());
                     st.grouped = true;
-                    member_feeds.push(st.feeds.clone());
                 }
             }
-            let alike = member_feeds.windows(2).all(|w| w[0] == w[1]);
             plans.push(GroupPlan {
                 name: g.name.clone(),
                 id,
                 endpoint: relay.to_string(),
+                feeds: subscribers.feed_union(&members),
                 members,
-                feeds: feeds.into_iter().collect(),
-                member_feeds: (!alike).then_some(member_feeds),
             });
         }
+        let relayed_here = (config.groups.iter())
+            .filter(|g| g.relay.as_deref() == Some(name))
+            .map(|g| {
+                let ids = g.members.iter().filter_map(|m| subscribers.id(m));
+                (g.name.clone(), ids.collect())
+            })
+            .collect();
         let groups = if plans.is_empty() {
             None
         } else {
@@ -621,6 +622,7 @@ impl Server {
             reliable: None,
             cohorts: 0,
             groups,
+            relayed_here,
             progress: HashMap::new(),
             discoverer,
             fn_detector,
@@ -1158,8 +1160,8 @@ impl Server {
 
     /// Deliver one file to relay group `id`'s endpoint — the caller
     /// names only a group the receipt store still owes: a single
-    /// [`GroupMsg::Deliver`] regardless of member count, tracked by the
-    /// bitmap tracker until the relay's coverage report shows every
+    /// [`GroupMsg::Deliver`] regardless of member count, tracked until
+    /// the relay acks it — which it does once its own receipts show every
     /// member that subscribes to the file served. Skipped while a send of
     /// the file to the group is in flight.
     fn deliver_group(&mut self, id: SubscriberId, file: &FilePlan) {
@@ -1193,7 +1195,6 @@ impl Server {
             return; // a send is already in flight
         }
         let send = GroupSend {
-            coverage: p.coverage_for(&rec.feeds),
             file_name: rec.name.clone(),
             size,
         };
@@ -1364,8 +1365,8 @@ impl Server {
     /// Apply one message addressed to this server's own endpoint — a
     /// [`Server::poll_network`] drain of one, exposed so a model checker
     /// can deliver messages one at a time in any order. Returns `true` if
-    /// the message was an acknowledgement (per-subscriber or group
-    /// coverage report) this server processed (anything else is
+    /// the message was an acknowledgement (a subscriber's, or a relay's
+    /// completion of a group send) this server processed (anything else is
     /// discarded, exactly as the drain does).
     pub fn handle_network_message(
         &mut self,
@@ -1381,9 +1382,8 @@ impl Server {
 
     /// One message of a drain. A subscriber's ack only resolves here —
     /// endpoint → subscriber, unacked entry → plan — and joins `acked`,
-    /// which the caller completes at the end of the drain; so does the
-    /// coverage report that completes a group's send, as the group's
-    /// receipt.
+    /// which the caller completes at the end of the drain; so does a
+    /// relay's ack of a group's send, as the group's receipt.
     fn take_message(
         &mut self,
         from: &str,
@@ -1420,25 +1420,24 @@ impl Server {
                 });
                 Ok(true)
             }
-            Message::Group(GroupMsg::Ack { group, file, bits }) => {
+            Message::Group(GroupMsg::Ack { group, file }) => {
                 let Some(g) = self.groups.as_mut() else {
                     return Ok(false);
                 };
-                let Some(complete) = g.tracker.on_coverage(&group, file, &bits) else {
-                    return Ok(false); // stale report after completion
-                };
-                if complete {
-                    let plan_idx = (g.plans.binary_search_by(|p| p.name.cmp(&group)))
-                        .expect("a tracked group has a plan");
-                    acked.push(Completed {
-                        sub: g.plans[plan_idx].id,
-                        file,
-                        plan: None,
-                        at,
-                        dest_path: None,
-                        group: Some(plan_idx),
-                    });
+                // the ack names no attempt: any attempt's completion will do
+                if !g.tracker.on_ack(&group, file, 0) {
+                    return Ok(false); // stale ack after completion
                 }
+                let plan_idx = (g.plans.binary_search_by(|p| p.name.cmp(&group)))
+                    .expect("a tracked group has a plan");
+                acked.push(Completed {
+                    sub: g.plans[plan_idx].id,
+                    file,
+                    plan: None,
+                    at,
+                    dest_path: None,
+                    group: Some(plan_idx),
+                });
                 Ok(true)
             }
             _ => Ok(false),
@@ -1595,7 +1594,7 @@ impl Server {
     /// pass in file-id order ([`ReceiptStore::owed`]), one send cohort
     /// per file, then each relay group's one send — the path a deposit
     /// sends through too. In reliable mode receipts record only acked
-    /// sends (a group's, only the coverage report that completed it), so
+    /// sends (a group's, only the relay's completion ack), so
     /// after a crash-restart this is exactly the unacked backfill; a
     /// relay answers a group's resend from its own receipts and
     /// backfills only the members it has not served. Returns the number
@@ -1613,6 +1612,27 @@ impl Server {
             self.send_owed(&plan, ids)?;
         }
         Ok(n)
+    }
+
+    /// Whether this server, as relay of `group`, has delivered the file
+    /// named `file_name` to every member that subscribes to one of the
+    /// file's feeds: the condition for acking the group's send upstream.
+    /// False when this server is not the group's relay or holds no such
+    /// file — the upstream then resends and, in the end, alarms. One read
+    /// of the file's delivered set, then each member by id.
+    pub(crate) fn group_served(&self, group: &str, file_name: &str) -> bool {
+        let Some(members) = self.relayed_here.get(group) else {
+            return false;
+        };
+        let Some(rec) = self.receipts.file_by_name(file_name) else {
+            return false;
+        };
+        let Some(delivered) = self.receipts.delivered_ids(rec.id) else {
+            return false;
+        };
+        let wants = |st: &SubscriberState| st.feeds.iter().any(|f| rec.feeds.contains(f));
+        (members.iter().filter_map(|&id| self.subscribers.get(id)))
+            .all(|st| delivered.get(st.id.raw()) || !wants(st))
     }
 
     /// Unfinished group (delivery-tree) fanouts currently in flight.
@@ -1828,6 +1848,7 @@ impl Server {
                 .map(|f| (f.name.clone(), f.patterns.clone()))
                 .collect(),
         );
+        self.resolve_subscriptions()?;
         // reclassify live files
         for rec in self.receipts.all_live() {
             let feeds = self.classifier.feeds_for(&rec.name);
@@ -1853,6 +1874,31 @@ impl Server {
             "config",
             format!("feed {name} redefined"),
         );
+        Ok(())
+    }
+
+    /// Resolve every subscriber's feeds and every relay group's member
+    /// union again from the config, moving the index postings of those
+    /// that changed: a feed added under a hierarchy prefix joins the
+    /// feeds of everyone subscribed to the prefix.
+    fn resolve_subscriptions(&mut self) -> Result<(), ServerError> {
+        let mut memo = HashMap::new();
+        for st in self.subscribers.slots.iter_mut().flatten() {
+            let feeds = resolve_feeds(&self.config, &st.def, &mut memo)?;
+            if feeds != st.feeds {
+                if st.online && !st.grouped {
+                    self.index.repost(st.id, &st.feeds, &feeds);
+                }
+                st.feeds = feeds;
+            }
+        }
+        for p in self.groups.iter_mut().flat_map(|g| &mut g.plans) {
+            let feeds = self.subscribers.feed_union(&p.members);
+            if feeds != p.feeds {
+                self.index.repost(p.id, &p.feeds, &feeds);
+                p.feeds = feeds;
+            }
+        }
         Ok(())
     }
 
@@ -2137,9 +2183,8 @@ impl Server {
         if let Some(g) = &self.groups {
             append(
                 (g.tracker.entries())
-                    .map(|((group, file), attempt, send)| {
-                        let (name, covered) = (file_name(*file), send.coverage.count());
-                        format!("gout\0{group}\0{name}\0{attempt}\0{covered}")
+                    .map(|((group, file), attempt, _)| {
+                        format!("gout\0{group}\0{}\0{attempt}", file_name(*file))
                     })
                     .collect(),
             );

@@ -518,9 +518,13 @@ fn retry_fire_resends_outstanding_group_delivery() {
     clock.advance(TimeSpan::from_secs(1));
     assert_eq!(group_attempts(&net, clock.now()), vec![2]);
     assert_eq!(server.group_counters(), (0, 1, 0), "one resend, no acks");
-    assert_eq!(server.group_outstanding(), 1, "still awaiting coverage");
+    assert_eq!(
+        server.group_outstanding(),
+        1,
+        "still awaiting the relay's ack"
+    );
 
-    // full coverage from the relay completes the delivery
+    // the relay's completion ack completes the delivery
     let file = server
         .receipts()
         .file_by_name("MEMORY_poller1_20100925.gz")
@@ -529,7 +533,6 @@ fn retry_fire_resends_outstanding_group_delivery() {
     let ack = Message::Group(GroupMsg::Ack {
         group: "EDGE".to_string(),
         file,
-        bits: vec![0b11],
     });
     assert!(server
         .handle_network_message("edge", clock.now(), ack)
@@ -1208,8 +1211,8 @@ fn a_drain_of_acks_equals_the_same_messages_one_at_a_time() {
     // `poll_network` writes the receipts of a whole drain as one append
     // and runs the deliveries' tails afterwards; nothing but the WAL may
     // tell that from handling the messages singly. The drain here mixes
-    // subscriber acks (one of them a repeat) with group coverage reports:
-    // a complete one is the group's receipt, a partial one writes nothing.
+    // subscriber acks (one of them a repeat) with relay completion acks:
+    // the first of a file is the group's receipt, a repeat writes nothing.
     let cfg = r#"
         feed F { pattern "f_%i.csv"; }
         subscriber a { endpoint "ea"; subscribe F; trigger remote "load %N"; }
@@ -1239,21 +1242,20 @@ fn a_drain_of_acks_equals_the_same_messages_one_at_a_time() {
                 attempt: 1,
             })
         };
-        let group_ack = |file, bits| {
+        let group_ack = |file| {
             Message::Group(GroupMsg::Ack {
                 group: "EDGE".to_string(),
                 file: bistro_base::FileId(file),
-                bits,
             })
         };
         for (from, msg) in [
             ("ea", sub_ack(1)),
             ("eb", sub_ack(1)),
-            ("edge", group_ack(1, vec![0b11])),
+            ("edge", group_ack(1)),
             ("ec", sub_ack(1)),
             ("ea", sub_ack(2)),
-            ("ea", sub_ack(1)), // a repeat inside the drain
-            ("edge", group_ack(2, vec![0b01])),
+            ("ea", sub_ack(1)),     // a repeat inside the drain
+            ("edge", group_ack(1)), // a repeat: the send is complete
             ("ec", sub_ack(2)),
             ("eb", sub_ack(2)),
         ] {
@@ -1264,11 +1266,12 @@ fn a_drain_of_acks_equals_the_same_messages_one_at_a_time() {
         if one_at_a_time {
             let inbox = net.recv_ready("hub", clock.now());
             assert_eq!(inbox.len(), 9);
-            for d in inbox {
-                assert!(server.handle_network_message(&d.from, d.at, d.msg).unwrap());
-            }
+            let taken = (inbox.into_iter())
+                .filter(|d| (server.handle_network_message(&d.from, d.at, d.msg.clone())).unwrap())
+                .count();
+            assert_eq!(taken, 8);
         } else {
-            assert_eq!(server.poll_network().unwrap(), 9);
+            assert_eq!(server.poll_network().unwrap(), 8);
         }
         assert_eq!(server.unacked_count(), 0);
         let events: Vec<String> = (server.event_log().recent().iter())
@@ -1519,9 +1522,9 @@ fn two_reliable_subscribers_sharing_an_endpoint_both_complete() {
 
 // -- relay groups: one receipt per (file, group) ----------------------------
 
-/// Two relay groups whose members are on different feeds: of an `A`
-/// file, `a3` and `b1` want nothing, of a `B` file `a1` and `b2`, so the
-/// hub's coverage of each starts with that member set.
+/// Two relay groups whose members are on different feeds; each group's
+/// member union takes both feeds, so the hub sends both every file.
+/// Which members want a file is each relay's business.
 const TWO_GROUPS: &str = r#"
     server { retention 1h; }
     feed A { pattern "A_%i.csv"; }
@@ -1535,12 +1538,8 @@ const TWO_GROUPS: &str = r#"
     group WEST { members b1, b2; relay "west"; }
 "#;
 
-/// `(name, relay endpoint, members, bits pre-covered of an A file, of a
-/// B file)` per group of [`TWO_GROUPS`], members in sorted order.
-const GROUPS: [(&str, &str, u32, u8, u8); 2] = [
-    ("EAST", "east", 3, 0b100, 0b001),
-    ("WEST", "west", 2, 0b01, 0b10),
-];
+/// `(name, relay endpoint)` per group of [`TWO_GROUPS`].
+const GROUPS: [(&str, &str); 2] = [("EAST", "east"), ("WEST", "west")];
 
 fn two_group_hub(clock: &Arc<SimClock>, store: &Arc<MemFs>, net: &Arc<SimNetwork>) -> Server {
     let cfg = parse_config(TWO_GROUPS).unwrap();
@@ -1549,16 +1548,15 @@ fn two_group_hub(clock: &Arc<SimClock>, store: &Arc<MemFs>, net: &Arc<SimNetwork
         .with_network(net.clone())
 }
 
-/// A step of [`prop_group_receipt_is_the_reference_coverage_completing`].
+/// A step of [`prop_group_receipt_is_the_first_completion_ack`].
 #[derive(Clone, Debug)]
 enum GroupStep {
-    /// A coverage report from group `.0`'s relay for file `.1` (an index
-    /// into the deposits, wrapped), with bitmap byte `.2` — stray bits
-    /// past the last member included.
-    Report(u8, u8, u8),
+    /// A completion ack from group `.0`'s relay for file `.1` (an index
+    /// into the deposits, wrapped).
+    Ack(u8, u8),
     /// The hub drains its inbox.
     Drain,
-    /// The hub restarts on its store and backfills; reports in flight
+    /// The hub restarts on its store and backfills; acks in flight
     /// arrive at the new incarnation.
     Reopen,
 }
@@ -1567,37 +1565,31 @@ impl bistro_base::prop::Shrink for GroupStep {}
 
 fn group_step(rng: &mut bistro_base::Rng) -> GroupStep {
     match rng.gen_range(0u32..10) {
-        0..=5 => GroupStep::Report(
-            rng.gen_range(0u32..2) as u8,
-            rng.gen_range(0u32..4) as u8,
-            rng.gen_range(0u32..256) as u8,
-        ),
+        0..=5 => GroupStep::Ack(rng.gen_range(0u32..2) as u8, rng.gen_range(0u32..4) as u8),
         6..=8 => GroupStep::Drain,
         _ => GroupStep::Reopen,
     }
 }
 
 #[test]
-fn prop_group_receipt_is_the_reference_coverage_completing() {
-    // Reports arrive partial, complete, duplicated, in any order, after
-    // their delivery completed, and across a restart. The hub holds a
-    // (file, group) receipt exactly when a reference `Coverage` — started
-    // from the members that do not want the file, merged with the same
-    // reports in arrival order, and restarted with the tracker on a
-    // reopen — completes; `group.completed` counts those receipts.
+fn prop_group_receipt_is_the_first_completion_ack() {
+    // Acks arrive in any order, duplicated, after their send completed,
+    // and across a restart. The hub holds a (file, group) receipt
+    // exactly when a completion ack for it has been drained — a reopen
+    // backfills every send still owed, so an ack in flight completes at
+    // the new incarnation — and `group.completed` counts those receipts.
     use bistro_base::prop::{self, Runner};
     use bistro_base::{prop_assert, prop_assert_eq};
-    use bistro_transport::Coverage;
 
-    Runner::new("group_receipt_is_the_reference_coverage_completing")
+    Runner::new("group_receipt_is_the_first_completion_ack")
         .cases(96)
         .run(
             |rng| {
                 let files = prop::vec_of(rng, 1..=4, |r| r.gen_bool(0.5));
                 let mut steps = prop::vec_of(rng, 0..=24, group_step);
-                // a report sent twice in a row
+                // an ack sent twice in a row
                 for i in 1..steps.len() {
-                    if matches!(steps[i - 1], GroupStep::Report(..)) && rng.gen_bool(0.2) {
+                    if matches!(steps[i - 1], GroupStep::Ack(..)) && rng.gen_bool(0.2) {
                         steps[i] = steps[i - 1].clone();
                     }
                 }
@@ -1620,74 +1612,55 @@ fn prop_group_receipt_is_the_reference_coverage_completing() {
                 let ids: Vec<_> = (names.iter())
                     .map(|n| hub.receipts().file_by_name(n).unwrap().id)
                     .collect();
-                let start = |g: usize, f: usize| {
-                    let (_, _, members, a, b) = GROUPS[g];
-                    Coverage::from_wire(members, &[if files[f] { a } else { b }])
-                };
-                // the reference: per (group, file), the coverage merged so
-                // far, and whether it completed
-                let mut reference: Vec<Vec<(Coverage, bool)>> = (0..2)
-                    .map(|g| (0..files.len()).map(|f| (start(g, f), false)).collect())
-                    .collect();
-                let mut in_flight: Vec<(usize, usize, u8)> = Vec::new();
+                // the reference: per (group, file), whether an ack for it
+                // has been drained
+                let mut done = vec![vec![false; files.len()]; 2];
+                let mut in_flight: Vec<(usize, usize)> = Vec::new();
                 let mut completed_before = 0;
 
-                let check =
-                    |hub: &Server, reference: &[Vec<(Coverage, bool)>], completed_before: u64| {
-                        let mut held = 0;
-                        for (g, per_file) in reference.iter().enumerate() {
-                            for (f, (_, done)) in per_file.iter().enumerate() {
-                                let receipted = hub.receipts().is_delivered(ids[f], GROUPS[g].0);
-                                prop_assert_eq!(receipted, *done, "group {} file {}", g, f);
-                                held += u64::from(receipted);
-                            }
+                let check = |hub: &Server, done: &[Vec<bool>], completed_before: u64| {
+                    let mut held = 0;
+                    for (g, per_file) in done.iter().enumerate() {
+                        for (f, &done) in per_file.iter().enumerate() {
+                            let receipted = hub.receipts().is_delivered(ids[f], GROUPS[g].0);
+                            prop_assert_eq!(receipted, done, "group {} file {}", g, f);
+                            held += u64::from(receipted);
                         }
-                        let counted = hub.telemetry().counter_value("group.completed").unwrap();
-                        prop_assert_eq!(completed_before + counted, held);
-                        prop_assert_eq!(hub.stats().deliveries, 0);
-                        Ok(())
-                    };
+                    }
+                    let counted = hub.telemetry().counter_value("group.completed").unwrap();
+                    prop_assert_eq!(completed_before + counted, held);
+                    prop_assert_eq!(hub.stats().deliveries, 0);
+                    Ok(())
+                };
                 for step in steps.iter().chain([&GroupStep::Drain]) {
                     match *step {
-                        GroupStep::Report(g, f, bits) => {
+                        GroupStep::Ack(g, f) => {
                             let (g, f) = (g as usize, f as usize % files.len());
-                            let (group, relay, ..) = GROUPS[g];
-                            let report = GroupMsg::Ack {
+                            let (group, relay) = GROUPS[g];
+                            let ack = GroupMsg::Ack {
                                 group: group.to_string(),
                                 file: ids[f],
-                                bits: vec![bits],
                             };
                             let at = clock.advance(TimeSpan::from_millis(1));
-                            net.send(at, relay, "hub", Message::Group(report));
-                            in_flight.push((g, f, bits));
+                            net.send(at, relay, "hub", Message::Group(ack));
+                            in_flight.push((g, f));
                         }
                         GroupStep::Drain => {
                             clock.advance(TimeSpan::from_secs(1));
                             hub.poll_network().unwrap();
-                            for (g, f, bits) in in_flight.drain(..) {
-                                let (coverage, done) = &mut reference[g][f];
-                                if !*done {
-                                    coverage.merge_wire(&[bits]);
-                                    *done = coverage.complete();
-                                }
+                            for (g, f) in in_flight.drain(..) {
+                                done[g][f] = true;
                             }
-                            check(&hub, &reference, completed_before)?;
+                            check(&hub, &done, completed_before)?;
                         }
                         GroupStep::Reopen => {
                             completed_before +=
                                 hub.telemetry().counter_value("group.completed").unwrap();
                             drop(hub);
                             hub = two_group_hub(&clock, &store, &net);
-                            let owed = reference.iter().flatten().filter(|(_, d)| !d).count();
+                            let owed = done.iter().flatten().filter(|&&d| !d).count();
                             prop_assert_eq!(hub.backfill_unacked().unwrap(), owed);
-                            for (g, per_file) in reference.iter_mut().enumerate() {
-                                for (f, (coverage, done)) in per_file.iter_mut().enumerate() {
-                                    if !*done {
-                                        *coverage = start(g, f);
-                                    }
-                                }
-                            }
-                            check(&hub, &reference, completed_before)?;
+                            check(&hub, &done, completed_before)?;
                         }
                     }
                 }
@@ -1715,7 +1688,6 @@ fn a_group_completion_for_an_expired_file_writes_nothing() {
     let report = GroupMsg::Ack {
         group: "WEST".to_string(),
         file,
-        bits: vec![0b11],
     };
     assert_eq!(hub.group_outstanding(), 0, "expiry dropped both sends");
     assert!(!hub
@@ -1819,4 +1791,55 @@ fn redefine_feed_sends_a_reclassified_file_to_its_relay_groups() {
     assert_eq!(group_sends(&net, clock.now()), [("A_1.csv".to_string(), 1)]);
     assert_eq!(server.backfill_unacked().unwrap(), 1, "still in flight");
     assert_eq!(server.group_outstanding(), 1, "and not sent twice");
+}
+
+#[test]
+fn redefine_feed_under_a_subscribed_prefix_reaches_subscribers_and_groups_at_once() {
+    // `s` and relay-group member `m` subscribe to the SNMP prefix. A
+    // feed that `redefine_feed` adds under it is theirs from then on:
+    // a file parked in unknown/ before the redefinition and one
+    // deposited after it reach `s` and the group at once, not only
+    // after a restart resolves the prefix again.
+    let cfg = r#"
+        feed SNMP/CPU { pattern "CPU_%i.csv"; }
+        subscriber s { endpoint "s"; subscribe SNMP; }
+        subscriber m { endpoint "m"; subscribe SNMP; }
+        group G { members m; relay "relay"; }
+    "#;
+    let clock = SimClock::starting_at(START);
+    let net = Arc::new(SimNetwork::new(LinkSpec::default()));
+    let mut server = Server::new(
+        "hub",
+        parse_config(cfg).unwrap(),
+        clock.clone(),
+        MemFs::shared(clock.clone()),
+    )
+    .unwrap()
+    .with_network(net.clone());
+    server.deposit("MEM_0.csv", b"early").unwrap();
+    assert_eq!(server.stats().files_unknown, 1);
+
+    let mut mem = server.config().feed("SNMP/CPU").unwrap().clone();
+    mem.name = "SNMP/MEM".to_string();
+    mem.patterns = vec![bistro_pattern::Pattern::parse("MEM_%i.csv").unwrap()];
+    server.redefine_feed(mem).unwrap();
+    server.deposit("MEM_1.csv", b"late").unwrap();
+
+    let feeds = ["SNMP/MEM".to_string()];
+    assert_eq!(server.match_via_index(&feeds), ["G", "s"]);
+    assert_eq!(server.match_via_scan(&feeds), ["G", "s"]);
+    for name in ["MEM_0.csv", "MEM_1.csv"] {
+        let rec = server.receipts().file_by_name(name).unwrap();
+        assert_eq!(rec.feeds, feeds);
+        assert!(server.receipts().is_delivered(rec.id, "s"), "{name}");
+    }
+    assert_eq!(server.group_outstanding(), 2, "both sent to the relay");
+    clock.advance(TimeSpan::from_secs(1));
+    let sent = group_sends(&net, clock.now());
+    assert_eq!(sent.len(), 2, "{sent:?}");
+    assert_eq!(
+        server.backfill_unacked().unwrap(),
+        2,
+        "only the group sends, in flight"
+    );
 }

@@ -936,17 +936,6 @@ impl ReceiptStore {
         tables.files.get(&file.raw()).map(|f| f.delivered.clone())
     }
 
-    /// The id of `name` if its `Subscriber` record is durable. Only such
-    /// ids are in delivered sets, and only they are fixed for good: a
-    /// name registered but not on record may get another id after a
-    /// crash, and its old id another name.
-    pub fn recorded_subscriber_id(&self, name: &str) -> Option<SubscriberId> {
-        let names = &self.inner.lock().tables.names;
-        (names.id(name))
-            .filter(|&id| (id as usize) < names.recorded)
-            .map(SubscriberId)
-    }
-
     /// The delivery receipts of the live files whose id is above `after`,
     /// in file-id order and, within a file, subscriber-id order;
     /// `deliveries_after(FileId(0))` is every receipt on record. This is

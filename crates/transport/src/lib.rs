@@ -41,7 +41,6 @@ pub use client::{PendingFile, SubscriberClient};
 pub use messages::{ClusterMsg, GroupMsg, Message, ReliableMsg, SubscriberMsg};
 pub use net::{Delivery, FaultPlan, FaultSpec, LinkFlap, LinkSpec, PendingMessage, SimNetwork};
 pub use reliable::{
-    Cohort, CohortSend, Coverage, GroupSend, Payload, Resend, RetryPolicy, RetryRound,
-    RetryTracker, Target,
+    Cohort, CohortSend, GroupSend, Payload, Resend, RetryPolicy, RetryRound, RetryTracker, Target,
 };
 pub use trigger::{expand_command, Invocation, TriggerLog};

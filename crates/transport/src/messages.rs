@@ -131,15 +131,15 @@ pub enum ClusterMsg {
 }
 
 /// Shared-delivery-tree messages: one delivery per subscriber *group* to
-/// its relay node, acknowledged with a compact member-coverage bitmap.
+/// its relay node, acknowledged once the relay has served the group.
 ///
 /// With a million subscribers partitioned into groups, the feed's home
 /// server sends one [`GroupMsg::Deliver`] per group instead of one
 /// attempt per member; the relay fans out locally and answers with a
-/// [`GroupMsg::Ack`] describing *which members* it has covered so far
-/// (a bitmap over the group's sorted member list). Partial coverage keeps the
-/// delivery outstanding upstream; retries double as coverage refreshes
-/// and the relay backfills stragglers from its own store (cascaded
+/// [`GroupMsg::Ack`] only when its own receipts show the file delivered
+/// to every member that wants it. Until then it answers nothing: the
+/// delivery stays outstanding upstream, and each retry asks again while
+/// the relay backfills stragglers from its own store (cascaded
 /// backfill).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GroupMsg {
@@ -158,18 +158,14 @@ pub enum GroupMsg {
         /// 1-based attempt number (bumped on every retransmission).
         attempt: u32,
     },
-    /// Relay → home server: member-coverage report for `(group, file)`.
-    /// Bit `i` of `bits` (LSB-first within each byte) is set when member
-    /// `i` of the group's sorted member list has the file. A complete
-    /// bitmap finishes the delivery upstream; a partial one leaves it
-    /// outstanding for retry-driven cascaded backfill.
+    /// Relay → home server: `(group, file)` is complete — the relay has
+    /// delivered the file to every member that subscribes to one of its
+    /// feeds.
     Ack {
         /// Subscriber-group name.
         group: String,
         /// The acknowledged file (sender-local id, echoed back).
         file: FileId,
-        /// Member-coverage bitmap over the sorted member list.
-        bits: Vec<u8>,
     },
 }
 
@@ -347,11 +343,10 @@ impl Message {
                 w.put_varint(*size);
                 w.put_varint(*attempt as u64);
             }
-            Message::Group(GroupMsg::Ack { group, file, bits }) => {
+            Message::Group(GroupMsg::Ack { group, file }) => {
                 w.put_u8(TAG_GROUP_ACK);
                 w.put_str(group);
                 w.put_varint(file.raw());
-                w.put_bytes(bits);
             }
         }
         w.into_bytes()
@@ -441,7 +436,6 @@ impl Message {
             TAG_GROUP_ACK => Message::Group(GroupMsg::Ack {
                 group: r.get_str()?.to_string(),
                 file: FileId(r.get_varint()?),
-                bits: r.get_bytes()?.to_vec(),
             }),
             other => {
                 return Err(CodecError::BadTag {
@@ -521,8 +515,8 @@ impl Message {
                     + varint_len(*size)
                     + varint_len(*attempt as u64)
             }
-            Message::Group(GroupMsg::Ack { group, file, bits }) => {
-                1 + prefixed(group.len()) + varint_len(file.raw()) + prefixed(bits.len())
+            Message::Group(GroupMsg::Ack { group, file }) => {
+                1 + prefixed(group.len()) + varint_len(file.raw())
             }
         }
     }
@@ -612,7 +606,6 @@ mod tests {
             Message::Group(GroupMsg::Ack {
                 group: "EAST_COAST".to_string(),
                 file: FileId(21),
-                bits: vec![0b1011_0101, 0b0000_0011],
             }),
         ];
         for m in msgs {
@@ -726,7 +719,6 @@ mod tests {
             Message::Group(GroupMsg::Ack {
                 group: "G".to_string(),
                 file: FileId(21),
-                bits: vec![0xFF, 0x01],
             }),
         ]
     }
@@ -806,7 +798,6 @@ mod tests {
             Message::Group(GroupMsg::Ack {
                 group: s,
                 file: FileId(a),
-                bits: list.iter().map(|&f| f as u8).collect(),
             }),
         ]
     }
@@ -876,9 +867,8 @@ mod tests {
         let group_ack = Message::Group(GroupMsg::Ack {
             group: "G01".to_string(),
             file: FileId(300),
-            bits: vec![0xff, 0x03],
         });
-        assert_eq!(hex(&group_ack), "1003473031ac0202ff03");
+        assert_eq!(hex(&group_ack), "1003473031ac02");
         for m in [attempt, ack, deliver, group_ack] {
             assert_eq!(m.encoded_len(), m.encode().len());
         }
@@ -959,17 +949,20 @@ mod tests {
             Message::decode(w.as_bytes()),
             Err(CodecError::BadLength { .. })
         ));
+    }
 
-        // GroupAck whose bitmap length prefix exceeds the frame
+    #[test]
+    fn a_group_ack_with_a_coverage_bitmap_is_refused() {
+        // the frame an older build sent: the member bitmap after the file
         let mut w = bistro_base::ByteWriter::new();
         w.put_u8(TAG_GROUP_ACK);
-        w.put_str("G");
-        w.put_varint(21); // file id
-        w.put_varint(1 << 40); // bitmap length — a lie
-        assert!(matches!(
+        w.put_str("G01");
+        w.put_varint(300);
+        w.put_bytes(&[0xff, 0x03]);
+        assert_eq!(
             Message::decode(w.as_bytes()),
-            Err(CodecError::BadLength { .. })
-        ));
+            Err(CodecError::TrailingBytes { n: 3 })
+        );
     }
 
     #[test]
@@ -989,7 +982,6 @@ mod tests {
             Message::Group(GroupMsg::Ack {
                 group: "G".to_string(),
                 file: FileId(5),
-                bits: vec![0x0F],
             }),
         ] {
             let bytes = m.encode();

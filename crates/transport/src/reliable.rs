@@ -26,8 +26,9 @@
 //!   re-renders its messages from it) and the bitmap of subscriber ids
 //!   still owed an ack ([`RetryTracker::ack_member`] clears one bit);
 //! * delivery trees, `RetryTracker<GroupSend>`: one entry per
-//!   `(group, file)` send to a relay, holding a [`Coverage`] bitmap of the
-//!   members served so far ([`RetryTracker::on_coverage`]).
+//!   `(group, file)` send to a relay, cleared by the relay's one
+//!   completion ack ([`RetryTracker::on_ack`]) once it has served every
+//!   member that wants the file.
 //!
 //! The counters count (target, file) sends either way: a cohort stands
 //! for one send per subscriber it still owes ([`Payload::sends`]). The
@@ -168,9 +169,9 @@ impl TrackerMetrics {
 /// The unacked-send table: one entry per key, iterated in key order —
 /// retry rounds (and so the jitter draw order and the resend order on
 /// the wire) and state digests inherit it — and generic over what each
-/// entry carries: a [`SubscriberMsg`], a [`GroupSend`] (coverage bitmap
-/// and file identity) for a delivery tree, or a [`CohortSend`] (a plan
-/// to re-render from and the subscribers still owed).
+/// entry carries: a [`SubscriberMsg`], a [`GroupSend`] (the file's
+/// identity) for a delivery tree, or a [`CohortSend`] (a plan to
+/// re-render from and the subscribers still owed).
 pub struct RetryTracker<P = SubscriberMsg, K = Target> {
     policy: RetryPolicy,
     rng: Rng,
@@ -406,90 +407,13 @@ impl<P: Payload> RetryTracker<P, Target> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Shared delivery trees: compact per-member coverage as tracker payload.
-//
-// A subscriber *group* is delivered once — to its relay node — and the
-// relay reports which members it has covered with a bitmap over the
-// group's sorted member list. One `Coverage` per outstanding
-// `(group, file)` replaces one tracker entry (string key, cloned
-// message, deadline) per *member*: a 1000-member group costs 125 bytes
-// of bitmap instead of ~1000 tracker entries, which is what lets fanout
-// state scale with group count rather than member count.
-// ---------------------------------------------------------------------------
-
-/// Member-coverage bitmap for one `(group, file)` delivery: bit `i` of a
-/// [`Bitmap`] is set when member `i` of the group's sorted member list
-/// has received the file — the form a relay's report carries on the
-/// wire. The member count fixes the bytes at exactly the members and
-/// keeps every bit past the last member clear, whatever a report claims.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Coverage {
-    members: u32,
-    bits: Bitmap,
-}
-
-impl Coverage {
-    /// An empty bitmap over `members` members.
-    pub fn new(members: u32) -> Coverage {
-        Coverage {
-            members,
-            bits: Bitmap::zeros(members),
-        }
-    }
-
-    /// Rebuild from wire form, clamped to the member count as
-    /// [`Coverage::merge_wire`] clamps.
-    pub fn from_wire(members: u32, bits: &[u8]) -> Coverage {
-        let mut c = Coverage::new(members);
-        c.merge_wire(bits);
-        c
-    }
-
-    /// Mark member `i` covered; true if it was newly set.
-    pub fn set(&mut self, i: u32) -> bool {
-        i < self.members && self.bits.set(i)
-    }
-
-    /// Is member `i` covered?
-    pub fn get(&self, i: u32) -> bool {
-        self.bits.get(i)
-    }
-
-    /// OR a report into this one, in place. Adversarial input is
-    /// clamped: a longer bitmap is cut to the member count, and stray
-    /// bits past the last member are dropped.
-    pub fn merge_wire(&mut self, bits: &[u8]) {
-        let width = self.bits.bytes().len();
-        self.bits.or(&bits[..bits.len().min(width)]);
-        self.bits.truncate(self.members);
-    }
-
-    /// Covered members.
-    pub fn count(&self) -> u32 {
-        self.bits.count()
-    }
-
-    /// Every member covered?
-    pub fn complete(&self) -> bool {
-        self.count() == self.members
-    }
-
-    /// The raw bitmap (wire form).
-    pub fn bits(&self) -> &[u8] {
-        self.bits.bytes()
-    }
-}
-
 /// What one unacked *group* delivery carries in the [`RetryTracker`]:
-/// the members covered so far plus what a (re)send to the relay needs.
-/// A resend is also the cascaded-backfill trigger — the relay answers
-/// every (re)delivery with its current coverage and backfills
-/// stragglers from its own store.
+/// what a (re)send to the relay needs. The relay acks a send only once
+/// its own receipts show every member that wants the file served, so a
+/// resend doubles as the cascaded-backfill trigger: the relay answers it
+/// from its own store and backfills stragglers there.
 #[derive(Clone, Debug)]
 pub struct GroupSend {
-    /// Members the relay has reported served, merged across acks.
-    pub coverage: Coverage,
     /// The file's landing name (stable across stores).
     pub file_name: String,
     /// Payload size.
@@ -497,25 +421,6 @@ pub struct GroupSend {
 }
 
 impl Payload for GroupSend {}
-
-impl RetryTracker<GroupSend> {
-    /// A coverage report for `(group, file)` arrived. Merges it into the
-    /// entry in place and returns whether the delivery is now complete —
-    /// `None` if the pair is not outstanding (stale or duplicate ack of a
-    /// finished delivery). Unlike a per-subscriber ack, a report only
-    /// clears the entry once the merged bitmap is complete.
-    pub fn on_coverage(&mut self, group: &str, file: FileId, bits: &[u8]) -> Option<bool> {
-        let key = key(group, file);
-        let coverage = &mut self.outstanding.get_mut(&key)?.payload.coverage;
-        coverage.merge_wire(bits);
-        self.metrics.acks.inc();
-        let complete = coverage.complete();
-        if complete {
-            self.remove(&key);
-        }
-        Some(complete)
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Direct fan-out: one entry per file send, an owed bitmap over subscriber
@@ -630,9 +535,8 @@ mod tests {
         assert!(!tr.on_ack("s", FileId(1), 1));
     }
 
-    fn group_send(members: u32) -> GroupSend {
+    fn group_send() -> GroupSend {
         GroupSend {
-            coverage: Coverage::new(members),
             file_name: "f_1.csv".to_string(),
             size: 3,
         }
@@ -655,7 +559,7 @@ mod tests {
     #[test]
     fn timeout_bumps_attempt_with_backoff() {
         check_backoff(msg(1));
-        check_backoff(group_send(8));
+        check_backoff(group_send());
     }
 
     fn check_exhaustion<P: Payload>(payload: P) {
@@ -674,13 +578,13 @@ mod tests {
     #[test]
     fn exhaustion_after_max_attempts() {
         check_exhaustion(msg(1));
-        check_exhaustion(group_send(8));
+        check_exhaustion(group_send());
     }
 
     #[test]
     fn resend_carries_the_tracked_payload() {
         let mut tr = RetryTracker::new(policy(), 1);
-        tr.track("g", FileId(1), group_send(8), t(0));
+        tr.track("g", FileId(1), group_send(), t(0));
         let r = tr.due(t(10));
         assert_eq!(&*r.resend[0].key.0, "g");
         assert_eq!(r.resend[0].payload.file_name, "f_1.csv");
@@ -753,7 +657,7 @@ mod tests {
     #[test]
     fn golden_jitter_schedule_for_both_payloads() {
         check_golden_schedule(msg(1));
-        check_golden_schedule(group_send(4));
+        check_golden_schedule(group_send());
     }
 
     #[test]
@@ -1007,98 +911,52 @@ mod tests {
         tr.due(t(10)); // retry does not reset the age
         assert_eq!(tr.oldest_unacked_age(t(15)), Some(TimeSpan::from_secs(15)));
 
-        // a group entry ages the same way, and a partial coverage report
-        // does not reset it either
+        // a group entry ages the same way
         let mut tr = RetryTracker::new(policy(), 1);
-        tr.track("g", FileId(1), group_send(4), t(2));
-        assert_eq!(tr.on_coverage("g", FileId(1), &[0b0011]), Some(false));
+        tr.track("g", FileId(1), group_send(), t(2));
+        tr.due(t(12));
         assert_eq!(tr.oldest_unacked_age(t(15)), Some(TimeSpan::from_secs(13)));
     }
 
     // -- shared delivery trees ---------------------------------------------
 
     #[test]
-    fn coverage_set_count_complete() {
-        let mut c = Coverage::new(11);
-        assert_eq!(c.count(), 0);
-        assert!(!c.complete());
-        assert!(c.set(0));
-        assert!(!c.set(0), "second set is not new");
-        assert!(c.set(2));
-        assert_eq!(c.count(), 2);
-        assert!(c.get(2) && !c.get(1));
-        for i in 1..11 {
-            c.set(i);
-        }
-        assert!(c.complete());
-        // out-of-range member indices are ignored, not panics
-        assert!(!c.set(11));
-        assert!(!c.get(11));
-    }
-
-    #[test]
-    fn coverage_wire_roundtrip_and_hostile_input() {
-        let mut c = Coverage::new(10);
-        c.set(0);
-        c.set(1);
-        c.set(7);
-        c.set(9);
-        let back = Coverage::from_wire(10, c.bits());
-        assert_eq!(back, c);
-
-        // an oversized bitmap and stray tail bits are clamped to the
-        // member count
-        let hostile = Coverage::from_wire(3, &[0xFF, 0xFF, 0xFF, 0xFF]);
-        assert_eq!(hostile.count(), 3);
-        assert!(hostile.complete());
-        assert_eq!(hostile.bits(), [0b0111]);
-    }
-
-    #[test]
-    fn group_partial_coverage_then_complete() {
+    fn a_group_send_completes_on_its_one_ack() {
         let mut tr = RetryTracker::new(policy(), 1);
-        assert_eq!(tr.track("g", FileId(1), group_send(10), t(0)), 1);
+        assert_eq!(tr.track("g", FileId(1), group_send(), t(0)), 1);
         assert!(tr.is_outstanding("g", FileId(1)));
         // duplicate track keeps the existing attempt
-        assert_eq!(tr.track("g", FileId(1), group_send(10), t(1)), 1);
-
-        // partial coverage: first 4 members — stays outstanding
-        let partial = [0b0000_1111];
-        assert_eq!(tr.on_coverage("g", FileId(1), &partial), Some(false));
+        assert_eq!(tr.track("g", FileId(1), group_send(), t(1)), 1);
+        // an ack of another group's send, or another file, clears nothing
+        assert!(!tr.on_ack("h", FileId(1), 0));
+        assert!(!tr.on_ack("g", FileId(2), 0));
         assert!(tr.is_outstanding("g", FileId(1)));
-        let (_, _, held) = tr.entries().next().unwrap();
-        assert_eq!(held.coverage.count(), 4);
 
-        // same report again: still partial
-        assert_eq!(tr.on_coverage("g", FileId(1), &partial), Some(false));
-        assert_eq!(tr.entries().next().unwrap().2.coverage.count(), 4);
-
-        // the rest finishes and removes the entry
-        let rest = [0b1111_0000, 0b0000_0011];
-        assert_eq!(tr.on_coverage("g", FileId(1), &rest), Some(true));
+        // the relay's completion ack removes the entry
+        assert!(tr.on_ack("g", FileId(1), 0));
         assert!(!tr.is_outstanding("g", FileId(1)));
         assert_eq!(tr.outstanding_count(), 0);
-        // a report for a finished delivery is a stale no-op
-        assert!(tr.on_coverage("g", FileId(1), &rest).is_none());
+        // an ack for a finished delivery is a stale no-op
+        assert!(!tr.on_ack("g", FileId(1), 0));
     }
 
     #[test]
-    fn group_prefix_telemetry_counts_every_merged_report() {
+    fn group_prefix_telemetry_counts_every_completing_ack() {
         let reg = Registry::new();
         let mut tr = RetryTracker::with_telemetry(policy(), 1, &reg, "group");
-        tr.track("g", FileId(1), group_send(4), t(0));
-        tr.track("h", FileId(2), group_send(2), t(0));
+        tr.track("g", FileId(1), group_send(), t(0));
+        tr.track("h", FileId(2), group_send(), t(0));
         assert_eq!(reg.counter_value("group.attempts"), Some(2));
         assert_eq!(reg.gauge_value("group.outstanding"), Some(2));
-        tr.on_coverage("g", FileId(1), &[0b0011]);
-        let covered: Vec<_> = tr
-            .entries()
-            .map(|((g, f), a, p)| (&**g, f.raw(), a, p.coverage.count()))
+        tr.on_ack("g", FileId(1), 0);
+        let open: Vec<_> = (tr.entries())
+            .map(|((g, f), a, _)| (&**g, f.raw(), a))
             .collect();
-        assert_eq!(covered, vec![("g", 1, 1, 2), ("h", 2, 1, 0)]);
-        tr.on_coverage("h", FileId(2), &[0b11]);
+        assert_eq!(open, vec![("h", 2, 1)]);
+        tr.on_ack("h", FileId(2), 0);
+        tr.on_ack("h", FileId(2), 0); // stale: not counted
         assert_eq!(reg.counter_value("group.acks"), Some(2));
-        assert_eq!(reg.gauge_value("group.outstanding"), Some(1));
+        assert_eq!(reg.gauge_value("group.outstanding"), Some(0));
         assert_eq!(reg.counter_value("reliable.acks"), None);
     }
 
@@ -1106,9 +964,9 @@ mod tests {
     fn forgotten_entries_are_neither_resent_nor_exhausted_nor_acked() {
         let reg = Registry::new();
         let mut tr = RetryTracker::with_telemetry(policy(), 1, &reg, "group");
-        tr.track("g", FileId(1), group_send(4), t(0));
-        tr.track("h", FileId(1), group_send(4), t(0));
-        tr.track("g", FileId(2), group_send(4), t(0));
+        tr.track("g", FileId(1), group_send(), t(0));
+        tr.track("h", FileId(1), group_send(), t(0));
+        tr.track("g", FileId(2), group_send(), t(0));
         tr.forget_where(|(_, file)| *file == FileId(1));
         assert_eq!(tr.outstanding_count(), 1);
         assert_eq!(reg.gauge_value("group.outstanding"), Some(1));

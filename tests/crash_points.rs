@@ -1209,7 +1209,7 @@ const GROUP_CONFIG: &str = r#"
 "#;
 
 /// What the group sweep deposits at the hub, in order. `m1` wants only
-/// the `f_` files, so the hub's coverage of `g_2` starts with it set.
+/// the `f_` files, so the edge acks `g_2` once `m2` alone has it.
 const GROUP_FILES: [&str; 5] = ["f_0.csv", "f_1.csv", "g_2.csv", "f_3.csv", "f_4.csv"];
 
 /// The downstream tier of the group sweep, which outlives every hub
@@ -1239,9 +1239,9 @@ impl EdgeTier {
     }
 
     /// One second of both tiers: the relay pumps the hub's sends into the
-    /// edge and answers each with the members' coverage, the members poll
-    /// and ack, the edge drains their acks, and the hub drains the
-    /// reports. A hub error (the crash) propagates.
+    /// edge, acking each send once every member that wants the file has
+    /// it; the members poll and ack, the edge drains their acks, and the
+    /// hub drains the relay's. A hub error (the crash) propagates.
     fn round(
         &mut self,
         hub: &mut Server,
@@ -1260,9 +1260,9 @@ impl EdgeTier {
         drained.map(drop)
     }
 
-    /// Carry the hub's outstanding group sends to completion: the relay's
-    /// first report is partial — the members have not acked yet — and a
-    /// forced resend draws a complete one.
+    /// Carry the hub's outstanding group sends to completion: the relay
+    /// does not ack a first send — the members have not acked yet — and
+    /// a forced resend draws its completion ack.
     fn complete(
         &mut self,
         hub: &mut Server,
@@ -1281,8 +1281,8 @@ impl EdgeTier {
 }
 
 /// The faulted hub incarnation of the group sweep: two files completed
-/// in one drain, a third with a member pre-covered, a stale report for a
-/// completed file, a snapshot, then two more files. The hub lands in
+/// in one drain, a third that one member does not want, a stale ack for
+/// a completed file, a snapshot, then two more files. The hub lands in
 /// `hub` once it is built, so the caller can read what it observed.
 fn group_phase_a(
     clock: &Arc<SimClock>,
@@ -1310,7 +1310,6 @@ fn group_phase_a(
     let stale = GroupMsg::Ack {
         group: "EDGE".to_string(),
         file: f0,
-        bits: vec![0b11],
     };
     net.send(clock.now(), "edge", "hub", Message::Group(stale));
     tier.round(hub, net, clock)?;
@@ -1461,14 +1460,13 @@ fn run_group_crash(seed: u64, crash_op: u64) -> bool {
 
 #[test]
 fn sweep_hub_crash_across_group_completion_drains() {
-    // The hub receipts a relay group once, when the relay's coverage
-    // report completes: a `Delivered` set over the group's own id in the
-    // drain's one append, its count and log line after. Crash the hub at
-    // every storage op of a run with partial, complete and stale reports
-    // and a snapshot, reopen it beside the running edge, and the store
-    // opens, a counted completion is durable, backfill re-sends exactly
-    // the files without their receipt, and every member gets every file
-    // it wants once.
+    // The hub receipts a relay group once, when the relay acks its send:
+    // a `Delivered` set over the group's own id in the drain's one
+    // append, its count and log line after. Crash the hub at every
+    // storage op of a run with completing and stale acks and a snapshot,
+    // reopen it beside the running edge, and the store opens, a counted
+    // completion is durable, backfill re-sends exactly the files without
+    // their receipt, and every member gets every file it wants once.
     let total = {
         let clock = SimClock::starting_at(START);
         let counting = Arc::new(FaultStore::counting(MemFs::shared(clock.clone())));
@@ -1490,16 +1488,15 @@ fn sweep_hub_crash_across_group_completion_drains() {
         assert_eq!(
             completed,
             Some(GROUP_FILES.len() as u64),
-            "the stale report counts nothing"
+            "the stale ack counts nothing"
         );
         assert_eq!(
             hub.stats().deliveries,
             0,
             "a group receipt is no subscriber delivery"
         );
-        // a partial and a complete report merged per file, one forced
-        // resend per file between them
-        assert_eq!(hub.group_counters(), (10, 5, 0));
+        // one completion ack per file, after one forced resend per file
+        assert_eq!(hub.group_counters(), (5, 5, 0));
         counting.mutation_ops()
     };
     let mut in_drain = 0;

@@ -12,7 +12,7 @@
 
 use bistro::base::prop::Runner;
 use bistro::base::prop_assert;
-use bistro::base::{Clock, SimClock, TimePoint, TimeSpan};
+use bistro::base::{Clock, FileId, SimClock, TimePoint, TimeSpan};
 use bistro::config::parse_config;
 use bistro::server::log::LogLevel;
 use bistro::server::relay::Relay;
@@ -207,19 +207,41 @@ fn run_mini(seed: u64, files: usize, drop_prob: f64, dup_prob: f64) -> MiniOutco
     }
 }
 
+/// A relay group of three members on one feed.
+const ONE_FEED_TREE: &str = r#"
+    feed F { pattern "f_%i.csv"; }
+    subscriber m1 { endpoint "m1"; subscribe F; delivery push; }
+    subscriber m2 { endpoint "m2"; subscribe F; delivery push; }
+    subscriber m3 { endpoint "m3"; subscribe F; delivery push; }
+    group EDGE { members m1, m2, m3; relay "edge"; }
+"#;
+
+/// A relay group whose members sit on two feeds: `m1` wants only the
+/// `f_` files, `m2` only the `g_` files, `m3` both.
+const TWO_FEED_TREE: &str = r#"
+    feed F { pattern "f_%i.csv"; }
+    feed G { pattern "g_%i.csv"; }
+    subscriber m1 { endpoint "m1"; subscribe F; delivery push; }
+    subscriber m2 { endpoint "m2"; subscribe G; delivery push; }
+    subscriber m3 { endpoint "m3"; subscribe F, G; delivery push; }
+    group EDGE { members m1, m2, m3; relay "edge"; }
+"#;
+
 /// A two-tier delivery tree under a lossy upstream→relay link: the hub
-/// fans each file out *once* per group to the relay server, the relay
-/// serves the members from its own pipeline (reliable, clean links),
-/// and cumulative coverage reports flow back over the same lossy link.
-/// Rendered to a digest string for bit-for-bit replay comparison.
-fn run_relay_hop(seed: u64, files: usize) -> String {
+/// fans each of `files` out *once* per group to the relay server, both
+/// tiers running `config`; the relay serves the members from its own
+/// pipeline (reliable, clean links) and acks each send over the same
+/// lossy link once every member that wants the file has it. Rendered to
+/// a digest string — each member's files by name — for bit-for-bit
+/// replay comparison.
+fn run_relay_hop(seed: u64, config: &str, files: &[String]) -> String {
     let clock = SimClock::starting_at(START);
     let net = Arc::new(SimNetwork::new(LinkSpec {
         bandwidth: 1_000_000,
         latency: TimeSpan::from_millis(10),
     }));
     // drops + duplicates on the hub↔relay hop only: group fanouts and
-    // coverage reports both have to survive the bad link
+    // the relay's acks both have to survive the bad link
     net.install_fault_plan(FaultPlan {
         seed,
         default_faults: FaultSpec::default(),
@@ -238,16 +260,9 @@ fn run_relay_hop(seed: u64, files: usize) -> String {
         flaps: Vec::new(),
     });
 
-    let cfg_text = r#"
-        feed F { pattern "f_%i.csv"; }
-        subscriber m1 { endpoint "m1"; subscribe F; delivery push; }
-        subscriber m2 { endpoint "m2"; subscribe F; delivery push; }
-        subscriber m3 { endpoint "m3"; subscribe F; delivery push; }
-        group EDGE { members m1, m2, m3; relay "edge"; }
-    "#;
     let mut hub = Server::new(
         "hub",
-        parse_config(cfg_text).unwrap(),
+        parse_config(config).unwrap(),
         clock.clone(),
         MemFs::shared(clock.clone()),
     )
@@ -258,7 +273,7 @@ fn run_relay_hop(seed: u64, files: usize) -> String {
     // the plan and serves the members directly (reliable hop)
     let mut edge = Server::new(
         "edge",
-        parse_config(cfg_text).unwrap(),
+        parse_config(config).unwrap(),
         clock.clone(),
         MemFs::shared(clock.clone()),
     )
@@ -274,9 +289,8 @@ fn run_relay_hop(seed: u64, files: usize) -> String {
     for round in 0..600 {
         clock.advance(TimeSpan::from_secs(1));
         let now = clock.now();
-        if round < files {
-            hub.deposit(&format!("f_{round}.csv"), b"tree-bytes")
-                .unwrap();
+        if let Some(name) = files.get(round) {
+            hub.deposit(name, b"tree-bytes").unwrap();
         }
         relay.pump(&net, &hub, &mut edge, now).unwrap();
         for m in &mut members {
@@ -287,22 +301,24 @@ fn run_relay_hop(seed: u64, files: usize) -> String {
         hub.poll_network().unwrap();
         hub.retry_tick().unwrap();
 
-        if round > files
-            && hub.group_outstanding() == 0
-            && members.iter().all(|m| m.delivered().len() == files)
-        {
+        if round > files.len() && hub.group_outstanding() == 0 && edge.unacked_count() == 0 {
             break;
         }
     }
 
-    let delivered = |c: &SubscriberClient| -> Vec<u64> {
-        let mut ids: Vec<u64> = c.delivered().iter().map(|(f, _, _)| f.raw()).collect();
-        ids.sort_unstable();
-        ids
+    let delivered = |c: &SubscriberClient| -> Vec<String> {
+        let name = |f: &FileId| {
+            edge.receipts()
+                .file(*f)
+                .map_or_else(|| format!("#{f}"), |r| r.name)
+        };
+        let mut names: Vec<String> = c.delivered().iter().map(|(f, _, _)| name(f)).collect();
+        names.sort_unstable();
+        names
     };
     format!(
         "m1={:?} m2={:?} m3={:?} dups={:?} outstanding={} group_counters={:?} \
-         edge_receipts={} edge_deliveries={} net_sent={} net_dropped={} \
+         exhausted={} edge_receipts={} edge_deliveries={} net_sent={} net_dropped={} \
          net_duplicated={} hub_warns={} hub_alarms={} end={}",
         delivered(&members[0]),
         delivered(&members[1]),
@@ -313,6 +329,7 @@ fn run_relay_hop(seed: u64, files: usize) -> String {
             .collect::<Vec<_>>(),
         hub.group_outstanding(),
         hub.group_counters(),
+        hub.group_counters().2,
         edge.receipts().live_count(),
         edge.receipts().delivery_count(),
         net.messages_sent(),
@@ -324,28 +341,27 @@ fn run_relay_hop(seed: u64, files: usize) -> String {
     )
 }
 
-#[test]
-fn relay_hop_group_delivery_is_exactly_once_and_reproducible() {
-    let seed = 0xB157_000Au64;
-    let files = 8;
-    let digest = run_relay_hop(seed, files);
-
-    // exactly once at every member of the delivery tree, despite the
-    // lossy hub↔relay hop: edge-local ids 1..=files, no gaps, no dups
-    let want: Vec<u64> = (1..=files as u64).collect();
-    for m in ["m1", "m2", "m3"] {
+/// Run the lossy relay hop for `seed` twice and check what every tree
+/// must show: each member got exactly the `files` named in `wants`
+/// (by member), every send completed with none exhausted, the relay
+/// ingested each file once, the plan dropped something, and the run
+/// replayed bit-for-bit.
+fn check_relay_hop(seed: u64, config: &str, files: &[String], wants: [&[String]; 3]) {
+    let digest = run_relay_hop(seed, config, files);
+    for (m, want) in ["m1", "m2", "m3"].into_iter().zip(wants) {
         assert!(
             digest.contains(&format!("{m}={want:?}")),
-            "seed {seed:#x}: {m} missed or duplicated files: {digest}"
+            "seed {seed:#x}: {m} missed, duplicated or got unwanted files: {digest}"
         );
     }
-    // every fanout completed; the relay ingested each file exactly once
+    for done in ["outstanding=0 ", "exhausted=0 "] {
+        assert!(
+            digest.contains(done),
+            "seed {seed:#x}: group fanouts left open: {digest}"
+        );
+    }
     assert!(
-        digest.contains("outstanding=0"),
-        "seed {seed:#x}: group fanouts left outstanding: {digest}"
-    );
-    assert!(
-        digest.contains(&format!("edge_receipts={files} ")),
+        digest.contains(&format!("edge_receipts={} ", files.len())),
         "seed {seed:#x}: relay double-ingested: {digest}"
     );
     // the plan actually injected faults on the relay hop
@@ -358,8 +374,34 @@ fn relay_hop_group_delivery_is_exactly_once_and_reproducible() {
     assert!(dropped > 0, "seed {seed:#x} injected no drops: {digest}");
 
     // bit-for-bit replay from the seed
-    let again = run_relay_hop(seed, files);
+    let again = run_relay_hop(seed, config, files);
     assert_eq!(digest, again, "seed {seed:#x} did not replay bit-for-bit");
+}
+
+#[test]
+fn relay_hop_group_delivery_is_exactly_once_and_reproducible() {
+    let files: Vec<String> = (0..8).map(|i| format!("f_{i}.csv")).collect();
+    check_relay_hop(0xB157_000A, ONE_FEED_TREE, &files, [&files, &files, &files]);
+}
+
+#[test]
+fn relay_hop_with_members_on_two_feeds_serves_each_what_it_wants() {
+    // The relay decides which members want a file: it acks an `f_` file
+    // without m2 and a `g_` file without m1, and neither gets the other's.
+    let files: Vec<String> = (0..8)
+        .map(|i| format!("{}_{i}.csv", if i % 2 == 0 { "f" } else { "g" }))
+        .collect();
+    let of = |prefix: &str| -> Vec<String> {
+        let mut names: Vec<String> = files
+            .iter()
+            .filter(|f| f.starts_with(prefix))
+            .cloned()
+            .collect();
+        names.sort_unstable();
+        names
+    };
+    let (f, g, all) = (of("f_"), of("g_"), of(""));
+    check_relay_hop(0xB157_000A, TWO_FEED_TREE, &files, [&f, &g, &all]);
 }
 
 #[test]
