@@ -124,10 +124,13 @@ stage_mc() {
     cargo test -q --release --offline --test model_check -- --nocapture
 }
 
-# Allocation budget of the delivery round trip: a counting allocator in
-# the test binary reads heap allocations per delivery on a 200-subscriber
-# reliable fan-out and per deposit on a local one, and fails above the
-# budget. Uncaptured so the measured figures land in the build log.
+# Allocation budgets: a counting allocator in the test binary reads heap
+# allocations per delivery on a 200-subscriber reliable fan-out and per
+# deposit on a local one, and the live-heap growth per subscriber of
+# 2 000 local per-file subscribers over 20 deliveries each (the byte
+# budget: a latency histogram keeps only the octaves it uses, and a
+# per-file subscriber keeps no batcher); each fails above its budget.
+# Uncaptured so the measured figures land in the build log.
 stage_alloc() {
   cargo test --offline --test alloc_budget -- --nocapture
 }
@@ -174,7 +177,9 @@ stage_bench() {
 # Delivery-tree fanout: the group tracker's unit tests, the
 # group-delivery unit/integration suites (the relay's completion rule
 # against a by-name reference, the hub's one receipt per file and group
-# on the relay's first completion ack), the crash sweep at a hub across
+# on the relay's first completion ack), the receipt store's name index
+# that the relay's dedup and completion rule look files up through
+# (against the linear scan it replaced), the crash sweep at a hub across
 # its group-completion drains, the delivery-index equivalence property
 # suite, the lossy relay hop with one-feed and two-feed groups, then E14
 # in quick mode: the shape table (sends and tracker entries per deposit
@@ -183,6 +188,7 @@ stage_bench() {
 stage_fanout() {
   cargo test -q --offline -p bistro-transport --lib reliable
   cargo test -q --offline -p bistro-core --lib relay
+  cargo test -q --offline -p bistro-receipts file_by_name
   cargo test -q --offline -p bistro-core --lib index
   cargo test -q --offline -p bistro-core --test server_integration group
   cargo test --offline --test crash_points group -- --nocapture

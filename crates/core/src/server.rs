@@ -127,11 +127,13 @@ struct SubscriberState {
     grouped: bool,
     online: bool,
     /// Deposit→delivery latency (microseconds; detached — never renders
-    /// into `status_json`). A fixed-size histogram, so memory is
-    /// O(subscribers) however many deliveries a long run records.
+    /// into `status_json`). The histogram holds only the octaves its
+    /// values span (16 counts each), so memory is O(subscribers) however
+    /// many deliveries a long run records.
     latency: Histogram,
     /// This subscriber's open batch per feed, created at the first
-    /// delivery under that feed.
+    /// delivery under that feed. A per-file spec has none: its one-file
+    /// batch closes on the delivery that opens it.
     batchers: BTreeMap<String, Batcher>,
 }
 
@@ -1289,11 +1291,21 @@ impl Server {
         st.latency
             .record(delivered_at.since(rec.arrival).as_micros());
 
-        // batching + trigger: first close any batch whose window lapsed
-        // between deliveries (otherwise this file would be folded into a
+        // batching + trigger. A per-file spec closes this file's batch of
+        // one right here. Otherwise first close any batch whose window
+        // lapsed between deliveries (or this file would be folded into a
         // stale batch), then account this file with its feed-time origin
         // so the window stays anchored to the interval it covers
         let spec: BatchSpec = st.def.batch;
+        if spec.is_per_file() {
+            self.close_batch(feed_name, sub, &dest_path, || BatchOutcome {
+                files: vec![rec.id],
+                opened: delivered_at,
+                closed: delivered_at,
+                reason: BatchCloseReason::Count,
+            });
+            return Ok(());
+        }
         let batcher = match st.batchers.get_mut(feed_name) {
             Some(b) => b,
             None => st
@@ -1304,16 +1316,23 @@ impl Server {
         let lapsed = batcher.take_lapsed(delivered_at);
         let closed = batcher.on_file_at(rec.id, delivered_at, rec.feed_time);
         for batch in lapsed.into_iter().chain(closed) {
-            self.close_batch(feed_name, sub, batch, &dest_path);
+            self.close_batch(feed_name, sub, &dest_path, || batch);
         }
         Ok(())
     }
 
     /// A batch closed: take the next [`BatchId`] and fire the
-    /// subscriber's trigger, if it has one. Only a batch completed by a
-    /// file (count close) names that file's `dest_path`; a window or
-    /// punctuation close happened apart from any one file and has none.
-    fn close_batch(&mut self, feed: &str, sub: SubscriberId, batch: BatchOutcome, dest_path: &str) {
+    /// subscriber's trigger, if it has one — only then is the batch
+    /// itself built. Only a batch completed by a file (count close)
+    /// names that file's `dest_path`; a window or punctuation close
+    /// happened apart from any one file and has none.
+    fn close_batch(
+        &mut self,
+        feed: &str,
+        sub: SubscriberId,
+        dest_path: &str,
+        batch: impl FnOnce() -> BatchOutcome,
+    ) {
         let batch_id: BatchId = self.batch_ids.next();
         let Some(st) = self.subscribers.get(sub) else {
             return;
@@ -1321,6 +1340,7 @@ impl Server {
         let Some(def) = st.def.trigger.as_ref() else {
             return;
         };
+        let batch = batch();
         let by_file = batch.reason == BatchCloseReason::Count;
         self.triggers.fire(
             &st.def.name,
@@ -1968,7 +1988,9 @@ impl Server {
     }
 
     /// Every `(feed, subscriber)` that has a batcher — those of one feed
-    /// when `only` names it — in `(feed, subscriber name)` order.
+    /// when `only` names it — in `(feed, subscriber name)` order. Only a
+    /// count or window spec has one: a per-file batch never outlives its
+    /// delivery, so neither a tick nor a punctuation has one to close.
     fn open_batchers(&self, only: Option<&str>) -> Vec<(String, SubscriberId)> {
         let mut keys: Vec<(&String, &String, SubscriberId)> = (self.subscribers.in_id_order())
             .flat_map(|st| (st.batchers.keys()).map(move |feed| (feed, &st.def.name, st.id)))
@@ -1977,6 +1999,15 @@ impl Server {
         keys.sort_unstable();
         (keys.into_iter())
             .map(|(feed, _, sub)| (feed.clone(), sub))
+            .collect()
+    }
+
+    /// `(feed, subscriber name)` of every batcher [`Server::tick`] and
+    /// [`Server::punctuate_feed`] walk, in their order — test visibility.
+    #[doc(hidden)]
+    pub fn batcher_keys(&self) -> Vec<(String, String)> {
+        (self.open_batchers(None).into_iter())
+            .filter_map(|(feed, sub)| Some((feed, self.subscribers.get(sub)?.def.name.clone())))
             .collect()
     }
 
@@ -1993,7 +2024,7 @@ impl Server {
             .get_mut(sub)
             .and_then(|st| st.batchers.get_mut(feed));
         if let Some(batch) = batcher.and_then(close) {
-            self.close_batch(feed, sub, batch, "");
+            self.close_batch(feed, sub, "", || batch);
         }
     }
 

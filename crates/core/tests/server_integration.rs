@@ -1843,3 +1843,90 @@ fn redefine_feed_under_a_subscribed_prefix_reaches_subscribers_and_groups_at_onc
         "only the group sends, in flight"
     );
 }
+
+#[test]
+fn per_file_and_batched_triggers_replay_their_golden_log() {
+    // Four subscribers on two feeds: per-file with and without a
+    // trigger, a count batch and a window batch. Deposits straddle a
+    // window lapse, a tick and a punctuation per feed. Every delivery
+    // takes a batch id, a trigger-less per-file one included, so the ids
+    // below skip the deliveries that fire nothing. The log is the one
+    // the server wrote when every subscriber kept a batcher per feed.
+    let clock = SimClock::starting_at(START);
+    let cfg = parse_config(
+        r#"
+        feed A { pattern "A_%i_%Y%m%d%H%M.csv"; }
+        feed B { pattern "B_%i.csv"; }
+        subscriber pf_trig {
+            endpoint "pf_trig"; subscribe A, B; delivery push;
+            trigger remote "pf %N f=[%f] b=%b n=%c";
+        }
+        subscriber pf_plain { endpoint "pf_plain"; subscribe A, B; delivery push; }
+        subscriber counted {
+            endpoint "counted"; subscribe A, B; delivery push;
+            batch count 2;
+            trigger remote "cnt %N f=[%f] b=%b n=%c";
+        }
+        subscriber windowed {
+            endpoint "windowed"; subscribe A, B; delivery push;
+            batch window 5m;
+            trigger local "win %N f=[%f] b=%b n=%c";
+        }
+        "#,
+    )
+    .unwrap();
+    let mut server = Server::new("b", cfg, clock.clone(), MemFs::shared(clock.clone())).unwrap();
+    let step = |secs: u64| clock.advance(TimeSpan::from_secs(secs));
+
+    server.deposit("A_1_201009250000.csv", b"a1").unwrap();
+    step(10);
+    server.deposit("B_1.csv", b"b1").unwrap();
+    step(10);
+    server.deposit("A_2_201009250000.csv", b"a2").unwrap();
+    // both window batches lapse; A's closes as A_3 arrives, B's on tick
+    step(360);
+    server.deposit("A_3_201009250005.csv", b"a3").unwrap();
+    server.tick();
+    step(10);
+    server.deposit("B_2.csv", b"b2").unwrap();
+    step(10);
+    server.deposit("B_3.csv", b"b3").unwrap();
+    server.punctuate_feed("B");
+    step(360);
+    server.tick();
+    server.punctuate_feed("A");
+
+    let log: Vec<String> = (server.trigger_log().entries().into_iter())
+        .map(|e| {
+            let files: Vec<u64> = e.files.iter().map(|f| f.raw()).collect();
+            let at = e.at.since(START).as_secs();
+            format!("{at} {} {} {files:?}", e.subscriber, e.command)
+        })
+        .collect();
+    let golden = [
+        "0 pf_trig pf A f=[incoming/A/A_1_201009250000.csv] b=2 n=1 [1]",
+        "10 pf_trig pf B f=[incoming/B/B_1.csv] b=4 n=1 [2]",
+        "20 counted cnt A f=[incoming/A/A_2_201009250000.csv] b=5 n=2 [1, 3]",
+        "20 pf_trig pf A f=[incoming/A/A_2_201009250000.csv] b=7 n=1 [3]",
+        "380 pf_trig pf A f=[incoming/A/A_3_201009250005.csv] b=9 n=1 [4]",
+        "300 windowed win A f=[] b=10 n=2 [1, 3]",
+        "380 windowed win B f=[] b=11 n=1 [2]",
+        "390 counted cnt B f=[incoming/B/B_2.csv] b=12 n=2 [2, 5]",
+        "390 pf_trig pf B f=[incoming/B/B_2.csv] b=14 n=1 [5]",
+        "400 pf_trig pf B f=[incoming/B/B_3.csv] b=16 n=1 [6]",
+        "400 counted cnt B f=[] b=17 n=1 [6]",
+        "400 windowed win B f=[] b=18 n=2 [5, 6]",
+        "760 windowed win A f=[] b=19 n=1 [4]",
+        "760 counted cnt A f=[] b=20 n=1 [4]",
+    ];
+    assert_eq!(log, golden, "{log:#?}");
+    // only the count and window specs keep a batcher to walk
+    let walked = [
+        ("A", "counted"),
+        ("A", "windowed"),
+        ("B", "counted"),
+        ("B", "windowed"),
+    ]
+    .map(|(feed, sub)| (feed.to_string(), sub.to_string()));
+    assert_eq!(server.batcher_keys(), walked);
+}

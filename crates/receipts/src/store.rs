@@ -39,6 +39,7 @@ use bistro_telemetry::Counter;
 use bistro_vfs::{FileStore, VfsError};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 /// Errors from receipt-store operations.
@@ -208,6 +209,95 @@ impl LiveFile {
     }
 }
 
+/// The ids of the live files whose names share one 64-bit hash,
+/// ascending. Nearly always one file, kept inline; a name deposited
+/// again while its first copy is live (or a hash collision) spills to a
+/// sorted vector.
+enum NameHolders {
+    One(u64),
+    Many(Vec<u64>),
+}
+
+impl NameHolders {
+    /// The ids, ascending.
+    fn ids(&self) -> &[u64] {
+        match self {
+            NameHolders::One(id) => std::slice::from_ref(id),
+            NameHolders::Many(ids) => ids,
+        }
+    }
+
+    /// Add `id`, keeping the ids ascending and distinct.
+    fn insert(&mut self, id: u64) {
+        let mut ids = self.ids().to_vec();
+        if let Err(at) = ids.binary_search(&id) {
+            ids.insert(at, id);
+            *self = NameHolders::Many(ids);
+        }
+    }
+
+    /// Drop `id`; true once no id is left.
+    fn remove(&mut self, id: u64) -> bool {
+        match self {
+            NameHolders::One(held) => *held == id,
+            NameHolders::Many(ids) => {
+                ids.retain(|&held| held != id);
+                if let [last] = ids[..] {
+                    *self = NameHolders::One(last);
+                }
+                false
+            }
+        }
+    }
+}
+
+/// Live file name → ids, for [`ReceiptStore::file_by_name`]. Keyed by a
+/// 64-bit hash of the name, so the index keeps no second copy of any
+/// name: a lookup confirms each candidate against its record. The hash
+/// is the map's own keyed SipHash, not FNV: sources pick file names,
+/// and with an unkeyed hash a source could deposit colliding names that
+/// all pile onto one key. Derived from the file table, never logged or
+/// snapshotted.
+#[derive(Default)]
+struct NameIndex(HashMap<u64, NameHolders>);
+
+impl NameIndex {
+    /// The index of every file in `files`.
+    fn of(files: &BTreeMap<u64, Box<LiveFile>>) -> NameIndex {
+        let mut index = NameIndex::default();
+        for (&id, f) in files {
+            index.insert(&f.rec.name, id);
+        }
+        index
+    }
+
+    fn key(&self, name: &str) -> u64 {
+        self.0.hasher().hash_one(name)
+    }
+
+    fn insert(&mut self, name: &str, id: u64) {
+        use std::collections::hash_map::Entry;
+        match self.0.entry(self.key(name)) {
+            Entry::Vacant(e) => {
+                e.insert(NameHolders::One(id));
+            }
+            Entry::Occupied(mut e) => e.get_mut().insert(id),
+        }
+    }
+
+    fn remove(&mut self, name: &str, id: u64) {
+        let key = self.key(name);
+        if self.0.get_mut(&key).is_some_and(|ids| ids.remove(id)) {
+            self.0.remove(&key);
+        }
+    }
+
+    /// Ids of the live files whose names hash as `name`'s does, ascending.
+    fn candidates(&self, name: &str) -> &[u64] {
+        (self.0.get(&self.key(name))).map_or(&[], NameHolders::ids)
+    }
+}
+
 #[derive(Default)]
 struct Tables {
     /// Live (non-expired) files by id. Boxed to keep the tree's nodes
@@ -217,6 +307,11 @@ struct Tables {
     files: BTreeMap<u64, Box<LiveFile>>,
     /// feed name → live file ids.
     by_feed: HashMap<String, BTreeSet<u64>>,
+    /// file name → live file ids. Built from `files` at the first lookup
+    /// by name and kept by `arrive` / `expire` from then on, so a store
+    /// nobody looks up by name (an ingest server, a hub) never pays for
+    /// it, on a write or on replay.
+    by_name: Option<NameIndex>,
     names: Names,
     /// Count of expired files (for monitoring).
     expired_count: u64,
@@ -273,9 +368,12 @@ impl Tables {
         }
         match self.files.get_mut(&id) {
             // replayed over a snapshot that holds the file already: its
-            // delivery state stays
+            // delivery state stays, and so does its name's index entry
             Some(live) => live.rec = f,
             None => {
+                if let Some(index) = &mut self.by_name {
+                    index.insert(&f.name, id);
+                }
                 let live = LiveFile {
                     rec: f,
                     delivered: Bitmap::default(),
@@ -288,6 +386,9 @@ impl Tables {
 
     fn expire(&mut self, file: FileId) {
         if let Some(f) = self.files.remove(&file.raw()) {
+            if let Some(index) = &mut self.by_name {
+                index.remove(&f.rec.name, file.raw());
+            }
             for feed in &f.rec.feeds {
                 if let Some(set) = self.by_feed.get_mut(feed) {
                     set.remove(&file.raw());
@@ -958,15 +1059,27 @@ impl ReceiptStore {
             .collect()
     }
 
-    /// Look up a live file by its original deposited name (linear scan —
-    /// the cross-server backfill join; names are unique per retention
-    /// window in practice, the first match in id order wins).
+    /// Look up a live file by its original deposited name — the
+    /// cross-server backfill join and a relay's dedup. Names are unique
+    /// per retention window in practice; among live files sharing one,
+    /// the lowest id wins. One hash probe, not a walk of the live files
+    /// (but for the first lookup, which builds the index).
     pub fn file_by_name(&self, name: &str) -> Option<FileRecord> {
-        let inner = self.inner.lock();
-        inner
-            .tables
-            .files
-            .values()
+        let tables = &mut self.inner.lock().tables;
+        let index = (tables.by_name).get_or_insert_with(|| NameIndex::of(&tables.files));
+        (index.candidates(name).iter())
+            .filter_map(|id| tables.files.get(id))
+            .find(|f| f.rec.name == name)
+            .map(|f| f.rec.clone())
+    }
+
+    /// [`ReceiptStore::file_by_name`] by a walk of every live file in id
+    /// order: the definition the name index answers for, kept as the
+    /// oracle of its tests.
+    #[doc(hidden)]
+    pub fn file_by_name_scan(&self, name: &str) -> Option<FileRecord> {
+        let tables = &self.inner.lock().tables;
+        (tables.files.values())
             .find(|f| f.rec.name == name)
             .map(|f| f.rec.clone())
     }
@@ -2012,6 +2125,101 @@ mod tests {
         assert!(db.file_by_name("missing.csv").is_none());
         db.record_expiration(f1, TimePoint::from_secs(500)).unwrap();
         assert!(db.file_by_name("a.csv").is_none());
+    }
+
+    #[test]
+    fn file_by_name_prefers_the_lowest_live_id_among_duplicates() {
+        let store = MemFs::shared(SimClock::new());
+        let db = open(&store);
+        let id = |db: &ReceiptStore, name: &str| {
+            let found = db.file_by_name(name);
+            assert_eq!(found, db.file_by_name_scan(name), "{name}");
+            found.map(|f| f.id)
+        };
+        let f1 = arrive(&db, "a.csv", &["F"], 100);
+        let f2 = arrive(&db, "b.csv", &["F"], 101);
+        let f3 = arrive(&db, "a.csv", &["G"], 102);
+        assert_eq!((id(&db, "a.csv"), id(&db, "b.csv")), (Some(f1), Some(f2)));
+        // the first holder expires: the next live one answers
+        db.record_expiration(f1, TimePoint::from_secs(500)).unwrap();
+        assert_eq!(id(&db, "a.csv"), Some(f3));
+        let f4 = arrive(&db, "a.csv", &["F"], 501);
+        assert_eq!(id(&db, "a.csv"), Some(f3));
+        db.record_expiration(f3, TimePoint::from_secs(502)).unwrap();
+        assert_eq!(id(&db, "a.csv"), Some(f4));
+        db.record_expiration(f4, TimePoint::from_secs(503)).unwrap();
+        assert_eq!(id(&db, "a.csv"), None);
+        assert_eq!(id(&db, "b.csv"), Some(f2));
+        let index = db.inner.lock().tables.by_name.take().unwrap();
+        assert!(index.candidates("a.csv").is_empty());
+    }
+
+    #[test]
+    fn file_by_name_is_derived_again_on_reopen() {
+        let store = MemFs::shared(SimClock::new());
+        let db = open(&store);
+        let names = ["a.csv", "b.csv", "a.csv", "c.csv", "b.csv"];
+        let ids: Vec<FileId> = (names.iter().zip(100..))
+            .map(|(name, t)| arrive(&db, name, &["F"], t))
+            .collect();
+        db.record_expiration(ids[0], TimePoint::from_secs(200))
+            .unwrap();
+        db.snapshot().unwrap();
+        // after the snapshot: one more duplicate, and the snapshot's
+        // first `b.csv` expires in the WAL
+        let late = arrive(&db, "c.csv", &["F"], 201);
+        db.record_expiration(ids[1], TimePoint::from_secs(202))
+            .unwrap();
+        let lookups = |db: &ReceiptStore| -> Vec<Option<FileId>> {
+            (["a.csv", "b.csv", "c.csv", "d.csv"].iter())
+                .map(|name| {
+                    let found = db.file_by_name(name);
+                    assert_eq!(found, db.file_by_name_scan(name), "{name}");
+                    found.map(|f| f.id)
+                })
+                .collect()
+        };
+        let want = vec![Some(ids[2]), Some(ids[4]), Some(ids[3]), None];
+        assert_eq!(lookups(&db), want);
+        drop(db);
+        // a reopened store builds no index until it is asked by name;
+        // what arrives and expires before that is in its first build
+        let db = open(&store);
+        assert!(db.inner.lock().tables.by_name.is_none());
+        let b2 = arrive(&db, "b.csv", &["F"], 300);
+        db.record_expiration(ids[4], TimePoint::from_secs(301))
+            .unwrap();
+        assert!(db.inner.lock().tables.by_name.is_none());
+        assert_eq!(lookups(&db), [Some(ids[2]), Some(b2), Some(ids[3]), None]);
+        db.record_expiration(ids[3], TimePoint::from_secs(302))
+            .unwrap();
+        assert_eq!(db.file_by_name("c.csv").map(|f| f.id), Some(late));
+    }
+
+    #[test]
+    fn file_by_name_confirms_a_candidate_against_its_record() {
+        // a 64-bit collision cannot be found by search; file `b.csv`'s id
+        // is moved under `a.csv`'s hash by hand instead
+        let store = MemFs::shared(SimClock::new());
+        let db = open(&store);
+        let a = arrive(&db, "a.csv", &["F"], 100);
+        let b = arrive(&db, "b.csv", &["F"], 101);
+        assert_eq!(db.file_by_name("b.csv").map(|f| f.id), Some(b));
+        {
+            let index = &mut db.inner.lock().tables.by_name;
+            let index = index.as_mut().unwrap();
+            index.remove("b.csv", b.raw());
+            index.insert("a.csv", b.raw());
+            assert_eq!(index.candidates("a.csv"), [a.raw(), b.raw()]);
+        }
+        assert_eq!(db.file_by_name("a.csv").map(|f| f.id), Some(a));
+        db.record_expiration(a, TimePoint::from_secs(200)).unwrap();
+        let candidates = |db: &ReceiptStore| {
+            let index = &db.inner.lock().tables.by_name;
+            index.as_ref().unwrap().candidates("a.csv").to_vec()
+        };
+        assert_eq!(candidates(&db), [b.raw()]);
+        assert_eq!(db.file_by_name("a.csv"), None, "b.csv is no a.csv");
     }
 
     #[test]

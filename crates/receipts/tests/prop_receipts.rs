@@ -581,3 +581,96 @@ fn record_encoding_roundtrips() {
         },
     );
 }
+
+/// One step of [`file_by_name_matches_the_linear_scan`]. Names come from
+/// a pool of four, so duplicates among live files are common. `Lookup`
+/// compares every name; a store builds its name index at the first one,
+/// so arrivals and expiries land both before and after the build.
+#[derive(Debug, Clone)]
+enum NameOp {
+    Arrive { name: u8 },
+    Expire { file_idx: usize },
+    Snapshot,
+    Crash,
+    Lookup,
+}
+
+impl Shrink for NameOp {}
+
+fn name_op_gen(rng: &mut Rng) -> NameOp {
+    match rng.gen_range(0u32..12) {
+        0..=4 => NameOp::Arrive {
+            name: rng.gen_range(0u8..4),
+        },
+        5..=7 => NameOp::Expire {
+            file_idx: rng.gen_range(0usize..64),
+        },
+        8 => NameOp::Snapshot,
+        9 => NameOp::Crash,
+        _ => NameOp::Lookup,
+    }
+}
+
+#[test]
+fn file_by_name_matches_the_linear_scan() {
+    // the name index against the walk it replaced, through arrivals,
+    // expiries, snapshots and reopens
+    Runner::new("file_by_name_matches_the_linear_scan")
+        .cases(64)
+        .run(
+            |rng| prop::vec_of(rng, 1..=60, name_op_gen),
+            |ops| {
+                let store = MemFs::shared(SimClock::new());
+                let open = || ReceiptStore::open(store.clone() as Arc<dyn FileStore>, "r").unwrap();
+                let mut db = open();
+                let mut live: Vec<u64> = Vec::new();
+                let same = |db: &ReceiptStore| -> Result<(), String> {
+                    for name in 0..5 {
+                        let name = format!("n{name}.csv");
+                        prop_assert_eq!(
+                            db.file_by_name(&name),
+                            db.file_by_name_scan(&name),
+                            "{}",
+                            name
+                        );
+                    }
+                    Ok(())
+                };
+                for (t, op) in (1u64..).zip(ops) {
+                    match op {
+                        NameOp::Arrive { name } => {
+                            let name = format!("n{name}.csv");
+                            let id = db
+                                .record_arrival(
+                                    &name,
+                                    &format!("staging/{t}"),
+                                    1,
+                                    TimePoint::from_secs(t),
+                                    None,
+                                    vec!["F".to_string()],
+                                )
+                                .unwrap();
+                            live.push(id.raw());
+                        }
+                        NameOp::Expire { file_idx } => {
+                            if live.is_empty() {
+                                continue;
+                            }
+                            let id = live.remove(file_idx % live.len());
+                            db.record_expiration(FileId(id), TimePoint::from_secs(t))
+                                .unwrap();
+                        }
+                        NameOp::Snapshot => {
+                            db.snapshot().unwrap();
+                        }
+                        NameOp::Crash => {
+                            drop(db);
+                            db = open();
+                        }
+                        NameOp::Lookup => same(&db)?,
+                    }
+                }
+                same(&db)
+            },
+        );
+}

@@ -10,6 +10,14 @@
 //! [`Histogram::quantile_bounds`] returns — the property test in
 //! `tests/prop_telemetry.rs` checks exactly that against a sorted-sample
 //! reference.
+//!
+//! Storage holds only the octaves a histogram has used: a dense window
+//! of bucket counts, aligned to whole octaves of 16 buckets, that grows
+//! down or up when a value lands outside it. A histogram whose values
+//! span one or two octaves — one subscriber's delivery latency — keeps
+//! 16 or 32 counts, not all 976. The bucket math does not depend on the
+//! window, so quantiles are the same as over the dense array; the same
+//! test file checks that against a dense reference.
 
 use bistro_base::sync::Mutex;
 
@@ -17,8 +25,8 @@ use bistro_base::sync::Mutex;
 const SUB_BITS: u32 = 4;
 /// Number of exact unit buckets at the bottom (`0..FIRST`).
 const FIRST: u64 = 1 << SUB_BITS;
-/// Total bucket count: 16 unit buckets + 16 per octave for octaves 4..=63.
-const BUCKETS: usize = (FIRST as usize) + (64 - SUB_BITS as usize) * (FIRST as usize);
+/// Buckets per octave: the storage window's unit of growth.
+const OCTAVE: usize = FIRST as usize;
 
 /// The bucket index for a value.
 fn bucket_index(v: u64) -> usize {
@@ -50,11 +58,37 @@ fn bucket_bounds(index: usize) -> (u64, u64) {
 }
 
 struct HistInner {
+    /// Counts of buckets `base..base + buckets.len()`: whole octaves,
+    /// empty before the first record.
     buckets: Vec<u64>,
+    /// Index of the window's first bucket (a multiple of [`OCTAVE`]).
+    base: usize,
     count: u64,
     sum: u64,
     min: u64,
     max: u64,
+}
+
+impl HistInner {
+    /// The count of bucket `index`, first widening the window to the
+    /// whole octave holding it.
+    fn bucket(&mut self, index: usize) -> &mut u64 {
+        let lo = index - index % OCTAVE;
+        if self.buckets.is_empty() {
+            self.base = lo;
+            self.buckets = vec![0; OCTAVE];
+        } else if lo < self.base {
+            let mut grown = vec![0; self.base - lo + self.buckets.len()];
+            grown[self.base - lo..].copy_from_slice(&self.buckets);
+            self.buckets = grown;
+            self.base = lo;
+        } else if index >= self.base + self.buckets.len() {
+            let len = lo + OCTAVE - self.base;
+            self.buckets.reserve_exact(len - self.buckets.len());
+            self.buckets.resize(len, 0);
+        }
+        &mut self.buckets[index - self.base]
+    }
 }
 
 /// A concurrent log-linear histogram. Obtain via
@@ -71,6 +105,7 @@ impl Histogram {
             enabled,
             inner: Mutex::new(HistInner {
                 buckets: Vec::new(),
+                base: 0,
                 count: 0,
                 sum: 0,
                 min: u64::MAX,
@@ -90,10 +125,7 @@ impl Histogram {
             return;
         }
         let mut inner = self.inner.lock();
-        if inner.buckets.is_empty() {
-            inner.buckets = vec![0; BUCKETS];
-        }
-        inner.buckets[bucket_index(v)] += 1;
+        *inner.bucket(bucket_index(v)) += 1;
         inner.count += 1;
         inner.sum = inner.sum.saturating_add(v);
         inner.min = inner.min.min(v);
@@ -109,10 +141,7 @@ impl Histogram {
             return;
         }
         let mut inner = self.inner.lock();
-        if inner.buckets.is_empty() {
-            inner.buckets = vec![0; BUCKETS];
-        }
-        inner.buckets[bucket_index(v)] += n;
+        *inner.bucket(bucket_index(v)) += n;
         inner.count += n;
         inner.sum = inner.sum.saturating_add(v.saturating_mul(n));
         inner.min = inner.min.min(v);
@@ -156,7 +185,7 @@ impl Histogram {
         for (i, &n) in inner.buckets.iter().enumerate() {
             cum += n;
             if cum >= rank {
-                let (lo, hi) = bucket_bounds(i);
+                let (lo, hi) = bucket_bounds(inner.base + i);
                 // tighten by the recorded extremes
                 return Some((lo.max(inner.min.min(hi)), hi.min(inner.max)));
             }
@@ -204,6 +233,9 @@ pub struct HistogramSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Total bucket count: 16 unit buckets + 16 per octave for octaves 4..=63.
+    const BUCKETS: usize = (FIRST as usize) + (64 - SUB_BITS as usize) * (FIRST as usize);
 
     #[test]
     fn bucket_index_is_monotone_and_bounded() {
@@ -277,6 +309,27 @@ mod tests {
         assert_eq!(a.max(), b.max());
         assert_eq!(a.quantile_bounds(0.5), b.quantile_bounds(0.5));
         assert_eq!(a.quantile_bounds(0.99), b.quantile_bounds(0.99));
+    }
+
+    #[test]
+    fn storage_holds_only_the_octaves_used() {
+        let h = Histogram::detached();
+        let window = |h: &Histogram| {
+            let inner = h.inner.lock();
+            (inner.base, inner.buckets.len())
+        };
+        assert_eq!(window(&h), (0, 0));
+        h.record(700); // bucket 101, in the octave of buckets 96..112
+        assert_eq!(window(&h), (96, 16));
+        h.record(1_000); // bucket 111: same octave
+        assert_eq!(window(&h), (96, 16));
+        h.record(3); // grows down to the unit buckets
+        assert_eq!(window(&h), (0, 112));
+        h.record_n(u64::MAX, 2); // grows up to the top bucket
+        assert_eq!(window(&h), (0, BUCKETS));
+        assert_eq!(h.quantile_bounds(0.0), Some((3, 3)));
+        assert_eq!(h.quantile_bounds(0.5), Some((992, 1_023)));
+        assert_eq!(h.quantile_bounds(1.0), Some((31 << 59, u64::MAX)));
     }
 
     #[test]
