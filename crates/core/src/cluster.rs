@@ -1040,8 +1040,7 @@ impl Cluster {
                 // the attach-time backfill delivers exactly the rest.
                 let receipts = server.receipts();
                 let marked: Vec<_> = (rehome.names.iter())
-                    .filter_map(|name| receipts.file_by_name(name))
-                    .map(|rec| rec.id)
+                    .filter_map(|name| receipts.file_id_by_name(name))
                     .collect();
                 let sub = receipts.register_subscriber(&subscriber);
                 receipts.record_deliveries(marked.iter().map(|&id| (id, sub)), now)?;

@@ -2,17 +2,15 @@
 //!
 //! Ingesting a file splits cleanly in two:
 //!
-//! 1. **prepare** (this module) — classify the name, normalize the
-//!    payload for every matching feed, and pre-serialize the arrival
-//!    receipt bytes (everything but the commit-assigned id and arrival
-//!    time). Pure computation over inputs the caller already holds: no
-//!    store writes, no WAL appends, no shared counters. This is the
-//!    CPU-heavy part, and because it is pure it can fan out across
-//!    [`bistro_base::Pool`] workers freely.
-//! 2. **commit** (`Server::ingest_prepared`) — stage the bytes, record
-//!    the arrival receipt (group-committed to the WAL per batch), and
-//!    deliver. All side effects, executed strictly in deposit order by
-//!    the server's own thread.
+//! 1. **prepare** (this module) — classify the name and normalize the
+//!    payload for every matching feed. Pure computation over inputs the
+//!    caller already holds: no store writes, no WAL appends, no shared
+//!    counters. This is the CPU-heavy part, and because it is pure it
+//!    can fan out across [`bistro_base::Pool`] workers freely.
+//! 2. **commit** (`Server::ingest_prepared`) — stage the bytes, encode
+//!    and record the arrival receipt (group-committed to the WAL per
+//!    batch), and deliver. All side effects, executed strictly in deposit
+//!    order by the server's own thread.
 //!
 //! The determinism contract of `Server::deposit_batch` falls out of this
 //! split: workers touch nothing observable (in particular they never
@@ -26,7 +24,6 @@ use crate::classifier::{Classification, Classifier};
 use crate::normalizer::{normalize, normalize_owned, NormalizeError, Normalized};
 use bistro_base::{SharedClock, TimePoint};
 use bistro_config::{CompressOpt, Config};
-use bistro_receipts::ArrivalTemplate;
 
 /// Whether [`prepare`] under `config` does work worth a thread: some
 /// feed expands or (re-)compresses its files. That is the only step of
@@ -55,10 +52,6 @@ pub struct Prepared {
     /// commit stage can park it in `unknown/` without re-reading it.
     /// `None` when classified — the buffer moved into `staged`.
     pub raw: Option<Vec<u8>>,
-    /// The arrival receipt pre-serialized by the prepare worker (all
-    /// fields but the commit-assigned id and arrival time). `None` when
-    /// no feed matched.
-    pub receipt: Option<ArrivalTemplate>,
     /// Deposited payload length in bytes.
     pub payload_len: u64,
     /// Wall time spent classifying, µs (0 under a simulated clock).
@@ -116,15 +109,6 @@ pub fn prepare(
             feed_time = c.captures.timestamp();
         }
     }
-    let receipt = staged.first().map(|primary| {
-        ArrivalTemplate::new(
-            rel_path.to_string(),
-            primary.staged_path.clone(),
-            payload_len,
-            feed_time,
-            classifications.iter().map(|c| c.feed.clone()).collect(),
-        )
-    });
     let t2 = clock.now();
 
     Ok(Prepared {
@@ -132,7 +116,6 @@ pub fn prepare(
         staged,
         feed_time,
         raw,
-        receipt,
         payload_len,
         classify_us: t1.since(t0).as_micros(),
         normalize_us: t2.since(t1).as_micros(),
@@ -160,26 +143,23 @@ mod tests {
     fn prepare_is_pure_and_complete() {
         let (classifier, cfg) = fixture();
         let clock: SharedClock = SimClock::starting_at(TimePoint::from_secs(5));
-        let p = prepare(
-            &classifier,
-            &cfg,
-            &clock,
-            "MEM_poller3_201009250455.csv",
-            b"x".to_vec(),
-        )
-        .unwrap();
+        let name = "MEM_poller3_201009250455.csv";
+        let p = prepare(&classifier, &cfg, &clock, name, b"x".to_vec()).unwrap();
         assert_eq!(p.classifications.len(), 2); // M + ALL
         assert_eq!(p.staged.len(), 2);
         assert_eq!(p.classifications[0].feed, "M");
         assert!(p.feed_time.is_some());
         assert_eq!(p.payload_len, 1);
-        // classified: the buffer moved into staging, and the receipt is
-        // pre-serialized for the commit stage
+        // classified: the buffer moved into staging, and each feed's
+        // payload is exactly what normalizing for that feed alone yields
         assert!(p.raw.is_none());
-        let t = p.receipt.as_ref().expect("classified files get a template");
-        assert_eq!(t.name, "MEM_poller3_201009250455.csv");
-        assert_eq!(t.staged_path, p.staged[0].staged_path);
-        assert_eq!(t.feeds, vec!["M".to_string(), "ALL".to_string()]);
+        let feeds: Vec<&str> = p.classifications.iter().map(|c| c.feed.as_str()).collect();
+        assert_eq!(feeds, ["M", "ALL"]);
+        for (c, n) in p.classifications.iter().zip(&p.staged) {
+            let alone = normalize(cfg.feed(&c.feed).unwrap(), name, &c.captures, b"x").unwrap();
+            assert_eq!((&n.staged_path, &n.data), (&alone.staged_path, &alone.data));
+        }
+        assert_eq!(p.staged[0].staged_path, format!("M/{name}"));
         // simulated clock: no time passes inside prepare
         assert_eq!((p.classify_us, p.normalize_us), (0, 0));
 
@@ -191,7 +171,6 @@ mod tests {
             Some(b"x".to_vec()),
             "unknown keeps the payload"
         );
-        assert!(unknown.receipt.is_none());
     }
 
     #[test]

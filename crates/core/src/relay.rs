@@ -180,7 +180,7 @@ impl Relay {
         staged_path: &str,
         downstream: &mut Server,
     ) -> Result<Deposit, ServerError> {
-        if downstream.receipts().file_by_name(name).is_some() {
+        if downstream.receipts().file_id_by_name(name).is_some() {
             self.stats.duplicates += 1;
             return Ok(Deposit::Duplicate);
         }

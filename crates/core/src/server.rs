@@ -917,37 +917,48 @@ impl Server {
             return Ok(());
         }
 
-        // stage once per matching feed, adopting the prepared buffers
+        // stage once per matching feed, adopting the prepared buffers;
+        // the receipt names the first (most specific) feed's copy
         self.metrics.normalize_us.record(prepared.normalize_us);
+        let mut primary = None;
         for normalized in std::mem::take(&mut prepared.staged) {
             let staged = format!("{}/{}", self.config.server.staging, normalized.staged_path);
             self.metrics
                 .ingest_bytes_staged
                 .add(normalized.data.len() as u64);
             self.store.write_owned(&staged, normalized.data)?;
+            primary.get_or_insert(normalized.staged_path);
         }
-
-        let feed_time = prepared.feed_time;
-        let template = prepared
-            .receipt
-            .as_ref()
-            .expect("classified files carry a pre-serialized receipt");
-        let file = self.receipts.record_arrival_prepared(template, now)?;
-        self.metrics.ingest_files.inc();
-
-        let feeds = &template.feeds;
-        for feed in feeds {
-            if let Some(p) = self.progress.get_mut(feed) {
-                p.record(feed_time.unwrap_or(now));
-            }
-        }
+        let primary = primary.expect("a classified file stages a payload per feed");
 
         // a fresh file is owed its whole match: the online subscribers
         // and relay groups posted under any of its feeds. Nobody has it
         // yet, so its delivered set is not read, and the common case —
         // nobody subscribes to this feed — skips the receipt lookup
-        // entirely. The index lookup touches only the matched postings.
-        let owed = self.index.matches(feeds);
+        // entirely. The index lookup touches only the matched postings,
+        // and reads no receipt, so it runs before the arrival record
+        // takes the feed list.
+        let feeds: Vec<String> = (prepared.classifications.iter())
+            .map(|c| c.feed.clone())
+            .collect();
+        let owed = self.index.matches(&feeds);
+        let feed_time = prepared.feed_time;
+        let file = self.receipts.record_arrival(
+            rel_path,
+            &primary,
+            prepared.payload_len,
+            now,
+            feed_time,
+            feeds,
+        )?;
+        self.metrics.ingest_files.inc();
+
+        for c in &prepared.classifications {
+            if let Some(p) = self.progress.get_mut(&c.feed) {
+                p.record(feed_time.unwrap_or(now));
+            }
+        }
+
         if !owed.is_empty() {
             // the one durability rule: nothing naming this file leaves
             // over a network while its arrival is still buffered in the

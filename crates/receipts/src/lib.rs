@@ -26,7 +26,7 @@ pub mod store;
 pub mod wal;
 
 pub use archive::Archiver;
-pub use records::{ArrivalTemplate, FileRecord, Record};
+pub use records::{FileRecord, Record};
 pub use store::{
     DeliveryMark, DeliveryOutcome, GroupCommitStats, ReceiptError, ReceiptStore, RecoveryInfo,
 };

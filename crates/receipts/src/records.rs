@@ -67,95 +67,6 @@ pub enum Record {
     },
 }
 
-/// A pre-serialized arrival record, minus the two fields only the commit
-/// stage knows: the [`FileId`] (allocated in commit order so ids stay
-/// deterministic under parallel prepare) and the arrival timestamp.
-///
-/// Prepare workers build the template off the hot path — encoding the
-/// name, staged path, size, feed time and feed list once — and the
-/// commit stage stamps id + arrival with [`ArrivalTemplate::finish`],
-/// which is guaranteed to produce bytes identical to
-/// `Record::Arrival(..).encode()` on the equivalent [`FileRecord`]
-/// (checked by a unit test).
-#[derive(Clone, Debug)]
-pub struct ArrivalTemplate {
-    /// Original (landing-relative) filename.
-    pub name: String,
-    /// Staging path of the primary classification.
-    pub staged_path: String,
-    /// Deposited size in bytes.
-    pub size: u64,
-    /// Feed timestamp parsed from the filename, if any.
-    pub feed_time: Option<TimePoint>,
-    /// Feeds the file classified into.
-    pub feeds: Vec<String>,
-    /// Encoded bytes between the id and the arrival timestamp
-    /// (name, staged_path, size).
-    mid: Vec<u8>,
-    /// Encoded bytes after the arrival timestamp (feed_time, feeds).
-    tail: Vec<u8>,
-}
-
-impl ArrivalTemplate {
-    /// Pre-serialize everything but the id and arrival time.
-    pub fn new(
-        name: String,
-        staged_path: String,
-        size: u64,
-        feed_time: Option<TimePoint>,
-        feeds: Vec<String>,
-    ) -> ArrivalTemplate {
-        let mut mid = ByteWriter::new();
-        mid.put_str(&name);
-        mid.put_str(&staged_path);
-        mid.put_varint(size);
-        let mut tail = ByteWriter::new();
-        match feed_time {
-            Some(t) => {
-                tail.put_u8(1);
-                tail.put_u64(t.as_micros());
-            }
-            None => tail.put_u8(0),
-        }
-        tail.put_varint(feeds.len() as u64);
-        for feed in &feeds {
-            tail.put_str(feed);
-        }
-        ArrivalTemplate {
-            name,
-            staged_path,
-            size,
-            feed_time,
-            feeds,
-            mid: mid.into_bytes(),
-            tail: tail.into_bytes(),
-        }
-    }
-
-    /// Stamp the commit-assigned id and arrival time, yielding the exact
-    /// WAL payload bytes and the in-memory [`FileRecord`].
-    pub fn finish(&self, id: FileId, arrival: TimePoint) -> (Vec<u8>, FileRecord) {
-        // sized once: tag, id varint, the halves, the 8-byte arrival
-        let mut w = ByteWriter::with_capacity(19 + self.mid.len() + self.tail.len());
-        w.put_u8(TAG_ARRIVAL);
-        w.put_varint(id.raw());
-        let mut bytes = w.into_bytes();
-        bytes.extend_from_slice(&self.mid);
-        bytes.extend_from_slice(&arrival.as_micros().to_le_bytes());
-        bytes.extend_from_slice(&self.tail);
-        let record = FileRecord {
-            id,
-            name: self.name.clone(),
-            staged_path: self.staged_path.clone(),
-            size: self.size,
-            arrival,
-            feed_time: self.feed_time,
-            feeds: self.feeds.clone(),
-        };
-        (bytes, record)
-    }
-}
-
 const TAG_ARRIVAL: u8 = 1;
 // tag 2 is retired: a delivery receipt is a `Delivered` set
 const TAG_EXPIRE: u8 = 3;
@@ -354,32 +265,69 @@ mod tests {
         }
     }
 
+    /// The on-disk layout of one record of each live tag, as hex. A WAL
+    /// segment and `snapshot.bin` are these bytes in CRC frames, so any
+    /// change here is a format change that old stores cannot replay.
     #[test]
-    fn template_finish_matches_full_encode_byte_for_byte() {
-        for f in [
-            sample_file(),
-            FileRecord {
-                feed_time: None,
-                feeds: vec![],
-                ..sample_file()
-            },
-            FileRecord {
-                id: FileId(u64::MAX),
-                size: 0,
-                name: String::new(),
-                ..sample_file()
-            },
-        ] {
-            let template = ArrivalTemplate::new(
-                f.name.clone(),
-                f.staged_path.clone(),
-                f.size,
-                f.feed_time,
-                f.feeds.clone(),
-            );
-            let (bytes, record) = template.finish(f.id, f.arrival);
-            assert_eq!(bytes, Record::Arrival(f.clone()).encode());
-            assert_eq!(record, f);
+    fn golden_record_bytes_of_every_live_tag() {
+        let hex = |bytes: &[u8]| -> String { bytes.iter().map(|b| format!("{b:02x}")).collect() };
+        let golden = [
+            (
+                Record::Arrival(sample_file()),
+                concat!(
+                    "012a1a4d454d4f52595f706f6c6c6572315f32303130303932352e677a397374",
+                    "6167696e672f534e4d502f4d454d4f52592f323031302f30392f32352f4d454d",
+                    "4f52595f706f6c6c6572315f32303130303932352e677ac0c40700e0252d0a91",
+                    "04000100e0252d0a910400020b534e4d502f4d454d4f525903414c4c",
+                ),
+            ),
+            (
+                Record::Arrival(FileRecord {
+                    feed_time: None,
+                    feeds: vec!["ALL".to_string()],
+                    ..sample_file()
+                }),
+                concat!(
+                    "012a1a4d454d4f52595f706f6c6c6572315f32303130303932352e677a397374",
+                    "6167696e672f534e4d502f4d454d4f52592f323031302f30392f32352f4d454d",
+                    "4f52595f706f6c6c6572315f32303130303932352e677ac0c40700e0252d0a91",
+                    "0400000103414c4c",
+                ),
+            ),
+            (
+                Record::Expire {
+                    file: FileId(42),
+                    at: TimePoint::from_secs(1_285_977_600),
+                },
+                "032a008009fe96910400",
+            ),
+            (
+                Record::Reclassify {
+                    file: FileId(300),
+                    feeds: vec!["SNMP/MEMORY".to_string(), "ALL".to_string()],
+                },
+                "04ac02020b534e4d502f4d454d4f525903414c4c",
+            ),
+            (
+                Record::Subscriber {
+                    id: 300,
+                    name: "warehouse_dallas".to_string(),
+                },
+                "06ac021077617265686f7573655f64616c6c6173",
+            ),
+            (
+                Record::Delivered {
+                    file: FileId(42),
+                    at: TimePoint::from_secs(1_285_372_860),
+                    bits: vec![0xFF, 0b0000_0101],
+                },
+                "072a80cee585a3a1a40202ff05",
+            ),
+        ];
+        for (rec, want) in golden {
+            let bytes = rec.encode();
+            assert_eq!(hex(&bytes), want, "{rec:?}");
+            assert_eq!(Record::decode(&bytes).unwrap(), rec);
         }
     }
 

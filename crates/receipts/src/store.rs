@@ -26,9 +26,7 @@
 //! [`ReceiptStore::record_deliveries`], which takes ids and is the only
 //! way a delivery receipt reaches the log. Queries take and return names.
 
-use crate::records::{
-    encode_arrival, encode_delivered, encode_subscriber, ArrivalTemplate, FileRecord, Record,
-};
+use crate::records::{encode_arrival, encode_delivered, encode_subscriber, FileRecord, Record};
 use crate::wal::{Wal, WalError};
 use bistro_base::checksum::crc32;
 use bistro_base::sync::Mutex;
@@ -323,6 +321,16 @@ struct Tables {
 }
 
 impl Tables {
+    /// The live file named `name` (the lowest id among several): one
+    /// probe of the name index, which the first lookup builds.
+    fn live_named(&mut self, name: &str) -> Option<&LiveFile> {
+        let index = (self.by_name).get_or_insert_with(|| NameIndex::of(&self.files));
+        (index.candidates(name).iter())
+            .filter_map(|id| self.files.get(id))
+            .find(|f| f.rec.name == name)
+            .map(|f| &**f)
+    }
+
     /// [`Tables::apply`] for a record still in its log bytes.
     fn replay(&mut self, bytes: &[u8]) -> Result<(), ReplayError> {
         self.apply(Record::decode(bytes)?)
@@ -803,21 +811,6 @@ impl ReceiptStore {
         self.committed(&mut inner)
     }
 
-    /// [`ReceiptStore::record_arrival`] from a pre-serialized
-    /// [`ArrivalTemplate`]: the commit stage only stamps the id and
-    /// arrival time, reusing the record bytes the prepare stage encoded.
-    /// Byte-identical to the unprepared path.
-    pub fn record_arrival_prepared(
-        &self,
-        template: &ArrivalTemplate,
-        arrival: TimePoint,
-    ) -> Result<FileId, ReceiptError> {
-        let id: FileId = self.ids.next();
-        let (bytes, rec) = template.finish(id, arrival);
-        self.log_then(bytes, |t| t.arrive(rec))?;
-        Ok(id)
-    }
-
     /// Record a classified file arrival; returns its new [`FileId`].
     #[allow(clippy::too_many_arguments)]
     pub fn record_arrival(
@@ -1065,12 +1058,14 @@ impl ReceiptStore {
     /// the lowest id wins. One hash probe, not a walk of the live files
     /// (but for the first lookup, which builds the index).
     pub fn file_by_name(&self, name: &str) -> Option<FileRecord> {
-        let tables = &mut self.inner.lock().tables;
-        let index = (tables.by_name).get_or_insert_with(|| NameIndex::of(&tables.files));
-        (index.candidates(name).iter())
-            .filter_map(|id| tables.files.get(id))
-            .find(|f| f.rec.name == name)
-            .map(|f| f.rec.clone())
+        (self.inner.lock().tables.live_named(name)).map(|f| f.rec.clone())
+    }
+
+    /// The id of [`ReceiptStore::file_by_name`]'s file, by the same probe
+    /// but without copying the record: a relay's dedup and a re-home's
+    /// marking need only to know the file is held, and under which id.
+    pub fn file_id_by_name(&self, name: &str) -> Option<FileId> {
+        (self.inner.lock().tables.live_named(name)).map(|f| f.rec.id)
     }
 
     /// [`ReceiptStore::file_by_name`] by a walk of every live file in id
@@ -1955,17 +1950,15 @@ mod tests {
                 }
                 let mut ids = Vec::new();
                 for i in 0..7u64 {
-                    let t = ArrivalTemplate::new(
-                        format!("r{round}_f{i}.csv"),
-                        format!("staging/r{round}_f{i}.csv"),
+                    let id = db.record_arrival(
+                        &format!("r{round}_f{i}.csv"),
+                        &format!("staging/r{round}_f{i}.csv"),
                         64 + i,
+                        TimePoint::from_secs(1_000 + round),
                         Some(TimePoint::from_secs(100 + i)),
                         vec!["F".to_string()],
                     );
-                    ids.push(
-                        db.record_arrival_prepared(&t, TimePoint::from_secs(1_000 + round))
-                            .unwrap(),
-                    );
+                    ids.push(id.unwrap());
                     if flush_every.is_some_and(|k| (i + 1) % k == 0) {
                         db.flush_group().unwrap();
                     }
@@ -2042,25 +2035,6 @@ mod tests {
         // may be reissued, same contract as a failed per-record append
         let next = arrive(&db, "next.csv", &["F"], 999);
         assert!(next.raw() >= 5);
-    }
-
-    #[test]
-    fn prepared_arrival_equals_plain_arrival_bytes() {
-        let a = MemFs::shared(SimClock::new());
-        let b = MemFs::shared(SimClock::new());
-        let da = open(&a);
-        let db = open(&b);
-        arrive(&da, "x.csv", &["F", "G"], 123);
-        let t = ArrivalTemplate::new(
-            "x.csv".to_string(),
-            "staging/x.csv".to_string(),
-            100,
-            Some(TimePoint::from_secs(123)),
-            vec!["F".to_string(), "G".to_string()],
-        );
-        db.record_arrival_prepared(&t, TimePoint::from_secs(123))
-            .unwrap();
-        assert_eq!(wal_dump(&a), wal_dump(&b));
     }
 
     /// The backfill query pages by file id: the receipts of the live
@@ -2194,6 +2168,40 @@ mod tests {
         db.record_expiration(ids[3], TimePoint::from_secs(302))
             .unwrap();
         assert_eq!(db.file_by_name("c.csv").map(|f| f.id), Some(late));
+    }
+
+    /// `file_id_by_name` answers what the scan's record would, over
+    /// duplicates, expiries and a reopen, whether it or `file_by_name`
+    /// builds the index.
+    #[test]
+    fn file_by_name_id_only_matches_the_scan() {
+        let store = MemFs::shared(SimClock::new());
+        let db = open(&store);
+        let check = |db: &ReceiptStore| {
+            for name in ["a.csv", "b.csv", "c.csv", "d.csv"] {
+                let want = db.file_by_name_scan(name).map(|f| f.id);
+                assert_eq!(db.file_id_by_name(name), want, "{name}");
+                assert_eq!(db.file_by_name(name).map(|f| f.id), want, "{name}");
+            }
+        };
+        let names = ["a.csv", "b.csv", "a.csv", "c.csv", "a.csv", "b.csv"];
+        let ids: Vec<FileId> = (names.iter().zip(100..))
+            .map(|(name, t)| arrive(&db, name, &["F"], t))
+            .collect();
+        // the first lookup, by id, builds the index
+        assert!(db.inner.lock().tables.by_name.is_none());
+        check(&db);
+        for (&id, t) in [ids[0], ids[3], ids[2], ids[5]].iter().zip(200..) {
+            db.record_expiration(id, TimePoint::from_secs(t)).unwrap();
+            check(&db);
+        }
+        assert_eq!(db.file_id_by_name("a.csv"), Some(ids[4]));
+        assert_eq!(db.file_id_by_name("b.csv"), Some(ids[1]));
+        drop(db);
+        let db = open(&store);
+        let c2 = arrive(&db, "c.csv", &["F"], 300);
+        assert_eq!(db.file_id_by_name("c.csv"), Some(c2));
+        check(&db);
     }
 
     #[test]

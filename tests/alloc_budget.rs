@@ -102,7 +102,8 @@ fn fanout_round_trip_stays_within_its_allocation_budget() {
     // reads 3.55 (4.74 before the fabric's inboxes became arrival-
     // ordered queues: a message no longer allocates a map node; 4.55
     // before a per-file batch stopped building its one-file list for a
-    // subscriber without a trigger); ⌊1.3 × 3.55 × 10⌋ / 10
+    // subscriber without a trigger); ⌊1.3 × 3.55 × 10⌋ / 10. Reads 3.52
+    // since the commit stage encodes each arrival itself.
     const BUDGET: f64 = 4.6;
 
     let clock = SimClock::starting_at(START);
@@ -172,8 +173,9 @@ fn local_deposit_stays_within_its_allocation_budget() {
     // one local (no network) subscriber: deposit = classify + stage +
     // arrival receipt + one delivery receipt, the `ingest_stream` shape.
     // Classify and prepare are most of it; the String-keyed delivery
-    // tail read 75.5 here; reads 65.42 (1.3 × that is 85, so the older,
-    // tighter budget stands)
+    // tail read 75.5 here; reads 58.42 since the commit stage encodes
+    // the arrival itself (1.3 × that is 75.9, so the older, tighter
+    // budget stands)
     const BUDGET: f64 = 72.0;
 
     let clock = SimClock::starting_at(START);
