@@ -12,10 +12,9 @@ use crate::index::DeliveryIndex;
 use crate::log::{EventLog, LogLevel};
 use crate::normalizer::NormalizeError;
 use crate::parallel::{self, Prepared};
-use bistro_analyzer::discovery::DiscoveredFeed;
-use bistro_analyzer::fn_detect::FnWarning;
 use bistro_analyzer::{
-    fp_report, FeedDiscoverer, FeedProgress, FnDetector, FpReport, ProgressAlert,
+    fp_report, grouping::DEFAULT_GROUP_THRESHOLD, suggest_groups, DiscoveredFeed, FeedDiscoverer,
+    FeedProgress, FnDetector, FnWarning, FpReport, GroupSuggestion, ProgressAlert,
 };
 use bistro_base::{
     BatchId, Bitmap, FileId, IdGen, Pool, ShardStat, SharedClock, SubscriberId, TimePoint, TimeSpan,
@@ -456,8 +455,6 @@ pub struct Server {
     /// it ([`Server::group_served`]).
     relayed_here: BTreeMap<String, Vec<SubscriberId>>,
     progress: HashMap<String, FeedProgress>,
-    discoverer: FeedDiscoverer,
-    fn_detector: FnDetector,
     telemetry: SharedRegistry,
     pool_telemetry: SharedRegistry,
     metrics: ServerMetrics,
@@ -492,13 +489,6 @@ impl Server {
 
         let classifier = Classifier::compile(&config);
         let compresses = parallel::compresses(&config);
-        let fn_detector = FnDetector::new(
-            config
-                .feeds
-                .iter()
-                .map(|f| (f.name.clone(), f.patterns.clone()))
-                .collect(),
-        );
 
         // The relay groups this server plans — each whose relay is another
         // server — are subscribers of it (§3): a group's delivery is a
@@ -594,17 +584,6 @@ impl Server {
             index.insert_relay(p.id, &p.feeds);
         }
 
-        // Rebuild analyzer state from files parked in unknown/ by a
-        // previous incarnation: discovery and drift detection must
-        // survive restarts just like receipts do.
-        let mut discoverer = FeedDiscoverer::new();
-        let mut fn_detector = fn_detector;
-        for full in bistro_vfs::walk_files(store.as_ref(), "unknown")? {
-            let rel = full.strip_prefix("unknown/").unwrap_or(&full);
-            discoverer.observe(rel);
-            fn_detector.observe(rel);
-        }
-
         Ok(Server {
             name: name.to_string(),
             config,
@@ -626,8 +605,6 @@ impl Server {
             groups,
             relayed_here,
             progress: HashMap::new(),
-            discoverer,
-            fn_detector,
             telemetry,
             pool_metrics: PoolMetrics::new(&pool_telemetry, 1),
             pool_telemetry,
@@ -905,8 +882,6 @@ impl Server {
             let raw = prepared.raw.take().expect("unknown files keep the payload");
             self.store
                 .write_owned(&format!("unknown/{rel_path}"), raw)?;
-            self.discoverer.observe(rel_path);
-            self.fn_detector.observe(rel_path);
             self.metrics.ingest_unknown.inc();
             self.log.log(
                 now,
@@ -1649,21 +1624,19 @@ impl Server {
     /// named `file_name` to every member that subscribes to one of the
     /// file's feeds: the condition for acking the group's send upstream.
     /// False when this server is not the group's relay or holds no such
-    /// file — the upstream then resends and, in the end, alarms. One read
-    /// of the file's delivered set, then each member by id.
+    /// file — the upstream then resends and, in the end, alarms. One
+    /// probe of the receipts, which lends the file's feeds and delivered
+    /// set, then each member by id.
     pub(crate) fn group_served(&self, group: &str, file_name: &str) -> bool {
         let Some(members) = self.relayed_here.get(group) else {
             return false;
         };
-        let Some(rec) = self.receipts.file_by_name(file_name) else {
-            return false;
+        let served = |rec: &FileRecord, delivered: &Bitmap| {
+            let wants = |st: &SubscriberState| st.feeds.iter().any(|f| rec.feeds.contains(f));
+            (members.iter().filter_map(|&id| self.subscribers.get(id)))
+                .all(|st| delivered.get(st.id.raw()) || !wants(st))
         };
-        let Some(delivered) = self.receipts.delivered_ids(rec.id) else {
-            return false;
-        };
-        let wants = |st: &SubscriberState| st.feeds.iter().any(|f| rec.feeds.contains(f));
-        (members.iter().filter_map(|&id| self.subscribers.get(id)))
-            .all(|st| delivered.get(st.id.raw()) || !wants(st))
+        (self.receipts.with_file_named(file_name, served)).unwrap_or(false)
     }
 
     /// Unfinished group (delivery-tree) fanouts currently in flight.
@@ -1872,13 +1845,6 @@ impl Server {
         }
         self.classifier = Arc::new(Classifier::compile(&self.config));
         self.compresses = parallel::compresses(&self.config);
-        self.fn_detector = FnDetector::new(
-            self.config
-                .feeds
-                .iter()
-                .map(|f| (f.name.clone(), f.patterns.clone()))
-                .collect(),
-        );
         self.resolve_subscriptions()?;
         // reclassify live files
         for rec in self.receipts.all_live() {
@@ -1888,13 +1854,11 @@ impl Server {
             }
         }
         // re-scan unknown directory: drifted files may now match
-        let unknowns = bistro_vfs::walk_files(self.store.as_ref(), "unknown")?;
-        for full in unknowns {
-            let rel = full.strip_prefix("unknown/").unwrap_or(&full).to_string();
+        for rel in self.parked()? {
             if !self.classifier.classify(&rel).is_empty() {
                 // move back through the landing zone and ingest
-                self.store
-                    .rename(&full, &format!("{}/{rel}", self.config.server.landing))?;
+                let landing = format!("{}/{rel}", self.config.server.landing);
+                self.store.rename(&format!("unknown/{rel}"), &landing)?;
                 self.notify_deposit(&rel)?;
             }
         }
@@ -2141,13 +2105,16 @@ impl Server {
         Server::new(name, config, clock, store)
     }
 
-    /// Suggested groupings of the analyzer's discovered feeds (the §5.1
-    /// future-work direction implemented in `bistro_analyzer::grouping`).
-    pub fn group_suggestions(&self, min_support: usize) -> Vec<bistro_analyzer::GroupSuggestion> {
-        bistro_analyzer::suggest_groups(
-            &self.discoverer.suggestions(min_support),
-            bistro_analyzer::grouping::DEFAULT_GROUP_THRESHOLD,
-        )
+    /// Suggested groupings of the feeds [`Server::discovery_report`]
+    /// finds with at least `min_support` files (the §5.1 future-work
+    /// direction implemented in `bistro_analyzer::grouping`), at its cost
+    /// and failing as it does.
+    pub fn group_suggestions(
+        &self,
+        min_support: usize,
+    ) -> Result<Vec<GroupSuggestion>, ServerError> {
+        let feeds = self.discovery_report(min_support)?;
+        Ok(suggest_groups(&feeds, DEFAULT_GROUP_THRESHOLD))
     }
 
     /// Content schema of a parked unknown file (LEARNPADS-direction
@@ -2160,14 +2127,32 @@ impl Server {
         Ok(bistro_analyzer::infer_schema(&data))
     }
 
-    /// New-feed suggestions from the unmatched-file stream (§5.1).
-    pub fn discovery_report(&self, min_support: usize) -> Vec<DiscoveredFeed> {
-        self.discoverer.suggestions(min_support)
+    /// New-feed suggestions from the files parked in `unknown/` (§5.1),
+    /// examples in path order. Derived on each call by one walk of
+    /// `unknown/` and a fresh [`FeedDiscoverer`]: `O(parked files)`, and
+    /// an error when `unknown/` cannot be listed.
+    pub fn discovery_report(&self, min_support: usize) -> Result<Vec<DiscoveredFeed>, ServerError> {
+        let mut discoverer = FeedDiscoverer::new();
+        (self.parked()?.iter()).for_each(|name| discoverer.observe(name));
+        Ok(discoverer.suggestions(min_support))
     }
 
-    /// False-negative warnings from the unmatched-file stream (§5.2).
-    pub fn fn_warnings(&self) -> Vec<FnWarning> {
-        self.fn_detector.warnings()
+    /// False-negative warnings from the files parked in `unknown/`
+    /// against the current feed definitions (§5.2), examples in path
+    /// order: one walk and a fresh [`FnDetector`] per call, at
+    /// [`Server::discovery_report`]'s cost and failure.
+    pub fn fn_warnings(&self) -> Result<Vec<FnWarning>, ServerError> {
+        let feeds = (self.config.feeds.iter()).map(|f| (f.name.clone(), f.patterns.clone()));
+        let mut detector = FnDetector::new(feeds.collect());
+        (self.parked()?.iter()).for_each(|name| detector.observe(name));
+        Ok(detector.warnings())
+    }
+
+    /// The names of the files parked in `unknown/`, relative to it, in
+    /// path order.
+    fn parked(&self) -> Result<Vec<String>, ServerError> {
+        let files = bistro_vfs::walk_files(self.store.as_ref(), "unknown")?;
+        Ok(files.iter().map(|f| f["unknown/".len()..].into()).collect())
     }
 
     /// False-positive / composition report for one feed (§5.3).

@@ -254,7 +254,7 @@ fn feed_redefinition_recovers_drifted_files() {
     assert_eq!(server.stats().files_unknown, 1);
 
     // analyzer flags the drift
-    let warnings = server.fn_warnings();
+    let warnings = server.fn_warnings().unwrap();
     assert_eq!(warnings.len(), 1);
     assert_eq!(warnings[0].feed, "SNMP/MEMORY");
 
@@ -272,6 +272,88 @@ fn feed_redefinition_recovers_drifted_files() {
         pending.is_empty(),
         "drifted file delivered after redefinition"
     );
+}
+
+/// A server over `snmp_config` holding six drifted `MEMORY_Poller…`
+/// files and one drifted `CPU_Poller…` file in `unknown/`, after
+/// SNMP/MEMORY was redefined with the analyzer's suggested pattern: the
+/// six go back through ingest, the CPU file stays parked.
+fn redefined_after_drift() -> (Server, Arc<MemFs>) {
+    let clock = SimClock::starting_at(START);
+    let store = MemFs::shared(clock.clone());
+    let mut server = new_server(clock, store.clone());
+    for d in 1..=6 {
+        let name = format!("MEMORY_Poller{d}_2010092{d}.gz");
+        server.deposit(&name, b"drifted").unwrap();
+    }
+    server
+        .deposit("CPU_Poller1_201009250505.csv", b"drifted")
+        .unwrap();
+    let report = server.discovery_report(5).unwrap();
+    assert!(report
+        .iter()
+        .any(|f| f.pattern.text() == "MEMORY_Poller%i_%Y%m%d.gz"));
+    let warnings = server.fn_warnings().unwrap();
+    let memory = warnings.iter().find(|w| w.feed == "SNMP/MEMORY").unwrap();
+    let mut feed = server.config().feed("SNMP/MEMORY").unwrap().clone();
+    feed.patterns.push(memory.suggested_pattern.clone());
+    server.redefine_feed(feed).unwrap();
+    assert_eq!(server.receipts().live_count(), 6);
+    assert!(store.exists("unknown/CPU_Poller1_201009250505.csv"));
+    (server, store)
+}
+
+#[test]
+fn redefine_feed_keeps_fn_warnings_for_files_still_parked() {
+    let (server, _store) = redefined_after_drift();
+    let warnings = server.fn_warnings().unwrap();
+    let feeds: Vec<&str> = warnings.iter().map(|w| w.feed.as_str()).collect();
+    assert_eq!(feeds, ["SNMP/CPU"], "{warnings:#?}");
+    assert_eq!(warnings[0].examples, ["CPU_Poller1_201009250505.csv"]);
+}
+
+#[test]
+fn redefine_feed_drops_discoveries_of_files_that_left_unknown() {
+    let (server, _store) = redefined_after_drift();
+    let report = server.discovery_report(5).unwrap();
+    assert!(report.is_empty(), "{report:#?}");
+}
+
+/// The analyzer's answers are a function of what `unknown/` holds: a
+/// live server that parked names out of path order answers exactly as
+/// one reopened over the same store, examples in path order.
+#[test]
+fn live_and_reopened_servers_agree_on_discovery_warnings_and_group_suggestions() {
+    let clock = SimClock::starting_at(START);
+    let store = MemFs::shared(clock.clone());
+    let mut names: Vec<String> = (1..=9)
+        .map(|d| format!("NEWFEED_host{}_2010090{d}.log", d % 3))
+        .chain((1..=6).map(|d| format!("MEMORY_Poller{d}_2010092{d}.gz")))
+        .collect();
+    names.sort();
+    let answers = |server: &Server| {
+        format!(
+            "{:?}\n{:?}\n{:?}",
+            server.discovery_report(1).unwrap(),
+            server.fn_warnings().unwrap(),
+            server.group_suggestions(1).unwrap()
+        )
+    };
+    let live = {
+        let mut server = new_server(clock.clone(), store.clone());
+        for name in names.iter().rev() {
+            server.deposit(name, b"x").unwrap();
+        }
+        assert_eq!(server.stats().files_unknown, 15);
+        answers(&server)
+    };
+    let reopened = new_server(clock, store);
+    assert_eq!(live, answers(&reopened));
+    // the names arrived in reverse path order
+    for feed in reopened.discovery_report(1).unwrap() {
+        assert!(feed.examples.len() > 1, "{feed:?}");
+        assert!(feed.examples.windows(2).all(|w| w[0] < w[1]), "{feed:?}");
+    }
 }
 
 #[test]
@@ -575,7 +657,7 @@ fn discovery_report_from_unknowns() {
             .deposit(&format!("NEWFEED_host{}_2010090{d}.log", d % 3), b"x")
             .unwrap();
     }
-    let report = server.discovery_report(5);
+    let report = server.discovery_report(5).unwrap();
     assert_eq!(report.len(), 1);
     assert_eq!(report[0].pattern.text(), "NEWFEED_host%i_%Y%m%d.log");
     assert_eq!(report[0].support, 9);
@@ -637,7 +719,7 @@ fn group_suggestions_and_schemas_from_unknowns() {
                 .unwrap();
         }
     }
-    let groups = server.group_suggestions(3);
+    let groups = server.group_suggestions(3).unwrap();
     assert_eq!(groups.len(), 1, "{groups:#?}");
     assert_eq!(groups[0].members.len(), 2);
     let schema = server

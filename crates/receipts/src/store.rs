@@ -1068,6 +1068,19 @@ impl ReceiptStore {
         (self.inner.lock().tables.live_named(name)).map(|f| f.rec.id)
     }
 
+    /// Lend [`ReceiptStore::file_by_name`]'s file, found by the same
+    /// probe, and its delivered set to `f`, copying neither: one hold of
+    /// the store's lock for what a relay checks on every group send it
+    /// receives. `f` runs under the lock, so it must not call back into
+    /// the store.
+    pub fn with_file_named<R>(
+        &self,
+        name: &str,
+        f: impl FnOnce(&FileRecord, &Bitmap) -> R,
+    ) -> Option<R> {
+        (self.inner.lock().tables.live_named(name)).map(|live| f(&live.rec, &live.delivered))
+    }
+
     /// [`ReceiptStore::file_by_name`] by a walk of every live file in id
     /// order: the definition the name index answers for, kept as the
     /// oracle of its tests.
@@ -2182,6 +2195,9 @@ mod tests {
                 let want = db.file_by_name_scan(name).map(|f| f.id);
                 assert_eq!(db.file_id_by_name(name), want, "{name}");
                 assert_eq!(db.file_by_name(name).map(|f| f.id), want, "{name}");
+                let lent = db.with_file_named(name, |rec, delivered| (rec.id, delivered.clone()));
+                let delivered = want.and_then(|id| db.delivered_ids(id));
+                assert_eq!(lent, want.zip(delivered), "{name}");
             }
         };
         let names = ["a.csv", "b.csv", "a.csv", "c.csv", "a.csv", "b.csv"];

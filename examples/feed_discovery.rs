@@ -72,7 +72,7 @@ fn main() {
 
     // §5.1 — new feed discovery over the unknown stream
     println!("\n--- suggested new feed definitions ---");
-    for feed in server.discovery_report(3) {
+    for feed in server.discovery_report(3).unwrap() {
         println!(
             "  {}   support={} period={} sources={}",
             feed.pattern,
@@ -105,7 +105,7 @@ fn main() {
     }
 
     println!("false-negative warnings (one per drifted pattern, not per file):");
-    let warnings = server.fn_warnings();
+    let warnings = server.fn_warnings().unwrap();
     for w in &warnings {
         println!(
             "  feed {}: {} files match suggested pattern {} (similarity {:.2})",

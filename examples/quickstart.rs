@@ -69,7 +69,7 @@ fn main() {
     }
 
     println!("\n--- analyzer: what was that mystery file? ---");
-    for feed in server.discovery_report(1) {
+    for feed in server.discovery_report(1).unwrap() {
         println!(
             "suggested feed: {} (support {}, {})",
             feed.pattern, feed.support, feed.description

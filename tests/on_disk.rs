@@ -66,7 +66,7 @@ fn full_pipeline_on_real_filesystem() {
         .is_empty());
 
     // analyzer saw the stray file
-    assert_eq!(server.discovery_report(1).len(), 1);
+    assert_eq!(server.discovery_report(1).unwrap().len(), 1);
 
     let _ = std::fs::remove_dir_all(&root);
 }
